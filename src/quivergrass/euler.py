@@ -17,8 +17,8 @@ from typing import Sequence
 from . import linalg
 from .errors import InsufficientSamples, NonPolynomialCount
 from .fpoly import FPolynomial
-from .model import Representation, reduce_mod, validate_representation
-from .subspaces import count_subreps, count_subreps_profile
+from .model import Representation, dual_representation, reduce_mod, validate_representation
+from .subspaces import box_prefers_dual, count_subreps, count_subreps_profile
 
 HELD_OUT = 2  # validation primes beyond the interpolation nodes
 
@@ -144,6 +144,10 @@ def good_primes(rep: Representation, how_many: int) -> list[int]:
     raise RuntimeError("unreachable: prime stream is infinite")
 
 
+def _degree_bound(rep: Representation, e: Sequence[int]) -> int:
+    return sum(x * (d - x) for x, d in zip(e, rep.dims))
+
+
 def counting_polynomial(rep: Representation, e: Sequence[int],
                         cap: int | None = None) -> CountingPolynomial:
     """Sample, interpolate, and validate the point-count polynomial for e."""
@@ -151,7 +155,7 @@ def counting_polynomial(rep: Representation, e: Sequence[int],
     e = tuple(int(x) for x in e)
     if len(e) != rep.n or any(not 0 <= x <= d for x, d in zip(e, rep.dims)):
         raise ValueError(f"dimension vector {e} outside the box of {rep.dims}")
-    degree_bound = sum(x * (d - x) for x, d in zip(e, rep.dims))
+    degree_bound = _degree_bound(rep, e)
     primes = good_primes(rep, degree_bound + 1 + HELD_OUT)
     samples = []
     for p in primes:
@@ -166,62 +170,54 @@ def euler_characteristic(rep: Representation, e: Sequence[int],
     return counting_polynomial(rep, e, cap).chi
 
 
-def _degree_bound(rep: Representation, e: Sequence[int]) -> int:
-    return sum(x * (d - x) for x, d in zip(e, rep.dims))
-
-
 def iter_box_chi(rep: Representation, cap: int | None = None):
     """Yield (e, chi, error) over the whole box, lexicographically.
 
     chi is None exactly when the counts at e were rejected as non-polynomial,
     in which case `error` carries the NonPolynomialCount.  Counting work is
     shared across the fiber of the final search vertex: one enumeration pass
-    per prime serves every value of that coordinate.
+    per prime serves every value of that coordinate.  The whole box is
+    searched on rep or on its dual at d - e (`box_prefers_dual`), with
+    prefixes of one `good_primes` list.
     """
     validate_representation(rep)
-    order = rep.quiver.topological_order() or tuple(range(rep.n))
-    final_vertex = order[-1]
-    other = [v for v in range(rep.n) if v != final_vertex]
-    ranges = [range(rep.dims[v] + 1) for v in other]
-    fiber = range(rep.dims[final_vertex] + 1)
+    dims = rep.dims
+    box = list(product(*(range(d + 1) for d in dims)))
+    primes = good_primes(rep, max(_degree_bound(rep, e) for e in box) + 1 + HELD_OUT)
+    backward = box_prefers_dual(rep, primes[-1])
+    search = dual_representation(rep) if backward else rep
+    final_vertex = (search.quiver.topological_order() or range(rep.n))[-1]
+    reduced = [reduce_mod(search, p) for p in primes]
     results: dict[tuple, tuple] = {}
     batched = True
-    for combo in product(*ranges):
-        base = [0] * rep.n
-        for v, x in zip(other, combo):
-            base[v] = x
-        members = []
-        for y in fiber:
-            e = list(base)
-            e[final_vertex] = y
-            members.append(tuple(e))
-        profiles = None
-        if batched:
-            max_deg = max(_degree_bound(rep, e) for e in members)
-            primes = good_primes(rep, max_deg + 1 + HELD_OUT)
-            profiles = []
-            for p in primes:
-                prof = count_subreps_profile(reduce_mod(rep, p), base, cap)
-                if prof is None:
-                    batched = False  # constrained final vertex: count per e
-                    profiles = None
-                    break
-                profiles.append((p, prof))
-        for e in members:
+    for base in box:
+        if base[final_vertex]:
+            continue  # each fiber once, from its member with final coordinate 0
+        fiber = [(y, base[:final_vertex] + (y,) + base[final_vertex + 1:])
+                 for y in range(dims[final_vertex] + 1)]  # (search coordinate, e)
+        if backward:  # e back in rep's coordinates
+            fiber = [(y, tuple(d - x for d, x in zip(dims, e))) for y, e in fiber]
+        need = max(_degree_bound(rep, e) for _, e in fiber) + 1 + HELD_OUT
+        profiles = []
+        for p, rep_p in zip(primes[:need] if batched else (), reduced):
+            prof = count_subreps_profile(rep_p, base, cap)
+            if prof is None:
+                batched = False  # constrained final vertex: count per e
+                break
+            profiles.append((p, prof))
+        for y, e in fiber:
             try:
-                if profiles is not None:
+                if batched:
                     deg = _degree_bound(rep, e)
-                    samples = [(p, prof[e[final_vertex]])
-                               for p, prof in profiles[:deg + 1 + HELD_OUT]]
+                    samples = [(p, prof[y]) for p, prof in profiles[:deg + 1 + HELD_OUT]]
                     poly = interpolate_counting_polynomial(samples, deg, dim_vector=e)
                 else:
                     poly = counting_polynomial(rep, e, cap)
                 results[e] = (poly.chi, None)
             except NonPolynomialCount as exc:
                 results[e] = (None, exc)
-    for e in product(*(range(d + 1) for d in rep.dims)):
-        chi, err = results[e]
-        yield e, chi, err
+    for e in box:
+        yield (e, *results[e])
 
 
 def f_polynomial(rep: Representation, cap: int | None = None) -> FPolynomial:

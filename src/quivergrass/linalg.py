@@ -7,6 +7,7 @@ is exact: no floating point.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -71,28 +72,19 @@ def reduce_mod(vec: Sequence[int], rows: Sequence[Sequence[int]],
 def rref_insert(rows: tuple, pivots: tuple, vec: Sequence[int], p: int):
     """Insert vec into an RREF basis; returns (rows, pivots) or None if dependent."""
     v = reduce_mod(vec, rows, pivots, p)
-    lead = next((i for i, x in enumerate(v) if x), None)
-    if lead is None:
+    for lead, x in enumerate(v):
+        if x:
+            break
+    else:
         return None
-    inv = inv_mod(v[lead], p)
-    v = tuple(x * inv % p for x in v)
+    inv = inv_mod(x, p)
+    v = tuple(a * inv % p for a in v)
     # clear the new pivot column in the existing rows, keep pivot order
-    new_rows, new_pivots = [], []
-    placed = False
-    for row, c in zip(rows, pivots):
-        if not placed and lead < c:
-            new_rows.append(v)
-            new_pivots.append(lead)
-            placed = True
-        coeff = row[lead]
-        if coeff:
-            row = tuple((a - coeff * b) % p for a, b in zip(row, v))
-        new_rows.append(row)
-        new_pivots.append(c)
-    if not placed:
-        new_rows.append(v)
-        new_pivots.append(lead)
-    return tuple(new_rows), tuple(new_pivots)
+    cleared = [tuple((a - c * b) % p for a, b in zip(row, v)) if (c := row[lead]) else row
+               for row in rows]
+    at = bisect_left(pivots, lead)
+    cleared.insert(at, v)
+    return tuple(cleared), tuple(pivots[:at]) + (lead,) + tuple(pivots[at:])
 
 
 def rref_mod(matrix: Iterable[Sequence[int]], p: int):
@@ -107,7 +99,21 @@ def rref_mod(matrix: Iterable[Sequence[int]], p: int):
 
 
 def rank_mod(matrix: Iterable[Sequence[int]], p: int) -> int:
-    return len(rref_mod(matrix, p)[0])
+    """Rank over F_p by forward elimination: each kept row vanishes at the
+    lead columns of the earlier ones; no scaling, no back-substitution."""
+    basis: list = []
+    for vec in matrix:
+        v = vec
+        for lead, row in basis:
+            c = v[lead]
+            if c:
+                h = row[lead]
+                v = [(h * a - c * b) % p for a, b in zip(v, row)]
+        for lead, x in enumerate(v):
+            if x % p:
+                basis.append((lead, v))
+                break
+    return len(basis)
 
 
 def matvec_mod(matrix: Sequence[Sequence[int]], vec: Sequence[int], p: int) -> tuple:

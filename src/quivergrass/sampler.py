@@ -220,7 +220,8 @@ def positivity_scan(rep: Representation, require_rigid: bool = True,
         raise NotAcyclic("positivity scan expects an acyclic quiver")
     if hom_dim(rep, rep) != 1:
         raise ValueError("positivity scan expects an indecomposable (hom(M, M) = 1)")
-    if require_rigid and not is_rigid(rep):
+    rigid = is_rigid(rep)
+    if require_rigid and not rigid:
         raise ValueError("representation is not rigid; pass require_rigid=False")
     entries = []
     negatives = []
@@ -234,7 +235,7 @@ def positivity_scan(rep: Representation, require_rigid: bool = True,
             negatives.append({"e": list(e), "chi": chi})
     report = {
         "dims": list(rep.dims),
-        "rigid": is_rigid(rep),
+        "rigid": rigid,
         "entries": entries,
         "negatives": negatives,
         "refused": refused,

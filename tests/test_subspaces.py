@@ -1,9 +1,17 @@
 import random
+from itertools import product
 
 import pytest
 
+from quivergrass import linalg
 from quivergrass.errors import DegenerateBase, SearchTooLarge
-from quivergrass.kronecker import build_kronecker, preprojective
+from quivergrass.kronecker import (
+    INFINITY,
+    build_kronecker,
+    preinjective,
+    preprojective,
+    regular,
+)
 from quivergrass.model import (
     Quiver,
     Representation,
@@ -11,6 +19,11 @@ from quivergrass.model import (
     reduce_mod,
 )
 from quivergrass.subspaces import (
+    _Budget,
+    _count,
+    _iter_rref,
+    _iter_superspaces,
+    _SearchPlan,
     count_subreps,
     count_subreps_profile,
     default_cap,
@@ -169,3 +182,73 @@ def test_iter_subrep_tuples_consistent():
         for pt in points:
             assert pt.dims == e
             assert is_subrepresentation(rep, pt)
+
+
+def _kronecker_modules(max_m):
+    for m in range(1, max_m + 1):
+        yield preprojective(m)
+        yield preinjective(m)
+        for lam in (0, 1, INFINITY):
+            yield regular(m, lam)
+
+
+def test_forward_and_backward_searches_agree():
+    # the backward plan counts Gr_{d-e} of the dual; each direction is forced
+    for kind in _kronecker_modules(3):
+        rep = build_kronecker(kind)
+        for p in (3, 5):
+            rp = reduce_mod(rep, p)
+            for e in product(*(range(d + 1) for d in rep.dims)):
+                forward = _count(_SearchPlan(rp, e), _Budget(10 ** 6, 0))
+                backward = _count(_SearchPlan(rp, e, backward=True), _Budget(10 ** 6, 0))
+                assert forward == backward == count_subreps(rp, e).count, (kind, p, e)
+
+
+def test_cheaper_direction_fits_under_cap():
+    rep = reduce_mod(build_kronecker(preinjective(4)), 23)
+    assert _SearchPlan(rep, (2, 2)).enumerated_estimate() == 293090
+    assert _SearchPlan(rep, (2, 2), backward=True).enumerated_estimate() == 553
+    # 553 candidates plus one shortcut tick each stay below the cap
+    assert count_subreps(rep, (2, 2), cap=2000).count == 553
+    with pytest.raises(SearchTooLarge) as err:
+        count_subreps(rep, (2, 2), cap=1000)
+    assert err.value.estimate == gaussian_binomial(4, 2, 23) * gaussian_binomial(3, 2, 23)
+
+
+def test_incremental_images_match_matvec():
+    rng = random.Random("images")
+    for p in (2, 3, 5):
+        for m in range(5):
+            mats = [tuple(tuple(rng.randrange(p) for _ in range(m)) for _ in range(t))
+                    for t in (0, 1, 3)]
+            cols = [tuple(tuple(row[c] for row in mat) for c in range(m)) for mat in mats]
+            for e in range(m + 1):
+                for rows, _, images in _iter_rref(p, m, e, cols):
+                    for mat, imgs in zip(mats, images):
+                        assert imgs == tuple(linalg.matvec_mod(mat, w, p) for w in rows)
+
+
+def test_superspace_images_span_the_image():
+    rng = random.Random("superspaces")
+    p, m = 3, 4
+    mat = tuple(tuple(rng.randrange(p) for _ in range(m)) for _ in range(3))
+    cols = [tuple(tuple(row[c] for row in mat) for c in range(m))]
+    for s in range(1, 3):
+        srows, spivots, _ = next(_iter_rref(p, m, s))
+        for e in range(s, m + 1):
+            found = list(_iter_superspaces(p, m, e, srows, spivots, cols))
+            assert len(found) == gaussian_binomial(m - s, e - s, p)
+            for rows, pivots, (imgs,) in found:
+                assert linalg.rref_mod(rows + srows, p) == (rows, pivots)
+                assert (linalg.rref_mod(imgs, p)
+                        == linalg.rref_mod([linalg.matvec_mod(mat, w, p) for w in rows], p))
+
+
+def test_rank_mod_matches_rref():
+    rng = random.Random("rank")
+    for p in (2, 3, 7):
+        for _ in range(200):
+            width = rng.randint(1, 5)
+            matrix = [[rng.randrange(2 * p) if rng.random() < 0.6 else 0 for _ in range(width)]
+                      for _ in range(rng.randint(0, 6))]
+            assert linalg.rank_mod(matrix, p) == len(linalg.rref_mod(matrix, p)[0])
