@@ -55,6 +55,15 @@ def _csv_ints(text: str) -> tuple[int, ...]:
         raise ParseError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _parse_cap(text: str | None) -> int | None:
+    if text is None:
+        return None
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(f"bad --cap {text!r}; expected an integer") from exc
+
+
 def _parse_type(label: str) -> tuple[str, int]:
     m = re.fullmatch(r"([ADEade])(\d+)", label.strip())
     if not m:
@@ -115,7 +124,7 @@ def cmd_euler(args) -> int:
         raise ParseError("euler needs --rep and --e")
     rep = load_representation(args.rep)
     e = _csv_ints(args.e)
-    cap = int(args.cap) if args.cap is not None else None
+    cap = _parse_cap(args.cap)
     try:
         poly = eu.counting_polynomial(rep, e, cap)
     except ValueError as exc:
@@ -125,10 +134,12 @@ def cmd_euler(args) -> int:
         qpoly = FPolynomial(1, {(k,): c for k, c in enumerate(poly.coefficients)})
         lines.append(f"counting polynomial: {qpoly.to_text(names=('q',))}")
         lines.append("sample primes: " + ", ".join(str(p) for p, _ in poly.samples))
+        lines.append(f"degree bound: {poly.degree_bound} (fitted degree {poly.degree})")
     payload = {
         "chi": poly.chi,
         "e": list(e),
         "counting_polynomial": list(poly.coefficients),
+        "degree_bound": poly.degree_bound,
         "samples": [[p, c] for p, c in poly.samples],
     }
     _emit(args, "\n".join(lines), payload)
@@ -139,7 +150,7 @@ def cmd_fpoly(args) -> int:
     if args.rep is None:
         raise ParseError("fpoly needs --rep")
     rep = load_representation(args.rep)
-    cap = int(args.cap) if args.cap is not None else None
+    cap = _parse_cap(args.cap)
     poly = eu.f_polynomial(rep, cap)
     _emit(args, poly.to_text(), poly.to_json_dict())
     return EXIT_OK
@@ -156,7 +167,7 @@ def cmd_kronecker(args) -> int:
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     mode = args.mode or "both"
-    cap = int(args.cap) if args.cap is not None else None
+    cap = _parse_cap(args.cap)
     rep = kr.build_kronecker(kind)
     d1, d2 = kr.dims_of(kind)
     rows = []
@@ -211,7 +222,7 @@ def cmd_dynkin(args) -> int:
         raise ParseError(str(exc)) from exc
     if tuple(alpha) not in rs.positive_roots:
         raise ParseError(f"{list(alpha)} is not a positive root of {label}{rank}")
-    cap = int(args.cap) if args.cap is not None else None
+    cap = _parse_cap(args.cap)
     seed = int(args.seed) if args.seed is not None else 0
     payload: dict = {"type": f"{label}{rank}",
                      "coxeter": [i + 1 for i in word], "root": list(alpha)}
@@ -246,7 +257,7 @@ def cmd_example4(args) -> int:
     seed = int(args.seed) if args.seed is not None else 42
     bound = int(args.bound) if args.bound is not None else 5
     primes = _csv_ints(args.primes) if args.primes is not None else sp.EXAMPLE4_PRIMES
-    cap = int(args.cap) if args.cap is not None else None
+    cap = _parse_cap(args.cap)
     rep = sp.sample_general_rep(kr.kronecker_quiver(sp.EXAMPLE4_ARROWS),
                                 sp.EXAMPLE4_DIMS, seed, bound)
     try:

@@ -5,20 +5,29 @@ the integer polynomial that matches the exact F_p point counts at enough
 primes and survives validation at two held-out primes.  Varieties whose
 counts are not polynomial in q (the plane-quartic pipeline of `example4` is
 the canonical source) are detected and rejected with NonPolynomialCount.
+
+"Enough" is B + 1 nodes, where B bounds deg P through the arrow ranks (see
+`_fibration_bound`).  Walk the vertices in the search order; an arrow
+u -> v from an earlier vertex forces dim U_v >= s_v = e_u - dim ker phi_a,
+so U_v ranges over at most binom_q(d_v - s_v, e_v - s_v) subspaces, of
+degree (e_v - s_v)(d_v - e_v) in q.  B is the smaller of the sums of these
+degrees over M at e and over the dual M* at d - e, whose Grassmannian has
+the same points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import linalg
 from .errors import InsufficientSamples, NonPolynomialCount
 from .fpoly import FPolynomial
 from .model import Representation, dual_representation, reduce_mod, validate_representation
-from .subspaces import box_prefers_dual, count_subreps, count_subreps_profile
+from .subspaces import _routing, box_prefers_dual, count_subreps, count_subreps_profile
 
 HELD_OUT = 2  # validation primes beyond the interpolation nodes
 
@@ -28,12 +37,14 @@ class CountingPolynomial:
     """Integer polynomial in q reproducing every sampled point count.
 
     coefficients are ascending; samples are the (prime, count) pairs the
-    polynomial was built from and verified against.
+    polynomial was built from and verified against; degree_bound is the
+    a-priori bound on the degree that fixed how many samples were fitted.
     """
 
     coefficients: tuple[int, ...]
     dim_vector: tuple[int, ...] | None
     samples: tuple[tuple[int, int], ...]
+    degree_bound: int | None = None
 
     def evaluate(self, x) -> int:
         total = 0
@@ -69,6 +80,13 @@ def _lagrange(points: Sequence[tuple[int, int]]) -> list[Fraction]:
     return coeffs
 
 
+def _not_polynomial(samples, dim_vector, reason: str) -> NonPolynomialCount:
+    where = "" if dim_vector is None else f" at dimension vector {dim_vector}"
+    primes = ", ".join(str(p) for p, _ in samples)
+    return NonPolynomialCount(f"point counts{where} sampled at primes {primes}: {reason}, "
+                              "so they are not polynomial in q")
+
+
 def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
                                     degree_bound: int,
                                     dim_vector: Sequence[int] | None = None
@@ -76,8 +94,9 @@ def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
     """Fit the first degree_bound+1 samples exactly, then validate the rest.
 
     Requires at least two held-out samples beyond the interpolation nodes.
-    Raises NonPolynomialCount when the interpolant has a non-integer
-    coefficient or any held-out count disagrees.
+    Raises NonPolynomialCount, naming the dimension vector and the sampled
+    primes, when the interpolant has a non-integer coefficient or any
+    held-out count disagrees.
     """
     samples = [(int(p), int(c)) for p, c in samples]
     if degree_bound < 0:
@@ -89,30 +108,26 @@ def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
             f"got {len(samples)}")
     if len({p for p, _ in samples}) != len(samples):
         raise ValueError("sample primes must be distinct")
+    dim_vector = tuple(dim_vector) if dim_vector is not None else None
     nodes = samples[:degree_bound + 1]
     coeffs = _lagrange(nodes)
     if any(c.denominator != 1 for c in coeffs):
-        raise NonPolynomialCount(
-            "interpolant has non-integer coefficients; the point counts are not "
-            "polynomial in q (the `example4` plane-quartic pipeline is the "
-            "canonical cause)")
+        raise _not_polynomial(samples, dim_vector, "the interpolant has non-integer coefficients")
     ints = [int(c) for c in coeffs]
     while ints and ints[-1] == 0:
         ints.pop()
-    poly = CountingPolynomial(tuple(ints),
-                              tuple(dim_vector) if dim_vector is not None else None,
-                              tuple(samples))
+    poly = CountingPolynomial(tuple(ints), dim_vector, tuple(samples), degree_bound)
     for p, count in samples:
         if poly.evaluate(p) != count:
-            raise NonPolynomialCount(
-                f"held-out prime {p} gives {count}, interpolant predicts "
-                f"{poly.evaluate(p)}; the point counts are not polynomial in q "
-                "(the `example4` plane-quartic pipeline is the canonical cause)")
+            raise _not_polynomial(samples, dim_vector, f"held-out prime {p} gives {count}, "
+                                  f"the interpolant predicts {poly.evaluate(p)}")
     return poly
 
 
-def _matrix_ranks(rep: Representation) -> list[int]:
-    return [linalg.rank_frac(mat) if mat and mat[0] else 0 for mat in rep.matrices]
+@lru_cache(maxsize=64)
+def _rational_ranks(rep: Representation) -> tuple[int, ...]:
+    """Rank over Q of each arrow matrix, shared by `good_primes` and the degree bound."""
+    return tuple(linalg.rank_frac(mat) if mat and mat[0] else 0 for mat in rep.matrices)
 
 
 def _denominator_ok(rep: Representation, p: int) -> bool:
@@ -130,7 +145,7 @@ def good_primes(rep: Representation, how_many: int) -> list[int]:
     2 is never used; a prime where some matrix drops below its rank over Q
     (or where a denominator vanishes) is skipped and replaced by the next.
     """
-    ranks = _matrix_ranks(rep)
+    ranks = _rational_ranks(rep)
     out: list[int] = []
     for p in linalg.odd_primes():
         if not _denominator_ok(rep, p):
@@ -144,8 +159,45 @@ def good_primes(rep: Representation, how_many: int) -> list[int]:
     raise RuntimeError("unreachable: prime stream is infinite")
 
 
-def _degree_bound(rep: Representation, e: Sequence[int]) -> int:
-    return sum(x * (d - x) for x, d in zip(e, rep.dims))
+def _fibration_bound(rep: Representation) -> Callable[[Sequence[int]], int]:
+    """The a-priori bound on the degree of the counting polynomial, as a function of e.
+
+    Walk the vertices in the search order of `subspaces` (topological, else by
+    index).  For each vertex v let s_v be the largest of 0 and of
+    e_u - (d_u - rank_Q phi_a) over the arrows a: u -> v with u earlier in the
+    order.  The forward bound is sum_v max(0, e_v - s_v) * (d_v - e_v); the
+    backward bound is the same quantity for the dual on the opposite quiver
+    at d - e (transposes keep their ranks).  The bound is the smaller one.
+
+    Why it is sound: take a prime at which every phi_a keeps its rank over Q,
+    which `good_primes` checks.  Given the earlier vertices, U_v contains the
+    span forced by their images, of dimension f >= s_v, so U_v ranges over
+    at most binom_q(d_v - f, e_v - f) subspaces, a number non-increasing in
+    f.  Hence #Gr_e(M)(F_q) <= prod_v binom_q(d_v - s_v, e_v - s_v), and a
+    polynomial matching the counts at infinitely many primes has degree at
+    most sum_v (e_v - s_v)(d_v - e_v).  Gr_{d-e}(M*) has the same points, so
+    the backward bound holds as well.
+
+    The ranks, the orders and the arrows that count are worked out once here;
+    the returned function is arithmetic over the arrows.
+    """
+    ranks = _rational_ranks(rep)
+    dims = rep.dims
+
+    def forcing(quiver) -> list[tuple[int, int, int]]:
+        pos = {v: i for i, v in enumerate(_routing(quiver).order)}
+        return [(u, v, dims[u] - r) for (u, v), r in zip(quiver.arrows, ranks)
+                if pos[u] < pos[v]]
+
+    def one_side(arrows, e) -> int:
+        forced = [0] * len(dims)
+        for u, v, kernel in arrows:
+            forced[v] = max(forced[v], e[u] - kernel)
+        return sum(max(0, x - s) * (d - x) for x, s, d in zip(e, forced, dims))
+
+    forward, backward = forcing(rep.quiver), forcing(rep.quiver.opposite())
+    return lambda e: min(one_side(forward, e),
+                         one_side(backward, [d - x for d, x in zip(dims, e)]))
 
 
 def counting_polynomial(rep: Representation, e: Sequence[int],
@@ -155,7 +207,7 @@ def counting_polynomial(rep: Representation, e: Sequence[int],
     e = tuple(int(x) for x in e)
     if len(e) != rep.n or any(not 0 <= x <= d for x, d in zip(e, rep.dims)):
         raise ValueError(f"dimension vector {e} outside the box of {rep.dims}")
-    degree_bound = _degree_bound(rep, e)
+    degree_bound = _fibration_bound(rep)(e)
     primes = good_primes(rep, degree_bound + 1 + HELD_OUT)
     samples = []
     for p in primes:
@@ -183,10 +235,12 @@ def iter_box_chi(rep: Representation, cap: int | None = None):
     validate_representation(rep)
     dims = rep.dims
     box = list(product(*(range(d + 1) for d in dims)))
-    primes = good_primes(rep, max(_degree_bound(rep, e) for e in box) + 1 + HELD_OUT)
+    bound = _fibration_bound(rep)
+    bounds = {e: bound(e) for e in box}
+    primes = good_primes(rep, max(bounds.values()) + 1 + HELD_OUT)
     backward = box_prefers_dual(rep, primes[-1])
     search = dual_representation(rep) if backward else rep
-    final_vertex = (search.quiver.topological_order() or range(rep.n))[-1]
+    final_vertex = _routing(search.quiver).order[-1]
     reduced = [reduce_mod(search, p) for p in primes]
     results: dict[tuple, tuple] = {}
     batched = True
@@ -197,7 +251,7 @@ def iter_box_chi(rep: Representation, cap: int | None = None):
                  for y in range(dims[final_vertex] + 1)]  # (search coordinate, e)
         if backward:  # e back in rep's coordinates
             fiber = [(y, tuple(d - x for d, x in zip(dims, e))) for y, e in fiber]
-        need = max(_degree_bound(rep, e) for _, e in fiber) + 1 + HELD_OUT
+        need = max(bounds[e] for _, e in fiber) + 1 + HELD_OUT
         profiles = []
         for p, rep_p in zip(primes[:need] if batched else (), reduced):
             prof = count_subreps_profile(rep_p, base, cap)
@@ -208,7 +262,7 @@ def iter_box_chi(rep: Representation, cap: int | None = None):
         for y, e in fiber:
             try:
                 if batched:
-                    deg = _degree_bound(rep, e)
+                    deg = bounds[e]
                     samples = [(p, prof[y]) for p, prof in profiles[:deg + 1 + HELD_OUT]]
                     poly = interpolate_counting_polynomial(samples, deg, dim_vector=e)
                 else:

@@ -37,7 +37,7 @@ from math import prod
 from typing import Iterator, NamedTuple, Sequence
 
 from . import linalg
-from .errors import DegenerateBase, DomainMismatch, SearchTooLarge
+from .errors import DegenerateBase, DomainMismatch, ParseError, SearchTooLarge
 from .model import (
     Quiver,
     Representation,
@@ -50,14 +50,18 @@ DEFAULT_CAP = 10 ** 8
 
 
 def default_cap() -> int:
-    """Default enumeration cap; QUIVERGRASS_CAP overrides."""
+    """Default enumeration cap; QUIVERGRASS_CAP overrides.
+
+    Raises ParseError when QUIVERGRASS_CAP is set to something other than an
+    integer, rather than silently falling back to DEFAULT_CAP.
+    """
     raw = os.environ.get("QUIVERGRASS_CAP")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_CAP
+    if not raw:
+        return DEFAULT_CAP
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ParseError(f"QUIVERGRASS_CAP={raw!r} is not an integer") from exc
 
 
 @lru_cache(maxsize=None)

@@ -46,6 +46,7 @@ def test_euler_verbose(pr2_file, capsys):
     assert "chi = 2" in out
     assert "counting polynomial: 1 + q" in out
     assert "sample primes: 3, 5, 7, 11" in out
+    assert "degree bound: 1 (fitted degree 1)" in out
 
 
 def test_euler_json_payload(pr2_file, capsys):
@@ -53,6 +54,7 @@ def test_euler_json_payload(pr2_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["chi"] == 2
     assert payload["counting_polynomial"] == [1, 1]
+    assert payload["degree_bound"] == 1
 
 
 def test_euler_missing_file(capsys):
@@ -73,6 +75,11 @@ def test_euler_cap_exit(tmp_path, capsys):
     path = tmp_path / "big.json"
     save_representation(Representation(Quiver(2, ()), (6, 6), ()), path)
     assert main(["euler", "--rep", str(path), "--e", "3,3", "--cap", "1000"]) == 4
+
+
+def test_euler_bad_cap_is_a_usage_error(pr2_file, capsys):
+    assert main(["euler", "--rep", pr2_file, "--e", "0,1", "--cap", "abc"]) == 2
+    assert "'abc'" in capsys.readouterr().err
 
 
 def test_cap_env_override(tmp_path, monkeypatch, capsys):

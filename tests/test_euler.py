@@ -1,14 +1,18 @@
 import json
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from quivergrass import dynkin as dk
 from quivergrass.errors import (
     InsufficientSamples,
     NonPolynomialCount,
     VariableCountMismatch,
 )
 from quivergrass.euler import (
+    HELD_OUT,
     counting_polynomial,
     euler_characteristic,
     f_polynomial,
@@ -18,7 +22,10 @@ from quivergrass.euler import (
 )
 from quivergrass.fpoly import FPolynomial, f_poly_multiply
 from quivergrass.kronecker import (
+    INFINITY,
     build_kronecker,
+    kronecker_chi,
+    kronecker_quiver,
     preinjective,
     preprojective,
     regular,
@@ -31,6 +38,7 @@ from quivergrass.model import (
     reduce_mod,
     zero_representation,
 )
+from quivergrass.sampler import sample_general_rep
 from quivergrass.subspaces import count_subreps
 
 ONE_VERTEX = Quiver(1, ())
@@ -190,3 +198,56 @@ def test_multiplicativity_random_small_pairs():
             return Representation(q, dims, mats)
         a, b = sample(), sample()
         assert f_polynomial(direct_sum(a, b)) == f_polynomial(a) * f_polynomial(b)
+
+
+def _arrow_blind_fit(rep, e):
+    """Reference: fit at the bound sum e_i (d_i - e_i), which ignores every arrow."""
+    bound = sum(x * (d - x) for x, d in zip(e, rep.dims))
+    samples = [(p, count_subreps(reduce_mod(rep, p), e).count)
+               for p in good_primes(rep, bound + 1 + HELD_OUT)]
+    return interpolate_counting_polynomial(samples, bound, dim_vector=e)
+
+
+def _d4_roots_seed_1():
+    rs = dk.root_system("D", 4)
+    quiver = dk.orientation_from_coxeter(rs, (0, 1, 2, 3))
+    return [dk.dynkin_indecomposable(quiver, alpha, seed=1) for alpha in rs.positive_roots]
+
+
+SOUNDNESS_CASES = {
+    **{f"{name}{m}": (lambda k=kind, m=m: [build_kronecker(k(m))])
+       for name, kind in (("pr", preprojective), ("inj", preinjective)) for m in (1, 2, 3, 4)},
+    **{f"reg{m}": (lambda m=m: [build_kronecker(regular(m, lam))
+                                for lam in (INFINITY, 0, 1, Fraction(1, 2))])
+       for m in (1, 2, 3)},
+    "D4-seed1": _d4_roots_seed_1,
+    "rank-deficient": lambda: [  # arrows with kernels: zero, rank 1, block diagonal sums
+        Representation(Quiver(2, ((0, 1),)), (2, 2), (((0, 0), (0, 0)),)),
+        Representation(Quiver(2, ((0, 1),)), (2, 3), (((1, 0), (0, 0), (0, 0)),)),
+        direct_sum(build_kronecker(preprojective(2)), build_kronecker(preinjective(2))),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOUNDNESS_CASES))
+def test_arrow_aware_bound_fits_the_arrow_blind_polynomial(case):
+    for rep in SOUNDNESS_CASES[case]():
+        for e in product(*(range(d + 1) for d in rep.dims)):
+            poly = counting_polynomial(rep, e)
+            assert poly.coefficients == _arrow_blind_fit(rep, e).coefficients, (rep.dims, e)
+            assert poly.degree <= poly.degree_bound, (rep.dims, e)
+
+
+def test_reg4_samples_up_to_23():
+    kind = regular(4, 0)
+    poly = counting_polynomial(build_kronecker(kind), (1, 2))
+    assert poly.degree_bound == 5  # sum e(d - e) would be 7, up to p = 31
+    assert [p for p, _ in poly.samples] == [3, 5, 7, 11, 13, 17, 19, 23]
+    assert poly.chi == kronecker_chi(kind, (1, 2))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_quartic_still_refused_with_fewer_samples(seed):
+    rep = sample_general_rep(kronecker_quiver(4), (3, 4), seed, 5)
+    with pytest.raises(NonPolynomialCount, match=r"dimension vector \(1, 3\)"):
+        euler_characteristic(rep, (1, 3))

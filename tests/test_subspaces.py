@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from quivergrass import linalg
-from quivergrass.errors import DegenerateBase, SearchTooLarge
+from quivergrass.errors import DegenerateBase, ParseError, SearchTooLarge
 from quivergrass.kronecker import (
     INFINITY,
     build_kronecker,
@@ -157,6 +157,12 @@ def test_default_cap_env(monkeypatch):
     assert default_cap() == 12345
     monkeypatch.delenv("QUIVERGRASS_CAP")
     assert default_cap() == 10 ** 8
+
+
+def test_default_cap_env_rejects_non_integer(monkeypatch):
+    monkeypatch.setenv("QUIVERGRASS_CAP", "1e3")
+    with pytest.raises(ParseError, match=r"QUIVERGRASS_CAP='1e3'"):
+        default_cap()
 
 
 def test_profile_matches_per_vector_counts():
