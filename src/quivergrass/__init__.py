@@ -10,7 +10,6 @@ from .dynkin import (
     RootSystem,
     coxeter_from_orientation,
     dynkin_indecomposable,
-    elementary_matrices_A,
     f_polynomial_via_minor,
     generalized_minor_A,
     orientation_from_coxeter,
@@ -94,7 +93,6 @@ __all__ = [
     "direct_sum",
     "dual_representation",
     "dynkin_indecomposable",
-    "elementary_matrices_A",
     "enumerate_subspaces",
     "euler_characteristic",
     "euler_form",

@@ -55,13 +55,13 @@ def _csv_ints(text: str) -> tuple[int, ...]:
         raise ParseError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _parse_cap(text: str | None) -> int | None:
+def _parse_int(text: str | None, flag: str, default: int | None = None) -> int | None:
     if text is None:
-        return None
+        return default
     try:
         return int(text)
     except ValueError as exc:
-        raise ParseError(f"bad --cap {text!r}; expected an integer") from exc
+        raise ParseError(f"bad {flag} {text!r}; expected an integer") from exc
 
 
 def _parse_type(label: str) -> tuple[str, int]:
@@ -124,7 +124,7 @@ def cmd_euler(args) -> int:
         raise ParseError("euler needs --rep and --e")
     rep = load_representation(args.rep)
     e = _csv_ints(args.e)
-    cap = _parse_cap(args.cap)
+    cap = _parse_int(args.cap, "--cap")
     try:
         poly = eu.counting_polynomial(rep, e, cap)
     except ValueError as exc:
@@ -150,7 +150,7 @@ def cmd_fpoly(args) -> int:
     if args.rep is None:
         raise ParseError("fpoly needs --rep")
     rep = load_representation(args.rep)
-    cap = _parse_cap(args.cap)
+    cap = _parse_int(args.cap, "--cap")
     poly = eu.f_polynomial(rep, cap)
     _emit(args, poly.to_text(), poly.to_json_dict())
     return EXIT_OK
@@ -159,7 +159,7 @@ def cmd_fpoly(args) -> int:
 def cmd_kronecker(args) -> int:
     if args.m is None:
         raise ParseError("kronecker needs --m")
-    m = int(args.m)
+    m = _parse_int(args.m, "--m")
     lam = _parse_lambda(args.lam) if args.kind == "reg" else None
     try:
         kind = (kr.regular(m, lam if lam is not None else 0) if args.kind == "reg"
@@ -167,7 +167,7 @@ def cmd_kronecker(args) -> int:
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     mode = args.mode or "both"
-    cap = _parse_cap(args.cap)
+    cap = _parse_int(args.cap, "--cap")
     rep = kr.build_kronecker(kind)
     d1, d2 = kr.dims_of(kind)
     rows = []
@@ -213,17 +213,17 @@ def cmd_dynkin(args) -> int:
         raise ScopeError("type D brute force is limited to D4")
     if label == "E":
         raise ScopeError("type E is combinatorics-only; no evaluation route")
-    rs = dk.root_system(label, rank)
     word = tuple(i - 1 for i in _csv_ints(args.coxeter))
     alpha = _csv_ints(args.root)
     try:
+        rs = dk.root_system(label, rank)
         dk._check_word(rs, word)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     if tuple(alpha) not in rs.positive_roots:
         raise ParseError(f"{list(alpha)} is not a positive root of {label}{rank}")
-    cap = _parse_cap(args.cap)
-    seed = int(args.seed) if args.seed is not None else 0
+    cap = _parse_int(args.cap, "--cap")
+    seed = _parse_int(args.seed, "--seed", 0)
     payload: dict = {"type": f"{label}{rank}",
                      "coxeter": [i + 1 for i in word], "root": list(alpha)}
     lines = []
@@ -254,12 +254,15 @@ def cmd_dynkin(args) -> int:
 
 
 def cmd_example4(args) -> int:
-    seed = int(args.seed) if args.seed is not None else 42
-    bound = int(args.bound) if args.bound is not None else 5
+    seed = _parse_int(args.seed, "--seed", 42)
+    bound = _parse_int(args.bound, "--bound", 5)
     primes = _csv_ints(args.primes) if args.primes is not None else sp.EXAMPLE4_PRIMES
-    cap = _parse_cap(args.cap)
-    rep = sp.sample_general_rep(kr.kronecker_quiver(sp.EXAMPLE4_ARROWS),
-                                sp.EXAMPLE4_DIMS, seed, bound)
+    cap = _parse_int(args.cap, "--cap")
+    try:
+        rep = sp.sample_general_rep(kr.kronecker_quiver(sp.EXAMPLE4_ARROWS),
+                                    sp.EXAMPLE4_DIMS, seed, bound)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     try:
         report = sp.example4_verify(rep, primes, cap)
     except DegenerateForm as exc:

@@ -26,7 +26,7 @@ from .errors import (
     SingularSystem,
     WeightNotExtreme,
 )
-from .fpoly import FPolynomial, poly_det, poly_identity, poly_matmul
+from .fpoly import FPolynomial, poly_det, poly_identity
 from .linalg import solve_frac
 from .model import Quiver, Representation, ext1_dim, hom_dim
 
@@ -145,14 +145,6 @@ def apply_word_inverse(rs: RootSystem, word: Sequence[int],
     return w
 
 
-def apply_word(rs: RootSystem, word: Sequence[int],
-               weight: Sequence[int]) -> tuple[int, ...]:
-    w = tuple(weight)
-    for i in reversed(word):
-        w = simple_reflection(rs, i, w)
-    return w
-
-
 def weyl_orbit(rs: RootSystem, weight: Sequence[int]) -> frozenset:
     """Full Weyl-group orbit by breadth-first closure under simple reflections."""
     start = tuple(weight)
@@ -192,26 +184,18 @@ def coxeter_from_orientation(rs: RootSystem, quiver: Quiver) -> tuple[int, ...]:
     """Canonical word inverting orientation_from_coxeter.
 
     Emits, repeatedly, the smallest-index vertex all of whose out-arrows
-    point at already-emitted vertices; the result is a linear extension in
-    which every arrow's target precedes its source.
+    point at already-emitted vertices: the topological order of the
+    opposite quiver, in which every arrow's target precedes its source.
     """
     if quiver.n != rs.rank:
         raise NotAnOrientation(f"{quiver.n} vertices for rank {rs.rank}")
     undirected = sorted(tuple(sorted(a)) for a in quiver.arrows)
     if undirected != sorted(rs.edges()):
         raise NotAnOrientation("arrow set is not an orientation of the diagram")
-    out_arrows = {v: [t for s, t in quiver.arrows if s == v] for v in range(quiver.n)}
-    remaining = set(range(quiver.n))
-    word = []
-    while remaining:
-        ready = [v for v in sorted(remaining)
-                 if all(t not in remaining for t in out_arrows[v])]
-        if not ready:
-            raise NotAnOrientation("orientation contains a directed cycle")
-        v = ready[0]
-        word.append(v)
-        remaining.remove(v)
-    return tuple(word)
+    word = quiver.opposite().topological_order()
+    if word is None:
+        raise NotAnOrientation("orientation contains a directed cycle")
+    return word
 
 
 def solve_gamma(rs: RootSystem, word: Sequence[int], alpha: Sequence[int]
@@ -220,8 +204,12 @@ def solve_gamma(rs: RootSystem, word: Sequence[int], alpha: Sequence[int]
 
     alpha is given in simple-root coordinates and must be a positive root.
     Returns (gamma in fundamental-weight coordinates, index i of the
-    fundamental weight whose Weyl orbit contains gamma).  The orbit is found
-    by breadth-first orbit generation, which is small at these ranks.
+    fundamental weight whose Weyl orbit contains gamma).  Every W-orbit
+    meets the dominant chamber in exactly one weight, so the orbit is found
+    by walking there: while some coordinate w_i is negative, apply s_i at
+    the first such i, which adds |w_i| alpha_i (the walk ends because the
+    orbit is finite).  gamma lies in W omega_i exactly when the walk ends
+    at omega_i.
     """
     word = _check_word(rs, word)
     alpha = tuple(int(a) for a in alpha)
@@ -238,9 +226,11 @@ def solve_gamma(rs: RootSystem, word: Sequence[int], alpha: Sequence[int]
         raise NotInAnyFundamentalOrbit(
             f"gamma {solution} is not in the weight lattice")
     gamma = tuple(int(x) for x in solution)
-    for i in range(n):
-        if gamma in weyl_orbit(rs, rs.fundamental_weights[i]):
-            return gamma, i
+    w = gamma
+    while any(x < 0 for x in w):
+        w = simple_reflection(rs, next(i for i, x in enumerate(w) if x < 0), w)
+    if w in rs.fundamental_weights:
+        return gamma, w.index(1)
     raise NotInAnyFundamentalOrbit(f"gamma {gamma} lies in no fundamental orbit")
 
 
@@ -248,23 +238,6 @@ def solve_gamma(rs: RootSystem, word: Sequence[int], alpha: Sequence[int]
 # Type A realization: (n+1) x (n+1) matrices, fundamental representations as
 # exterior powers of the standard one.
 # ---------------------------------------------------------------------------
-
-def elementary_matrices_A(rank: int, i: int, u) -> tuple[list, list]:
-    """One-parameter subgroup values x_i(u) = Id + u E_{i,i+1}, y_i(1) = Id + E_{i+1,i}.
-
-    i is a 0-based vertex; matrices are (rank+1) x (rank+1) with entries in
-    Z[u_1..u_rank].  u may be an int or an FPolynomial in rank variables.
-    """
-    if not 0 <= i < rank:
-        raise ValueError(f"vertex {i} out of range for rank {rank}")
-    if isinstance(u, int):
-        u = FPolynomial.constant(rank, u)
-    x = poly_identity(rank + 1, rank)
-    x[i][i + 1] = u
-    y = poly_identity(rank + 1, rank)
-    y[i + 1][i] = FPolynomial.one(rank)
-    return x, y
-
 
 def extreme_weight_subset(rank: int, gamma: Sequence[int]) -> tuple[int, ...] | None:
     """Recover the index subset J with gamma = sum of epsilon_j over J.
@@ -307,16 +280,23 @@ def generalized_minor_A(rank: int, gamma: Sequence[int], matrix,
 def minor_argument_matrix(rank: int, word: Sequence[int]) -> list:
     """The product y_{i_1}(1) ... y_{i_n}(1) x_{i_n}(u_{i_n}) ... x_{i_1}(u_{i_1}).
 
-    Evaluation follows this exact order; the x and y factors do not commute.
+    Built by column operations on the identity, factor by factor in this
+    exact order (the x and y factors do not commute).  Multiplying on the
+    right by y_i(1) = Id + E_{i+1,i} adds column i+1 to column i; by
+    x_i(u_i) = Id + u_i E_{i,i+1} it adds u_i times column i to column i+1.
+    Matrices are (rank+1) x (rank+1) over Z[u_1..u_rank]; i is 0-based.
     """
-    acc = poly_identity(rank + 1, rank)
+    if any(not 0 <= i < rank for i in word):
+        raise ValueError(f"word {tuple(word)} has a vertex out of range for rank {rank}")
+    mat = poly_identity(rank + 1, rank)
     for i in word:
-        _, y = elementary_matrices_A(rank, i, 1)
-        acc = poly_matmul(acc, y)
+        for row in mat:
+            row[i] = row[i] + row[i + 1]
     for i in reversed(word):
-        x, _ = elementary_matrices_A(rank, i, FPolynomial.variable(rank, i))
-        acc = poly_matmul(acc, x)
-    return acc
+        u = FPolynomial.variable(rank, i)
+        for row in mat:
+            row[i + 1] = row[i + 1] + u * row[i]
+    return mat
 
 
 def f_polynomial_via_minor(rank: int, word: Sequence[int],

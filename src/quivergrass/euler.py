@@ -230,7 +230,8 @@ def iter_box_chi(rep: Representation, cap: int | None = None):
     shared across the fiber of the final search vertex: one enumeration pass
     per prime serves every value of that coordinate.  The whole box is
     searched on rep or on its dual at d - e (`box_prefers_dual`), with
-    prefixes of one `good_primes` list.
+    prefixes of one `good_primes` list; where profiles are unavailable
+    (quivers with cycles) each e is counted on the same reduced primes.
     """
     validate_representation(rep)
     dims = rep.dims
@@ -260,13 +261,14 @@ def iter_box_chi(rep: Representation, cap: int | None = None):
                 break
             profiles.append((p, prof))
         for y, e in fiber:
+            deg = bounds[e]
+            if batched:
+                samples = [(p, prof[y]) for p, prof in profiles[:deg + 1 + HELD_OUT]]
+            else:  # a quiver with cycles, so searched forward
+                samples = [(p, count_subreps(rep_p, e, cap).count)
+                           for p, rep_p in zip(primes[:deg + 1 + HELD_OUT], reduced)]
             try:
-                if batched:
-                    deg = bounds[e]
-                    samples = [(p, prof[y]) for p, prof in profiles[:deg + 1 + HELD_OUT]]
-                    poly = interpolate_counting_polynomial(samples, deg, dim_vector=e)
-                else:
-                    poly = counting_polynomial(rep, e, cap)
+                poly = interpolate_counting_polynomial(samples, deg, dim_vector=e)
                 results[e] = (poly.chi, None)
             except NonPolynomialCount as exc:
                 results[e] = (None, exc)

@@ -241,29 +241,14 @@ def f_poly_multiply(f: FPolynomial, g: FPolynomial) -> FPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Small matrices over Z[u_1..u_n]; enough for products of elementary matrices
-# and minors of the results.
+# Small matrices over Z[u_1..u_n]: the identity that the determinantal route
+# transforms by column operations, and minors of the result.
 # ---------------------------------------------------------------------------
 
 def poly_identity(size: int, nvars: int) -> list[list[FPolynomial]]:
     one = FPolynomial.one(nvars)
     zero = FPolynomial.zero(nvars)
     return [[one if i == j else zero for j in range(size)] for i in range(size)]
-
-
-def poly_matmul(a: Sequence[Sequence[FPolynomial]],
-                b: Sequence[Sequence[FPolynomial]]) -> list[list[FPolynomial]]:
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = FPolynomial.zero(a[0][0].nvars)
-            for t in range(k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def poly_det(rows: Sequence[Sequence[FPolynomial]]) -> FPolynomial:

@@ -160,6 +160,18 @@ def test_dynkin_bad_root(capsys):
                  "--mode", "minor"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["kronecker", "pr", "--m", "abc"],
+    ["dynkin", "--type", "A2", "--coxeter", "1,2", "--root", "1,1", "--seed", "x"],
+    ["example4", "--seed", "x"],
+    ["example4", "--bound", "1"],
+    ["dynkin", "--type", "A0", "--coxeter", "1", "--root", "1", "--mode", "minor"],
+])
+def test_bad_integer_flags_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_example4_full(capsys):
     assert main(["example4", "--seed", "42", "--primes", "5,7,11"]) == 0
     out = capsys.readouterr().out

@@ -6,7 +6,6 @@ from quivergrass.dynkin import (
     apply_word_inverse,
     coxeter_from_orientation,
     dynkin_indecomposable,
-    elementary_matrices_A,
     extreme_weight_subset,
     f_polynomial_via_minor,
     generalized_minor_A,
@@ -122,16 +121,20 @@ def test_solve_gamma_examples():
     assert gamma == (-1, 0) and idx == 1
 
 
-@pytest.mark.parametrize("rank", (2, 3))
-def test_solve_gamma_satisfies_equation(rank):
-    rs = root_system("A", rank)
-    for word in permutations(range(rank)):
+@pytest.mark.parametrize("label,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5)],
+                         ids=("2", "3", "4", "D4", "D5"))
+def test_solve_gamma_satisfies_equation(label, rank):
+    rs = root_system(label, rank)
+    orbits = [weyl_orbit(rs, omega) for omega in rs.fundamental_weights]
+    words = permutations(range(rank)) if rank <= 4 else [
+        tuple(range(rank)), tuple(reversed(range(rank))), (1, 3, 0, 2, 4)]
+    for word in words:
         for alpha in rs.positive_roots:
             gamma, idx = solve_gamma(rs, word, alpha)
             moved = apply_word_inverse(rs, word, gamma)
             diff = tuple(a - b for a, b in zip(moved, gamma))
             assert diff == rs.root_to_weight(alpha)
-            assert gamma in weyl_orbit(rs, rs.fundamental_weights[idx])
+            assert [gamma in orbit for orbit in orbits] == [i == idx for i in range(rank)]
 
 
 @pytest.mark.parametrize("label,rank", [
@@ -149,24 +152,26 @@ def test_coxeter_minus_identity_invertible(label, rank):
         assert rank_frac(mat) == rank, word
 
 
-def test_elementary_matrices():
-    x, y = elementary_matrices_A(1, 0, FPolynomial.variable(1, 0))
-    from quivergrass.fpoly import poly_matmul
-    prod = poly_matmul(y, x)
-    u = FPolynomial.variable(1, 0)
-    assert prod[0][0] == 1 and prod[0][1] == u
-    assert prod[1][0] == 1 and prod[1][1] == 1 + u
+@pytest.mark.parametrize("rank", (1, 2, 3, 4))
+def test_minor_argument_matrix_is_the_factor_product(rank):
+    size = rank + 1
+    one, zero = FPolynomial.one(rank), FPolynomial.zero(rank)
 
-    x0, _ = elementary_matrices_A(3, 1, 0)
-    for i in range(4):
-        for j in range(4):
-            assert x0[i][j] == (1 if i == j else 0)
-    xv, yv = elementary_matrices_A(3, 1, FPolynomial.variable(3, 1))
-    for i in range(4):
-        for j in range(i):
-            assert not xv[i][j]      # upper triangular
-        for j in range(i + 1, 4):
-            assert not yv[i][j]      # lower triangular
+    def factor(row, col, entry):  # Id + entry * E_{row,col}
+        return [[entry if (r, c) == (row, col) else one if r == c else zero
+                 for c in range(size)] for r in range(size)]
+
+    def times(a, b):
+        return [[sum((a[r][k] * b[k][c] for k in range(size)), zero)
+                 for c in range(size)] for r in range(size)]
+
+    for word in permutations(range(rank)):
+        expected = factor(0, 0, one)
+        for i in word:
+            expected = times(expected, factor(i + 1, i, one))
+        for i in reversed(word):
+            expected = times(expected, factor(i, i + 1, FPolynomial.variable(rank, i)))
+        assert minor_argument_matrix(rank, word) == expected, word
 
 
 def test_extreme_weight_subsets():

@@ -179,6 +179,24 @@ def test_iter_box_chi_matches_scalar_route():
         assert chi == euler_characteristic(rep, e)
 
 
+def test_box_on_a_cycle_chooses_primes_once(monkeypatch):
+    import quivergrass.euler as eu
+    calls = []
+
+    def counted(rep, how_many):
+        calls.append(how_many)
+        return good_primes(rep, how_many)
+
+    rep = Representation(Quiver(2, ((0, 1), (1, 0))), (2, 2),
+                         (((1, 0), (0, 1)), ((1, 1), (0, 1))))
+    monkeypatch.setattr(eu, "good_primes", counted)
+    f = f_polynomial(rep)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for e in product(range(3), range(3)):
+        assert f.coefficient(e) == euler_characteristic(rep, e)
+
+
 def test_f_polynomial_json_round_trip():
     f = f_polynomial(build_kronecker(preprojective(2)))
     doc = json.loads(json.dumps(f.to_json_dict()))
