@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fpoly import FPolynomial, poly_det, poly_identity
 from .linalg import solve_frac
-from .model import Quiver, Representation, ext1_dim, hom_dim
+from .model import Quiver, Representation, _ext1_from_hom, hom_dim
 
 _POSITIVE_ROOT_COUNTS = {"A": lambda n: n * (n + 1) // 2,
                          "D": lambda n: n * (n - 1),
@@ -333,7 +333,7 @@ def dynkin_indecomposable(quiver: Quiver, alpha: Sequence[int], seed: int = 0,
                 tuple(rng.randint(-bound, bound) for _ in range(dims[s]))
                 for _ in range(dims[t])))
         rep = Representation(quiver, dims, tuple(mats))
-        if hom_dim(rep, rep) == 1 and ext1_dim(rep) == 0:
+        if hom_dim(rep, rep) == 1 and _ext1_from_hom(rep, 1) == 0:
             return rep
     raise SearchExhausted(
         f"no certified indecomposable of dims {dims} in {max_attempts} samples; "

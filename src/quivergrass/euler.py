@@ -139,24 +139,29 @@ def _denominator_ok(rep: Representation, p: int) -> bool:
     return True
 
 
-def good_primes(rep: Representation, how_many: int) -> list[int]:
-    """First odd primes at which reduction keeps every matrix at full rank.
-
-    2 is never used; a prime where some matrix drops below its rank over Q
-    (or where a denominator vanishes) is skipped and replaced by the next.
-    """
+def _good_reductions(rep: Representation, how_many: int) -> list[tuple[int, Representation]]:
+    """The first how_many good primes (see `good_primes`), each with rep reduced mod it."""
     ranks = _rational_ranks(rep)
-    out: list[int] = []
+    out: list[tuple[int, Representation]] = []
     for p in linalg.odd_primes():
         if not _denominator_ok(rep, p):
             continue
         rep_p = reduce_mod(rep, p)
         if all(linalg.rank_mod(mat, p) == r if mat and mat[0] else True
                for mat, r in zip(rep_p.matrices, ranks)):
-            out.append(p)
+            out.append((p, rep_p))
             if len(out) == how_many:
                 return out
     raise RuntimeError("unreachable: prime stream is infinite")
+
+
+def good_primes(rep: Representation, how_many: int) -> list[int]:
+    """First odd primes at which reduction keeps every matrix at full rank.
+
+    2 is never used; a prime where some matrix drops below its rank over Q
+    (or where a denominator vanishes) is skipped and replaced by the next.
+    """
+    return [p for p, _ in _good_reductions(rep, how_many)]
 
 
 def _fibration_bound(rep: Representation) -> Callable[[Sequence[int]], int]:
@@ -208,11 +213,8 @@ def counting_polynomial(rep: Representation, e: Sequence[int],
     if len(e) != rep.n or any(not 0 <= x <= d for x, d in zip(e, rep.dims)):
         raise ValueError(f"dimension vector {e} outside the box of {rep.dims}")
     degree_bound = _fibration_bound(rep)(e)
-    primes = good_primes(rep, degree_bound + 1 + HELD_OUT)
-    samples = []
-    for p in primes:
-        rep_p = reduce_mod(rep, p)
-        samples.append((p, count_subreps(rep_p, e, cap).count))
+    samples = [(p, count_subreps(rep_p, e, cap).count)
+               for p, rep_p in _good_reductions(rep, degree_bound + 1 + HELD_OUT)]
     return interpolate_counting_polynomial(samples, degree_bound, dim_vector=e)
 
 
@@ -230,19 +232,20 @@ def iter_box_chi(rep: Representation, cap: int | None = None):
     shared across the fiber of the final search vertex: one enumeration pass
     per prime serves every value of that coordinate.  The whole box is
     searched on rep or on its dual at d - e (`box_prefers_dual`), with
-    prefixes of one `good_primes` list; where profiles are unavailable
-    (quivers with cycles) each e is counted on the same reduced primes.
+    prefixes of one list of good primes, each reduced once; where profiles
+    are unavailable (quivers with cycles) each e is counted on the same
+    reduced primes.
     """
     validate_representation(rep)
     dims = rep.dims
     box = list(product(*(range(d + 1) for d in dims)))
     bound = _fibration_bound(rep)
     bounds = {e: bound(e) for e in box}
-    primes = good_primes(rep, max(bounds.values()) + 1 + HELD_OUT)
+    primes, reduced = zip(*_good_reductions(rep, max(bounds.values()) + 1 + HELD_OUT))
     backward = box_prefers_dual(rep, primes[-1])
-    search = dual_representation(rep) if backward else rep
-    final_vertex = _routing(search.quiver).order[-1]
-    reduced = [reduce_mod(search, p) for p in primes]
+    if backward:  # transposing commutes with reduction
+        reduced = [dual_representation(rep_p) for rep_p in reduced]
+    final_vertex = _routing(reduced[0].quiver).order[-1]
     results: dict[tuple, tuple] = {}
     batched = True
     for base in box:

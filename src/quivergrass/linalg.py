@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -153,8 +154,28 @@ def rref_frac(matrix: Iterable[Sequence]):
     return tuple(tuple(r) for r in rows), tuple(pivots)
 
 
+def _primitive(v: list[int]) -> list[int]:
+    """v divided by the gcd of its entries."""
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
 def rank_frac(matrix: Iterable[Sequence]) -> int:
-    return len(rref_frac(matrix)[0])
+    """Rank over Q by fraction-free forward elimination, as in `rank_mod`:
+    each row is cleared of denominators and every row is kept primitive."""
+    basis: list = []
+    for vec in matrix:
+        scale = lcm(*(x.denominator for x in vec))
+        v = _primitive([int(x * scale) for x in vec])
+        for lead, row in basis:
+            c = v[lead]
+            if c:
+                h = row[lead]
+                v = _primitive([h * a - c * b for a, b in zip(v, row)])
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is not None:
+            basis.append((lead, v))
+    return len(basis)
 
 
 def solve_frac(matrix: Sequence[Sequence], rhs: Sequence):

@@ -344,7 +344,12 @@ def hom_dim(a: Representation, b: Representation) -> int:
 
 def ext1_dim(rep: Representation) -> int:
     """dim Ext^1(M, M) via hom(M, M) - <dim M, dim M> (hereditary identity)."""
-    value = hom_dim(rep, rep) - euler_form(rep.quiver, rep.dims, rep.dims)
+    return _ext1_from_hom(rep, hom_dim(rep, rep))
+
+
+def _ext1_from_hom(rep: Representation, hom: int) -> int:
+    """dim Ext^1(M, M) from a known hom = dim Hom(M, M), as in `ext1_dim`."""
+    value = hom - euler_form(rep.quiver, rep.dims, rep.dims)
     if value < 0:
         raise NegativeExtDimension(f"got {value}; inputs violate the hereditary identity")
     return value

@@ -28,9 +28,9 @@ from .linalg import rank_mod
 from .model import (
     Quiver,
     Representation,
+    _ext1_from_hom,
     euler_form,
     hom_dim,
-    is_rigid,
     reduce_mod,
     sub_and_quotient,
     validate_representation,
@@ -218,9 +218,10 @@ def positivity_scan(rep: Representation, require_rigid: bool = True,
     validate_representation(rep)
     if not rep.quiver.is_acyclic:
         raise NotAcyclic("positivity scan expects an acyclic quiver")
-    if hom_dim(rep, rep) != 1:
+    hom = hom_dim(rep, rep)
+    if hom != 1:
         raise ValueError("positivity scan expects an indecomposable (hom(M, M) = 1)")
-    rigid = is_rigid(rep)
+    rigid = _ext1_from_hom(rep, hom) == 0
     if require_rigid and not rigid:
         raise ValueError("representation is not rigid; pass require_rigid=False")
     entries = []

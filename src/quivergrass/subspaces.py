@@ -21,6 +21,14 @@ vertex.  Stepping an entry by one, or wrapping it from p-1 to 0 (also +1 mod
 p), adds one matrix column; forced spans, the final rank and the arrow
 checks read these images instead of a matrix-vector product per row.
 
+One walk per (prime, fiber): the shortcut walk fixes U at the searched
+vertices and records how often each rank of forced span reaches the final
+vertex, which settles every e that differs only at that vertex.  The
+histogram is memoized (bounded, least recently used evicted) on the searched
+representation, the dimension vector with the final entry zeroed, and the
+cap, so `count_subreps` and `count_subreps_profile` calls in one direction
+share walks across e and across calls.
+
 The cap bounds the number of candidate subspaces actually generated, so a
 search that would hang turns into a SearchTooLarge error instead; its
 estimate is the product of Gaussian binomials in either direction.
@@ -313,11 +321,29 @@ class _SearchPlan:
         return rec(0)
 
 
+# Rank histograms of finished shortcut walks, keyed by (searched representation,
+# dimension vector with the final entry 0, cap); least recently used evicted first.
+_WALKS: dict = {}
+_WALKS_MAX = 256
+
+
 def _final_counts(plan: _SearchPlan, budget: _Budget, values) -> list[int]:
-    """Point counts for each value of the final vertex's coordinate, from one walk."""
-    ranks = Counter(plan.walk(budget, shortcut=True))
-    d = plan.rep.dims[plan.route.order[-1]]
-    return [sum(n * gaussian_binomial(d - s, x - s, plan.p) for s, n in ranks.items())
+    """Point counts for each value of the final vertex's coordinate, from one walk.
+
+    The walk does not read the final coordinate, so every e in the fiber
+    shares it; a memo hit ticks no budget.  A walk that runs out of budget
+    raises before it is stored.
+    """
+    final = plan.route.order[-1]
+    key = (plan.rep, plan.e[:final] + (0,) + plan.e[final + 1:], budget.cap)
+    ranks = _WALKS.pop(key, None)
+    if ranks is None:
+        ranks = tuple(Counter(plan.walk(budget, shortcut=True)).items())
+        if len(_WALKS) >= _WALKS_MAX:
+            del _WALKS[next(iter(_WALKS))]
+    _WALKS[key] = ranks
+    d = plan.rep.dims[final]
+    return [sum(n * gaussian_binomial(d - s, x - s, plan.p) for s, n in ranks)
             for x in values]
 
 

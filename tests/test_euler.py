@@ -182,19 +182,42 @@ def test_iter_box_chi_matches_scalar_route():
 def test_box_on_a_cycle_chooses_primes_once(monkeypatch):
     import quivergrass.euler as eu
     calls = []
+    choose = eu._good_reductions
 
     def counted(rep, how_many):
         calls.append(how_many)
-        return good_primes(rep, how_many)
+        return choose(rep, how_many)
 
     rep = Representation(Quiver(2, ((0, 1), (1, 0))), (2, 2),
                          (((1, 0), (0, 1)), ((1, 1), (0, 1))))
-    monkeypatch.setattr(eu, "good_primes", counted)
+    monkeypatch.setattr(eu, "_good_reductions", counted)
     f = f_polynomial(rep)
     assert len(calls) == 1
     monkeypatch.undo()
     for e in product(range(3), range(3)):
         assert f.coefficient(e) == euler_characteristic(rep, e)
+
+
+def test_each_sampled_prime_is_reduced_once(monkeypatch):
+    import quivergrass.euler as eu
+    reduce = eu.reduce_mod
+    primes = []
+
+    def counted(rep, p):
+        primes.append(p)
+        return reduce(rep, p)
+
+    monkeypatch.setattr(eu, "reduce_mod", counted)
+    for kind in (preprojective(3), preinjective(3)):  # the box searches inj3 on the dual
+        rep = build_kronecker(kind)
+        assert counting_polynomial(rep, (1, 1)).chi == kronecker_chi(kind, (1, 1))
+        assert primes and len(primes) == len(set(primes)), (kind, primes)
+        primes.clear()
+        f = f_polynomial(rep)
+        assert primes and len(primes) == len(set(primes)), (kind, primes)
+        primes.clear()
+        for e in product(range(rep.dims[0] + 1), range(rep.dims[1] + 1)):
+            assert f.coefficient(e) == kronecker_chi(kind, e)
 
 
 def test_f_polynomial_json_round_trip():

@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from quivergrass import linalg
+from quivergrass import linalg, subspaces
 from quivergrass.errors import DegenerateBase, ParseError, SearchTooLarge
 from quivergrass.kronecker import (
     INFINITY,
@@ -19,6 +20,8 @@ from quivergrass.model import (
     reduce_mod,
 )
 from quivergrass.subspaces import (
+    _WALKS,
+    _WALKS_MAX,
     _Budget,
     _count,
     _iter_rref,
@@ -258,3 +261,99 @@ def test_rank_mod_matches_rref():
             matrix = [[rng.randrange(2 * p) if rng.random() < 0.6 else 0 for _ in range(width)]
                       for _ in range(rng.randint(0, 6))]
             assert linalg.rank_mod(matrix, p) == len(linalg.rref_mod(matrix, p)[0])
+
+
+def test_rank_frac_matches_rref():
+    rng = random.Random("rank_frac")
+
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        if rng.random() < 0.5:
+            return rng.randint(-4, 4)
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    for _ in range(300):
+        width = rng.randint(1, 6)
+        matrix = [[entry() for _ in range(width)] for _ in range(rng.randint(0, 7))]
+        if matrix and rng.random() < 0.3:
+            matrix.insert(rng.randrange(len(matrix)), [0] * width)  # a zero row
+        if len(matrix) > 1 and rng.random() < 0.3:  # a rational multiple of another row
+            matrix.append([Fraction(-2, 3) * x for x in rng.choice(matrix)])
+        assert linalg.rank_frac(matrix) == len(linalg.rref_frac(matrix)[0]), matrix
+
+
+@pytest.fixture
+def budgets(monkeypatch):
+    """Every search budget created, as qgbench/tracing.py probes them; memo cleared."""
+    _WALKS.clear()
+    created = []
+
+    class Probe(_Budget):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            created.append(self)
+
+    monkeypatch.setattr(subspaces, "_Budget", Probe)
+    return created
+
+
+def test_memo_gives_cold_counts_after_the_box_warms_it():
+    boxes = []
+    for kind in _kronecker_modules(3):
+        rep = build_kronecker(kind)
+        for p in (3, 5):
+            boxes.append((kind, reduce_mod(rep, p), list(product(*(range(d + 1)
+                                                                  for d in rep.dims)))))
+    cold = {}
+    for kind, rp, box in boxes:
+        for e in box:
+            _WALKS.clear()
+            cold[kind, rp.field, e] = count_subreps(rp, e).count
+    _WALKS.clear()  # warmed from here on by every earlier module, prime and e
+    for kind, rp, box in boxes:
+        for e in box:
+            count_subreps(rp, e)
+        for e in box:
+            assert count_subreps(rp, e).count == cold[kind, rp.field, e], (kind, rp.field, e)
+
+
+def test_memo_hit_generates_no_candidates(budgets):
+    rep = reduce_mod(build_kronecker(preprojective(3)), 5)
+    assert _SearchPlan.cheaper(rep, (1, 2)).rep is rep  # forward, as profiles search
+    first = count_subreps(rep, (1, 2)).count
+    assert budgets[-1].used > 0
+    assert count_subreps(rep, (1, 1)).count == 0  # same fiber: only e_1 differs
+    assert budgets[-1].used == 0
+    profile = count_subreps_profile(rep, (1, 0))
+    assert budgets[-1].used == 0
+    assert profile[2] == first and profile[1] == 0
+
+
+def test_memo_keeps_no_failures(budgets):
+    rep = reduce_mod(build_kronecker(preinjective(4)), 23)
+    with pytest.raises(SearchTooLarge) as first:
+        count_subreps(rep, (2, 2), cap=1000)
+    assert count_subreps(rep, (2, 2), cap=2000).count == 553
+    with pytest.raises(SearchTooLarge) as again:
+        count_subreps(rep, (2, 2), cap=1000)
+    payload = (first.value.estimate, first.value.cap, first.value.visited)
+    assert payload == (again.value.estimate, again.value.cap, again.value.visited)
+    assert payload[1:] == (1000, 1001)
+    assert [key[2] for key in _WALKS] == [2000]
+
+
+def test_memo_is_bounded(budgets):
+    rep = reduce_mod(build_kronecker(preprojective(2)), 3)
+    base = 10 ** 6
+    for k in range(_WALKS_MAX + 10):
+        count_subreps(rep, (1, 1), cap=base + k)  # a distinct key per cap
+        assert len(_WALKS) <= _WALKS_MAX
+    assert len(_WALKS) == _WALKS_MAX
+    count_subreps(rep, (1, 1), cap=base + 10)  # the oldest entry: a hit refreshes it
+    count_subreps(rep, (1, 1), cap=base)  # evicted: walks again, evicts base + 11
+    assert budgets[-2].used == 0 and budgets[-1].used > 0
+    caps = {key[2] for key in _WALKS}
+    assert len(caps) == _WALKS_MAX and {base, base + 10} <= caps and base + 11 not in caps
