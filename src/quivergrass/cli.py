@@ -119,10 +119,17 @@ def _emit(args, text: str, payload: dict) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _load_rep(args):
+    """Load --rep, noting whether it has the plane-quartic shape of `example4`."""
+    rep = load_representation(args.rep)
+    args.example4_shape = sp.is_example4_shape(rep)
+    return rep
+
+
 def cmd_euler(args) -> int:
     if args.rep is None or args.e is None:
         raise ParseError("euler needs --rep and --e")
-    rep = load_representation(args.rep)
+    rep = _load_rep(args)
     e = _csv_ints(args.e)
     cap = _parse_int(args.cap, "--cap")
     try:
@@ -149,7 +156,7 @@ def cmd_euler(args) -> int:
 def cmd_fpoly(args) -> int:
     if args.rep is None:
         raise ParseError("fpoly needs --rep")
-    rep = load_representation(args.rep)
+    rep = _load_rep(args)
     cap = _parse_int(args.cap, "--cap")
     poly = eu.f_polynomial(rep, cap)
     _emit(args, poly.to_text(), poly.to_json_dict())
@@ -345,8 +352,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except NonPolynomialCount as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print("hint: for the plane-quartic family use the `example4` command",
-              file=sys.stderr)
+        if getattr(args, "example4_shape", False):
+            print("hint: for the plane-quartic family use the `example4` command",
+                  file=sys.stderr)
         return EXIT_NONPOLY
     except SearchTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,11 +23,9 @@ from .errors import (
     NotAnOrientation,
     NotInAnyFundamentalOrbit,
     SearchExhausted,
-    SingularSystem,
     WeightNotExtreme,
 )
 from .fpoly import FPolynomial, poly_det, poly_identity
-from .linalg import solve_frac
 from .model import Quiver, Representation, _ext1_from_hom, hom_dim
 
 _POSITIVE_ROOT_COUNTS = {"A": lambda n: n * (n + 1) // 2,
@@ -68,9 +66,10 @@ class RootSystem:
 
     @property
     def simple_roots(self) -> tuple[tuple[int, ...], ...]:
-        """alpha_i in fundamental-weight coordinates: columns of the Cartan matrix."""
-        n = self.rank
-        return tuple(tuple(self.cartan[i][j] for i in range(n)) for j in range(n))
+        """alpha_i in fundamental-weight coordinates: column i of the Cartan
+        matrix, which is row i because simply-laced Cartan matrices are
+        symmetric."""
+        return self.cartan
 
     @property
     def fundamental_weights(self) -> tuple[tuple[int, ...], ...]:
@@ -204,28 +203,33 @@ def solve_gamma(rs: RootSystem, word: Sequence[int], alpha: Sequence[int]
 
     alpha is given in simple-root coordinates and must be a positive root.
     Returns (gamma in fundamental-weight coordinates, index i of the
-    fundamental weight whose Weyl orbit contains gamma).  Every W-orbit
-    meets the dominant chamber in exactly one weight, so the orbit is found
-    by walking there: while some coordinate w_i is negative, apply s_i at
-    the first such i, which adds |w_i| alpha_i (the walk ends because the
-    orbit is finite).  gamma lies in W omega_i exactly when the walk ends
-    at omega_i.
+    fundamental weight whose Weyl orbit contains gamma).
+
+    Write the word as j_1, ..., j_n, in the order `apply_word_inverse`
+    applies it, and a for alpha.  The reflection s_{j_k} subtracts
+    (current weight)_{j_k} alpha_{j_k}, and each letter occurs once, so the
+    equation asks that the weight reaching step k have j_k-coordinate
+    -a_{j_k}.  That weight is gamma + sum_{l<k} a_{j_l} alpha_{j_l}, hence
+
+        gamma_{j_k} = -a_{j_k} - sum_{l<k} a_{j_l} cartan[j_k][j_l],
+
+    a triangular solve with integer entries only: gamma is integral.
+
+    Every W-orbit meets the dominant chamber in exactly one weight, so the
+    orbit is found by walking there: while some coordinate w_i is negative,
+    apply s_i at the first such i, which adds |w_i| alpha_i (the walk ends
+    because the orbit is finite).  gamma lies in W omega_i exactly when the
+    walk ends at omega_i.
     """
     word = _check_word(rs, word)
     alpha = tuple(int(a) for a in alpha)
     if alpha not in rs.positive_roots:
         raise ValueError(f"{alpha} is not a positive root of {rs.label}{rs.rank}")
-    n = rs.rank
-    alpha_w = rs.root_to_weight(alpha)
-    columns = [apply_word_inverse(rs, word, unit) for unit in rs.fundamental_weights]
-    matrix = [[columns[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    solution = solve_frac(matrix, alpha_w)
-    if solution is None:
-        raise SingularSystem("c^{-1} - id was singular; Coxeter elements fix no weight")
-    if any(x.denominator != 1 for x in solution):
-        raise NotInAnyFundamentalOrbit(
-            f"gamma {solution} is not in the weight lattice")
-    gamma = tuple(int(x) for x in solution)
+    solved = [0] * rs.rank
+    for k, j in enumerate(word):
+        row = rs.cartan[j]
+        solved[j] = -alpha[j] - sum(alpha[i] * row[i] for i in word[:k])
+    gamma = tuple(solved)
     w = gamma
     while any(x < 0 for x in w):
         w = simple_reflection(rs, next(i for i, x in enumerate(w) if x < 0), w)

@@ -85,12 +85,8 @@ class NotAnOrientation(QuivergrassError):
     """Quiver is not an orientation of the given Dynkin diagram."""
 
 
-class SingularSystem(QuivergrassError):
-    """Linear system for the gamma-weight was singular (must never happen)."""
-
-
 class NotInAnyFundamentalOrbit(QuivergrassError):
-    """Solved weight lies in no fundamental-weight orbit; implementation bug."""
+    """The gamma-weight lies in no fundamental-weight orbit; implementation bug."""
 
 
 class WeightNotExtreme(QuivergrassError):

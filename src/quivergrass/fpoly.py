@@ -29,6 +29,16 @@ class FPolynomial:
                     clean[exp] = coef
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[tuple, int]) -> "FPolynomial":
+        """Wrap a term dict that is already clean: int-tuple exponents of
+        length nvars, no zero coefficients.  For results of ring operations
+        on valid operands; outside input goes through the constructor."""
+        poly = cls.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -72,12 +82,12 @@ class FPolynomial:
                 terms[exp] = new
             else:
                 terms.pop(exp, None)
-        return FPolynomial(self.nvars, terms)
+        return FPolynomial._trusted(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FPolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return FPolynomial._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -101,7 +111,7 @@ class FPolynomial:
                     terms[exp] = new
                 else:
                     terms.pop(exp, None)
-        return FPolynomial(self.nvars, terms)
+        return FPolynomial._trusted(self.nvars, terms)
 
     __rmul__ = __mul__
 

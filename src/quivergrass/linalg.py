@@ -8,7 +8,6 @@ is exact: no floating point.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -126,33 +125,8 @@ def in_span_mod(rows, pivots, vec, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Rational elimination (Fraction-exact).
+# Rank over Q, fraction-free.
 # ---------------------------------------------------------------------------
-
-def rref_frac(matrix: Iterable[Sequence]):
-    """RREF over Q; returns (rows of Fractions, pivots)."""
-    rows: list = []
-    pivots: list = []
-    for vec in matrix:
-        v = [Fraction(x) for x in vec]
-        for row, c in zip(rows, pivots):
-            coeff = v[c]
-            if coeff:
-                v = [a - coeff * b for a, b in zip(v, row)]
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        inv = 1 / v[lead]
-        v = [x * inv for x in v]
-        for i, (row, c) in enumerate(zip(rows, pivots)):
-            coeff = row[lead]
-            if coeff:
-                rows[i] = [a - coeff * b for a, b in zip(row, v)]
-        at = next((i for i, c in enumerate(pivots) if c > lead), len(pivots))
-        rows.insert(at, v)
-        pivots.insert(at, lead)
-    return tuple(tuple(r) for r in rows), tuple(pivots)
-
 
 def _primitive(v: list[int]) -> list[int]:
     """v divided by the gcd of its entries."""
@@ -177,15 +151,3 @@ def rank_frac(matrix: Iterable[Sequence]) -> int:
             basis.append((lead, v))
     return len(basis)
 
-
-def solve_frac(matrix: Sequence[Sequence], rhs: Sequence):
-    """Unique solution of a square system over Q, or None if singular."""
-    n = len(matrix)
-    aug = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    rows, pivots = rref_frac(aug)
-    if len(rows) != n or any(c >= n for c in pivots):
-        return None
-    sol = [Fraction(0)] * n
-    for row, c in zip(rows, pivots):
-        sol[c] = row[n]
-    return tuple(sol)

@@ -96,10 +96,15 @@ def smoothness_probe(rep: Representation, e: Sequence[int], p: int,
     }
 
 
-def _require_example4_shape(rep: Representation) -> None:
+def is_example4_shape(rep: Representation) -> bool:
+    """Whether rep lives on the 4-arrow Kronecker quiver at dims (3, 4)."""
     q = rep.quiver
-    if (q.n != 2 or len(q.arrows) != EXAMPLE4_ARROWS
-            or any(a != (0, 1) for a in q.arrows) or rep.dims != EXAMPLE4_DIMS):
+    return (q.n == 2 and len(q.arrows) == EXAMPLE4_ARROWS
+            and all(a == (0, 1) for a in q.arrows) and rep.dims == EXAMPLE4_DIMS)
+
+
+def _require_example4_shape(rep: Representation) -> None:
+    if not is_example4_shape(rep):
         raise ValueError("expected the 4-arrow Kronecker quiver with dims (3, 4)")
 
 

@@ -5,6 +5,7 @@ subspaces are handled as literal sets of vectors, so agreement with the
 engine is meaningful evidence and not an identity check.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
 
@@ -86,3 +87,19 @@ def naive_hom_dim_mod(quiver_arrows, a_dims, b_dims, a_mats, b_mats, p):
         dim += 1
     assert p ** dim == solutions, "solution set is not a linear space?"
     return dim
+
+
+def fraction_rank(matrix):
+    """Rank over Q by Gaussian elimination on Fractions, pivoting column by column."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank

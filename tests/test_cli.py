@@ -65,10 +65,23 @@ def test_euler_bad_vector(pr2_file, capsys):
     assert main(["euler", "--rep", pr2_file, "--e", "9,9"]) == 2
 
 
+QUARTIC_HINT = "hint: for the plane-quartic family use the `example4` command"
+
+
 def test_euler_nonpolynomial_exit(example4_file, capsys):
     assert main(["euler", "--rep", example4_file, "--e", "1,3"]) == 3
     err = capsys.readouterr().err
-    assert "example4" in err
+    assert QUARTIC_HINT in err
+
+
+def test_nonpolynomial_exit_off_the_quartic_shape_has_no_hint(capsys):
+    # a bad-reduction prime rejects this D4 input (ROADMAP item 1): exit 3 stays
+    argv = ["dynkin", "--type", "D4", "--coxeter", "1,2,3,4", "--root", "1,2,1,1",
+            "--mode", "bruteforce"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "not polynomial in q" in err
+    assert "hint" not in err
 
 
 def test_euler_cap_exit(tmp_path, capsys):

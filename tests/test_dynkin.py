@@ -1,3 +1,4 @@
+import random
 from itertools import permutations, product
 
 import pytest
@@ -121,14 +122,22 @@ def test_solve_gamma_examples():
     assert gamma == (-1, 0) and idx == 1
 
 
-@pytest.mark.parametrize("label,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5)],
-                         ids=("2", "3", "4", "D4", "D5"))
+def sweep_words(rank, limit=60):
+    """Every Coxeter word of the rank, or `limit` of them from a fixed-seed shuffle."""
+    words = list(permutations(range(rank)))
+    if len(words) > limit:
+        random.Random(f"gamma-sweep:{rank}").shuffle(words)
+    return words[:limit]
+
+
+# 4,830 (word, root) cases: A2 6, A3 36, A4 240, A5 900, D4 288, D5 1200, E6 2160
+@pytest.mark.parametrize("label,rank", [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4),
+                                        ("D", 5), ("E", 6)],
+                         ids=("2", "3", "4", "5", "D4", "D5", "E6"))
 def test_solve_gamma_satisfies_equation(label, rank):
     rs = root_system(label, rank)
     orbits = [weyl_orbit(rs, omega) for omega in rs.fundamental_weights]
-    words = permutations(range(rank)) if rank <= 4 else [
-        tuple(range(rank)), tuple(reversed(range(rank))), (1, 3, 0, 2, 4)]
-    for word in words:
+    for word in sweep_words(rank):
         for alpha in rs.positive_roots:
             gamma, idx = solve_gamma(rs, word, alpha)
             moved = apply_word_inverse(rs, word, gamma)

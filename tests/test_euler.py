@@ -139,6 +139,36 @@ def test_f_poly_multiply_identities():
         f_poly_multiply(f, lin)
 
 
+def _random_poly(rng, nvars):
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        exp = tuple(rng.randint(0, 2) for _ in range(nvars))
+        terms[exp] = rng.randint(-3, 3)  # a zero coefficient is dropped
+    return FPolynomial(nvars, terms)
+
+
+def test_ring_operations_give_validated_terms():
+    rng = random.Random("fpoly-ring")
+    for _ in range(200):
+        nvars = rng.randint(1, 3)
+        f, g = _random_poly(rng, nvars), _random_poly(rng, nvars)
+        k = rng.randint(-2, 2)
+        point = [rng.randint(-3, 3) for _ in range(nvars)]
+        x, y = f.evaluate(point), g.evaluate(point)
+        results = [(f + g, x + y), (f - g, x - y), (f - f, 0), (-f, -x), (f * g, x * y),
+                   (f * (-g), -x * y), (f ** 3, x ** 3), (k - f, k - x), (f * k, x * k)]
+        for got, value in results:
+            assert got == FPolynomial(nvars, dict(got.terms))
+            assert all(got.terms.values())
+            assert all(len(e) == nvars and all(type(a) is int and a >= 0 for a in e)
+                       for e in got.terms)
+            assert got.evaluate(point) == value
+    with pytest.raises(ValueError):
+        FPolynomial(2, {(1,): 1})
+    with pytest.raises(ValueError):
+        FPolynomial(2, {(1, -1): 1})
+
+
 def test_multiplicativity_kronecker_pair():
     a = build_kronecker(preprojective(2))
     b = build_kronecker(preinjective(2))
