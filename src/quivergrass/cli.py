@@ -64,6 +64,13 @@ def _parse_int(text: str | None, flag: str, default: int | None = None) -> int |
         raise ParseError(f"bad {flag} {text!r}; expected an integer") from exc
 
 
+def _parse_cap(text: str | None) -> int | None:
+    cap = _parse_int(text, "--cap")
+    if cap is not None and cap < 0:
+        raise ParseError(f"bad --cap {text!r}; expected a non-negative integer")
+    return cap
+
+
 def _parse_type(label: str) -> tuple[str, int]:
     m = re.fullmatch(r"([ADEade])(\d+)", label.strip())
     if not m:
@@ -131,7 +138,7 @@ def cmd_euler(args) -> int:
         raise ParseError("euler needs --rep and --e")
     rep = _load_rep(args)
     e = _csv_ints(args.e)
-    cap = _parse_int(args.cap, "--cap")
+    cap = _parse_cap(args.cap)
     try:
         poly = eu.counting_polynomial(rep, e, cap)
     except ValueError as exc:
@@ -157,7 +164,7 @@ def cmd_fpoly(args) -> int:
     if args.rep is None:
         raise ParseError("fpoly needs --rep")
     rep = _load_rep(args)
-    cap = _parse_int(args.cap, "--cap")
+    cap = _parse_cap(args.cap)
     poly = eu.f_polynomial(rep, cap)
     _emit(args, poly.to_text(), poly.to_json_dict())
     return EXIT_OK
@@ -174,7 +181,7 @@ def cmd_kronecker(args) -> int:
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     mode = args.mode or "both"
-    cap = _parse_int(args.cap, "--cap")
+    cap = _parse_cap(args.cap)
     rep = kr.build_kronecker(kind)
     d1, d2 = kr.dims_of(kind)
     rows = []
@@ -229,7 +236,7 @@ def cmd_dynkin(args) -> int:
         raise ParseError(str(exc)) from exc
     if tuple(alpha) not in rs.positive_roots:
         raise ParseError(f"{list(alpha)} is not a positive root of {label}{rank}")
-    cap = _parse_int(args.cap, "--cap")
+    cap = _parse_cap(args.cap)
     seed = _parse_int(args.seed, "--seed", 0)
     payload: dict = {"type": f"{label}{rank}",
                      "coxeter": [i + 1 for i in word], "root": list(alpha)}
@@ -264,7 +271,7 @@ def cmd_example4(args) -> int:
     seed = _parse_int(args.seed, "--seed", 42)
     bound = _parse_int(args.bound, "--bound", 5)
     primes = _csv_ints(args.primes) if args.primes is not None else sp.EXAMPLE4_PRIMES
-    cap = _parse_int(args.cap, "--cap")
+    cap = _parse_cap(args.cap)
     try:
         rep = sp.sample_general_rep(kr.kronecker_quiver(sp.EXAMPLE4_ARROWS),
                                     sp.EXAMPLE4_DIMS, seed, bound)

@@ -116,6 +116,40 @@ def rank_mod(matrix: Iterable[Sequence[int]], p: int) -> int:
     return len(basis)
 
 
+def pencil_rank_histogram(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
+                          p: int) -> dict[int, int]:
+    """How many t in F_p give each rank of the pencil a + t*b.
+
+    Fraction-free forward elimination as in `rank_mod`, run at every t at
+    once: an entry is its vector of values over t in F_p (so a polynomial
+    vanishing on all of F_p counts as zero), and the lead columns and the
+    steps v -> h*v - c*row are shared by all t.  Kept rows vanish at the
+    earlier rows' leads.  At a t where no lead h vanishes, the kept rows
+    are independent and every step is invertible, so each dropped row lies
+    in their span and the rank is the number of kept rows.  Only the t
+    where some lead vanishes get a direct `rank_mod`.  The counts sum to p.
+    """
+    ts = range(p)
+    basis: list = []  # (lead, values): entry j at t is values[j * p + t]
+    for ra, rb in zip(a, b):
+        n = len(ra)
+        v = [(x + t * y) % p for x, y in zip(ra, rb) for t in ts]
+        for lead, row in basis:
+            c = v[lead * p:lead * p + p]
+            if any(c):
+                h = row[lead * p:lead * p + p]
+                v = [(g * x - f * y) % p for x, y, g, f in zip(v, row, h * n, c * n)]
+        lead = next((j for j in range(n) if any(v[j * p:j * p + p])), None)
+        if lead is not None:
+            basis.append((lead, v))
+    bad = {t for lead, row in basis for t in ts if not row[lead * p + t]}
+    hist = {len(basis): p - len(bad)}
+    for t in bad:
+        r = rank_mod([[(x + t * y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], p)
+        hist[r] = hist.get(r, 0) + 1
+    return {r: k for r, k in hist.items() if k}
+
+
 def matvec_mod(matrix: Sequence[Sequence[int]], vec: Sequence[int], p: int) -> tuple:
     return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in matrix)
 

@@ -21,13 +21,22 @@ vertex.  Stepping an entry by one, or wrapping it from p-1 to 0 (also +1 mod
 p), adds one matrix column; forced spans, the final rank and the arrow
 checks read these images instead of a matrix-vector product per row.
 
+Blocks: setting the innermost free entry (r, c) to t moves only row r, whose
+image under arrow k becomes a_k + t*b_k with b_k column c.  At the last
+searched position of a shortcut walk, if it has no arrow checks, the p
+candidates differing only there form one block: the span forced into the
+final vertex is an echelon E (earlier positions' and the fixed rows' images)
+plus that pencil, which `linalg.pencil_rank_histogram` ranks modulo E for
+all t at once.
+
 One walk per (prime, fiber): the shortcut walk fixes U at the searched
 vertices and records how often each rank of forced span reaches the final
 vertex, which settles every e that differs only at that vertex.  The
 histogram is memoized (bounded, least recently used evicted) on the searched
 representation, the dimension vector with the final entry zeroed, and the
 cap, so `count_subreps` and `count_subreps_profile` calls in one direction
-share walks across e and across calls.
+share walks across e and across calls.  Image columns are built only when
+the memo misses.
 
 The cap bounds the number of candidate subspaces actually generated, so a
 search that would hang turns into a SearchTooLarge error instead; its
@@ -60,16 +69,19 @@ DEFAULT_CAP = 10 ** 8
 def default_cap() -> int:
     """Default enumeration cap; QUIVERGRASS_CAP overrides.
 
-    Raises ParseError when QUIVERGRASS_CAP is set to something other than an
-    integer, rather than silently falling back to DEFAULT_CAP.
+    Raises ParseError when QUIVERGRASS_CAP is set to something other than a
+    non-negative integer, rather than silently falling back to DEFAULT_CAP.
     """
     raw = os.environ.get("QUIVERGRASS_CAP")
     if not raw:
         return DEFAULT_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as exc:
         raise ParseError(f"QUIVERGRASS_CAP={raw!r} is not an integer") from exc
+    if cap < 0:
+        raise ParseError(f"QUIVERGRASS_CAP={raw!r} is negative")
+    return cap
 
 
 @lru_cache(maxsize=None)
@@ -95,13 +107,17 @@ def gaussian_binomial(m: int, e: int, q: int) -> int:
     return num // den
 
 
-def _iter_rref(p: int, m: int, e: int, cols: Sequence = ()
-               ) -> Iterator[tuple[tuple, tuple, tuple]]:
+def _iter_rref(p: int, m: int, e: int, cols: Sequence = (), block: bool = False
+               ) -> Iterator[tuple]:
     """All e-dim subspaces of F_p^m as (rref rows, pivots, images), each once.
 
     Iterates over pivot-column sets, then over the free entries as an
     odometer.  cols holds one matrix per arrow as its tuple of columns, and
     images[k][r] is matrix k times row r, updated by one column per step.
+
+    With block=True the innermost free entry (r, c) stays 0 and each item,
+    with (r, c) as a fourth entry, stands for the p subspaces that differ
+    only there (see the module docstring); None stands for a block of one.
     """
     if e < 0 or e > m:
         return
@@ -109,12 +125,13 @@ def _iter_rref(p: int, m: int, e: int, cols: Sequence = ()
         pivot_set = set(pivots)
         free = [(r, c) for r in range(e) for c in range(m)
                 if c > pivots[r] and c not in pivot_set]
+        tail = (free.pop() if free else None,) if block else ()
         rows = [[0] * m for _ in range(e)]
         for r, c in enumerate(pivots):
             rows[r][c] = 1
         images = [[col[c] for c in pivots] for col in cols]
         while True:
-            yield tuple(map(tuple, rows)), pivots, tuple(map(tuple, images))
+            yield (tuple(map(tuple, rows)), pivots, tuple(map(tuple, images)), *tail)
             for r, c in reversed(free):
                 for img, col in zip(images, cols):
                     img[r] = tuple((a + b) % p for a, b in zip(img[r], col[c]))
@@ -136,29 +153,34 @@ def enumerate_subspaces(p: int, m: int, e: int) -> Iterator[tuple]:
 
 
 def _iter_superspaces(p: int, m: int, e: int, srows: tuple, spivots: tuple,
-                      cols: Sequence = ()) -> Iterator[tuple[tuple, tuple, tuple]]:
+                      cols: Sequence = (), block: bool = False) -> Iterator[tuple]:
     """All e-dim subspaces of F_p^m containing the RREF span (srows, spivots).
 
     Superspaces correspond to (e - s)-dim subspaces of the complementary
     coordinate subspace on the non-pivot columns; each lift is inserted into
     the span's RREF.  The images (see `_iter_rref`) are those of the basis
-    srows + lifted rows, which spans the same subspace.
+    srows + lifted rows, which spans the same subspace.  In block mode the
+    step (r, c) indexes those images and the columns of F_p^m.
     """
     if not srows:
-        yield from _iter_rref(p, m, e, cols)
+        yield from _iter_rref(p, m, e, cols, block)
         return
+    s = len(srows)
     simages = [tuple(linalg.matvec_mod(tuple(zip(*col)), row, p) for row in srows)
                for col in cols]
     free_cols = [c for c in range(m) if c not in spivots]
     qcols = [tuple(col[c] for c in free_cols) for col in cols]
-    for qrows, _, qimages in _iter_rref(p, m - len(srows), e - len(srows), qcols):
+    for qrows, _, qimages, *tail in _iter_rref(p, m - s, e - s, qcols, block):
         rows, pivots = srows, spivots
         for qrow in qrows:
             lifted = [0] * m
             for c, val in zip(free_cols, qrow):
                 lifted[c] = val
             rows, pivots = linalg.rref_insert(rows, pivots, lifted, p)
-        yield rows, pivots, tuple(si + qi for si, qi in zip(simages, qimages))
+        if tail and tail[0]:
+            r, c = tail[0]
+            tail = [(s + r, free_cols[c])]
+        yield (rows, pivots, tuple(si + qi for si, qi in zip(simages, qimages)), *tail)
 
 
 @dataclass(frozen=True)
@@ -178,9 +200,11 @@ class _Budget:
         self.used = 0
         self.estimate = estimate
 
-    def tick(self):
-        self.used += 1
+    def tick(self, n: int = 1):
+        """Charge n candidates; past the cap, report the first one over it."""
+        self.used += n
         if self.used > self.cap:
+            self.used = self.cap + 1
             raise SearchTooLarge(self.estimate, self.cap, visited=self.used)
 
 
@@ -222,43 +246,41 @@ def _gauss_product(dims: Sequence[int], e: Sequence[int], p: int, vertices) -> i
 
 
 class _SearchPlan:
-    """Routing and image columns for one (representation, dimension vector) search.
+    """Routing for one (representation, dimension vector) search.
 
     With backward=True the plan searches Gr_{d-e} of the dual representation,
-    whose points correspond one-to-one to those of Gr_e(rep).
+    whose points correspond one-to-one to those of Gr_e(rep); backward=None
+    takes the direction that enumerates strictly fewer candidates.
     """
 
-    __slots__ = ("rep", "e", "p", "route", "cols")
+    __slots__ = ("rep", "e", "p", "route")
 
-    def __init__(self, rep: Representation, e: Sequence[int], backward: bool = False):
+    def __init__(self, rep: Representation, e: Sequence[int], backward: bool | None = False):
         validate_representation(rep)
         if rep.field is None:
             raise DomainMismatch("counting needs a prime-field representation")
         e = tuple(int(x) for x in e)
         if len(e) != rep.n or any(not 0 <= x <= d for x, d in zip(e, rep.dims)):
             raise ValueError(f"dimension vector {e} outside the box of {rep.dims}")
+        route = _routing(rep.quiver)
+        dual_e = tuple(d - x for d, x in zip(rep.dims, e))
+        if backward is None:
+            backward = route.acyclic and (
+                _gauss_product(rep.dims, dual_e, rep.field,
+                               _routing(rep.quiver.opposite()).searched)
+                < _gauss_product(rep.dims, e, rep.field, route.searched))
         if backward:
-            rep = dual_representation(rep)
-            e = tuple(d - x for d, x in zip(rep.dims, e))
+            rep, e = dual_representation(rep), dual_e
+            route = _routing(rep.quiver)
         self.rep = rep
         self.e = e
         self.p = rep.field
-        self.route = _routing(rep.quiver)
-        self.cols = [tuple(tuple(tuple(row[c] for row in rep.matrices[a])
-                                 for c in range(rep.dims[v])) for a in arrows)
-                     for v, arrows in zip(self.route.order, self.route.out)]
+        self.route = route
 
     @classmethod
     def cheaper(cls, rep: Representation, e: Sequence[int]) -> "_SearchPlan":
         """The forward plan, or the backward one if it enumerates strictly fewer candidates."""
-        forward = cls(rep, e)
-        if forward.route.acyclic:
-            dual_e = tuple(d - x for d, x in zip(rep.dims, forward.e))
-            backward = _gauss_product(rep.dims, dual_e, forward.p,
-                                      _routing(rep.quiver.opposite()).searched)
-            if backward < forward.enumerated_estimate():
-                return cls(rep, e, backward=True)
-        return forward
+        return cls(rep, e, backward=None)
 
     @property
     def shortcut(self) -> bool:
@@ -271,6 +293,13 @@ class _SearchPlan:
     def enumerated_estimate(self) -> int:
         """Upper bound on candidates generated, accounting for the final shortcut."""
         return _gauss_product(self.rep.dims, self.e, self.p, self.route.searched)
+
+    def columns(self) -> list:
+        """Per position, the matrices of the arrows out of it as tuples of columns."""
+        mats = self.rep.matrices
+        return [tuple(tuple(tuple(row[c] for row in mats[a]) for c in range(self.rep.dims[v]))
+                      for a in arrows)
+                for v, arrows in zip(self.route.order, self.route.out)]
 
     def forced_images(self, pos: int, chosen: list) -> Iterator[tuple]:
         """Images of the chosen earlier vertices under the arrows into order[pos]."""
@@ -288,26 +317,50 @@ class _SearchPlan:
     def walk(self, budget: _Budget, shortcut: bool) -> Iterator:
         """Run the search, ticking the budget once per generated candidate.
 
-        With shortcut the final position is not enumerated: it ticks once and
-        yields the rank of the span forced into it.  Otherwise it yields the
-        stack of chosen (rows, pivots, images), one per position, at every
-        point of the Grassmannian.
+        With shortcut the final position is not enumerated: it ticks once per
+        arrival and the walk yields (rank of the span forced into it,
+        multiplicity) pairs, by blocks where it can (module docstring).
+        Otherwise it yields the stack of chosen (rows, pivots, images), one
+        per position, at every point of the Grassmannian.
         """
         p, dims, e, order = self.p, self.rep.dims, self.e, self.route.order
+        cols = self.columns()
         last = len(order) - 1
         chosen: list = []
+
+        def blocks(pos: int, srows: tuple, spivots: tuple) -> Iterator:
+            earlier = [w for src, k in self.route.forced_in[last] if src < pos
+                       for w in chosen[src][2][k]]
+            v = order[pos]
+            for _, _, images, step in _iter_superspaces(p, dims[v], e[v], srows, spivots,
+                                                        cols[pos], block=True):
+                r = step[0] if step else -1
+                # per candidate, one tick for generating it and one at the final vertex
+                budget.tick(2 * p if step else 2)
+                fixed = earlier + [w for img in images for i, w in enumerate(img) if i != r]
+                if step is None:
+                    yield linalg.rank_mod(fixed, p), 1
+                    continue
+                rows, pivots = linalg.rref_mod(fixed, p)
+                a = [linalg.reduce_mod(img[r], rows, pivots, p) for img in images]
+                b = [linalg.reduce_mod(col[step[1]], rows, pivots, p) for col in cols[pos]]
+                for rank, n in linalg.pencil_rank_histogram(a, b, p).items():
+                    yield len(rows) + rank, n
 
         def rec(pos: int) -> Iterator:
             images = self.forced_images(pos, chosen)
             if shortcut and pos == last:
                 budget.tick()
-                yield linalg.rank_mod(images, p)
+                yield linalg.rank_mod(images, p), 1
                 return
             v = order[pos]
             srows, spivots = linalg.rref_mod(images, p)
             if len(srows) > e[v]:
                 return
-            for cand in _iter_superspaces(p, dims[v], e[v], srows, spivots, self.cols[pos]):
+            if shortcut and pos == last - 1 and not self.route.checks[pos]:
+                yield from blocks(pos, srows, spivots)
+                return
+            for cand in _iter_superspaces(p, dims[v], e[v], srows, spivots, cols[pos]):
                 budget.tick()
                 if not self.candidate_ok(pos, cand, chosen):
                     continue
@@ -338,7 +391,10 @@ def _final_counts(plan: _SearchPlan, budget: _Budget, values) -> list[int]:
     key = (plan.rep, plan.e[:final] + (0,) + plan.e[final + 1:], budget.cap)
     ranks = _WALKS.pop(key, None)
     if ranks is None:
-        ranks = tuple(Counter(plan.walk(budget, shortcut=True)).items())
+        hist: Counter = Counter()
+        for s, n in plan.walk(budget, shortcut=True):
+            hist[s] += n
+        ranks = tuple(hist.items())
         if len(_WALKS) >= _WALKS_MAX:
             del _WALKS[next(iter(_WALKS))]
     _WALKS[key] = ranks

@@ -95,6 +95,19 @@ def test_euler_bad_cap_is_a_usage_error(pr2_file, capsys):
     assert "'abc'" in capsys.readouterr().err
 
 
+def test_negative_cap_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    argv = ["kronecker", "reg", "--m", "2", "--lambda", "1"]
+    assert main(argv + ["--cap", "-3"]) == 2
+    assert "--cap '-3'" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cap": -3}))
+    assert main(argv + ["--config", str(config)]) == 2
+    assert "--cap '-3'" in capsys.readouterr().err
+    monkeypatch.setenv("QUIVERGRASS_CAP", "-3")
+    assert main(argv) == 2
+    assert "QUIVERGRASS_CAP='-3'" in capsys.readouterr().err
+
+
 def test_cap_env_override(tmp_path, monkeypatch, capsys):
     path = tmp_path / "big.json"
     save_representation(Representation(Quiver(2, ()), (6, 6), ()), path)

@@ -11,6 +11,7 @@ from quivergrass.kronecker import (
     build_kronecker,
     preinjective,
     preprojective,
+    kronecker_quiver,
     regular,
 )
 from quivergrass.model import (
@@ -19,6 +20,7 @@ from quivergrass.model import (
     is_subrepresentation,
     reduce_mod,
 )
+from quivergrass.sampler import EXAMPLE4_E, sample_general_rep
 from quivergrass.subspaces import (
     _WALKS,
     _WALKS_MAX,
@@ -168,6 +170,14 @@ def test_default_cap_env_rejects_non_integer(monkeypatch):
         default_cap()
 
 
+def test_default_cap_env_rejects_negative(monkeypatch):
+    monkeypatch.setenv("QUIVERGRASS_CAP", "-3")
+    with pytest.raises(ParseError, match=r"QUIVERGRASS_CAP='-3'"):
+        default_cap()
+    monkeypatch.setenv("QUIVERGRASS_CAP", "0")
+    assert default_cap() == 0
+
+
 def test_profile_matches_per_vector_counts():
     rep = reduce_mod(build_kronecker(preprojective(3)), 3)
     for e1 in range(3):
@@ -261,6 +271,39 @@ def test_rank_mod_matches_rref():
             matrix = [[rng.randrange(2 * p) if rng.random() < 0.6 else 0 for _ in range(width)]
                       for _ in range(rng.randint(0, 6))]
             assert linalg.rank_mod(matrix, p) == len(linalg.rref_mod(matrix, p)[0])
+
+
+def test_pencil_rank_histogram_matches_rank_mod():
+    rng = random.Random("pencil")
+
+    def direct(a, b, p):
+        hist = {}
+        for t in range(p):
+            r = linalg.rank_mod([[(x + t * y) % p for x, y in zip(ra, rb)]
+                                 for ra, rb in zip(a, b)], p)
+            hist[r] = hist.get(r, 0) + 1
+        return hist
+
+    def matrix(k, n, p):
+        return [[rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(n)]
+                for _ in range(k)]
+
+    for p in (2, 3, 5, 7, 11):
+        for k in range(5):
+            for n in range(6):
+                for _ in range(8):
+                    a, b = matrix(k, n, p), matrix(k, n, p)
+                    s = rng.randrange(1, p)
+                    cases = [(a, b), (a, [[0] * n] * k), ([[0] * n] * k, b),
+                             (a, [[s * x % p for x in row] for row in a])]  # a parallel to b
+                    if k > 1:  # a repeated row
+                        cases.append((a[:-1] + a[:1], b[:-1] + b[:1]))
+                    for pa, pb in cases:
+                        hist = linalg.pencil_rank_histogram(pa, pb, p)
+                        assert sum(hist.values()) == p
+                        assert hist == direct(pa, pb, p), (pa, pb, p)
+    # generic rank 2, but the determinant t^2 - t vanishes on all of F_2
+    assert linalg.pencil_rank_histogram([[0, 1], [0, 0]], [[1, 0], [1, 1]], 2) == {1: 2}
 
 
 def test_rank_frac_matches_rref():
@@ -357,3 +400,85 @@ def test_memo_is_bounded(budgets):
     assert budgets[-2].used == 0 and budgets[-1].used > 0
     caps = {key[2] for key in _WALKS}
     assert len(caps) == _WALKS_MAX and {base, base + 10} <= caps and base + 11 not in caps
+
+
+def test_block_walk_counts_every_streamed_point():
+    # iter_subrep_tuples walks candidate by candidate; counts go by blocks
+    cases = [(build_kronecker(kind), (3, 5, 7), None) for kind in _kronecker_modules(3)]
+    quartic = sample_general_rep(kronecker_quiver(4), (3, 4), 42, 5)
+    cases.append((quartic, (5, 7), [EXAMPLE4_E]))
+    for rep, primes, box in cases:
+        for p in primes:
+            rp = reduce_mod(rep, p)
+            for e in box or product(*(range(d + 1) for d in rep.dims)):
+                streamed = sum(1 for _ in iter_subrep_tuples(rp, e))
+                assert count_subreps(rp, e).count == streamed, (rep.dims, p, e)
+
+
+def test_block_walk_with_forced_spans_and_earlier_arrows():
+    # the last searched vertex (1) has a forced span from vertex 0, and on the
+    # triangle vertex 0 also sends an arrow straight into the final vertex
+    rng = random.Random("blocks")
+    for arrows, dims in ((((0, 1), (1, 2), (0, 2)), (2, 3, 2)),
+                         (((0, 1), (0, 1), (1, 2)), (1, 3, 3))):
+        for p in (3, 5):
+            mats = tuple(tuple(tuple(rng.randrange(p) for _ in range(dims[s]))
+                               for _ in range(dims[t])) for s, t in arrows)
+            rep = Representation(Quiver(3, arrows), dims, mats, field=p)
+            for e in product(*(range(d + 1) for d in dims)):
+                streamed = sum(1 for _ in iter_subrep_tuples(rep, e))
+                assert count_subreps_profile(rep, e)[e[2]] == streamed, (arrows, p, e)
+                backward = _count(_SearchPlan(rep, e, backward=True), _Budget(10 ** 6, 0))
+                assert backward == streamed, (arrows, p, e)
+
+
+REG4_LINES = gaussian_binomial(4, 1, 23)  # 12,720 lines at the searched vertex
+
+
+def test_block_walk_charges_every_candidate(budgets):
+    rep = reduce_mod(build_kronecker(regular(4, 0)), 23)
+    profile = count_subreps_profile(rep, (1, 0))
+    assert budgets[-1].used == 2 * REG4_LINES == 25440  # generated, then ranked
+    (ranks,) = _WALKS.values()
+    assert dict(ranks) == {1: 1, 2: REG4_LINES - 1}
+    assert sum(profile.values()) == sum(count_subreps(rep, (1, x)).count for x in range(5))
+
+
+def test_block_walk_cap_boundary(budgets):
+    rep = reduce_mod(build_kronecker(regular(4, 0)), 23)
+    assert (count_subreps_profile(rep, (1, 0), cap=25440)[2]
+            == gaussian_binomial(3, 1, 23) + REG4_LINES - 1)
+    with pytest.raises(SearchTooLarge) as err:
+        count_subreps_profile(rep, (1, 0), cap=25439)
+    assert (err.value.cap, err.value.visited) == (25439, 25440)
+    assert budgets[-1].used == 25440
+
+
+def test_count_builds_one_plan_and_columns_only_on_a_miss(budgets, monkeypatch):
+    built = {"plans": 0, "columns": 0}
+    init, columns = _SearchPlan.__init__, _SearchPlan.columns
+
+    def counting_init(self, *args, **kwargs):
+        built["plans"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_columns(self):
+        built["columns"] += 1
+        return columns(self)
+
+    monkeypatch.setattr(_SearchPlan, "__init__", counting_init)
+    monkeypatch.setattr(_SearchPlan, "columns", counting_columns)
+    for kind in (preprojective(3), preinjective(3)):
+        rep = reduce_mod(build_kronecker(kind), 5)
+        box = list(product(*(range(d + 1) for d in rep.dims)))
+        if kind == preinjective(3):  # some e search the dual
+            assert any(_SearchPlan.cheaper(rep, e).rep is not rep for e in box)
+        for sweep in range(2):
+            for e in box:
+                before = dict(built)
+                count_subreps(rep, e)
+                hit = budgets[-1].used == 0
+                assert built["plans"] - before["plans"] == 1, (kind, e)
+                assert built["columns"] - before["columns"] == (0 if hit else 1), (kind, e)
+                if sweep:
+                    assert hit, (kind, e)
