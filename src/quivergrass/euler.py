@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 from . import linalg
 from .errors import InsufficientSamples, NonPolynomialCount
 from .fpoly import FPolynomial
-from .model import Representation, dual_representation, reduce_mod, validate_representation
-from .subspaces import _routing, box_prefers_dual, count_subreps, count_subreps_profile
+from .model import Representation, reduce_mod, validate_representation
+from .subspaces import _count_many, _routing, count_subreps
 
 HELD_OUT = 2  # validation primes beyond the interpolation nodes
 
@@ -156,10 +156,14 @@ def _good_reductions(rep: Representation, how_many: int) -> list[tuple[int, Repr
 
 
 def good_primes(rep: Representation, how_many: int) -> list[int]:
-    """First odd primes at which reduction keeps every matrix at full rank.
+    """First odd primes at which reduction keeps every matrix at its rank over Q.
 
     2 is never used; a prime where some matrix drops below its rank over Q
     (or where a denominator vanishes) is skipped and replaced by the next.
+    This does not catch a prime at which the isomorphism type of M changes
+    while every rank holds, such as a jump of End: R_1 + R_4 on the
+    Kronecker quiver (phi1 = I, phi2 = diag(1, 4)) passes at p = 3, where
+    its eigenvalues collide and the count at (1, 1) is 4, not 2.
     """
     return [p for p, _ in _good_reductions(rep, how_many)]
 
@@ -228,55 +232,27 @@ def iter_box_chi(rep: Representation, cap: int | None = None):
     """Yield (e, chi, error) over the whole box, lexicographically.
 
     chi is None exactly when the counts at e were rejected as non-polynomial,
-    in which case `error` carries the NonPolynomialCount.  Counting work is
-    shared across the fiber of the final search vertex: one enumeration pass
-    per prime serves every value of that coordinate.  The whole box is
-    searched on rep or on its dual at d - e (`box_prefers_dual`), with
-    prefixes of one list of good primes, each reduced once; where profiles
-    are unavailable (quivers with cycles) each e is counted on the same
-    reduced primes.
+    in which case `error` carries the NonPolynomialCount.  Each good prime is
+    reduced once, and every e that still needs a sample there is counted in
+    one `subspaces._count_many` call, which shares the search work across
+    the set; e takes the first bound(e) + 1 + HELD_OUT primes.
     """
     validate_representation(rep)
-    dims = rep.dims
-    box = list(product(*(range(d + 1) for d in dims)))
+    box = list(product(*(range(d + 1) for d in rep.dims)))
     bound = _fibration_bound(rep)
-    bounds = {e: bound(e) for e in box}
-    primes, reduced = zip(*_good_reductions(rep, max(bounds.values()) + 1 + HELD_OUT))
-    backward = box_prefers_dual(rep, primes[-1])
-    if backward:  # transposing commutes with reduction
-        reduced = [dual_representation(rep_p) for rep_p in reduced]
-    final_vertex = _routing(reduced[0].quiver).order[-1]
-    results: dict[tuple, tuple] = {}
-    batched = True
-    for base in box:
-        if base[final_vertex]:
-            continue  # each fiber once, from its member with final coordinate 0
-        fiber = [(y, base[:final_vertex] + (y,) + base[final_vertex + 1:])
-                 for y in range(dims[final_vertex] + 1)]  # (search coordinate, e)
-        if backward:  # e back in rep's coordinates
-            fiber = [(y, tuple(d - x for d, x in zip(dims, e))) for y, e in fiber]
-        need = max(bounds[e] for _, e in fiber) + 1 + HELD_OUT
-        profiles = []
-        for p, rep_p in zip(primes[:need] if batched else (), reduced):
-            prof = count_subreps_profile(rep_p, base, cap)
-            if prof is None:
-                batched = False  # constrained final vertex: count per e
-                break
-            profiles.append((p, prof))
-        for y, e in fiber:
-            deg = bounds[e]
-            if batched:
-                samples = [(p, prof[y]) for p, prof in profiles[:deg + 1 + HELD_OUT]]
-            else:  # a quiver with cycles, so searched forward
-                samples = [(p, count_subreps(rep_p, e, cap).count)
-                           for p, rep_p in zip(primes[:deg + 1 + HELD_OUT], reduced)]
-            try:
-                poly = interpolate_counting_polynomial(samples, deg, dim_vector=e)
-                results[e] = (poly.chi, None)
-            except NonPolynomialCount as exc:
-                results[e] = (None, exc)
+    need = {e: bound(e) + 1 + HELD_OUT for e in box}
+    samples: dict[tuple, list] = {e: [] for e in box}
+    for i, (p, rep_p) in enumerate(_good_reductions(rep, max(need.values()))):
+        for e, count in _count_many(rep_p, [e for e in box if need[e] > i], cap).items():
+            samples[e].append((p, count))
     for e in box:
-        yield (e, *results[e])
+        try:
+            poly = interpolate_counting_polynomial(samples[e], need[e] - 1 - HELD_OUT,
+                                                   dim_vector=e)
+        except NonPolynomialCount as exc:
+            yield e, None, exc
+        else:
+            yield e, poly.chi, None
 
 
 def f_polynomial(rep: Representation, cap: int | None = None) -> FPolynomial:

@@ -286,6 +286,11 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
 def dual_representation(rep: Representation) -> Representation:
     """Representation of the opposite quiver with transposed matrices."""
     validate_representation(rep)
+    return _dual(rep)
+
+
+def _dual(rep: Representation) -> Representation:
+    """`dual_representation` of a representation known to be valid."""
     mats = []
     for (s, t), mat in zip(rep.quiver.arrows, rep.matrices):
         rows, cols = rep.dims[t], rep.dims[s]

@@ -10,9 +10,12 @@ last vertex in the order has no arrows out of it, its subspaces are counted by
 the Gaussian binomial instead of being materialized.
 
 Direction: annihilators map Gr_e(M) bijectively onto Gr_{d-e}(M*), where
-M* = `dual_representation(M)` lives on the opposite quiver.  On an acyclic
-quiver `count_subreps` searches whichever side has the strictly smaller
-`enumerated_estimate`, and `box_prefers_dual` chooses once for a whole box.
+M* = `dual_representation(M)` lives on the opposite quiver.  `_count_many`
+counts a set of dimension vectors and chooses once for the whole set: on an
+acyclic quiver it searches M* at d - e when the walks the set needs there
+have a strictly smaller summed `enumerated_estimate`, and M otherwise.
+`count_subreps` is the set of one e; `euler.iter_box_chi` passes, at each
+prime, every e of the box that still needs a sample there.
 `iter_subrep_tuples` searches forward, since it returns subspaces of M.
 
 Incremental images: the echelon enumeration is an odometer over the free
@@ -29,23 +32,27 @@ final vertex is an echelon E (earlier positions' and the fixed rows' images)
 plus that pencil, which `linalg.pencil_rank_histogram` ranks modulo E for
 all t at once.
 
-One walk per (prime, fiber): the shortcut walk fixes U at the searched
-vertices and records how often each rank of forced span reaches the final
-vertex, which settles every e that differs only at that vertex.  The
-histogram is memoized (bounded, least recently used evicted) on the searched
+One walk per fiber: the shortcut walk fixes U at the searched vertices and
+records how often each rank of forced span reaches the final vertex, which
+settles every e that differs only at that vertex (one fiber).  A set count
+walks each fiber it touches once; where the final vertex has arrows out
+(a quiver with cycles) every e is a walk of its own.  The histogram is
+memoized (bounded, least recently used evicted) on the searched
 representation, the dimension vector with the final entry zeroed, and the
-cap, so `count_subreps` and `count_subreps_profile` calls in one direction
-share walks across e and across calls.  Image columns are built only when
-the memo misses.
+cap, so counts in one direction share walks across calls.  The memo is
+read and written under a lock, the walk runs outside it.  Image columns are
+built only when the memo misses.
 
-The cap bounds the number of candidate subspaces actually generated, so a
+The cap bounds the number of candidate subspaces one walk generates, so a
 search that would hang turns into a SearchTooLarge error instead; its
-estimate is the product of Gaussian binomials in either direction.
+estimate sums the products of Gaussian binomials (equal in either
+direction) of the e's the walk serves.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,7 +66,7 @@ from .model import (
     Quiver,
     Representation,
     SubspaceTuple,
-    dual_representation,
+    _dual,
     validate_representation,
 )
 
@@ -218,9 +225,27 @@ class _Route(NamedTuple):
     checks: tuple     # position -> (k, tgt position): k-th arrow out lands here or earlier
 
     @property
+    def shortcut(self) -> bool:
+        """Whether the final vertex is counted in closed form, not enumerated."""
+        return not self.out[-1]
+
+    @property
     def searched(self) -> tuple[int, ...]:
         """Enumerated vertices: all but a final vertex with no arrows out."""
-        return self.order if self.out[-1] else self.order[:-1]
+        return self.order[:-1] if self.shortcut else self.order
+
+    def fibers(self, es) -> dict[tuple, list]:
+        """The walks that settle es: each walk's dimension vector -> its members.
+
+        With the shortcut a walk ignores the final coordinate, so it is
+        keyed with that entry zeroed; otherwise every e is a walk.
+        """
+        final = self.order[-1]
+        walks: dict[tuple, list] = {}
+        for e in es:
+            key = e[:final] + (0,) + e[final + 1:] if self.shortcut else e
+            walks.setdefault(key, []).append(e)
+        return walks
 
 
 @lru_cache(maxsize=256)
@@ -245,50 +270,33 @@ def _gauss_product(dims: Sequence[int], e: Sequence[int], p: int, vertices) -> i
     return prod(gaussian_binomial(dims[v], e[v], p) for v in vertices)
 
 
-class _SearchPlan:
-    """Routing for one (representation, dimension vector) search.
+def _checked(rep: Representation, es) -> list[tuple[int, ...]]:
+    """Validate a prime-field representation and dimension vectors in its box."""
+    validate_representation(rep)
+    if rep.field is None:
+        raise DomainMismatch("counting needs a prime-field representation")
+    out = []
+    for e in es:
+        e = tuple(int(x) for x in e)
+        if len(e) != rep.n or any(not 0 <= x <= d for x, d in zip(e, rep.dims)):
+            raise ValueError(f"dimension vector {e} outside the box of {rep.dims}")
+        out.append(e)
+    return out
 
-    With backward=True the plan searches Gr_{d-e} of the dual representation,
-    whose points correspond one-to-one to those of Gr_e(rep); backward=None
-    takes the direction that enumerates strictly fewer candidates.
+
+class _SearchPlan:
+    """Routing for one search of Gr_e(rep); rep and e are trusted, not validated.
+
+    A backward search is a plan on `dual_representation(rep)` at d - e.
     """
 
     __slots__ = ("rep", "e", "p", "route")
 
-    def __init__(self, rep: Representation, e: Sequence[int], backward: bool | None = False):
-        validate_representation(rep)
-        if rep.field is None:
-            raise DomainMismatch("counting needs a prime-field representation")
-        e = tuple(int(x) for x in e)
-        if len(e) != rep.n or any(not 0 <= x <= d for x, d in zip(e, rep.dims)):
-            raise ValueError(f"dimension vector {e} outside the box of {rep.dims}")
-        route = _routing(rep.quiver)
-        dual_e = tuple(d - x for d, x in zip(rep.dims, e))
-        if backward is None:
-            backward = route.acyclic and (
-                _gauss_product(rep.dims, dual_e, rep.field,
-                               _routing(rep.quiver.opposite()).searched)
-                < _gauss_product(rep.dims, e, rep.field, route.searched))
-        if backward:
-            rep, e = dual_representation(rep), dual_e
-            route = _routing(rep.quiver)
+    def __init__(self, rep: Representation, e: tuple[int, ...]):
         self.rep = rep
         self.e = e
         self.p = rep.field
-        self.route = route
-
-    @classmethod
-    def cheaper(cls, rep: Representation, e: Sequence[int]) -> "_SearchPlan":
-        """The forward plan, or the backward one if it enumerates strictly fewer candidates."""
-        return cls(rep, e, backward=None)
-
-    @property
-    def shortcut(self) -> bool:
-        """Whether the final vertex is counted in closed form, not enumerated."""
-        return not self.route.out[-1]
-
-    def product_estimate(self) -> int:
-        return _gauss_product(self.rep.dims, self.e, self.p, range(self.rep.n))
+        self.route = _routing(rep.quiver)
 
     def enumerated_estimate(self) -> int:
         """Upper bound on candidates generated, accounting for the final shortcut."""
@@ -378,6 +386,7 @@ class _SearchPlan:
 # dimension vector with the final entry 0, cap); least recently used evicted first.
 _WALKS: dict = {}
 _WALKS_MAX = 256
+_WALKS_LOCK = threading.Lock()
 
 
 def _final_counts(plan: _SearchPlan, budget: _Budget, values) -> list[int]:
@@ -389,24 +398,62 @@ def _final_counts(plan: _SearchPlan, budget: _Budget, values) -> list[int]:
     """
     final = plan.route.order[-1]
     key = (plan.rep, plan.e[:final] + (0,) + plan.e[final + 1:], budget.cap)
-    ranks = _WALKS.pop(key, None)
+    with _WALKS_LOCK:
+        ranks = _WALKS.pop(key, None)
+        if ranks is not None:
+            _WALKS[key] = ranks
     if ranks is None:
         hist: Counter = Counter()
         for s, n in plan.walk(budget, shortcut=True):
             hist[s] += n
         ranks = tuple(hist.items())
-        if len(_WALKS) >= _WALKS_MAX:
-            del _WALKS[next(iter(_WALKS))]
-    _WALKS[key] = ranks
+        with _WALKS_LOCK:
+            _WALKS[key] = ranks
+            if len(_WALKS) > _WALKS_MAX:
+                del _WALKS[next(iter(_WALKS))]
     d = plan.rep.dims[final]
     return [sum(n * gaussian_binomial(d - s, x - s, plan.p) for s, n in ranks)
             for x in values]
 
 
-def _count(plan: _SearchPlan, budget: _Budget) -> int:
-    if plan.shortcut:
-        return _final_counts(plan, budget, [plan.e[plan.route.order[-1]]])[0]
-    return sum(1 for _ in plan.walk(budget, shortcut=False))
+def _count_many(rep: Representation, es: Sequence[Sequence[int]],
+                cap: int | None = None) -> dict[tuple[int, ...], int]:
+    """Exact point counts of Gr_e(rep) for every e in es, one walk per fiber.
+
+    The whole set is searched in one direction (see the module docstring).
+    Every walk is checked against the cap before any runs; the payload of
+    SearchTooLarge sums the products of Gaussian binomials of the e's that
+    the failing walk serves.
+    """
+    es = _checked(rep, es)
+    cap = default_cap() if cap is None else int(cap)
+    dims, p = rep.dims, rep.field
+    route = _routing(rep.quiver)
+    searched, walks = es, route.fibers(es)
+    if route.acyclic:
+        dual_es = [tuple(d - x for d, x in zip(dims, e)) for e in es]
+        dual_route = _routing(rep.quiver.opposite())
+        dual_walks = dual_route.fibers(dual_es)
+        if (sum(_gauss_product(dims, key, p, dual_route.searched) for key in dual_walks)
+                < sum(_gauss_product(dims, key, p, route.searched) for key in walks)):
+            rep, route, searched, walks = _dual(rep), dual_route, dual_es, dual_walks
+    plans = []
+    for key, members in walks.items():
+        plan = _SearchPlan(rep, key)
+        estimate = sum(_gauss_product(dims, e, p, range(rep.n)) for e in members)
+        if plan.enumerated_estimate() > cap:
+            raise SearchTooLarge(estimate, cap)
+        plans.append((plan, estimate, members))
+    final = route.order[-1]
+    counts = {}
+    for plan, estimate, members in plans:
+        budget = _Budget(cap, estimate)
+        if route.shortcut:
+            found = _final_counts(plan, budget, [e[final] for e in members])
+        else:
+            found = [sum(1 for _ in plan.walk(budget, shortcut=False))]
+        counts.update(zip(members, found))
+    return {e: counts[s] for e, s in zip(es, searched)}
 
 
 def count_subreps(rep: Representation, e: Sequence[int],
@@ -419,65 +466,16 @@ def count_subreps(rep: Representation, e: Sequence[int],
     searches far below the worst case still run.
     """
     e = tuple(int(x) for x in e)
-    plan = _SearchPlan.cheaper(rep, e)
-    cap = default_cap() if cap is None else int(cap)
-    estimate = plan.product_estimate()
-    if plan.enumerated_estimate() > cap:
-        raise SearchTooLarge(estimate, cap)
-    return PointCount(plan.p, e, _count(plan, _Budget(cap, estimate)))
-
-
-def count_subreps_profile(rep: Representation, e_base: Sequence[int],
-                          cap: int | None = None) -> dict[int, int] | None:
-    """Counts for every value of the final search vertex's coordinate at once.
-
-    e_base fixes the dimension vector at all vertices except the last one in
-    the search order, whose entry is ignored; the returned dict maps each
-    admissible value there to the exact point count.  One pass serves the
-    whole fiber, which is what the generating-polynomial scan wants.
-    Returns None when the final vertex carries constraints of its own
-    (loops, cyclic fallback order), in which case callers count per vector.
-    """
-    e_base = [int(x) for x in e_base]
-    final_vertex = _routing(rep.quiver).order[-1]
-    e_base[final_vertex] = 0
-    plan = _SearchPlan(rep, e_base)
-    if not plan.shortcut:
-        return None
-    cap = default_cap() if cap is None else int(cap)
-    d_final = rep.dims[final_vertex]
-    fiber = sum(gaussian_binomial(d_final, v, plan.p) for v in range(d_final + 1))
-    estimate = plan.enumerated_estimate() * fiber
-    if plan.enumerated_estimate() > cap:
-        raise SearchTooLarge(estimate, cap)
-    values = range(d_final + 1)
-    return dict(zip(values, _final_counts(plan, _Budget(cap, estimate), values)))
-
-
-def box_prefers_dual(rep: Representation, p: int) -> bool:
-    """Whether profiles over the whole box generate fewer candidates on the dual.
-
-    Summed over the box, the fiber profiles enumerate every subspace of each
-    searched vertex, and that total is the same for e and d - e.  Only
-    acyclic quivers are searched backward; ties stay forward.
-    """
-    forward = _routing(rep.quiver)
-    if not forward.acyclic:
-        return False
-
-    def cost(route: _Route) -> int:
-        return prod(sum(gaussian_binomial(rep.dims[v], x, p) for x in range(rep.dims[v] + 1))
-                    for v in route.searched)
-
-    return cost(_routing(rep.quiver.opposite())) < cost(forward)
+    return PointCount(rep.field, e, _count_many(rep, [e], cap)[e])
 
 
 def iter_subrep_tuples(rep: Representation, e: Sequence[int],
                        cap: int | None = None) -> Iterator[SubspaceTuple]:
     """Stream every point of the quiver Grassmannian as a SubspaceTuple."""
+    (e,) = _checked(rep, [e])
     plan = _SearchPlan(rep, e)
     cap = default_cap() if cap is None else int(cap)
-    estimate = plan.product_estimate()
+    estimate = _gauss_product(rep.dims, e, plan.p, range(rep.n))
     if estimate > cap:
         raise SearchTooLarge(estimate, cap)
     for chosen in plan.walk(_Budget(cap, estimate), shortcut=False):

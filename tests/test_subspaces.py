@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -17,6 +19,7 @@ from quivergrass.kronecker import (
 from quivergrass.model import (
     Quiver,
     Representation,
+    dual_representation,
     is_subrepresentation,
     reduce_mod,
 )
@@ -25,12 +28,12 @@ from quivergrass.subspaces import (
     _WALKS,
     _WALKS_MAX,
     _Budget,
-    _count,
+    _count_many,
+    _final_counts,
     _iter_rref,
     _iter_superspaces,
     _SearchPlan,
     count_subreps,
-    count_subreps_profile,
     default_cap,
     enumerate_subspaces,
     gaussian_binomial,
@@ -178,18 +181,24 @@ def test_default_cap_env_rejects_negative(monkeypatch):
     assert default_cap() == 0
 
 
+def _fiber(e1, d2):
+    return [(e1, x) for x in range(d2 + 1)]
+
+
 def test_profile_matches_per_vector_counts():
     rep = reduce_mod(build_kronecker(preprojective(3)), 3)
     for e1 in range(3):
-        profile = count_subreps_profile(rep, (e1, 0))
+        profile = _count_many(rep, _fiber(e1, 3))
         for e2 in range(4):
-            assert profile[e2] == count_subreps(rep, (e1, e2)).count
+            assert profile[e1, e2] == count_subreps(rep, (e1, e2)).count
 
 
-def test_profile_unavailable_with_constrained_final_vertex():
+def test_set_counts_with_constrained_final_vertex():
     q = Quiver(2, ((0, 1), (1, 0)))
     rep = Representation(q, (1, 1), (((1,),), ((1,),)), field=3)
-    assert count_subreps_profile(rep, (1, 0)) is None
+    box = list(product(range(2), repeat=2))
+    assert _count_many(rep, box) == {e: count_subreps(rep, e).count for e in box}
+    assert _count_many(rep, _fiber(1, 1)) == {(1, 0): 0, (1, 1): 1}
 
 
 def test_iter_subrep_tuples_consistent():
@@ -211,6 +220,14 @@ def _kronecker_modules(max_m):
             yield regular(m, lam)
 
 
+def _forced(rep, e, backward=False):
+    """Count Gr_e(rep) on an acyclic quiver in the given direction, whatever is cheaper."""
+    if backward:
+        rep, e = dual_representation(rep), tuple(d - x for d, x in zip(rep.dims, e))
+    plan = _SearchPlan(rep, e)
+    return _final_counts(plan, _Budget(10 ** 6, 0), [e[plan.route.order[-1]]])[0]
+
+
 def test_forward_and_backward_searches_agree():
     # the backward plan counts Gr_{d-e} of the dual; each direction is forced
     for kind in _kronecker_modules(3):
@@ -218,20 +235,23 @@ def test_forward_and_backward_searches_agree():
         for p in (3, 5):
             rp = reduce_mod(rep, p)
             for e in product(*(range(d + 1) for d in rep.dims)):
-                forward = _count(_SearchPlan(rp, e), _Budget(10 ** 6, 0))
-                backward = _count(_SearchPlan(rp, e, backward=True), _Budget(10 ** 6, 0))
+                forward, backward = _forced(rp, e), _forced(rp, e, backward=True)
                 assert forward == backward == count_subreps(rp, e).count, (kind, p, e)
 
 
 def test_cheaper_direction_fits_under_cap():
     rep = reduce_mod(build_kronecker(preinjective(4)), 23)
     assert _SearchPlan(rep, (2, 2)).enumerated_estimate() == 293090
-    assert _SearchPlan(rep, (2, 2), backward=True).enumerated_estimate() == 553
+    assert _SearchPlan(dual_representation(rep), (1, 2)).enumerated_estimate() == 553
     # 553 candidates plus one shortcut tick each stay below the cap
     assert count_subreps(rep, (2, 2), cap=2000).count == 553
     with pytest.raises(SearchTooLarge) as err:
         count_subreps(rep, (2, 2), cap=1000)
     assert err.value.estimate == gaussian_binomial(4, 2, 23) * gaussian_binomial(3, 2, 23)
+    _WALKS.clear()
+    tie = reduce_mod(build_kronecker(regular(2, 1)), 5)
+    assert count_subreps(tie, (1, 1)).count == 1  # p + 1 candidates either way
+    assert [key[0] for key in _WALKS] == [tie]  # ties stay forward
 
 
 def test_incremental_images_match_matvec():
@@ -365,14 +385,14 @@ def test_memo_gives_cold_counts_after_the_box_warms_it():
 
 def test_memo_hit_generates_no_candidates(budgets):
     rep = reduce_mod(build_kronecker(preprojective(3)), 5)
-    assert _SearchPlan.cheaper(rep, (1, 2)).rep is rep  # forward, as profiles search
     first = count_subreps(rep, (1, 2)).count
     assert budgets[-1].used > 0
+    assert [key[0] for key in _WALKS] == [rep]  # forward, as the fiber's set count
     assert count_subreps(rep, (1, 1)).count == 0  # same fiber: only e_1 differs
     assert budgets[-1].used == 0
-    profile = count_subreps_profile(rep, (1, 0))
+    profile = _count_many(rep, _fiber(1, 3))
     assert budgets[-1].used == 0
-    assert profile[2] == first and profile[1] == 0
+    assert profile[1, 2] == first and profile[1, 1] == 0
 
 
 def test_memo_keeps_no_failures(budgets):
@@ -386,6 +406,33 @@ def test_memo_keeps_no_failures(budgets):
     assert payload == (again.value.estimate, again.value.cap, again.value.visited)
     assert payload[1:] == (1000, 1001)
     assert [key[2] for key in _WALKS] == [2000]
+
+
+def test_memo_is_thread_safe():
+    # four threads insert and evict at once: every distinct cap is a new key
+    rep = reduce_mod(build_kronecker(preprojective(1)), 3)
+    results: list = [[] for _ in range(4)]
+
+    def work(out):
+        try:
+            for k in range(5000):
+                out.append(count_subreps(rep, (0, 1), cap=10 ** 6 + k).count)
+        except Exception as exc:  # the assertions below report it
+            out.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[1] * 5000] * 4
+    assert len(_WALKS) == _WALKS_MAX
 
 
 def test_memo_is_bounded(budgets):
@@ -415,7 +462,7 @@ def test_block_walk_counts_every_streamed_point():
                 assert count_subreps(rp, e).count == streamed, (rep.dims, p, e)
 
 
-def test_block_walk_with_forced_spans_and_earlier_arrows():
+def _three_vertex_reps():
     # the last searched vertex (1) has a forced span from vertex 0, and on the
     # triangle vertex 0 also sends an arrow straight into the final vertex
     rng = random.Random("blocks")
@@ -424,12 +471,55 @@ def test_block_walk_with_forced_spans_and_earlier_arrows():
         for p in (3, 5):
             mats = tuple(tuple(tuple(rng.randrange(p) for _ in range(dims[s]))
                                for _ in range(dims[t])) for s, t in arrows)
-            rep = Representation(Quiver(3, arrows), dims, mats, field=p)
-            for e in product(*(range(d + 1) for d in dims)):
-                streamed = sum(1 for _ in iter_subrep_tuples(rep, e))
-                assert count_subreps_profile(rep, e)[e[2]] == streamed, (arrows, p, e)
-                backward = _count(_SearchPlan(rep, e, backward=True), _Budget(10 ** 6, 0))
-                assert backward == streamed, (arrows, p, e)
+            yield Representation(Quiver(3, arrows), dims, mats, field=p)
+
+
+def test_block_walk_with_forced_spans_and_earlier_arrows():
+    for rep in _three_vertex_reps():
+        dims = rep.dims
+        for e in product(*(range(d + 1) for d in dims)):
+            streamed = sum(1 for _ in iter_subrep_tuples(rep, e))
+            fiber = [e[:2] + (x,) for x in range(dims[2] + 1)]
+            assert _count_many(rep, fiber)[e] == streamed, (rep, e)
+            assert _forced(rep, e, backward=True) == streamed, (rep, e)
+
+
+def test_set_counts_match_per_vector_and_streamed_counts():
+    # whole boxes, partial fibers in either direction's final vertex, mixed sets
+    rng = random.Random("sets")
+    reps = [reduce_mod(build_kronecker(kind), p)
+            for kind in _kronecker_modules(3) for p in (3, 5)]
+    reps += _three_vertex_reps()
+    reps += [Representation(Quiver(2, ((0, 1), (1, 0))), (2, 2),
+                            (((1, 0), (0, 1)), ((1, 1), (0, 1))), field=p) for p in (3, 5)]
+    for rep in reps:
+        box = list(product(*(range(d + 1) for d in rep.dims)))
+        want = {e: count_subreps(rep, e).count for e in box}
+        for e in box:
+            assert want[e] == sum(1 for _ in iter_subrep_tuples(rep, e)), (rep, e)
+        for es in (box, box[::-1], [e for e in box if e[0] % 2],
+                   [e for e in box if e[-1] % 2], rng.sample(box, min(5, len(box)))):
+            _WALKS.clear()
+            assert _count_many(rep, es) == {e: want[e] for e in es}, (rep, es)
+
+
+def test_set_search_too_large_payload(budgets):
+    g = gaussian_binomial
+    rep = Representation(Quiver(2, ()), (6, 6), (), field=41)
+    with pytest.raises(SearchTooLarge) as err:
+        _count_many(rep, [(3, 3), (3, 2), (2, 3)], cap=1000)
+    # the walk over the fiber e_0 = 3 serves (3, 3) and (3, 2)
+    assert err.value.estimate == g(6, 3, 41) * (g(6, 3, 41) + g(6, 2, 41))
+    assert (err.value.cap, err.value.visited) == (1000, None)
+    rep = reduce_mod(build_kronecker(regular(4, 0)), 23)
+    with pytest.raises(SearchTooLarge) as err:  # one dual walk serves both
+        _count_many(rep, [(1, 2), (2, 2)], cap=25439)
+    assert err.value.estimate == g(4, 2, 23) * (g(4, 1, 23) + g(4, 2, 23))
+    assert budgets == []  # every walk is checked before any runs
+    with pytest.raises(SearchTooLarge) as err:  # a partial fiber, out of budget mid-walk
+        _count_many(rep, [(1, 1), (1, 2)], cap=25439)
+    assert err.value.estimate == g(4, 1, 23) * (g(4, 1, 23) + g(4, 2, 23))
+    assert (err.value.cap, err.value.visited) == (25439, 25440)
 
 
 REG4_LINES = gaussian_binomial(4, 1, 23)  # 12,720 lines at the searched vertex
@@ -437,7 +527,8 @@ REG4_LINES = gaussian_binomial(4, 1, 23)  # 12,720 lines at the searched vertex
 
 def test_block_walk_charges_every_candidate(budgets):
     rep = reduce_mod(build_kronecker(regular(4, 0)), 23)
-    profile = count_subreps_profile(rep, (1, 0))
+    profile = _count_many(rep, _fiber(1, 4))
+    assert len(budgets) == 1  # the fiber is searched forward, in one walk
     assert budgets[-1].used == 2 * REG4_LINES == 25440  # generated, then ranked
     (ranks,) = _WALKS.values()
     assert dict(ranks) == {1: 1, 2: REG4_LINES - 1}
@@ -446,10 +537,10 @@ def test_block_walk_charges_every_candidate(budgets):
 
 def test_block_walk_cap_boundary(budgets):
     rep = reduce_mod(build_kronecker(regular(4, 0)), 23)
-    assert (count_subreps_profile(rep, (1, 0), cap=25440)[2]
+    assert (_count_many(rep, _fiber(1, 4), cap=25440)[1, 2]
             == gaussian_binomial(3, 1, 23) + REG4_LINES - 1)
     with pytest.raises(SearchTooLarge) as err:
-        count_subreps_profile(rep, (1, 0), cap=25439)
+        _count_many(rep, _fiber(1, 4), cap=25439)
     assert (err.value.cap, err.value.visited) == (25439, 25440)
     assert budgets[-1].used == 25440
 
@@ -471,8 +562,6 @@ def test_count_builds_one_plan_and_columns_only_on_a_miss(budgets, monkeypatch):
     for kind in (preprojective(3), preinjective(3)):
         rep = reduce_mod(build_kronecker(kind), 5)
         box = list(product(*(range(d + 1) for d in rep.dims)))
-        if kind == preinjective(3):  # some e search the dual
-            assert any(_SearchPlan.cheaper(rep, e).rep is not rep for e in box)
         for sweep in range(2):
             for e in box:
                 before = dict(built)
@@ -482,3 +571,5 @@ def test_count_builds_one_plan_and_columns_only_on_a_miss(budgets, monkeypatch):
                 assert built["columns"] - before["columns"] == (0 if hit else 1), (kind, e)
                 if sweep:
                     assert hit, (kind, e)
+        if kind == preinjective(3):  # some e search the dual
+            assert dual_representation(rep) in {key[0] for key in _WALKS}
