@@ -7,27 +7,40 @@ counts are not polynomial in q (the plane-quartic pipeline of `example4` is
 the canonical source) are detected and rejected with NonPolynomialCount.
 
 "Enough" is B + 1 nodes, where B bounds deg P through the arrow ranks (see
-`_fibration_bound`).  Walk the vertices in the search order; an arrow
+`_Sampling.degree_bound`).  Walk the vertices in the search order; an arrow
 u -> v from an earlier vertex forces dim U_v >= s_v = e_u - dim ker phi_a,
 so U_v ranges over at most binom_q(d_v - s_v, e_v - s_v) subspaces, of
 degree (e_v - s_v)(d_v - e_v) in q.  B is the smaller of the sums of these
 degrees over M at e and over the dual M* at d - e, whose Grassmannian has
 the same points.
+
+Sampling context: everything a count needs from M that does not depend on
+e is worked out once per representation and kept in a `_Sampling` (bounded
+`lru_cache`, 64 representations, per process).  It holds the arrow ranks
+over Q, the arrows that force part of a subspace in either search
+direction, and the good primes found so far, each with M reduced mod it
+and that reduction's dual.  The prime list grows on demand under a lock,
+so each (representation, prime) pair is chosen, reduced and rank-checked
+once, whichever of `good_primes`, `counting_polynomial` and `iter_box_chi`
+asks first, and from whichever thread.  Interpolation is exact integer
+Lagrange over one common denominator.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Sequence
+from math import lcm, prod
+from typing import Sequence
 
 from . import linalg
-from .errors import InsufficientSamples, NonPolynomialCount
+from .errors import DomainMismatch, InsufficientSamples, NonPolynomialCount
 from .fpoly import FPolynomial
-from .model import Representation, reduce_mod, validate_representation
-from .subspaces import _count_many, _routing, count_subreps
+from .model import Representation, _dual, reduce_mod, validate_representation
+from .subspaces import _count_many, _dual_routing, _routing
 
 HELD_OUT = 2  # validation primes beyond the interpolation nodes
 
@@ -61,23 +74,32 @@ class CountingPolynomial:
         return self.evaluate(1)
 
 
-def _lagrange(points: Sequence[tuple[int, int]]) -> list[Fraction]:
-    """Exact coefficients (ascending) of the interpolant through the points."""
-    coeffs = [Fraction(0)] * len(points)
-    for xi, yi in points:
-        basis = [Fraction(1)]
-        denom = 1
-        for xj, _ in points:
-            if xj == xi:
-                continue
-            # multiply basis by (x - xj)
-            shifted = [Fraction(0)] + basis
-            basis = [s - xj * b for s, b in zip(shifted, basis + [Fraction(0)])]
-            denom *= xi - xj
-        scale = Fraction(yi, denom)
-        for k, b in enumerate(basis):
-            coeffs[k] += scale * b
-    return coeffs
+def _lagrange(points: Sequence[tuple[int, int]]) -> list[int] | None:
+    """Coefficients (ascending) of the interpolant through the points, or None
+    when one of them is not an integer.
+
+    With N(x) = prod_k (x - x_k) and w_j = prod_{k != j} (x_j - x_k), the
+    interpolant is sum_j y_j (N(x) / (x - x_j)) / w_j.  Over the common
+    denominator D = lcm_j |w_j| its numerators are integers, the quotients
+    N / (x - x_j) come by synthetic division, and the interpolant is
+    integral exactly when D divides every numerator.
+    """
+    xs = [x for x, _ in points]
+    full = [1]  # N, ascending
+    for x in xs:
+        full = [a - x * b for a, b in zip([0] + full, full + [0])]
+    weights = [prod(xi - xj for xj in xs if xj != xi) for xi in xs]
+    denom = lcm(*weights)
+    numer = [0] * len(points)
+    for (xi, yi), w in zip(points, weights):
+        scale = yi * (denom // w)
+        quotient = 0  # coefficients of N / (x - xi), from the top
+        for k in range(len(points), 0, -1):
+            quotient = full[k] + xi * quotient
+            numer[k - 1] += scale * quotient
+    if any(c % denom for c in numer):
+        return None
+    return [c // denom for c in numer]
 
 
 def _not_polynomial(samples, dim_vector, reason: str) -> NonPolynomialCount:
@@ -110,10 +132,9 @@ def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
         raise ValueError("sample primes must be distinct")
     dim_vector = tuple(dim_vector) if dim_vector is not None else None
     nodes = samples[:degree_bound + 1]
-    coeffs = _lagrange(nodes)
-    if any(c.denominator != 1 for c in coeffs):
+    ints = _lagrange(nodes)
+    if ints is None:
         raise _not_polynomial(samples, dim_vector, "the interpolant has non-integer coefficients")
-    ints = [int(c) for c in coeffs]
     while ints and ints[-1] == 0:
         ints.pop()
     poly = CountingPolynomial(tuple(ints), dim_vector, tuple(samples), degree_bound)
@@ -122,12 +143,6 @@ def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
             raise _not_polynomial(samples, dim_vector, f"held-out prime {p} gives {count}, "
                                   f"the interpolant predicts {poly.evaluate(p)}")
     return poly
-
-
-@lru_cache(maxsize=64)
-def _rational_ranks(rep: Representation) -> tuple[int, ...]:
-    """Rank over Q of each arrow matrix, shared by `good_primes` and the degree bound."""
-    return tuple(linalg.rank_frac(mat) if mat and mat[0] else 0 for mat in rep.matrices)
 
 
 def _denominator_ok(rep: Representation, p: int) -> bool:
@@ -139,20 +154,89 @@ def _denominator_ok(rep: Representation, p: int) -> bool:
     return True
 
 
-def _good_reductions(rep: Representation, how_many: int) -> list[tuple[int, Representation]]:
-    """The first how_many good primes (see `good_primes`), each with rep reduced mod it."""
-    ranks = _rational_ranks(rep)
-    out: list[tuple[int, Representation]] = []
-    for p in linalg.odd_primes():
-        if not _denominator_ok(rep, p):
-            continue
-        rep_p = reduce_mod(rep, p)
-        if all(linalg.rank_mod(mat, p) == r if mat and mat[0] else True
-               for mat, r in zip(rep_p.matrices, ranks)):
-            out.append((p, rep_p))
-            if len(out) == how_many:
-                return out
-    raise RuntimeError("unreachable: prime stream is infinite")
+class _Sampling:
+    """What sampling needs from one representation over Q, worked out once.
+
+    ranks are the arrow ranks over Q; forward and backward are the arrows
+    (u, v, dim ker) that force part of U_v in the search order of the quiver
+    and of its opposite (see `degree_bound`); found lists the good primes so
+    far as (p, rep mod p, its dual), extended under the lock.
+    """
+
+    def __init__(self, rep: Representation):
+        validate_representation(rep)
+        if rep.field is not None:
+            raise DomainMismatch("representation is already over a prime field")
+        self.rep = rep
+        self.ranks = tuple(linalg.rank_frac(mat) if mat and mat[0] else 0
+                           for mat in rep.matrices)
+        self.forward = self._forcing(_routing(rep.quiver), rep.quiver.arrows)
+        self.backward = self._forcing(_dual_routing(rep.quiver),
+                                      [(v, u) for u, v in rep.quiver.arrows])
+        self._primes = linalg.odd_primes()
+        self._found: list[tuple[int, Representation, Representation]] = []
+        self._lock = threading.Lock()
+
+    def _forcing(self, route, arrows) -> tuple[tuple[int, int, int], ...]:
+        pos = {v: i for i, v in enumerate(route.order)}
+        return tuple((u, v, self.rep.dims[u] - r) for (u, v), r in zip(arrows, self.ranks)
+                     if pos[u] < pos[v])
+
+    def reductions(self, how_many: int) -> list[tuple[int, Representation, Representation]]:
+        """The first how_many good primes (see `good_primes`), with rep mod p and its dual."""
+        with self._lock:
+            while len(self._found) < how_many:
+                p = next(self._primes)
+                if not _denominator_ok(self.rep, p):
+                    continue
+                rep_p = reduce_mod(self.rep, p)
+                if all(linalg.rank_mod(mat, p) == r if mat and mat[0] else True
+                       for mat, r in zip(rep_p.matrices, self.ranks)):
+                    self._found.append((p, rep_p, _dual(rep_p)))
+            return self._found[:how_many]
+
+    def degree_bound(self, e: Sequence[int]) -> int:
+        """The a-priori bound on the degree of the counting polynomial at e.
+
+        Walk the vertices in the search order of `subspaces` (topological,
+        else by index).  For each vertex v let s_v be the largest of 0 and of
+        e_u - (d_u - rank_Q phi_a) over the arrows a: u -> v with u earlier
+        in the order.  The forward bound is sum_v max(0, e_v - s_v) *
+        (d_v - e_v); the backward bound is the same quantity for the dual on
+        the opposite quiver at d - e (transposes keep their ranks).  The
+        bound is the smaller one.
+
+        Why it is sound: take a prime at which every phi_a keeps its rank
+        over Q, which `good_primes` checks.  Given the earlier vertices, U_v
+        contains the span forced by their images, of dimension f >= s_v, so
+        U_v ranges over at most binom_q(d_v - f, e_v - f) subspaces, a number
+        non-increasing in f.  Hence #Gr_e(M)(F_q) <= prod_v binom_q(d_v - s_v,
+        e_v - s_v), and a polynomial matching the counts at infinitely many
+        primes has degree at most sum_v (e_v - s_v)(d_v - e_v).
+        Gr_{d-e}(M*) has the same points, so the backward bound holds as well.
+        """
+        dims = self.rep.dims
+
+        def one_side(arrows, e) -> int:
+            forced = [0] * len(dims)
+            for u, v, kernel in arrows:
+                forced[v] = max(forced[v], e[u] - kernel)
+            return sum(max(0, x - s) * (d - x) for x, s, d in zip(e, forced, dims))
+
+        return min(one_side(self.forward, e),
+                   one_side(self.backward, [d - x for d, x in zip(dims, e)]))
+
+
+@lru_cache(maxsize=64)
+def _sampling(rep: Representation) -> _Sampling:
+    """The sampling context of rep, shared by every caller in this process."""
+    return _Sampling(rep)
+
+
+def _good_reductions(rep: Representation, how_many: int
+                     ) -> list[tuple[int, Representation, Representation]]:
+    """The first how_many good primes of rep, each with rep mod it and its dual."""
+    return _sampling(rep).reductions(how_many)
 
 
 def good_primes(rep: Representation, how_many: int) -> list[int]:
@@ -164,61 +248,24 @@ def good_primes(rep: Representation, how_many: int) -> list[int]:
     while every rank holds, such as a jump of End: R_1 + R_4 on the
     Kronecker quiver (phi1 = I, phi2 = diag(1, 4)) passes at p = 3, where
     its eigenvalues collide and the count at (1, 1) is 4, not 2.
+
+    The primes, with their reductions, are remembered per representation in
+    this process, for the 64 representations used last; nothing is shared
+    between processes, so each CLI invocation chooses them afresh.
     """
-    return [p for p, _ in _good_reductions(rep, how_many)]
-
-
-def _fibration_bound(rep: Representation) -> Callable[[Sequence[int]], int]:
-    """The a-priori bound on the degree of the counting polynomial, as a function of e.
-
-    Walk the vertices in the search order of `subspaces` (topological, else by
-    index).  For each vertex v let s_v be the largest of 0 and of
-    e_u - (d_u - rank_Q phi_a) over the arrows a: u -> v with u earlier in the
-    order.  The forward bound is sum_v max(0, e_v - s_v) * (d_v - e_v); the
-    backward bound is the same quantity for the dual on the opposite quiver
-    at d - e (transposes keep their ranks).  The bound is the smaller one.
-
-    Why it is sound: take a prime at which every phi_a keeps its rank over Q,
-    which `good_primes` checks.  Given the earlier vertices, U_v contains the
-    span forced by their images, of dimension f >= s_v, so U_v ranges over
-    at most binom_q(d_v - f, e_v - f) subspaces, a number non-increasing in
-    f.  Hence #Gr_e(M)(F_q) <= prod_v binom_q(d_v - s_v, e_v - s_v), and a
-    polynomial matching the counts at infinitely many primes has degree at
-    most sum_v (e_v - s_v)(d_v - e_v).  Gr_{d-e}(M*) has the same points, so
-    the backward bound holds as well.
-
-    The ranks, the orders and the arrows that count are worked out once here;
-    the returned function is arithmetic over the arrows.
-    """
-    ranks = _rational_ranks(rep)
-    dims = rep.dims
-
-    def forcing(quiver) -> list[tuple[int, int, int]]:
-        pos = {v: i for i, v in enumerate(_routing(quiver).order)}
-        return [(u, v, dims[u] - r) for (u, v), r in zip(quiver.arrows, ranks)
-                if pos[u] < pos[v]]
-
-    def one_side(arrows, e) -> int:
-        forced = [0] * len(dims)
-        for u, v, kernel in arrows:
-            forced[v] = max(forced[v], e[u] - kernel)
-        return sum(max(0, x - s) * (d - x) for x, s, d in zip(e, forced, dims))
-
-    forward, backward = forcing(rep.quiver), forcing(rep.quiver.opposite())
-    return lambda e: min(one_side(forward, e),
-                         one_side(backward, [d - x for d, x in zip(dims, e)]))
+    return [p for p, _, _ in _good_reductions(rep, how_many)]
 
 
 def counting_polynomial(rep: Representation, e: Sequence[int],
                         cap: int | None = None) -> CountingPolynomial:
     """Sample, interpolate, and validate the point-count polynomial for e."""
-    validate_representation(rep)
+    sampling = _sampling(rep)
     e = tuple(int(x) for x in e)
     if len(e) != rep.n or any(not 0 <= x <= d for x, d in zip(e, rep.dims)):
         raise ValueError(f"dimension vector {e} outside the box of {rep.dims}")
-    degree_bound = _fibration_bound(rep)(e)
-    samples = [(p, count_subreps(rep_p, e, cap).count)
-               for p, rep_p in _good_reductions(rep, degree_bound + 1 + HELD_OUT)]
+    degree_bound = sampling.degree_bound(e)
+    samples = [(p, _count_many(rep_p, [e], cap, dual)[e])
+               for p, rep_p, dual in _good_reductions(rep, degree_bound + 1 + HELD_OUT)]
     return interpolate_counting_polynomial(samples, degree_bound, dim_vector=e)
 
 
@@ -232,18 +279,17 @@ def iter_box_chi(rep: Representation, cap: int | None = None):
     """Yield (e, chi, error) over the whole box, lexicographically.
 
     chi is None exactly when the counts at e were rejected as non-polynomial,
-    in which case `error` carries the NonPolynomialCount.  Each good prime is
-    reduced once, and every e that still needs a sample there is counted in
-    one `subspaces._count_many` call, which shares the search work across
-    the set; e takes the first bound(e) + 1 + HELD_OUT primes.
+    in which case `error` carries the NonPolynomialCount.  At each good prime
+    every e that still needs a sample there is counted in one
+    `subspaces._count_many` call, which shares the search work across the
+    set; e takes the first degree_bound(e) + 1 + HELD_OUT primes.
     """
-    validate_representation(rep)
+    sampling = _sampling(rep)
     box = list(product(*(range(d + 1) for d in rep.dims)))
-    bound = _fibration_bound(rep)
-    need = {e: bound(e) + 1 + HELD_OUT for e in box}
+    need = {e: sampling.degree_bound(e) + 1 + HELD_OUT for e in box}
     samples: dict[tuple, list] = {e: [] for e in box}
-    for i, (p, rep_p) in enumerate(_good_reductions(rep, max(need.values()))):
-        for e, count in _count_many(rep_p, [e for e in box if need[e] > i], cap).items():
+    for i, (p, rep_p, dual) in enumerate(_good_reductions(rep, max(need.values()))):
+        for e, count in _count_many(rep_p, [e for e in box if need[e] > i], cap, dual).items():
             samples[e].append((p, count))
     for e in box:
         try:

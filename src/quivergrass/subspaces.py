@@ -266,6 +266,12 @@ def _routing(quiver: Quiver) -> _Route:
     return _Route(order, acyclic, *(tuple(map(tuple, lst)) for lst in (out, forced_in, checks)))
 
 
+@lru_cache(maxsize=256)
+def _dual_routing(quiver: Quiver) -> _Route:
+    """`_routing` of the opposite quiver, without building that quiver on every count."""
+    return _routing(quiver.opposite())
+
+
 def _gauss_product(dims: Sequence[int], e: Sequence[int], p: int, vertices) -> int:
     return prod(gaussian_binomial(dims[v], e[v], p) for v in vertices)
 
@@ -416,27 +422,31 @@ def _final_counts(plan: _SearchPlan, budget: _Budget, values) -> list[int]:
             for x in values]
 
 
-def _count_many(rep: Representation, es: Sequence[Sequence[int]],
-                cap: int | None = None) -> dict[tuple[int, ...], int]:
+def _count_many(rep: Representation, es: Sequence[tuple[int, ...]],
+                cap: int | None = None, dual: Representation | None = None
+                ) -> dict[tuple[int, ...], int]:
     """Exact point counts of Gr_e(rep) for every e in es, one walk per fiber.
 
-    The whole set is searched in one direction (see the module docstring).
-    Every walk is checked against the cap before any runs; the payload of
-    SearchTooLarge sums the products of Gaussian binomials of the e's that
-    the failing walk serves.
+    rep and es are trusted, as in `_SearchPlan`: rep is a valid prime-field
+    representation and each e an int tuple in its box (`_checked` makes
+    sure of both).  dual, when given, is `dual_representation(rep)`, which
+    then is not built again.  The whole set is searched in one direction
+    (see the module docstring).  Every walk is checked against the cap
+    before any runs; the payload of SearchTooLarge sums the products of
+    Gaussian binomials of the e's that the failing walk serves.
     """
-    es = _checked(rep, es)
     cap = default_cap() if cap is None else int(cap)
     dims, p = rep.dims, rep.field
     route = _routing(rep.quiver)
     searched, walks = es, route.fibers(es)
     if route.acyclic:
         dual_es = [tuple(d - x for d, x in zip(dims, e)) for e in es]
-        dual_route = _routing(rep.quiver.opposite())
+        dual_route = _dual_routing(rep.quiver)
         dual_walks = dual_route.fibers(dual_es)
         if (sum(_gauss_product(dims, key, p, dual_route.searched) for key in dual_walks)
                 < sum(_gauss_product(dims, key, p, route.searched) for key in walks)):
-            rep, route, searched, walks = _dual(rep), dual_route, dual_es, dual_walks
+            rep = _dual(rep) if dual is None else dual
+            route, searched, walks = dual_route, dual_es, dual_walks
     plans = []
     for key, members in walks.items():
         plan = _SearchPlan(rep, key)
@@ -460,12 +470,13 @@ def count_subreps(rep: Representation, e: Sequence[int],
                   cap: int | None = None) -> PointCount:
     """Exact number of subrepresentation tuples with the given dimension vector.
 
-    The search runs in the cheaper direction (see the module docstring).
-    The error payload of SearchTooLarge carries the product-of-Gaussian-
+    rep and e are validated here, since `_count_many` trusts them.  The
+    search runs in the cheaper direction (see the module docstring).  The
+    error payload of SearchTooLarge carries the product-of-Gaussian-
     binomials estimate; the cap itself bounds generated candidates so pruned
     searches far below the worst case still run.
     """
-    e = tuple(int(x) for x in e)
+    (e,) = _checked(rep, [e])
     return PointCount(rep.field, e, _count_many(rep, [e], cap)[e])
 
 

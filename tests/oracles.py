@@ -103,3 +103,25 @@ def fraction_rank(matrix):
             rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def fraction_lagrange(points):
+    """Coefficients (ascending) of the interpolant through the points, as Fractions.
+
+    One Lagrange basis polynomial per node, each built by multiplying out
+    (x - x_j) and scaled by y_i / prod (x_i - x_j).
+    """
+    coeffs = [Fraction(0)] * len(points)
+    for xi, yi in points:
+        basis = [Fraction(1)]
+        denom = 1
+        for xj, _ in points:
+            if xj == xi:
+                continue
+            shifted = [Fraction(0)] + basis
+            basis = [s - xj * b for s, b in zip(shifted, basis + [Fraction(0)])]
+            denom *= xi - xj
+        scale = Fraction(yi, denom)
+        for k, b in enumerate(basis):
+            coeffs[k] += scale * b
+    return coeffs

@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -41,6 +43,8 @@ from quivergrass.model import (
 from quivergrass.sampler import sample_general_rep
 from quivergrass.subspaces import count_subreps
 
+from oracles import fraction_lagrange
+
 ONE_VERTEX = Quiver(1, ())
 
 
@@ -79,6 +83,53 @@ def test_interpolate_rejects_nonpolynomial():
 def test_interpolate_rejects_nonintegral_coefficients():
     with pytest.raises(NonPolynomialCount):
         interpolate_counting_polynomial([(3, 1), (5, 2), (7, 3), (11, 5)], 1)
+
+
+def test_integer_interpolation_matches_the_fraction_reference():
+    import quivergrass.euler as eu
+    rng = random.Random("integer-lagrange")
+    primes = good_primes(Representation(ONE_VERTEX, (0,), ()), 16)
+    integral = 0
+    for degree in range(7):
+        for trial in range(40):
+            nodes = rng.sample(primes, degree + 1 + HELD_OUT)
+            if trial % 2:  # a random integer polynomial, negative counts included
+                coeffs = [rng.randint(-50, 50) for _ in range(degree + 1)]
+                counts = [sum(c * p ** k for k, c in enumerate(coeffs)) for p in nodes]
+            else:  # random counts: mostly a non-integral interpolant
+                counts = [rng.randint(-30, 30) for _ in nodes]
+            samples = list(zip(nodes, counts))
+            want = fraction_lagrange(samples[:degree + 1])
+            got = eu._lagrange(samples[:degree + 1])
+            e = (degree, trial)
+            prefix = (f"point counts at dimension vector {e} sampled at primes "
+                      f"{', '.join(map(str, nodes))}: ")
+            if any(c.denominator != 1 for c in want):
+                assert got is None, samples
+                message = prefix + ("the interpolant has non-integer coefficients, "
+                                    "so they are not polynomial in q")
+                with pytest.raises(NonPolynomialCount) as err:
+                    interpolate_counting_polynomial(samples, degree, dim_vector=e)
+                assert str(err.value) == message
+                continue
+            integral += 1
+            assert got == [int(c) for c in want], samples
+            # held out: the reference's values fit, one more than that does not
+            samples[degree + 1:] = [(p, sum(int(c) * p ** k for k, c in enumerate(want)))
+                                    for p in nodes[degree + 1:]]
+            while got and got[-1] == 0:
+                got.pop()
+            fitted = interpolate_counting_polynomial(samples, degree, dim_vector=e)
+            assert fitted.coefficients == tuple(got)
+            held, count = samples[-1]
+            samples[-1] = (held, count + 1)
+            message = prefix + (f"held-out prime {held} gives {count + 1}, the "
+                                f"interpolant predicts {count}, so they are not "
+                                "polynomial in q")
+            with pytest.raises(NonPolynomialCount) as err:
+                interpolate_counting_polynomial(samples, degree, dim_vector=e)
+            assert str(err.value) == message
+    assert integral >= 7 * 20
 
 
 def test_euler_ordinary_grassmannian():
@@ -240,14 +291,62 @@ def test_each_sampled_prime_is_reduced_once(monkeypatch):
     monkeypatch.setattr(eu, "reduce_mod", counted)
     for kind in (preprojective(3), preinjective(3)):  # the box searches inj3 on the dual
         rep = build_kronecker(kind)
+        box = list(product(range(rep.dims[0] + 1), range(rep.dims[1] + 1)))
+        eu._sampling.cache_clear()
+        primes.clear()
         assert counting_polynomial(rep, (1, 1)).chi == kronecker_chi(kind, (1, 1))
-        assert primes and len(primes) == len(set(primes)), (kind, primes)
-        primes.clear()
         f = f_polynomial(rep)
+        for e in box:
+            assert euler_characteristic(rep, e) == f.coefficient(e) == kronecker_chi(kind, e)
+        warm = {e: counting_polynomial(rep, e).samples for e in box}
         assert primes and len(primes) == len(set(primes)), (kind, primes)
-        primes.clear()
-        for e in product(range(rep.dims[0] + 1), range(rep.dims[1] + 1)):
-            assert f.coefficient(e) == kronecker_chi(kind, e)
+        eu._sampling.cache_clear()  # a cold context samples the same primes and counts
+        assert {e: counting_polynomial(rep, e).samples for e in box} == warm
+
+
+def test_sampling_context_is_thread_safe():
+    import quivergrass.euler as eu
+    # 15 loses its rank mod 3 and 5, and the denominator of 1/7 vanishes mod 7
+    rep = Representation(kronecker_quiver(2), (1, 1), (((15,),), ((Fraction(1, 7),),)))
+    results: list = [[] for _ in range(4)]
+
+    def work(out):
+        try:
+            for k in range(1, 61):
+                out.append(good_primes(rep, k))
+        except Exception as exc:  # the assertions below report it
+            out.append(exc)
+
+    eu._sampling.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    eu._sampling.cache_clear()
+    cold = [good_primes(rep, k) for k in range(1, 61)]
+    assert cold[2] == [11, 13, 17]
+    assert results == [cold] * 4
+
+
+def test_sampling_contexts_are_bounded():
+    import quivergrass.euler as eu
+    eu._sampling.cache_clear()
+    reps = [Representation(Quiver(2, ((0, 1),)), (1, 1), (((k,),),)) for k in range(1, 81)]
+    for rep in reps:
+        good_primes(rep, 2)
+        assert eu._sampling.cache_info().currsize <= 64
+    assert eu._sampling.cache_info().currsize == 64
+    misses = eu._sampling.cache_info().misses
+    good_primes(reps[-1], 2)  # among the last 64: kept
+    good_primes(reps[0], 2)  # the oldest: evicted, built again
+    assert eu._sampling.cache_info().misses == misses + 1
 
 
 def test_f_polynomial_json_round_trip():

@@ -7,7 +7,13 @@ from itertools import product
 import pytest
 
 from quivergrass import linalg, subspaces
-from quivergrass.errors import DegenerateBase, ParseError, SearchTooLarge
+from quivergrass.errors import (
+    DegenerateBase,
+    DomainMismatch,
+    MixedScalarDomains,
+    ParseError,
+    SearchTooLarge,
+)
 from quivergrass.kronecker import (
     INFINITY,
     build_kronecker,
@@ -92,6 +98,21 @@ def test_count_trivial_endpoints():
     rep = reduce_mod(build_kronecker(preprojective(2)), 3)
     assert count_subreps(rep, (0, 0)).count == 1
     assert count_subreps(rep, rep.dims).count == 1
+
+
+def test_count_subreps_validates_its_input():
+    # the set count behind it trusts its input, so the public entry checks it
+    rep = build_kronecker(preprojective(2))
+    with pytest.raises(DomainMismatch):
+        count_subreps(rep, (0, 1))
+    rep3 = reduce_mod(rep, 3)
+    for e in ((2, 1), (0, 4), (-1, 0), (0, 1, 0)):
+        with pytest.raises(ValueError, match="outside the box"):
+            count_subreps(rep3, e)
+    unreduced = Representation(rep3.quiver, rep3.dims, (rep3.matrices[0], ((3,), (1,))),
+                               field=3)
+    with pytest.raises(MixedScalarDomains, match="not reduced mod 3"):
+        count_subreps(unreduced, (0, 1))
 
 
 def test_count_one_vertex_matches_gaussian():
