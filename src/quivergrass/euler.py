@@ -109,40 +109,70 @@ def _not_polynomial(samples, dim_vector, reason: str) -> NonPolynomialCount:
                               "so they are not polynomial in q")
 
 
+@lru_cache(maxsize=256)
+def _interpolant(nodes: tuple[tuple[int, int], ...]) -> tuple[int, ...] | None:
+    """`_lagrange` through the nodes, trailing zero coefficients dropped.
+
+    Remembered, so that checking samples as they arrive (`_fit`) and the
+    final `interpolate_counting_polynomial` fit each set of nodes once.
+    """
+    ints = _lagrange(nodes)
+    if ints is None:
+        return None
+    while ints and ints[-1] == 0:
+        ints.pop()
+    return tuple(ints)
+
+
+def _fit(samples: Sequence[tuple[int, int]], degree_bound: int
+         ) -> tuple[tuple[int, ...] | None, str | None]:
+    """The one validator: the interpolant through the first degree_bound + 1
+    samples, checked against each later one.
+
+    Returns (coefficients, None) when the samples fit, (None, reason) when
+    they already prove the counts are not polynomial in q, and (None, None)
+    while there are fewer than degree_bound + 1 of them.
+    """
+    if len(samples) <= degree_bound:
+        return None, None
+    ints = _interpolant(tuple(samples[:degree_bound + 1]))
+    if ints is None:
+        return None, "the interpolant has non-integer coefficients"
+    poly = CountingPolynomial(ints, None, ())
+    for p, count in samples[degree_bound + 1:]:
+        if poly.evaluate(p) != count:
+            return None, (f"held-out prime {p} gives {count}, "
+                          f"the interpolant predicts {poly.evaluate(p)}")
+    return ints, None
+
+
 def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
                                     degree_bound: int,
                                     dim_vector: Sequence[int] | None = None
                                     ) -> CountingPolynomial:
     """Fit the first degree_bound+1 samples exactly, then validate the rest.
 
-    Requires at least two held-out samples beyond the interpolation nodes.
     Raises NonPolynomialCount, naming the dimension vector and the sampled
-    primes, when the interpolant has a non-integer coefficient or any
-    held-out count disagrees.
+    primes, when the interpolant has a non-integer coefficient or a
+    held-out count disagrees; samples that already prove that need no more
+    beyond them.  Otherwise requires at least two held-out samples beyond
+    the interpolation nodes (InsufficientSamples).
     """
     samples = [(int(p), int(c)) for p, c in samples]
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
+    if len({p for p, _ in samples}) != len(samples):
+        raise ValueError("sample primes must be distinct")
+    dim_vector = tuple(dim_vector) if dim_vector is not None else None
+    ints, reason = _fit(samples, degree_bound)
+    if reason is not None:
+        raise _not_polynomial(samples, dim_vector, reason)
     need = degree_bound + 1 + HELD_OUT
     if len(samples) < need:
         raise InsufficientSamples(
             f"need {need} samples for degree {degree_bound} (+{HELD_OUT} held out), "
             f"got {len(samples)}")
-    if len({p for p, _ in samples}) != len(samples):
-        raise ValueError("sample primes must be distinct")
-    dim_vector = tuple(dim_vector) if dim_vector is not None else None
-    nodes = samples[:degree_bound + 1]
-    ints = _lagrange(nodes)
-    if ints is None:
-        raise _not_polynomial(samples, dim_vector, "the interpolant has non-integer coefficients")
-    while ints and ints[-1] == 0:
-        ints.pop()
-    poly = CountingPolynomial(tuple(ints), dim_vector, tuple(samples), degree_bound)
-    for p, count in samples:
-        if poly.evaluate(p) != count:
-            raise _not_polynomial(samples, dim_vector, f"held-out prime {p} gives {count}, "
-                                  f"the interpolant predicts {poly.evaluate(p)}")
-    return poly
+    return CountingPolynomial(ints, dim_vector, tuple(samples), degree_bound)
 
 
 def _denominator_ok(rep: Representation, p: int) -> bool:
@@ -194,6 +224,13 @@ class _Sampling:
                        for mat, r in zip(rep_p.matrices, self.ranks)):
                     self._found.append((p, rep_p, _dual(rep_p)))
             return self._found[:how_many]
+
+    def reduction(self, p: int) -> Representation:
+        """rep mod p: the one held here when p is among the good primes found
+        so far, else a fresh `reduce_mod`, which is not kept."""
+        with self._lock:
+            held = next((rep_p for q, rep_p, _ in self._found if q == p), None)
+        return reduce_mod(self.rep, p) if held is None else held
 
     def degree_bound(self, e: Sequence[int]) -> int:
         """The a-priori bound on the degree of the counting polynomial at e.
@@ -256,17 +293,45 @@ def good_primes(rep: Representation, how_many: int) -> list[int]:
     return [p for p, _, _ in _good_reductions(rep, how_many)]
 
 
+def _sample(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | None
+            ) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+    """(prime, count) samples for every e in bounds (e -> its degree bound), prime by prime.
+
+    e takes the good primes in order until its verdict is known: after
+    bound + 1 + HELD_OUT samples, or as soon as `_fit` finds the samples so
+    far not polynomial in q.  At each prime every e still sampled is
+    counted in one `subspaces._count_many` call, which shares the search
+    work across the set.
+    """
+    samples: dict[tuple, list] = {e: [] for e in bounds}
+    pending = list(bounds)
+    need = max(bounds.values()) + 1 + HELD_OUT
+    for p, rep_p, dual in _good_reductions(rep, need):
+        if not pending:
+            break
+        counts = _count_many(rep_p, pending, cap, dual)
+        for e in pending:
+            samples[e].append((p, counts[e]))
+        pending = [e for e in pending if len(samples[e]) < bounds[e] + 1 + HELD_OUT
+                   and _fit(samples[e], bounds[e])[1] is None]
+    return samples
+
+
 def counting_polynomial(rep: Representation, e: Sequence[int],
                         cap: int | None = None) -> CountingPolynomial:
-    """Sample, interpolate, and validate the point-count polynomial for e."""
+    """Sample, interpolate, and validate the point-count polynomial for e.
+
+    Sampling stops at the first prime whose count proves the counts are
+    not polynomial in q, and the NonPolynomialCount names only the primes
+    sampled up to there.
+    """
     sampling = _sampling(rep)
     e = tuple(int(x) for x in e)
     if len(e) != rep.n or any(not 0 <= x <= d for x, d in zip(e, rep.dims)):
         raise ValueError(f"dimension vector {e} outside the box of {rep.dims}")
-    degree_bound = sampling.degree_bound(e)
-    samples = [(p, _count_many(rep_p, [e], cap, dual)[e])
-               for p, rep_p, dual in _good_reductions(rep, degree_bound + 1 + HELD_OUT)]
-    return interpolate_counting_polynomial(samples, degree_bound, dim_vector=e)
+    bound = sampling.degree_bound(e)
+    return interpolate_counting_polynomial(_sample(rep, {e: bound}, cap)[e], bound,
+                                           dim_vector=e)
 
 
 def euler_characteristic(rep: Representation, e: Sequence[int],
@@ -279,22 +344,17 @@ def iter_box_chi(rep: Representation, cap: int | None = None):
     """Yield (e, chi, error) over the whole box, lexicographically.
 
     chi is None exactly when the counts at e were rejected as non-polynomial,
-    in which case `error` carries the NonPolynomialCount.  At each good prime
-    every e that still needs a sample there is counted in one
-    `subspaces._count_many` call, which shares the search work across the
-    set; e takes the first degree_bound(e) + 1 + HELD_OUT primes.
+    in which case `error` carries the NonPolynomialCount.  The box is sampled
+    as one set (see `_sample`): e takes the first degree_bound(e) + 1 +
+    HELD_OUT primes, or fewer when they already reject it.
     """
     sampling = _sampling(rep)
-    box = list(product(*(range(d + 1) for d in rep.dims)))
-    need = {e: sampling.degree_bound(e) + 1 + HELD_OUT for e in box}
-    samples: dict[tuple, list] = {e: [] for e in box}
-    for i, (p, rep_p, dual) in enumerate(_good_reductions(rep, max(need.values()))):
-        for e, count in _count_many(rep_p, [e for e in box if need[e] > i], cap, dual).items():
-            samples[e].append((p, count))
-    for e in box:
+    bounds = {e: sampling.degree_bound(e)
+              for e in product(*(range(d + 1) for d in rep.dims))}
+    samples = _sample(rep, bounds, cap)
+    for e, bound in bounds.items():
         try:
-            poly = interpolate_counting_polynomial(samples[e], need[e] - 1 - HELD_OUT,
-                                                   dim_vector=e)
+            poly = interpolate_counting_polynomial(samples[e], bound, dim_vector=e)
         except NonPolynomialCount as exc:
             yield e, None, exc
         else:

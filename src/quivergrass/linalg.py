@@ -118,34 +118,85 @@ def rank_mod(matrix: Iterable[Sequence[int]], p: int) -> int:
 
 def pencil_rank_histogram(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
                           p: int) -> dict[int, int]:
-    """How many t in F_p give each rank of the pencil a + t*b.
+    """How many t in F_p give each rank of the pencil a + t*b (entries in [0, p)).
 
-    Fraction-free forward elimination as in `rank_mod`, run at every t at
-    once: an entry is its vector of values over t in F_p (so a polynomial
-    vanishing on all of F_p counts as zero), and the lead columns and the
-    steps v -> h*v - c*row are shared by all t.  Kept rows vanish at the
-    earlier rows' leads.  At a t where no lead h vanishes, the kept rows
-    are independent and every step is invertible, so each dropped row lies
-    in their span and the rank is the number of kept rows.  Only the t
-    where some lead vanishes get a direct `rank_mod`.  The counts sum to p.
+    Peeling: rows with b = 0 are constant; let C be their span.  The other
+    rows are reduced modulo C's RREF, a and b alike, and brought to echelon
+    form in b with unit leads, the same steps applied to a.  A row whose b
+    vanishes on the way is constant too and joins C, and this repeats until
+    the s rows x + t*y left over have b parts independent modulo C.  Each
+    step (adding t times a constant row included) is a row operation at
+    every t, so the rank is r0 = dim C plus the rank of those s rows, which
+    vanish at C's pivot columns and so meet C only in 0.
+
+    Let P be the lead columns of the y.  Y_P is unit upper triangular, so
+    det(X_P + t*Y_P) is monic of degree s in t, and wherever it does not
+    vanish the rank is r0 + s.  For s = 1, 2 its roots in F_p come from its
+    closed form or one scan over t; so the work grows with p only in that
+    scan.  Otherwise the moving rows go through fraction-free elimination
+    on value vectors, whose length grows with p: as in `rank_mod`,
+    but an entry is its vector of values over t in F_p, and the leads and
+    the steps v -> h*v - c*row are shared by all t; where no lead h
+    vanishes every step is invertible and the rank is r0 plus the number
+    of kept rows.  Either way only the exceptional t get a direct
+    `rank_mod`, of the moving rows.  The counts sum to p.
     """
+    rows, pivots = rref_mod([ra for ra, rb in zip(a, b) if not any(rb)], p)
+    moving = [(ra, rb) for ra, rb in zip(a, b) if any(rb)]
+    while True:
+        basis: list = []  # (lead, x, y): y[lead] = 1, later rows vanish at earlier leads
+        constant = []
+        for x, y in moving:
+            if rows:
+                x, y = reduce_mod(x, rows, pivots, p), reduce_mod(y, rows, pivots, p)
+            for lead, bx, by in basis:
+                c = y[lead]
+                if c:
+                    x = [(u - c * v) % p for u, v in zip(x, bx)]
+                    y = [(u - c * v) % p for u, v in zip(y, by)]
+            for lead, h in enumerate(y):
+                if h:
+                    break
+            else:
+                constant.append(x)
+                continue
+            if h != 1:
+                h = inv_mod(h, p)
+                x, y = [u * h % p for u in x], [u * h % p for u in y]
+            basis.append((lead, x, y))
+        if not constant:
+            break
+        for x in constant:
+            rows, pivots = rref_insert(rows, pivots, x, p) or (rows, pivots)
+        moving = [(x, y) for _, x, y in basis]
     ts = range(p)
-    basis: list = []  # (lead, values): entry j at t is values[j * p + t]
-    for ra, rb in zip(a, b):
-        n = len(ra)
-        v = [(x + t * y) % p for x, y in zip(ra, rb) for t in ts]
-        for lead, row in basis:
-            c = v[lead * p:lead * p + p]
-            if any(c):
-                h = row[lead * p:lead * p + p]
-                v = [(g * x - f * y) % p for x, y, g, f in zip(v, row, h * n, c * n)]
-        lead = next((j for j in range(n) if any(v[j * p:j * p + p])), None)
-        if lead is not None:
-            basis.append((lead, v))
-    bad = {t for lead, row in basis for t in ts if not row[lead * p + t]}
-    hist = {len(basis): p - len(bad)}
+    if len(basis) == 1:
+        (i, x0, _), = basis
+        generic, bad = 1, [-x0[i] % p]
+    elif len(basis) == 2:
+        (i, x0, y0), (j, x1, _) = basis  # Y_P = [[1, y0[j]], [0, 1]]
+        c1 = (x0[i] + x1[j] - y0[j] * x1[i]) % p
+        c0 = (x0[i] * x1[j] - x0[j] * x1[i]) % p
+        generic, bad = 2, [t for t in ts if not (t * (t + c1) + c0) % p]
+    else:
+        values: list = []  # (lead, values): entry j at t is values[j * p + t]
+        for _, x, y in basis:
+            n = len(x)
+            v = [(u + t * w) % p for u, w in zip(x, y) for t in ts]
+            for lead, row in values:
+                c = v[lead * p:lead * p + p]
+                if any(c):
+                    h = row[lead * p:lead * p + p]
+                    v = [(g * u - f * w) % p for u, w, g, f in zip(v, row, h * n, c * n)]
+            lead = next((j for j in range(n) if any(v[j * p:j * p + p])), None)
+            if lead is not None:
+                values.append((lead, v))
+        generic = len(values)
+        bad = {t for lead, row in values for t in ts if not row[lead * p + t]}
+    r0 = len(rows)
+    hist = {r0 + generic: p - len(bad)}
     for t in bad:
-        r = rank_mod([[(x + t * y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], p)
+        r = r0 + rank_mod([[(u + t * w) % p for u, w in zip(x, y)] for _, x, y in basis], p)
         hist[r] = hist.get(r, 0) + 1
     return {r: k for r, k in hist.items() if k}
 

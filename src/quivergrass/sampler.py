@@ -21,7 +21,7 @@ from .errors import (
     NotAcyclic,
     SmoothnessFailure,
 )
-from .euler import euler_characteristic, iter_box_chi
+from .euler import _sampling, euler_characteristic, iter_box_chi
 from .fpoly import FPolynomial
 from .kronecker import kronecker_quiver
 from .linalg import rank_mod
@@ -177,7 +177,7 @@ def example4_verify(rep: Representation, primes: Sequence[int],
                 if all(g.evaluate(v) % p == 0 for g in partials):
                     raise SmoothnessFailure(p, v)
         report["smooth_over_each_p"][p] = True
-        rep_p = reduce_mod(rep, p)
+        rep_p = _sampling(rep).reduction(p)
         deficient = []
         for v in curve:
             columns = [

@@ -28,9 +28,12 @@ Blocks: setting the innermost free entry (r, c) to t moves only row r, whose
 image under arrow k becomes a_k + t*b_k with b_k column c.  At the last
 searched position of a shortcut walk, if it has no arrow checks, the p
 candidates differing only there form one block: the span forced into the
-final vertex is an echelon E (earlier positions' and the fixed rows' images)
-plus that pencil, which `linalg.pencil_rank_histogram` ranks modulo E for
-all t at once.
+final vertex is spanned by the images of earlier positions and of the fixed
+rows, which do not move with t, and by that pencil.
+`linalg.pencil_rank_histogram` ranks it for all t at once, the fixed images
+passed as rows with b = 0: it peels off their span and the pencil rows that
+fall into it, and only a block with three or more rows still moving works
+on vectors of length p.
 
 One walk per fiber: the shortcut walk fixes U at the searched vertices and
 records how often each rank of forced span reaches the final vertex, which
@@ -346,6 +349,7 @@ class _SearchPlan:
             earlier = [w for src, k in self.route.forced_in[last] if src < pos
                        for w in chosen[src][2][k]]
             v = order[pos]
+            zero = (0,) * dims[order[last]]
             for _, _, images, step in _iter_superspaces(p, dims[v], e[v], srows, spivots,
                                                         cols[pos], block=True):
                 r = step[0] if step else -1
@@ -355,11 +359,9 @@ class _SearchPlan:
                 if step is None:
                     yield linalg.rank_mod(fixed, p), 1
                     continue
-                rows, pivots = linalg.rref_mod(fixed, p)
-                a = [linalg.reduce_mod(img[r], rows, pivots, p) for img in images]
-                b = [linalg.reduce_mod(col[step[1]], rows, pivots, p) for col in cols[pos]]
-                for rank, n in linalg.pencil_rank_histogram(a, b, p).items():
-                    yield len(rows) + rank, n
+                a = fixed + [img[r] for img in images]
+                b = [zero] * len(fixed) + [col[step[1]] for col in cols[pos]]
+                yield from linalg.pencil_rank_histogram(a, b, p).items()
 
         def rec(pos: int) -> Iterator:
             images = self.forced_images(pos, chosen)

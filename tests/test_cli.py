@@ -5,7 +5,12 @@ import pytest
 from quivergrass.cli import main
 from quivergrass.fpoly import FPolynomial
 from quivergrass.kronecker import build_kronecker, kronecker_quiver, preprojective
-from quivergrass.model import Quiver, Representation, save_representation
+from quivergrass.model import (
+    Quiver,
+    Representation,
+    dual_representation,
+    save_representation,
+)
 from quivergrass.sampler import sample_general_rep
 
 
@@ -79,6 +84,17 @@ def test_nonpolynomial_exit_off_the_quartic_shape_has_no_hint(capsys):
     argv = ["dynkin", "--type", "D4", "--coxeter", "1,2,3,4", "--root", "1,2,1,1",
             "--mode", "bruteforce"]
     assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "not polynomial in q" in err
+    assert "hint" not in err
+
+
+def test_nonpolynomial_exit_on_the_dual_quartic_has_no_hint(tmp_path, capsys):
+    # Gr_(2,1) of the dual is Gr_(1,3) of the quartic input, on the opposite quiver
+    path = tmp_path / "dual_quartic.json"
+    rep = sample_general_rep(kronecker_quiver(4), (3, 4), 42, 5)
+    save_representation(dual_representation(rep), path)
+    assert main(["euler", "--rep", str(path), "--e", "2,1"]) == 3
     err = capsys.readouterr().err
     assert "not polynomial in q" in err
     assert "hint" not in err

@@ -416,6 +416,33 @@ def test_reg4_samples_up_to_23():
     assert poly.chi == kronecker_chi(kind, (1, 2))
 
 
+def test_quartic_is_rejected_at_its_interpolation_nodes(monkeypatch):
+    import quivergrass.euler as eu
+    rep = sample_general_rep(kronecker_quiver(4), (3, 4), 42, 5)
+    bound = eu._sampling(rep).degree_bound((1, 3))
+    nodes = good_primes(rep, bound + 1)
+    count_many = eu._count_many
+    counted = []
+
+    def recorded(rep_p, es, *args):
+        counted.append((rep_p.field, sorted(es)))
+        return count_many(rep_p, es, *args)
+
+    monkeypatch.setattr(eu, "_count_many", recorded)
+    message = (f"point counts at dimension vector (1, 3) sampled at primes "
+               f"{', '.join(map(str, nodes))}: the interpolant has non-integer "
+               "coefficients, so they are not polynomial in q")
+    with pytest.raises(NonPolynomialCount) as err:
+        euler_characteristic(rep, (1, 3))
+    assert str(err.value) == message
+    assert counted == [(p, [(1, 3)]) for p in nodes]
+    # in the box, (1, 3) leaves the sampled set at the same prime
+    counted.clear()
+    refused = {e: str(exc) for e, _, exc in iter_box_chi(rep) if exc is not None}
+    assert refused[1, 3] == message
+    assert max(p for p, es in counted if (1, 3) in es) == nodes[-1]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_quartic_still_refused_with_fewer_samples(seed):
     rep = sample_general_rep(kronecker_quiver(4), (3, 4), seed, 5)

@@ -128,6 +128,24 @@ def test_example4_verify_seed42():
         assert not pc["rank_deficient_points"]
 
 
+def test_example4_verify_takes_reductions_from_the_sampling_context(monkeypatch):
+    import quivergrass.euler as eu
+    import quivergrass.sampler as sm
+    reduced = []
+    for module in (eu, sm):
+        def recorded(rep, p, reduce=module.reduce_mod):
+            reduced.append((rep, p))
+            return reduce(rep, p)
+        monkeypatch.setattr(module, "reduce_mod", recorded)
+    rep = seed42_rep()
+    eu._sampling.cache_clear()
+    with pytest.raises(NonPolynomialCount):
+        euler_characteristic(rep, (1, 3))
+    assert example4_verify(rep, (5, 7, 11))["chi"] == -4
+    assert {p for _, p in reduced} >= {5, 7, 11}
+    assert len(reduced) == len(set(reduced))  # each (representation, prime) once
+
+
 def test_example4_verify_no_primes_withholds_chi():
     report = example4_verify(seed42_rep(), ())
     assert report["is_quartic"]

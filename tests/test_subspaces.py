@@ -346,6 +346,40 @@ def test_pencil_rank_histogram_matches_rank_mod():
     # generic rank 2, but the determinant t^2 - t vanishes on all of F_2
     assert linalg.pencil_rank_histogram([[0, 1], [0, 0]], [[1, 0], [1, 1]], 2) == {1: 2}
 
+    def combination(rows, p):
+        out = [0] * len(rows[0])
+        for row in rows:
+            c = rng.randrange(p)
+            out = [(x + c * y) % p for x, y in zip(out, row)]
+        return out
+
+    # constant rows (b = 0) beside moving ones, as the block walk passes them
+    for p in (3, 5, 13, 31):
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            k0, k1 = rng.randint(1, 4), rng.randint(1, 5)  # k1 >= 3: the value path
+            const = matrix(k0, n, p)
+            a, b = const + matrix(k1, n, p), [[0] * n] * k0 + matrix(k1, n, p)
+            zero_b = [[0] * n for _ in range(k1)]
+            cases = [(a, b), (const + a[k0:], [[0] * n] * k0 + zero_b)]
+            if k1 > 1:
+                # b rows dependent only modulo the constant span: one of them
+                # is peeled off as a constant row, and the rest are peeled again
+                moved = b[k0:-1] + [[(x + y) % p for x, y in zip(b[k0], combination(const, p))]]
+                cases.append((a, b[:k0] + moved))
+                # a b row entirely inside the constant span
+                cases.append((a, b[:k0] + b[k0:-1] + [combination(const, p)]))
+            for pa, pb in cases:
+                order = rng.sample(range(len(pa)), len(pa))  # constants anywhere
+                pa, pb = [pa[i] for i in order], [pb[i] for i in order]
+                hist = linalg.pencil_rank_histogram(pa, pb, p)
+                assert sum(hist.values()) == p
+                assert hist == direct(pa, pb, p), (pa, pb, p)
+    # modulo the constant row e1 both b rows are e2, so the second peeling
+    # round adds the constant e3; one row moves, (0, t, 0), of rank 1 but at t = 0
+    assert linalg.pencil_rank_histogram(
+        [[1, 0, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, 0], [1, 1, 0], [0, 1, 0]], 13) == {3: 12, 2: 1}
+
 
 def test_rank_frac_matches_rref():
     rng = random.Random("rank_frac")
@@ -481,6 +515,18 @@ def test_block_walk_counts_every_streamed_point():
             for e in box or product(*(range(d + 1) for d in rep.dims)):
                 streamed = sum(1 for _ in iter_subrep_tuples(rp, e))
                 assert count_subreps(rp, e).count == streamed, (rep.dims, p, e)
+
+
+def test_set_counts_of_kronecker_m4_match_streamed_counts():
+    # blocks of p = 5 candidates: pencils of fixed rows and up to two moving ones
+    for kind in (preprojective(4), preinjective(4),
+                 *(regular(4, lam) for lam in (0, INFINITY, Fraction(1, 2)))):
+        rep = reduce_mod(build_kronecker(kind), 5)
+        box = list(product(*(range(d + 1) for d in rep.dims)))
+        _WALKS.clear()
+        counts = _count_many(rep, box)
+        for e in box:
+            assert counts[e] == sum(1 for _ in iter_subrep_tuples(rep, e)), (kind, e)
 
 
 def _three_vertex_reps():
