@@ -2,8 +2,9 @@
 
 Three mutually cross-validating routes: finite-field point counting with
 verified polynomial interpolation, closed-form binomial formulas for the
-Kronecker quiver, and the determinantal generalized-minor formula for
-type-A Dynkin quivers.  All arithmetic is exact; no floating point.
+Kronecker quiver, and principal generalized minors, evaluated in minuscule
+representations, for Dynkin quivers.  All arithmetic is exact; no floating
+point.
 """
 
 from .dynkin import (
@@ -11,7 +12,6 @@ from .dynkin import (
     coxeter_from_orientation,
     dynkin_indecomposable,
     f_polynomial_via_minor,
-    generalized_minor_A,
     orientation_from_coxeter,
     root_system,
     simple_reflection,
@@ -103,7 +103,6 @@ __all__ = [
     "f_polynomial",
     "f_polynomial_via_minor",
     "gaussian_binomial",
-    "generalized_minor_A",
     "hom_dim",
     "interpolate_counting_polynomial",
     "is_rigid",

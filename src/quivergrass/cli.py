@@ -26,6 +26,7 @@ from .errors import (
     NonPolynomialCount,
     ParseError,
     QuivergrassError,
+    ScopeError,
     SearchTooLarge,
     ShapeMismatch,
     SmoothnessFailure,
@@ -39,10 +40,6 @@ EXIT_NONPOLY = 3
 EXIT_TOO_LARGE = 4
 EXIT_VERIFY = 5
 EXIT_SCOPE = 6
-
-
-class ScopeError(QuivergrassError):
-    """Requested operation is outside the implemented scope."""
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -219,14 +216,13 @@ def cmd_dynkin(args) -> int:
         raise ParseError("dynkin needs --type, --coxeter and --root")
     label, rank = _parse_type(args.type)
     mode = args.mode or "both"
-    if label != "A" and mode in ("minor", "both"):
-        raise ScopeError("the determinantal route is implemented for type A only")
-    if label == "A" and rank > 5 and mode != "minor":
-        raise ScopeError("brute-force cross-checks are limited to A_n with n <= 5")
-    if label == "D" and rank != 4:
-        raise ScopeError("type D brute force is limited to D4")
-    if label == "E":
-        raise ScopeError("type E is combinatorics-only; no evaluation route")
+    if mode != "minor":
+        if label == "A" and rank > 5:
+            raise ScopeError("brute-force cross-checks are limited to A_n with n <= 5")
+        if label == "D" and rank != 4:
+            raise ScopeError("type D brute force is limited to D4")
+        if label == "E":
+            raise ScopeError("type E has no brute-force route here; use --mode minor")
     word = tuple(i - 1 for i in _csv_ints(args.coxeter))
     alpha = _csv_ints(args.root)
     try:
@@ -243,7 +239,7 @@ def cmd_dynkin(args) -> int:
     lines = []
     minor_poly = brute_poly = None
     if mode in ("minor", "both"):
-        minor_poly = dk.f_polynomial_via_minor(rank, word, alpha)
+        minor_poly = dk.f_polynomial_via_minor(rank, word, alpha, label)
         payload["minor"] = minor_poly.to_json_dict()
         lines.append(f"minor:      {minor_poly.to_text()}")
     if mode in ("bruteforce", "both"):
@@ -330,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_kronecker)
 
-    p = sub.add_parser("dynkin", help="determinantal vs brute-force F-polynomial")
+    p = sub.add_parser("dynkin", help="principal-minor vs brute-force F-polynomial")
     p.add_argument("--type", help="type label, e.g. A3")
     p.add_argument("--coxeter", help="Coxeter word, comma-separated 1-based vertices")
     p.add_argument("--root", help="positive root in simple-root coordinates")

@@ -1,10 +1,11 @@
-"""Simply-laced root systems, Coxeter words, and determinantal F-polynomials.
+"""Simply-laced root systems, Coxeter words, and F-polynomials as minors.
 
 Combinatorics (Cartan data, Weyl action, Coxeter words, the gamma-equation)
-work for types A, D, E.  The determinantal evaluation route realizes the
-group concretely only in type A, where the fundamental representations are
-exterior powers of the standard one and a principal generalized minor is an
-ordinary minor; types D and E are out of scope for that route.
+work for types A, D, E.  The minor route evaluates a principal generalized
+minor by a walk over the weights of a minuscule fundamental representation,
+with no matrix and no determinant.  It reaches every root of type A, whose
+fundamental representations are all minuscule, and the roots of types D and
+E whose gamma lies in a minuscule orbit; other roots raise ScopeError.
 
 Weights are integer tuples in the fundamental-weight basis, so a simple
 reflection is a one-line integer operation.  Roots are integer tuples in the
@@ -19,13 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import (
-    NotAnOrientation,
-    NotInAnyFundamentalOrbit,
-    SearchExhausted,
-    WeightNotExtreme,
-)
-from .fpoly import FPolynomial, poly_det, poly_identity
+from .errors import NotAnOrientation, NotInAnyFundamentalOrbit, ScopeError, SearchExhausted
+from .fpoly import FPolynomial
 from .model import Quiver, Representation, _ext1_from_hom, hom_dim
 
 _POSITIVE_ROOT_COUNTS = {"A": lambda n: n * (n + 1) // 2,
@@ -144,19 +140,25 @@ def apply_word_inverse(rs: RootSystem, word: Sequence[int],
     return w
 
 
-def weyl_orbit(rs: RootSystem, weight: Sequence[int]) -> frozenset:
-    """Full Weyl-group orbit by breadth-first closure under simple reflections."""
+def _orbit_walk(rs: RootSystem, weight: Sequence[int]):
+    """Yield each weight of the Weyl-group orbit once, closing under simple
+    reflections; a consumer that stops early stops the walk."""
     start = tuple(weight)
     seen = {start}
     frontier = [start]
     while frontier:
         w = frontier.pop()
+        yield w
         for i in range(rs.rank):
             nxt = simple_reflection(rs, i, w)
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return frozenset(seen)
+
+
+def weyl_orbit(rs: RootSystem, weight: Sequence[int]) -> frozenset:
+    """Full Weyl-group orbit by closure under simple reflections."""
+    return frozenset(_orbit_walk(rs, weight))
 
 
 def _check_word(rs: RootSystem, word: Sequence[int]) -> tuple[int, ...]:
@@ -238,83 +240,55 @@ def solve_gamma(rs: RootSystem, word: Sequence[int], alpha: Sequence[int]
     raise NotInAnyFundamentalOrbit(f"gamma {gamma} lies in no fundamental orbit")
 
 
-# ---------------------------------------------------------------------------
-# Type A realization: (n+1) x (n+1) matrices, fundamental representations as
-# exterior powers of the standard one.
-# ---------------------------------------------------------------------------
+@lru_cache(maxsize=None)
+def is_minuscule(label: str, rank: int, i: int) -> bool:
+    """Whether every weight of W omega_i has coordinates in {-1, 0, 1}.
 
-def extreme_weight_subset(rank: int, gamma: Sequence[int]) -> tuple[int, ...] | None:
-    """Recover the index subset J with gamma = sum of epsilon_j over J.
-
-    An extreme weight of an exterior power of the standard representation is
-    a 0/1 pattern in the epsilon-coordinates; gamma determines the pattern
-    up to an overall shift.  Returns None if gamma is not of that shape.
+    Then the weights of W omega_i form a basis of V(omega_i) on which each
+    e_j and f_j moves one weight to one other with coefficient 1.  The
+    orbit walk stops at the first weight outside that range.
     """
-    n = rank
-    v = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        v[k] = v[k + 1] + gamma[k]
-    low = min(v)
-    v = [x - low for x in v]
-    if any(x not in (0, 1) for x in v):
-        return None
-    return tuple(k for k, x in enumerate(v) if x == 1)
+    rs = root_system(label, rank)
+    return all(-1 <= x <= 1 for w in _orbit_walk(rs, rs.fundamental_weights[i])
+               for x in w)
 
 
-def generalized_minor_A(rank: int, gamma: Sequence[int], matrix,
-                        fund_index: int | None = None) -> FPolynomial:
-    """Principal generalized minor at an extreme weight, as an ordinary minor.
+def f_polynomial_via_minor(rank: int, word: Sequence[int], alpha: Sequence[int],
+                           label: str = "A") -> FPolynomial:
+    """F-polynomial of the indecomposable at alpha as a principal minor.
 
-    gamma must lie in the Weyl orbit of a fundamental weight; writing
-    gamma = w omega_i, the weight subspace is spanned by e_{j1} ^ ... ^ e_{ji}
-    with J = w({1..i}), and the minor uses rows and columns J.
+    The minor is <v_gamma, g v_gamma> for g = y_{i_1}(1) ... y_{i_n}(1)
+    x_{i_n}(u_{i_n}) ... x_{i_1}(u_{i_1}), with gamma from `solve_gamma`,
+    taken in V(omega_i) for the orbit W omega_i that holds gamma.  It is
+    evaluated only when omega_i is minuscule (every fundamental weight of
+    type A is): the weights of W omega_i are then a basis, e_j sends v_mu
+    to v_{mu + alpha_j} when mu_j = -1 and f_j sends v_mu to v_{mu - alpha_j}
+    when mu_j = 1, both squares vanish, and x_j(u) = 1 + u e_j and
+    y_j(1) = 1 + f_j.  Applying the factors right to left to v_gamma as a
+    sparse map from weight to polynomial only adds products of variables,
+    so the coefficients are visibly nonnegative.  Other orbits raise
+    ScopeError.
     """
-    gamma = tuple(int(x) for x in gamma)
-    subset = extreme_weight_subset(rank, gamma)
-    if subset is None or not subset:
-        raise WeightNotExtreme(f"{gamma} is not an extreme weight of a fundamental "
-                               f"representation of A{rank}")
-    if fund_index is not None and len(subset) != fund_index + 1:
-        raise WeightNotExtreme(
-            f"{gamma} lies in the orbit of omega_{len(subset)}, not omega_{fund_index + 1}")
-    rows = [[matrix[r][c] for c in subset] for r in subset]
-    return poly_det(rows)
-
-
-def minor_argument_matrix(rank: int, word: Sequence[int]) -> list:
-    """The product y_{i_1}(1) ... y_{i_n}(1) x_{i_n}(u_{i_n}) ... x_{i_1}(u_{i_1}).
-
-    Built by column operations on the identity, factor by factor in this
-    exact order (the x and y factors do not commute).  Multiplying on the
-    right by y_i(1) = Id + E_{i+1,i} adds column i+1 to column i; by
-    x_i(u_i) = Id + u_i E_{i,i+1} it adds u_i times column i to column i+1.
-    Matrices are (rank+1) x (rank+1) over Z[u_1..u_rank]; i is 0-based.
-    """
-    if any(not 0 <= i < rank for i in word):
-        raise ValueError(f"word {tuple(word)} has a vertex out of range for rank {rank}")
-    mat = poly_identity(rank + 1, rank)
-    for i in word:
-        for row in mat:
-            row[i] = row[i] + row[i + 1]
-    for i in reversed(word):
-        u = FPolynomial.variable(rank, i)
-        for row in mat:
-            row[i + 1] = row[i + 1] + u * row[i]
-    return mat
-
-
-def f_polynomial_via_minor(rank: int, word: Sequence[int],
-                           alpha: Sequence[int]) -> FPolynomial:
-    """Determinantal route to the F-polynomial of the indecomposable at alpha.
-
-    Solves the gamma-equation for the Coxeter word, builds the one-parameter
-    matrix product, and extracts the generalized minor at gamma.
-    """
-    rs = root_system("A", rank)
+    rs = root_system(label, rank)
     word = _check_word(rs, word)
     gamma, fund_index = solve_gamma(rs, word, alpha)
-    mat = minor_argument_matrix(rank, word)
-    return generalized_minor_A(rank, gamma, mat, fund_index=fund_index)
+    if not is_minuscule(label, rank, fund_index):
+        raise ScopeError(
+            f"gamma {gamma} lies in the orbit of omega_{fund_index + 1}, which is not "
+            f"minuscule in {label}{rank}; the minor route needs a minuscule orbit")
+    # (j, the mu_j that e_j or f_j moves, the factor's variable or None for 1)
+    steps = [(j, -1, FPolynomial.variable(rank, j)) for j in word]
+    steps += [(j, 1, None) for j in reversed(word)]
+    vector = {gamma: FPolynomial.one(rank)}
+    for j, source, u in steps:
+        moved = dict(vector)
+        for mu, poly in vector.items():
+            if mu[j] == source:
+                nu = tuple(m - source * a for m, a in zip(mu, rs.simple_roots[j]))
+                term = poly if u is None else u * poly
+                moved[nu] = moved[nu] + term if nu in moved else term
+        vector = moved
+    return vector[gamma]
 
 
 def dynkin_indecomposable(quiver: Quiver, alpha: Sequence[int], seed: int = 0,

@@ -89,8 +89,8 @@ class NotInAnyFundamentalOrbit(QuivergrassError):
     """The gamma-weight lies in no fundamental-weight orbit; implementation bug."""
 
 
-class WeightNotExtreme(QuivergrassError):
-    """Weight is not extreme in the requested fundamental representation."""
+class ScopeError(QuivergrassError):
+    """Requested operation is outside the implemented scope."""
 
 
 class SearchExhausted(QuivergrassError):

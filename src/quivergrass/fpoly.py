@@ -251,18 +251,12 @@ def f_poly_multiply(f: FPolynomial, g: FPolynomial) -> FPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Small matrices over Z[u_1..u_n]: the identity that the determinantal route
-# transforms by column operations, and minors of the result.
+# Determinants of small matrices over Z[u_1..u_n].
 # ---------------------------------------------------------------------------
 
-def poly_identity(size: int, nvars: int) -> list[list[FPolynomial]]:
-    one = FPolynomial.one(nvars)
-    zero = FPolynomial.zero(nvars)
-    return [[one if i == j else zero for j in range(size)] for i in range(size)]
-
-
 def poly_det(rows: Sequence[Sequence[FPolynomial]]) -> FPolynomial:
-    """Cofactor expansion; fine for the <= 9 x 9 matrices used here."""
+    """Cofactor expansion; its one caller is the plane quartic of `sampler`,
+    a 3 x 3 determinant in three variables."""
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix has no determinant here; use size >= 1")

@@ -2,11 +2,15 @@
 
 Everything here deliberately avoids the library's echelon code paths:
 subspaces are handled as literal sets of vectors, so agreement with the
-engine is meaningful evidence and not an identity check.
+engine is meaningful evidence and not an identity check.  The Dynkin oracles
+count no points at all: thin F-polynomials come from closed subsets, and the
+type-A minor is an ordinary minor of an explicit (rank+1) x (rank+1) matrix.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+
+from quivergrass.fpoly import FPolynomial, poly_det
 
 
 def span_set(rows, p, m):
@@ -125,3 +129,61 @@ def fraction_lagrange(points):
         for k, b in enumerate(basis):
             coeffs[k] += scale * b
     return coeffs
+
+
+def thin_f_polynomial(quiver, alpha):
+    """F-polynomial of a thin indecomposable (every entry of alpha at most 1).
+
+    Each arrow inside the support acts by a nonzero scalar, so a
+    subrepresentation is a subset of the support closed under those arrows,
+    and Gr_e is one point when supp(e) is closed and empty otherwise.
+    """
+    assert all(a in (0, 1) for a in alpha), alpha
+    support = [v for v, a in enumerate(alpha) if a]
+    inner = [(s, t) for s, t in quiver.arrows if alpha[s] and alpha[t]]
+    terms = {}
+    for bits in product((0, 1), repeat=len(support)):
+        e = [0] * quiver.n
+        for v, b in zip(support, bits):
+            e[v] = b
+        if all(e[t] or not e[s] for s, t in inner):
+            terms[tuple(e)] = 1
+    return FPolynomial(quiver.n, terms)
+
+
+def minor_argument_matrix(rank, word):
+    """The product y_{i_1}(1) ... y_{i_n}(1) x_{i_n}(u_{i_n}) ... x_{i_1}(u_{i_1}).
+
+    Built by column operations on the identity, factor by factor in this
+    exact order (the x and y factors do not commute).  Multiplying on the
+    right by y_i(1) = Id + E_{i+1,i} adds column i+1 to column i; by
+    x_i(u_i) = Id + u_i E_{i,i+1} it adds u_i times column i to column i+1.
+    Matrices are (rank+1) x (rank+1) over Z[u_1..u_rank]; i is 0-based.
+    """
+    one, zero = FPolynomial.one(rank), FPolynomial.zero(rank)
+    mat = [[one if r == c else zero for c in range(rank + 1)] for r in range(rank + 1)]
+    for i in word:
+        for row in mat:
+            row[i] = row[i] + row[i + 1]
+    for i in reversed(word):
+        u = FPolynomial.variable(rank, i)
+        for row in mat:
+            row[i + 1] = row[i + 1] + u * row[i]
+    return mat
+
+
+def type_a_minor(rank, gamma, matrix):
+    """The principal generalized minor at gamma as an ordinary minor.
+
+    In type A, V(omega_k) is the k-th exterior power of the standard
+    representation, and an extreme weight gamma = sum of epsilon_j over J
+    spans the line of e_J; the minor uses rows and columns J.  J is read off
+    gamma's epsilon-coordinates, a 0/1 pattern up to an overall shift.
+    """
+    eps = [0] * (rank + 1)
+    for k in range(rank - 1, -1, -1):
+        eps[k] = eps[k + 1] + gamma[k]
+    low = min(eps)
+    assert all(x - low in (0, 1) for x in eps), f"{gamma} is not extreme"
+    subset = [k for k, x in enumerate(eps) if x > low]
+    return poly_det([[matrix[r][c] for c in subset] for r in subset])

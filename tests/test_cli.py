@@ -192,9 +192,37 @@ def test_dynkin_minor_only(capsys):
 
 
 def test_dynkin_type_d_minor_is_out_of_scope(capsys):
+    # gamma of the highest root lies in the orbit of omega_2, which is not minuscule
     assert main(["dynkin", "--type", "D4", "--coxeter", "1,2,3,4",
-                 "--root", "0,1,0,0", "--mode", "minor"]) == 6
-    assert "type A only" in capsys.readouterr().err
+                 "--root", "1,2,1,1", "--mode", "minor"]) == 6
+    assert "not minuscule in D4" in capsys.readouterr().err
+
+
+def test_dynkin_type_d_both_routes_agree(capsys):
+    assert main(["dynkin", "--type", "D4", "--coxeter", "1,2,3,4", "--root", "1,1,1,1",
+                 "--mode", "both"]) == 0
+    out = capsys.readouterr().out
+    assert "minor:      1 + u1 + u1*u2 + u1*u2*u4 + u1*u2*u3 + u1*u2*u3*u4" in out
+    assert out.splitlines()[-1] == "ok"
+
+
+def test_dynkin_type_e_minor(capsys):
+    assert main(["dynkin", "--type", "E6", "--coxeter", "1,2,3,4,5,6",
+                 "--root", "1,1,1,1,1,1", "--mode", "minor"]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "1 + u2 + u1 + u1*u3 + u1*u2 + u1*u2*u3 + u1*u2*u3*u4 + u1*u2*u3*u4*u5"
+        " + u1*u2*u3*u4*u5*u6")
+
+
+@pytest.mark.parametrize("label,word,root,mode", [
+    ("A6", "1,2,3,4,5,6", "1,1,1,1,1,1", "both"),
+    ("D5", "1,2,3,4,5", "1,1,1,1,1", "bruteforce"),
+    ("E6", "1,2,3,4,5,6", "1,1,1,1,1,1", "both"),
+])
+def test_dynkin_brute_force_limits(label, word, root, mode, capsys):
+    assert main(["dynkin", "--type", label, "--coxeter", word, "--root", root,
+                 "--mode", mode]) == 6
+    assert "brute" in capsys.readouterr().err
 
 
 def test_dynkin_bad_root(capsys):

@@ -3,25 +3,20 @@ from itertools import permutations, product
 
 import pytest
 
+from oracles import minor_argument_matrix, thin_f_polynomial, type_a_minor
 from quivergrass.dynkin import (
     apply_word_inverse,
     coxeter_from_orientation,
     dynkin_indecomposable,
-    extreme_weight_subset,
     f_polynomial_via_minor,
-    generalized_minor_A,
-    minor_argument_matrix,
+    is_minuscule,
     orientation_from_coxeter,
     root_system,
     simple_reflection,
     solve_gamma,
     weyl_orbit,
 )
-from quivergrass.errors import (
-    NotAnOrientation,
-    SearchExhausted,
-    WeightNotExtreme,
-)
+from quivergrass.errors import NotAnOrientation, ScopeError, SearchExhausted
 from quivergrass.euler import f_polynomial
 from quivergrass.fpoly import FPolynomial
 from quivergrass.model import Quiver, ext1_dim, hom_dim
@@ -183,32 +178,83 @@ def test_minor_argument_matrix_is_the_factor_product(rank):
         assert minor_argument_matrix(rank, word) == expected, word
 
 
-def test_extreme_weight_subsets():
-    assert extreme_weight_subset(2, (1, 0)) == (0,)          # omega_1
-    assert extreme_weight_subset(2, (0, 1)) == (0, 1)        # omega_2
-    assert extreme_weight_subset(1, (-1,)) == (1,)           # lowest weight
-    assert extreme_weight_subset(2, (-1, 0)) == (1, 2)       # -omega_1 in W.omega_2
-    assert extreme_weight_subset(2, (2, 0)) is None
-    assert extreme_weight_subset(2, (1, 1)) is None          # not extreme
+# 783 (word, root) cases: every word of A1-A4, five seeded words of A5-A8
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_walk_equals_the_oracle_matrix_minor(rank):
+    rs = root_system("A", rank)
+    for word in sweep_words(rank, limit=24 if rank <= 4 else 5):
+        matrix = minor_argument_matrix(rank, word)
+        for alpha in rs.positive_roots:
+            gamma, _ = solve_gamma(rs, word, alpha)
+            expected = type_a_minor(rank, gamma, matrix)
+            assert f_polynomial_via_minor(rank, word, alpha) == expected, (word, alpha)
 
 
-def test_generalized_minor_leading_principal():
-    mat = minor_argument_matrix(3, (0, 1, 2))
-    for i in range(3):
-        omega = tuple(1 if j == i else 0 for j in range(3))
-        direct = generalized_minor_A(3, omega, mat)
-        from quivergrass.fpoly import poly_det
-        block = [row[: i + 1] for row in mat[: i + 1]]
-        assert direct == poly_det(block)
-        assert direct.constant_term == 1
+@pytest.mark.parametrize("rank", range(1, 6))
+def test_walk_matches_the_thin_oracle_in_type_a(rank):
+    rs = root_system("A", rank)
+    for word in permutations(range(rank)):
+        quiver = orientation_from_coxeter(rs, word)
+        for alpha in rs.positive_roots:
+            assert f_polynomial_via_minor(rank, word, alpha) == \
+                thin_f_polynomial(quiver, alpha), (word, alpha)
 
 
-def test_generalized_minor_weight_checks():
-    mat = minor_argument_matrix(2, (0, 1))
-    with pytest.raises(WeightNotExtreme):
-        generalized_minor_A(2, (2, 0), mat)
-    with pytest.raises(WeightNotExtreme):
-        generalized_minor_A(2, (-1, 0), mat, fund_index=0)  # lives in W.omega_2
+def bipartite_word(rs):
+    """One colour class of the diagram, then the other."""
+    colour = {0: 0}
+    frontier = [0]
+    while frontier:
+        v = frontier.pop()
+        for a, b in rs.edges():
+            for x, y in ((a, b), (b, a)):
+                if x == v and y not in colour:
+                    colour[y] = 1 - colour[v]
+                    frontier.append(y)
+    return tuple(sorted(range(rs.rank), key=lambda v: (colour[v], v)))
+
+
+def minuscule_by_highest_root(rs, i):
+    """omega_i is minuscule exactly when alpha_i has coefficient 1 in the
+    highest root; an independent check of the orbit test."""
+    return max(rs.positive_roots, key=sum)[i] == 1
+
+
+@pytest.mark.parametrize("label,rank,expected", [
+    ("A", 1, (0,)), ("A", 5, (0, 1, 2, 3, 4)), ("A", 8, tuple(range(8))),
+    ("D", 4, (0, 2, 3)), ("D", 5, (0, 3, 4)), ("D", 6, (0, 4, 5)),
+    ("E", 6, (0, 5)), ("E", 7, (6,)), ("E", 8, ()),
+])
+def test_minuscule_fundamental_weights(label, rank, expected):
+    rs = root_system(label, rank)
+    found = tuple(i for i in range(rank) if is_minuscule(label, rank, i))
+    assert found == expected
+    assert found == tuple(i for i in range(rank) if minuscule_by_highest_root(rs, i))
+
+
+# D4 24, D5 40, E6 72 (root, word) pairs: 66 minuscule, 70 not
+@pytest.mark.parametrize("label,rank", [("D", 4), ("D", 5), ("E", 6)])
+def test_walk_in_types_d_and_e(label, rank):
+    rs = root_system(label, rank)
+    for word in (tuple(range(rank)), bipartite_word(rs)):
+        quiver = orientation_from_coxeter(rs, word)
+        for alpha in rs.positive_roots:
+            _, i = solve_gamma(rs, word, alpha)
+            if not minuscule_by_highest_root(rs, i):
+                with pytest.raises(ScopeError, match="not minuscule"):
+                    f_polynomial_via_minor(rank, word, alpha, label)
+                continue
+            got = f_polynomial_via_minor(rank, word, alpha, label)
+            if max(alpha) == 1:
+                assert got == thin_f_polynomial(quiver, alpha), (word, alpha)
+            assert got == f_polynomial(dynkin_indecomposable(quiver, alpha)), (word, alpha)
+
+
+def test_walk_refuses_non_minuscule_roots():
+    with pytest.raises(ScopeError, match="omega_2, which is not minuscule in D4"):
+        f_polynomial_via_minor(4, (0, 1, 2, 3), (1, 2, 1, 1), "D")
+    with pytest.raises(ScopeError, match="not minuscule in E6"):
+        f_polynomial_via_minor(6, tuple(range(6)), (0, 1, 0, 0, 0, 0), "E")
 
 
 def test_f_polynomial_via_minor_examples():
