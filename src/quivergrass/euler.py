@@ -18,19 +18,19 @@ Sampling context: everything a count needs from M that does not depend on
 e is worked out once per representation and kept in a `_Sampling` (bounded
 `lru_cache`, 64 representations, per process).  It holds the arrow ranks
 over Q, the arrows that force part of a subspace in either search
-direction, and the good primes found so far, each with M reduced mod it
-and that reduction's dual.  The prime list grows on demand under a lock,
-so each (representation, prime) pair is chosen, reduced and rank-checked
-once, whichever of `good_primes`, `counting_polynomial` and `iter_box_chi`
-asks first, and from whichever thread.  Interpolation is exact integer
-Lagrange over one common denominator.
+direction, and the good primes found so far, each with M reduced mod it.
+The prime list grows on demand under a lock, so each (representation,
+prime) pair is chosen, reduced and rank-checked once, whichever of
+`good_primes`, `counting_polynomial` and `iter_box_chi` asks first, and
+from whichever thread.  It holds no dual: the search direction, and with
+it the dual of a reduction, belong to `subspaces._count_many`.
+Interpolation is exact integer Lagrange over one common denominator.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm, prod
@@ -39,8 +39,8 @@ from typing import Sequence
 from . import linalg
 from .errors import DomainMismatch, InsufficientSamples, NonPolynomialCount
 from .fpoly import FPolynomial
-from .model import Representation, _dual, reduce_mod, validate_representation
-from .subspaces import _count_many, _dual_routing, _routing
+from .model import Representation, reduce_mod, validate_representation
+from .subspaces import _count_many, _dual_routing, _in_box, _routing
 
 HELD_OUT = 2  # validation primes beyond the interpolation nodes
 
@@ -175,22 +175,13 @@ def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
     return CountingPolynomial(ints, dim_vector, tuple(samples), degree_bound)
 
 
-def _denominator_ok(rep: Representation, p: int) -> bool:
-    for mat in rep.matrices:
-        for row in mat:
-            for x in row:
-                if isinstance(x, Fraction) and x.denominator % p == 0:
-                    return False
-    return True
-
-
 class _Sampling:
     """What sampling needs from one representation over Q, worked out once.
 
     ranks are the arrow ranks over Q; forward and backward are the arrows
     (u, v, dim ker) that force part of U_v in the search order of the quiver
     and of its opposite (see `degree_bound`); found lists the good primes so
-    far as (p, rep mod p, its dual), extended under the lock.
+    far as (p, rep mod p), extended under the lock.
     """
 
     def __init__(self, rep: Representation):
@@ -204,7 +195,7 @@ class _Sampling:
         self.backward = self._forcing(_dual_routing(rep.quiver),
                                       [(v, u) for u, v in rep.quiver.arrows])
         self._primes = linalg.odd_primes()
-        self._found: list[tuple[int, Representation, Representation]] = []
+        self._found: list[tuple[int, Representation]] = []
         self._lock = threading.Lock()
 
     def _forcing(self, route, arrows) -> tuple[tuple[int, int, int], ...]:
@@ -212,24 +203,25 @@ class _Sampling:
         return tuple((u, v, self.rep.dims[u] - r) for (u, v), r in zip(arrows, self.ranks)
                      if pos[u] < pos[v])
 
-    def reductions(self, how_many: int) -> list[tuple[int, Representation, Representation]]:
-        """The first how_many good primes (see `good_primes`), with rep mod p and its dual."""
+    def reductions(self, how_many: int) -> list[tuple[int, Representation]]:
+        """The first how_many good primes (see `good_primes`), each with rep mod p."""
         with self._lock:
             while len(self._found) < how_many:
                 p = next(self._primes)
-                if not _denominator_ok(self.rep, p):
+                try:
+                    rep_p = reduce_mod(self.rep, p)
+                except DomainMismatch:  # a denominator vanishes mod p
                     continue
-                rep_p = reduce_mod(self.rep, p)
                 if all(linalg.rank_mod(mat, p) == r if mat and mat[0] else True
                        for mat, r in zip(rep_p.matrices, self.ranks)):
-                    self._found.append((p, rep_p, _dual(rep_p)))
+                    self._found.append((p, rep_p))
             return self._found[:how_many]
 
     def reduction(self, p: int) -> Representation:
         """rep mod p: the one held here when p is among the good primes found
         so far, else a fresh `reduce_mod`, which is not kept."""
         with self._lock:
-            held = next((rep_p for q, rep_p, _ in self._found if q == p), None)
+            held = next((rep_p for q, rep_p in self._found if q == p), None)
         return reduce_mod(self.rep, p) if held is None else held
 
     def degree_bound(self, e: Sequence[int]) -> int:
@@ -270,12 +262,6 @@ def _sampling(rep: Representation) -> _Sampling:
     return _Sampling(rep)
 
 
-def _good_reductions(rep: Representation, how_many: int
-                     ) -> list[tuple[int, Representation, Representation]]:
-    """The first how_many good primes of rep, each with rep mod it and its dual."""
-    return _sampling(rep).reductions(how_many)
-
-
 def good_primes(rep: Representation, how_many: int) -> list[int]:
     """First odd primes at which reduction keeps every matrix at its rank over Q.
 
@@ -290,7 +276,7 @@ def good_primes(rep: Representation, how_many: int) -> list[int]:
     this process, for the 64 representations used last; nothing is shared
     between processes, so each CLI invocation chooses them afresh.
     """
-    return [p for p, _, _ in _good_reductions(rep, how_many)]
+    return [p for p, _ in _sampling(rep).reductions(how_many)]
 
 
 def _sample(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | None
@@ -306,10 +292,10 @@ def _sample(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | 
     samples: dict[tuple, list] = {e: [] for e in bounds}
     pending = list(bounds)
     need = max(bounds.values()) + 1 + HELD_OUT
-    for p, rep_p, dual in _good_reductions(rep, need):
+    for p, rep_p in _sampling(rep).reductions(need):
         if not pending:
             break
-        counts = _count_many(rep_p, pending, cap, dual)
+        counts = _count_many(rep_p, pending, cap)
         for e in pending:
             samples[e].append((p, counts[e]))
         pending = [e for e in pending if len(samples[e]) < bounds[e] + 1 + HELD_OUT
@@ -326,9 +312,7 @@ def counting_polynomial(rep: Representation, e: Sequence[int],
     sampled up to there.
     """
     sampling = _sampling(rep)
-    e = tuple(int(x) for x in e)
-    if len(e) != rep.n or any(not 0 <= x <= d for x, d in zip(e, rep.dims)):
-        raise ValueError(f"dimension vector {e} outside the box of {rep.dims}")
+    (e,) = _in_box(rep.dims, [e])
     bound = sampling.degree_bound(e)
     return interpolate_counting_polynomial(_sample(rep, {e: bound}, cap)[e], bound,
                                            dim_vector=e)

@@ -256,7 +256,7 @@ def f_poly_multiply(f: FPolynomial, g: FPolynomial) -> FPolynomial:
 
 def poly_det(rows: Sequence[Sequence[FPolynomial]]) -> FPolynomial:
     """Cofactor expansion; its one caller is the plane quartic of `sampler`,
-    a 3 x 3 determinant in three variables."""
+    a 4 x 4 determinant of linear forms in three variables."""
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix has no determinant here; use size >= 1")

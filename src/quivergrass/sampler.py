@@ -22,8 +22,7 @@ from .errors import (
     SmoothnessFailure,
 )
 from .euler import _sampling, euler_characteristic, iter_box_chi
-from .fpoly import FPolynomial
-from .kronecker import kronecker_quiver
+from .fpoly import FPolynomial, poly_det
 from .linalg import rank_mod
 from .model import (
     Quiver,
@@ -129,8 +128,6 @@ def example4_quartic(rep: Representation) -> FPolynomial:
                     acc = acc + coef * vars3[c]
             row.append(acc)
         matrix.append(row)
-    from .fpoly import poly_det
-
     f = poly_det(matrix)
     if not f:
         raise DegenerateForm("determinantal form vanished identically; resample")
@@ -247,7 +244,7 @@ def positivity_scan(rep: Representation, require_rigid: bool = True,
         "refused": refused,
         "all_nonnegative": not negatives,
     }
-    if refused and rep.dims == EXAMPLE4_DIMS and rep.quiver == kronecker_quiver(4):
+    if refused and is_example4_shape(rep):
         if any(tuple(r["e"]) == EXAMPLE4_E for r in refused):
             verified = example4_verify(rep, EXAMPLE4_PRIMES, cap)
             report["forwarded_chi"] = {"e": list(EXAMPLE4_E), "chi": verified["chi"]}

@@ -13,7 +13,9 @@ Direction: annihilators map Gr_e(M) bijectively onto Gr_{d-e}(M*), where
 M* = `dual_representation(M)` lives on the opposite quiver.  `_count_many`
 counts a set of dimension vectors and chooses once for the whole set: on an
 acyclic quiver it searches M* at d - e when the walks the set needs there
-have a strictly smaller summed `enumerated_estimate`, and M otherwise.
+have a strictly smaller summed estimate (the product of Gaussian binomials
+over the searched vertices), and M otherwise.  This is the only place that
+chooses a direction, and the only one that builds M*, when it wins.
 `count_subreps` is the set of one e; `euler.iter_box_chi` passes, at each
 prime, every e of the box that still needs a sample there.
 `iter_subrep_tuples` searches forward, since it returns subspaces of M.
@@ -279,115 +281,102 @@ def _gauss_product(dims: Sequence[int], e: Sequence[int], p: int, vertices) -> i
     return prod(gaussian_binomial(dims[v], e[v], p) for v in vertices)
 
 
+def _in_box(dims: Sequence[int], es) -> list[tuple[int, ...]]:
+    """es as int tuples, each checked to lie in the box 0 <= e <= dims."""
+    out = []
+    for e in es:
+        e = tuple(int(x) for x in e)
+        if len(e) != len(dims) or any(not 0 <= x <= d for x, d in zip(e, dims)):
+            raise ValueError(f"dimension vector {e} outside the box of {dims}")
+        out.append(e)
+    return out
+
+
 def _checked(rep: Representation, es) -> list[tuple[int, ...]]:
     """Validate a prime-field representation and dimension vectors in its box."""
     validate_representation(rep)
     if rep.field is None:
         raise DomainMismatch("counting needs a prime-field representation")
-    out = []
-    for e in es:
-        e = tuple(int(x) for x in e)
-        if len(e) != rep.n or any(not 0 <= x <= d for x, d in zip(e, rep.dims)):
-            raise ValueError(f"dimension vector {e} outside the box of {rep.dims}")
-        out.append(e)
-    return out
+    return _in_box(rep.dims, es)
 
 
-class _SearchPlan:
-    """Routing for one search of Gr_e(rep); rep and e are trusted, not validated.
+def _columns(rep: Representation, route: _Route) -> list:
+    """Per position, the matrices of the arrows out of it as tuples of columns."""
+    mats = rep.matrices
+    return [tuple(tuple(tuple(row[c] for row in mats[a]) for c in range(rep.dims[v]))
+                  for a in arrows)
+            for v, arrows in zip(route.order, route.out)]
 
-    A backward search is a plan on `dual_representation(rep)` at d - e.
+
+def _walk(rep: Representation, e: tuple[int, ...], budget: _Budget,
+          shortcut: bool) -> Iterator:
+    """Search Gr_e(rep), ticking the budget once per generated candidate.
+
+    rep and e are trusted, not validated; a backward search is a walk on
+    the dual at d - e.  With shortcut the final position is not enumerated:
+    it ticks once per arrival and the walk yields (rank of the span forced
+    into it, multiplicity) pairs, by blocks where it can (module docstring).
+    Otherwise it yields the stack of chosen (rows, pivots, images), one per
+    position, at every point of the Grassmannian.
     """
+    p, dims = rep.field, rep.dims
+    route = _routing(rep.quiver)
+    order, forced_in, checks = route.order, route.forced_in, route.checks
+    cols = _columns(rep, route)
+    last = len(order) - 1
+    chosen: list = []
 
-    __slots__ = ("rep", "e", "p", "route")
-
-    def __init__(self, rep: Representation, e: tuple[int, ...]):
-        self.rep = rep
-        self.e = e
-        self.p = rep.field
-        self.route = _routing(rep.quiver)
-
-    def enumerated_estimate(self) -> int:
-        """Upper bound on candidates generated, accounting for the final shortcut."""
-        return _gauss_product(self.rep.dims, self.e, self.p, self.route.searched)
-
-    def columns(self) -> list:
-        """Per position, the matrices of the arrows out of it as tuples of columns."""
-        mats = self.rep.matrices
-        return [tuple(tuple(tuple(row[c] for row in mats[a]) for c in range(self.rep.dims[v]))
-                      for a in arrows)
-                for v, arrows in zip(self.route.order, self.route.out)]
-
-    def forced_images(self, pos: int, chosen: list) -> Iterator[tuple]:
-        """Images of the chosen earlier vertices under the arrows into order[pos]."""
-        for src_pos, k in self.route.forced_in[pos]:
-            yield from chosen[src_pos][2][k]
-
-    def candidate_ok(self, pos: int, cand: tuple, chosen: list) -> bool:
+    def candidate_ok(pos: int, cand: tuple) -> bool:
         """Arrows from the candidate into itself or an earlier choice stay inside."""
-        for k, tgt_pos in self.route.checks[pos]:
+        for k, tgt_pos in checks[pos]:
             rows, pivots, _ = cand if tgt_pos == pos else chosen[tgt_pos]
-            if not all(linalg.in_span_mod(rows, pivots, w, self.p) for w in cand[2][k]):
+            if not all(linalg.in_span_mod(rows, pivots, w, p) for w in cand[2][k]):
                 return False
         return True
 
-    def walk(self, budget: _Budget, shortcut: bool) -> Iterator:
-        """Run the search, ticking the budget once per generated candidate.
+    def blocks(pos: int, srows: tuple, spivots: tuple) -> Iterator:
+        earlier = [w for src, k in forced_in[last] if src < pos for w in chosen[src][2][k]]
+        v = order[pos]
+        zero = (0,) * dims[order[last]]
+        for _, _, images, step in _iter_superspaces(p, dims[v], e[v], srows, spivots,
+                                                    cols[pos], block=True):
+            r = step[0] if step else -1
+            # per candidate, one tick for generating it and one at the final vertex
+            budget.tick(2 * p if step else 2)
+            fixed = earlier + [w for img in images for i, w in enumerate(img) if i != r]
+            if step is None:
+                yield linalg.rank_mod(fixed, p), 1
+                continue
+            a = fixed + [img[r] for img in images]
+            b = [zero] * len(fixed) + [col[step[1]] for col in cols[pos]]
+            yield from linalg.pencil_rank_histogram(a, b, p).items()
 
-        With shortcut the final position is not enumerated: it ticks once per
-        arrival and the walk yields (rank of the span forced into it,
-        multiplicity) pairs, by blocks where it can (module docstring).
-        Otherwise it yields the stack of chosen (rows, pivots, images), one
-        per position, at every point of the Grassmannian.
-        """
-        p, dims, e, order = self.p, self.rep.dims, self.e, self.route.order
-        cols = self.columns()
-        last = len(order) - 1
-        chosen: list = []
+    def rec(pos: int) -> Iterator:
+        # images of the chosen earlier vertices under the arrows into order[pos]
+        images = [w for src_pos, k in forced_in[pos] for w in chosen[src_pos][2][k]]
+        if shortcut and pos == last:
+            budget.tick()
+            yield linalg.rank_mod(images, p), 1
+            return
+        v = order[pos]
+        srows, spivots = linalg.rref_mod(images, p)
+        if len(srows) > e[v]:
+            return
+        if shortcut and pos == last - 1 and not checks[pos]:
+            yield from blocks(pos, srows, spivots)
+            return
+        for cand in _iter_superspaces(p, dims[v], e[v], srows, spivots, cols[pos]):
+            budget.tick()
+            if not candidate_ok(pos, cand):
+                continue
+            chosen.append(cand)
+            if pos == last:
+                yield chosen
+            else:
+                yield from rec(pos + 1)
+            chosen.pop()
 
-        def blocks(pos: int, srows: tuple, spivots: tuple) -> Iterator:
-            earlier = [w for src, k in self.route.forced_in[last] if src < pos
-                       for w in chosen[src][2][k]]
-            v = order[pos]
-            zero = (0,) * dims[order[last]]
-            for _, _, images, step in _iter_superspaces(p, dims[v], e[v], srows, spivots,
-                                                        cols[pos], block=True):
-                r = step[0] if step else -1
-                # per candidate, one tick for generating it and one at the final vertex
-                budget.tick(2 * p if step else 2)
-                fixed = earlier + [w for img in images for i, w in enumerate(img) if i != r]
-                if step is None:
-                    yield linalg.rank_mod(fixed, p), 1
-                    continue
-                a = fixed + [img[r] for img in images]
-                b = [zero] * len(fixed) + [col[step[1]] for col in cols[pos]]
-                yield from linalg.pencil_rank_histogram(a, b, p).items()
-
-        def rec(pos: int) -> Iterator:
-            images = self.forced_images(pos, chosen)
-            if shortcut and pos == last:
-                budget.tick()
-                yield linalg.rank_mod(images, p), 1
-                return
-            v = order[pos]
-            srows, spivots = linalg.rref_mod(images, p)
-            if len(srows) > e[v]:
-                return
-            if shortcut and pos == last - 1 and not self.route.checks[pos]:
-                yield from blocks(pos, srows, spivots)
-                return
-            for cand in _iter_superspaces(p, dims[v], e[v], srows, spivots, cols[pos]):
-                budget.tick()
-                if not self.candidate_ok(pos, cand, chosen):
-                    continue
-                chosen.append(cand)
-                if pos == last:
-                    yield chosen
-                else:
-                    yield from rec(pos + 1)
-                chosen.pop()
-
-        return rec(0)
+    return rec(0)
 
 
 # Rank histograms of finished shortcut walks, keyed by (searched representation,
@@ -397,73 +386,77 @@ _WALKS_MAX = 256
 _WALKS_LOCK = threading.Lock()
 
 
-def _final_counts(plan: _SearchPlan, budget: _Budget, values) -> list[int]:
-    """Point counts for each value of the final vertex's coordinate, from one walk.
+def _final_counts(rep: Representation, key: tuple[int, ...], budget: _Budget,
+                  values) -> list[int]:
+    """Point counts of Gr(rep) for each value of the final vertex's coordinate,
+    from one shortcut walk at key, the dimension vector with that entry 0.
 
     The walk does not read the final coordinate, so every e in the fiber
     shares it; a memo hit ticks no budget.  A walk that runs out of budget
     raises before it is stored.
     """
-    final = plan.route.order[-1]
-    key = (plan.rep, plan.e[:final] + (0,) + plan.e[final + 1:], budget.cap)
+    memo_key = (rep, key, budget.cap)
     with _WALKS_LOCK:
-        ranks = _WALKS.pop(key, None)
+        ranks = _WALKS.pop(memo_key, None)
         if ranks is not None:
-            _WALKS[key] = ranks
+            _WALKS[memo_key] = ranks
     if ranks is None:
         hist: Counter = Counter()
-        for s, n in plan.walk(budget, shortcut=True):
+        for s, n in _walk(rep, key, budget, shortcut=True):
             hist[s] += n
         ranks = tuple(hist.items())
         with _WALKS_LOCK:
-            _WALKS[key] = ranks
+            _WALKS[memo_key] = ranks
             if len(_WALKS) > _WALKS_MAX:
                 del _WALKS[next(iter(_WALKS))]
-    d = plan.rep.dims[final]
-    return [sum(n * gaussian_binomial(d - s, x - s, plan.p) for s, n in ranks)
+    d = rep.dims[_routing(rep.quiver).order[-1]]
+    return [sum(n * gaussian_binomial(d - s, x - s, rep.field) for s, n in ranks)
             for x in values]
 
 
 def _count_many(rep: Representation, es: Sequence[tuple[int, ...]],
-                cap: int | None = None, dual: Representation | None = None
-                ) -> dict[tuple[int, ...], int]:
+                cap: int | None = None) -> dict[tuple[int, ...], int]:
     """Exact point counts of Gr_e(rep) for every e in es, one walk per fiber.
 
-    rep and es are trusted, as in `_SearchPlan`: rep is a valid prime-field
+    rep and es are trusted, as in `_walk`: rep is a valid prime-field
     representation and each e an int tuple in its box (`_checked` makes
-    sure of both).  dual, when given, is `dual_representation(rep)`, which
-    then is not built again.  The whole set is searched in one direction
-    (see the module docstring).  Every walk is checked against the cap
-    before any runs; the payload of SearchTooLarge sums the products of
-    Gaussian binomials of the e's that the failing walk serves.
+    sure of both).  The whole set is searched in one direction (see the
+    module docstring); the dual is built only when it is searched.  Every
+    walk is checked against the cap before any runs; the payload of
+    SearchTooLarge sums the products of Gaussian binomials of the e's that
+    the failing walk serves.
     """
     cap = default_cap() if cap is None else int(cap)
     dims, p = rep.dims, rep.field
+
+    def estimated(route: _Route, es) -> tuple[dict, dict]:
+        """The walks for es and each walk's enumerated estimate."""
+        walks = route.fibers(es)
+        return walks, {key: _gauss_product(dims, key, p, route.searched) for key in walks}
+
     route = _routing(rep.quiver)
-    searched, walks = es, route.fibers(es)
+    searched = es
+    walks, estimates = estimated(route, es)
     if route.acyclic:
         dual_es = [tuple(d - x for d, x in zip(dims, e)) for e in es]
         dual_route = _dual_routing(rep.quiver)
-        dual_walks = dual_route.fibers(dual_es)
-        if (sum(_gauss_product(dims, key, p, dual_route.searched) for key in dual_walks)
-                < sum(_gauss_product(dims, key, p, route.searched) for key in walks)):
-            rep = _dual(rep) if dual is None else dual
-            route, searched, walks = dual_route, dual_es, dual_walks
-    plans = []
+        dual_walks, dual_estimates = estimated(dual_route, dual_es)
+        if sum(dual_estimates.values()) < sum(estimates.values()):
+            rep = _dual(rep)
+            route, searched, walks, estimates = dual_route, dual_es, dual_walks, dual_estimates
+    payloads = {}
     for key, members in walks.items():
-        plan = _SearchPlan(rep, key)
-        estimate = sum(_gauss_product(dims, e, p, range(rep.n)) for e in members)
-        if plan.enumerated_estimate() > cap:
-            raise SearchTooLarge(estimate, cap)
-        plans.append((plan, estimate, members))
+        payloads[key] = sum(_gauss_product(dims, e, p, range(rep.n)) for e in members)
+        if estimates[key] > cap:
+            raise SearchTooLarge(payloads[key], cap)
     final = route.order[-1]
     counts = {}
-    for plan, estimate, members in plans:
-        budget = _Budget(cap, estimate)
+    for key, members in walks.items():
+        budget = _Budget(cap, payloads[key])
         if route.shortcut:
-            found = _final_counts(plan, budget, [e[final] for e in members])
+            found = _final_counts(rep, key, budget, [e[final] for e in members])
         else:
-            found = [sum(1 for _ in plan.walk(budget, shortcut=False))]
+            found = [sum(1 for _ in _walk(rep, key, budget, shortcut=False))]
         counts.update(zip(members, found))
     return {e: counts[s] for e, s in zip(es, searched)}
 
@@ -486,11 +479,11 @@ def iter_subrep_tuples(rep: Representation, e: Sequence[int],
                        cap: int | None = None) -> Iterator[SubspaceTuple]:
     """Stream every point of the quiver Grassmannian as a SubspaceTuple."""
     (e,) = _checked(rep, [e])
-    plan = _SearchPlan(rep, e)
     cap = default_cap() if cap is None else int(cap)
-    estimate = _gauss_product(rep.dims, e, plan.p, range(rep.n))
+    estimate = _gauss_product(rep.dims, e, rep.field, range(rep.n))
     if estimate > cap:
         raise SearchTooLarge(estimate, cap)
-    for chosen in plan.walk(_Budget(cap, estimate), shortcut=False):
-        by_vertex = dict(zip(plan.route.order, chosen))
-        yield SubspaceTuple(plan.p, tuple(by_vertex[v][0] for v in range(rep.n)))
+    order = _routing(rep.quiver).order
+    for chosen in _walk(rep, e, _Budget(cap, estimate), shortcut=False):
+        by_vertex = dict(zip(order, chosen))
+        yield SubspaceTuple(rep.field, tuple(by_vertex[v][0] for v in range(rep.n)))

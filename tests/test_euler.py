@@ -142,6 +142,9 @@ def test_euler_preprojective_point():
     rep = build_kronecker(preprojective(2))
     assert euler_characteristic(rep, (0, 1)) == 2
     assert euler_characteristic(rep, (0, 0)) == 1
+    for e in ((2, 1), (0, 4), (-1, 0), (0, 1, 0)):
+        with pytest.raises(ValueError, match="outside the box"):
+            counting_polynomial(rep, e)
 
 
 def test_counting_polynomial_metadata():
@@ -263,15 +266,15 @@ def test_iter_box_chi_matches_scalar_route():
 def test_box_on_a_cycle_chooses_primes_once(monkeypatch):
     import quivergrass.euler as eu
     calls = []
-    choose = eu._good_reductions
+    choose = eu._Sampling.reductions
 
-    def counted(rep, how_many):
+    def counted(self, how_many):
         calls.append(how_many)
-        return choose(rep, how_many)
+        return choose(self, how_many)
 
     rep = Representation(Quiver(2, ((0, 1), (1, 0))), (2, 2),
                          (((1, 0), (0, 1)), ((1, 1), (0, 1))))
-    monkeypatch.setattr(eu, "_good_reductions", counted)
+    monkeypatch.setattr(eu._Sampling, "reductions", counted)
     f = f_polynomial(rep)
     assert len(calls) == 1
     monkeypatch.undo()
@@ -302,6 +305,32 @@ def test_each_sampled_prime_is_reduced_once(monkeypatch):
         assert primes and len(primes) == len(set(primes)), (kind, primes)
         eu._sampling.cache_clear()  # a cold context samples the same primes and counts
         assert {e: counting_polynomial(rep, e).samples for e in box} == warm
+
+
+def test_a_dual_is_built_only_when_a_count_searches_it(monkeypatch):
+    import quivergrass.euler as eu
+    import quivergrass.model as md
+    from quivergrass import subspaces
+    duals = []
+
+    def counted(rep, dual=md._dual):
+        duals.append(rep)
+        return dual(rep)
+
+    for module in (md, eu, subspaces):
+        if hasattr(module, "_dual"):
+            monkeypatch.setattr(module, "_dual", counted)
+    eu._sampling.cache_clear()
+    rep = build_kronecker(preprojective(3))  # the box searches pr3 forward
+    f_polynomial(rep)
+    good_primes(rep, 12)
+    assert duals == []  # neither the search nor the sampling context built one
+    kind = preinjective(3)  # the box searches inj3 on the dual
+    rep = build_kronecker(kind)
+    f = f_polynomial(rep)
+    assert duals and all(d.quiver == rep.quiver and d.field for d in duals)
+    for e in product(range(rep.dims[0] + 1), range(rep.dims[1] + 1)):
+        assert f.coefficient(e) == kronecker_chi(kind, e)
 
 
 def test_sampling_context_is_thread_safe():

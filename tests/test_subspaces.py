@@ -36,9 +36,10 @@ from quivergrass.subspaces import (
     _Budget,
     _count_many,
     _final_counts,
+    _gauss_product,
     _iter_rref,
     _iter_superspaces,
-    _SearchPlan,
+    _routing,
     count_subreps,
     default_cap,
     enumerate_subspaces,
@@ -245,12 +246,13 @@ def _forced(rep, e, backward=False):
     """Count Gr_e(rep) on an acyclic quiver in the given direction, whatever is cheaper."""
     if backward:
         rep, e = dual_representation(rep), tuple(d - x for d, x in zip(rep.dims, e))
-    plan = _SearchPlan(rep, e)
-    return _final_counts(plan, _Budget(10 ** 6, 0), [e[plan.route.order[-1]]])[0]
+    final = _routing(rep.quiver).order[-1]
+    key = e[:final] + (0,) + e[final + 1:]
+    return _final_counts(rep, key, _Budget(10 ** 6, 0), [e[final]])[0]
 
 
 def test_forward_and_backward_searches_agree():
-    # the backward plan counts Gr_{d-e} of the dual; each direction is forced
+    # the backward walk counts Gr_{d-e} of the dual; each direction is forced
     for kind in _kronecker_modules(3):
         rep = build_kronecker(kind)
         for p in (3, 5):
@@ -261,9 +263,12 @@ def test_forward_and_backward_searches_agree():
 
 
 def test_cheaper_direction_fits_under_cap():
+    def enumerated(rep, e):
+        return _gauss_product(rep.dims, e, rep.field, _routing(rep.quiver).searched)
+
     rep = reduce_mod(build_kronecker(preinjective(4)), 23)
-    assert _SearchPlan(rep, (2, 2)).enumerated_estimate() == 293090
-    assert _SearchPlan(dual_representation(rep), (1, 2)).enumerated_estimate() == 553
+    assert enumerated(rep, (2, 2)) == 293090
+    assert enumerated(dual_representation(rep), (1, 2)) == 553
     # 553 candidates plus one shortcut tick each stay below the cap
     assert count_subreps(rep, (2, 2), cap=2000).count == 553
     with pytest.raises(SearchTooLarge) as err:
@@ -612,20 +617,18 @@ def test_block_walk_cap_boundary(budgets):
     assert budgets[-1].used == 25440
 
 
-def test_count_builds_one_plan_and_columns_only_on_a_miss(budgets, monkeypatch):
-    built = {"plans": 0, "columns": 0}
-    init, columns = _SearchPlan.__init__, _SearchPlan.columns
+def test_count_walks_and_builds_columns_only_on_a_miss(budgets, monkeypatch):
+    built = {"walks": 0, "columns": 0, "duals": 0}
 
-    def counting_init(self, *args, **kwargs):
-        built["plans"] += 1
-        init(self, *args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counting_columns(self):
-        built["columns"] += 1
-        return columns(self)
-
-    monkeypatch.setattr(_SearchPlan, "__init__", counting_init)
-    monkeypatch.setattr(_SearchPlan, "columns", counting_columns)
+    monkeypatch.setattr(subspaces, "_walk", counted("walks", subspaces._walk))
+    monkeypatch.setattr(subspaces, "_columns", counted("columns", subspaces._columns))
+    monkeypatch.setattr(subspaces, "_dual", counted("duals", subspaces._dual))
     for kind in (preprojective(3), preinjective(3)):
         rep = reduce_mod(build_kronecker(kind), 5)
         box = list(product(*(range(d + 1) for d in rep.dims)))
@@ -634,8 +637,11 @@ def test_count_builds_one_plan_and_columns_only_on_a_miss(budgets, monkeypatch):
                 before = dict(built)
                 count_subreps(rep, e)
                 hit = budgets[-1].used == 0
-                assert built["plans"] - before["plans"] == 1, (kind, e)
+                searched = next(reversed(_WALKS))[0]  # a hit moves its walk to the end
+                assert built["walks"] - before["walks"] == (0 if hit else 1), (kind, e)
                 assert built["columns"] - before["columns"] == (0 if hit else 1), (kind, e)
+                # the dual is built once when it is searched, and never otherwise
+                assert built["duals"] - before["duals"] == (searched != rep), (kind, e)
                 if sweep:
                     assert hit, (kind, e)
         if kind == preinjective(3):  # some e search the dual
