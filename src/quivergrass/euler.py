@@ -14,6 +14,34 @@ degree (e_v - s_v)(d_v - e_v) in q.  B is the smaller of the sums of these
 degrees over M at e and over the dual M* at d - e, whose Grassmannian has
 the same points.
 
+Two tests settle e from the same samples, whichever finishes first (see
+`_settle`).  The per-e test fits the counts through B_e + 1 nodes and
+checks them at HELD_OUT more primes; every NonPolynomialCount comes from
+it.  The fiber test reads the walk that counted e: the search fixes U at
+the searched vertices and records N_k(p), how many of those choices force
+a span of rank k into the final vertex f, whose U_f then ranges over the
+binom_q(d_f - k, x - k) subspaces containing it (x = e_f in the walked
+direction).  So the count is sum_k N_k(p) binom_p(d_f - k, x - k), and
+only k <= x contribute.  If the same fiber was walked at every prime so
+far and every N_k with k <= x passes `_fit` with the fiber bound B_F (the
+degree bound summed over the searched vertices only, in the walked
+direction), held-out primes included, then P_e = sum_{k <= x} N_k(q)
+binom_q(d_f - k, x - k).  Its coefficients come from its values at
+B_e + 1 integers, and it must reproduce every sample.  Soundness:
+- N_k >= 0 and sum_k N_k(p) <= prod_searched binom_p(d_v - s_v, e_v - s_v)
+  at a good prime, so a polynomial N_k has degree <= B_F, and the
+  held-out argument of the per-e test applies to each N_k.
+- P_e matches the counts at every good prime, which the degree bound
+  caps, so deg P_e <= B_e and B_e + 1 values determine it.
+- e needs at most min(B_e, B_F) + 1 + HELD_OUT primes, never more than the
+  per-e test alone.  The fiber test is tried only where B_F < B_e and
+  B_e > 0, so it costs nothing where it cannot save a prime.
+Both tests are needed.  On the plane quartic (`example4`, Kronecker m = 4
+at (3, 4)) the forward walk at e_1 = 1 has N_3 and N_4 not polynomial in q
+(rank 3 on the quartic, 4 off it), but N_3 + N_4 is: (1, 4) falls back to
+the per-e test, (1, 0)..(1, 2) see only N_0 = N_1 = N_2 = 0, and (1, 3) is
+rejected by the per-e test at its B_e + 1 nodes.
+
 Sampling context: everything a count needs from M that does not depend on
 e is worked out once per representation and kept in a `_Sampling` (bounded
 `lru_cache`, 64 representations, per process).  It holds the arrow ranks
@@ -34,13 +62,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import lcm, prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import linalg
 from .errors import DomainMismatch, InsufficientSamples, NonPolynomialCount
 from .fpoly import FPolynomial
 from .model import Representation, reduce_mod, validate_representation
-from .subspaces import _count_many, _dual_routing, _in_box, _routing
+from .subspaces import (
+    _Walk,
+    _count_many,
+    _dual_routing,
+    _fiber_count,
+    _in_box,
+    _routing,
+)
 
 HELD_OUT = 2  # validation primes beyond the interpolation nodes
 
@@ -49,9 +84,11 @@ HELD_OUT = 2  # validation primes beyond the interpolation nodes
 class CountingPolynomial:
     """Integer polynomial in q reproducing every sampled point count.
 
-    coefficients are ascending; samples are the (prime, count) pairs the
-    polynomial was built from and verified against; degree_bound is the
-    a-priori bound on the degree that fixed how many samples were fitted.
+    coefficients are ascending; samples are the (prime, count) pairs
+    actually sampled, and the polynomial equals the count at each of them;
+    degree_bound is the a-priori bound on its degree.  It does not fix how
+    many primes were sampled: the fiber test (module docstring) can settle
+    e with fewer than degree_bound + 1 + HELD_OUT.
     """
 
     coefficients: tuple[int, ...]
@@ -245,15 +282,21 @@ class _Sampling:
         Gr_{d-e}(M*) has the same points, so the backward bound holds as well.
         """
         dims = self.rep.dims
+        return min(self._side(self.forward, e),
+                   self._side(self.backward, [d - x for d, x in zip(dims, e)]))
 
-        def one_side(arrows, e) -> int:
-            forced = [0] * len(dims)
-            for u, v, kernel in arrows:
-                forced[v] = max(forced[v], e[u] - kernel)
-            return sum(max(0, x - s) * (d - x) for x, s, d in zip(e, forced, dims))
+    def fiber_bound(self, walk: _Walk) -> int:
+        """B_F: the degree bound of `degree_bound` summed over the vertices the
+        walk searched, in its direction.  Its key is 0 at the final vertex,
+        which therefore adds nothing."""
+        return self._side(self.backward if walk.backward else self.forward, walk.key)
 
-        return min(one_side(self.forward, e),
-                   one_side(self.backward, [d - x for d, x in zip(dims, e)]))
+    def _side(self, arrows, e) -> int:
+        """sum_v max(0, e_v - s_v) * (d_v - e_v) for the forcing arrows of one direction."""
+        forced = [0] * len(e)
+        for u, v, kernel in arrows:
+            forced[v] = max(forced[v], e[u] - kernel)
+        return sum(max(0, x - s) * (d - x) for x, s, d in zip(e, forced, self.rep.dims))
 
 
 @lru_cache(maxsize=64)
@@ -279,28 +322,90 @@ def good_primes(rep: Representation, how_many: int) -> list[int]:
     return [p for p, _ in _sampling(rep).reductions(how_many)]
 
 
-def _sample(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | None
-            ) -> dict[tuple[int, ...], list[tuple[int, int]]]:
-    """(prime, count) samples for every e in bounds (e -> its degree bound), prime by prime.
+def _fiber_fit(walks: Sequence[tuple[int, _Walk]], fiber_bound: int,
+               samples: Sequence[tuple[int, int]], degree_bound: int
+               ) -> tuple[int, ...] | None:
+    """P_e from the walks of one fiber at the primes sampled so far, or None.
 
-    e takes the good primes in order until its verdict is known: after
-    bound + 1 + HELD_OUT samples, or as soon as `_fit` finds the samples so
-    far not polynomial in q.  At each prime every e still sampled is
-    counted in one `subspaces._count_many` call, which shares the search
-    work across the set.
+    walks are (p, walk) pairs, all of the same fiber, and there are
+    fiber_bound + 1 + HELD_OUT of them.  Every N_k with k <= x must pass
+    `_fit` with the fiber bound, held-out primes included; then P_e(q) =
+    sum_{k <= x} N_k(q) * binom_q(d - k, x - k) is evaluated at
+    degree_bound + 1 integers and interpolated.  It must reproduce every
+    sample; None leaves e to the per-e test.
     """
+    d, x = walks[0][1].d, walks[0][1].x
+    tables = [(p, dict(walk.ranks)) for p, walk in walks]
+    fitted = []
+    for k in sorted({k for _, ranks in tables for k in ranks if k <= x}):
+        ints, _ = _fit([(p, ranks.get(k, 0)) for p, ranks in tables], fiber_bound)
+        if ints is None:
+            return None
+        fitted.append((k, CountingPolynomial(ints, None, ())))
+    nodes = tuple((q, _fiber_count([(k, n.evaluate(q)) for k, n in fitted], d, x, q))
+                  for q in range(2, degree_bound + 3))
+    ints = _interpolant(nodes)
+    if ints is None:
+        return None
+    poly = CountingPolynomial(ints, None, ())
+    return ints if all(poly.evaluate(p) == count for p, count in samples) else None
+
+
+def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | None
+            ) -> Iterator[tuple[tuple[int, ...], CountingPolynomial | NonPolynomialCount]]:
+    """Yield (e, its verified counting polynomial or its rejection) for every e
+    in bounds (e -> its degree bound), in order, once all are sampled.
+
+    At each prime every e still sampled is counted in one
+    `subspaces._count_many` call, which shares the search work across the
+    set.  e leaves the sampled set as soon as one of two tests settles it:
+    the per-e test after bound + 1 + HELD_OUT samples, or as soon as `_fit`
+    finds the samples so far not polynomial in q; or the fiber test
+    (`_fiber_fit`) after fiber_bound + 1 + HELD_OUT samples, when every one
+    of them came from the same walk.  The fiber test is tried only for e
+    whose fiber bound is below its degree bound, where it can save a prime.
+    """
+    sampling = _sampling(rep)
     samples: dict[tuple, list] = {e: [] for e in bounds}
+    fibers = {e: [] for e, bound in bounds.items() if bound > 0}  # (p, walk) pairs
+    settled: dict[tuple, tuple[int, ...]] = {}
     pending = list(bounds)
     need = max(bounds.values()) + 1 + HELD_OUT
-    for p, rep_p in _sampling(rep).reductions(need):
+    for p, rep_p in sampling.reductions(need):
         if not pending:
             break
-        counts = _count_many(rep_p, pending, cap)
+        walks: dict | None = {} if fibers else None
+        counts = _count_many(rep_p, pending, cap, walks)
         for e in pending:
             samples[e].append((p, counts[e]))
-        pending = [e for e in pending if len(samples[e]) < bounds[e] + 1 + HELD_OUT
+            seen = fibers.get(e)
+            if seen is None:
+                continue
+            walk = walks.get(e)  # its first two fields, (backward, key), name the walk
+            if walk is None or seen and seen[0][1][:2] != walk[:2]:
+                del fibers[e]
+                continue
+            seen.append((p, walk))
+            fiber_bound = sampling.fiber_bound(walk)
+            if fiber_bound >= bounds[e]:
+                del fibers[e]
+            elif len(seen) == fiber_bound + 1 + HELD_OUT:
+                del fibers[e]
+                ints = _fiber_fit(seen, fiber_bound, samples[e], bounds[e])
+                if ints is not None:
+                    settled[e] = ints
+        pending = [e for e in pending if e not in settled
+                   and len(samples[e]) < bounds[e] + 1 + HELD_OUT
                    and _fit(samples[e], bounds[e])[1] is None]
-    return samples
+    for e, bound in bounds.items():
+        if e in settled:
+            result = CountingPolynomial(settled[e], e, tuple(samples[e]), bound)
+        else:
+            try:
+                result = interpolate_counting_polynomial(samples[e], bound, dim_vector=e)
+            except NonPolynomialCount as exc:
+                result = exc
+        yield e, result
 
 
 def counting_polynomial(rep: Representation, e: Sequence[int],
@@ -313,9 +418,10 @@ def counting_polynomial(rep: Representation, e: Sequence[int],
     """
     sampling = _sampling(rep)
     (e,) = _in_box(rep.dims, [e])
-    bound = sampling.degree_bound(e)
-    return interpolate_counting_polynomial(_sample(rep, {e: bound}, cap)[e], bound,
-                                           dim_vector=e)
+    (_, result), = _settle(rep, {e: sampling.degree_bound(e)}, cap)
+    if isinstance(result, NonPolynomialCount):
+        raise result
+    return result
 
 
 def euler_characteristic(rep: Representation, e: Sequence[int],
@@ -329,20 +435,18 @@ def iter_box_chi(rep: Representation, cap: int | None = None):
 
     chi is None exactly when the counts at e were rejected as non-polynomial,
     in which case `error` carries the NonPolynomialCount.  The box is sampled
-    as one set (see `_sample`): e takes the first degree_bound(e) + 1 +
-    HELD_OUT primes, or fewer when they already reject it.
+    as one set (see `_settle`): e takes the first degree_bound(e) + 1 +
+    HELD_OUT primes, or fewer when they already reject it or its fiber
+    settles it.
     """
     sampling = _sampling(rep)
     bounds = {e: sampling.degree_bound(e)
               for e in product(*(range(d + 1) for d in rep.dims))}
-    samples = _sample(rep, bounds, cap)
-    for e, bound in bounds.items():
-        try:
-            poly = interpolate_counting_polynomial(samples[e], bound, dim_vector=e)
-        except NonPolynomialCount as exc:
-            yield e, None, exc
+    for e, result in _settle(rep, bounds, cap):
+        if isinstance(result, NonPolynomialCount):
+            yield e, None, result
         else:
-            yield e, poly.chi, None
+            yield e, result.chi, None
 
 
 def f_polynomial(rep: Representation, cap: int | None = None) -> FPolynomial:

@@ -133,7 +133,9 @@ def pencil_rank_histogram(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
     det(X_P + t*Y_P) is monic of degree s in t, and wherever it does not
     vanish the rank is r0 + s.  For s = 1, 2 its roots in F_p come from its
     closed form or one scan over t; so the work grows with p only in that
-    scan.  Otherwise the moving rows go through fraction-free elimination
+    scan.  For s = 2 a root at which one more 2 x 2 minor survives (on the
+    second lead column and the last column outside P) keeps the rank
+    r0 + 2 as well; on Kronecker m = 4 blocks most roots do.  Otherwise the moving rows go through fraction-free elimination
     on value vectors, whose length grows with p: as in `rank_mod`,
     but an entry is its vector of values over t in F_p, and the leads and
     the steps v -> h*v - c*row are shared by all t; where no lead h
@@ -174,10 +176,15 @@ def pencil_rank_histogram(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
         (i, x0, _), = basis
         generic, bad = 1, [-x0[i] % p]
     elif len(basis) == 2:
-        (i, x0, y0), (j, x1, _) = basis  # Y_P = [[1, y0[j]], [0, 1]]
+        (i, x0, y0), (j, x1, y1) = basis  # Y_P = [[1, y0[j]], [0, 1]]
         c1 = (x0[i] + x1[j] - y0[j] * x1[i]) % p
         c0 = (x0[i] * x1[j] - x0[j] * x1[i]) % p
-        generic, bad = 2, [t for t in ts if not (t * (t + c1) + c0) % p]
+        bad = [t for t in ts if not (t * (t + c1) + c0) % p]
+        k = next((k for k in reversed(range(len(x0))) if k != i and k != j), None)
+        if k is not None:  # the rank stays 2 at a root where the (j, k) minor survives
+            bad = [t for t in bad if not ((x0[j] + t * y0[j]) * (x1[k] + t * y1[k])
+                                          - (x0[k] + t * y0[k]) * (x1[j] + t)) % p]
+        generic = 2
     else:
         values: list = []  # (lead, values): entry j at t is values[j * p + t]
         for _, x, y in basis:

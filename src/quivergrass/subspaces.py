@@ -15,7 +15,10 @@ counts a set of dimension vectors and chooses once for the whole set: on an
 acyclic quiver it searches M* at d - e when the walks the set needs there
 have a strictly smaller summed estimate (the product of Gaussian binomials
 over the searched vertices), and M otherwise.  This is the only place that
-chooses a direction, and the only one that builds M*, when it wins.
+chooses a direction, and the only one that builds M*, when it wins: once
+per reduction while it is kept (bounded cache), so every walk of it shares
+one memo key object.  It also reports, when asked, the walk that settled
+each e and its rank histogram, which the fiber test of `euler` reads.
 `count_subreps` is the set of one e; `euler.iter_box_chi` passes, at each
 prime, every e of the box that still needs a sample there.
 `iter_subrep_tuples` searches forward, since it returns subspaces of M.
@@ -386,10 +389,10 @@ _WALKS_MAX = 256
 _WALKS_LOCK = threading.Lock()
 
 
-def _final_counts(rep: Representation, key: tuple[int, ...], budget: _Budget,
-                  values) -> list[int]:
-    """Point counts of Gr(rep) for each value of the final vertex's coordinate,
-    from one shortcut walk at key, the dimension vector with that entry 0.
+def _final_ranks(rep: Representation, key: tuple[int, ...], budget: _Budget
+                 ) -> tuple[tuple[int, int], ...]:
+    """(rank of the span forced into the final vertex, multiplicity) pairs of
+    one shortcut walk of rep at key, the dimension vector with that entry 0.
 
     The walk does not read the final coordinate, so every e in the fiber
     shares it; a memo hit ticks no budget.  A walk that runs out of budget
@@ -409,13 +412,41 @@ def _final_counts(rep: Representation, key: tuple[int, ...], budget: _Budget,
             _WALKS[memo_key] = ranks
             if len(_WALKS) > _WALKS_MAX:
                 del _WALKS[next(iter(_WALKS))]
-    d = rep.dims[_routing(rep.quiver).order[-1]]
-    return [sum(n * gaussian_binomial(d - s, x - s, rep.field) for s, n in ranks)
-            for x in values]
+    return ranks
+
+
+def _fiber_count(ranks, d: int, x: int, q: int) -> int:
+    """Points with final coordinate x over F_q, from (forced rank k, N_k) pairs:
+    sum_k N_k * binom_q(d - k, x - k), d the final vertex's dimension."""
+    return sum(n * gaussian_binomial(d - k, x - k, q) for k, n in ranks)
+
+
+class _Walk(NamedTuple):
+    """The shortcut walk that settled one e, as `_count_many` reports it.
+
+    backward tells whether it searched the dual at d - e; key is the
+    searched dimension vector with the final entry 0; d and x are the final
+    vertex's dimension and the searched e's entry there; ranks is the
+    walk's histogram of forced ranks (see `_final_ranks`).
+    """
+
+    backward: bool
+    key: tuple[int, ...]
+    d: int
+    x: int
+    ranks: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=_WALKS_MAX)
+def _searched_dual(rep: Representation) -> Representation:
+    """The dual of a prime-field representation, built once while it is kept
+    here, so that every walk of it shares one key object in the memo."""
+    return _dual(rep)
 
 
 def _count_many(rep: Representation, es: Sequence[tuple[int, ...]],
-                cap: int | None = None) -> dict[tuple[int, ...], int]:
+                cap: int | None = None, report: dict | None = None
+                ) -> dict[tuple[int, ...], int]:
     """Exact point counts of Gr_e(rep) for every e in es, one walk per fiber.
 
     rep and es are trusted, as in `_walk`: rep is a valid prime-field
@@ -424,7 +455,8 @@ def _count_many(rep: Representation, es: Sequence[tuple[int, ...]],
     module docstring); the dual is built only when it is searched.  Every
     walk is checked against the cap before any runs; the payload of
     SearchTooLarge sums the products of Gaussian binomials of the e's that
-    the failing walk serves.
+    the failing walk serves.  When report is a dict, each e settled by a
+    shortcut walk is entered in it with that walk, as a `_Walk`.
     """
     cap = default_cap() if cap is None else int(cap)
     dims, p = rep.dims, rep.field
@@ -435,14 +467,14 @@ def _count_many(rep: Representation, es: Sequence[tuple[int, ...]],
         return walks, {key: _gauss_product(dims, key, p, route.searched) for key in walks}
 
     route = _routing(rep.quiver)
-    searched = es
+    searched, backward = es, False
     walks, estimates = estimated(route, es)
     if route.acyclic:
         dual_es = [tuple(d - x for d, x in zip(dims, e)) for e in es]
         dual_route = _dual_routing(rep.quiver)
         dual_walks, dual_estimates = estimated(dual_route, dual_es)
         if sum(dual_estimates.values()) < sum(estimates.values()):
-            rep = _dual(rep)
+            rep, backward = _searched_dual(rep), True
             route, searched, walks, estimates = dual_route, dual_es, dual_walks, dual_estimates
     payloads = {}
     for key, members in walks.items():
@@ -450,14 +482,18 @@ def _count_many(rep: Representation, es: Sequence[tuple[int, ...]],
         if estimates[key] > cap:
             raise SearchTooLarge(payloads[key], cap)
     final = route.order[-1]
-    counts = {}
+    counts, walked = {}, {}
     for key, members in walks.items():
         budget = _Budget(cap, payloads[key])
         if route.shortcut:
-            found = _final_counts(rep, key, budget, [e[final] for e in members])
+            ranks = _final_ranks(rep, key, budget)
+            for e in members:
+                counts[e] = _fiber_count(ranks, dims[final], e[final], p)
+                walked[e] = _Walk(backward, key, dims[final], e[final], ranks)
         else:
-            found = [sum(1 for _ in _walk(rep, key, budget, shortcut=False))]
-        counts.update(zip(members, found))
+            counts[members[0]] = sum(1 for _ in _walk(rep, key, budget, shortcut=False))
+    if report is not None:
+        report.update((e, walked[s]) for e, s in zip(es, searched) if s in walked)
     return {e: counts[s] for e, s in zip(es, searched)}
 
 

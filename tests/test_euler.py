@@ -152,7 +152,7 @@ def test_counting_polynomial_metadata():
     poly = counting_polynomial(rep, (1,))
     assert poly.coefficients == (1, 1)
     assert poly.dim_vector == (1,)
-    assert [p for p, _ in poly.samples] == [3, 5, 7, 11]
+    assert [p for p, _ in poly.samples] == [3, 5, 7]
     for p, c in poly.samples:
         assert poly.evaluate(p) == c
 
@@ -321,6 +321,7 @@ def test_a_dual_is_built_only_when_a_count_searches_it(monkeypatch):
         if hasattr(module, "_dual"):
             monkeypatch.setattr(module, "_dual", counted)
     eu._sampling.cache_clear()
+    subspaces._searched_dual.cache_clear()
     rep = build_kronecker(preprojective(3))  # the box searches pr3 forward
     f_polynomial(rep)
     good_primes(rep, 12)
@@ -437,11 +438,11 @@ def test_arrow_aware_bound_fits_the_arrow_blind_polynomial(case):
             assert poly.degree <= poly.degree_bound, (rep.dims, e)
 
 
-def test_reg4_samples_up_to_23():
+def test_reg4_samples_up_to_17():
     kind = regular(4, 0)
     poly = counting_polynomial(build_kronecker(kind), (1, 2))
     assert poly.degree_bound == 5  # sum e(d - e) would be 7, up to p = 31
-    assert [p for p, _ in poly.samples] == [3, 5, 7, 11, 13, 17, 19, 23]
+    assert [p for p, _ in poly.samples] == [3, 5, 7, 11, 13, 17]
     assert poly.chi == kronecker_chi(kind, (1, 2))
 
 
@@ -477,3 +478,141 @@ def test_quartic_still_refused_with_fewer_samples(seed):
     rep = sample_general_rep(kronecker_quiver(4), (3, 4), seed, 5)
     with pytest.raises(NonPolynomialCount, match=r"dimension vector \(1, 3\)"):
         euler_characteristic(rep, (1, 3))
+
+
+def _per_e_fit(rep, e):
+    """Reference: the per-e interpolant, forced to degree_bound + 1 + HELD_OUT primes."""
+    import quivergrass.euler as eu
+    sampling = eu._sampling(rep)
+    bound = sampling.degree_bound(e)
+    samples = [(p, count_subreps(rep_p, e).count)
+               for p, rep_p in sampling.reductions(bound + 1 + HELD_OUT)]
+    return interpolate_counting_polynomial(samples, bound, dim_vector=e)
+
+
+def _kronecker_fibers(m, e1_max=None):
+    kinds = [preprojective(m), preinjective(m),
+             *(regular(m, lam) for lam in (INFINITY, 0, 1, Fraction(1, 2)))]
+    for kind in kinds:
+        rep = build_kronecker(kind)
+        yield rep, [e for e in product(*(range(d + 1) for d in rep.dims))
+                    if e1_max is None or e[0] <= e1_max]
+
+
+def _dynkin_roots(label, rank, seed):
+    rs = dk.root_system(label, rank)
+    quiver = dk.orientation_from_coxeter(rs, tuple(range(rank)))
+    for alpha in rs.positive_roots:
+        rep = dk.dynkin_indecomposable(quiver, alpha, seed=seed)
+        yield rep, list(product(*(range(d + 1) for d in rep.dims)))
+
+
+FIBER_CASES = {
+    "kronecker-m-le-3": lambda: (fiber for m in (1, 2, 3) for fiber in _kronecker_fibers(m)),
+    "kronecker-m4-e1-le-1": lambda: _kronecker_fibers(4, 1),
+    "A5": lambda: _dynkin_roots("A", 5, 0),
+    "D4": lambda: _dynkin_roots("D", 4, 1),
+}
+
+
+def _fiber_schedule(rep, e):
+    """Samples the fiber test needs at e, or None where it cannot save a prime:
+    fiber bound + 1 + HELD_OUT, if the same fiber was walked at each of them."""
+    import quivergrass.euler as eu
+    from quivergrass.subspaces import _count_many
+    sampling = eu._sampling(rep)
+    bound = sampling.degree_bound(e)
+    walked = []
+    for _, rep_p in sampling.reductions(bound + 1 + HELD_OUT):
+        walks: dict = {}
+        _count_many(rep_p, [e], None, walks)
+        walked.append(walks.get(e))
+    if bound == 0 or walked[0] is None:
+        return None
+    need = sampling.fiber_bound(walked[0]) + 1 + HELD_OUT
+    same = all(w and (w.backward, w.key) == (walked[0].backward, walked[0].key)
+               for w in walked[:need])
+    return need if same and need < bound + 1 + HELD_OUT else None
+
+
+@pytest.mark.parametrize("case", sorted(FIBER_CASES))
+def test_fiber_test_gives_the_per_e_interpolant(case):
+    # every N_k is polynomial here, so the fiber test settles e wherever it can
+    fiber_settled = 0
+    for rep, es in FIBER_CASES[case]():
+        for e in es:
+            poly = counting_polynomial(rep, e)
+            want = _per_e_fit(rep, e)
+            assert poly.coefficients == want.coefficients, (rep.dims, e)
+            assert poly.degree_bound == want.degree_bound, (rep.dims, e)
+            assert all(poly.evaluate(p) == count for p, count in poly.samples), (rep.dims, e)
+            need = _fiber_schedule(rep, e) or len(want.samples)
+            assert poly.samples == want.samples[:need], (rep.dims, e)
+            fiber_settled += need < len(want.samples)
+    if case.startswith("kronecker"):
+        assert fiber_settled, case
+
+
+def test_quartic_fibers_settle_what_their_ranks_allow():
+    # the forced rank into vertex 2 is 3 on the quartic and 4 off it: N_3 and
+    # N_4 are not polynomial in q, but N_3 + N_4 is, and N_0..N_2 vanish
+    import quivergrass.euler as eu
+    from quivergrass.subspaces import _count_many
+    rep = sample_general_rep(kronecker_quiver(4), (3, 4), 42, 5)
+    sampling = eu._sampling(rep)
+    fiber = [(1, x) for x in range(5)]
+    bounds = {e: sampling.degree_bound(e) for e in fiber}
+    counts, seen = {e: [] for e in fiber}, {e: [] for e in fiber}
+    for p, rep_p in sampling.reductions(5):  # 3..13: fiber bound 2, plus two held out
+        walks: dict = {}
+        for e, count in _count_many(rep_p, fiber, None, walks).items():
+            counts[e].append((p, count))
+            seen[e].append((p, walks[e]))
+    assert {(walk.backward, walk.key) for e in fiber for _, walk in seen[e]} == {(False, (1, 0))}
+    assert sampling.fiber_bound(seen[1, 4][0][1]) == 2
+    fits = {e: eu._fiber_fit(seen[e], 2, counts[e], bounds[e]) for e in fiber}
+    assert fits == {(1, 0): (), (1, 1): (), (1, 2): (), (1, 3): None, (1, 4): None}
+    # the fiber as one set: (1, 4) and (1, 3) are left to the per-e test
+    results = dict(eu._settle(rep, bounds, None))
+    assert results[1, 4].chi == 3
+    assert len(results[1, 4].samples) == bounds[1, 4] + 1 + HELD_OUT
+    assert isinstance(results[1, 3], NonPolynomialCount)
+    assert "sampled at primes 3, 5, 7, 11, 13:" in str(results[1, 3])
+    for x in range(3):
+        assert results[1, x].coefficients == () == _per_e_fit(rep, (1, x)).coefficients
+    # (1, 2) has degree bound 4 but fiber bound 2, so the fiber test saves two primes
+    assert (bounds[1, 2], len(results[1, 2].samples)) == (4, 5)
+
+
+def test_fiber_fit_holds_out_primes_for_each_rank():
+    from quivergrass.euler import _fiber_fit
+    from quivergrass.subspaces import _Walk
+
+    def walks(*hists):
+        return [(p, _Walk(False, (0, 0), 1, 1, tuple(h.items())))
+                for p, h in zip((3, 5, 7), hists)]
+
+    # d = x = 1, so P = N_0 + N_1 = 1 at every prime, but N_0 and N_1 are
+    # not constant: the held-out prime 7 refuses the constant through 3
+    samples = [(3, 1), (5, 1), (7, 1)]
+    refused = walks({0: 1}, {0: 1}, {1: 1})
+    assert _fiber_fit(refused, 0, samples, 1) is None
+    held = walks({0: 1}, {0: 1}, {0: 1})
+    assert _fiber_fit(held, 0, samples, 1) == (1,)
+    # every rank up to x counts: N_1 = 1 adds binom_q(0, 0) = 1 to P
+    assert _fiber_fit(walks({1: 1}, {1: 1}, {1: 1}), 0, samples, 1) == (1,)
+    assert _fiber_fit(walks({0: 1, 1: 1}, {0: 1, 1: 1}, {0: 1, 1: 1}), 0,
+                      [(3, 2), (5, 2), (7, 2)], 1) == (2,)
+
+
+def test_walk_memo_holds_one_object_per_searched_representation():
+    # chi one e at a time: the dual walks of different calls share one dual
+    from quivergrass import subspaces
+    subspaces._WALKS.clear()
+    for kind in (preinjective(3), regular(3, 0), preprojective(3)):
+        rep = build_kronecker(kind)
+        for e in product(*(range(d + 1) for d in rep.dims)):
+            assert euler_characteristic(rep, e) == kronecker_chi(kind, e)
+    keys = [key[0] for key in subspaces._WALKS]
+    assert any(rep.quiver != kronecker_quiver(3) for rep in keys)  # some searched a dual
+    assert len({id(rep) for rep in keys}) == len(set(keys))

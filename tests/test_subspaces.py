@@ -35,7 +35,8 @@ from quivergrass.subspaces import (
     _WALKS_MAX,
     _Budget,
     _count_many,
-    _final_counts,
+    _fiber_count,
+    _final_ranks,
     _gauss_product,
     _iter_rref,
     _iter_superspaces,
@@ -248,7 +249,8 @@ def _forced(rep, e, backward=False):
         rep, e = dual_representation(rep), tuple(d - x for d, x in zip(rep.dims, e))
     final = _routing(rep.quiver).order[-1]
     key = e[:final] + (0,) + e[final + 1:]
-    return _final_counts(rep, key, _Budget(10 ** 6, 0), [e[final]])[0]
+    ranks = _final_ranks(rep, key, _Budget(10 ** 6, 0))
+    return _fiber_count(ranks, rep.dims[final], e[final], rep.field)
 
 
 def test_forward_and_backward_searches_agree():
@@ -350,6 +352,20 @@ def test_pencil_rank_histogram_matches_rank_mod():
                         assert hist == direct(pa, pb, p), (pa, pb, p)
     # generic rank 2, but the determinant t^2 - t vanishes on all of F_2
     assert linalg.pencil_rank_histogram([[0, 1], [0, 0]], [[1, 0], [1, 1]], 2) == {1: 2}
+    # two moving rows with lead columns 0, 1, whose lead minor t^2 has the root
+    # t = 0: the rank drops there, or it does not, and the minor on columns 1
+    # and 3 shows that, or it vanishes too and a direct rank decides
+    lead = [[1, 0, 0, 0], [0, 1, 0, 0]]
+    for a, at_root in (([[0, 0, 1, 1], [0, 0, 2, 2]], 1),  # parallel rows at t = 0
+                       ([[0, 1, 0, 0], [0, 0, 0, 1]], 2),  # the (1, 3) minor is 1
+                       ([[0, 0, 1, 0], [0, 0, 0, 1]], 2),  # the (1, 3) minor is 0
+                       ([[0, 0, 0, 0], [0, 0, 0, 1]], 1)):  # a zero row at t = 0
+        for p in (3, 5, 7):
+            want = {2: p} if at_root == 2 else {2: p - 1, at_root: 1}
+            assert linalg.pencil_rank_histogram(a, lead, p) == direct(a, lead, p) == want
+    for p in (3, 5):  # no column outside the leads
+        assert linalg.pencil_rank_histogram([[0, 0], [0, 0]], [[1, 0], [0, 1]], p) == {2: p - 1,
+                                                                                        0: 1}
 
     def combination(rows, p):
         out = [0] * len(rows[0])
@@ -629,9 +645,11 @@ def test_count_walks_and_builds_columns_only_on_a_miss(budgets, monkeypatch):
     monkeypatch.setattr(subspaces, "_walk", counted("walks", subspaces._walk))
     monkeypatch.setattr(subspaces, "_columns", counted("columns", subspaces._columns))
     monkeypatch.setattr(subspaces, "_dual", counted("duals", subspaces._dual))
+    subspaces._searched_dual.cache_clear()
     for kind in (preprojective(3), preinjective(3)):
         rep = reduce_mod(build_kronecker(kind), 5)
         box = list(product(*(range(d + 1) for d in rep.dims)))
+        dual_searched = False
         for sweep in range(2):
             for e in box:
                 before = dict(built)
@@ -640,8 +658,10 @@ def test_count_walks_and_builds_columns_only_on_a_miss(budgets, monkeypatch):
                 searched = next(reversed(_WALKS))[0]  # a hit moves its walk to the end
                 assert built["walks"] - before["walks"] == (0 if hit else 1), (kind, e)
                 assert built["columns"] - before["columns"] == (0 if hit else 1), (kind, e)
-                # the dual is built once when it is searched, and never otherwise
-                assert built["duals"] - before["duals"] == (searched != rep), (kind, e)
+                # the dual is built the first time it is searched, and never otherwise
+                first = searched != rep and not dual_searched
+                assert built["duals"] - before["duals"] == first, (kind, e)
+                dual_searched |= searched != rep
                 if sweep:
                     assert hit, (kind, e)
         if kind == preinjective(3):  # some e search the dual
