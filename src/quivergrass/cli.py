@@ -181,6 +181,7 @@ def cmd_kronecker(args) -> int:
     cap = _parse_cap(args.cap)
     rep = kr.build_kronecker(kind)
     d1, d2 = kr.dims_of(kind)
+    box = eu.iter_box_chi(rep, cap) if mode in ("bruteforce", "both") else None
     rows = []
     mismatch = False
     for e1 in range(d1 + 1):
@@ -188,8 +189,11 @@ def cmd_kronecker(args) -> int:
             row: dict = {"e": [e1, e2]}
             if mode in ("formula", "both"):
                 row["formula"] = kr.kronecker_chi(kind, (e1, e2))
-            if mode in ("bruteforce", "both"):
-                row["bruteforce"] = eu.euler_characteristic(rep, (e1, e2), cap)
+            if box is not None:  # the box is sampled as one set, in this order
+                _, chi, err = next(box)
+                if err is not None:
+                    raise err
+                row["bruteforce"] = chi
             if mode == "both":
                 row["match"] = row["formula"] == row["bruteforce"]
                 mismatch = mismatch or not row["match"]

@@ -47,11 +47,11 @@ e is worked out once per representation and kept in a `_Sampling` (bounded
 `lru_cache`, 64 representations, per process).  It holds the arrow ranks
 over Q, the arrows that force part of a subspace in either search
 direction, and the good primes found so far, each with M reduced mod it.
-The prime list grows on demand under a lock, so each (representation,
-prime) pair is chosen, reduced and rank-checked once, whichever of
-`good_primes`, `counting_polynomial` and `iter_box_chi` asks first, and
-from whichever thread.  It holds no dual: the search direction, and with
-it the dual of a reduction, belong to `subspaces._count_many`.
+The prime list grows by one prime under a lock when a caller asks past its
+end, so each (representation, prime) pair is chosen, reduced and
+rank-checked once, when some caller is about to sample it, from whichever
+thread.  It holds no dual: the search direction belongs to
+`subspaces._count_many`, which walks a backward search on the reduction.
 Interpolation is exact integer Lagrange over one common denominator.
 """
 
@@ -60,7 +60,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from math import lcm, prod
 from typing import Iterator, Sequence
 
@@ -240,19 +240,24 @@ class _Sampling:
         return tuple((u, v, self.rep.dims[u] - r) for (u, v), r in zip(arrows, self.ranks)
                      if pos[u] < pos[v])
 
-    def reductions(self, how_many: int) -> list[tuple[int, Representation]]:
-        """The first how_many good primes (see `good_primes`), each with rep mod p."""
-        with self._lock:
-            while len(self._found) < how_many:
-                p = next(self._primes)
-                try:
-                    rep_p = reduce_mod(self.rep, p)
-                except DomainMismatch:  # a denominator vanishes mod p
-                    continue
-                if all(linalg.rank_mod(mat, p) == r if mat and mat[0] else True
-                       for mat, r in zip(rep_p.matrices, self.ranks)):
-                    self._found.append((p, rep_p))
-            return self._found[:how_many]
+    def reductions(self) -> Iterator[tuple[int, Representation]]:
+        """The good primes (see `good_primes`) in increasing order, each with
+        rep mod p, each found when a caller first asks for it."""
+        i = 0
+        while True:
+            with self._lock:
+                while len(self._found) <= i:
+                    p = next(self._primes)
+                    try:
+                        rep_p = reduce_mod(self.rep, p)
+                    except DomainMismatch:  # a denominator vanishes mod p
+                        continue
+                    if all(linalg.rank_mod(mat, p) == r if mat and mat[0] else True
+                           for mat, r in zip(rep_p.matrices, self.ranks)):
+                        self._found.append((p, rep_p))
+                found = self._found[i]
+            yield found
+            i += 1
 
     def reduction(self, p: int) -> Representation:
         """rep mod p: the one held here when p is among the good primes found
@@ -319,7 +324,7 @@ def good_primes(rep: Representation, how_many: int) -> list[int]:
     this process, for the 64 representations used last; nothing is shared
     between processes, so each CLI invocation chooses them afresh.
     """
-    return [p for p, _ in _sampling(rep).reductions(how_many)]
+    return [p for p, _ in islice(_sampling(rep).reductions(), how_many)]
 
 
 def _fiber_fit(walks: Sequence[tuple[int, _Walk]], fiber_bound: int,
@@ -364,16 +369,14 @@ def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | 
     (`_fiber_fit`) after fiber_bound + 1 + HELD_OUT samples, when every one
     of them came from the same walk.  The fiber test is tried only for e
     whose fiber bound is below its degree bound, where it can save a prime.
+    No prime is taken after the last e is settled.
     """
     sampling = _sampling(rep)
     samples: dict[tuple, list] = {e: [] for e in bounds}
     fibers = {e: [] for e, bound in bounds.items() if bound > 0}  # (p, walk) pairs
     settled: dict[tuple, tuple[int, ...]] = {}
     pending = list(bounds)
-    need = max(bounds.values()) + 1 + HELD_OUT
-    for p, rep_p in sampling.reductions(need):
-        if not pending:
-            break
+    for p, rep_p in sampling.reductions():
         walks: dict | None = {} if fibers else None
         counts = _count_many(rep_p, pending, cap, walks)
         for e in pending:
@@ -397,6 +400,8 @@ def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | 
         pending = [e for e in pending if e not in settled
                    and len(samples[e]) < bounds[e] + 1 + HELD_OUT
                    and _fit(samples[e], bounds[e])[1] is None]
+        if not pending:
+            break
     for e, bound in bounds.items():
         if e in settled:
             result = CountingPolynomial(settled[e], e, tuple(samples[e]), bound)

@@ -12,16 +12,17 @@ the Gaussian binomial instead of being materialized.
 Direction: annihilators map Gr_e(M) bijectively onto Gr_{d-e}(M*), where
 M* = `dual_representation(M)` lives on the opposite quiver.  `_count_many`
 counts a set of dimension vectors and chooses once for the whole set: on an
-acyclic quiver it searches M* at d - e when the walks the set needs there
-have a strictly smaller summed estimate (the product of Gaussian binomials
-over the searched vertices), and M otherwise.  This is the only place that
-chooses a direction, and the only one that builds M*, when it wins: once
-per reduction while it is kept (bounded cache), so every walk of it shares
-one memo key object.  It also reports, when asked, the walk that settled
-each e and its rank histogram, which the fiber test of `euler` reads.
-`count_subreps` is the set of one e; `euler.iter_box_chi` passes, at each
-prime, every e of the box that still needs a sample there.
-`iter_subrep_tuples` searches forward, since it returns subspaces of M.
+acyclic quiver it searches backward, M* at d - e, when the walks the set
+needs there have a strictly smaller summed estimate (the product of
+Gaussian binomials over the searched vertices), and forward, M at e,
+otherwise.  This is the only place that chooses a direction.  No dual is
+built: a backward walk runs on M itself along the routing of the opposite
+quiver, and the columns of a transpose are the rows of M's matrices.  It
+also reports, when asked, the walk that settled each e and its rank
+histogram, which the fiber test of `euler` reads.  `count_subreps` is the
+set of one e; `euler.iter_box_chi` passes, at each prime, every e of the
+box that still needs a sample there.  `iter_subrep_tuples` searches
+forward, since it returns subspaces of M.
 
 Incremental images: the echelon enumeration is an odometer over the free
 entries that carries each basis row's image under every arrow out of the
@@ -45,22 +46,20 @@ records how often each rank of forced span reaches the final vertex, which
 settles every e that differs only at that vertex (one fiber).  A set count
 walks each fiber it touches once; where the final vertex has arrows out
 (a quiver with cycles) every e is a walk of its own.  The histogram is
-memoized (bounded, least recently used evicted) on the searched
-representation, the dimension vector with the final entry zeroed, and the
-cap, so counts in one direction share walks across calls.  The memo is
-read and written under a lock, the walk runs outside it.  Image columns are
-built only when the memo misses.
+memoized by `functools.lru_cache` (256 walks) on the representation, the
+direction, the searched dimension vector with the final entry zeroed, and
+the cap, so counts share walks across calls.  Image columns and the search
+budget are made only when the memo misses.
 
 The cap bounds the number of candidate subspaces one walk generates, so a
 search that would hang turns into a SearchTooLarge error instead; its
-estimate sums the products of Gaussian binomials (equal in either
-direction) of the e's the walk serves.
+estimate, worked out only when the error is raised, sums the products of
+Gaussian binomials (equal in either direction) of the e's the walk serves.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -70,13 +69,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import linalg
 from .errors import DegenerateBase, DomainMismatch, ParseError, SearchTooLarge
-from .model import (
-    Quiver,
-    Representation,
-    SubspaceTuple,
-    _dual,
-    validate_representation,
-)
+from .model import Quiver, Representation, SubspaceTuple, validate_representation
 
 DEFAULT_CAP = 10 ** 8
 
@@ -208,19 +201,19 @@ class PointCount:
 
 
 class _Budget:
-    __slots__ = ("cap", "used", "estimate")
+    __slots__ = ("cap", "used")
 
-    def __init__(self, cap: int, estimate: int):
+    def __init__(self, cap: int):
         self.cap = cap
         self.used = 0
-        self.estimate = estimate
 
     def tick(self, n: int = 1):
-        """Charge n candidates; past the cap, report the first one over it."""
+        """Charge n candidates; past the cap, report the first one over it
+        (the caller, which knows the e's the walk serves, adds the estimate)."""
         self.used += n
         if self.used > self.cap:
             self.used = self.cap + 1
-            raise SearchTooLarge(self.estimate, self.cap, visited=self.used)
+            raise SearchTooLarge(None, self.cap, visited=self.used)
 
 
 class _Route(NamedTuple):
@@ -303,29 +296,34 @@ def _checked(rep: Representation, es) -> list[tuple[int, ...]]:
     return _in_box(rep.dims, es)
 
 
-def _columns(rep: Representation, route: _Route) -> list:
-    """Per position, the matrices of the arrows out of it as tuples of columns."""
+def _columns(rep: Representation, route: _Route, backward: bool) -> list:
+    """Per position, the matrices of the arrows out of it as tuples of columns;
+    backward they are transposes, whose columns are the rows of rep's."""
     mats = rep.matrices
+    if backward:
+        return [tuple(mats[a] for a in arrows) for arrows in route.out]
     return [tuple(tuple(tuple(row[c] for row in mats[a]) for c in range(rep.dims[v]))
                   for a in arrows)
             for v, arrows in zip(route.order, route.out)]
 
 
 def _walk(rep: Representation, e: tuple[int, ...], budget: _Budget,
-          shortcut: bool) -> Iterator:
-    """Search Gr_e(rep), ticking the budget once per generated candidate.
+          shortcut: bool, backward: bool = False) -> Iterator:
+    """Search Gr_e(rep), or Gr_e(rep*) when backward, ticking the budget once
+    per generated candidate.
 
-    rep and e are trusted, not validated; a backward search is a walk on
-    the dual at d - e.  With shortcut the final position is not enumerated:
-    it ticks once per arrival and the walk yields (rank of the span forced
-    into it, multiplicity) pairs, by blocks where it can (module docstring).
+    rep and e are trusted, not validated; a backward search walks rep along
+    the routing of the opposite quiver, with e the dual's dimension vector.
+    With shortcut the final position is not enumerated: it ticks once per
+    arrival and the walk yields (rank of the span forced into it,
+    multiplicity) pairs, by blocks where it can (module docstring).
     Otherwise it yields the stack of chosen (rows, pivots, images), one per
     position, at every point of the Grassmannian.
     """
     p, dims = rep.field, rep.dims
-    route = _routing(rep.quiver)
+    route = (_dual_routing if backward else _routing)(rep.quiver)
     order, forced_in, checks = route.order, route.forced_in, route.checks
-    cols = _columns(rep, route)
+    cols = _columns(rep, route, backward)
     last = len(order) - 1
     chosen: list = []
 
@@ -382,37 +380,21 @@ def _walk(rep: Representation, e: tuple[int, ...], budget: _Budget,
     return rec(0)
 
 
-# Rank histograms of finished shortcut walks, keyed by (searched representation,
-# dimension vector with the final entry 0, cap); least recently used evicted first.
-_WALKS: dict = {}
-_WALKS_MAX = 256
-_WALKS_LOCK = threading.Lock()
-
-
-def _final_ranks(rep: Representation, key: tuple[int, ...], budget: _Budget
+@lru_cache(maxsize=256)
+def _final_ranks(rep: Representation, backward: bool, key: tuple[int, ...], cap: int
                  ) -> tuple[tuple[int, int], ...]:
     """(rank of the span forced into the final vertex, multiplicity) pairs of
-    one shortcut walk of rep at key, the dimension vector with that entry 0.
+    one shortcut walk of rep in the given direction at key, the searched
+    dimension vector with that entry 0.
 
     The walk does not read the final coordinate, so every e in the fiber
-    shares it; a memo hit ticks no budget.  A walk that runs out of budget
-    raises before it is stored.
+    shares it; a memo hit makes no budget.  A walk that runs out of budget
+    raises, and lru_cache stores no result for it.
     """
-    memo_key = (rep, key, budget.cap)
-    with _WALKS_LOCK:
-        ranks = _WALKS.pop(memo_key, None)
-        if ranks is not None:
-            _WALKS[memo_key] = ranks
-    if ranks is None:
-        hist: Counter = Counter()
-        for s, n in _walk(rep, key, budget, shortcut=True):
-            hist[s] += n
-        ranks = tuple(hist.items())
-        with _WALKS_LOCK:
-            _WALKS[memo_key] = ranks
-            if len(_WALKS) > _WALKS_MAX:
-                del _WALKS[next(iter(_WALKS))]
-    return ranks
+    hist: Counter = Counter()
+    for s, n in _walk(rep, key, _Budget(cap), shortcut=True, backward=backward):
+        hist[s] += n
+    return tuple(hist.items())
 
 
 def _fiber_count(ranks, d: int, x: int, q: int) -> int:
@@ -437,13 +419,6 @@ class _Walk(NamedTuple):
     ranks: tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=_WALKS_MAX)
-def _searched_dual(rep: Representation) -> Representation:
-    """The dual of a prime-field representation, built once while it is kept
-    here, so that every walk of it shares one key object in the memo."""
-    return _dual(rep)
-
-
 def _count_many(rep: Representation, es: Sequence[tuple[int, ...]],
                 cap: int | None = None, report: dict | None = None
                 ) -> dict[tuple[int, ...], int]:
@@ -452,11 +427,11 @@ def _count_many(rep: Representation, es: Sequence[tuple[int, ...]],
     rep and es are trusted, as in `_walk`: rep is a valid prime-field
     representation and each e an int tuple in its box (`_checked` makes
     sure of both).  The whole set is searched in one direction (see the
-    module docstring); the dual is built only when it is searched.  Every
-    walk is checked against the cap before any runs; the payload of
-    SearchTooLarge sums the products of Gaussian binomials of the e's that
-    the failing walk serves.  When report is a dict, each e settled by a
-    shortcut walk is entered in it with that walk, as a `_Walk`.
+    module docstring).  Every walk is checked against the cap before any
+    runs; the payload of SearchTooLarge sums the products of Gaussian
+    binomials of the e's that the failing walk serves.  When report is a
+    dict, each e settled by a shortcut walk is entered in it with that
+    walk, as a `_Walk`.
     """
     cap = default_cap() if cap is None else int(cap)
     dims, p = rep.dims, rep.field
@@ -466,6 +441,10 @@ def _count_many(rep: Representation, es: Sequence[tuple[int, ...]],
         walks = route.fibers(es)
         return walks, {key: _gauss_product(dims, key, p, route.searched) for key in walks}
 
+    def too_large(members, visited=None) -> SearchTooLarge:
+        estimate = sum(_gauss_product(dims, e, p, range(rep.n)) for e in members)
+        return SearchTooLarge(estimate, cap, visited)
+
     route = _routing(rep.quiver)
     searched, backward = es, False
     walks, estimates = estimated(route, es)
@@ -474,24 +453,25 @@ def _count_many(rep: Representation, es: Sequence[tuple[int, ...]],
         dual_route = _dual_routing(rep.quiver)
         dual_walks, dual_estimates = estimated(dual_route, dual_es)
         if sum(dual_estimates.values()) < sum(estimates.values()):
-            rep, backward = _searched_dual(rep), True
             route, searched, walks, estimates = dual_route, dual_es, dual_walks, dual_estimates
-    payloads = {}
+            backward = True
     for key, members in walks.items():
-        payloads[key] = sum(_gauss_product(dims, e, p, range(rep.n)) for e in members)
         if estimates[key] > cap:
-            raise SearchTooLarge(payloads[key], cap)
+            raise too_large(members)
     final = route.order[-1]
     counts, walked = {}, {}
     for key, members in walks.items():
-        budget = _Budget(cap, payloads[key])
-        if route.shortcut:
-            ranks = _final_ranks(rep, key, budget)
-            for e in members:
-                counts[e] = _fiber_count(ranks, dims[final], e[final], p)
-                walked[e] = _Walk(backward, key, dims[final], e[final], ranks)
-        else:
-            counts[members[0]] = sum(1 for _ in _walk(rep, key, budget, shortcut=False))
+        try:
+            if route.shortcut:
+                ranks = _final_ranks(rep, backward, key, cap)
+                for e in members:
+                    counts[e] = _fiber_count(ranks, dims[final], e[final], p)
+                    walked[e] = _Walk(backward, key, dims[final], e[final], ranks)
+            else:
+                counts[members[0]] = sum(1 for _ in _walk(rep, key, _Budget(cap),
+                                                          shortcut=False, backward=backward))
+        except SearchTooLarge as exc:
+            raise too_large(members, exc.visited) from None
     if report is not None:
         report.update((e, walked[s]) for e, s in zip(es, searched) if s in walked)
     return {e: counts[s] for e, s in zip(es, searched)}
@@ -520,6 +500,9 @@ def iter_subrep_tuples(rep: Representation, e: Sequence[int],
     if estimate > cap:
         raise SearchTooLarge(estimate, cap)
     order = _routing(rep.quiver).order
-    for chosen in _walk(rep, e, _Budget(cap, estimate), shortcut=False):
-        by_vertex = dict(zip(order, chosen))
-        yield SubspaceTuple(rep.field, tuple(by_vertex[v][0] for v in range(rep.n)))
+    try:
+        for chosen in _walk(rep, e, _Budget(cap), shortcut=False):
+            by_vertex = dict(zip(order, chosen))
+            yield SubspaceTuple(rep.field, tuple(by_vertex[v][0] for v in range(rep.n)))
+    except SearchTooLarge as exc:
+        raise SearchTooLarge(estimate, cap, exc.visited) from None

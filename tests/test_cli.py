@@ -170,6 +170,21 @@ def test_kronecker_formula_table(capsys):
     assert "e=(0,1)" in out and "bruteforce" not in out
 
 
+def test_kronecker_table_samples_the_box_once(monkeypatch, capsys):
+    import quivergrass.euler as eu
+    settle = eu._settle
+    calls = []
+
+    def counted(rep, bounds, cap):
+        calls.append(sorted(bounds))
+        return settle(rep, bounds, cap)
+
+    monkeypatch.setattr(eu, "_settle", counted)
+    assert main(["kronecker", "inj", "--m", "3", "--mode", "both"]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+    assert calls == [[(e1, e2) for e1 in range(4) for e2 in range(3)]]
+
+
 def test_kronecker_mismatch_exit(monkeypatch, capsys):
     import quivergrass.cli as cli_mod
     monkeypatch.setattr(cli_mod.kr, "kronecker_chi", lambda kind, e: 99)

@@ -3,7 +3,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -268,9 +268,9 @@ def test_box_on_a_cycle_chooses_primes_once(monkeypatch):
     calls = []
     choose = eu._Sampling.reductions
 
-    def counted(self, how_many):
-        calls.append(how_many)
-        return choose(self, how_many)
+    def counted(self):
+        calls.append(self)
+        return choose(self)
 
     rep = Representation(Quiver(2, ((0, 1), (1, 0))), (2, 2),
                          (((1, 0), (0, 1)), ((1, 1), (0, 1))))
@@ -307,31 +307,60 @@ def test_each_sampled_prime_is_reduced_once(monkeypatch):
         assert {e: counting_polynomial(rep, e).samples for e in box} == warm
 
 
-def test_a_dual_is_built_only_when_a_count_searches_it(monkeypatch):
+def test_only_sampled_primes_are_reduced(monkeypatch):
+    import quivergrass.euler as eu
+    reduced, counted = [], []
+    reduce, count_many = eu.reduce_mod, eu._count_many
+
+    def reducing(rep, p):
+        reduced.append(p)
+        return reduce(rep, p)
+
+    def counting(rep_p, es, *args):
+        counted.append(rep_p.field)
+        return count_many(rep_p, es, *args)
+
+    monkeypatch.setattr(eu, "reduce_mod", reducing)
+    monkeypatch.setattr(eu, "_count_many", counting)
+    eu._sampling.cache_clear()
+    poly = counting_polynomial(build_kronecker(regular(4, 0)), (1, 2))
+    assert reduced == counted == [p for p, _ in poly.samples] == [3, 5, 7, 11, 13, 17]
+    for kind in (preprojective(3), preinjective(3)):  # a box, settled by both tests
+        reduced.clear()
+        counted.clear()
+        f_polynomial(build_kronecker(kind))
+        assert reduced == counted, kind
+
+
+def test_no_count_builds_a_dual(monkeypatch):
+    # a backward search walks the reduction itself along the opposite quiver
     import quivergrass.euler as eu
     import quivergrass.model as md
     from quivergrass import subspaces
-    duals = []
+    duals, directions = [], set()
+    walk = subspaces._walk
 
     def counted(rep, dual=md._dual):
         duals.append(rep)
         return dual(rep)
 
+    def recorded(rep, e, budget, shortcut, backward=False):
+        directions.add(backward)
+        return walk(rep, e, budget, shortcut, backward)
+
     for module in (md, eu, subspaces):
         if hasattr(module, "_dual"):
             monkeypatch.setattr(module, "_dual", counted)
+    monkeypatch.setattr(subspaces, "_walk", recorded)
     eu._sampling.cache_clear()
-    subspaces._searched_dual.cache_clear()
-    rep = build_kronecker(preprojective(3))  # the box searches pr3 forward
-    f_polynomial(rep)
-    good_primes(rep, 12)
-    assert duals == []  # neither the search nor the sampling context built one
-    kind = preinjective(3)  # the box searches inj3 on the dual
-    rep = build_kronecker(kind)
-    f = f_polynomial(rep)
-    assert duals and all(d.quiver == rep.quiver and d.field for d in duals)
-    for e in product(range(rep.dims[0] + 1), range(rep.dims[1] + 1)):
-        assert f.coefficient(e) == kronecker_chi(kind, e)
+    subspaces._final_ranks.cache_clear()
+    for kind in (preprojective(3), preinjective(3)):  # the box searches inj3 backward
+        rep = build_kronecker(kind)
+        f = f_polynomial(rep)
+        good_primes(rep, 12)
+        for e in product(range(rep.dims[0] + 1), range(rep.dims[1] + 1)):
+            assert f.coefficient(e) == kronecker_chi(kind, e)
+    assert duals == [] and directions == {False, True}
 
 
 def test_sampling_context_is_thread_safe():
@@ -486,7 +515,7 @@ def _per_e_fit(rep, e):
     sampling = eu._sampling(rep)
     bound = sampling.degree_bound(e)
     samples = [(p, count_subreps(rep_p, e).count)
-               for p, rep_p in sampling.reductions(bound + 1 + HELD_OUT)]
+               for p, rep_p in islice(sampling.reductions(), bound + 1 + HELD_OUT)]
     return interpolate_counting_polynomial(samples, bound, dim_vector=e)
 
 
@@ -523,7 +552,7 @@ def _fiber_schedule(rep, e):
     sampling = eu._sampling(rep)
     bound = sampling.degree_bound(e)
     walked = []
-    for _, rep_p in sampling.reductions(bound + 1 + HELD_OUT):
+    for _, rep_p in islice(sampling.reductions(), bound + 1 + HELD_OUT):
         walks: dict = {}
         _count_many(rep_p, [e], None, walks)
         walked.append(walks.get(e))
@@ -563,7 +592,7 @@ def test_quartic_fibers_settle_what_their_ranks_allow():
     fiber = [(1, x) for x in range(5)]
     bounds = {e: sampling.degree_bound(e) for e in fiber}
     counts, seen = {e: [] for e in fiber}, {e: [] for e in fiber}
-    for p, rep_p in sampling.reductions(5):  # 3..13: fiber bound 2, plus two held out
+    for p, rep_p in islice(sampling.reductions(), 5):  # 3..13: fiber bound 2, plus two held out
         walks: dict = {}
         for e, count in _count_many(rep_p, fiber, None, walks).items():
             counts[e].append((p, count))
@@ -605,14 +634,23 @@ def test_fiber_fit_holds_out_primes_for_each_rank():
                       [(3, 2), (5, 2), (7, 2)], 1) == (2,)
 
 
-def test_walk_memo_holds_one_object_per_searched_representation():
-    # chi one e at a time: the dual walks of different calls share one dual
+def test_walk_memo_misses_once_per_distinct_walk(monkeypatch):
+    # chi one e at a time: the walks of different calls share one memo entry
+    import quivergrass.euler as eu
     from quivergrass import subspaces
-    subspaces._WALKS.clear()
+    walked = []
+    walk = subspaces._walk
+
+    def recorded(rep, e, budget, shortcut, backward=False):
+        walked.append((rep, backward, e))
+        return walk(rep, e, budget, shortcut, backward)
+
+    monkeypatch.setattr(subspaces, "_walk", recorded)
+    eu._sampling.cache_clear()
+    subspaces._final_ranks.cache_clear()
     for kind in (preinjective(3), regular(3, 0), preprojective(3)):
         rep = build_kronecker(kind)
         for e in product(*(range(d + 1) for d in rep.dims)):
             assert euler_characteristic(rep, e) == kronecker_chi(kind, e)
-    keys = [key[0] for key in subspaces._WALKS]
-    assert any(rep.quiver != kronecker_quiver(3) for rep in keys)  # some searched a dual
-    assert len({id(rep) for rep in keys}) == len(set(keys))
+    assert any(backward for _, backward, _ in walked)  # some searched backward
+    assert subspaces._final_ranks.cache_info().misses == len(walked) == len(set(walked))

@@ -31,10 +31,9 @@ from quivergrass.model import (
 )
 from quivergrass.sampler import EXAMPLE4_E, sample_general_rep
 from quivergrass.subspaces import (
-    _WALKS,
-    _WALKS_MAX,
     _Budget,
     _count_many,
+    _dual_routing,
     _fiber_count,
     _final_ranks,
     _gauss_product,
@@ -244,24 +243,33 @@ def _kronecker_modules(max_m):
 
 
 def _forced(rep, e, backward=False):
-    """Count Gr_e(rep) on an acyclic quiver in the given direction, whatever is cheaper."""
+    """Count Gr_e(rep) on an acyclic quiver by one shortcut walk in the given
+    direction, whatever is cheaper; backward, it walks rep at d - e along the
+    routing of the opposite quiver."""
     if backward:
-        rep, e = dual_representation(rep), tuple(d - x for d, x in zip(rep.dims, e))
-    final = _routing(rep.quiver).order[-1]
+        e = tuple(d - x for d, x in zip(rep.dims, e))
+    final = (_dual_routing if backward else _routing)(rep.quiver).order[-1]
     key = e[:final] + (0,) + e[final + 1:]
-    ranks = _final_ranks(rep, key, _Budget(10 ** 6, 0))
+    ranks = _final_ranks(rep, backward, key, 10 ** 6)
     return _fiber_count(ranks, rep.dims[final], e[final], rep.field)
 
 
+def _dual_oracle(rep, e):
+    """The forward walk of the explicit dual at d - e: what a backward walk must count."""
+    return _forced(dual_representation(rep), tuple(d - x for d, x in zip(rep.dims, e)))
+
+
 def test_forward_and_backward_searches_agree():
-    # the backward walk counts Gr_{d-e} of the dual; each direction is forced
+    # the backward walk counts Gr_{d-e} of the dual without building it; each
+    # direction is forced, and the explicit dual's forward walk is the oracle
     for kind in _kronecker_modules(3):
         rep = build_kronecker(kind)
         for p in (3, 5):
             rp = reduce_mod(rep, p)
             for e in product(*(range(d + 1) for d in rep.dims)):
                 forward, backward = _forced(rp, e), _forced(rp, e, backward=True)
-                assert forward == backward == count_subreps(rp, e).count, (kind, p, e)
+                assert forward == backward == _dual_oracle(rp, e), (kind, p, e)
+                assert forward == count_subreps(rp, e).count, (kind, p, e)
 
 
 def test_cheaper_direction_fits_under_cap():
@@ -276,10 +284,12 @@ def test_cheaper_direction_fits_under_cap():
     with pytest.raises(SearchTooLarge) as err:
         count_subreps(rep, (2, 2), cap=1000)
     assert err.value.estimate == gaussian_binomial(4, 2, 23) * gaussian_binomial(3, 2, 23)
-    _WALKS.clear()
+    walks: dict = {}
+    assert _count_many(rep, [(2, 2)], 2000, walks)[2, 2] == 553
+    assert walks[2, 2].backward  # the dual at (2, 1) is the cheaper search
     tie = reduce_mod(build_kronecker(regular(2, 1)), 5)
-    assert count_subreps(tie, (1, 1)).count == 1  # p + 1 candidates either way
-    assert [key[0] for key in _WALKS] == [tie]  # ties stay forward
+    assert _count_many(tie, [(1, 1)], None, walks)[1, 1] == 1  # p + 1 candidates either way
+    assert not walks[1, 1].backward  # ties stay forward
 
 
 def test_incremental_images_match_matvec():
@@ -425,7 +435,7 @@ def test_rank_frac_matches_rref():
 @pytest.fixture
 def budgets(monkeypatch):
     """Every search budget created, as qgbench/tracing.py probes them; memo cleared."""
-    _WALKS.clear()
+    _final_ranks.cache_clear()
     created = []
 
     class Probe(_Budget):
@@ -449,9 +459,9 @@ def test_memo_gives_cold_counts_after_the_box_warms_it():
     cold = {}
     for kind, rp, box in boxes:
         for e in box:
-            _WALKS.clear()
+            _final_ranks.cache_clear()
             cold[kind, rp.field, e] = count_subreps(rp, e).count
-    _WALKS.clear()  # warmed from here on by every earlier module, prime and e
+    _final_ranks.cache_clear()  # warmed from here on by every earlier module, prime and e
     for kind, rp, box in boxes:
         for e in box:
             count_subreps(rp, e)
@@ -461,13 +471,15 @@ def test_memo_gives_cold_counts_after_the_box_warms_it():
 
 def test_memo_hit_generates_no_candidates(budgets):
     rep = reduce_mod(build_kronecker(preprojective(3)), 5)
-    first = count_subreps(rep, (1, 2)).count
-    assert budgets[-1].used > 0
-    assert [key[0] for key in _WALKS] == [rep]  # forward, as the fiber's set count
+    walks: dict = {}
+    first = _count_many(rep, [(1, 2)], None, walks)[1, 2]
+    assert len(budgets) == 1 and budgets[0].used > 0
+    assert not walks[1, 2].backward  # forward, as the fiber's set count
     assert count_subreps(rep, (1, 1)).count == 0  # same fiber: only e_1 differs
-    assert budgets[-1].used == 0
-    profile = _count_many(rep, _fiber(1, 3))
-    assert budgets[-1].used == 0
+    profile = _count_many(rep, _fiber(1, 3), None, walks)
+    assert len(budgets) == 1  # a hit makes no budget, so it generates no candidate
+    assert _final_ranks.cache_info().hits == 2
+    assert {(w.backward, w.key) for w in walks.values()} == {(False, (1, 0))}
     assert profile[1, 2] == first and profile[1, 1] == 0
 
 
@@ -481,7 +493,9 @@ def test_memo_keeps_no_failures(budgets):
     payload = (first.value.estimate, first.value.cap, first.value.visited)
     assert payload == (again.value.estimate, again.value.cap, again.value.visited)
     assert payload[1:] == (1000, 1001)
-    assert [key[2] for key in _WALKS] == [2000]
+    assert len(budgets) == 3 and _final_ranks.cache_info().currsize == 1
+    assert count_subreps(rep, (2, 2), cap=2000).count == 553
+    assert len(budgets) == 3  # the walk under cap 2000 is the one kept
 
 
 def test_memo_is_thread_safe():
@@ -508,21 +522,27 @@ def test_memo_is_thread_safe():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [[1] * 5000] * 4
-    assert len(_WALKS) == _WALKS_MAX
+    info = _final_ranks.cache_info()
+    assert info.currsize == info.maxsize == 256
 
 
 def test_memo_is_bounded(budgets):
     rep = reduce_mod(build_kronecker(preprojective(2)), 3)
-    base = 10 ** 6
-    for k in range(_WALKS_MAX + 10):
+    base, size = 10 ** 6, _final_ranks.cache_info().maxsize
+    for k in range(size + 10):
         count_subreps(rep, (1, 1), cap=base + k)  # a distinct key per cap
-        assert len(_WALKS) <= _WALKS_MAX
-    assert len(_WALKS) == _WALKS_MAX
+        assert _final_ranks.cache_info().currsize <= size
+    assert _final_ranks.cache_info().currsize == size
+    assert len(budgets) == size + 10  # a budget per miss
     count_subreps(rep, (1, 1), cap=base + 10)  # the oldest entry: a hit refreshes it
+    assert len(budgets) == size + 10
     count_subreps(rep, (1, 1), cap=base)  # evicted: walks again, evicts base + 11
-    assert budgets[-2].used == 0 and budgets[-1].used > 0
-    caps = {key[2] for key in _WALKS}
-    assert len(caps) == _WALKS_MAX and {base, base + 10} <= caps and base + 11 not in caps
+    assert len(budgets) == size + 11 and budgets[-1].used > 0
+    for cap in (base, base + 10):  # both kept
+        count_subreps(rep, (1, 1), cap=cap)
+    assert len(budgets) == size + 11
+    count_subreps(rep, (1, 1), cap=base + 11)  # evicted
+    assert len(budgets) == size + 12
 
 
 def test_block_walk_counts_every_streamed_point():
@@ -544,7 +564,7 @@ def test_set_counts_of_kronecker_m4_match_streamed_counts():
                  *(regular(4, lam) for lam in (0, INFINITY, Fraction(1, 2)))):
         rep = reduce_mod(build_kronecker(kind), 5)
         box = list(product(*(range(d + 1) for d in rep.dims)))
-        _WALKS.clear()
+        _final_ranks.cache_clear()
         counts = _count_many(rep, box)
         for e in box:
             assert counts[e] == sum(1 for _ in iter_subrep_tuples(rep, e)), (kind, e)
@@ -569,7 +589,7 @@ def test_block_walk_with_forced_spans_and_earlier_arrows():
             streamed = sum(1 for _ in iter_subrep_tuples(rep, e))
             fiber = [e[:2] + (x,) for x in range(dims[2] + 1)]
             assert _count_many(rep, fiber)[e] == streamed, (rep, e)
-            assert _forced(rep, e, backward=True) == streamed, (rep, e)
+            assert _forced(rep, e, backward=True) == _dual_oracle(rep, e) == streamed, (rep, e)
 
 
 def test_set_counts_match_per_vector_and_streamed_counts():
@@ -587,7 +607,7 @@ def test_set_counts_match_per_vector_and_streamed_counts():
             assert want[e] == sum(1 for _ in iter_subrep_tuples(rep, e)), (rep, e)
         for es in (box, box[::-1], [e for e in box if e[0] % 2],
                    [e for e in box if e[-1] % 2], rng.sample(box, min(5, len(box)))):
-            _WALKS.clear()
+            _final_ranks.cache_clear()
             assert _count_many(rep, es) == {e: want[e] for e in es}, (rep, es)
 
 
@@ -615,11 +635,12 @@ REG4_LINES = gaussian_binomial(4, 1, 23)  # 12,720 lines at the searched vertex
 
 def test_block_walk_charges_every_candidate(budgets):
     rep = reduce_mod(build_kronecker(regular(4, 0)), 23)
-    profile = _count_many(rep, _fiber(1, 4))
+    walks: dict = {}
+    profile = _count_many(rep, _fiber(1, 4), None, walks)
     assert len(budgets) == 1  # the fiber is searched forward, in one walk
+    assert {(w.backward, w.key) for w in walks.values()} == {(False, (1, 0))}
     assert budgets[-1].used == 2 * REG4_LINES == 25440  # generated, then ranked
-    (ranks,) = _WALKS.values()
-    assert dict(ranks) == {1: 1, 2: REG4_LINES - 1}
+    assert dict(walks[1, 0].ranks) == {1: 1, 2: REG4_LINES - 1}
     assert sum(profile.values()) == sum(count_subreps(rep, (1, x)).count for x in range(5))
 
 
@@ -634,7 +655,7 @@ def test_block_walk_cap_boundary(budgets):
 
 
 def test_count_walks_and_builds_columns_only_on_a_miss(budgets, monkeypatch):
-    built = {"walks": 0, "columns": 0, "duals": 0}
+    built = {"walks": 0, "columns": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -644,25 +665,21 @@ def test_count_walks_and_builds_columns_only_on_a_miss(budgets, monkeypatch):
 
     monkeypatch.setattr(subspaces, "_walk", counted("walks", subspaces._walk))
     monkeypatch.setattr(subspaces, "_columns", counted("columns", subspaces._columns))
-    monkeypatch.setattr(subspaces, "_dual", counted("duals", subspaces._dual))
-    subspaces._searched_dual.cache_clear()
     for kind in (preprojective(3), preinjective(3)):
         rep = reduce_mod(build_kronecker(kind), 5)
         box = list(product(*(range(d + 1) for d in rep.dims)))
-        dual_searched = False
+        directions = set()
         for sweep in range(2):
             for e in box:
-                before = dict(built)
-                count_subreps(rep, e)
-                hit = budgets[-1].used == 0
-                searched = next(reversed(_WALKS))[0]  # a hit moves its walk to the end
-                assert built["walks"] - before["walks"] == (0 if hit else 1), (kind, e)
-                assert built["columns"] - before["columns"] == (0 if hit else 1), (kind, e)
-                # the dual is built the first time it is searched, and never otherwise
-                first = searched != rep and not dual_searched
-                assert built["duals"] - before["duals"] == first, (kind, e)
-                dual_searched |= searched != rep
+                before, made = dict(built), len(budgets)
+                misses = _final_ranks.cache_info().misses
+                walks: dict = {}
+                _count_many(rep, [e], None, walks)
+                miss = _final_ranks.cache_info().misses - misses
+                assert built == {name: n + miss for name, n in before.items()}, (kind, e)
+                assert len(budgets) - made == miss, (kind, e)
+                directions.add(walks[e].backward)
                 if sweep:
-                    assert hit, (kind, e)
-        if kind == preinjective(3):  # some e search the dual
-            assert dual_representation(rep) in {key[0] for key in _WALKS}
+                    assert not miss, (kind, e)
+        if kind == preinjective(3):
+            assert True in directions  # some e search backward
