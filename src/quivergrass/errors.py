@@ -45,15 +45,18 @@ class DegenerateBase(QuivergrassError):
 
 
 class SearchTooLarge(QuivergrassError):
-    """Enumeration work exceeded the cap."""
+    """Enumeration work exceeded the cap; detail names the refused walk."""
 
-    def __init__(self, estimate: int, cap: int, visited: int | None = None):
+    def __init__(self, estimate: int, cap: int, visited: int | None = None,
+                 detail: str = ""):
         self.estimate = estimate
         self.cap = cap
         self.visited = visited
         msg = f"search size estimate {estimate} exceeds cap {cap}"
         if visited is not None:
             msg = f"enumeration visited more than cap {cap} candidates (estimate {estimate})"
+        if detail:
+            msg += f": {detail}"
         super().__init__(msg)
 
 

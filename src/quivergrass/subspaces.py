@@ -30,16 +30,21 @@ vertex.  Stepping an entry by one, or wrapping it from p-1 to 0 (also +1 mod
 p), adds one matrix column; forced spans, the final rank and the arrow
 checks read these images instead of a matrix-vector product per row.
 
-Blocks: setting the innermost free entry (r, c) to t moves only row r, whose
-image under arrow k becomes a_k + t*b_k with b_k column c.  At the last
-searched position of a shortcut walk, if it has no arrow checks, the p
-candidates differing only there form one block: the span forced into the
-final vertex is spanned by the images of earlier positions and of the fixed
-rows, which do not move with t, and by that pencil.
-`linalg.pencil_rank_histogram` ranks it for all t at once, the fixed images
-passed as rows with b = 0: it peels off their span and the pencil rows that
-fall into it, and only a block with three or more rows still moving works
-on vectors of length p.
+Blocks: setting the innermost free entry (r, c_t) to t moves only row r,
+whose image under arrow k becomes a_k + t*b_k with b_k column c_t.  When the
+next free entry (r, c_u) lies in the same row, setting it to u adds u*c_k,
+c_k column c_u.  At the last searched position of a shortcut walk, if it
+has no arrow checks, the p candidates differing only in t, or the p^2
+differing in (t, u), form one block: the span forced into the final vertex
+is spanned by the images of earlier positions and of the fixed rows, which
+move with neither, and by that pencil or plane.  A last free entry alone
+in its row (as in Gr(3, 4)) makes a pencil.
+`linalg.pencil_rank_histogram` ranks a block for all its candidates at
+once, the fixed images passed as rows with b = 0: it peels off their span
+and the moving rows that fall into it once per block, finds the roots of
+at most two moving rows in O(1) per u, and only a block with three or more
+rows still moving works on vectors of length p.  Every candidate is still
+charged to the budget.
 
 One walk per fiber: the shortcut walk fixes U at the searched vertices and
 records how often each rank of forced span reaches the final vertex, which
@@ -123,9 +128,10 @@ def _iter_rref(p: int, m: int, e: int, cols: Sequence = (), block: bool = False
     odometer.  cols holds one matrix per arrow as its tuple of columns, and
     images[k][r] is matrix k times row r, updated by one column per step.
 
-    With block=True the innermost free entry (r, c) stays 0 and each item,
-    with (r, c) as a fourth entry, stands for the p subspaces that differ
-    only there (see the module docstring); None stands for a block of one.
+    With block=True the innermost free entry (r, c_t) stays 0, and so does
+    the next one when it lies in the same row, (r, c_u).  Each item, with
+    those steps as a fourth entry, stands for the p or p^2 subspaces that
+    differ only there (see the module docstring); () is a block of one.
     """
     if e < 0 or e > m:
         return
@@ -133,7 +139,12 @@ def _iter_rref(p: int, m: int, e: int, cols: Sequence = (), block: bool = False
         pivot_set = set(pivots)
         free = [(r, c) for r in range(e) for c in range(m)
                 if c > pivots[r] and c not in pivot_set]
-        tail = (free.pop() if free else None,) if block else ()
+        steps = ()
+        if block and free:
+            steps = (free.pop(),)
+            if free and free[-1][0] == steps[0][0]:
+                steps += (free.pop(),)
+        tail = (steps,) if block else ()
         rows = [[0] * m for _ in range(e)]
         for r, c in enumerate(pivots):
             rows[r][c] = 1
@@ -167,7 +178,7 @@ def _iter_superspaces(p: int, m: int, e: int, srows: tuple, spivots: tuple,
     Superspaces correspond to (e - s)-dim subspaces of the complementary
     coordinate subspace on the non-pivot columns; each lift is inserted into
     the span's RREF.  The images (see `_iter_rref`) are those of the basis
-    srows + lifted rows, which spans the same subspace.  In block mode the
+    srows + lifted rows, which spans the same subspace.  In block mode each
     step (r, c) indexes those images and the columns of F_p^m.
     """
     if not srows:
@@ -185,9 +196,8 @@ def _iter_superspaces(p: int, m: int, e: int, srows: tuple, spivots: tuple,
             for c, val in zip(free_cols, qrow):
                 lifted[c] = val
             rows, pivots = linalg.rref_insert(rows, pivots, lifted, p)
-        if tail and tail[0]:
-            r, c = tail[0]
-            tail = [(s + r, free_cols[c])]
+        if tail:
+            tail = [tuple((s + r, free_cols[c]) for r, c in tail[0])]
         yield (rows, pivots, tuple(si + qi for si, qi in zip(simages, qimages)), *tail)
 
 
@@ -339,18 +349,19 @@ def _walk(rep: Representation, e: tuple[int, ...], budget: _Budget,
         earlier = [w for src, k in forced_in[last] if src < pos for w in chosen[src][2][k]]
         v = order[pos]
         zero = (0,) * dims[order[last]]
-        for _, _, images, step in _iter_superspaces(p, dims[v], e[v], srows, spivots,
-                                                    cols[pos], block=True):
-            r = step[0] if step else -1
+        for _, _, images, steps in _iter_superspaces(p, dims[v], e[v], srows, spivots,
+                                                     cols[pos], block=True):
+            r = steps[0][0] if steps else -1
             # per candidate, one tick for generating it and one at the final vertex
-            budget.tick(2 * p if step else 2)
+            budget.tick(2 * p ** len(steps))
             fixed = earlier + [w for img in images for i, w in enumerate(img) if i != r]
-            if step is None:
+            if not steps:
                 yield linalg.rank_mod(fixed, p), 1
                 continue
             a = fixed + [img[r] for img in images]
-            b = [zero] * len(fixed) + [col[step[1]] for col in cols[pos]]
-            yield from linalg.pencil_rank_histogram(a, b, p).items()
+            b, *c = ([zero] * len(fixed) + [col[step[1]] for col in cols[pos]]
+                     for step in steps)
+            yield from linalg.pencil_rank_histogram(a, b, p, *c).items()
 
     def rec(pos: int) -> Iterator:
         # images of the chosen earlier vertices under the arrows into order[pos]
@@ -419,6 +430,11 @@ class _Walk(NamedTuple):
     ranks: tuple[tuple[int, int], ...]
 
 
+def _walk_detail(p: int, es) -> str:
+    """The prime and the dimension vectors of a refused walk, for its error."""
+    return f"p = {p}, dimension vector{'s' if len(es) > 1 else ''} {', '.join(map(str, es))}"
+
+
 def _count_many(rep: Representation, es: Sequence[tuple[int, ...]],
                 cap: int | None = None, report: dict | None = None
                 ) -> dict[tuple[int, ...], int]:
@@ -429,9 +445,10 @@ def _count_many(rep: Representation, es: Sequence[tuple[int, ...]],
     sure of both).  The whole set is searched in one direction (see the
     module docstring).  Every walk is checked against the cap before any
     runs; the payload of SearchTooLarge sums the products of Gaussian
-    binomials of the e's that the failing walk serves.  When report is a
-    dict, each e settled by a shortcut walk is entered in it with that
-    walk, as a `_Walk`.
+    binomials of the e's that the failing walk serves, and its message
+    names the prime and those e's as given, whichever direction is
+    searched.  When report is a dict, each e settled by a shortcut walk is
+    entered in it with that walk, as a `_Walk`.
     """
     cap = default_cap() if cap is None else int(cap)
     dims, p = rep.dims, rep.field
@@ -443,7 +460,8 @@ def _count_many(rep: Representation, es: Sequence[tuple[int, ...]],
 
     def too_large(members, visited=None) -> SearchTooLarge:
         estimate = sum(_gauss_product(dims, e, p, range(rep.n)) for e in members)
-        return SearchTooLarge(estimate, cap, visited)
+        given = dict(zip(searched, es))
+        return SearchTooLarge(estimate, cap, visited, _walk_detail(p, [given[e] for e in members]))
 
     route = _routing(rep.quiver)
     searched, backward = es, False
@@ -498,11 +516,11 @@ def iter_subrep_tuples(rep: Representation, e: Sequence[int],
     cap = default_cap() if cap is None else int(cap)
     estimate = _gauss_product(rep.dims, e, rep.field, range(rep.n))
     if estimate > cap:
-        raise SearchTooLarge(estimate, cap)
+        raise SearchTooLarge(estimate, cap, None, _walk_detail(rep.field, [e]))
     order = _routing(rep.quiver).order
     try:
         for chosen in _walk(rep, e, _Budget(cap), shortcut=False):
             by_vertex = dict(zip(order, chosen))
             yield SubspaceTuple(rep.field, tuple(by_vertex[v][0] for v in range(rep.n)))
     except SearchTooLarge as exc:
-        raise SearchTooLarge(estimate, cap, exc.visited) from None
+        raise SearchTooLarge(estimate, cap, exc.visited, _walk_detail(rep.field, [e])) from None

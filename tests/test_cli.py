@@ -106,6 +106,13 @@ def test_euler_cap_exit(tmp_path, capsys):
     assert main(["euler", "--rep", str(path), "--e", "3,3", "--cap", "1000"]) == 4
 
 
+def test_cap_exit_names_the_prime_and_dimension_vector(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    save_representation(Representation(Quiver(2, ()), (6, 6), ()), path)
+    assert main(["euler", "--rep", str(path), "--e", "3,2", "--cap", "1000"]) == 4
+    assert "p = 3, dimension vector (3, 2)" in capsys.readouterr().err
+
+
 def test_euler_bad_cap_is_a_usage_error(pr2_file, capsys):
     assert main(["euler", "--rep", pr2_file, "--e", "0,1", "--cap", "abc"]) == 2
     assert "'abc'" in capsys.readouterr().err

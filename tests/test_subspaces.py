@@ -411,6 +411,55 @@ def test_pencil_rank_histogram_matches_rank_mod():
     assert linalg.pencil_rank_histogram(
         [[1, 0, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, 0], [1, 1, 0], [0, 1, 0]], 13) == {3: 12, 2: 1}
 
+    # planes a + t*b + u*c, as the block walk passes them when its two
+    # innermost free entries share a row, against a scan over (t, u)
+    def direct_plane(a, b, c, p):
+        hist = {}
+        for u in range(p):
+            line = [[(x + u * z) % p for x, z in zip(ra, rc)] for ra, rc in zip(a, c)]
+            for r, k in direct(line, b, p).items():
+                hist[r] = hist.get(r, 0) + k
+        return hist
+
+    for p in (2, 3, 5, 7, 11, 13):
+        for _ in range(24):
+            n = rng.randint(1, 6)
+            k0, k1 = rng.randint(0, 3), rng.randint(0, 4)  # constant and moving rows
+            const = matrix(k0, n, p)
+            a = const + matrix(k1, n, p)
+            b, c = ([[0] * n] * k0 + matrix(k1, n, p) for _ in range(2))
+            cases = [(a, b, c), (a, b, [[0] * n] * (k0 + k1))]
+            if k0:
+                # a row with b = 0 and c != 0: the constant span moves with u
+                cases.append((a, b, [matrix(1, n, p)[0]] + c[1:]))
+                if k1:
+                    # a b row inside the constant span, its c part moving or not
+                    bent = b[:-1] + [combination(const, p)]
+                    cases += [(a, bent, c), (a, bent, c[:-1] + [[0] * n])]
+                if k1 > 1:  # a b row dependent on another one modulo the constants
+                    moved = [[(x + y) % p for x, y in zip(b[k0], combination(const, p))]]
+                    cases.append((a, b[:-1] + moved, c))
+            for pa, pb, pc in cases:
+                order = rng.sample(range(len(pa)), len(pa))  # constants anywhere
+                pa, pb, pc = ([m[i] for i in order] for m in (pa, pb, pc))
+                hist = linalg.pencil_rank_histogram(pa, pb, p, pc)
+                assert sum(hist.values()) == p * p
+                assert hist == direct_plane(pa, pb, pc, p), (pa, pb, pc, p)
+    # one moving row (t + u, u): its lead vanishes at t = -u, the row only at u = 0
+    assert linalg.pencil_rank_histogram([[0, 0]], [[1, 0]], 5, [[1, 1]]) == {1: 24, 0: 1}
+    # two moving rows (t, 1) and (u, t + 1) over F_2, whose lead minor
+    # t^2 + t + u vanishes on all of F_2 at u = 0 and nowhere at u = 1
+    plane = [[0, 1], [0, 1]], [[1, 0], [0, 1]], 2, [[0, 0], [1, 0]]
+    assert linalg.pencil_rank_histogram(*plane) == {1: 2, 2: 2}
+    # square roots against every element; 17, 41 and 97 are 1 mod 8, where
+    # the Tonelli-Shanks loop runs
+    for p in (3, 5, 13, 17, 41, 97):
+        squares = {x * x % p for x in range(p)}
+        for x in range(p):
+            root = linalg._sqrt_mod(x, p)
+            assert (root is not None) == (x in squares), (x, p)
+            assert root is None or root * root % p == x, (x, p)
+
 
 def test_rank_frac_matches_rref():
     rng = random.Random("rank_frac")
@@ -547,7 +596,7 @@ def test_memo_is_bounded(budgets):
 
 def test_block_walk_counts_every_streamed_point():
     # iter_subrep_tuples walks candidate by candidate; counts go by blocks
-    cases = [(build_kronecker(kind), (3, 5, 7), None) for kind in _kronecker_modules(3)]
+    cases = [(build_kronecker(kind), (2, 3, 5, 7), None) for kind in _kronecker_modules(3)]
     quartic = sample_general_rep(kronecker_quiver(4), (3, 4), 42, 5)
     cases.append((quartic, (5, 7), [EXAMPLE4_E]))
     for rep, primes, box in cases:
@@ -559,15 +608,16 @@ def test_block_walk_counts_every_streamed_point():
 
 
 def test_set_counts_of_kronecker_m4_match_streamed_counts():
-    # blocks of p = 5 candidates: pencils of fixed rows and up to two moving ones
-    for kind in (preprojective(4), preinjective(4),
-                 *(regular(4, lam) for lam in (0, INFINITY, Fraction(1, 2)))):
-        rep = reduce_mod(build_kronecker(kind), 5)
-        box = list(product(*(range(d + 1) for d in rep.dims)))
-        _final_ranks.cache_clear()
-        counts = _count_many(rep, box)
-        for e in box:
-            assert counts[e] == sum(1 for _ in iter_subrep_tuples(rep, e)), (kind, e)
+    # blocks of p or p^2 candidates: pencils and planes of fixed rows and up
+    # to two moving ones; 1/2 does not reduce mod 2
+    for p, lams in ((2, (0, 1, INFINITY)), (5, (0, INFINITY, Fraction(1, 2)))):
+        for kind in (preprojective(4), preinjective(4), *(regular(4, lam) for lam in lams)):
+            rep = reduce_mod(build_kronecker(kind), p)
+            box = list(product(*(range(d + 1) for d in rep.dims)))
+            _final_ranks.cache_clear()
+            counts = _count_many(rep, box)
+            for e in box:
+                assert counts[e] == sum(1 for _ in iter_subrep_tuples(rep, e)), (kind, p, e)
 
 
 def _three_vertex_reps():
@@ -630,6 +680,20 @@ def test_set_search_too_large_payload(budgets):
     assert (err.value.cap, err.value.visited) == (25439, 25440)
 
 
+def test_search_too_large_names_the_prime_and_dimension_vectors():
+    rep = reduce_mod(build_kronecker(regular(4, 0)), 23)
+    with pytest.raises(SearchTooLarge, match=r"p = 23, dimension vectors \(1, 2\), \(2, 2\)$"):
+        _count_many(rep, [(1, 2), (2, 2)], cap=25439)  # refused before the dual walk
+    with pytest.raises(SearchTooLarge, match=r"p = 23, dimension vectors \(1, 1\), \(1, 2\)$"):
+        _count_many(rep, [(1, 1), (1, 2)], cap=25439)  # out of budget mid-walk
+    # the estimate 4 * 4 is refused up front, the walk's 4 + 4 * 4 candidates mid-walk
+    rep = Representation(Quiver(2, ()), (2, 2), (), field=3)
+    for cap, visited in ((15, None), (16, 17)):
+        with pytest.raises(SearchTooLarge, match=r"p = 3, dimension vector \(1, 1\)$") as err:
+            list(iter_subrep_tuples(rep, (1, 1), cap=cap))
+        assert err.value.visited == visited
+
+
 REG4_LINES = gaussian_binomial(4, 1, 23)  # 12,720 lines at the searched vertex
 
 
@@ -642,6 +706,25 @@ def test_block_walk_charges_every_candidate(budgets):
     assert budgets[-1].used == 2 * REG4_LINES == 25440  # generated, then ranked
     assert dict(walks[1, 0].ranks) == {1: 1, 2: REG4_LINES - 1}
     assert sum(profile.values()) == sum(count_subreps(rep, (1, x)).count for x in range(5))
+
+
+def test_block_walk_ranks_a_plane_per_kernel_call(budgets, monkeypatch):
+    # in Gr(1, 4) the two innermost free entries share row 0 under pivot 0 (p
+    # blocks, one per value of the entry at column 1) and under pivot 1: p + 1
+    # planes of p^2 lines; pivot 2 leaves a block of p, pivot 3 a block of one
+    kernel, calls = linalg.pencil_rank_histogram, []
+
+    def counted(*args):
+        calls.append(len(args))
+        return kernel(*args)
+
+    monkeypatch.setattr(linalg, "pencil_rank_histogram", counted)
+    rep = reduce_mod(build_kronecker(regular(4, 0)), 23)
+    walks: dict = {}
+    _count_many(rep, _fiber(1, 4), None, walks)
+    assert len(calls) == 23 + 2 and calls.count(4) == 23 + 1  # 553 by lines
+    assert budgets[-1].used == 2 * REG4_LINES == 25440
+    assert dict(walks[1, 0].ranks) == {1: 1, 2: REG4_LINES - 1}
 
 
 def test_block_walk_cap_boundary(budgets):
