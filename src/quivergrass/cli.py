@@ -32,7 +32,7 @@ from .errors import (
     SmoothnessFailure,
 )
 from .fpoly import FPolynomial
-from .model import load_representation
+from .model import euler_form, load_representation
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -144,7 +144,12 @@ def cmd_euler(args) -> int:
     if args.verbose:
         qpoly = FPolynomial(1, {(k,): c for k, c in enumerate(poly.coefficients)})
         lines.append(f"counting polynomial: {qpoly.to_text(names=('q',))}")
-        lines.append("sample primes: " + ", ".join(str(p) for p, _ in poly.samples))
+        if poly.samples:
+            lines.append("sample primes: " + ", ".join(str(p) for p, _ in poly.samples))
+        else:  # only rigidity settles e unsampled: Gr_e(M) is empty
+            co = tuple(d - x for d, x in zip(rep.dims, e))
+            lines.append(f"sample primes: none (M is rigid and <e, d - e> = "
+                         f"{euler_form(rep.quiver, e, co)} < 0)")
         lines.append(f"degree bound: {poly.degree_bound} (fitted degree {poly.degree})")
     payload = {
         "chi": poly.chi,

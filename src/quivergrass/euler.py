@@ -14,7 +14,7 @@ degree (e_v - s_v)(d_v - e_v) in q.  B is the smaller of the sums of these
 degrees over M at e and over the dual M* at d - e, whose Grassmannian has
 the same points.
 
-Two tests settle e from the same samples, whichever finishes first (see
+Three tests settle e from the same samples, whichever finishes first (see
 `_settle`).  The per-e test fits the counts through B_e + 1 nodes and
 checks them at HELD_OUT more primes; every NonPolynomialCount comes from
 it.  The fiber test reads the walk that counted e: the search fixes U at
@@ -42,6 +42,30 @@ at (3, 4)) the forward walk at e_1 = 1 has N_3 and N_4 not polynomial in q
 the per-e test, (1, 0)..(1, 2) see only N_0 = N_1 = N_2 = 0, and (1, 3) is
 rejected by the per-e test at its B_e + 1 nodes.
 
+The rigidity test applies when M is rigid, Ext^1(M, M) = 0.  For U in
+Gr_e(M) over the algebraic closure, Ext^1(U, M/U) is a quotient of
+Ext^1(M, M) (the path algebra is hereditary), so it vanishes and the
+tangent space Hom(U, M/U) has dimension D = <e, d - e> at every point:
+Gr_e(M) is empty when D < 0, and otherwise smooth and projective of
+dimension D (Caldero-Reineke).  A smooth projective variety with
+polynomial count has a palindromic count of degree D (Katz, appendix to
+Hausel-Rodriguez-Villegas, with Poincare duality), so P_e has D // 2 + 1
+unknowns.  Hence e settles with P_e = 0 and no sample when D < 0; when
+D // 2 < B_e, the palindrome through its first D // 2 + 1 samples
+(`_palindrome`) settles e if it reproduces HELD_OUT more, by the held-out
+argument of the per-e test.  A palindrome that fails leaves e to the other
+two tests, so rigidity never rejects.
+
+Rigidity is certified at one prime (`_Sampling.end`), with no elimination
+over Q: dim End_Q(M) >= <d, d> because dim Ext^1(M, M) = dim End(M) -
+<d, d> >= 0, and dim End(M mod p) >= dim End_Q(M) because reduction can
+only drop the rank of the linear system whose kernel is End.  So
+dim End(M mod p) = <d, d> at a good prime proves Ext^1_Q(M, M) = 0.  If
+none of the first HELD_OUT + 1 good primes certifies, M is treated as not
+rigid, which costs primes and nothing else.  The certificate is worked out
+only on an acyclic quiver, where <d, d> >= 1 (a nonzero rigid M has
+dim End = <d, d>), and when some e of the set can gain a prime.
+
 Sampling context: everything a count needs from M that does not depend on
 e is worked out once per representation and kept in a `_Sampling` (bounded
 `lru_cache`, 64 representations, per process).  It holds the arrow ranks
@@ -50,8 +74,10 @@ direction, and the good primes found so far, each with M reduced mod it.
 The prime list grows by one prime under a lock when a caller asks past its
 end, so each (representation, prime) pair is chosen, reduced and
 rank-checked once, when some caller is about to sample it, from whichever
-thread.  It holds no dual: the search direction belongs to
-`subspaces._count_many`, which walks a backward search on the reduction.
+thread.  It also holds the End certificate, worked out once, which may
+reduce a good prime that no count samples: a rigid-empty e takes none.  It
+holds no dual: the search direction belongs to `subspaces._count_many`,
+which walks a backward search on the reduction.
 Interpolation is exact integer Lagrange over one common denominator.
 """
 
@@ -59,6 +85,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
 from math import lcm, prod
@@ -67,7 +94,7 @@ from typing import Iterator, Sequence
 from . import linalg
 from .errors import DomainMismatch, InsufficientSamples, NonPolynomialCount
 from .fpoly import FPolynomial
-from .model import Representation, reduce_mod, validate_representation
+from .model import Representation, hom_dim, reduce_mod, validate_representation
 from .subspaces import (
     _Walk,
     _count_many,
@@ -87,8 +114,9 @@ class CountingPolynomial:
     coefficients are ascending; samples are the (prime, count) pairs
     actually sampled, and the polynomial equals the count at each of them;
     degree_bound is the a-priori bound on its degree.  It does not fix how
-    many primes were sampled: the fiber test (module docstring) can settle
-    e with fewer than degree_bound + 1 + HELD_OUT.
+    many primes were sampled: the fiber and rigidity tests (module
+    docstring) can settle e with fewer than degree_bound + 1 + HELD_OUT,
+    and samples is empty when M is rigid and <e, d - e> < 0.
     """
 
     coefficients: tuple[int, ...]
@@ -218,7 +246,9 @@ class _Sampling:
     ranks are the arrow ranks over Q; forward and backward are the arrows
     (u, v, dim ker) that force part of U_v in the search order of the quiver
     and of its opposite (see `degree_bound`); found lists the good primes so
-    far as (p, rep mod p), extended under the lock.
+    far as (p, rep mod p), extended under the lock.  The End certificate
+    (`end`) is kept once worked out, under a lock of its own; it may reduce
+    a good prime that no count goes on to sample.
     """
 
     def __init__(self, rep: Representation):
@@ -231,9 +261,13 @@ class _Sampling:
         self.forward = self._forcing(_routing(rep.quiver), rep.quiver.arrows)
         self.backward = self._forcing(_dual_routing(rep.quiver),
                                       [(v, u) for u, v in rep.quiver.arrows])
+        self.acyclic = _routing(rep.quiver).acyclic
         self._primes = linalg.odd_primes()
         self._found: list[tuple[int, Representation]] = []
         self._lock = threading.Lock()
+        self._end: int | None = None
+        self._end_known = False
+        self._end_lock = threading.Lock()
 
     def _forcing(self, route, arrows) -> tuple[tuple[int, int, int], ...]:
         pos = {v: i for i, v in enumerate(route.order)}
@@ -265,6 +299,47 @@ class _Sampling:
         with self._lock:
             held = next((rep_p for q, rep_p in self._found if q == p), None)
         return reduce_mod(self.rep, p) if held is None else held
+
+    def euler_form(self, a: Sequence[int], b: Sequence[int]) -> int:
+        """<a, b> = sum_v a_v b_v - sum_{arrows u -> v} a_u b_v, on an acyclic quiver."""
+        return (sum(x * y for x, y in zip(a, b))
+                - sum(a[u] * b[v] for u, v in self.rep.quiver.arrows))
+
+    def end(self) -> int | None:
+        """dim End_Q(M), certified at a good prime, or None.
+
+        Over Q, dim End(M) >= <d, d> because Ext^1(M, M) has dimension
+        dim End(M) - <d, d> >= 0 (the path algebra is hereditary), and
+        dim End(M) >= 1 when M is nonzero; reduction mod p keeps every
+        rank or drops it, so dim End(M mod p) >= dim End_Q(M).  A prime
+        at which dim End(M mod p) equals the lower bound max(1, <d, d>)
+        therefore proves that dim End_Q(M) equals it.  The first HELD_OUT
+        + 1 good primes are tried, and the first that certifies ends the
+        search; None (no prime certifies, the quiver has cycles, or M is
+        zero) claims nothing.  Worked out once, on the first call.
+        """
+        with self._end_lock:
+            if not self._end_known:
+                dims = self.rep.dims
+                if self.acyclic and any(dims):
+                    lower = max(1, self.euler_form(dims, dims))
+                    for _, rep_p in islice(self.reductions(), HELD_OUT + 1):
+                        if hom_dim(rep_p, rep_p) == lower:
+                            self._end = lower
+                            break
+                self._end_known = True
+            return self._end
+
+    def rigid(self) -> bool:
+        """Whether Ext^1(M, M) = 0 is proven, by `end` equal to <d, d> >= 1.
+
+        Rigid M has dim End(M) = <d, d> >= 1, so nothing is computed where
+        <d, d> < 1 (regular Kronecker modules, the plane quartic), and a
+        module `end` cannot certify counts as not rigid.
+        """
+        dims = self.rep.dims
+        form = self.euler_form(dims, dims) if self.acyclic else 0
+        return form >= 1 and self.end() == form
 
     def degree_bound(self, e: Sequence[int]) -> int:
         """The a-priori bound on the degree of the counting polynomial at e.
@@ -356,6 +431,67 @@ def _fiber_fit(walks: Sequence[tuple[int, _Walk]], fiber_bound: int,
     return ints if all(poly.evaluate(p) == count for p, count in samples) else None
 
 
+@lru_cache(maxsize=256)
+def _palindrome(nodes: tuple[tuple[int, int], ...], degree: int) -> tuple[int, ...] | None:
+    """Coefficients (ascending) of the palindrome of the degree through the
+    nodes, c_i = c_{degree - i}, or None when one of them is not an integer
+    or the fit is nonzero with c_0 = 0 (so of smaller degree).
+
+    There are degree // 2 + 1 nodes, one per unknown c_0..c_{degree // 2}.
+    The system is nonsingular: a palindrome P of the degree is
+    q^h (1 + q)^r Q(q + 1/q) with h = degree // 2, r = degree % 2 and deg Q
+    <= h, and q + 1/q takes distinct values at distinct primes.  Remembered
+    like `_interpolant`.
+    """
+    half = degree // 2
+    rows = [[Fraction(p ** i + p ** (degree - i) if 2 * i < degree else p ** i)
+             for i in range(half + 1)] + [Fraction(count)] for p, count in nodes]
+    for col in range(half + 1):  # Gauss-Jordan over Q
+        pivot = next(r for r in range(col, half + 1) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(half + 1):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    low = [row[-1] for row in rows]
+    if any(c.denominator != 1 for c in low) or (low[0] == 0 and any(low)):
+        return None
+    if not any(low):
+        return ()
+    return tuple(int(low[min(i, degree - i)]) for i in range(degree + 1))
+
+
+def _palindrome_fit(samples: Sequence[tuple[int, int]], degree: int) -> tuple[int, ...] | None:
+    """The palindrome of the degree through the first degree // 2 + 1 samples
+    (`_palindrome`), if it reproduces every later one, else None."""
+    nodes = degree // 2 + 1
+    ints = _palindrome(tuple(samples[:nodes]), degree)
+    if ints is None:
+        return None
+    poly = CountingPolynomial(ints, None, ())
+    return ints if all(poly.evaluate(p) == count for p, count in samples[nodes:]) else None
+
+
+def _rigid_degrees(sampling: _Sampling, bounds: dict[tuple[int, ...], int]
+                   ) -> dict[tuple[int, ...], int]:
+    """e -> D = <e, d - e> for the e of bounds that rigidity settles sooner than
+    the per-e test: D < 0, or D // 2 < the degree bound.  Empty unless M is
+    proven rigid (`_Sampling.rigid`), which is asked only when such an e
+    exists, so the End certificate is worked out only where it saves a prime.
+    """
+    if not sampling.acyclic:
+        return {}
+    dims = sampling.rep.dims
+    degrees = {}
+    for e, bound in bounds.items():
+        degree = sampling.euler_form(e, [d - x for d, x in zip(dims, e)])
+        if degree // 2 < bound:
+            degrees[e] = degree
+    return degrees if degrees and sampling.rigid() else {}
+
+
 def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | None
             ) -> Iterator[tuple[tuple[int, ...], CountingPolynomial | NonPolynomialCount]]:
     """Yield (e, its verified counting polynomial or its rejection) for every e
@@ -363,24 +499,42 @@ def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | 
 
     At each prime every e still sampled is counted in one
     `subspaces._count_many` call, which shares the search work across the
-    set.  e leaves the sampled set as soon as one of two tests settles it:
+    set.  e leaves the sampled set as soon as one of three tests settles it:
     the per-e test after bound + 1 + HELD_OUT samples, or as soon as `_fit`
-    finds the samples so far not polynomial in q; or the fiber test
+    finds the samples so far not polynomial in q; the fiber test
     (`_fiber_fit`) after fiber_bound + 1 + HELD_OUT samples, when every one
-    of them came from the same walk.  The fiber test is tried only for e
-    whose fiber bound is below its degree bound, where it can save a prime.
-    No prime is taken after the last e is settled.
+    of them came from the same walk; or, for rigid M and D = <e, d - e>,
+    the rigidity test: before the first prime when D < 0, else after
+    D // 2 + 1 + HELD_OUT samples (`_palindrome_fit`).  The fiber and
+    rigidity tests are tried only where their bound is below the degree
+    bound, where they can save a prime, and neither rejects.  No prime is
+    taken after the last e is settled.
     """
     sampling = _sampling(rep)
     samples: dict[tuple, list] = {e: [] for e in bounds}
-    fibers = {e: [] for e, bound in bounds.items() if bound > 0}  # (p, walk) pairs
     settled: dict[tuple, tuple[int, ...]] = {}
-    pending = list(bounds)
-    for p, rep_p in sampling.reductions():
+    palindromes = _rigid_degrees(sampling, bounds)  # e -> <e, d - e>, where it helps
+    for e, degree in list(palindromes.items()):
+        if degree < 0:  # Gr_e(M) is empty
+            del palindromes[e]
+            settled[e] = ()
+    fibers = {e: [] for e, bound in bounds.items() if bound > 0 and e not in settled}
+    pending = [e for e in bounds if e not in settled]
+    primes = sampling.reductions()
+    while pending:
+        p, rep_p = next(primes)
         walks: dict | None = {} if fibers else None
         counts = _count_many(rep_p, pending, cap, walks)
         for e in pending:
             samples[e].append((p, counts[e]))
+            degree = palindromes.get(e)
+            if degree is not None and len(samples[e]) == degree // 2 + 1 + HELD_OUT:
+                del palindromes[e]
+                ints = _palindrome_fit(samples[e], degree)
+                if ints is not None:
+                    settled[e] = ints
+                    fibers.pop(e, None)
+                    continue
             seen = fibers.get(e)
             if seen is None:
                 continue
@@ -400,8 +554,6 @@ def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | 
         pending = [e for e in pending if e not in settled
                    and len(samples[e]) < bounds[e] + 1 + HELD_OUT
                    and _fit(samples[e], bounds[e])[1] is None]
-        if not pending:
-            break
     for e, bound in bounds.items():
         if e in settled:
             result = CountingPolynomial(settled[e], e, tuple(samples[e]), bound)
@@ -441,8 +593,8 @@ def iter_box_chi(rep: Representation, cap: int | None = None):
     chi is None exactly when the counts at e were rejected as non-polynomial,
     in which case `error` carries the NonPolynomialCount.  The box is sampled
     as one set (see `_settle`): e takes the first degree_bound(e) + 1 +
-    HELD_OUT primes, or fewer when they already reject it or its fiber
-    settles it.
+    HELD_OUT primes, or fewer when they already reject it or its fiber or
+    rigidity settles it.
     """
     sampling = _sampling(rep)
     bounds = {e: sampling.degree_bound(e)

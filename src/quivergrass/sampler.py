@@ -211,7 +211,10 @@ def positivity_scan(rep: Representation, require_rigid: bool = True,
                     cap: int | None = None) -> dict:
     """chi over every 0 <= e <= dims for an indecomposable, flagging negatives.
 
-    Rigid indecomposables on acyclic quivers must come out all-nonnegative.
+    hom(M, M) comes from the End certificate of the sampling context
+    (`euler._Sampling.end`), at one prime when it certifies, else from an
+    elimination over Q.  Rigid indecomposables on acyclic quivers must come
+    out all-nonnegative.
     Dimension vectors whose counts are not polynomial are recorded under
     `refused`; when the input is the 4-arrow (3, 4) quartic configuration,
     the known chi = -4 is forwarded from example4_verify as the documented
@@ -220,7 +223,9 @@ def positivity_scan(rep: Representation, require_rigid: bool = True,
     validate_representation(rep)
     if not rep.quiver.is_acyclic:
         raise NotAcyclic("positivity scan expects an acyclic quiver")
-    hom = hom_dim(rep, rep)
+    hom = _sampling(rep).end()
+    if hom is None:  # no prime certified End, so eliminate over Q
+        hom = hom_dim(rep, rep)
     if hom != 1:
         raise ValueError("positivity scan expects an indecomposable (hom(M, M) = 1)")
     rigid = _ext1_from_hom(rep, hom) == 0

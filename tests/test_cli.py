@@ -4,7 +4,12 @@ import pytest
 
 from quivergrass.cli import main
 from quivergrass.fpoly import FPolynomial
-from quivergrass.kronecker import build_kronecker, kronecker_quiver, preprojective
+from quivergrass.kronecker import (
+    build_kronecker,
+    kronecker_quiver,
+    preinjective,
+    preprojective,
+)
 from quivergrass.model import (
     Quiver,
     Representation,
@@ -62,6 +67,27 @@ def test_euler_json_payload(pr2_file, capsys):
     assert payload["degree_bound"] == 1
 
 
+@pytest.fixture
+def inj4_file(tmp_path):
+    path = tmp_path / "kron_inj4.json"
+    save_representation(build_kronecker(preinjective(4)), path)
+    return str(path)
+
+
+def test_euler_verbose_names_why_a_rigid_empty_e_samples_no_prime(inj4_file, capsys):
+    # inj(4) is rigid with dims (4, 3), and <(3, 0), (1, 3)> = 3 - 2 * 3 * 3 < 0
+    assert main(["euler", "--rep", inj4_file, "--e", "3,0", "--verbose"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "chi = 0"
+    assert "sample primes: none (M is rigid and <e, d - e> = -15 < 0)" in out
+
+
+def test_euler_json_of_a_rigid_empty_e_has_no_samples(inj4_file, capsys):
+    assert main(["euler", "--rep", inj4_file, "--e", "3,0", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["chi"], payload["counting_polynomial"], payload["samples"]) == (0, [], [])
+
+
 def test_euler_missing_file(capsys):
     assert main(["euler", "--rep", "no-such.json", "--e", "0,1"]) == 2
 
@@ -80,13 +106,16 @@ def test_euler_nonpolynomial_exit(example4_file, capsys):
 
 
 def test_nonpolynomial_exit_off_the_quartic_shape_has_no_hint(capsys):
-    # a bad-reduction prime rejects this D4 input (ROADMAP item 1): exit 3 stays
+    # this D4 input is rigid: the e whose counts hit a bad-reduction prime
+    # (ROADMAP item 1) have <e, d - e> < 0 and settle with no sample, so it
+    # exits 0 with the F-polynomial of the center-line formula; the exit-3
+    # path without a hint is guarded on the dual quartic below
     argv = ["dynkin", "--type", "D4", "--coxeter", "1,2,3,4", "--root", "1,2,1,1",
             "--mode", "bruteforce"]
-    assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert "not polynomial in q" in err
-    assert "hint" not in err
+    assert main(argv) == 0
+    out = capsys.readouterr().out.strip()
+    assert out == ("1 + u2 + u1 + 2*u1*u2 + u1*u2*u4 + u1*u2*u3 + u1*u2^2 + u1*u2^2*u4"
+                   " + u1*u2^2*u3 + u1*u2^2*u3*u4")
 
 
 def test_nonpolynomial_exit_on_the_dual_quartic_has_no_hint(tmp_path, capsys):

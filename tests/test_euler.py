@@ -37,6 +37,8 @@ from quivergrass.model import (
     Representation,
     direct_sum,
     dual_representation,
+    euler_form,
+    is_rigid,
     reduce_mod,
     zero_representation,
 )
@@ -564,9 +566,23 @@ def _fiber_schedule(rep, e):
     return need if same and need < bound + 1 + HELD_OUT else None
 
 
+def _palindrome_schedule(rep, e):
+    """Samples the rigidity tests need at e, or None where they do not apply:
+    none when <e, d - e> < 0, else <e, d - e> // 2 + 1 + HELD_OUT when that is
+    below the degree bound + 1 + HELD_OUT; rigidity is decided over Q."""
+    import quivergrass.euler as eu
+    if not is_rigid(rep):
+        return None
+    degree = euler_form(rep.quiver, e, [d - x for d, x in zip(rep.dims, e)])
+    if degree < 0:
+        return 0
+    return degree // 2 + 1 + HELD_OUT if degree // 2 < eu._sampling(rep).degree_bound(e) else None
+
+
 @pytest.mark.parametrize("case", sorted(FIBER_CASES))
 def test_fiber_test_gives_the_per_e_interpolant(case):
-    # every N_k is polynomial here, so the fiber test settles e wherever it can
+    # every N_k is polynomial here and every rigid count a palindrome, so e
+    # settles after the fewest samples any of the three tests needs
     fiber_settled = 0
     for rep, es in FIBER_CASES[case]():
         for e in es:
@@ -575,9 +591,10 @@ def test_fiber_test_gives_the_per_e_interpolant(case):
             assert poly.coefficients == want.coefficients, (rep.dims, e)
             assert poly.degree_bound == want.degree_bound, (rep.dims, e)
             assert all(poly.evaluate(p) == count for p, count in poly.samples), (rep.dims, e)
-            need = _fiber_schedule(rep, e) or len(want.samples)
+            fiber, palindrome = _fiber_schedule(rep, e), _palindrome_schedule(rep, e)
+            need = min(n for n in (fiber, palindrome, len(want.samples)) if n is not None)
             assert poly.samples == want.samples[:need], (rep.dims, e)
-            fiber_settled += need < len(want.samples)
+            fiber_settled += fiber == need and (palindrome is None or fiber < palindrome)
     if case.startswith("kronecker"):
         assert fiber_settled, case
 
@@ -654,3 +671,143 @@ def test_walk_memo_misses_once_per_distinct_walk(monkeypatch):
             assert euler_characteristic(rep, e) == kronecker_chi(kind, e)
     assert any(backward for _, backward, _ in walked)  # some searched backward
     assert subspaces._final_ranks.cache_info().misses == len(walked) == len(set(walked))
+
+
+# Rigid M: Gr_e(M) is empty when <e, d - e> < 0, and otherwise its count is a
+# palindrome of degree <e, d - e>; rigidity is certified by End at one prime.
+
+def test_rigid_empty_e_settles_with_no_samples():
+    # pr(4) has dims (3, 4), and <(2, 1), (1, 3)> = 2 + 3 - 2 * 2 * 3 < 0
+    poly = counting_polynomial(build_kronecker(preprojective(4)), (2, 1))
+    assert (poly.coefficients, poly.samples, poly.chi) == ((), (), 0)
+
+
+def test_rigid_palindrome_settles_inj4_at_four_primes():
+    # <(1, 2), (3, 1)> = 3, so two nodes and two held out, where the per-e
+    # test needs six primes and the fiber test five
+    poly = counting_polynomial(build_kronecker(preinjective(4)), (1, 2))
+    assert poly.coefficients == (1, 2, 2, 1)
+    assert [p for p, _ in poly.samples] == [3, 5, 7, 11]
+    assert poly.degree_bound == 4
+
+
+def test_palindrome_fit():
+    from quivergrass.euler import _palindrome, _palindrome_fit
+    cube = [(p, 1 + 2 * p + 2 * p * p + p ** 3) for p in (3, 5, 7, 11)]
+    assert _palindrome(tuple(cube[:2]), 3) == (1, 2, 2, 1)
+    assert _palindrome_fit(cube, 3) == (1, 2, 2, 1)
+    assert _palindrome(((3, 0), (5, 0)), 2) == ()
+    assert _palindrome(((3, 1),), 0) == (1,)
+    # 1 + 2q is not a palindrome: c_0 (1 + q) = 7 has no integer solution
+    assert _palindrome(((3, 7),), 1) is None
+    # q fits c_0 (1 + q^2) + c_1 q through two nodes only with c_0 = 0
+    assert _palindrome(((3, 3), (5, 5)), 2) is None
+    # a held-out count that disagrees
+    assert _palindrome_fit(cube[:3] + [(11, 0)], 3) is None
+
+
+def test_failed_palindrome_leaves_e_to_the_other_tests(monkeypatch):
+    # pr(1) + reg(2, 0) is not rigid, and Gr_(1, 2) counts 1 + 2q, not a
+    # palindrome of degree <(1, 2), (1, 1)> = 1; told it is rigid, e must
+    # still get 1 + 2q from the per-e test, never a rejection
+    import quivergrass.euler as eu
+    rep = direct_sum(build_kronecker(preprojective(1)), build_kronecker(regular(2, 0)))
+    monkeypatch.setattr(eu._Sampling, "rigid", lambda self: True)
+    eu._sampling.cache_clear()
+    poly = counting_polynomial(rep, (1, 2))
+    assert poly.coefficients == (1, 2)
+    assert len(poly.samples) > 1 + HELD_OUT  # sampled past the palindrome's schedule
+    eu._sampling.cache_clear()
+
+
+def test_end_certificate_is_asked_only_where_rigidity_can_hold(monkeypatch):
+    # <d, d> < 1 on regular Kronecker modules, their sums and the quartic
+    import quivergrass.euler as eu
+    asked = []
+    monkeypatch.setattr(eu._Sampling, "end", lambda self: asked.append(self.rep) or None)
+    reps = [build_kronecker(regular(m, lam)) for m in (1, 2, 3) for lam in (0, INFINITY)]
+    reps += [direct_sum(build_kronecker(regular(1, a)), build_kronecker(regular(1, b)))
+             for a, b in ((1, 4), (2, 7))]
+    reps.append(sample_general_rep(kronecker_quiver(4), (3, 4), 42, 5))
+    for rep in reps:
+        for _ in iter_box_chi(rep):
+            pass
+    assert asked == []
+    counting_polynomial(build_kronecker(preprojective(4)), (2, 1))
+    assert len(asked) == 1
+
+
+def test_end_certificate():
+    import quivergrass.euler as eu
+    # rigid: End = <d, d> = 1 at the first good prime
+    assert eu._Sampling(build_kronecker(preinjective(4))).end() == 1
+    assert eu._Sampling(build_kronecker(preinjective(4))).rigid()
+    # the quartic: End = 1 > <d, d> = -23, so not rigid; reg(2, 0): <d, d> = 0
+    quartic = eu._Sampling(sample_general_rep(kronecker_quiver(4), (3, 4), 42, 5))
+    assert (quartic.end(), quartic.rigid()) == (1, False)
+    assert not eu._Sampling(build_kronecker(regular(2, 0))).rigid()
+    # S1 + S1 on one vertex: End = 4 = <d, d>
+    assert eu._Sampling(Representation(ONE_VERTEX, (2,), ())).rigid()
+    # a cycle has no Euler form, and End of the 2-cycle's (1, 1) is not certified
+    cycle = Representation(Quiver(2, ((0, 1), (1, 0))), (1, 1), (((1,),), ((1,),)))
+    assert (eu._Sampling(cycle).end(), eu._Sampling(cycle).rigid()) == (None, False)
+
+
+def test_end_certificate_is_thread_safe(monkeypatch):
+    import quivergrass.euler as eu
+    calls = []
+    hom = eu.hom_dim
+
+    def counted(a, b):
+        calls.append(a.field)
+        return hom(a, b)
+
+    monkeypatch.setattr(eu, "hom_dim", counted)
+    sampling = eu._Sampling(build_kronecker(preinjective(4)))
+    results: list = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(sampling.end()))
+                   for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [1] * 4
+    assert calls == [3]  # one hom_dim, at the first good prime, for all four
+
+
+@pytest.mark.parametrize("label,rank", [("A", 5), ("D", 4), ("D", 5), ("D", 6), ("E", 6)])
+def test_rigid_sweep_matches_the_oracles(label, rank):
+    # every root under the identity and the reversed word (E6: the roots with
+    # an oracle), judged by the thin formula or the minor route where they apply
+    from oracles import thin_f_polynomial
+    from quivergrass.errors import ScopeError
+    rs = dk.root_system(label, rank)
+    for word in (tuple(range(rank)), tuple(reversed(range(rank)))):
+        quiver = dk.orientation_from_coxeter(rs, word)
+        for alpha in rs.positive_roots:
+            if max(alpha) == 1:
+                want = thin_f_polynomial(quiver, alpha)
+            else:
+                try:
+                    want = dk.f_polynomial_via_minor(rank, word, alpha, label)
+                except ScopeError:
+                    want = None
+            if want is None and label == "E":
+                continue
+            got = f_polynomial(dk.dynkin_indecomposable(quiver, alpha))
+            assert want is None or got == want, (word, alpha)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_rigid_kronecker_sweep_matches_the_closed_forms(m):
+    for kind in (preprojective(m), preinjective(m)):
+        rep = build_kronecker(kind)
+        got = f_polynomial(rep)
+        for e in product(*(range(d + 1) for d in rep.dims)):
+            assert got.terms.get(e, 0) == kronecker_chi(kind, e), (kind, e)
