@@ -140,25 +140,19 @@ def apply_word_inverse(rs: RootSystem, word: Sequence[int],
     return w
 
 
-def _orbit_walk(rs: RootSystem, weight: Sequence[int]):
-    """Yield each weight of the Weyl-group orbit once, closing under simple
-    reflections; a consumer that stops early stops the walk."""
+def weyl_orbit(rs: RootSystem, weight: Sequence[int]) -> frozenset:
+    """Full Weyl-group orbit by closure under simple reflections."""
     start = tuple(weight)
     seen = {start}
     frontier = [start]
     while frontier:
         w = frontier.pop()
-        yield w
         for i in range(rs.rank):
             nxt = simple_reflection(rs, i, w)
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-
-
-def weyl_orbit(rs: RootSystem, weight: Sequence[int]) -> frozenset:
-    """Full Weyl-group orbit by closure under simple reflections."""
-    return frozenset(_orbit_walk(rs, weight))
+    return frozenset(seen)
 
 
 def _check_word(rs: RootSystem, word: Sequence[int]) -> tuple[int, ...]:
@@ -240,17 +234,18 @@ def solve_gamma(rs: RootSystem, word: Sequence[int], alpha: Sequence[int]
     raise NotInAnyFundamentalOrbit(f"gamma {gamma} lies in no fundamental orbit")
 
 
-@lru_cache(maxsize=None)
 def is_minuscule(label: str, rank: int, i: int) -> bool:
     """Whether every weight of W omega_i has coordinates in {-1, 0, 1}.
 
     Then the weights of W omega_i form a basis of V(omega_i) on which each
-    e_j and f_j moves one weight to one other with coefficient 1.  The
-    orbit walk stops at the first weight outside that range.
+    e_j and f_j moves one weight to one other with coefficient 1.  In a
+    simply-laced type that holds exactly when alpha_i has coefficient 1 in
+    the highest root theta, the positive root of largest height: omega_i is
+    minuscule when <omega_i, theta> = 1 (Bourbaki, Lie VIII, 7.3), and the
+    pairing of omega_i with theta is that coefficient.  So no orbit is walked.
     """
     rs = root_system(label, rank)
-    return all(-1 <= x <= 1 for w in _orbit_walk(rs, rs.fundamental_weights[i])
-               for x in w)
+    return max(rs.positive_roots, key=sum)[i] == 1
 
 
 def f_polynomial_via_minor(rank: int, word: Sequence[int], alpha: Sequence[int],

@@ -17,7 +17,15 @@ the same points.
 Three tests settle e from the same samples, whichever finishes first (see
 `_settle`).  The per-e test fits the counts through B_e + 1 nodes and
 checks them at HELD_OUT more primes; every NonPolynomialCount comes from
-it.  The fiber test reads the walk that counted e: the search fixes U at
+it.  It also checks each new sample against every earlier one, from the
+second prime on: P in Z[q] gives (p - q) | P(p) - P(q), so two counts that
+break this prove at once that e is not polynomial (on the plane quartic,
+counts of different parity at two odd primes).  That moves rejections
+earlier and changes no verdict.  A fit that any of the three tests accepts
+is an integer polynomial through every sample, so it passes every pair;
+and when a pair fails, the interpolant through the nodes is not integral
+or misses a held-out sample, so the per-e test would reject at
+B_e + 1 + HELD_OUT samples anyway.  The fiber test reads the walk that counted e: the search fixes U at
 the searched vertices and records N_k(p), how many of those choices force
 a span of rank k into the final vertex f, whose U_f then ranges over the
 binom_q(d_f - k, x - k) subspaces containing it (x = e_f in the walked
@@ -194,18 +202,32 @@ def _fit(samples: Sequence[tuple[int, int]], degree_bound: int
     """The one validator: the interpolant through the first degree_bound + 1
     samples, checked against each later one.
 
+    Each sample is first checked against every earlier one: P in Z[q] gives
+    (p - q) | P(p) - P(q), so a pair that breaks this proves the counts are
+    not polynomial in q from two samples, before there are degree_bound + 1
+    of them.  It changes no verdict, only how soon it comes: an integer
+    polynomial through every sample, which is what a fit is, passes every
+    pair.  Each sample is judged in order, so the reason names the first
+    one that refutes the counts, by a pair, the interpolant or a held-out
+    value.
+
     Returns (coefficients, None) when the samples fit, (None, reason) when
     they already prove the counts are not polynomial in q, and (None, None)
-    while there are fewer than degree_bound + 1 of them.
+    while there are fewer than degree_bound + 1 of them and no pair fails.
     """
-    if len(samples) <= degree_bound:
-        return None, None
-    ints = _interpolant(tuple(samples[:degree_bound + 1]))
-    if ints is None:
-        return None, "the interpolant has non-integer coefficients"
-    poly = CountingPolynomial(ints, None, ())
-    for p, count in samples[degree_bound + 1:]:
-        if poly.evaluate(p) != count:
+    ints = poly = None
+    for j, (p, count) in enumerate(samples):
+        for q, earlier in samples[:j]:
+            if (count - earlier) % (p - q):
+                (q, a), (r, b) = sorted([(q, earlier), (p, count)])
+                return None, (f"the counts {a} at {q} and {b} at {r} differ by {b - a}, "
+                              f"which {r} - {q} does not divide")
+        if j == degree_bound:
+            ints = _interpolant(tuple(samples[:j + 1]))
+            if ints is None:
+                return None, "the interpolant has non-integer coefficients"
+            poly = CountingPolynomial(ints, None, ())
+        elif poly is not None and poly.evaluate(p) != count:
             return None, (f"held-out prime {p} gives {count}, "
                           f"the interpolant predicts {poly.evaluate(p)}")
     return ints, None
@@ -218,10 +240,12 @@ def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
     """Fit the first degree_bound+1 samples exactly, then validate the rest.
 
     Raises NonPolynomialCount, naming the dimension vector and the sampled
-    primes, when the interpolant has a non-integer coefficient or a
-    held-out count disagrees; samples that already prove that need no more
-    beyond them.  Otherwise requires at least two held-out samples beyond
-    the interpolation nodes (InsufficientSamples).
+    primes, when two samples break (p - q) | P(p) - P(q), which every P in
+    Z[q] satisfies, when the interpolant has a non-integer coefficient, or
+    when a held-out count disagrees; samples that already prove that need
+    no more beyond them, so two can be enough (`_fit`).  Otherwise requires
+    at least two held-out samples beyond the interpolation nodes
+    (InsufficientSamples).
     """
     samples = [(int(p), int(c)) for p, c in samples]
     if degree_bound < 0:

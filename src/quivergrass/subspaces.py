@@ -30,6 +30,18 @@ vertex.  Stepping an entry by one, or wrapping it from p-1 to 0 (also +1 mod
 p), adds one matrix column; forced spans, the final rank and the arrow
 checks read these images instead of a matrix-vector product per row.
 
+Determined vertices: a vertex leaves no choice when e_v = d_v, where U_v is
+F_p^{d_v} and its images are the matrix columns, or when the forced span
+already has dimension e_v, where U_v is that span and its images come from
+its RREF rows by one matrix-vector product each.  The walk takes such a
+vertex directly, with no enumeration, and a run of them is a loop, not
+nested generators; the arrow checks still run on the one candidate.  On
+the Dynkin roots nearly every vertex is determined, many of them with
+e_v = 0, so a walk there pays for its real choices only.  The budget is
+charged as if the vertex were enumerated: one candidate, or two at the
+last searched position of a shortcut walk, where the second comes from
+the final vertex instead of from a block of one.
+
 Blocks: setting the innermost free entry (r, c_t) to t moves only row r,
 whose image under arrow k becomes a_k + t*b_k with b_k column c_t.  When the
 next free entry (r, c_u) lies in the same row, setting it to u adds u*c_k,
@@ -312,8 +324,8 @@ def _columns(rep: Representation, route: _Route, backward: bool) -> list:
     mats = rep.matrices
     if backward:
         return [tuple(mats[a] for a in arrows) for arrows in route.out]
-    return [tuple(tuple(tuple(row[c] for row in mats[a]) for c in range(rep.dims[v]))
-                  for a in arrows)
+    # a matrix with no rows has d_v empty columns
+    return [tuple(tuple(zip(*mats[a])) or ((),) * rep.dims[v] for a in arrows)
             for v, arrows in zip(route.order, route.out)]
 
 
@@ -364,29 +376,55 @@ def _walk(rep: Representation, e: tuple[int, ...], budget: _Budget,
             yield from linalg.pencil_rank_histogram(a, b, p, *c).items()
 
     def rec(pos: int) -> Iterator:
-        # images of the chosen earlier vertices under the arrows into order[pos]
-        images = [w for src_pos, k in forced_in[pos] for w in chosen[src_pos][2][k]]
-        if shortcut and pos == last:
-            budget.tick()
-            yield linalg.rank_mod(images, p), 1
-            return
-        v = order[pos]
-        srows, spivots = linalg.rref_mod(images, p)
-        if len(srows) > e[v]:
-            return
-        if shortcut and pos == last - 1 and not checks[pos]:
-            yield from blocks(pos, srows, spivots)
-            return
-        for cand in _iter_superspaces(p, dims[v], e[v], srows, spivots, cols[pos]):
+        # determined positions, one candidate each, run as a loop; a position
+        # with a real choice enumerates it and recurses
+        base = pos
+        while True:
+            # images of the chosen earlier vertices under the arrows into order[pos]
+            images = [w for src_pos, k in forced_in[pos] for w in chosen[src_pos][2][k]]
+            if shortcut and pos == last:
+                budget.tick()
+                yield linalg.rank_mod(images, p), 1
+                break
+            v = order[pos]
+            if e[v] == dims[v]:  # U_v is all of F_p^{d_v}: its images are the columns
+                m = dims[v]
+                cand = (tuple(tuple(int(i == j) for j in range(m)) for i in range(m)),
+                        tuple(range(m)), cols[pos])
+            else:
+                srows, spivots = linalg.rref_mod(images, p)
+                if len(srows) > e[v]:
+                    break
+                if len(srows) < e[v]:
+                    if shortcut and pos == last - 1 and not checks[pos]:
+                        yield from blocks(pos, srows, spivots)
+                        break
+                    for cand in _iter_superspaces(p, dims[v], e[v], srows, spivots, cols[pos]):
+                        budget.tick()
+                        if not candidate_ok(pos, cand):
+                            continue
+                        chosen.append(cand)
+                        if pos == last:
+                            yield chosen
+                        else:
+                            yield from rec(pos + 1)
+                        chosen.pop()
+                    break
+                # U_v is the forced span
+                cand = (srows, spivots, tuple(
+                    tuple(linalg.matvec_mod(zip(*col), row, p) for row in srows)
+                    for col in cols[pos]))
+            # the one candidate; at the block position its second tick comes
+            # from the final position, as the block charges it
             budget.tick()
             if not candidate_ok(pos, cand):
-                continue
+                break
             chosen.append(cand)
             if pos == last:
                 yield chosen
-            else:
-                yield from rec(pos + 1)
-            chosen.pop()
+                break
+            pos += 1
+        del chosen[base:]
 
     return rec(0)
 

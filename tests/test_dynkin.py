@@ -214,10 +214,23 @@ def bipartite_word(rs):
     return tuple(sorted(range(rs.rank), key=lambda v: (colour[v], v)))
 
 
-def minuscule_by_highest_root(rs, i):
-    """omega_i is minuscule exactly when alpha_i has coefficient 1 in the
-    highest root; an independent check of the orbit test."""
-    return max(rs.positive_roots, key=sum)[i] == 1
+def minuscule_by_orbit(rs, i):
+    """The definition: every weight of W omega_i has coordinates in
+    {-1, 0, 1}; an independent check of the highest-root test.  The orbit
+    is walked by simple reflections and the walk stops at the first weight
+    outside that range (the E8 orbits run to hundreds of thousands)."""
+    start = rs.fundamental_weights[i]
+    seen, frontier = {start}, [start]
+    while frontier:
+        w = frontier.pop()
+        if any(abs(x) > 1 for x in w):
+            return False
+        for j in range(rs.rank):
+            nxt = simple_reflection(rs, j, w)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return True
 
 
 @pytest.mark.parametrize("label,rank,expected", [
@@ -229,7 +242,7 @@ def test_minuscule_fundamental_weights(label, rank, expected):
     rs = root_system(label, rank)
     found = tuple(i for i in range(rank) if is_minuscule(label, rank, i))
     assert found == expected
-    assert found == tuple(i for i in range(rank) if minuscule_by_highest_root(rs, i))
+    assert found == tuple(i for i in range(rank) if minuscule_by_orbit(rs, i))
 
 
 # D4 24, D5 40, E6 72 (root, word) pairs: 66 minuscule, 70 not
@@ -240,7 +253,7 @@ def test_walk_in_types_d_and_e(label, rank):
         quiver = orientation_from_coxeter(rs, word)
         for alpha in rs.positive_roots:
             _, i = solve_gamma(rs, word, alpha)
-            if not minuscule_by_highest_root(rs, i):
+            if not minuscule_by_orbit(rs, i):
                 with pytest.raises(ScopeError, match="not minuscule"):
                     f_polynomial_via_minor(rank, word, alpha, label)
                 continue

@@ -4,6 +4,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import islice, product
+from math import prod
 
 import pytest
 
@@ -87,6 +88,49 @@ def test_interpolate_rejects_nonintegral_coefficients():
         interpolate_counting_polynomial([(3, 1), (5, 2), (7, 3), (11, 5)], 1)
 
 
+def _pair_reason(first, second):
+    """The reason `_fit` gives when two samples break (p - q) | P(p) - P(q)."""
+    (q, a), (p, b) = sorted([first, second])
+    return f"the counts {a} at {q} and {b} at {p} differ by {b - a}, which {p} - {q} does not divide"
+
+
+def test_integer_polynomials_pass_every_pair():
+    # P in Z[q] gives (p - q) | P(p) - P(q) for all integers p != q, so a
+    # reason from `_fit` on exact values of an integer polynomial never
+    # names a pair, whatever the bound, order or number of samples
+    import quivergrass.euler as eu
+    rng = random.Random("pairs")
+    primes = good_primes(Representation(ONE_VERTEX, (0,), ()), 20)
+    for degree in range(9):
+        for _ in range(30):
+            coeffs = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(degree + 1)]
+            nodes = rng.sample(primes, rng.randint(2, len(primes)))
+            samples = [(p, sum(c * p ** k for k, c in enumerate(coeffs))) for p in nodes]
+            for bound in range(degree + 3):
+                for n in range(1, len(samples) + 1):
+                    ints, reason = eu._fit(samples[:n], bound)
+                    assert reason is None or not reason.startswith("the counts"), (samples, bound)
+                    if bound >= degree and n > bound:
+                        assert reason is None, (samples[:n], bound)
+                        assert ints == tuple(coeffs[:len(ints)]) and not any(coeffs[len(ints):])
+
+
+def test_pair_check_rejects_before_the_nodes():
+    import quivergrass.euler as eu
+    # 7 and 6 differ in parity, and the difference of two odd primes is even
+    assert eu._fit([(3, 7), (5, 6)], 4) == (None, _pair_reason((3, 7), (5, 6)))
+    assert _pair_reason((3, 7), (5, 6)) == "the counts 7 at 3 and 6 at 5 differ by -1, which 5 - 3 does not divide"
+    assert eu._fit([(3, 7)], 0) == ((7,), None)
+    assert eu._fit([(3, 1), (5, 3)], 3) == (None, None)  # too few to fit, no pair fails
+    with pytest.raises(NonPolynomialCount, match=r"primes 3, 5: the counts 7 at 3 and 6 at 5"):
+        interpolate_counting_polynomial([(3, 7), (5, 6)], 4)
+    # the first sample refuted names the reason: (q - 3)(q - 5) / 2 through
+    # the nodes passes their pairs, and 11 breaks the pair with 3 only later
+    samples = [(3, 0), (5, 0), (7, 4), (11, 1)]
+    assert eu._fit(samples, 2) == (None, "the interpolant has non-integer coefficients")
+    assert eu._fit(samples, 3) == (None, _pair_reason((3, 0), (11, 1)))
+
+
 def test_integer_interpolation_matches_the_fraction_reference():
     import quivergrass.euler as eu
     rng = random.Random("integer-lagrange")
@@ -108,24 +152,39 @@ def test_integer_interpolation_matches_the_fraction_reference():
                       f"{', '.join(map(str, nodes))}: ")
             if any(c.denominator != 1 for c in want):
                 assert got is None, samples
-                message = prefix + ("the interpolant has non-integer coefficients, "
-                                    "so they are not polynomial in q")
+                # the first sample among the nodes that an earlier one refutes
+                # names the pair; otherwise the interpolant is refused
+                pair = next(((earlier, later) for j, later in enumerate(samples[:degree + 1])
+                             for earlier in samples[:j]
+                             if (later[1] - earlier[1]) % (later[0] - earlier[0])), None)
+                reason = ("the interpolant has non-integer coefficients" if pair is None
+                          else _pair_reason(*pair))
                 with pytest.raises(NonPolynomialCount) as err:
                     interpolate_counting_polynomial(samples, degree, dim_vector=e)
-                assert str(err.value) == message
+                assert str(err.value) == prefix + reason + ", so they are not polynomial in q"
                 continue
             integral += 1
             assert got == [int(c) for c in want], samples
-            # held out: the reference's values fit, one more than that does not
+            # held out: the reference's values fit
             samples[degree + 1:] = [(p, sum(int(c) * p ** k for k, c in enumerate(want)))
                                     for p in nodes[degree + 1:]]
             while got and got[-1] == 0:
                 got.pop()
             fitted = interpolate_counting_polynomial(samples, degree, dim_vector=e)
             assert fitted.coefficients == tuple(got)
+            # one more than that breaks the pair with the first sample
             held, count = samples[-1]
             samples[-1] = (held, count + 1)
-            message = prefix + (f"held-out prime {held} gives {count + 1}, the "
+            message = prefix + _pair_reason(samples[0], samples[-1]) + (
+                ", so they are not polynomial in q")
+            with pytest.raises(NonPolynomialCount) as err:
+                interpolate_counting_polynomial(samples, degree, dim_vector=e)
+            assert str(err.value) == message
+            # a multiple of every difference to an earlier prime passes each
+            # pair, and only the interpolant refuses it
+            step = prod(held - p for p in nodes[:-1])
+            samples[-1] = (held, count + step)
+            message = prefix + (f"held-out prime {held} gives {count + step}, the "
                                 f"interpolant predicts {count}, so they are not "
                                 "polynomial in q")
             with pytest.raises(NonPolynomialCount) as err:
@@ -490,18 +549,21 @@ def test_quartic_is_rejected_at_its_interpolation_nodes(monkeypatch):
         return count_many(rep_p, es, *args)
 
     monkeypatch.setattr(eu, "_count_many", recorded)
-    message = (f"point counts at dimension vector (1, 3) sampled at primes "
-               f"{', '.join(map(str, nodes))}: the interpolant has non-integer "
-               "coefficients, so they are not polynomial in q")
+    # no later than the nodes: the counts 7 at 3 and 6 at 5 differ by an odd
+    # number, which no integer polynomial allows, so the second prime rejects
+    assert nodes == [3, 5, 7, 11, 13]
+    message = ("point counts at dimension vector (1, 3) sampled at primes 3, 5: the "
+               "counts 7 at 3 and 6 at 5 differ by -1, which 5 - 3 does not divide, "
+               "so they are not polynomial in q")
     with pytest.raises(NonPolynomialCount) as err:
         euler_characteristic(rep, (1, 3))
     assert str(err.value) == message
-    assert counted == [(p, [(1, 3)]) for p in nodes]
+    assert counted == [(p, [(1, 3)]) for p in nodes[:2]]
     # in the box, (1, 3) leaves the sampled set at the same prime
     counted.clear()
     refused = {e: str(exc) for e, _, exc in iter_box_chi(rep) if exc is not None}
     assert refused[1, 3] == message
-    assert max(p for p, es in counted if (1, 3) in es) == nodes[-1]
+    assert max(p for p, es in counted if (1, 3) in es) == 5
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -623,7 +685,7 @@ def test_quartic_fibers_settle_what_their_ranks_allow():
     assert results[1, 4].chi == 3
     assert len(results[1, 4].samples) == bounds[1, 4] + 1 + HELD_OUT
     assert isinstance(results[1, 3], NonPolynomialCount)
-    assert "sampled at primes 3, 5, 7, 11, 13:" in str(results[1, 3])
+    assert "sampled at primes 3, 5: the counts 7 at 3 and 6 at 5" in str(results[1, 3])
     for x in range(3):
         assert results[1, x].coefficients == () == _per_e_fit(rep, (1, x)).coefficients
     # (1, 2) has degree bound 4 but fiber bound 2, so the fiber test saves two primes

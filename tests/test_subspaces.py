@@ -1,12 +1,14 @@
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from quivergrass import linalg, subspaces
+from quivergrass.dynkin import dynkin_indecomposable, orientation_from_coxeter, root_system
 from quivergrass.errors import (
     DegenerateBase,
     DomainMismatch,
@@ -47,7 +49,13 @@ from quivergrass.subspaces import (
     iter_subrep_tuples,
 )
 
-from oracles import fraction_rank, naive_count_subreps, naive_subspaces, span_set
+from oracles import (
+    apply_matrix,
+    fraction_rank,
+    naive_count_subreps,
+    naive_subspaces,
+    span_set,
+)
 
 ONE_VERTEX = Quiver(1, ())
 
@@ -451,6 +459,73 @@ def test_pencil_rank_histogram_matches_rank_mod():
     # t^2 + t + u vanishes on all of F_2 at u = 0 and nowhere at u = 1
     plane = [[0, 1], [0, 1]], [[1, 0], [0, 1]], 2, [[0, 0], [1, 0]]
     assert linalg.pencil_rank_histogram(*plane) == {1: 2, 2: 2}
+
+    # three to six moving rows take the elimination on value vectors: the
+    # rows -C + t*I, C the companion matrix of a monic f of degree s, have
+    # determinant f(t), scrambled by an invertible G on the left and maybe
+    # widened by random columns, beside random constant rows
+    def companion(f, p):  # f ascending, monic, of degree len(f) - 1
+        s = len(f) - 1
+        return [[(1 if j == i - 1 else 0) if j < s - 1 else -f[i] % p for j in range(s)]
+                for i in range(s)]
+
+    def times(f, g, p):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                out[i + j] = (out[i + j] + x * y) % p
+        return out
+
+    def invertible(s, p):
+        while True:
+            g = matrix(s, s, p)
+            if linalg.rank_mod(g, p) == s:
+                return g
+
+    def no_root(s, p):  # a monic f of degree s with no root in F_p
+        while True:
+            f = [rng.randrange(p) for _ in range(s)] + [1]
+            if all(sum(c * t ** k for k, c in enumerate(f)) % p for t in range(p)):
+                return f
+
+    for p in (3, 5, 13, 31):
+        square = {x * x % p for x in range(p)}
+        n = next(x for x in range(2, p) if x not in square)  # t^2 - n has no root
+        r, u = rng.randrange(p), rng.randrange(p)
+        polys = [
+            times(times([-r % p, 1], [-r % p, 1], p), [-u % p, 1], p),  # a double root
+            times([-r % p, 1], times([-r % p, 1], [-r % p, 1], p), p),  # a triple root
+            times([-n % p, 0, 1], [-n % p, 0, 1], p),  # no root, repeated factor
+            times([-n % p, 0, 1], times([-r % p, 1], [-r % p, 1], p), p),
+            times([-n % p, 0, 1], [-r % p, 1], p),
+            times(times([-r % p, 1], [-r % p, 1], p), times([-u % p, 1], [-n % p, 0, 1], p), p),
+        ]
+        polys += [no_root(s, p) for s in (3, 4, 5, 6) for _ in range(2)]
+        polys += [[rng.randrange(p) for _ in range(s)] + [1] for s in (3, 4, 5, 6) for _ in range(4)]
+        for f in polys:
+            s = len(f) - 1
+            assert 3 <= s <= 6
+            for extra, k0 in ((0, 0), (rng.randint(1, 3), 0), (rng.randint(0, 2), rng.randint(1, 3))):
+                width = s + extra
+                a = [[-x % p for x in row] + [0] * extra for row in companion(f, p)]
+                b = [[int(i == j) for j in range(s)] + [0] * extra for i in range(s)]
+                if extra:
+                    for row in a + b:
+                        row[s:] = [rng.randrange(p) for _ in range(extra)]
+                g = invertible(s, p)
+                a, b = ([[sum(g[i][k] * m[k][j] for k in range(s)) % p for j in range(width)]
+                         for i in range(s)] for m in (a, b))
+                const = matrix(k0, width, p)
+                pa, pb = const + a, [[0] * width] * k0 + b
+                order = rng.sample(range(len(pa)), len(pa))
+                pa, pb = [pa[i] for i in order], [pb[i] for i in order]
+                hist = linalg.pencil_rank_histogram(pa, pb, p)
+                assert sum(hist.values()) == p
+                assert hist == direct(pa, pb, p), (pa, pb, p)
+                if not extra and not k0:
+                    roots = [t for t in range(p) if not sum(c * t ** k for k, c in enumerate(f)) % p]
+                    assert hist.get(s, 0) == p - len(roots), (f, p)
+
     # square roots against every element; 17, 41 and 97 are 1 mod 8, where
     # the Tonelli-Shanks loop runs
     for p in (3, 5, 13, 17, 41, 97):
@@ -766,3 +841,161 @@ def test_count_walks_and_builds_columns_only_on_a_miss(budgets, monkeypatch):
                     assert not miss, (kind, e)
         if kind == preinjective(3):
             assert True in directions  # some e search backward
+
+
+# Determined vertices: U_v is the forced span when it has dimension e_v, and
+# all of F_p^{d_v} when e_v = d_v.  The walk takes them without enumerating.
+
+def _streamed_ranks(rep, key):
+    """The forced-rank histogram a shortcut walk of rep at key must give, from
+    the streamed points with the whole final space: each is one choice at the
+    searched vertices, and the rank of the span it forces into the final
+    vertex is read from the size of that span (`span_set`)."""
+    final, p = _routing(rep.quiver).order[-1], rep.field
+    d = rep.dims[final]
+    hist: Counter = Counter()
+    for point in iter_subrep_tuples(rep, key[:final] + (d,) + key[final + 1:]):
+        images = [apply_matrix(mat, v, p) for (s, t), mat in zip(rep.quiver.arrows, rep.matrices)
+                  if t == final for v in point.bases[s]]
+        size, rank = len(span_set(images, p, d)), 0
+        while p ** rank < size:
+            rank += 1
+        hist[rank] += 1
+    return dict(hist)
+
+
+def _bipartite_word(rs):
+    """One colour class of the diagram, then the other."""
+    colour = {0: 0}
+    for _ in range(rs.rank):
+        for a, b in rs.edges():
+            for x, y in ((a, b), (b, a)):
+                if x in colour:
+                    colour.setdefault(y, 1 - colour[x])
+    return tuple(sorted(range(rs.rank), key=lambda v: (colour[v], v)))
+
+
+def _dynkin_root_reps(label, rank, p):
+    """(word, alpha, M mod p) for every positive root under the identity and
+    the bipartite word."""
+    rs = root_system(label, rank)
+    for word in (tuple(range(rank)), _bipartite_word(rs)):
+        quiver = orientation_from_coxeter(rs, word)
+        for alpha in rs.positive_roots:
+            yield word, alpha, reduce_mod(dynkin_indecomposable(quiver, alpha), p)
+
+
+def _check_determined_walks(rep, es):
+    """Counts equal the streamed points, and each walk's histogram, in either
+    direction, the streamed one (backward: of the explicit dual)."""
+    for e in es:
+        assert count_subreps(rep, e).count == sum(1 for _ in iter_subrep_tuples(rep, e)), e
+    dual_es = [tuple(d - x for d, x in zip(rep.dims, e)) for e in es]
+    for backward, target, route, walked in ((False, rep, _routing(rep.quiver), es),
+                                            (True, dual_representation(rep),
+                                             _dual_routing(rep.quiver), dual_es)):
+        for key in route.fibers(walked):
+            assert dict(_final_ranks(rep, backward, key, 10 ** 6)) == _streamed_ranks(target, key), (
+                backward, key)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 5), ("D", 4)])
+def test_determined_walks_match_streamed_points_on_dynkin_roots(label, rank):
+    # thin roots determine almost every vertex: e_v = d_v, or e_v = 0 with a
+    # zero forced span, or a forced line at e_v = 1; D4 (1, 2, 1, 1) has a
+    # real choice at its center
+    center = 0
+    for word, alpha, rep in _dynkin_root_reps(label, rank, 5):
+        box = list(product(*(range(d + 1) for d in rep.dims)))
+        _check_determined_walks(rep, box)
+        if alpha == (1, 2, 1, 1):
+            center += 1
+            for e in box:  # the set-level oracle, independent of the echelon code
+                assert count_subreps(rep, e).count == naive_count_subreps(
+                    rep.quiver.arrows, rep.dims, rep.matrices, e, 5), (word, e)
+    assert center == (2 if label == "D" else 0)
+
+
+def test_determined_walks_match_streamed_points_on_kronecker_box_edges():
+    # e_0 in {0, d_0}: the source vertex is determined, and with it the span
+    # forced into the other one
+    for kind in _kronecker_modules(3):
+        for p in (3, 5):
+            rep = reduce_mod(build_kronecker(kind), p)
+            box = product(*(range(d + 1) for d in rep.dims))
+            _check_determined_walks(rep, [e for e in box if e[0] in (0, rep.dims[0])])
+
+
+def test_determined_candidates_are_checked_on_a_cycle():
+    # the 2-cycle of the CI fpoly smoke: no shortcut, so every position is
+    # enumerated or determined, and the arrow back into vertex 0 is checked
+    # on each candidate, determined ones included
+    quiver = Quiver(2, ((0, 1), (1, 0)))
+    mats = (((1, 0), (0, 1)), ((1, 1), (0, 1)))
+    for p in (3, 5):
+        rep = Representation(quiver, (2, 2), mats, field=p)
+        assert not _routing(quiver).shortcut
+        for e in product(range(3), repeat=2):
+            want = naive_count_subreps(quiver.arrows, rep.dims, mats, e, p)
+            assert count_subreps(rep, e).count == sum(1 for _ in iter_subrep_tuples(rep, e)) == want
+            assert want == (e in ((0, 0), (1, 1), (2, 2))), e
+        # U_0 = 0 forces nothing into vertex 1, where U_1 = F_p^2 is
+        # determined; only the check on the arrow back refuses it
+        assert count_subreps(rep, (0, 2)).count == 0
+        assert [pt.bases for pt in iter_subrep_tuples(rep, (2, 2))] == [
+            (((1, 0), (0, 1)), ((1, 0), (0, 1)))]
+
+
+# Candidates charged, one budget per walk, measured before determined
+# vertices were taken without enumerating them: each still costs one tick,
+# or two at the last searched position of a shortcut walk.
+DETERMINED_BUDGETS = {
+    ("A", 5, (1, 1, 1, 1, 1)): (
+        [5, 1, 2, 2, 3, 1, 3, 3, 5, 1, 2, 2, 5, 1, 5, 5],
+        {(0, 0, 0, 0, 0): 5, (0, 0, 0, 0, 1): 1, (0, 0, 0, 1, 0): 2, (0, 0, 0, 1, 1): 2,
+         (0, 0, 1, 0, 0): 3, (0, 0, 1, 0, 1): 1, (0, 0, 1, 1, 0): 3, (0, 0, 1, 1, 1): 3,
+         (0, 1, 0, 0, 0): 5, (0, 1, 0, 0, 1): 1, (0, 1, 0, 1, 0): 2, (0, 1, 0, 1, 1): 2,
+         (0, 1, 1, 0, 0): 5, (0, 1, 1, 0, 1): 1, (0, 1, 1, 1, 0): 5, (0, 1, 1, 1, 1): 5,
+         (1, 0, 0, 0, 0): 5, (1, 0, 0, 0, 1): 1, (1, 0, 0, 1, 0): 2, (1, 0, 0, 1, 1): 2,
+         (1, 0, 1, 0, 0): 3, (1, 0, 1, 0, 1): 1, (1, 0, 1, 1, 0): 3, (1, 0, 1, 1, 1): 3,
+         (1, 1, 0, 0, 0): 5, (1, 1, 0, 0, 1): 1, (1, 1, 0, 1, 0): 2, (1, 1, 0, 1, 1): 2,
+         (1, 1, 1, 0, 0): 5, (1, 1, 1, 0, 1): 1, (1, 1, 1, 1, 0): 5, (1, 1, 1, 1, 1): 5}),
+    ("D", 4, (1, 2, 1, 1)): (
+        [4, 2, 2, 2, 14, 4, 4, 2, 4, 4, 4, 4],
+        {(0, 0, 0, 0): 4, (0, 0, 0, 1): 2, (0, 0, 1, 0): 2, (0, 0, 1, 1): 2,
+         (0, 1, 0, 0): 14, (0, 1, 0, 1): 4, (0, 1, 1, 0): 4, (0, 1, 1, 1): 2,
+         (0, 2, 0, 0): 4, (0, 2, 0, 1): 4, (0, 2, 1, 0): 4, (0, 2, 1, 1): 4,
+         (1, 0, 0, 0): 4, (1, 0, 0, 1): 2, (1, 0, 1, 0): 2, (1, 0, 1, 1): 2,
+         (1, 1, 0, 0): 14, (1, 1, 0, 1): 4, (1, 1, 1, 0): 4, (1, 1, 1, 1): 2,
+         (1, 2, 0, 0): 4, (1, 2, 0, 1): 4, (1, 2, 1, 0): 4, (1, 2, 1, 1): 4}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DETERMINED_BUDGETS))
+def test_determined_walks_charge_what_the_enumeration_charged(budgets, case):
+    label, rank, alpha = case
+    box_used, used = DETERMINED_BUDGETS[case]
+    rs = root_system(label, rank)
+    rep = reduce_mod(dynkin_indecomposable(orientation_from_coxeter(rs, tuple(range(rank))),
+                                           alpha), 5)
+    box = list(product(*(range(d + 1) for d in rep.dims)))
+    counts = _count_many(rep, box)
+    assert [b.used for b in budgets] == box_used
+    mid_walk = 0
+    for e in box:
+        _final_ranks.cache_clear()
+        assert count_subreps(rep, e).count == counts[e]
+        assert budgets[-1].used == used[e], e
+        # the cap boundary: one candidate fewer is refused, mid-walk unless
+        # the walk's estimate already exceeds it
+        _final_ranks.cache_clear()
+        with pytest.raises(SearchTooLarge) as err:
+            count_subreps(rep, e, cap=used[e] - 1)
+        assert err.value.visited in (used[e], None), e
+        if err.value.visited is None:
+            continue
+        mid_walk += 1
+        assert budgets[-1].used == used[e]
+        _final_ranks.cache_clear()
+        assert count_subreps(rep, e, cap=used[e]).count == counts[e]
+    assert mid_walk >= len(box) // 2
