@@ -238,11 +238,14 @@ def is_minuscule(label: str, rank: int, i: int) -> bool:
     """Whether every weight of W omega_i has coordinates in {-1, 0, 1}.
 
     Then the weights of W omega_i form a basis of V(omega_i) on which each
-    e_j and f_j moves one weight to one other with coefficient 1.  In a
-    simply-laced type that holds exactly when alpha_i has coefficient 1 in
-    the highest root theta, the positive root of largest height: omega_i is
-    minuscule when <omega_i, theta> = 1 (Bourbaki, Lie VIII, 7.3), and the
-    pairing of omega_i with theta is that coefficient.  So no orbit is walked.
+    e_j and f_j moves one weight to one other with coefficient 1.  No orbit
+    is walked: coordinate j of w omega_i is <omega_i, w^{-1} alpha_j>, and
+    the w^{-1} alpha_j are all the roots, so (simply laced) the coordinates
+    are the coefficients of alpha_i in the roots, up to sign.  The highest
+    root theta, the positive root of largest height, has the largest such
+    coefficient, because theta - beta is a sum of simple roots for every
+    positive root beta, and it is at least 1.  So omega_i is minuscule
+    exactly when alpha_i has coefficient 1 in theta.
     """
     rs = root_system(label, rank)
     return max(rs.positive_roots, key=sum)[i] == 1

@@ -25,17 +25,18 @@ earlier and changes no verdict.  A fit that any of the three tests accepts
 is an integer polynomial through every sample, so it passes every pair;
 and when a pair fails, the interpolant through the nodes is not integral
 or misses a held-out sample, so the per-e test would reject at
-B_e + 1 + HELD_OUT samples anyway.  The fiber test reads the walk that counted e: the search fixes U at
-the searched vertices and records N_k(p), how many of those choices force
-a span of rank k into the final vertex f, whose U_f then ranges over the
-binom_q(d_f - k, x - k) subspaces containing it (x = e_f in the walked
-direction).  So the count is sum_k N_k(p) binom_p(d_f - k, x - k), and
-only k <= x contribute.  If the same fiber was walked at every prime so
-far and every N_k with k <= x passes `_fit` with the fiber bound B_F (the
-degree bound summed over the searched vertices only, in the walked
-direction), held-out primes included, then P_e = sum_{k <= x} N_k(q)
-binom_q(d_f - k, x - k).  Its coefficients come from its values at
-B_e + 1 integers, and it must reproduce every sample.  Soundness:
+B_e + 1 + HELD_OUT samples anyway.  The fiber test reads the walk that
+counted e: the search fixes U at the searched vertices and records N_k(p),
+how many of those choices force a span of rank k into the final vertex f,
+whose U_f then ranges over the binom_q(d_f - k, x - k) subspaces
+containing it (x = e_f in the walked direction).  So the count is sum_k
+N_k(p) binom_p(d_f - k, x - k), and only k <= x contribute.  If the same
+fiber was walked at every prime so far and every N_k with k <= x passes
+`_fit` with the fiber bound B_F (the degree bound summed over the searched
+vertices only, in the walked direction), held-out primes included, then
+P_e = sum_{k <= x} N_k(q) binom_q(d_f - k, x - k).  Its coefficients come
+from its values at B_e + 1 integers, and it must reproduce every sample.
+Soundness:
 - N_k >= 0 and sum_k N_k(p) <= prod_searched binom_p(d_v - s_v, e_v - s_v)
   at a good prime, so a polynomial N_k has degree <= B_F, and the
   held-out argument of the per-e test applies to each N_k.
@@ -48,7 +49,8 @@ Both tests are needed.  On the plane quartic (`example4`, Kronecker m = 4
 at (3, 4)) the forward walk at e_1 = 1 has N_3 and N_4 not polynomial in q
 (rank 3 on the quartic, 4 off it), but N_3 + N_4 is: (1, 4) falls back to
 the per-e test, (1, 0)..(1, 2) see only N_0 = N_1 = N_2 = 0, and (1, 3) is
-rejected by the per-e test at its B_e + 1 nodes.
+rejected by the per-e test, no later than its B_e + 1 nodes (at seed 42 by
+the pair of its counts at 3 and 5).
 
 The rigidity test applies when M is rigid, Ext^1(M, M) = 0.  For U in
 Gr_e(M) over the algebraic closure, Ext^1(U, M/U) is a quotient of

@@ -187,3 +187,17 @@ def type_a_minor(rank, gamma, matrix):
     assert all(x - low in (0, 1) for x in eps), f"{gamma} is not extreme"
     subset = [k for k, x in enumerate(eps) if x > low]
     return poly_det([[matrix[r][c] for c in subset] for r in subset])
+
+
+def bipartite_word(rs):
+    """One colour class of the diagram, then the other."""
+    colour = {0: 0}
+    frontier = [0]
+    while frontier:
+        v = frontier.pop()
+        for a, b in rs.edges():
+            for x, y in ((a, b), (b, a)):
+                if x == v and y not in colour:
+                    colour[y] = 1 - colour[v]
+                    frontier.append(y)
+    return tuple(sorted(range(rs.rank), key=lambda v: (colour[v], v)))

@@ -3,7 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
-from oracles import minor_argument_matrix, thin_f_polynomial, type_a_minor
+from oracles import bipartite_word, minor_argument_matrix, thin_f_polynomial, type_a_minor
 from quivergrass.dynkin import (
     apply_word_inverse,
     coxeter_from_orientation,
@@ -198,20 +198,6 @@ def test_walk_matches_the_thin_oracle_in_type_a(rank):
         for alpha in rs.positive_roots:
             assert f_polynomial_via_minor(rank, word, alpha) == \
                 thin_f_polynomial(quiver, alpha), (word, alpha)
-
-
-def bipartite_word(rs):
-    """One colour class of the diagram, then the other."""
-    colour = {0: 0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for a, b in rs.edges():
-            for x, y in ((a, b), (b, a)):
-                if x == v and y not in colour:
-                    colour[y] = 1 - colour[v]
-                    frontier.append(y)
-    return tuple(sorted(range(rs.rank), key=lambda v: (colour[v], v)))
 
 
 def minuscule_by_orbit(rs, i):

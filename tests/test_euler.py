@@ -91,7 +91,8 @@ def test_interpolate_rejects_nonintegral_coefficients():
 def _pair_reason(first, second):
     """The reason `_fit` gives when two samples break (p - q) | P(p) - P(q)."""
     (q, a), (p, b) = sorted([first, second])
-    return f"the counts {a} at {q} and {b} at {p} differ by {b - a}, which {p} - {q} does not divide"
+    return (f"the counts {a} at {q} and {b} at {p} differ by {b - a}, "
+            f"which {p} - {q} does not divide")
 
 
 def test_integer_polynomials_pass_every_pair():
@@ -119,7 +120,8 @@ def test_pair_check_rejects_before_the_nodes():
     import quivergrass.euler as eu
     # 7 and 6 differ in parity, and the difference of two odd primes is even
     assert eu._fit([(3, 7), (5, 6)], 4) == (None, _pair_reason((3, 7), (5, 6)))
-    assert _pair_reason((3, 7), (5, 6)) == "the counts 7 at 3 and 6 at 5 differ by -1, which 5 - 3 does not divide"
+    assert _pair_reason((3, 7), (5, 6)) == (
+        "the counts 7 at 3 and 6 at 5 differ by -1, which 5 - 3 does not divide")
     assert eu._fit([(3, 7)], 0) == ((7,), None)
     assert eu._fit([(3, 1), (5, 3)], 3) == (None, None)  # too few to fit, no pair fails
     with pytest.raises(NonPolynomialCount, match=r"primes 3, 5: the counts 7 at 3 and 6 at 5"):

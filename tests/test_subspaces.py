@@ -51,6 +51,7 @@ from quivergrass.subspaces import (
 
 from oracles import (
     apply_matrix,
+    bipartite_word,
     fraction_rank,
     naive_count_subreps,
     naive_subspaces,
@@ -501,11 +502,14 @@ def test_pencil_rank_histogram_matches_rank_mod():
             times(times([-r % p, 1], [-r % p, 1], p), times([-u % p, 1], [-n % p, 0, 1], p), p),
         ]
         polys += [no_root(s, p) for s in (3, 4, 5, 6) for _ in range(2)]
-        polys += [[rng.randrange(p) for _ in range(s)] + [1] for s in (3, 4, 5, 6) for _ in range(4)]
+        polys += [[rng.randrange(p) for _ in range(s)] + [1]
+                  for s in (3, 4, 5, 6) for _ in range(4)]
         for f in polys:
             s = len(f) - 1
             assert 3 <= s <= 6
-            for extra, k0 in ((0, 0), (rng.randint(1, 3), 0), (rng.randint(0, 2), rng.randint(1, 3))):
+            # extra columns, constant rows
+            for extra, k0 in ((0, 0), (rng.randint(1, 3), 0),
+                              (rng.randint(0, 2), rng.randint(1, 3))):
                 width = s + extra
                 a = [[-x % p for x in row] + [0] * extra for row in companion(f, p)]
                 b = [[int(i == j) for j in range(s)] + [0] * extra for i in range(s)]
@@ -523,7 +527,8 @@ def test_pencil_rank_histogram_matches_rank_mod():
                 assert sum(hist.values()) == p
                 assert hist == direct(pa, pb, p), (pa, pb, p)
                 if not extra and not k0:
-                    roots = [t for t in range(p) if not sum(c * t ** k for k, c in enumerate(f)) % p]
+                    roots = [t for t in range(p)
+                             if not sum(c * t ** k for k, c in enumerate(f)) % p]
                     assert hist.get(s, 0) == p - len(roots), (f, p)
 
     # square roots against every element; 17, 41 and 97 are 1 mod 8, where
@@ -864,22 +869,11 @@ def _streamed_ranks(rep, key):
     return dict(hist)
 
 
-def _bipartite_word(rs):
-    """One colour class of the diagram, then the other."""
-    colour = {0: 0}
-    for _ in range(rs.rank):
-        for a, b in rs.edges():
-            for x, y in ((a, b), (b, a)):
-                if x in colour:
-                    colour.setdefault(y, 1 - colour[x])
-    return tuple(sorted(range(rs.rank), key=lambda v: (colour[v], v)))
-
-
 def _dynkin_root_reps(label, rank, p):
     """(word, alpha, M mod p) for every positive root under the identity and
     the bipartite word."""
     rs = root_system(label, rank)
-    for word in (tuple(range(rank)), _bipartite_word(rs)):
+    for word in (tuple(range(rank)), bipartite_word(rs)):
         quiver = orientation_from_coxeter(rs, word)
         for alpha in rs.positive_roots:
             yield word, alpha, reduce_mod(dynkin_indecomposable(quiver, alpha), p)
@@ -895,8 +889,8 @@ def _check_determined_walks(rep, es):
                                             (True, dual_representation(rep),
                                              _dual_routing(rep.quiver), dual_es)):
         for key in route.fibers(walked):
-            assert dict(_final_ranks(rep, backward, key, 10 ** 6)) == _streamed_ranks(target, key), (
-                backward, key)
+            ranks = dict(_final_ranks(rep, backward, key, 10 ** 6))
+            assert ranks == _streamed_ranks(target, key), (backward, key)
 
 
 @pytest.mark.parametrize("label,rank", [("A", 5), ("D", 4)])
