@@ -14,28 +14,39 @@ degree (e_v - s_v)(d_v - e_v) in q.  B is the smaller of the sums of these
 degrees over M at e and over the dual M* at d - e, whose Grassmannian has
 the same points.
 
-Three tests settle e from the same samples, whichever finishes first (see
-`_settle`).  The per-e test fits the counts through B_e + 1 nodes and
-checks them at HELD_OUT more primes; every NonPolynomialCount comes from
-it.  It also checks each new sample against every earlier one, from the
-second prime on: P in Z[q] gives (p - q) | P(p) - P(q), so two counts that
+A set of dimension vectors is sampled as one (`_settle`) and planned once,
+at its first prime (`subspaces._plan`): the search direction, each e's
+walk and final entry, and each fiber's bound.  Each prime then only runs
+the memoized walks of the e's still pending, so every e takes the same
+walk at every prime, under a cap read once per computation.
+
+Three tests settle e from the same samples, whichever finishes first.
+The per-e test fits the counts through B_e + 1 nodes and checks them at
+HELD_OUT more primes; every NonPolynomialCount comes from it.  Its
+`_Validator` judges each sample once, as it arrives, and first against
+every earlier one: P in Z[q] gives (p - q) | P(p) - P(q), so two counts that
 break this prove at once that e is not polynomial (on the plane quartic,
 counts of different parity at two odd primes).  That moves rejections
 earlier and changes no verdict.  A fit that any of the three tests accepts
 is an integer polynomial through every sample, so it passes every pair;
 and when a pair fails, the interpolant through the nodes is not integral
 or misses a held-out sample, so the per-e test would reject at
-B_e + 1 + HELD_OUT samples anyway.  The fiber test reads the walk that
-counted e: the search fixes U at the searched vertices and records N_k(p),
-how many of those choices force a span of rank k into the final vertex f,
-whose U_f then ranges over the binom_q(d_f - k, x - k) subspaces
-containing it (x = e_f in the walked direction).  So the count is sum_k
-N_k(p) binom_p(d_f - k, x - k), and only k <= x contribute.  If the same
-fiber was walked at every prime so far and every N_k with k <= x passes
-`_fit` with the fiber bound B_F (the degree bound summed over the searched
-vertices only, in the walked direction), held-out primes included, then
-P_e = sum_{k <= x} N_k(q) binom_q(d_f - k, x - k).  Its coefficients come
-from its values at B_e + 1 integers, and it must reproduce every sample.
+B_e + 1 + HELD_OUT samples anyway.  `_fit` folds the same step over a
+list of samples.
+
+The fiber test reads the walk that counted e: the search fixes U at the
+searched vertices and records N_k(p), how many of those choices force a
+span of rank k into the final vertex f, whose U_f then ranges over the
+binom_q(d_f - k, x - k) subspaces containing it (x = e_f in the walked
+direction).  So the count is sum_k N_k(p) binom_p(d_f - k, x - k), and
+only k <= x contribute.  Once the fiber's walk has B_F + 1 + HELD_OUT
+histograms, B_F the fiber bound (the degree bound summed over the
+searched vertices only, in the walked direction), each N_k is fitted
+once for the whole fiber by `_fit` with that bound, held-out primes
+included (`_rank_fits`).  For each member e whose N_k with k <= x all
+pass, P_e = sum_{k <= x} N_k(q) binom_q(d_f - k, x - k) (`_fiber_fit`).
+Its coefficients come from its values at B_e + 1 integers, and it must
+reproduce every sample.
 Soundness:
 - N_k >= 0 and sum_k N_k(p) <= prod_searched binom_p(d_v - s_v, e_v - s_v)
   at a good prime, so a polynomial N_k has degree <= B_F, and the
@@ -86,8 +97,8 @@ end, so each (representation, prime) pair is chosen, reduced and
 rank-checked once, when some caller is about to sample it, from whichever
 thread.  It also holds the End certificate, worked out once, which may
 reduce a good prime that no count samples: a rigid-empty e takes none.  It
-holds no dual: the search direction belongs to `subspaces._count_many`,
-which walks a backward search on the reduction.
+holds no dual: the search direction belongs to `subspaces._plan`, and a
+backward search walks the reduction itself.
 Interpolation is exact integer Lagrange over one common denominator.
 """
 
@@ -106,12 +117,13 @@ from .errors import DomainMismatch, InsufficientSamples, NonPolynomialCount
 from .fpoly import FPolynomial
 from .model import Representation, hom_dim, reduce_mod, validate_representation
 from .subspaces import (
-    _Walk,
-    _count_many,
+    _count_planned,
     _dual_routing,
     _fiber_count,
     _in_box,
+    _plan,
     _routing,
+    default_cap,
 )
 
 HELD_OUT = 2  # validation primes beyond the interpolation nodes
@@ -199,40 +211,60 @@ def _interpolant(nodes: tuple[tuple[int, int], ...]) -> tuple[int, ...] | None:
     return tuple(ints)
 
 
+class _Validator:
+    """The one validator, fed one sample at a time (module docstring).
+
+    Each new sample is judged once, in order: against every earlier one,
+    by (p - q) | P(p) - P(q); then, if it completes the degree_bound + 1
+    nodes, by fitting the interpolant, whose coefficients ints keeps; and
+    after that as a held-out value.  reason names the first sample that
+    refutes the counts; later samples are kept, not judged.
+    """
+
+    __slots__ = ("bound", "samples", "ints", "reason")
+
+    def __init__(self, degree_bound: int):
+        self.bound = degree_bound
+        self.samples: list[tuple[int, int]] = []
+        self.ints: tuple[int, ...] | None = None
+        self.reason: str | None = None
+
+    def add(self, p: int, count: int) -> None:
+        if self.reason is None:  # judged against the samples before it
+            self.reason = self._judge(p, count)
+        self.samples.append((p, count))
+
+    def _judge(self, p: int, count: int) -> str | None:
+        for q, earlier in self.samples:
+            if (count - earlier) % (p - q):
+                (q, a), (r, b) = sorted([(q, earlier), (p, count)])
+                return (f"the counts {a} at {q} and {b} at {r} differ by {b - a}, "
+                        f"which {r} - {q} does not divide")
+        if len(self.samples) == self.bound:
+            self.ints = _interpolant((*self.samples, (p, count)))
+            if self.ints is None:
+                return "the interpolant has non-integer coefficients"
+        elif self.ints is not None:
+            predicted = CountingPolynomial(self.ints, None, ()).evaluate(p)
+            if predicted != count:
+                return f"held-out prime {p} gives {count}, the interpolant predicts {predicted}"
+        return None
+
+
 def _fit(samples: Sequence[tuple[int, int]], degree_bound: int
          ) -> tuple[tuple[int, ...] | None, str | None]:
-    """The one validator: the interpolant through the first degree_bound + 1
-    samples, checked against each later one.
-
-    Each sample is first checked against every earlier one: P in Z[q] gives
-    (p - q) | P(p) - P(q), so a pair that breaks this proves the counts are
-    not polynomial in q from two samples, before there are degree_bound + 1
-    of them.  It changes no verdict, only how soon it comes: an integer
-    polynomial through every sample, which is what a fit is, passes every
-    pair.  Each sample is judged in order, so the reason names the first
-    one that refutes the counts, by a pair, the interpolant or a held-out
-    value.
+    """`_Validator` folded over the samples.
 
     Returns (coefficients, None) when the samples fit, (None, reason) when
     they already prove the counts are not polynomial in q, and (None, None)
     while there are fewer than degree_bound + 1 of them and no pair fails.
     """
-    ints = poly = None
-    for j, (p, count) in enumerate(samples):
-        for q, earlier in samples[:j]:
-            if (count - earlier) % (p - q):
-                (q, a), (r, b) = sorted([(q, earlier), (p, count)])
-                return None, (f"the counts {a} at {q} and {b} at {r} differ by {b - a}, "
-                              f"which {r} - {q} does not divide")
-        if j == degree_bound:
-            ints = _interpolant(tuple(samples[:j + 1]))
-            if ints is None:
-                return None, "the interpolant has non-integer coefficients"
-            poly = CountingPolynomial(ints, None, ())
-        elif poly is not None and poly.evaluate(p) != count:
-            return None, (f"held-out prime {p} gives {count}, "
-                          f"the interpolant predicts {poly.evaluate(p)}")
-    return ints, None
+    check = _Validator(degree_bound)
+    for p, count in samples:
+        check.add(p, count)
+        if check.reason is not None:
+            return None, check.reason
+    return check.ints, None
 
 
 def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
@@ -391,11 +423,11 @@ class _Sampling:
         return min(self._side(self.forward, e),
                    self._side(self.backward, [d - x for d, x in zip(dims, e)]))
 
-    def fiber_bound(self, walk: _Walk) -> int:
-        """B_F: the degree bound of `degree_bound` summed over the vertices the
-        walk searched, in its direction.  Its key is 0 at the final vertex,
-        which therefore adds nothing."""
-        return self._side(self.backward if walk.backward else self.forward, walk.key)
+    def fiber_bound(self, backward: bool, key: tuple[int, ...]) -> int:
+        """B_F: the degree bound of `degree_bound` summed over the vertices a
+        shortcut walk searches, in its direction.  Its key is 0 at the final
+        vertex, which therefore adds nothing."""
+        return self._side(self.backward if backward else self.forward, key)
 
     def _side(self, arrows, e) -> int:
         """sum_v max(0, e_v - s_v) * (d_v - e_v) for the forcing arrows of one direction."""
@@ -428,26 +460,36 @@ def good_primes(rep: Representation, how_many: int) -> list[int]:
     return [p for p, _ in islice(_sampling(rep).reductions(), how_many)]
 
 
-def _fiber_fit(walks: Sequence[tuple[int, _Walk]], fiber_bound: int,
+def _rank_fits(walks: Sequence[tuple[int, tuple]], fiber_bound: int
+               ) -> dict[int, CountingPolynomial | None]:
+    """N_k for every rank k that one fiber's walk reached, fitted once.
+
+    walks are (p, rank histogram) pairs of the same walk at the primes
+    sampled so far, fiber_bound + 1 + HELD_OUT of them.  Each N_k passes
+    `_fit` with the fiber bound, held-out primes included, or maps to None.
+    """
+    tables = [(p, dict(ranks)) for p, ranks in walks]
+    fits = {}
+    for k in sorted({k for _, ranks in tables for k in ranks}):
+        ints, _ = _fit([(p, ranks.get(k, 0)) for p, ranks in tables], fiber_bound)
+        fits[k] = None if ints is None else CountingPolynomial(ints, None, ())
+    return fits
+
+
+def _fiber_fit(fits: dict[int, CountingPolynomial | None], d: int, x: int,
                samples: Sequence[tuple[int, int]], degree_bound: int
                ) -> tuple[int, ...] | None:
-    """P_e from the walks of one fiber at the primes sampled so far, or None.
+    """P_e from its fiber's fits (`_rank_fits`), or None.
 
-    walks are (p, walk) pairs, all of the same fiber, and there are
-    fiber_bound + 1 + HELD_OUT of them.  Every N_k with k <= x must pass
-    `_fit` with the fiber bound, held-out primes included; then P_e(q) =
-    sum_{k <= x} N_k(q) * binom_q(d - k, x - k) is evaluated at
-    degree_bound + 1 integers and interpolated.  It must reproduce every
-    sample; None leaves e to the per-e test.
+    d is the final vertex's dimension and x the searched e's entry there.
+    Every N_k with k <= x must have fitted; then P_e(q) = sum_{k <= x}
+    N_k(q) * binom_q(d - k, x - k) is evaluated at degree_bound + 1
+    integers and interpolated.  It must reproduce every sample; None leaves
+    e to the per-e test.
     """
-    d, x = walks[0][1].d, walks[0][1].x
-    tables = [(p, dict(walk.ranks)) for p, walk in walks]
-    fitted = []
-    for k in sorted({k for _, ranks in tables for k in ranks if k <= x}):
-        ints, _ = _fit([(p, ranks.get(k, 0)) for p, ranks in tables], fiber_bound)
-        if ints is None:
-            return None
-        fitted.append((k, CountingPolynomial(ints, None, ())))
+    fitted = [(k, n) for k, n in fits.items() if k <= x]
+    if any(n is None for _, n in fitted):
+        return None
     nodes = tuple((q, _fiber_count([(k, n.evaluate(q)) for k, n in fitted], d, x, q))
                   for q in range(2, degree_bound + 3))
     ints = _interpolant(nodes)
@@ -523,69 +565,74 @@ def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | 
     """Yield (e, its verified counting polynomial or its rejection) for every e
     in bounds (e -> its degree bound), in order, once all are sampled.
 
-    At each prime every e still sampled is counted in one
-    `subspaces._count_many` call, which shares the search work across the
-    set.  e leaves the sampled set as soon as one of three tests settles it:
-    the per-e test after bound + 1 + HELD_OUT samples, or as soon as `_fit`
-    finds the samples so far not polynomial in q; the fiber test
-    (`_fiber_fit`) after fiber_bound + 1 + HELD_OUT samples, when every one
-    of them came from the same walk; or, for rigid M and D = <e, d - e>,
-    the rigidity test: before the first prime when D < 0, else after
-    D // 2 + 1 + HELD_OUT samples (`_palindrome_fit`).  The fiber and
-    rigidity tests are tried only where their bound is below the degree
-    bound, where they can save a prime, and neither rejects.  No prime is
-    taken after the last e is settled.
+    The set is planned at its first prime (`subspaces._plan`), with the
+    bound of each fiber.  At each prime every e still sampled is counted in
+    one `subspaces._count_planned` call, which shares the search work
+    across the set, and its `_Validator` judges the new count.  e leaves
+    the sampled set as soon as one of three tests settles it: the per-e
+    test after bound + 1 + HELD_OUT samples, or as soon as its validator
+    finds the samples not polynomial in q; the fiber test after
+    fiber_bound + 1 + HELD_OUT samples, which fits the fiber's N_k once
+    (`_rank_fits`) and settles each member from its k <= x (`_fiber_fit`);
+    or, for rigid M and D = <e, d - e>, the rigidity test: before the first
+    prime when D < 0, else after D // 2 + 1 + HELD_OUT samples
+    (`_palindrome_fit`).  The fiber and rigidity tests are tried only where
+    their bound is below the degree bound, where they can save a prime, and
+    neither rejects.  No prime is taken after the last e is settled.  The
+    cap is read once, here, when it is None.
     """
     sampling = _sampling(rep)
-    samples: dict[tuple, list] = {e: [] for e in bounds}
+    cap = default_cap() if cap is None else int(cap)
+    checks = {e: _Validator(bound) for e, bound in bounds.items()}
     settled: dict[tuple, tuple[int, ...]] = {}
     palindromes = _rigid_degrees(sampling, bounds)  # e -> <e, d - e>, where it helps
     for e, degree in list(palindromes.items()):
         if degree < 0:  # Gr_e(M) is empty
             del palindromes[e]
             settled[e] = ()
-    fibers = {e: [] for e, bound in bounds.items() if bound > 0 and e not in settled}
     pending = [e for e in bounds if e not in settled]
     primes = sampling.reductions()
+    plan = None
     while pending:
         p, rep_p = next(primes)
-        walks: dict | None = {} if fibers else None
-        counts = _count_many(rep_p, pending, cap, walks)
+        if plan is None:
+            plan, fibers = _plan(rep_p, pending), {}  # fibers: walk key -> (B_F, members, walks)
+            for e in pending if plan.route.shortcut else ():
+                key = plan.entry[e][0]
+                fiber = fibers.setdefault(key, (sampling.fiber_bound(plan.backward, key), [], []))
+                if fiber[0] < bounds[e]:
+                    fiber[1].append(e)
+        counts, walked = _count_planned(rep_p, plan, pending, cap)
         for e in pending:
-            samples[e].append((p, counts[e]))
+            check = checks[e]
+            check.add(p, counts[e])
             degree = palindromes.get(e)
-            if degree is not None and len(samples[e]) == degree // 2 + 1 + HELD_OUT:
+            if degree is not None and len(check.samples) == degree // 2 + 1 + HELD_OUT:
                 del palindromes[e]
-                ints = _palindrome_fit(samples[e], degree)
+                ints = _palindrome_fit(check.samples, degree)
                 if ints is not None:
                     settled[e] = ints
-                    fibers.pop(e, None)
-                    continue
-            seen = fibers.get(e)
-            if seen is None:
+        for key, (fiber_bound, members, walks) in list(fibers.items()):
+            members[:] = [e for e in members if e not in settled and checks[e].reason is None]
+            if not members:
+                del fibers[key]
                 continue
-            walk = walks.get(e)  # its first two fields, (backward, key), name the walk
-            if walk is None or seen and seen[0][1][:2] != walk[:2]:
-                del fibers[e]
-                continue
-            seen.append((p, walk))
-            fiber_bound = sampling.fiber_bound(walk)
-            if fiber_bound >= bounds[e]:
-                del fibers[e]
-            elif len(seen) == fiber_bound + 1 + HELD_OUT:
-                del fibers[e]
-                ints = _fiber_fit(seen, fiber_bound, samples[e], bounds[e])
-                if ints is not None:
-                    settled[e] = ints
-        pending = [e for e in pending if e not in settled
-                   and len(samples[e]) < bounds[e] + 1 + HELD_OUT
-                   and _fit(samples[e], bounds[e])[1] is None]
+            walks.append((p, walked[key]))
+            if len(walks) == fiber_bound + 1 + HELD_OUT:
+                del fibers[key]
+                fits, d = _rank_fits(walks, fiber_bound), rep.dims[plan.route.order[-1]]
+                for e in members:
+                    ints = _fiber_fit(fits, d, plan.entry[e][1], checks[e].samples, bounds[e])
+                    if ints is not None:
+                        settled[e] = ints
+        pending = [e for e in pending if e not in settled and checks[e].reason is None
+                   and len(checks[e].samples) < bounds[e] + 1 + HELD_OUT]
     for e, bound in bounds.items():
         if e in settled:
-            result = CountingPolynomial(settled[e], e, tuple(samples[e]), bound)
+            result = CountingPolynomial(settled[e], e, tuple(checks[e].samples), bound)
         else:
             try:
-                result = interpolate_counting_polynomial(samples[e], bound, dim_vector=e)
+                result = interpolate_counting_polynomial(checks[e].samples, bound, dim_vector=e)
             except NonPolynomialCount as exc:
                 result = exc
         yield e, result

@@ -248,26 +248,3 @@ def f_poly_multiply(f: FPolynomial, g: FPolynomial) -> FPolynomial:
     if f.nvars != g.nvars:
         raise VariableCountMismatch(f"{f.nvars} variables vs {g.nvars}")
     return f * g
-
-
-# ---------------------------------------------------------------------------
-# Determinants of small matrices over Z[u_1..u_n].
-# ---------------------------------------------------------------------------
-
-def poly_det(rows: Sequence[Sequence[FPolynomial]]) -> FPolynomial:
-    """Cofactor expansion; its one caller is the plane quartic of `sampler`,
-    a 4 x 4 determinant of linear forms in three variables."""
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix has no determinant here; use size >= 1")
-    if n == 1:
-        return rows[0][0]
-    acc = FPolynomial.zero(rows[0][0].nvars)
-    for j in range(n):
-        entry = rows[0][j]
-        if not entry:
-            continue
-        minor = [[rows[i][c] for c in range(n) if c != j] for i in range(1, n)]
-        cof = entry * poly_det(minor)
-        acc = acc + (cof if j % 2 == 0 else -cof)
-    return acc

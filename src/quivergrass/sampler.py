@@ -11,7 +11,7 @@ route must reject it; this module verifies all of that explicitly.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 from typing import Sequence
 
 from .errors import (
@@ -22,7 +22,7 @@ from .errors import (
     SmoothnessFailure,
 )
 from .euler import _sampling, euler_characteristic, iter_box_chi
-from .fpoly import FPolynomial, poly_det
+from .fpoly import FPolynomial
 from .linalg import rank_mod
 from .model import (
     Quiver,
@@ -107,28 +107,48 @@ def _require_example4_shape(rep: Representation) -> None:
         raise ValueError("expected the 4-arrow Kronecker quiver with dims (3, 4)")
 
 
+def _signed_products(triples) -> dict:
+    """sum of sign * f * g over (f, g, sign), forms in v1..v3 held as
+    {exponent: coefficient}."""
+    out: dict = {}
+    for f, g, sign in triples:
+        for a, x in f.items():
+            for b, y in g.items():
+                exp = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+                out[exp] = out.get(exp, 0) + sign * x * y
+    return out
+
+
 def example4_quartic(rep: Representation) -> FPolynomial:
     """The determinantal plane quartic f(v) = det[phi_1 v | ... | phi_4 v].
 
     The vanishing locus is exactly the set of lines span(v) in the first
     space whose four images fit inside some 3-dimensional subspace of the
-    second.  Raises DegenerateForm when f vanishes identically (resample).
+    second.  Entry (r, k) of the matrix is row r of phi_k, a linear form in
+    v1..v3 with integer coefficients, and the determinant is the Laplace
+    expansion along rows 1-2: over the six pairs of columns, the 2 x 2
+    minor of rows 1-2 times the complementary minor of rows 3-4, with sign
+    (-1)^(3 + the two column indices, counted from 1).  Raises
+    DegenerateForm when f vanishes identically (resample), and ValueError
+    on a non-integer entry.
     """
     validate_representation(rep)
     _require_example4_shape(rep)
-    vars3 = [FPolynomial.variable(3, c) for c in range(3)]
-    matrix = []
-    for r in range(4):
-        row = []
-        for k in range(EXAMPLE4_ARROWS):
-            acc = FPolynomial.zero(3)
-            for c in range(3):
-                coef = rep.matrices[k][r][c]
-                if coef:
-                    acc = acc + coef * vars3[c]
-            row.append(acc)
-        matrix.append(row)
-    f = poly_det(matrix)
+    if not all(isinstance(x, int) for mat in rep.matrices for row in mat for x in row):
+        raise ValueError("the quartic is built from integer matrices")
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    forms = [[dict(zip(units, rep.matrices[k][r])) for k in range(EXAMPLE4_ARROWS)]
+             for r in range(4)]
+
+    def minor(r, a, b):  # rows r, r + 1 and columns a, b
+        return _signed_products(((forms[r][a], forms[r + 1][b], 1),
+                                 (forms[r][b], forms[r + 1][a], -1)))
+
+    expansion = []
+    for a, b in combinations(range(4), 2):
+        c, d = (k for k in range(4) if k not in (a, b))
+        expansion.append((minor(0, a, b), minor(2, c, d), 1 if (a + b) % 2 else -1))
+    f = FPolynomial(3, _signed_products(expansion))
     if not f:
         raise DegenerateForm("determinantal form vanished identically; resample")
     assert f.is_homogeneous(4)
@@ -141,6 +161,36 @@ def _projective_plane(p: int):
     for b in range(p):
         yield (0, 1, b)
     yield (0, 0, 1)
+
+
+def _curve_points(f: FPolynomial, p: int) -> list[tuple[int, int, int]]:
+    """The points of f = 0 in P^2(F_p), in `_projective_plane` order.
+
+    f is reduced mod p once and restricted to each line (x0, x1, t) of that
+    order, a quartic in t whose coefficient of t^k is sum_{i + j = 4 - k}
+    c_ijk x0^i x1^j, tested by Horner.  The partials are evaluated at curve
+    points only; the first where they all vanish raises SmoothnessFailure.
+    """
+    by_power: list[list] = [[] for _ in range(5)]
+    for (i, j, k), coef in f.terms.items():
+        if coef % p:
+            by_power[k].append((i, j, coef % p))
+    partials = [f.partial(i) for i in range(3)]
+    curve, line = [], None
+    for v in _projective_plane(p):
+        x0, x1, t = v
+        if (x0, x1) != line:
+            line = (x0, x1)
+            coeffs = [sum(c * x0 ** i * x1 ** j for i, j, c in terms)
+                      for terms in reversed(by_power)]
+        value = 0
+        for c in coeffs:
+            value = value * t + c
+        if value % p == 0:
+            curve.append(v)
+            if all(g.evaluate(v) % p == 0 for g in partials):
+                raise SmoothnessFailure(p, v)
+    return curve
 
 
 def example4_verify(rep: Representation, primes: Sequence[int],
@@ -165,14 +215,8 @@ def example4_verify(rep: Representation, primes: Sequence[int],
         raise DegenerateForm("form is not a quartic")
     if not primes:
         return report
-    partials = [f.partial(i) for i in range(3)]
     for p in sorted(int(q) for q in primes):
-        curve = []
-        for v in _projective_plane(p):
-            if f.evaluate(v) % p == 0:
-                curve.append(v)
-                if all(g.evaluate(v) % p == 0 for g in partials):
-                    raise SmoothnessFailure(p, v)
+        curve = _curve_points(f, p)
         report["smooth_over_each_p"][p] = True
         rep_p = _sampling(rep).reduction(p)
         deficient = []

@@ -10,19 +10,23 @@ last vertex in the order has no arrows out of it, its subspaces are counted by
 the Gaussian binomial instead of being materialized.
 
 Direction: annihilators map Gr_e(M) bijectively onto Gr_{d-e}(M*), where
-M* = `dual_representation(M)` lives on the opposite quiver.  `_count_many`
-counts a set of dimension vectors and chooses once for the whole set: on an
-acyclic quiver it searches backward, M* at d - e, when the walks the set
-needs there have a strictly smaller summed estimate (the product of
-Gaussian binomials over the searched vertices), and forward, M at e,
-otherwise.  This is the only place that chooses a direction.  No dual is
-built: a backward walk runs on M itself along the routing of the opposite
-quiver, and the columns of a transpose are the rows of M's matrices.  It
-also reports, when asked, the walk that settled each e and its rank
-histogram, which the fiber test of `euler` reads.  `count_subreps` is the
-set of one e; `euler.iter_box_chi` passes, at each prime, every e of the
-box that still needs a sample there.  `iter_subrep_tuples` searches
-forward, since it returns subspaces of M.
+M* = `dual_representation(M)` lives on the opposite quiver.  `_plan`
+chooses once for a whole set of dimension vectors: on an acyclic quiver it
+searches backward, M* at d - e, when the walks the set needs there have a
+strictly smaller summed estimate at the prime of the reduction it is given
+(the product of Gaussian binomials over the searched vertices), and
+forward, M at e, otherwise.  This is the only place that chooses a
+direction.  A set sampled at several primes is planned once, at its first
+prime (`euler._settle`): each later prime walks the plan's walks of the
+e's still pending, in the plan's direction, even where that subset alone
+would be cheaper the other way, so every e takes the same walk at every
+prime.  No dual is built: a backward walk runs on M itself along the
+routing of the opposite quiver, and the columns of a transpose are the
+rows of M's matrices.  `_count_planned` runs the walks of a plan and
+returns, next to the counts, each walk's rank histogram, which the fiber
+test of `euler` reads.  `_count_many` plans and counts one set at one
+prime, and `count_subreps` is the set of one e.  `iter_subrep_tuples`
+searches forward, since it returns subspaces of M.
 
 Incremental images: the echelon enumeration is an odometer over the free
 entries that carries each basis row's image under every arrow out of the
@@ -257,19 +261,6 @@ class _Route(NamedTuple):
         """Enumerated vertices: all but a final vertex with no arrows out."""
         return self.order[:-1] if self.shortcut else self.order
 
-    def fibers(self, es) -> dict[tuple, list]:
-        """The walks that settle es: each walk's dimension vector -> its members.
-
-        With the shortcut a walk ignores the final coordinate, so it is
-        keyed with that entry zeroed; otherwise every e is a walk.
-        """
-        final = self.order[-1]
-        walks: dict[tuple, list] = {}
-        for e in es:
-            key = e[:final] + (0,) + e[final + 1:] if self.shortcut else e
-            walks.setdefault(key, []).append(e)
-        return walks
-
 
 @lru_cache(maxsize=256)
 def _routing(quiver: Quiver) -> _Route:
@@ -452,20 +443,44 @@ def _fiber_count(ranks, d: int, x: int, q: int) -> int:
     return sum(n * gaussian_binomial(d - k, x - k, q) for k, n in ranks)
 
 
-class _Walk(NamedTuple):
-    """The shortcut walk that settled one e, as `_count_many` reports it.
+class _Plan(NamedTuple):
+    """How one set of dimension vectors is searched: the direction, chosen
+    once for the set, and the walk of each e.
 
-    backward tells whether it searched the dual at d - e; key is the
-    searched dimension vector with the final entry 0; d and x are the final
-    vertex's dimension and the searched e's entry there; ranks is the
-    walk's histogram of forced ranks (see `_final_ranks`).
+    backward tells whether the set is searched on the dual at d - e, along
+    route.  entry maps each given e to its walk's key and its searched
+    entry at the final vertex; under the shortcut the key is the searched
+    dimension vector with that entry 0, shared by the e's of one fiber,
+    and otherwise it is the whole searched vector.
     """
 
+    route: _Route
     backward: bool
-    key: tuple[int, ...]
-    d: int
-    x: int
-    ranks: tuple[tuple[int, int], ...]
+    entry: dict
+
+
+def _plan(rep: Representation, es: Sequence[tuple[int, ...]]) -> _Plan:
+    """The plan for es at rep's prime: backward when the walks the set needs
+    on the dual have a strictly smaller summed estimate, on an acyclic
+    quiver, else forward (module docstring).  rep and es are trusted, as in
+    `_walk`."""
+    dims, p = rep.dims, rep.field
+
+    def planned(route: _Route, backward: bool) -> tuple[_Plan, int]:
+        final, entry = route.order[-1], {}
+        for e in es:
+            s = tuple(d - x for d, x in zip(dims, e)) if backward else e
+            entry[e] = (s[:final] + (0,) + s[final + 1:] if route.shortcut else s, s[final])
+        keys = dict.fromkeys(key for key, _ in entry.values())
+        return _Plan(route, backward, entry), sum(_gauss_product(dims, key, p, route.searched)
+                                                  for key in keys)
+
+    plan, estimate = planned(_routing(rep.quiver), False)
+    if plan.route.acyclic:
+        dual, dual_estimate = planned(_dual_routing(rep.quiver), True)
+        if dual_estimate < estimate:
+            return dual
+    return plan
 
 
 def _walk_detail(p: int, es) -> str:
@@ -473,64 +488,57 @@ def _walk_detail(p: int, es) -> str:
     return f"p = {p}, dimension vector{'s' if len(es) > 1 else ''} {', '.join(map(str, es))}"
 
 
-def _count_many(rep: Representation, es: Sequence[tuple[int, ...]],
-                cap: int | None = None, report: dict | None = None
-                ) -> dict[tuple[int, ...], int]:
-    """Exact point counts of Gr_e(rep) for every e in es, one walk per fiber.
+def _count_planned(rep: Representation, plan: _Plan, es: Sequence[tuple[int, ...]],
+                   cap: int) -> tuple[dict, dict]:
+    """Exact point counts of Gr_e(rep) for every e in es, by the walks of
+    the plan that es need: (e -> count, walk key -> result), the result
+    being the walk's rank histogram (`_final_ranks`) under the shortcut and
+    the count otherwise.
 
-    rep and es are trusted, as in `_walk`: rep is a valid prime-field
-    representation and each e an int tuple in its box (`_checked` makes
-    sure of both).  The whole set is searched in one direction (see the
-    module docstring).  Every walk is checked against the cap before any
-    runs; the payload of SearchTooLarge sums the products of Gaussian
-    binomials of the e's that the failing walk serves, and its message
-    names the prime and those e's as given, whichever direction is
-    searched.  When report is a dict, each e settled by a shortcut walk is
-    entered in it with that walk, as a `_Walk`.
+    Every walk is checked against the cap before any runs; the payload of
+    SearchTooLarge sums the products of Gaussian binomials of the e's of es
+    that the failing walk serves, and its message names the prime and
+    those e's as given, whichever direction is searched.
     """
-    cap = default_cap() if cap is None else int(cap)
     dims, p = rep.dims, rep.field
-
-    def estimated(route: _Route, es) -> tuple[dict, dict]:
-        """The walks for es and each walk's enumerated estimate."""
-        walks = route.fibers(es)
-        return walks, {key: _gauss_product(dims, key, p, route.searched) for key in walks}
+    route, backward, entry = plan
+    walks: dict[tuple, list] = {}
+    for e in es:
+        walks.setdefault(entry[e][0], []).append(e)
 
     def too_large(members, visited=None) -> SearchTooLarge:
         estimate = sum(_gauss_product(dims, e, p, range(rep.n)) for e in members)
-        given = dict(zip(searched, es))
-        return SearchTooLarge(estimate, cap, visited, _walk_detail(p, [given[e] for e in members]))
+        return SearchTooLarge(estimate, cap, visited, _walk_detail(p, members))
 
-    route = _routing(rep.quiver)
-    searched, backward = es, False
-    walks, estimates = estimated(route, es)
-    if route.acyclic:
-        dual_es = [tuple(d - x for d, x in zip(dims, e)) for e in es]
-        dual_route = _dual_routing(rep.quiver)
-        dual_walks, dual_estimates = estimated(dual_route, dual_es)
-        if sum(dual_estimates.values()) < sum(estimates.values()):
-            route, searched, walks, estimates = dual_route, dual_es, dual_walks, dual_estimates
-            backward = True
     for key, members in walks.items():
-        if estimates[key] > cap:
+        if _gauss_product(dims, key, p, route.searched) > cap:
             raise too_large(members)
-    final = route.order[-1]
-    counts, walked = {}, {}
+    walked = {}
     for key, members in walks.items():
         try:
-            if route.shortcut:
-                ranks = _final_ranks(rep, backward, key, cap)
-                for e in members:
-                    counts[e] = _fiber_count(ranks, dims[final], e[final], p)
-                    walked[e] = _Walk(backward, key, dims[final], e[final], ranks)
-            else:
-                counts[members[0]] = sum(1 for _ in _walk(rep, key, _Budget(cap),
-                                                          shortcut=False, backward=backward))
+            walked[key] = (_final_ranks(rep, backward, key, cap) if route.shortcut
+                           else sum(1 for _ in _walk(rep, key, _Budget(cap),
+                                                     shortcut=False, backward=backward)))
         except SearchTooLarge as exc:
             raise too_large(members, exc.visited) from None
-    if report is not None:
-        report.update((e, walked[s]) for e, s in zip(es, searched) if s in walked)
-    return {e: counts[s] for e, s in zip(es, searched)}
+    d, counts = dims[route.order[-1]], {}
+    for e in es:
+        key, x = entry[e]
+        counts[e] = _fiber_count(walked[key], d, x, p) if route.shortcut else walked[key]
+    return counts, walked
+
+
+def _count_many(rep: Representation, es: Sequence[tuple[int, ...]],
+                cap: int | None = None) -> dict[tuple[int, ...], int]:
+    """Exact point counts of Gr_e(rep) for every e in es, one walk per fiber:
+    the set's plan (`_plan`), counted at once (`_count_planned`).
+
+    rep and es are trusted, as in `_walk`: rep is a valid prime-field
+    representation and each e an int tuple in its box (`_checked` makes
+    sure of both).
+    """
+    cap = default_cap() if cap is None else int(cap)
+    return _count_planned(rep, _plan(rep, es), es, cap)[0]
 
 
 def count_subreps(rep: Representation, e: Sequence[int],

@@ -10,7 +10,7 @@ type-A minor is an ordinary minor of an explicit (rank+1) x (rank+1) matrix.
 from fractions import Fraction
 from itertools import combinations, product
 
-from quivergrass.fpoly import FPolynomial, poly_det
+from quivergrass.fpoly import FPolynomial
 
 
 def span_set(rows, p, m):
@@ -170,6 +170,22 @@ def minor_argument_matrix(rank, word):
         for row in mat:
             row[i + 1] = row[i + 1] + u * row[i]
     return mat
+
+
+def poly_det(rows):
+    """Determinant of a square matrix of FPolynomials, by cofactor expansion
+    along the first row: the reference for the type-A minor and for the
+    plane quartic's Laplace expansion."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = FPolynomial.zero(rows[0][0].nvars)
+    for j in range(n):
+        if rows[0][j]:
+            minor = [[rows[i][c] for c in range(n) if c != j] for i in range(1, n)]
+            cof = rows[0][j] * poly_det(minor)
+            acc = acc + (cof if j % 2 == 0 else -cof)
+    return acc
 
 
 def type_a_minor(rank, gamma, matrix):

@@ -373,18 +373,18 @@ def test_each_sampled_prime_is_reduced_once(monkeypatch):
 def test_only_sampled_primes_are_reduced(monkeypatch):
     import quivergrass.euler as eu
     reduced, counted = [], []
-    reduce, count_many = eu.reduce_mod, eu._count_many
+    reduce, count_planned = eu.reduce_mod, eu._count_planned
 
     def reducing(rep, p):
         reduced.append(p)
         return reduce(rep, p)
 
-    def counting(rep_p, es, *args):
+    def counting(rep_p, plan, es, *args):
         counted.append(rep_p.field)
-        return count_many(rep_p, es, *args)
+        return count_planned(rep_p, plan, es, *args)
 
     monkeypatch.setattr(eu, "reduce_mod", reducing)
-    monkeypatch.setattr(eu, "_count_many", counting)
+    monkeypatch.setattr(eu, "_count_planned", counting)
     eu._sampling.cache_clear()
     poly = counting_polynomial(build_kronecker(regular(4, 0)), (1, 2))
     assert reduced == counted == [p for p, _ in poly.samples] == [3, 5, 7, 11, 13, 17]
@@ -393,6 +393,24 @@ def test_only_sampled_primes_are_reduced(monkeypatch):
         counted.clear()
         f_polynomial(build_kronecker(kind))
         assert reduced == counted, kind
+
+
+def test_cap_is_read_once_per_computation(monkeypatch):
+    # every walk of one F-polynomial runs under the same cap, however the
+    # environment changes while it runs
+    import quivergrass.euler as eu
+    from quivergrass import subspaces
+    read, calls = subspaces.default_cap, []
+
+    def counted():
+        calls.append(read())
+        return calls[-1]
+
+    for module in (eu, subspaces):
+        monkeypatch.setattr(module, "default_cap", counted)
+    eu._sampling.cache_clear()
+    f_polynomial(build_kronecker(preprojective(4)))
+    assert len(calls) == 1
 
 
 def test_no_count_builds_a_dual(monkeypatch):
@@ -543,14 +561,14 @@ def test_quartic_is_rejected_at_its_interpolation_nodes(monkeypatch):
     rep = sample_general_rep(kronecker_quiver(4), (3, 4), 42, 5)
     bound = eu._sampling(rep).degree_bound((1, 3))
     nodes = good_primes(rep, bound + 1)
-    count_many = eu._count_many
+    count_planned = eu._count_planned
     counted = []
 
-    def recorded(rep_p, es, *args):
+    def recorded(rep_p, plan, es, *args):
         counted.append((rep_p.field, sorted(es)))
-        return count_many(rep_p, es, *args)
+        return count_planned(rep_p, plan, es, *args)
 
-    monkeypatch.setattr(eu, "_count_many", recorded)
+    monkeypatch.setattr(eu, "_count_planned", recorded)
     # no later than the nodes: the counts 7 at 3 and 6 at 5 differ by an odd
     # number, which no integer polynomial allows, so the second prime rejects
     assert nodes == [3, 5, 7, 11, 13]
@@ -612,22 +630,17 @@ FIBER_CASES = {
 
 def _fiber_schedule(rep, e):
     """Samples the fiber test needs at e, or None where it cannot save a prime:
-    fiber bound + 1 + HELD_OUT, if the same fiber was walked at each of them."""
+    fiber bound + 1 + HELD_OUT, for the walk planned at the first prime."""
     import quivergrass.euler as eu
-    from quivergrass.subspaces import _count_many
+    from quivergrass.subspaces import _plan
     sampling = eu._sampling(rep)
     bound = sampling.degree_bound(e)
-    walked = []
-    for _, rep_p in islice(sampling.reductions(), bound + 1 + HELD_OUT):
-        walks: dict = {}
-        _count_many(rep_p, [e], None, walks)
-        walked.append(walks.get(e))
-    if bound == 0 or walked[0] is None:
+    (_, rep_p), = islice(sampling.reductions(), 1)
+    plan = _plan(rep_p, [e])
+    if bound == 0 or not plan.route.shortcut:
         return None
-    need = sampling.fiber_bound(walked[0]) + 1 + HELD_OUT
-    same = all(w and (w.backward, w.key) == (walked[0].backward, walked[0].key)
-               for w in walked[:need])
-    return need if same and need < bound + 1 + HELD_OUT else None
+    need = sampling.fiber_bound(plan.backward, plan.entry[e][0]) + 1 + HELD_OUT
+    return need if need < bound + 1 + HELD_OUT else None
 
 
 def _palindrome_schedule(rep, e):
@@ -667,21 +680,24 @@ def test_quartic_fibers_settle_what_their_ranks_allow():
     # the forced rank into vertex 2 is 3 on the quartic and 4 off it: N_3 and
     # N_4 are not polynomial in q, but N_3 + N_4 is, and N_0..N_2 vanish
     import quivergrass.euler as eu
-    from quivergrass.subspaces import _count_many
+    from quivergrass.subspaces import _count_planned, _plan, default_cap
     rep = sample_general_rep(kronecker_quiver(4), (3, 4), 42, 5)
     sampling = eu._sampling(rep)
     fiber = [(1, x) for x in range(5)]
     bounds = {e: sampling.degree_bound(e) for e in fiber}
-    counts, seen = {e: [] for e in fiber}, {e: [] for e in fiber}
+    plan = None
+    counts, walks = {e: [] for e in fiber}, []
     for p, rep_p in islice(sampling.reductions(), 5):  # 3..13: fiber bound 2, plus two held out
-        walks: dict = {}
-        for e, count in _count_many(rep_p, fiber, None, walks).items():
+        plan = plan or _plan(rep_p, fiber)
+        found, walked = _count_planned(rep_p, plan, fiber, default_cap())
+        for e, count in found.items():
             counts[e].append((p, count))
-            seen[e].append((p, walks[e]))
-    assert {(walk.backward, walk.key) for e in fiber for _, walk in seen[e]} == {(False, (1, 0))}
-    assert sampling.fiber_bound(seen[1, 4][0][1]) == 2
-    fits = {e: eu._fiber_fit(seen[e], 2, counts[e], bounds[e]) for e in fiber}
-    assert fits == {(1, 0): (), (1, 1): (), (1, 2): (), (1, 3): None, (1, 4): None}
+        walks.append((p, walked[1, 0]))
+    assert (plan.backward, {plan.entry[e][0] for e in fiber}) == (False, {(1, 0)})
+    assert sampling.fiber_bound(plan.backward, (1, 0)) == 2
+    fits = eu._rank_fits(walks, 2)
+    assert {e: eu._fiber_fit(fits, 4, e[1], counts[e], bounds[e]) for e in fiber} == {
+        (1, 0): (), (1, 1): (), (1, 2): (), (1, 3): None, (1, 4): None}
     # the fiber as one set: (1, 4) and (1, 3) are left to the per-e test
     results = dict(eu._settle(rep, bounds, None))
     assert results[1, 4].chi == 3
@@ -695,23 +711,21 @@ def test_quartic_fibers_settle_what_their_ranks_allow():
 
 
 def test_fiber_fit_holds_out_primes_for_each_rank():
-    from quivergrass.euler import _fiber_fit
-    from quivergrass.subspaces import _Walk
+    from quivergrass.euler import _fiber_fit, _rank_fits
 
-    def walks(*hists):
-        return [(p, _Walk(False, (0, 0), 1, 1, tuple(h.items())))
-                for p, h in zip((3, 5, 7), hists)]
+    def fits(*hists):
+        return _rank_fits([(p, tuple(h.items())) for p, h in zip((3, 5, 7), hists)], 0)
 
     # d = x = 1, so P = N_0 + N_1 = 1 at every prime, but N_0 and N_1 are
     # not constant: the held-out prime 7 refuses the constant through 3
     samples = [(3, 1), (5, 1), (7, 1)]
-    refused = walks({0: 1}, {0: 1}, {1: 1})
-    assert _fiber_fit(refused, 0, samples, 1) is None
-    held = walks({0: 1}, {0: 1}, {0: 1})
-    assert _fiber_fit(held, 0, samples, 1) == (1,)
+    refused = fits({0: 1}, {0: 1}, {1: 1})
+    assert _fiber_fit(refused, 1, 1, samples, 1) is None
+    held = fits({0: 1}, {0: 1}, {0: 1})
+    assert _fiber_fit(held, 1, 1, samples, 1) == (1,)
     # every rank up to x counts: N_1 = 1 adds binom_q(0, 0) = 1 to P
-    assert _fiber_fit(walks({1: 1}, {1: 1}, {1: 1}), 0, samples, 1) == (1,)
-    assert _fiber_fit(walks({0: 1, 1: 1}, {0: 1, 1: 1}, {0: 1, 1: 1}), 0,
+    assert _fiber_fit(fits({1: 1}, {1: 1}, {1: 1}), 1, 1, samples, 1) == (1,)
+    assert _fiber_fit(fits({0: 1, 1: 1}, {0: 1, 1: 1}, {0: 1, 1: 1}), 1, 1,
                       [(3, 2), (5, 2), (7, 2)], 1) == (2,)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
-from quivergrass.errors import DegenerateForm, NonPolynomialCount
+from quivergrass.errors import DegenerateForm, NonPolynomialCount, SmoothnessFailure
+from quivergrass.fpoly import FPolynomial
 from quivergrass.euler import euler_characteristic
 from quivergrass.kronecker import (
     build_kronecker,
@@ -14,9 +15,13 @@ from quivergrass.sampler import (
     example4_quartic,
     example4_verify,
     positivity_scan,
+    _curve_points,
+    _projective_plane,
     sample_general_rep,
     smoothness_probe,
 )
+
+from oracles import poly_det
 
 ONE_VERTEX = Quiver(1, ())
 
@@ -75,6 +80,56 @@ def test_quartic_degenerate_when_one_map_zero():
                          good.matrices[:3] + (zero,))
     with pytest.raises(DegenerateForm):
         example4_quartic(rep)
+
+
+def _cofactor_quartic(rep):
+    """det[phi_1 v | ... | phi_4 v] by cofactor expansion over FPolynomials."""
+    v = [FPolynomial.variable(3, c) for c in range(3)]
+    return poly_det([[sum((x * vc for x, vc in zip(rep.matrices[k][r], v)),
+                          FPolynomial.zero(3)) for k in range(4)] for r in range(4)])
+
+
+def test_quartic_matches_the_cofactor_determinant():
+    for seed in range(40):
+        rep = sample_general_rep(kronecker_quiver(4), EXAMPLE4_DIMS, seed, 5)
+        assert example4_quartic(rep) == _cofactor_quartic(rep), seed
+    # both degenerate cases vanish under either expansion
+    repeated = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
+    zero = ((0, 0, 0),) * 4
+    for mats in ((repeated,) * 4, seed42_rep().matrices[:3] + (zero,)):
+        rep = Representation(kronecker_quiver(4), EXAMPLE4_DIMS, mats)
+        assert not _cofactor_quartic(rep)
+        with pytest.raises(DegenerateForm):
+            example4_quartic(rep)
+
+
+def _brute_curve_points(f, p):
+    """`_curve_points` by evaluating f and its partials at every point of P^2(F_p)."""
+    partials = [f.partial(i) for i in range(3)]
+    curve = []
+    for v in _projective_plane(p):
+        if f.evaluate(v) % p == 0:
+            curve.append(v)
+            if all(g.evaluate(v) % p == 0 for g in partials):
+                raise SmoothnessFailure(p, v)
+    return curve
+
+
+def test_line_scan_matches_a_brute_force_scan():
+    singular = set()
+    for seed in [*range(20), 41]:
+        f = example4_quartic(sample_general_rep(kronecker_quiver(4), EXAMPLE4_DIMS, seed, 5))
+        for p in (5, 7, 11, 13):
+            try:
+                want = _brute_curve_points(f, p)
+            except SmoothnessFailure as exc:
+                with pytest.raises(SmoothnessFailure) as err:
+                    _curve_points(f, p)
+                assert (err.value.prime, err.value.point) == (exc.prime, exc.point)
+                singular.add((seed, p, exc.point))
+            else:
+                assert _curve_points(f, p) == want, (seed, p)
+    assert (41, 5, (1, 0, 4)) in singular
 
 
 def test_quartic_vanishes_exactly_on_grassmannian_fibers():

@@ -35,12 +35,14 @@ from quivergrass.sampler import EXAMPLE4_E, sample_general_rep
 from quivergrass.subspaces import (
     _Budget,
     _count_many,
+    _count_planned,
     _dual_routing,
     _fiber_count,
     _final_ranks,
     _gauss_product,
     _iter_rref,
     _iter_superspaces,
+    _plan,
     _routing,
     count_subreps,
     default_cap,
@@ -216,6 +218,11 @@ def _fiber(e1, d2):
     return [(e1, x) for x in range(d2 + 1)]
 
 
+def _walk_keys(plan):
+    """(direction, key) of every walk of the plan."""
+    return {(plan.backward, key) for key, _ in plan.entry.values()}
+
+
 def test_profile_matches_per_vector_counts():
     rep = reduce_mod(build_kronecker(preprojective(3)), 3)
     for e1 in range(3):
@@ -293,12 +300,11 @@ def test_cheaper_direction_fits_under_cap():
     with pytest.raises(SearchTooLarge) as err:
         count_subreps(rep, (2, 2), cap=1000)
     assert err.value.estimate == gaussian_binomial(4, 2, 23) * gaussian_binomial(3, 2, 23)
-    walks: dict = {}
-    assert _count_many(rep, [(2, 2)], 2000, walks)[2, 2] == 553
-    assert walks[2, 2].backward  # the dual at (2, 1) is the cheaper search
+    assert _count_many(rep, [(2, 2)], 2000)[2, 2] == 553
+    assert _plan(rep, [(2, 2)]).backward  # the dual at (2, 1) is the cheaper search
     tie = reduce_mod(build_kronecker(regular(2, 1)), 5)
-    assert _count_many(tie, [(1, 1)], None, walks)[1, 1] == 1  # p + 1 candidates either way
-    assert not walks[1, 1].backward  # ties stay forward
+    assert _count_many(tie, [(1, 1)])[1, 1] == 1  # p + 1 candidates either way
+    assert not _plan(tie, [(1, 1)]).backward  # ties stay forward
 
 
 def test_incremental_images_match_matvec():
@@ -600,15 +606,14 @@ def test_memo_gives_cold_counts_after_the_box_warms_it():
 
 def test_memo_hit_generates_no_candidates(budgets):
     rep = reduce_mod(build_kronecker(preprojective(3)), 5)
-    walks: dict = {}
-    first = _count_many(rep, [(1, 2)], None, walks)[1, 2]
+    first = _count_many(rep, [(1, 2)])[1, 2]
     assert len(budgets) == 1 and budgets[0].used > 0
-    assert not walks[1, 2].backward  # forward, as the fiber's set count
+    assert not _plan(rep, [(1, 2)]).backward  # forward, as the fiber's set count
     assert count_subreps(rep, (1, 1)).count == 0  # same fiber: only e_1 differs
-    profile = _count_many(rep, _fiber(1, 3), None, walks)
+    profile = _count_many(rep, _fiber(1, 3))
     assert len(budgets) == 1  # a hit makes no budget, so it generates no candidate
     assert _final_ranks.cache_info().hits == 2
-    assert {(w.backward, w.key) for w in walks.values()} == {(False, (1, 0))}
+    assert _walk_keys(_plan(rep, _fiber(1, 3))) == {(False, (1, 0))}
     assert profile[1, 2] == first and profile[1, 1] == 0
 
 
@@ -779,12 +784,12 @@ REG4_LINES = gaussian_binomial(4, 1, 23)  # 12,720 lines at the searched vertex
 
 def test_block_walk_charges_every_candidate(budgets):
     rep = reduce_mod(build_kronecker(regular(4, 0)), 23)
-    walks: dict = {}
-    profile = _count_many(rep, _fiber(1, 4), None, walks)
+    plan = _plan(rep, _fiber(1, 4))
+    profile, walked = _count_planned(rep, plan, _fiber(1, 4), default_cap())
     assert len(budgets) == 1  # the fiber is searched forward, in one walk
-    assert {(w.backward, w.key) for w in walks.values()} == {(False, (1, 0))}
+    assert _walk_keys(plan) == {(False, (1, 0))}
     assert budgets[-1].used == 2 * REG4_LINES == 25440  # generated, then ranked
-    assert dict(walks[1, 0].ranks) == {1: 1, 2: REG4_LINES - 1}
+    assert dict(walked[1, 0]) == {1: 1, 2: REG4_LINES - 1}
     assert sum(profile.values()) == sum(count_subreps(rep, (1, x)).count for x in range(5))
 
 
@@ -800,11 +805,10 @@ def test_block_walk_ranks_a_plane_per_kernel_call(budgets, monkeypatch):
 
     monkeypatch.setattr(linalg, "pencil_rank_histogram", counted)
     rep = reduce_mod(build_kronecker(regular(4, 0)), 23)
-    walks: dict = {}
-    _count_many(rep, _fiber(1, 4), None, walks)
+    _, walked = _count_planned(rep, _plan(rep, _fiber(1, 4)), _fiber(1, 4), default_cap())
     assert len(calls) == 23 + 2 and calls.count(4) == 23 + 1  # 553 by lines
     assert budgets[-1].used == 2 * REG4_LINES == 25440
-    assert dict(walks[1, 0].ranks) == {1: 1, 2: REG4_LINES - 1}
+    assert dict(walked[1, 0]) == {1: 1, 2: REG4_LINES - 1}
 
 
 def test_block_walk_cap_boundary(budgets):
@@ -836,12 +840,11 @@ def test_count_walks_and_builds_columns_only_on_a_miss(budgets, monkeypatch):
             for e in box:
                 before, made = dict(built), len(budgets)
                 misses = _final_ranks.cache_info().misses
-                walks: dict = {}
-                _count_many(rep, [e], None, walks)
+                _count_many(rep, [e])
                 miss = _final_ranks.cache_info().misses - misses
                 assert built == {name: n + miss for name, n in before.items()}, (kind, e)
                 assert len(budgets) - made == miss, (kind, e)
-                directions.add(walks[e].backward)
+                directions.add(_plan(rep, [e]).backward)
                 if sweep:
                     assert not miss, (kind, e)
         if kind == preinjective(3):
@@ -888,7 +891,8 @@ def _check_determined_walks(rep, es):
     for backward, target, route, walked in ((False, rep, _routing(rep.quiver), es),
                                             (True, dual_representation(rep),
                                              _dual_routing(rep.quiver), dual_es)):
-        for key in route.fibers(walked):
+        final = route.order[-1]
+        for key in dict.fromkeys(e[:final] + (0,) + e[final + 1:] for e in walked):
             ranks = dict(_final_ranks(rep, backward, key, 10 ** 6))
             assert ranks == _streamed_ranks(target, key), (backward, key)
 
