@@ -175,16 +175,14 @@ class FPolynomial:
         return total
 
     def partial(self, index: int) -> "FPolynomial":
-        """Partial derivative with respect to variable `index`."""
+        """Partial derivative with respect to variable `index`.  Lowering that
+        exponent by one is injective on the terms it keeps, so none collide."""
         terms: dict[tuple, int] = {}
         for exp, coef in self.terms.items():
             k = exp[index]
             if k:
-                new = list(exp)
-                new[index] = k - 1
-                key = tuple(new)
-                terms[key] = terms.get(key, 0) + coef * k
-        return FPolynomial(self.nvars, terms)
+                terms[exp[:index] + (k - 1,) + exp[index + 1:]] = coef * k
+        return FPolynomial._trusted(self.nvars, terms)
 
     # -- presentation ---------------------------------------------------------
 

@@ -64,6 +64,8 @@ def test_quartic_degree_and_homogeneity():
     v = (2, -1, 3)
     t = 5
     assert f.evaluate(tuple(t * x for x in v)) == t ** 4 * f.evaluate(v)
+    # Euler's relation for a form of degree 4: sum_i v_i df/dv_i = 4 f
+    assert sum(x * f.partial(i).evaluate(v) for i, x in enumerate(v)) == 4 * f.evaluate(v)
 
 
 def test_quartic_degenerate_when_maps_repeat():
