@@ -200,8 +200,11 @@ def example4_verify(rep: Representation, primes: Sequence[int],
     chi = -4 comes from the genus-degree formula (genus 3 for a smooth plane
     quartic, chi = 2 - 2g), and is only reported when every requested prime
     delivered a smoothness witness and a point-count match; with no primes
-    the degree is checked and chi is withheld.  The report also records that
-    the interpolation route rejects this input with NonPolynomialCount.
+    the degree is checked and chi is withheld.  At each prime the curve
+    points come from a line-by-line scan of f mod p (`_curve_points`),
+    which raises SmoothnessFailure at the first singular point in
+    `_projective_plane` order.  The report also records that the
+    interpolation route rejects this input with NonPolynomialCount.
     """
     f = example4_quartic(rep)
     report: dict = {
