@@ -1,11 +1,14 @@
 """Command-line interface.
 
 Subcommands: euler, fpoly, kronecker, dynkin, example4.  Exit codes are a
-stable API: 0 ok, 2 parse/usage error, 3 non-polynomial point counts,
-4 enumeration too large, 5 invariant/verification failure, 6 out of scope.
+stable API, read from `EXIT_CODES`: 0 ok, 2 parse/usage error, 3 non-polynomial
+point counts, 4 enumeration too large, 5 invariant/verification failure,
+6 out of scope: a root the minor route cannot reach, or type E brute force
+alone (`dynkin --mode both` runs the minor route first).
 Every flag has a JSON-config equivalent via --config; explicit flags win.
 The environment variable QUIVERGRASS_CAP overrides the default enumeration
-cap; --cap overrides both.
+cap; --cap overrides both.  A refused walk reports the estimate the cap was
+compared with: the product of Gaussian binomials over its searched vertices.
 """
 
 from __future__ import annotations
@@ -40,6 +43,12 @@ EXIT_NONPOLY = 3
 EXIT_TOO_LARGE = 4
 EXIT_VERIFY = 5
 EXIT_SCOPE = 6
+
+# an error exits with the code of the nearest of its classes listed here
+EXIT_CODES = {QuivergrassError: EXIT_PARSE, ShapeMismatch: EXIT_PARSE,
+              NonPolynomialCount: EXIT_NONPOLY, SearchTooLarge: EXIT_TOO_LARGE,
+              ScopeError: EXIT_SCOPE, SmoothnessFailure: EXIT_VERIFY,
+              CountMismatch: EXIT_VERIFY, DegenerateForm: EXIT_VERIFY}
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -225,13 +234,10 @@ def cmd_dynkin(args) -> int:
         raise ParseError("dynkin needs --type, --coxeter and --root")
     label, rank = _parse_type(args.type)
     mode = args.mode or "both"
-    if mode != "minor":
-        if label == "A" and rank > 5:
-            raise ScopeError("brute-force cross-checks are limited to A_n with n <= 5")
-        if label == "D" and rank != 4:
-            raise ScopeError("type D brute force is limited to D4")
-        if label == "E":
-            raise ScopeError("type E has no brute-force route here; use --mode minor")
+    if label == "E" and mode == "bruteforce":  # the cap guards size; this guards verdicts
+        raise ScopeError("type E brute force alone can reject a polynomial-count root "
+                         "at a bad-reduction prime; use --mode both, which runs the "
+                         "minor route first")
     word = tuple(i - 1 for i in _csv_ints(args.coxeter))
     alpha = _csv_ints(args.root)
     try:
@@ -359,27 +365,12 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         return args.func(args)
-    except (ParseError, ShapeMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NonPolynomialCount as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if getattr(args, "example4_shape", False):
-            print("hint: for the plane-quartic family use the `example4` command",
-                  file=sys.stderr)
-        return EXIT_NONPOLY
-    except SearchTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except ScopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCOPE
-    except (SmoothnessFailure, CountMismatch, DegenerateForm) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except QuivergrassError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        if isinstance(exc, NonPolynomialCount) and getattr(args, "example4_shape", False):
+            print("hint: for the plane-quartic family use the `example4` command",
+                  file=sys.stderr)
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 
 def console_entry() -> None:

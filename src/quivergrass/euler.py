@@ -115,7 +115,7 @@ from typing import Iterator, Sequence
 from . import linalg
 from .errors import DomainMismatch, InsufficientSamples, NonPolynomialCount
 from .fpoly import FPolynomial
-from .model import Representation, hom_dim, reduce_mod, validate_representation
+from .model import Representation, euler_form, hom_dim, reduce_mod, validate_representation
 from .subspaces import (
     _count_planned,
     _dual_routing,
@@ -319,7 +319,6 @@ class _Sampling:
         self.forward = self._forcing(_routing(rep.quiver), rep.quiver.arrows)
         self.backward = self._forcing(_dual_routing(rep.quiver),
                                       [(v, u) for u, v in rep.quiver.arrows])
-        self.acyclic = _routing(rep.quiver).acyclic
         self._primes = linalg.odd_primes()
         self._found: list[tuple[int, Representation]] = []
         self._lock = threading.Lock()
@@ -358,11 +357,6 @@ class _Sampling:
             held = next((rep_p for q, rep_p in self._found if q == p), None)
         return reduce_mod(self.rep, p) if held is None else held
 
-    def euler_form(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """<a, b> = sum_v a_v b_v - sum_{arrows u -> v} a_u b_v, on an acyclic quiver."""
-        return (sum(x * y for x, y in zip(a, b))
-                - sum(a[u] * b[v] for u, v in self.rep.quiver.arrows))
-
     def end(self) -> int | None:
         """dim End_Q(M), certified at a good prime, or None.
 
@@ -378,9 +372,9 @@ class _Sampling:
         """
         with self._end_lock:
             if not self._end_known:
-                dims = self.rep.dims
-                if self.acyclic and any(dims):
-                    lower = max(1, self.euler_form(dims, dims))
+                quiver, dims = self.rep.quiver, self.rep.dims
+                if quiver.is_acyclic and any(dims):
+                    lower = max(1, euler_form(quiver, dims, dims))
                     for _, rep_p in islice(self.reductions(), HELD_OUT + 1):
                         if hom_dim(rep_p, rep_p) == lower:
                             self._end = lower
@@ -395,8 +389,8 @@ class _Sampling:
         <d, d> < 1 (regular Kronecker modules, the plane quartic), and a
         module `end` cannot certify counts as not rigid.
         """
-        dims = self.rep.dims
-        form = self.euler_form(dims, dims) if self.acyclic else 0
+        quiver, dims = self.rep.quiver, self.rep.dims
+        form = euler_form(quiver, dims, dims) if quiver.is_acyclic else 0
         return form >= 1 and self.end() == form
 
     def degree_bound(self, e: Sequence[int]) -> int:
@@ -549,12 +543,12 @@ def _rigid_degrees(sampling: _Sampling, bounds: dict[tuple[int, ...], int]
     proven rigid (`_Sampling.rigid`), which is asked only when such an e
     exists, so the End certificate is worked out only where it saves a prime.
     """
-    if not sampling.acyclic:
+    quiver, dims = sampling.rep.quiver, sampling.rep.dims
+    if not quiver.is_acyclic:
         return {}
-    dims = sampling.rep.dims
     degrees = {}
     for e, bound in bounds.items():
-        degree = sampling.euler_form(e, [d - x for d, x in zip(dims, e)])
+        degree = euler_form(quiver, e, [d - x for d, x in zip(dims, e)])
         if degree // 2 < bound:
             degrees[e] = degree
     return degrees if degrees and sampling.rigid() else {}

@@ -24,6 +24,8 @@ class FPolynomial:
                 exp = tuple(int(x) for x in exp)
                 if len(exp) != self.nvars or any(x < 0 for x in exp):
                     raise ValueError(f"bad exponent vector {exp} for {self.nvars} variables")
+                if isinstance(coef, bool) or coef != int(coef):
+                    raise ValueError(f"coefficient {coef!r} of {exp} is not an integer")
                 coef = int(coef)
                 if coef:
                     clean[exp] = coef
@@ -237,7 +239,7 @@ class FPolynomial:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "FPolynomial":
         nvars = int(data["vars"])
-        terms = {tuple(t["exp"]): int(t["coef"]) for t in data["terms"]}
+        terms = {tuple(t["exp"]): t["coef"] for t in data["terms"]}
         return cls(nvars, terms)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappush, heappop
 from typing import Sequence
 
@@ -79,8 +80,9 @@ class Quiver:
                         heappush(ready, t)
         return tuple(order) if len(order) == self.n else None
 
-    @property
+    @cached_property
     def is_acyclic(self) -> bool:
+        """Worked out once per quiver; equality and hashing read only the fields."""
         return self.topological_order() is not None
 
     def opposite(self) -> "Quiver":

@@ -72,10 +72,12 @@ direction, the searched dimension vector with the final entry zeroed, and
 the cap, so counts share walks across calls.  Image columns and the search
 budget are made only when the memo misses.
 
-The cap bounds the number of candidate subspaces one walk generates, so a
-search that would hang turns into a SearchTooLarge error instead; its
-estimate, worked out only when the error is raised, sums the products of
-Gaussian binomials (equal in either direction) of the e's the walk serves.
+The cap bounds the candidates one walk generates, so a search that would
+hang raises SearchTooLarge instead.  A walk's estimate, the product of
+Gaussian binomials over its searched vertices (equal in either direction),
+is compared with the cap before it runs; `_too_large` reports that number
+whether the walk is refused unwalked (visited None) or runs out of budget
+(visited = cap + 1; the final-vertex ticks of a shortcut walk count too).
 """
 
 from __future__ import annotations
@@ -226,6 +228,10 @@ class PointCount:
     count: int
 
 
+class _OverCap(Exception):
+    """A walk generated more candidates than its budget's cap."""
+
+
 class _Budget:
     __slots__ = ("cap", "used")
 
@@ -234,12 +240,12 @@ class _Budget:
         self.used = 0
 
     def tick(self, n: int = 1):
-        """Charge n candidates; past the cap, report the first one over it
-        (the caller, which knows the e's the walk serves, adds the estimate)."""
+        """Charge n candidates; past the cap, stop the walk at the first one
+        over it (the caller, which knows the e's the walk serves, reports it)."""
         self.used += n
         if self.used > self.cap:
             self.used = self.cap + 1
-            raise SearchTooLarge(None, self.cap, visited=self.used)
+            raise _OverCap
 
 
 class _Route(NamedTuple):
@@ -483,9 +489,12 @@ def _plan(rep: Representation, es: Sequence[tuple[int, ...]]) -> _Plan:
     return plan
 
 
-def _walk_detail(p: int, es) -> str:
-    """The prime and the dimension vectors of a refused walk, for its error."""
-    return f"p = {p}, dimension vector{'s' if len(es) > 1 else ''} {', '.join(map(str, es))}"
+def _too_large(p: int, estimate: int, cap: int, es, visited: int | None = None
+               ) -> SearchTooLarge:
+    """The refusal of a walk at prime p serving es (named as given): estimate
+    is what the cap was compared with, visited is cap + 1 mid-walk."""
+    detail = f"p = {p}, dimension vector{'s' if len(es) > 1 else ''} {', '.join(map(str, es))}"
+    return SearchTooLarge(estimate, cap, visited, detail)
 
 
 def _count_planned(rep: Representation, plan: _Plan, es: Sequence[tuple[int, ...]],
@@ -495,32 +504,27 @@ def _count_planned(rep: Representation, plan: _Plan, es: Sequence[tuple[int, ...
     being the walk's rank histogram (`_final_ranks`) under the shortcut and
     the count otherwise.
 
-    Every walk is checked against the cap before any runs; the payload of
-    SearchTooLarge sums the products of Gaussian binomials of the e's of es
-    that the failing walk serves, and its message names the prime and
-    those e's as given, whichever direction is searched.
+    Every walk is checked against the cap before any runs; a refused walk
+    raises `_too_large` with the e's of es it serves, whichever direction
+    is searched.
     """
     dims, p = rep.dims, rep.field
     route, backward, entry = plan
     walks: dict[tuple, list] = {}
     for e in es:
         walks.setdefault(entry[e][0], []).append(e)
-
-    def too_large(members, visited=None) -> SearchTooLarge:
-        estimate = sum(_gauss_product(dims, e, p, range(rep.n)) for e in members)
-        return SearchTooLarge(estimate, cap, visited, _walk_detail(p, members))
-
+    estimates = {key: _gauss_product(dims, key, p, route.searched) for key in walks}
     for key, members in walks.items():
-        if _gauss_product(dims, key, p, route.searched) > cap:
-            raise too_large(members)
+        if estimates[key] > cap:
+            raise _too_large(p, estimates[key], cap, members)
     walked = {}
     for key, members in walks.items():
         try:
             walked[key] = (_final_ranks(rep, backward, key, cap) if route.shortcut
                            else sum(1 for _ in _walk(rep, key, _Budget(cap),
                                                      shortcut=False, backward=backward)))
-        except SearchTooLarge as exc:
-            raise too_large(members, exc.visited) from None
+        except _OverCap:
+            raise _too_large(p, estimates[key], cap, members, cap + 1) from None
     d, counts = dims[route.order[-1]], {}
     for e in es:
         key, x = entry[e]
@@ -546,10 +550,8 @@ def count_subreps(rep: Representation, e: Sequence[int],
     """Exact number of subrepresentation tuples with the given dimension vector.
 
     rep and e are validated here, since `_count_many` trusts them.  The
-    search runs in the cheaper direction (see the module docstring).  The
-    error payload of SearchTooLarge carries the product-of-Gaussian-
-    binomials estimate; the cap itself bounds generated candidates so pruned
-    searches far below the worst case still run.
+    search runs in the cheaper direction, and the cap bounds the candidates
+    it generates (see the module docstring).
     """
     (e,) = _checked(rep, [e])
     return PointCount(rep.field, e, _count_many(rep, [e], cap)[e])
@@ -562,11 +564,11 @@ def iter_subrep_tuples(rep: Representation, e: Sequence[int],
     cap = default_cap() if cap is None else int(cap)
     estimate = _gauss_product(rep.dims, e, rep.field, range(rep.n))
     if estimate > cap:
-        raise SearchTooLarge(estimate, cap, None, _walk_detail(rep.field, [e]))
+        raise _too_large(rep.field, estimate, cap, [e])
     order = _routing(rep.quiver).order
     try:
         for chosen in _walk(rep, e, _Budget(cap), shortcut=False):
             by_vertex = dict(zip(order, chosen))
             yield SubspaceTuple(rep.field, tuple(by_vertex[v][0] for v in range(rep.n)))
-    except SearchTooLarge as exc:
-        raise SearchTooLarge(estimate, cap, exc.visited, _walk_detail(rep.field, [e])) from None
+    except _OverCap:
+        raise _too_large(rep.field, estimate, cap, [e], cap + 1) from None

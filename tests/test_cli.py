@@ -142,6 +142,24 @@ def test_cap_exit_names_the_prime_and_dimension_vector(tmp_path, capsys):
     assert "p = 3, dimension vector (3, 2)" in capsys.readouterr().err
 
 
+def test_cap_exit_reports_the_estimate_it_compared(tmp_path, capsys):
+    # reg(4, 0) at (2, 2) searches one vertex: Gr(2, 4) has 130 points over
+    # F_3 and 806 over F_5, the number each walk is compared with
+    path = tmp_path / "reg4.json"
+    shift = [[int(c == r + 1) for c in range(4)] for r in range(4)]
+    save_representation(Representation(kronecker_quiver(2), (4, 4),
+                                       ([[int(c == r) for c in range(4)] for r in range(4)],
+                                        shift)), path)
+    argv = ["euler", "--rep", str(path), "--e", "2,2", "--cap"]
+    assert main(argv + ["20"]) == 4
+    assert capsys.readouterr().err == ("error: search size estimate 130 exceeds cap 20: "
+                                       "p = 3, dimension vector (2, 2)\n")
+    assert main(argv + ["1000"]) == 4  # within the cap at p = 5, out of budget mid-walk
+    assert capsys.readouterr().err == ("error: enumeration visited more than cap 1000 "
+                                       "candidates (estimate 806): p = 5, dimension vector "
+                                       "(2, 2)\n")
+
+
 def test_euler_bad_cap_is_a_usage_error(pr2_file, capsys):
     assert main(["euler", "--rep", pr2_file, "--e", "0,1", "--cap", "abc"]) == 2
     assert "'abc'" in capsys.readouterr().err
@@ -269,11 +287,27 @@ def test_dynkin_type_e_minor(capsys):
     ("A6", "1,2,3,4,5,6", "1,1,1,1,1,1", "both"),
     ("D5", "1,2,3,4,5", "1,1,1,1,1", "bruteforce"),
     ("E6", "1,2,3,4,5,6", "1,1,1,1,1,1", "both"),
+    ("E6", "1,2,3,4,5,6", "1,1,1,1,1,1", "bruteforce"),
 ])
 def test_dynkin_brute_force_limits(label, word, root, mode, capsys):
-    assert main(["dynkin", "--type", label, "--coxeter", word, "--root", root,
-                 "--mode", mode]) == 6
-    assert "brute" in capsys.readouterr().err
+    # the cap guards size; only type E brute force alone is refused
+    code = main(["dynkin", "--type", label, "--coxeter", word, "--root", root,
+                 "--mode", mode])
+    captured = capsys.readouterr()
+    if label.startswith("E") and mode == "bruteforce":
+        assert code == 6
+        assert "brute" in captured.err and "--mode both" in captured.err
+        return
+    assert code == 0
+    if mode == "both":
+        assert captured.out.splitlines()[-1] == "ok"
+
+
+def test_dynkin_both_runs_the_minor_route_first(capsys):
+    # brute force rejects this non-minuscule root at a bad prime (exit 3)
+    assert main(["dynkin", "--type", "E6", "--coxeter", "1,2,3,4,5,6",
+                 "--root", "1,2,2,3,2,1", "--mode", "both"]) == 6
+    assert "not minuscule" in capsys.readouterr().err
 
 
 def test_dynkin_bad_root(capsys):

@@ -231,8 +231,9 @@ def test_minuscule_fundamental_weights(label, rank, expected):
     assert found == tuple(i for i in range(rank) if minuscule_by_orbit(rs, i))
 
 
-# D4 24, D5 40, E6 72 (root, word) pairs: 66 minuscule, 70 not
-@pytest.mark.parametrize("label,rank", [("D", 4), ("D", 5), ("E", 6)])
+# A8 72, D4 24, D5 40, D6 60, D7 84, E6 72 (root, word) pairs: 204 minuscule, 148 not
+@pytest.mark.parametrize("label,rank", [("A", 8), ("D", 4), ("D", 5), ("D", 6), ("D", 7),
+                                        ("E", 6)])
 def test_walk_in_types_d_and_e(label, rank):
     rs = root_system(label, rank)
     for word in (tuple(range(rank)), bipartite_word(rs)):

@@ -497,6 +497,17 @@ def test_f_polynomial_json_round_trip():
     assert exps == sorted(exps)  # schema is lex-sorted
 
 
+def test_f_polynomial_refuses_non_integer_coefficients():
+    for coef in (Fraction(1, 2), 2.9, True):
+        with pytest.raises(ValueError) as err:
+            FPolynomial(1, {(1,): coef, (0,): 3})
+        assert str(err.value) == f"coefficient {coef!r} of (1,) is not an integer"
+        with pytest.raises(ValueError, match="is not an integer"):
+            FPolynomial.from_json_dict({"vars": 1, "terms": [{"exp": [1], "coef": coef}]})
+    # integral values of other types are integers
+    assert FPolynomial(1, {(0,): Fraction(6, 2), (1,): 2.0}).terms == {(0,): 3, (1,): 2}
+
+
 def test_multiplicativity_random_small_pairs():
     rng = random.Random("euler-mult")
     q = Quiver(2, ((0, 1),))
