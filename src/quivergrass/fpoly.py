@@ -24,9 +24,10 @@ class FPolynomial:
                 exp = tuple(int(x) for x in exp)
                 if len(exp) != self.nvars or any(x < 0 for x in exp):
                     raise ValueError(f"bad exponent vector {exp} for {self.nvars} variables")
-                if isinstance(coef, bool) or coef != int(coef):
-                    raise ValueError(f"coefficient {coef!r} of {exp} is not an integer")
-                coef = int(coef)
+                if type(coef) is not int:  # an integral Fraction or float passes
+                    if isinstance(coef, bool) or coef != int(coef):
+                        raise ValueError(f"coefficient {coef!r} of {exp} is not an integer")
+                    coef = int(coef)
                 if coef:
                     clean[exp] = coef
         self.terms = clean
