@@ -489,12 +489,14 @@ def _plan(rep: Representation, es: Sequence[tuple[int, ...]]) -> _Plan:
     return plan
 
 
-def _too_large(p: int, estimate: int, cap: int, es, visited: int | None = None
-               ) -> SearchTooLarge:
-    """The refusal of a walk at prime p serving es (named as given): estimate
-    is what the cap was compared with, visited is cap + 1 mid-walk."""
-    detail = f"p = {p}, dimension vector{'s' if len(es) > 1 else ''} {', '.join(map(str, es))}"
-    return SearchTooLarge(estimate, cap, visited, detail)
+def _too_large(rep: Representation, key: tuple[int, ...], vertices, cap: int, es,
+               visited: int | None = None) -> SearchTooLarge:
+    """The refusal of the walk of rep at key over vertices, serving es (named
+    as given): its estimate is the product the cap was compared with before
+    the walk ran, and visited is cap + 1 when it ran out of budget."""
+    plural = "s" if len(es) > 1 else ""
+    return SearchTooLarge(_gauss_product(rep.dims, key, rep.field, vertices), cap, visited,
+                          f"p = {rep.field}, dimension vector{plural} {', '.join(map(str, es))}")
 
 
 def _count_planned(rep: Representation, plan: _Plan, es: Sequence[tuple[int, ...]],
@@ -513,10 +515,9 @@ def _count_planned(rep: Representation, plan: _Plan, es: Sequence[tuple[int, ...
     walks: dict[tuple, list] = {}
     for e in es:
         walks.setdefault(entry[e][0], []).append(e)
-    estimates = {key: _gauss_product(dims, key, p, route.searched) for key in walks}
     for key, members in walks.items():
-        if estimates[key] > cap:
-            raise _too_large(p, estimates[key], cap, members)
+        if _gauss_product(dims, key, p, route.searched) > cap:
+            raise _too_large(rep, key, route.searched, cap, members)
     walked = {}
     for key, members in walks.items():
         try:
@@ -524,7 +525,7 @@ def _count_planned(rep: Representation, plan: _Plan, es: Sequence[tuple[int, ...
                            else sum(1 for _ in _walk(rep, key, _Budget(cap),
                                                      shortcut=False, backward=backward)))
         except _OverCap:
-            raise _too_large(p, estimates[key], cap, members, cap + 1) from None
+            raise _too_large(rep, key, route.searched, cap, members, cap + 1) from None
     d, counts = dims[route.order[-1]], {}
     for e in es:
         key, x = entry[e]
@@ -562,13 +563,12 @@ def iter_subrep_tuples(rep: Representation, e: Sequence[int],
     """Stream every point of the quiver Grassmannian as a SubspaceTuple."""
     (e,) = _checked(rep, [e])
     cap = default_cap() if cap is None else int(cap)
-    estimate = _gauss_product(rep.dims, e, rep.field, range(rep.n))
-    if estimate > cap:
-        raise _too_large(rep.field, estimate, cap, [e])
+    if _gauss_product(rep.dims, e, rep.field, range(rep.n)) > cap:
+        raise _too_large(rep, e, range(rep.n), cap, [e])
     order = _routing(rep.quiver).order
     try:
         for chosen in _walk(rep, e, _Budget(cap), shortcut=False):
             by_vertex = dict(zip(order, chosen))
             yield SubspaceTuple(rep.field, tuple(by_vertex[v][0] for v in range(rep.n)))
     except _OverCap:
-        raise _too_large(rep.field, estimate, cap, [e], cap + 1) from None
+        raise _too_large(rep, e, range(rep.n), cap, [e], cap + 1) from None
