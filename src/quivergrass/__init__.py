@@ -5,19 +5,19 @@ verified polynomial interpolation, closed-form binomial formulas for the
 Kronecker quiver, and principal generalized minors, evaluated in minuscule
 representations, for Dynkin quivers.  All arithmetic is exact; no floating
 point.
+
+The counting core (`errors`, `model`, `linalg`, `subspaces`, `euler`,
+`fpoly`, `kronecker`) is imported with the package.  The minor route
+(`dynkin`) and the sampler (`sampler`) are imported the first time one of
+their names is read from the package (PEP 562): a single computation pays
+for compiling only the modules it runs, and where no bytecode is cached
+(`PYTHONDONTWRITEBYTECODE`) that compile costs more than a small count.
+The core stays eager, since every count runs it and its compile would
+otherwise land inside the first call.
 """
 
-from .dynkin import (
-    RootSystem,
-    coxeter_from_orientation,
-    dynkin_indecomposable,
-    f_polynomial_via_minor,
-    orientation_from_coxeter,
-    root_system,
-    simple_reflection,
-    solve_gamma,
-    weyl_orbit,
-)
+import importlib
+
 from .errors import QuivergrassError
 from .euler import (
     CountingPolynomial,
@@ -57,13 +57,6 @@ from .model import (
     validate_representation,
     zero_representation,
 )
-from .sampler import (
-    example4_quartic,
-    example4_verify,
-    positivity_scan,
-    sample_general_rep,
-    smoothness_probe,
-)
 from .subspaces import (
     PointCount,
     count_subreps,
@@ -71,6 +64,16 @@ from .subspaces import (
     gaussian_binomial,
     iter_subrep_tuples,
 )
+
+# the lazily imported modules -> their public names
+_LAZY_MODULES = {
+    "dynkin": ("RootSystem", "coxeter_from_orientation", "dynkin_indecomposable",
+               "f_polynomial_via_minor", "orientation_from_coxeter", "root_system",
+               "simple_reflection", "solve_gamma", "weyl_orbit"),
+    "sampler": ("example4_quartic", "example4_verify", "positivity_scan",
+                "sample_general_rep", "smoothness_probe"),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -129,3 +132,23 @@ __all__ = [
     "weyl_orbit",
     "zero_representation",
 ]
+
+
+def __getattr__(name: str):
+    """Import the module that defines a lazy name, and keep the name here.
+
+    The import system's per-module lock makes a first touch from two threads
+    at once import the module once, so both get the same object.
+    """
+    if name in _LAZY_MODULES:  # importing a submodule binds it here
+        return importlib.import_module(f".{name}", __name__)
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY) | set(_LAZY_MODULES))

@@ -9,6 +9,9 @@ Every flag has a JSON-config equivalent via --config; explicit flags win.
 The environment variable QUIVERGRASS_CAP overrides the default enumeration
 cap; --cap overrides both.  A refused walk reports the estimate the cap was
 compared with: the product of Gaussian binomials over its searched vertices.
+The minor route and the sampler are imported by the subcommands that run
+them (`dynkin`, `example4`), so `euler`, `fpoly` and `kronecker` compile
+neither.
 """
 
 from __future__ import annotations
@@ -19,10 +22,8 @@ import re
 import sys
 from fractions import Fraction
 
-from . import dynkin as dk
 from . import euler as eu
 from . import kronecker as kr
-from . import sampler as sp
 from .errors import (
     CountMismatch,
     DegenerateForm,
@@ -133,10 +134,18 @@ def _emit(args, text: str, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_rep(args):
-    """Load --rep, noting whether it has the plane-quartic shape of `example4`."""
-    rep = load_representation(args.rep)
-    args.example4_shape = sp.is_example4_shape(rep)
-    return rep
+    """Load --rep and keep it on args for the `example4` hint of a refusal."""
+    args.loaded_rep = load_representation(args.rep)
+    return args.loaded_rep
+
+
+def _example4_shaped(args) -> bool:
+    """Whether the loaded --rep has the plane-quartic shape of `example4`."""
+    rep = getattr(args, "loaded_rep", None)
+    if rep is None:
+        return False
+    from .sampler import is_example4_shape
+    return is_example4_shape(rep)
 
 
 def cmd_euler(args) -> int:
@@ -230,6 +239,8 @@ def cmd_kronecker(args) -> int:
 
 
 def cmd_dynkin(args) -> int:
+    from . import dynkin as dk
+
     if args.type is None or args.coxeter is None or args.root is None:
         raise ParseError("dynkin needs --type, --coxeter and --root")
     label, rank = _parse_type(args.type)
@@ -279,6 +290,8 @@ def cmd_dynkin(args) -> int:
 
 
 def cmd_example4(args) -> int:
+    from . import sampler as sp
+
     seed = _parse_int(args.seed, "--seed", 42)
     bound = _parse_int(args.bound, "--bound", 5)
     primes = _csv_ints(args.primes) if args.primes is not None else sp.EXAMPLE4_PRIMES
@@ -367,7 +380,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except QuivergrassError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, NonPolynomialCount) and getattr(args, "example4_shape", False):
+        if isinstance(exc, NonPolynomialCount) and _example4_shaped(args):
             print("hint: for the plane-quartic family use the `example4` command",
                   file=sys.stderr)
         return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)

@@ -70,7 +70,7 @@ class FPolynomial:
                 raise VariableCountMismatch(
                     f"{self.nvars} variables vs {other.nvars}")
             return other
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return FPolynomial.constant(self.nvars, other)
         return NotImplemented
 
@@ -131,7 +131,7 @@ class FPolynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             other = FPolynomial.constant(self.nvars, other)
         if not isinstance(other, FPolynomial):
             return NotImplemented

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from heapq import heappush, heappop
 from typing import Sequence
 
@@ -80,13 +80,18 @@ class Quiver:
                         heappush(ready, t)
         return tuple(order) if len(order) == self.n else None
 
-    @cached_property
+    @property
     def is_acyclic(self) -> bool:
-        """Worked out once per quiver; equality and hashing read only the fields."""
-        return self.topological_order() is not None
+        """Worked out once per (n, arrows), not per object: callers build equal copies."""
+        return _is_acyclic(self)
 
     def opposite(self) -> "Quiver":
         return Quiver(self.n, tuple((t, s) for s, t in self.arrows))
+
+
+@lru_cache(maxsize=256)
+def _is_acyclic(quiver: Quiver) -> bool:
+    return quiver.topological_order() is not None
 
 
 def _normalize_entry(x):

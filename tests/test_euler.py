@@ -508,6 +508,18 @@ def test_f_polynomial_refuses_non_integer_coefficients():
     assert FPolynomial(1, {(0,): Fraction(6, 2), (1,): 2.0}).terms == {(0,): 3, (1,): 2}
 
 
+def test_fpolynomial_arithmetic_refuses_bools():
+    # a bool is not an integer constant here, as it is not a coefficient
+    u = FPolynomial.variable(1, 0)
+    for other in (True, 2.5):
+        for op in (lambda: u + other, lambda: u * other, lambda: u - other,
+                   lambda: other + u, lambda: other * u, lambda: other - u):
+            with pytest.raises(TypeError):
+                op()
+    assert u + 1 == FPolynomial(1, {(0,): 1, (1,): 1})
+    assert FPolynomial.one(1) == 1 and FPolynomial.one(1) != True  # noqa: E712
+
+
 def test_multiplicativity_random_small_pairs():
     rng = random.Random("euler-mult")
     q = Quiver(2, ((0, 1),))

@@ -19,6 +19,7 @@ from quivergrass.kronecker import (
 )
 from quivergrass.model import (
     Quiver,
+    _is_acyclic,
     Representation,
     direct_sum,
     dual_representation,
@@ -52,6 +53,23 @@ def test_quiver_flags():
     assert Quiver(2, ((0, 1), (1, 0))).has_two_cycles
     assert not Quiver(2, ((0, 1), (1, 0))).is_acyclic
     assert Quiver(3, ((2, 1), (1, 0))).topological_order() == (2, 1, 0)
+
+
+def test_equal_quivers_share_one_acyclicity_check(monkeypatch):
+    # callers build equal copies of one quiver, so the check is keyed on (n, arrows)
+    calls = []
+    sort = Quiver.topological_order
+
+    def counted(self):
+        calls.append(self)
+        return sort(self)
+
+    monkeypatch.setattr(Quiver, "topological_order", counted)
+    _is_acyclic.cache_clear()
+    arrows = ((0, 1), (1, 2), (0, 2))
+    assert Quiver(3, arrows).is_acyclic and Quiver(3, arrows).is_acyclic
+    assert len(calls) == 1
+    assert not Quiver(3, arrows + ((2, 0),)).is_acyclic and len(calls) == 2
 
 
 def test_quiver_arrow_bounds():
