@@ -20,18 +20,30 @@ walk and final entry, and each fiber's bound.  Each prime then only runs
 the memoized walks of the e's still pending, so every e takes the same
 walk at every prime, under a cap read once per computation.
 
-Three tests settle e from the same samples, whichever finishes first.
-The per-e test fits the counts through B_e + 1 nodes and checks them at
-HELD_OUT more primes; every NonPolynomialCount comes from it.  Its
-`_Validator` judges each sample once, as it arrives, and first against
-every earlier one: P in Z[q] gives (p - q) | P(p) - P(q), so two counts that
-break this prove at once that e is not polynomial (on the plane quartic,
-counts of different parity at two odd primes).  That moves rejections
-earlier and changes no verdict.  A fit that any of the three tests accepts
-is an integer polynomial through every sample, so it passes every pair;
-and when a pair fails, the interpolant through the nodes is not integral
-or misses a held-out sample, so the per-e test would reject at
-B_e + 1 + HELD_OUT samples anyway.  `_fit` folds the same step over a
+Four tests settle e.  The first, the arrow test (`_Sampling.closed_form`),
+needs no prime.  An arrow a: u -> v of rank r gives dim phi_a(U_u) >=
+e_u - (d_u - r), and on the dual the induced map M_u/U_u -> M_v/U_v has
+rank >= r - e_v: each says that Gr_e(M) is empty, P_e = 0, when
+r > d_u - e_u + e_v.  When every arrow of nonzero rank has e_u = 0 or
+e_v = d_v, phi_a(U_u) lies in U_v for every choice, so Gr_e(M) is
+prod_v Gr(e_v, d_v) and P_e = prod_v binom_q(d_v, e_v), of degree
+sum_v e_v (d_v - e_v) = B_e (forward, e_u = 0 forces nothing and e_v = d_v
+zeroes v's term; the dual swaps them), fitted through its values at
+B_e + 1 integers.  Both hold over Q and over every F_p at which each phi_a
+keeps its rank (`good_primes`), so both are exact and neither rejects.
+
+Three tests settle the other e from the same samples, whichever
+finishes first.  The per-e test fits the counts through B_e + 1 nodes and
+checks them at HELD_OUT more primes; every NonPolynomialCount comes from
+it.  Its `_Validator` judges each sample once, as it arrives, and first
+against every earlier one: P in Z[q] gives (p - q) | P(p) - P(q), so two
+counts that break this prove at once that e is not polynomial (on the
+plane quartic, counts of different parity at two odd primes).  That moves
+rejections earlier and changes no verdict.  A fit that any of the three
+tests accepts is an integer polynomial through every sample, so it passes
+every pair; and when a pair fails, the interpolant through the nodes is
+not integral or misses a held-out sample, so the per-e test would reject
+at B_e + 1 + HELD_OUT samples anyway.  `_fit` folds the same step over a
 list of samples.
 
 The fiber test reads the walk that counted e: the search fixes U at the
@@ -58,10 +70,11 @@ Soundness:
   B_e > 0, so it costs nothing where it cannot save a prime.
 Both tests are needed.  On the plane quartic (`example4`, Kronecker m = 4
 at (3, 4)) the forward walk at e_1 = 1 has N_3 and N_4 not polynomial in q
-(rank 3 on the quartic, 4 off it), but N_3 + N_4 is: (1, 4) falls back to
-the per-e test, (1, 0)..(1, 2) see only N_0 = N_1 = N_2 = 0, and (1, 3) is
-rejected by the per-e test, no later than its B_e + 1 nodes (at seed 42 by
-the pair of its counts at 3 and 5).
+(rank 3 on the quartic, 4 off it), but N_3 + N_4 is: (1, 1) and (1, 2)
+see only N_0 = N_1 = N_2 = 0, and (1, 3) is rejected by the per-e test, no
+later than its B_e + 1 nodes (at seed 42 by the pair of its counts at 3
+and 5).  The fiber test would leave (1, 4) to the per-e test; the arrow
+test settles it first (U_2 is all of vertex 2), and rules (1, 0) out.
 
 The rigidity test applies when M is rigid, Ext^1(M, M) = 0.  For U in
 Gr_e(M) over the algebraic closure, Ext^1(U, M/U) is a quotient of
@@ -96,7 +109,8 @@ The prime list grows by one prime under a lock when a caller asks past its
 end, so each (representation, prime) pair is chosen, reduced and
 rank-checked once, when some caller is about to sample it, from whichever
 thread.  It also holds the End certificate, worked out once, which may
-reduce a good prime that no count samples: a rigid-empty e takes none.  It
+reduce a good prime that no count samples: a rigid-empty e takes none.  A
+set that the arrow test settles whole reduces no prime at all.  It
 holds no dual: the search direction belongs to `subspaces._plan`, and a
 backward search walks the reduction itself.
 Interpolation is exact integer Lagrange over one common denominator.
@@ -124,6 +138,7 @@ from .subspaces import (
     _plan,
     _routing,
     default_cap,
+    gaussian_binomial,
 )
 
 HELD_OUT = 2  # validation primes beyond the interpolation nodes
@@ -138,7 +153,9 @@ class CountingPolynomial:
     degree_bound is the a-priori bound on its degree.  It does not fix how
     many primes were sampled: the fiber and rigidity tests (module
     docstring) can settle e with fewer than degree_bound + 1 + HELD_OUT,
-    and samples is empty when M is rigid and <e, d - e> < 0.
+    and samples is empty when an arrow's rank rules e out, when no arrow
+    constrains e (a product of Grassmannians), and when M is rigid and
+    <e, d - e> < 0.
     """
 
     coefficients: tuple[int, ...]
@@ -430,6 +447,35 @@ class _Sampling:
             forced[v] = max(forced[v], e[u] - kernel)
         return sum(max(0, x - s) * (d - x) for x, s, d in zip(e, forced, self.rep.dims))
 
+    def forbidding(self, e: Sequence[int]) -> tuple[int, int, int] | None:
+        """The first arrow (u, v, rank) whose rank over Q rules e out, rank >
+        d_u - e_u + e_v (module docstring), or None."""
+        dims = self.rep.dims
+        return next(((u, v, r) for (u, v), r in zip(self.rep.quiver.arrows, self.ranks)
+                     if r > dims[u] - e[u] + e[v]), None)
+
+    def constrained(self, e: Sequence[int]) -> bool:
+        """Whether some arrow of nonzero rank has e_u > 0 and e_v < d_v."""
+        dims = self.rep.dims
+        return any(r and e[u] and e[v] < dims[v]
+                   for (u, v), r in zip(self.rep.quiver.arrows, self.ranks))
+
+    def closed_form(self, e: Sequence[int]) -> tuple[int, ...] | None:
+        """P_e from the arrow ranks alone (the arrow test), or None.
+
+        () when an arrow rules e out; prod_v binom_q(d_v, e_v) when no arrow
+        constrains e, through its values at B_e + 1 integers; None when
+        neither holds and e is left to sampling.
+        """
+        if self.forbidding(e) is not None:
+            return ()
+        if self.constrained(e):
+            return None
+        dims = self.rep.dims
+        degree = sum(x * (d - x) for d, x in zip(dims, e))  # = B_e here
+        return _interpolant(tuple((q, prod(gaussian_binomial(d, x, q) for d, x in zip(dims, e)))
+                                  for q in range(2, degree + 3)))
+
 
 @lru_cache(maxsize=64)
 def _sampling(rep: Representation) -> _Sampling:
@@ -559,7 +605,10 @@ def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | 
     """Yield (e, its verified counting polynomial or its rejection) for every e
     in bounds (e -> its degree bound), in order, once all are sampled.
 
-    The set is planned at its first prime (`subspaces._plan`), with the
+    First the arrow test (`_Sampling.closed_form`) settles every e it can,
+    with no sample; rigidity is asked only about the e it leaves, and a set
+    it settles whole reduces no prime and walks nothing.  The rest is
+    planned at its first prime (`subspaces._plan`), with the
     bound of each fiber.  At each prime every e still sampled is counted in
     one `subspaces._count_planned` call, which shares the search work
     across the set, and its `_Validator` judges the new count.  e leaves
@@ -578,8 +627,9 @@ def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | 
     sampling = _sampling(rep)
     cap = default_cap() if cap is None else int(cap)
     checks = {e: _Validator(bound) for e, bound in bounds.items()}
-    settled: dict[tuple, tuple[int, ...]] = {}
-    palindromes = _rigid_degrees(sampling, bounds)  # e -> <e, d - e>, where it helps
+    settled = {e: ints for e in bounds if (ints := sampling.closed_form(e)) is not None}
+    left = {e: bound for e, bound in bounds.items() if e not in settled}
+    palindromes = _rigid_degrees(sampling, left)  # e -> <e, d - e>, where it helps
     for e, degree in list(palindromes.items()):
         if degree < 0:  # Gr_e(M) is empty
             del palindromes[e]
@@ -661,7 +711,7 @@ def iter_box_chi(rep: Representation, cap: int | None = None):
     in which case `error` carries the NonPolynomialCount.  The box is sampled
     as one set (see `_settle`): e takes the first degree_bound(e) + 1 +
     HELD_OUT primes, or fewer when they already reject it or its fiber or
-    rigidity settles it.
+    rigidity settles it, and none when the arrow test settles it.
     """
     sampling = _sampling(rep)
     bounds = {e: sampling.degree_bound(e)

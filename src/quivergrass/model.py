@@ -7,7 +7,8 @@ convention that the matrix of an arrow j -> i has shape dims[i] x dims[j]:
 columns index the source space, rows the target, and vectors act as columns.
 
 Scalar domains are exact only: arbitrary-precision integers and rationals
-(field=None) or a prime field F_p with p an odd prime below 2^31 (field=p).
+(field=None) or a prime field F_p with p a prime below 2^31 (field=p); 2 is
+accepted, though the interpolation schedule samples odd primes only.
 Values are immutable after construction and all operations are pure, so
 everything is safe to share across threads.
 """

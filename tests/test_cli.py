@@ -50,13 +50,6 @@ def test_euler_point(point_file, capsys):
     assert capsys.readouterr().out.strip() == "chi = 1"
 
 
-def test_euler_verbose(pr2_file, capsys):
-    assert main(["euler", "--rep", pr2_file, "--e", "0,1", "--verbose"]) == 0
-    out = capsys.readouterr().out
-    assert "chi = 2" in out
-    assert "counting polynomial: 1 + q" in out
-    assert "sample primes: 3, 5, 7" in out
-    assert "degree bound: 1 (fitted degree 1)" in out
 
 
 def test_euler_json_payload(pr2_file, capsys):
@@ -74,16 +67,47 @@ def inj4_file(tmp_path):
     return str(path)
 
 
+def test_euler_verbose(inj4_file, capsys):
+    # inj(4) at (1, 1) is constrained by both arrows, so it is sampled: the
+    # palindrome of degree <(1, 1), (3, 2)> = 1 settles it at three primes
+    assert main(["euler", "--rep", inj4_file, "--e", "1,1", "--verbose"]) == 0
+    out = capsys.readouterr().out
+    assert "chi = 2" in out
+    assert "counting polynomial: 1 + q" in out
+    assert "sample primes: 3, 5, 7" in out
+    assert "degree bound: 3 (fitted degree 1)" in out
+
+
 def test_euler_verbose_names_why_a_rigid_empty_e_samples_no_prime(inj4_file, capsys):
-    # inj(4) is rigid with dims (4, 3), and <(3, 0), (1, 3)> = 3 - 2 * 3 * 3 < 0
+    # inj(4) is rigid with dims (4, 3), and <(1, 0), (3, 3)> = 3 - 2 * 1 * 3 < 0;
+    # each arrow (rank 3) forces only dim U_2 >= 0 at e_1 = 1
+    assert main(["euler", "--rep", inj4_file, "--e", "1,0", "--verbose"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "chi = 0"
+    assert "sample primes: none (M is rigid and <e, d - e> = -3 < 0)" in out
+
+
+def test_euler_verbose_names_the_arrow_that_rules_e_out(inj4_file, capsys):
+    # an arrow of rank 3 out of dimension 4 maps a 3-dimensional U_1 onto at
+    # least 2 dimensions, more than e_2 = 0
     assert main(["euler", "--rep", inj4_file, "--e", "3,0", "--verbose"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "chi = 0"
-    assert "sample primes: none (M is rigid and <e, d - e> = -15 < 0)" in out
+    assert "sample primes: none (arrow 1 -> 2 of rank 3 forces dim U_2 >= 2 > e_2 = 0)" in out
+
+
+def test_euler_verbose_says_when_no_arrow_constrains_e(pr2_file, capsys):
+    # at e_1 = 0 every subspace of the 2-dimensional vertex is a subrepresentation
+    assert main(["euler", "--rep", pr2_file, "--e", "0,1", "--verbose"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["chi = 2", "counting polynomial: 1 + q"]
+    assert ("sample primes: none (no arrow constrains e: Gr_e(M) is a product of "
+            "Grassmannians)") in out
+    assert "degree bound: 1 (fitted degree 1)" in out
 
 
 def test_euler_json_of_a_rigid_empty_e_has_no_samples(inj4_file, capsys):
-    assert main(["euler", "--rep", inj4_file, "--e", "3,0", "--json"]) == 0
+    assert main(["euler", "--rep", inj4_file, "--e", "1,0", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["chi"], payload["counting_polynomial"], payload["samples"]) == (0, [], [])
 
@@ -129,17 +153,23 @@ def test_nonpolynomial_exit_on_the_dual_quartic_has_no_hint(tmp_path, capsys):
     assert "hint" not in err
 
 
+def _identity_arrow(n):
+    """One arrow 1 -> 2 with the n x n identity: U_2 must contain U_1."""
+    identity = [[int(r == c) for c in range(n)] for r in range(n)]
+    return Representation(Quiver(2, ((0, 1),)), (n, n), (identity,))
+
+
 def test_euler_cap_exit(tmp_path, capsys):
     path = tmp_path / "big.json"
-    save_representation(Representation(Quiver(2, ()), (6, 6), ()), path)
+    save_representation(_identity_arrow(6), path)
     assert main(["euler", "--rep", str(path), "--e", "3,3", "--cap", "1000"]) == 4
 
 
 def test_cap_exit_names_the_prime_and_dimension_vector(tmp_path, capsys):
     path = tmp_path / "big.json"
-    save_representation(Representation(Quiver(2, ()), (6, 6), ()), path)
-    assert main(["euler", "--rep", str(path), "--e", "3,2", "--cap", "1000"]) == 4
-    assert "p = 3, dimension vector (3, 2)" in capsys.readouterr().err
+    save_representation(_identity_arrow(6), path)
+    assert main(["euler", "--rep", str(path), "--e", "2,3", "--cap", "1000"]) == 4
+    assert "p = 3, dimension vector (2, 3)" in capsys.readouterr().err
 
 
 def test_cap_exit_reports_the_estimate_it_compared(tmp_path, capsys):
@@ -180,7 +210,7 @@ def test_negative_cap_is_a_usage_error(tmp_path, monkeypatch, capsys):
 
 def test_cap_env_override(tmp_path, monkeypatch, capsys):
     path = tmp_path / "big.json"
-    save_representation(Representation(Quiver(2, ()), (6, 6), ()), path)
+    save_representation(_identity_arrow(6), path)
     monkeypatch.setenv("QUIVERGRASS_CAP", "1000")
     assert main(["euler", "--rep", str(path), "--e", "3,3"]) == 4
 

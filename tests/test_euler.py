@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 from itertools import islice, product
 from math import prod
@@ -211,10 +212,12 @@ def test_euler_preprojective_point():
 
 
 def test_counting_polynomial_metadata():
-    rep = Representation(ONE_VERTEX, (2,), ())
-    poly = counting_polynomial(rep, (1,))
+    # U_2 must be the image of the line U_1 under the identity: Gr_(1, 1) is P^1,
+    # constrained by the arrow, so it is sampled
+    rep = Representation(Quiver(2, ((0, 1),)), (2, 2), (((1, 0), (0, 1)),))
+    poly = counting_polynomial(rep, (1, 1))
     assert poly.coefficients == (1, 1)
-    assert poly.dim_vector == (1,)
+    assert poly.dim_vector == (1, 1)
     assert [p for p, _ in poly.samples] == [3, 5, 7]
     for p, c in poly.samples:
         assert poly.evaluate(p) == c
@@ -682,7 +685,9 @@ def _palindrome_schedule(rep, e):
 @pytest.mark.parametrize("case", sorted(FIBER_CASES))
 def test_fiber_test_gives_the_per_e_interpolant(case):
     # every N_k is polynomial here and every rigid count a palindrome, so e
-    # settles after the fewest samples any of the three tests needs
+    # settles after the fewest samples any of the four tests needs: none
+    # where the arrow test gives its closed form
+    import quivergrass.euler as eu
     fiber_settled = 0
     for rep, es in FIBER_CASES[case]():
         for e in es:
@@ -691,6 +696,9 @@ def test_fiber_test_gives_the_per_e_interpolant(case):
             assert poly.coefficients == want.coefficients, (rep.dims, e)
             assert poly.degree_bound == want.degree_bound, (rep.dims, e)
             assert all(poly.evaluate(p) == count for p, count in poly.samples), (rep.dims, e)
+            if eu._sampling(rep).closed_form(e) is not None:
+                assert poly.samples == (), (rep.dims, e)
+                continue
             fiber, palindrome = _fiber_schedule(rep, e), _palindrome_schedule(rep, e)
             need = min(n for n in (fiber, palindrome, len(want.samples)) if n is not None)
             assert poly.samples == want.samples[:need], (rep.dims, e)
@@ -721,14 +729,18 @@ def test_quartic_fibers_settle_what_their_ranks_allow():
     fits = eu._rank_fits(walks, 2)
     assert {e: eu._fiber_fit(fits, 4, e[1], counts[e], bounds[e]) for e in fiber} == {
         (1, 0): (), (1, 1): (), (1, 2): (), (1, 3): None, (1, 4): None}
-    # the fiber as one set: (1, 4) and (1, 3) are left to the per-e test
+    # the fiber as one set: an arrow of rank 3 rules (1, 0) out, no arrow
+    # constrains (1, 4) (U_2 is all of vertex 2), and (1, 3) is left to the
+    # per-e test; (1, 1) and (1, 2) still settle by the fiber test
     results = dict(eu._settle(rep, bounds, None))
-    assert results[1, 4].chi == 3
-    assert len(results[1, 4].samples) == bounds[1, 4] + 1 + HELD_OUT
+    assert (results[1, 4].chi, results[1, 4].samples) == (3, ())
+    assert results[1, 4].coefficients == _per_e_fit(rep, (1, 4)).coefficients
+    assert results[1, 0].samples == ()
     assert isinstance(results[1, 3], NonPolynomialCount)
     assert "sampled at primes 3, 5: the counts 7 at 3 and 6 at 5" in str(results[1, 3])
     for x in range(3):
         assert results[1, x].coefficients == () == _per_e_fit(rep, (1, x)).coefficients
+    assert len(results[1, 1].samples) == 2 + 1 + HELD_OUT  # the fiber bound's schedule
     # (1, 2) has degree bound 4 but fiber bound 2, so the fiber test saves two primes
     assert (bounds[1, 2], len(results[1, 2].samples)) == (4, 5)
 
@@ -774,12 +786,83 @@ def test_walk_memo_misses_once_per_distinct_walk(monkeypatch):
     assert subspaces._final_ranks.cache_info().misses == len(walked) == len(set(walked))
 
 
+# The arrow test: an arrow whose rank forces more into U_v than e_v rules e
+# out, and where no arrow constrains e, Gr_e(M) is a product of Grassmannians.
+
+SMALL_QUIVERS = [
+    Quiver(1, ((0, 0),)),                      # a loop
+    Quiver(2, ((0, 1),)),                      # A2
+    Quiver(2, ((0, 1), (0, 1))),               # Kronecker
+    Quiver(2, ((0, 1), (1, 0))),               # a 2-cycle
+    Quiver(2, ((0, 0), (0, 1))),               # a loop and an arrow
+    Quiver(3, ((0, 1), (2, 1))),               # A3, sink in the middle
+    Quiver(3, ((0, 1), (1, 2), (2, 0))),       # a 3-cycle
+    Quiver(4, ((0, 3), (1, 3), (2, 3))),       # D4, subspace orientation
+]
+
+
+def _random_rep(rng, quiver):
+    dims = tuple(rng.randint(0, 2 if quiver.n > 2 else 3) for _ in range(quiver.n))
+    mats = []
+    for u, v in quiver.arrows:
+        if rng.random() < 0.2:  # a zero map
+            mats.append(tuple(tuple(0 for _ in range(dims[u])) for _ in range(dims[v])))
+            continue
+        mats.append(tuple(tuple(rng.randint(-2, 2) for _ in range(dims[u]))
+                          for _ in range(dims[v])))
+    return Representation(quiver, dims, tuple(mats))
+
+
+def test_arrow_test_closed_forms_equal_the_sampled_fit():
+    import quivergrass.euler as eu
+    rng = random.Random(20100517)
+    seen = {"forbidden": 0, "unconstrained": 0}
+    for i in range(300):
+        rep = _random_rep(rng, SMALL_QUIVERS[i % len(SMALL_QUIVERS)])
+        sampling = eu._sampling(rep)
+        for e in product(*(range(d + 1) for d in rep.dims)):
+            closed = sampling.closed_form(e)
+            if closed is None:
+                continue
+            seen["forbidden" if sampling.forbidding(e) else "unconstrained"] += 1
+            assert closed == _per_e_fit(rep, e).coefficients, (rep, e)
+            poly = counting_polynomial(rep, e)
+            assert (poly.coefficients, poly.samples) == (closed, ()), (rep, e)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_arrow_test_settles_a_thin_root_with_no_prime(monkeypatch):
+    # every arrow of a thin A5 root has rank 1, so each e is ruled out
+    # (e_u = 1, e_v = 0) or unconstrained: no prime is reduced
+    import quivergrass.euler as eu
+    reduced = []
+    monkeypatch.setattr(eu, "reduce_mod", lambda rep, p: reduced.append(p))
+    eu._sampling.cache_clear()
+    rs = dk.root_system("A", 5)
+    rep = dk.dynkin_indecomposable(dk.orientation_from_coxeter(rs, (0, 2, 4, 1, 3)),
+                                   (1, 1, 1, 1, 1), seed=0)
+    assert f_polynomial(rep) == dk.f_polynomial_via_minor(5, (0, 2, 4, 1, 3), (1, 1, 1, 1, 1), "A")
+    assert reduced == []
+    eu._sampling.cache_clear()
+
+
+def test_arrowless_f_polynomial_is_a_product_of_grassmannians():
+    # sampling (6, 6) without arrows needs primes up to 11 at (3, 3), past
+    # the default cap; the closed form needs none
+    start = time.perf_counter()
+    f = f_polynomial(Representation(Quiver(2, ()), (6, 6), ()))
+    assert time.perf_counter() - start < 1.0
+    u1, u2 = FPolynomial.variable(2, 0), FPolynomial.variable(2, 1)
+    assert f == (1 + u1) ** 6 * (1 + u2) ** 6
+
+
 # Rigid M: Gr_e(M) is empty when <e, d - e> < 0, and otherwise its count is a
 # palindrome of degree <e, d - e>; rigidity is certified by End at one prime.
 
 def test_rigid_empty_e_settles_with_no_samples():
-    # pr(4) has dims (3, 4), and <(2, 1), (1, 3)> = 2 + 3 - 2 * 2 * 3 < 0
-    poly = counting_polynomial(build_kronecker(preprojective(4)), (2, 1))
+    # pr(4) has dims (3, 4), and <(1, 1), (2, 3)> = 2 + 3 - 2 * 1 * 3 < 0; no
+    # single arrow rules (1, 1) out: each forces only dim U_2 >= 1
+    poly = counting_polynomial(build_kronecker(preprojective(4)), (1, 1))
     assert (poly.coefficients, poly.samples, poly.chi) == ((), (), 0)
 
 
@@ -834,7 +917,7 @@ def test_end_certificate_is_asked_only_where_rigidity_can_hold(monkeypatch):
         for _ in iter_box_chi(rep):
             pass
     assert asked == []
-    counting_polynomial(build_kronecker(preprojective(4)), (2, 1))
+    counting_polynomial(build_kronecker(preprojective(4)), (1, 1))  # <e, d - e> = -1
     assert len(asked) == 1
 
 
