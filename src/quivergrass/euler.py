@@ -18,7 +18,11 @@ A set of dimension vectors is sampled as one (`_settle`) and planned once,
 at its first prime (`subspaces._plan`): the search direction, each e's
 walk and final entry, and each fiber's bound.  Each prime then only runs
 the memoized walks of the e's still pending, so every e takes the same
-walk at every prime, under a cap read once per computation.
+walk at every prime, under a cap read once per computation.  What was
+sampled is the only state: each e's (p, count) pairs and each walk's
+(p, rank histogram) pairs.  Every verdict is a function of them, so at
+each prime every pending e is decided anew from its samples, and dropping
+a prime's samples and deciding again would need nothing else.
 
 Four tests settle e.  The first, the arrow test (`_Sampling.closed_form`),
 needs no prime.  An arrow a: u -> v of rank r gives dim phi_a(U_u) >=
@@ -35,16 +39,16 @@ keeps its rank (`good_primes`), so both are exact and neither rejects.
 Three tests settle the other e from the same samples, whichever
 finishes first.  The per-e test fits the counts through B_e + 1 nodes and
 checks them at HELD_OUT more primes; every NonPolynomialCount comes from
-it.  Its `_Validator` judges each sample once, as it arrives, and first
-against every earlier one: P in Z[q] gives (p - q) | P(p) - P(q), so two
-counts that break this prove at once that e is not polynomial (on the
-plane quartic, counts of different parity at two odd primes).  That moves
-rejections earlier and changes no verdict.  A fit that any of the three
-tests accepts is an integer polynomial through every sample, so it passes
-every pair; and when a pair fails, the interpolant through the nodes is
-not integral or misses a held-out sample, so the per-e test would reject
-at B_e + 1 + HELD_OUT samples anyway.  `_fit` folds the same step over a
-list of samples.
+it.  It is a fold over the samples in order (`_fit`), which judges each
+one first against every earlier one: P in Z[q] gives (p - q) | P(p) -
+P(q), so two counts that break this prove at once that e is not
+polynomial (on the plane quartic, counts of different parity at two odd
+primes).  That moves rejections earlier and changes no verdict.  A fit
+that any of the three tests accepts is an integer polynomial through
+every sample, so it passes every pair; and when a pair fails, the
+interpolant through the nodes is not integral or misses a held-out
+sample, so the per-e test would reject at B_e + 1 + HELD_OUT samples
+anyway.
 
 The fiber test reads the walk that counted e: the search fixes U at the
 searched vertices and records N_k(p), how many of those choices force a
@@ -164,10 +168,7 @@ class CountingPolynomial:
     degree_bound: int | None = None
 
     def evaluate(self, x) -> int:
-        total = 0
-        for c in reversed(self.coefficients):
-            total = total * x + c
-        return total
+        return _evaluate(self.coefficients, x)
 
     @property
     def degree(self) -> int:
@@ -176,6 +177,14 @@ class CountingPolynomial:
     @property
     def chi(self) -> int:
         return self.evaluate(1)
+
+
+def _evaluate(coefficients: Sequence[int], x) -> int:
+    """The polynomial with these ascending coefficients at x, by Horner."""
+    total = 0
+    for c in reversed(coefficients):
+        total = total * x + c
+    return total
 
 
 def _lagrange(points: Sequence[tuple[int, int]]) -> list[int] | None:
@@ -217,7 +226,7 @@ def _not_polynomial(samples, dim_vector, reason: str) -> NonPolynomialCount:
 def _interpolant(nodes: tuple[tuple[int, int], ...]) -> tuple[int, ...] | None:
     """`_lagrange` through the nodes, trailing zero coefficients dropped.
 
-    Remembered, so that checking samples as they arrive (`_fit`) and the
+    Remembered, so that judging an e anew at each prime (`_fit`) and the
     final `interpolate_counting_polynomial` fit each set of nodes once.
     """
     ints = _lagrange(nodes)
@@ -228,60 +237,31 @@ def _interpolant(nodes: tuple[tuple[int, int], ...]) -> tuple[int, ...] | None:
     return tuple(ints)
 
 
-class _Validator:
-    """The one validator, fed one sample at a time (module docstring).
-
-    Each new sample is judged once, in order: against every earlier one,
-    by (p - q) | P(p) - P(q); then, if it completes the degree_bound + 1
-    nodes, by fitting the interpolant, whose coefficients ints keeps; and
-    after that as a held-out value.  reason names the first sample that
-    refutes the counts; later samples are kept, not judged.
-    """
-
-    __slots__ = ("bound", "samples", "ints", "reason")
-
-    def __init__(self, degree_bound: int):
-        self.bound = degree_bound
-        self.samples: list[tuple[int, int]] = []
-        self.ints: tuple[int, ...] | None = None
-        self.reason: str | None = None
-
-    def add(self, p: int, count: int) -> None:
-        if self.reason is None:  # judged against the samples before it
-            self.reason = self._judge(p, count)
-        self.samples.append((p, count))
-
-    def _judge(self, p: int, count: int) -> str | None:
-        for q, earlier in self.samples:
-            if (count - earlier) % (p - q):
-                (q, a), (r, b) = sorted([(q, earlier), (p, count)])
-                return (f"the counts {a} at {q} and {b} at {r} differ by {b - a}, "
-                        f"which {r} - {q} does not divide")
-        if len(self.samples) == self.bound:
-            self.ints = _interpolant((*self.samples, (p, count)))
-            if self.ints is None:
-                return "the interpolant has non-integer coefficients"
-        elif self.ints is not None:
-            predicted = CountingPolynomial(self.ints, None, ()).evaluate(p)
-            if predicted != count:
-                return f"held-out prime {p} gives {count}, the interpolant predicts {predicted}"
-        return None
-
-
 def _fit(samples: Sequence[tuple[int, int]], degree_bound: int
          ) -> tuple[tuple[int, ...] | None, str | None]:
-    """`_Validator` folded over the samples.
+    """The per-e test, folded over the samples in order (module docstring).
 
-    Returns (coefficients, None) when the samples fit, (None, reason) when
-    they already prove the counts are not polynomial in q, and (None, None)
-    while there are fewer than degree_bound + 1 of them and no pair fails.
+    Each sample is judged against every earlier one, by (p - q) | P(p) -
+    P(q); then, if it completes the degree_bound + 1 nodes, by fitting the
+    interpolant, and after that as a held-out value.  Returns (coefficients,
+    None) when the samples fit, (None, reason) at the first sample that
+    proves the counts are not polynomial in q, and (None, None) while there
+    are fewer than degree_bound + 1 of them and no pair fails.
     """
-    check = _Validator(degree_bound)
-    for p, count in samples:
-        check.add(p, count)
-        if check.reason is not None:
-            return None, check.reason
-    return check.ints, None
+    ints = None
+    for i, (p, count) in enumerate(samples):
+        for q, earlier in samples[:i]:
+            if (count - earlier) % (p - q):
+                (q, a), (r, b) = sorted([(q, earlier), (p, count)])
+                return None, (f"the counts {a} at {q} and {b} at {r} differ by {b - a}, "
+                              f"which {r} - {q} does not divide")
+        if i == degree_bound:
+            ints = _interpolant(tuple(samples[:i + 1]))
+            if ints is None:
+                return None, "the interpolant has non-integer coefficients"
+        elif ints is not None and (predicted := _evaluate(ints, p)) != count:
+            return None, f"held-out prime {p} gives {count}, the interpolant predicts {predicted}"
+    return ints, None
 
 
 def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
@@ -501,25 +481,31 @@ def good_primes(rep: Representation, how_many: int) -> list[int]:
 
 
 def _rank_fits(walks: Sequence[tuple[int, tuple]], fiber_bound: int
-               ) -> dict[int, CountingPolynomial | None]:
+               ) -> dict[int, tuple[int, ...] | None]:
     """N_k for every rank k that one fiber's walk reached, fitted once.
 
     walks are (p, rank histogram) pairs of the same walk at the primes
-    sampled so far, fiber_bound + 1 + HELD_OUT of them.  Each N_k passes
-    `_fit` with the fiber bound, held-out primes included, or maps to None.
+    sampled so far, fiber_bound + 1 + HELD_OUT of them.  Each N_k maps to
+    its coefficients when it passes `_fit` with the fiber bound, held-out
+    primes included, and to None otherwise.
     """
     tables = [(p, dict(ranks)) for p, ranks in walks]
-    fits = {}
-    for k in sorted({k for _, ranks in tables for k in ranks}):
-        ints, _ = _fit([(p, ranks.get(k, 0)) for p, ranks in tables], fiber_bound)
-        fits[k] = None if ints is None else CountingPolynomial(ints, None, ())
-    return fits
+    return {k: _fit([(p, ranks.get(k, 0)) for p, ranks in tables], fiber_bound)[0]
+            for k in sorted({k for _, ranks in tables for k in ranks})}
 
 
-def _fiber_fit(fits: dict[int, CountingPolynomial | None], d: int, x: int,
+def _through(ints: tuple[int, ...] | None, samples: Sequence[tuple[int, int]]
+             ) -> tuple[int, ...] | None:
+    """ints if the polynomial they give reproduces every sampled count, else None."""
+    if ints is None or any(_evaluate(ints, p) != count for p, count in samples):
+        return None
+    return ints
+
+
+def _fiber_fit(fits: dict[int, tuple[int, ...] | None], d: int, x: int,
                samples: Sequence[tuple[int, int]], degree_bound: int
                ) -> tuple[int, ...] | None:
-    """P_e from its fiber's fits (`_rank_fits`), or None.
+    """P_e from its fiber's N_k coefficients (`_rank_fits`), or None.
 
     d is the final vertex's dimension and x the searched e's entry there.
     Every N_k with k <= x must have fitted; then P_e(q) = sum_{k <= x}
@@ -530,13 +516,9 @@ def _fiber_fit(fits: dict[int, CountingPolynomial | None], d: int, x: int,
     fitted = [(k, n) for k, n in fits.items() if k <= x]
     if any(n is None for _, n in fitted):
         return None
-    nodes = tuple((q, _fiber_count([(k, n.evaluate(q)) for k, n in fitted], d, x, q))
+    nodes = tuple((q, _fiber_count([(k, _evaluate(n, q)) for k, n in fitted], d, x, q))
                   for q in range(2, degree_bound + 3))
-    ints = _interpolant(nodes)
-    if ints is None:
-        return None
-    poly = CountingPolynomial(ints, None, ())
-    return ints if all(poly.evaluate(p) == count for p, count in samples) else None
+    return _through(_interpolant(nodes), samples)
 
 
 @lru_cache(maxsize=256)
@@ -575,11 +557,7 @@ def _palindrome_fit(samples: Sequence[tuple[int, int]], degree: int) -> tuple[in
     """The palindrome of the degree through the first degree // 2 + 1 samples
     (`_palindrome`), if it reproduces every later one, else None."""
     nodes = degree // 2 + 1
-    ints = _palindrome(tuple(samples[:nodes]), degree)
-    if ints is None:
-        return None
-    poly = CountingPolynomial(ints, None, ())
-    return ints if all(poly.evaluate(p) == count for p, count in samples[nodes:]) else None
+    return _through(_palindrome(tuple(samples[:nodes]), degree), samples[nodes:])
 
 
 def _rigid_degrees(sampling: _Sampling, bounds: dict[tuple[int, ...], int]
@@ -608,75 +586,74 @@ def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | 
     First the arrow test (`_Sampling.closed_form`) settles every e it can,
     with no sample; rigidity is asked only about the e it leaves, and a set
     it settles whole reduces no prime and walks nothing.  The rest is
-    planned at its first prime (`subspaces._plan`), with the
-    bound of each fiber.  At each prime every e still sampled is counted in
-    one `subspaces._count_planned` call, which shares the search work
-    across the set, and its `_Validator` judges the new count.  e leaves
-    the sampled set as soon as one of three tests settles it: the per-e
-    test after bound + 1 + HELD_OUT samples, or as soon as its validator
-    finds the samples not polynomial in q; the fiber test after
-    fiber_bound + 1 + HELD_OUT samples, which fits the fiber's N_k once
-    (`_rank_fits`) and settles each member from its k <= x (`_fiber_fit`);
-    or, for rigid M and D = <e, d - e>, the rigidity test: before the first
-    prime when D < 0, else after D // 2 + 1 + HELD_OUT samples
-    (`_palindrome_fit`).  The fiber and rigidity tests are tried only where
-    their bound is below the degree bound, where they can save a prime, and
-    neither rejects.  No prime is taken after the last e is settled.  The
-    cap is read once, here, when it is None.
+    planned at its first prime (`subspaces._plan`), which also fixes each
+    fiber's walk key and so its bound B_F.  At each prime every e still
+    pending is counted in one `subspaces._count_planned` call, which shares
+    the search work across the set.  What was sampled is the only state:
+    samples[e], the (p, count) pairs of e, and walks[key], the (p, rank
+    histogram) pairs of each shortcut walk, from which each fiber's N_k are
+    fitted once (`_rank_fits`).  From them every pending e is decided anew
+    at each prime, by its number n of samples:
+    - the per-e test (`_fit` with the degree bound) leaves e to the final
+      `interpolate_counting_polynomial` when its samples prove it not
+      polynomial in q, or when n = bound + 1 + HELD_OUT;
+    - for rigid M and D = <e, d - e>, the rigidity test settles e before the
+      first prime when D < 0, else tries `_palindrome_fit` at
+      n = D // 2 + 1 + HELD_OUT;
+    - the fiber test tries `_fiber_fit` at n = B_F + 1 + HELD_OUT;
+    - otherwise e stays pending.
+    The fiber and rigidity tests are tried only where their bound is below
+    the degree bound, where they can save a prime, and neither rejects.  No
+    prime is taken after the last e is settled.  The cap is read once, here,
+    when it is None.
     """
     sampling = _sampling(rep)
     cap = default_cap() if cap is None else int(cap)
-    checks = {e: _Validator(bound) for e, bound in bounds.items()}
     settled = {e: ints for e in bounds if (ints := sampling.closed_form(e)) is not None}
-    left = {e: bound for e, bound in bounds.items() if e not in settled}
-    palindromes = _rigid_degrees(sampling, left)  # e -> <e, d - e>, where it helps
-    for e, degree in list(palindromes.items()):
-        if degree < 0:  # Gr_e(M) is empty
-            del palindromes[e]
-            settled[e] = ()
+    degrees = _rigid_degrees(sampling, {e: b for e, b in bounds.items() if e not in settled})
+    settled.update((e, ()) for e, degree in degrees.items() if degree < 0)  # Gr_e(M) is empty
+    samples = {e: [] for e in bounds}
+    walks, fits = {}, {}
     pending = [e for e in bounds if e not in settled]
     primes = sampling.reductions()
     plan = None
     while pending:
         p, rep_p = next(primes)
         if plan is None:
-            plan, fibers = _plan(rep_p, pending), {}  # fibers: walk key -> (B_F, members, walks)
-            for e in pending if plan.route.shortcut else ():
-                key = plan.entry[e][0]
-                fiber = fibers.setdefault(key, (sampling.fiber_bound(plan.backward, key), [], []))
-                if fiber[0] < bounds[e]:
-                    fiber[1].append(e)
+            plan = _plan(rep_p, pending)
+            keys = {key for key, _ in plan.entry.values()} if plan.route.shortcut else ()
+            fiber_bounds = {key: sampling.fiber_bound(plan.backward, key) for key in keys}
+            d = rep.dims[plan.route.order[-1]]
         counts, walked = _count_planned(rep_p, plan, pending, cap)
+        for key in fiber_bounds.keys() & walked.keys():
+            walks.setdefault(key, []).append((p, walked[key]))
+        still = []
         for e in pending:
-            check = checks[e]
-            check.add(p, counts[e])
-            degree = palindromes.get(e)
-            if degree is not None and len(check.samples) == degree // 2 + 1 + HELD_OUT:
-                del palindromes[e]
-                ints = _palindrome_fit(check.samples, degree)
-                if ints is not None:
-                    settled[e] = ints
-        for key, (fiber_bound, members, walks) in list(fibers.items()):
-            members[:] = [e for e in members if e not in settled and checks[e].reason is None]
-            if not members:
-                del fibers[key]
-                continue
-            walks.append((p, walked[key]))
-            if len(walks) == fiber_bound + 1 + HELD_OUT:
-                del fibers[key]
-                fits, d = _rank_fits(walks, fiber_bound), rep.dims[plan.route.order[-1]]
-                for e in members:
-                    ints = _fiber_fit(fits, d, plan.entry[e][1], checks[e].samples, bounds[e])
-                    if ints is not None:
-                        settled[e] = ints
-        pending = [e for e in pending if e not in settled and checks[e].reason is None
-                   and len(checks[e].samples) < bounds[e] + 1 + HELD_OUT]
+            got, bound = samples[e], bounds[e]
+            got.append((p, counts[e]))
+            n = len(got)
+            if _fit(got, bound)[1] is not None or n == bound + 1 + HELD_OUT:
+                continue  # the per-e test decides e
+            ints, degree = None, degrees.get(e)
+            if degree is not None and n == degree // 2 + 1 + HELD_OUT:
+                ints = _palindrome_fit(got, degree)
+            key, x = plan.entry[e]
+            fiber_bound = fiber_bounds.get(key, bound)
+            if ints is None and fiber_bound < bound and n == fiber_bound + 1 + HELD_OUT:
+                if key not in fits:
+                    fits[key] = _rank_fits(walks[key], fiber_bound)
+                ints = _fiber_fit(fits[key], d, x, got, bound)
+            if ints is None:
+                still.append(e)
+            else:
+                settled[e] = ints
+        pending = still
     for e, bound in bounds.items():
         if e in settled:
-            result = CountingPolynomial(settled[e], e, tuple(checks[e].samples), bound)
+            result = CountingPolynomial(settled[e], e, tuple(samples[e]), bound)
         else:
             try:
-                result = interpolate_counting_polynomial(checks[e].samples, bound, dim_vector=e)
+                result = interpolate_counting_polynomial(samples[e], bound, dim_vector=e)
             except NonPolynomialCount as exc:
                 result = exc
         yield e, result

@@ -138,6 +138,8 @@ class FPolynomial:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
+        if set(self.terms) <= {(0,) * self.nvars}:  # a constant equals its int
+            return hash(self.constant_term)
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __bool__(self):

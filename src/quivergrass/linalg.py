@@ -217,8 +217,7 @@ def _peel(a, b, c, p):
 def _roots(basis, us, p: int) -> Iterator[tuple]:
     """(u, generic rank, the t that may drop it) of the peeled rows
     x + u*z + t*y at each u in us: the roots of det(X_P + t*Y_P), P the
-    lead columns, for one or two rows, and the zeros of a lead on value
-    vectors for more."""
+    lead columns, for one or two rows, and every t for more."""
     if len(basis) == 1:
         (i, x, _, z), = basis
         for u in us:
@@ -235,23 +234,9 @@ def _roots(basis, us, p: int) -> Iterator[tuple]:
                 bad = [t for t in bad if not ((x0j + t * y0[j]) * (x1k + t * y1[k])
                                               - (x0k + t * y0[k]) * (x1j + t)) % p]
             yield u, 2, bad
-    else:
-        ts = range(p)
+    else:  # three or more rows: every t is ranked directly; no rows: none is
         for u in us:
-            values: list = []  # (lead, values): entry j at t is values[j * p + t]
-            for _, x, y, z in basis:
-                n = len(x)
-                v = [(xk + t * yk) % p for xk, yk in zip([xk + u * zk for xk, zk in zip(x, z)], y)
-                     for t in ts]
-                for lead, row in values:
-                    c = v[lead * p:lead * p + p]
-                    if any(c):
-                        h = row[lead * p:lead * p + p]
-                        v = [(g * vk - f * w) % p for vk, w, g, f in zip(v, row, h * n, c * n)]
-                lead = next((j for j in range(n) if any(v[j * p:j * p + p])), None)
-                if lead is not None:
-                    values.append((lead, v))
-            yield u, len(values), {t for lead, row in values for t in ts if not row[lead * p + t]}
+            yield u, len(basis), range(p) if basis else ()
 
 
 def pencil_rank_histogram(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
@@ -270,14 +255,10 @@ def pencil_rank_histogram(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
     each u costs O(1).  For s = 2 a root at which one more 2 x 2 minor
     survives (on the second lead column and the last column outside P)
     keeps the rank r0 + 2 as well; on Kronecker m = 4 blocks most roots do.
-    Otherwise, at each u, the moving rows go through fraction-free
-    elimination on value vectors, whose length grows with p: as in
-    `rank_mod`, but an entry is its vector of values over t in F_p, and the
-    leads and the steps v -> h*v - f*row are shared by all t; where no lead
-    vanishes every step is invertible and the rank is r0 plus the number of
-    kept rows.  Either way only the exceptional (t, u) get a direct
-    `rank_mod`, of the moving rows.  When C would move with u, each u is
-    ranked as a line of its own.  The counts sum to p, or p^2 given c.
+    Only these exceptional (t, u) get a direct `rank_mod`, of the moving
+    rows; with three or more moving rows every (t, u) does.  When C would
+    move with u, each u is ranked as a line of its own.  The counts sum to
+    p, or p^2 given c.
     """
     peeled = _peel(a, b, c, p)
     if peeled is None:  # C moves with u: each u is a line

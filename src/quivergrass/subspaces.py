@@ -58,8 +58,8 @@ in its row (as in Gr(3, 4)) makes a pencil.
 `linalg.pencil_rank_histogram` ranks a block for all its candidates at
 once, the fixed images passed as rows with b = 0: it peels off their span
 and the moving rows that fall into it once per block, finds the roots of
-at most two moving rows in O(1) per u, and only a block with three or more
-rows still moving works on vectors of length p.  Every candidate is still
+at most two moving rows in O(1) per u, and ranks each candidate of a block
+with three or more rows still moving directly.  Every candidate is still
 charged to the budget.
 
 One walk per fiber: the shortcut walk fixes U at the searched vertices and

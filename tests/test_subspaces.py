@@ -470,7 +470,7 @@ def test_pencil_rank_histogram_matches_rank_mod():
     plane = [[0, 1], [0, 1]], [[1, 0], [0, 1]], 2, [[0, 0], [1, 0]]
     assert linalg.pencil_rank_histogram(*plane) == {1: 2, 2: 2}
 
-    # three to six moving rows take the elimination on value vectors: the
+    # three to six moving rows are ranked directly at every t: the
     # rows -C + t*I, C the companion matrix of a monic f of degree s, have
     # determinant f(t), scrambled by an invertible G on the left and maybe
     # widened by random columns, beside random constant rows
@@ -548,6 +548,18 @@ def test_pencil_rank_histogram_matches_rank_mod():
             root = linalg._sqrt_mod(x, p)
             assert (root is not None) == (x in squares), (x, p)
             assert root is None or root * root % p == x, (x, p)
+
+
+def test_pencil_with_no_moving_row_ranks_nothing_directly(monkeypatch):
+    # when every row of the pencil or plane is constant, or falls into the
+    # constant span, the rank is that span's at every t and u
+    calls = []
+    rank = linalg.rank_mod
+    monkeypatch.setattr(linalg, "rank_mod", lambda m, p: calls.append(m) or rank(m, p))
+    assert linalg.pencil_rank_histogram([[1, 2], [0, 0]], [[0, 0], [0, 0]], 5) == {1: 5}
+    assert linalg.pencil_rank_histogram([[1, 0], [0, 1]], [[0, 0], [1, 0]], 7, [[0, 0], [0, 0]]
+                                        ) == {2: 49}
+    assert calls == []
 
 
 def test_rank_frac_matches_rref():
