@@ -36,7 +36,7 @@ from .errors import (
     SmoothnessFailure,
 )
 from .fpoly import FPolynomial
-from .model import euler_form, load_representation
+from .model import load_representation
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -148,22 +148,6 @@ def _example4_shaped(args) -> bool:
     return is_example4_shape(rep)
 
 
-def _unsampled_reason(rep, e) -> str:
-    """Why e was settled before any prime, in the order `euler` asks: an arrow
-    rules it out, no arrow constrains it, or M is rigid with <e, d - e> < 0.
-    Vertices are 1-based, as in files."""
-    sampling = eu._sampling(rep)
-    arrow = sampling.forbidding(e)
-    if arrow is not None:
-        u, v, rank = arrow
-        return (f"arrow {u + 1} -> {v + 1} of rank {rank} forces dim U_{v + 1} >= "
-                f"{e[u] - rep.dims[u] + rank} > e_{v + 1} = {e[v]}")
-    if not sampling.constrained(e):
-        return "no arrow constrains e: Gr_e(M) is a product of Grassmannians"
-    co = tuple(d - x for d, x in zip(rep.dims, e))
-    return f"M is rigid and <e, d - e> = {euler_form(rep.quiver, e, co)} < 0"
-
-
 def cmd_euler(args) -> int:
     if args.rep is None or args.e is None:
         raise ParseError("euler needs --rep and --e")
@@ -181,7 +165,8 @@ def cmd_euler(args) -> int:
         if poly.samples:
             lines.append("sample primes: " + ", ".join(str(p) for p, _ in poly.samples))
         else:
-            lines.append(f"sample primes: none ({_unsampled_reason(rep, e)})")
+            _, reason = eu._sampling(rep).closed_form(e)
+            lines.append(f"sample primes: none ({reason})")
         lines.append(f"degree bound: {poly.degree_bound} (fitted degree {poly.degree})")
     payload = {
         "chi": poly.chi,

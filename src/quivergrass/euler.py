@@ -24,8 +24,10 @@ sampled is the only state: each e's (p, count) pairs and each walk's
 each prime every pending e is decided anew from its samples, and dropping
 a prime's samples and deciding again would need nothing else.
 
-Four tests settle e.  The first, the arrow test (`_Sampling.closed_form`),
-needs no prime.  An arrow a: u -> v of rank r gives dim phi_a(U_u) >=
+Four tests settle e.  The first, the arrow test, needs no prime, and
+neither does the empty case of the rigidity test below: both are asked of
+e before any prime, in one place (`_Sampling.closed_form`), which also
+says why e took none.  An arrow a: u -> v of rank r gives dim phi_a(U_u) >=
 e_u - (d_u - r), and on the dual the induced map M_u/U_u -> M_v/U_v has
 rank >= r - e_v: each says that Gr_e(M) is empty, P_e = 0, when
 r > d_u - e_u + e_v.  When every arrow of nonzero rank has e_u = 0 or
@@ -94,15 +96,16 @@ D // 2 < B_e, the palindrome through its first D // 2 + 1 samples
 argument of the per-e test.  A palindrome that fails leaves e to the other
 two tests, so rigidity never rejects.
 
-Rigidity is certified at one prime (`_Sampling.end`), with no elimination
-over Q: dim End_Q(M) >= <d, d> because dim Ext^1(M, M) = dim End(M) -
-<d, d> >= 0, and dim End(M mod p) >= dim End_Q(M) because reduction can
-only drop the rank of the linear system whose kernel is End.  So
-dim End(M mod p) = <d, d> at a good prime proves Ext^1_Q(M, M) = 0.  If
-none of the first HELD_OUT + 1 good primes certifies, M is treated as not
-rigid, which costs primes and nothing else.  The certificate is worked out
-only on an acyclic quiver, where <d, d> >= 1 (a nonzero rigid M has
-dim End = <d, d>), and when some e of the set can gain a prime.
+Rigidity is decided by dim End_Q(M) (`_Sampling.end`), usually certified
+at one prime with no elimination over Q: dim End_Q(M) >= <d, d> because
+dim Ext^1(M, M) = dim End(M) - <d, d> >= 0, and dim End(M mod p) >=
+dim End_Q(M) because reduction can only drop the rank of the linear
+system whose kernel is End.  So dim End(M mod p) = <d, d> at a good prime
+proves Ext^1_Q(M, M) = 0.  If none of the first HELD_OUT + 1 good primes
+certifies, one elimination over Q gives dim End_Q(M), so the answer is
+exact either way.  It is asked only on an acyclic quiver where <d, d> >= 1
+(a nonzero rigid M has dim End = <d, d>), and only when some e of the set
+is left after the arrow test.
 
 Sampling context: everything a count needs from M that does not depend on
 e is worked out once per representation and kept in a `_Sampling` (bounded
@@ -112,9 +115,9 @@ direction, and the good primes found so far, each with M reduced mod it.
 The prime list grows by one prime under a lock when a caller asks past its
 end, so each (representation, prime) pair is chosen, reduced and
 rank-checked once, when some caller is about to sample it, from whichever
-thread.  It also holds the End certificate, worked out once, which may
-reduce a good prime that no count samples: a rigid-empty e takes none.  A
-set that the arrow test settles whole reduces no prime at all.  It
+thread.  It also holds dim End_Q(M), worked out once, whose certificate
+may reduce a good prime that no count samples: a rigid-empty e takes none.
+A set that the arrow test settles whole reduces no prime at all.  It
 holds no dual: the search direction belongs to `subspaces._plan`, and a
 backward search walks the reduction itself.
 Interpolation is exact integer Lagrange over one common denominator.
@@ -301,8 +304,9 @@ class _Sampling:
     ranks are the arrow ranks over Q; forward and backward are the arrows
     (u, v, dim ker) that force part of U_v in the search order of the quiver
     and of its opposite (see `degree_bound`); found lists the good primes so
-    far as (p, rep mod p), extended under the lock.  The End certificate
-    (`end`) is kept once worked out, under a lock of its own; it may reduce
+    far as (p, rep mod p), extended under the lock.  dim End_Q(M) (`end`)
+    and the rigidity verdict read from it (`rigid`) are each kept once
+    worked out, under a lock of their own; the End certificate may reduce
     a good prime that no count goes on to sample.
     """
 
@@ -320,8 +324,9 @@ class _Sampling:
         self._found: list[tuple[int, Representation]] = []
         self._lock = threading.Lock()
         self._end: int | None = None
-        self._end_known = False
+        self._rigid: bool | None = None
         self._end_lock = threading.Lock()
+        self._rigid_lock = threading.Lock()  # held across `end`, never inside it
 
     def _forcing(self, route, arrows) -> tuple[tuple[int, int, int], ...]:
         pos = {v: i for i, v in enumerate(route.order)}
@@ -354,41 +359,45 @@ class _Sampling:
             held = next((rep_p for q, rep_p in self._found if q == p), None)
         return reduce_mod(self.rep, p) if held is None else held
 
-    def end(self) -> int | None:
-        """dim End_Q(M), certified at a good prime, or None.
+    def end(self) -> int:
+        """dim End_Q(M), certified at a good prime or else eliminated over Q.
 
         Over Q, dim End(M) >= <d, d> because Ext^1(M, M) has dimension
         dim End(M) - <d, d> >= 0 (the path algebra is hereditary), and
         dim End(M) >= 1 when M is nonzero; reduction mod p keeps every
         rank or drops it, so dim End(M mod p) >= dim End_Q(M).  A prime
         at which dim End(M mod p) equals the lower bound max(1, <d, d>)
-        therefore proves that dim End_Q(M) equals it.  The first HELD_OUT
-        + 1 good primes are tried, and the first that certifies ends the
-        search; None (no prime certifies, the quiver has cycles, or M is
-        zero) claims nothing.  Worked out once, on the first call.
+        therefore proves that dim End_Q(M) equals it.  On an acyclic
+        quiver and nonzero M the first HELD_OUT + 1 good primes are tried,
+        and the first that certifies ends the search; otherwise (no prime
+        certifies, the quiver has cycles, or M is zero) one `hom_dim` over
+        Q gives it.  Worked out once, on the first call.
         """
         with self._end_lock:
-            if not self._end_known:
+            if self._end is None:
                 quiver, dims = self.rep.quiver, self.rep.dims
-                if quiver.is_acyclic and any(dims):
-                    lower = max(1, euler_form(quiver, dims, dims))
-                    for _, rep_p in islice(self.reductions(), HELD_OUT + 1):
-                        if hom_dim(rep_p, rep_p) == lower:
-                            self._end = lower
-                            break
-                self._end_known = True
+                lower = (max(1, euler_form(quiver, dims, dims))
+                         if quiver.is_acyclic and any(dims) else 0)
+                certified = lower and any(hom_dim(rep_p, rep_p) == lower for _, rep_p
+                                          in islice(self.reductions(), HELD_OUT + 1))
+                self._end = lower if certified else hom_dim(self.rep, self.rep)
             return self._end
 
     def rigid(self) -> bool:
-        """Whether Ext^1(M, M) = 0 is proven, by `end` equal to <d, d> >= 1.
+        """Whether Ext^1(M, M) = 0, that is `end` equal to <d, d> >= 1.
 
         Rigid M has dim End(M) = <d, d> >= 1, so nothing is computed where
-        <d, d> < 1 (regular Kronecker modules, the plane quartic), and a
-        module `end` cannot certify counts as not rigid.
+        <d, d> < 1 (regular Kronecker modules, the plane quartic), and M on
+        a quiver with cycles, which has no Euler form, counts as not rigid.
+        Worked out once, on the first call: every e that the arrow test
+        leaves asks it (`closed_form`), and so does the palindrome schedule.
         """
-        quiver, dims = self.rep.quiver, self.rep.dims
-        form = euler_form(quiver, dims, dims) if quiver.is_acyclic else 0
-        return form >= 1 and self.end() == form
+        with self._rigid_lock:
+            if self._rigid is None:
+                quiver, dims = self.rep.quiver, self.rep.dims
+                form = euler_form(quiver, dims, dims) if quiver.is_acyclic else 0
+                self._rigid = form >= 1 and self.end() == form
+            return self._rigid
 
     def degree_bound(self, e: Sequence[int]) -> int:
         """The a-priori bound on the degree of the counting polynomial at e.
@@ -427,34 +436,29 @@ class _Sampling:
             forced[v] = max(forced[v], e[u] - kernel)
         return sum(max(0, x - s) * (d - x) for x, s, d in zip(e, forced, self.rep.dims))
 
-    def forbidding(self, e: Sequence[int]) -> tuple[int, int, int] | None:
-        """The first arrow (u, v, rank) whose rank over Q rules e out, rank >
-        d_u - e_u + e_v (module docstring), or None."""
-        dims = self.rep.dims
-        return next(((u, v, r) for (u, v), r in zip(self.rep.quiver.arrows, self.ranks)
-                     if r > dims[u] - e[u] + e[v]), None)
-
-    def constrained(self, e: Sequence[int]) -> bool:
-        """Whether some arrow of nonzero rank has e_u > 0 and e_v < d_v."""
-        dims = self.rep.dims
-        return any(r and e[u] and e[v] < dims[v]
-                   for (u, v), r in zip(self.rep.quiver.arrows, self.ranks))
-
-    def closed_form(self, e: Sequence[int]) -> tuple[int, ...] | None:
-        """P_e from the arrow ranks alone (the arrow test), or None.
-
-        () when an arrow rules e out; prod_v binom_q(d_v, e_v) when no arrow
-        constrains e, through its values at B_e + 1 integers; None when
-        neither holds and e is left to sampling.
+    def closed_form(self, e: Sequence[int]) -> tuple[tuple[int, ...], str] | None:
+        """(P_e, why) when P_e needs no prime, else None; why names vertices
+        1-based, as in files.  The first of these that holds decides:
+        - an arrow's rank rules e out (the arrow test): P_e = 0;
+        - no arrow constrains e: P_e = prod_v binom_q(d_v, e_v), through its
+          values at B_e + 1 integers;
+        - M is rigid (`rigid`) and <e, d - e> < 0: P_e = 0.
         """
-        if self.forbidding(e) is not None:
-            return ()
-        if self.constrained(e):
-            return None
-        dims = self.rep.dims
-        degree = sum(x * (d - x) for d, x in zip(dims, e))  # = B_e here
-        return _interpolant(tuple((q, prod(gaussian_binomial(d, x, q) for d, x in zip(dims, e)))
-                                  for q in range(2, degree + 3)))
+        dims, arrows = self.rep.dims, self.rep.quiver.arrows
+        for (u, v), r in zip(arrows, self.ranks):
+            if r > dims[u] - e[u] + e[v]:
+                return (), (f"arrow {u + 1} -> {v + 1} of rank {r} forces dim U_{v + 1} >= "
+                             f"{e[u] - dims[u] + r} > e_{v + 1} = {e[v]}")
+        if not any(r and e[u] and e[v] < dims[v] for (u, v), r in zip(arrows, self.ranks)):
+            degree = sum(x * (d - x) for d, x in zip(dims, e))  # = B_e here
+            ints = _interpolant(tuple((q, prod(gaussian_binomial(d, x, q) for d, x in zip(dims, e)))
+                                      for q in range(2, degree + 3)))
+            return ints, "no arrow constrains e: Gr_e(M) is a product of Grassmannians"
+        if self.rigid():
+            form = euler_form(self.rep.quiver, e, [d - x for d, x in zip(dims, e)])
+            if form < 0:
+                return (), f"M is rigid and <e, d - e> = {form} < 0"
+        return None
 
 
 @lru_cache(maxsize=64)
@@ -560,22 +564,16 @@ def _palindrome_fit(samples: Sequence[tuple[int, int]], degree: int) -> tuple[in
     return _through(_palindrome(tuple(samples[:nodes]), degree), samples[nodes:])
 
 
-def _rigid_degrees(sampling: _Sampling, bounds: dict[tuple[int, ...], int]
+def _rigid_degrees(sampling: _Sampling, es: Sequence[tuple[int, ...]]
                    ) -> dict[tuple[int, ...], int]:
-    """e -> D = <e, d - e> for the e of bounds that rigidity settles sooner than
-    the per-e test: D < 0, or D // 2 < the degree bound.  Empty unless M is
-    proven rigid (`_Sampling.rigid`), which is asked only when such an e
-    exists, so the End certificate is worked out only where it saves a prime.
-    """
-    quiver, dims = sampling.rep.quiver, sampling.rep.dims
-    if not quiver.is_acyclic:
+    """e -> D = <e, d - e> for each of es, the palindrome degrees of the
+    rigidity test, when M is rigid (`_Sampling.rigid`), else empty.  The
+    es are those `_Sampling.closed_form` left, so D >= 0 for each, and
+    it has already asked `rigid`."""
+    if not sampling.rigid():
         return {}
-    degrees = {}
-    for e, bound in bounds.items():
-        degree = euler_form(quiver, e, [d - x for d, x in zip(dims, e)])
-        if degree // 2 < bound:
-            degrees[e] = degree
-    return degrees if degrees and sampling.rigid() else {}
+    quiver, dims = sampling.rep.quiver, sampling.rep.dims
+    return {e: euler_form(quiver, e, [d - x for d, x in zip(dims, e)]) for e in es}
 
 
 def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | None
@@ -583,9 +581,9 @@ def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | 
     """Yield (e, its verified counting polynomial or its rejection) for every e
     in bounds (e -> its degree bound), in order, once all are sampled.
 
-    First the arrow test (`_Sampling.closed_form`) settles every e it can,
-    with no sample; rigidity is asked only about the e it leaves, and a set
-    it settles whole reduces no prime and walks nothing.  The rest is
+    First `_Sampling.closed_form` settles every e it can, with no sample
+    (an arrow rules e out, no arrow constrains e, or M is rigid and
+    <e, d - e> < 0), and a set it settles whole walks nothing.  The rest is
     planned at its first prime (`subspaces._plan`), which also fixes each
     fiber's walk key and so its bound B_F.  At each prime every e still
     pending is counted in one `subspaces._count_planned` call, which shares
@@ -597,24 +595,22 @@ def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | 
     - the per-e test (`_fit` with the degree bound) leaves e to the final
       `interpolate_counting_polynomial` when its samples prove it not
       polynomial in q, or when n = bound + 1 + HELD_OUT;
-    - for rigid M and D = <e, d - e>, the rigidity test settles e before the
-      first prime when D < 0, else tries `_palindrome_fit` at
-      n = D // 2 + 1 + HELD_OUT;
+    - for rigid M and D = <e, d - e> >= 0, the rigidity test tries
+      `_palindrome_fit` at n = D // 2 + 1 + HELD_OUT;
     - the fiber test tries `_fiber_fit` at n = B_F + 1 + HELD_OUT;
     - otherwise e stays pending.
-    The fiber and rigidity tests are tried only where their bound is below
-    the degree bound, where they can save a prime, and neither rejects.  No
-    prime is taken after the last e is settled.  The cap is read once, here,
-    when it is None.
+    The per-e test is asked first, so the fiber and rigidity tests are
+    reached only where their bound is below the degree bound, where they
+    can save a prime, and neither rejects.  No prime is taken after the
+    last e is settled.  The cap is read once, here, when it is None.
     """
     sampling = _sampling(rep)
     cap = default_cap() if cap is None else int(cap)
-    settled = {e: ints for e in bounds if (ints := sampling.closed_form(e)) is not None}
-    degrees = _rigid_degrees(sampling, {e: b for e, b in bounds.items() if e not in settled})
-    settled.update((e, ()) for e, degree in degrees.items() if degree < 0)  # Gr_e(M) is empty
+    settled = {e: closed[0] for e in bounds if (closed := sampling.closed_form(e)) is not None}
+    pending = [e for e in bounds if e not in settled]
+    degrees = _rigid_degrees(sampling, pending) if pending else {}
     samples = {e: [] for e in bounds}
     walks, fits = {}, {}
-    pending = [e for e in bounds if e not in settled]
     primes = sampling.reductions()
     plan = None
     while pending:
@@ -639,7 +635,7 @@ def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | 
                 ints = _palindrome_fit(got, degree)
             key, x = plan.entry[e]
             fiber_bound = fiber_bounds.get(key, bound)
-            if ints is None and fiber_bound < bound and n == fiber_bound + 1 + HELD_OUT:
+            if ints is None and n == fiber_bound + 1 + HELD_OUT:
                 if key not in fits:
                     fits[key] = _rank_fits(walks[key], fiber_bound)
                 ints = _fiber_fit(fits[key], d, x, got, bound)

@@ -8,34 +8,13 @@ is exact: no floating point.
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Sequence
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for n < 3.2e18."""
-    if n < 2:
-        return False
-    for q in _SMALL_PRIMES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division; every caller keeps n below 2^31 (`model.MAX_PRIME`)."""
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
 def odd_primes() -> Iterator[int]:

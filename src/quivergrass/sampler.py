@@ -200,11 +200,14 @@ def example4_verify(rep: Representation, primes: Sequence[int],
     chi = -4 comes from the genus-degree formula (genus 3 for a smooth plane
     quartic, chi = 2 - 2g), and is only reported when every requested prime
     delivered a smoothness witness and a point-count match; with no primes
-    the degree is checked and chi is withheld.  At each prime the curve
+    the degree is checked and chi is withheld.  At each prime the
+    Grassmannian is counted first, under the cap, and then the curve
     points come from a line-by-line scan of f mod p (`_curve_points`),
     which raises SmoothnessFailure at the first singular point in
-    `_projective_plane` order.  The report also records that the
-    interpolation route rejects this input with NonPolynomialCount.
+    `_projective_plane` order.  The scan visits p^2 + p + 1 points, so a
+    prime too large for the cap is refused before it.  The report also
+    records that the interpolation route rejects this input with
+    NonPolynomialCount.
     """
     f = example4_quartic(rep)
     report: dict = {
@@ -219,9 +222,10 @@ def example4_verify(rep: Representation, primes: Sequence[int],
     if not primes:
         return report
     for p in sorted(int(q) for q in primes):
+        rep_p = _sampling(rep).reduction(p)
+        grass = count_subreps(rep_p, EXAMPLE4_E, cap).count
         curve = _curve_points(f, p)
         report["smooth_over_each_p"][p] = True
-        rep_p = _sampling(rep).reduction(p)
         deficient = []
         for v in curve:
             columns = [
@@ -230,7 +234,6 @@ def example4_verify(rep: Representation, primes: Sequence[int],
                 for r in range(4)]
             if rank_mod(columns, p) != 3:
                 deficient.append(v)
-        grass = count_subreps(rep_p, EXAMPLE4_E, cap).count
         match = not deficient and grass == len(curve)
         report["point_count_match"][p] = {
             "curve_points": len(curve),
@@ -258,9 +261,8 @@ def positivity_scan(rep: Representation, require_rigid: bool = True,
                     cap: int | None = None) -> dict:
     """chi over every 0 <= e <= dims for an indecomposable, flagging negatives.
 
-    hom(M, M) comes from the End certificate of the sampling context
-    (`euler._Sampling.end`), at one prime when it certifies, else from an
-    elimination over Q.  Rigid indecomposables on acyclic quivers must come
+    hom(M, M) is dim End_Q(M) from the sampling context
+    (`euler._Sampling.end`).  Rigid indecomposables on acyclic quivers must come
     out all-nonnegative.
     Dimension vectors whose counts are not polynomial are recorded under
     `refused`; when the input is the 4-arrow (3, 4) quartic configuration,
@@ -271,8 +273,6 @@ def positivity_scan(rep: Representation, require_rigid: bool = True,
     if not rep.quiver.is_acyclic:
         raise NotAcyclic("positivity scan expects an acyclic quiver")
     hom = _sampling(rep).end()
-    if hom is None:  # no prime certified End, so eliminate over Q
-        hom = hom_dim(rep, rep)
     if hom != 1:
         raise ValueError("positivity scan expects an indecomposable (hom(M, M) = 1)")
     rigid = _ext1_from_hom(rep, hom) == 0

@@ -129,6 +129,16 @@ def test_euler_nonpolynomial_exit(example4_file, capsys):
     assert QUARTIC_HINT in err
 
 
+def test_fpoly_nonpolynomial_exit(example4_file, capsys):
+    # (1, 3) is the first e of the box whose counts are rejected, by the pair
+    # of its counts at 3 and 5
+    assert main(["fpoly", "--rep", example4_file]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: point counts at dimension vector (1, 3) sampled at primes 3, 5: "
+                   "the counts 7 at 3 and 6 at 5 differ by -1, which 5 - 3 does not divide, "
+                   "so they are not polynomial in q", QUARTIC_HINT]
+
+
 def test_nonpolynomial_exit_off_the_quartic_shape_has_no_hint(capsys):
     # this D4 input is rigid: the e whose counts hit a bad-reduction prime
     # (ROADMAP item 1) have <e, d - e> < 0 and settle with no sample, so it

@@ -11,6 +11,7 @@ import pytest
 
 from quivergrass import dynkin as dk
 from quivergrass.errors import (
+    DomainMismatch,
     InsufficientSamples,
     NonPolynomialCount,
     VariableCountMismatch,
@@ -827,7 +828,7 @@ def _random_rep(rng, quiver):
 def test_arrow_test_closed_forms_equal_the_sampled_fit():
     import quivergrass.euler as eu
     rng = random.Random(20100517)
-    seen = {"forbidden": 0, "unconstrained": 0}
+    seen = {"arrow": 0, "no arrow constrains e": 0, "M is rigid": 0}
     for i in range(300):
         rep = _random_rep(rng, SMALL_QUIVERS[i % len(SMALL_QUIVERS)])
         sampling = eu._sampling(rep)
@@ -835,11 +836,14 @@ def test_arrow_test_closed_forms_equal_the_sampled_fit():
             closed = sampling.closed_form(e)
             if closed is None:
                 continue
-            seen["forbidden" if sampling.forbidding(e) else "unconstrained"] += 1
-            assert closed == _per_e_fit(rep, e).coefficients, (rep, e)
+            ints, reason = closed
+            kind = next(k for k in seen if reason.startswith(k))
+            seen[kind] += 1
+            if kind != "M is rigid":  # its per-e fit can meet a bad prime (ROADMAP item 1)
+                assert ints == _per_e_fit(rep, e).coefficients, (rep, e)
             poly = counting_polynomial(rep, e)
-            assert (poly.coefficients, poly.samples) == (closed, ()), (rep, e)
-    assert min(seen.values()) >= 50, seen
+            assert (poly.coefficients, poly.samples) == (ints, ()), (rep, e)
+    assert min(seen["arrow"], seen["no arrow constrains e"]) >= 50 and seen["M is rigid"], seen
 
 
 def test_arrow_test_settles_a_thin_root_with_no_prime(monkeypatch):
@@ -855,6 +859,18 @@ def test_arrow_test_settles_a_thin_root_with_no_prime(monkeypatch):
     assert f_polynomial(rep) == dk.f_polynomial_via_minor(5, (0, 2, 4, 1, 3), (1, 1, 1, 1, 1), "A")
     assert reduced == []
     eu._sampling.cache_clear()
+
+
+def test_prime_field_inputs_are_refused():
+    # a zero arrow rules out or leaves unconstrained every e of the (2, 2)
+    # box, so no prime would be reduced to catch a prime-field input later
+    zero = Representation(Quiver(2, ((0, 1),)), (2, 2), (((0, 0), (0, 0)),), field=5)
+    with pytest.raises(DomainMismatch, match="already over a prime field"):
+        f_polynomial(zero)
+    with pytest.raises(DomainMismatch, match="already over a prime field"):
+        counting_polynomial(zero, (1, 1))
+    with pytest.raises(DomainMismatch, match="already over a prime field"):
+        counting_polynomial(reduce_mod(build_kronecker(preprojective(2)), 3), (1, 1))
 
 
 def test_arrowless_f_polynomial_is_a_product_of_grassmannians():
@@ -943,9 +959,10 @@ def test_end_certificate():
     assert not eu._Sampling(build_kronecker(regular(2, 0))).rigid()
     # S1 + S1 on one vertex: End = 4 = <d, d>
     assert eu._Sampling(Representation(ONE_VERTEX, (2,), ())).rigid()
-    # a cycle has no Euler form, and End of the 2-cycle's (1, 1) is not certified
+    # a cycle has no Euler form, so nothing certifies End of the 2-cycle's
+    # (1, 1): it is eliminated over Q, and the module counts as not rigid
     cycle = Representation(Quiver(2, ((0, 1), (1, 0))), (1, 1), (((1,),), ((1,),)))
-    assert (eu._Sampling(cycle).end(), eu._Sampling(cycle).rigid()) == (None, False)
+    assert (eu._Sampling(cycle).end(), eu._Sampling(cycle).rigid()) == (1, False)
 
 
 def test_end_certificate_is_thread_safe(monkeypatch):
@@ -974,6 +991,36 @@ def test_end_certificate_is_thread_safe(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert results == [1] * 4
     assert calls == [3]  # one hom_dim, at the first good prime, for all four
+
+
+def test_rigid_verdict_is_thread_safe(monkeypatch):
+    # every e the arrow test leaves asks `rigid`, from whichever thread
+    # samples it: End is worked out once, and every thread reads one verdict
+    import quivergrass.euler as eu
+    calls = []
+    hom = eu.hom_dim
+
+    def counted(a, b):
+        calls.append(a.field)
+        return hom(a, b)
+
+    monkeypatch.setattr(eu, "hom_dim", counted)
+    sampling = eu._Sampling(build_kronecker(preprojective(4)))
+    results: list = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(sampling.rigid()))
+                   for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [True] * 4
+    assert calls == [3]
 
 
 @pytest.mark.parametrize("label,rank", [("A", 5), ("D", 4), ("D", 5), ("D", 6), ("E", 6)])

@@ -1,6 +1,11 @@
 import pytest
 
-from quivergrass.errors import DegenerateForm, NonPolynomialCount, SmoothnessFailure
+from quivergrass.errors import (
+    DegenerateForm,
+    NonPolynomialCount,
+    SearchTooLarge,
+    SmoothnessFailure,
+)
 from quivergrass.fpoly import FPolynomial
 from quivergrass.euler import euler_characteristic
 from quivergrass.kronecker import (
@@ -201,6 +206,19 @@ def test_example4_verify_takes_reductions_from_the_sampling_context(monkeypatch)
     assert example4_verify(rep, (5, 7, 11))["chi"] == -4
     assert {p for _, p in reduced} >= {5, 7, 11}
     assert len(reduced) == len(set(reduced))  # each (representation, prime) once
+
+
+def test_example4_verify_counts_under_the_cap_before_it_scans_the_curve(monkeypatch):
+    # the scan visits p^2 + p + 1 points, 9 million at p = 3001: a prime too
+    # large for the cap must be refused before it
+    import quivergrass.sampler as sm
+
+    def scanned(f, p):
+        raise AssertionError(f"the curve was scanned mod {p}")
+
+    monkeypatch.setattr(sm, "_curve_points", scanned)
+    with pytest.raises(SearchTooLarge, match="p = 3001"):
+        example4_verify(seed42_rep(), (3001,), cap=1000)
 
 
 def test_example4_verify_no_primes_withholds_chi():

@@ -91,6 +91,23 @@ def test_enumerate_subspaces_lines_of_f2_squared():
     assert bases == {((1, 0),), ((0, 1),), ((1, 1),)}
 
 
+def test_enumerate_subspaces_refuses_non_primes_and_primes_past_2_31():
+    for p in (1, 9, 2 ** 31 + 11):  # 2^31 + 11 is prime
+        with pytest.raises(DomainMismatch, match="not a prime below 2"):
+            next(enumerate_subspaces(p, 2, 1))
+    assert linalg.is_prime(2 ** 31 + 11) and linalg.is_prime(2 ** 31 - 1)
+    assert next(enumerate_subspaces(2 ** 31 - 1, 2, 1)) == ((1, 0),)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    n = 20000
+    sieve = [False, False] + [True] * (n - 2)
+    for q in range(2, n):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, n, q))
+    assert [linalg.is_prime(k) for k in range(-3, n)] == [False] * 3 + sieve
+
+
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_enumerate_counts_match_gaussian(p):
     for m in range(6):
