@@ -136,7 +136,7 @@ from typing import Iterator, Sequence
 from . import linalg
 from .errors import DomainMismatch, InsufficientSamples, NonPolynomialCount
 from .fpoly import FPolynomial
-from .model import Representation, euler_form, hom_dim, reduce_mod, validate_representation
+from .model import Representation, euler_form, hom_dim, reduce_mod
 from .subspaces import (
     _count_planned,
     _dual_routing,
@@ -311,7 +311,6 @@ class _Sampling:
     """
 
     def __init__(self, rep: Representation):
-        validate_representation(rep)
         if rep.field is not None:
             raise DomainMismatch("representation is already over a prime field")
         self.rep = rep

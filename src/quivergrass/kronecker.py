@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import OutOfRange
-from .model import Quiver, Representation
+from .model import Quiver, Representation, _as_int
 
 
 class _Infinity:
@@ -120,7 +120,7 @@ def kronecker_chi(kind: KroneckerKind, e) -> int:
     the brute-force cross-validation suite is the arbiter for this
     convention.  The regular formula does not depend on lambda.
     """
-    e1, e2 = (int(x) for x in e)
+    e1, e2 = (_as_int(x, "dimension vector entry") for x in e)
     d1, d2 = dims_of(kind)
     if not (0 <= e1 <= d1 and 0 <= e2 <= d2):
         raise OutOfRange((e1, e2))

@@ -9,6 +9,8 @@ columns index the source space, rows the target, and vectors act as columns.
 Scalar domains are exact only: arbitrary-precision integers and rationals
 (field=None) or a prime field F_p with p a prime below 2^31 (field=p); 2 is
 accepted, though the interpolation schedule samples odd primes only.
+Vertex counts, arrow ends and dimensions must be integers (ValueError, not
+truncation), and a Representation is checked once, when it is built.
 Values are immutable after construction and all operations are pure, so
 everything is safe to share across threads.
 """
@@ -16,6 +18,7 @@ everything is safe to share across threads.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,6 +39,13 @@ from .errors import (
 MAX_PRIME = 2 ** 31
 
 
+def _as_int(x, what: str) -> int:
+    """x as an int; integer types such as numpy's pass, anything else (bool too) is refused."""
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return operator.index(x)
+
+
 @dataclass(frozen=True)
 class Quiver:
     """Directed multigraph; arrows are (source, target) pairs, 0-based."""
@@ -44,10 +54,11 @@ class Quiver:
     arrows: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_int(self.n, "vertex count"))
         if self.n < 1:
             raise ValueError("quiver needs at least one vertex")
-        object.__setattr__(self, "arrows",
-                           tuple((int(s), int(t)) for s, t in self.arrows))
+        object.__setattr__(self, "arrows", tuple(
+            (_as_int(s, "arrow source"), _as_int(t, "arrow target")) for s, t in self.arrows))
         for s, t in self.arrows:
             if not (0 <= s < self.n and 0 <= t < self.n):
                 raise ValueError(f"arrow ({s}, {t}) out of range for n = {self.n}")
@@ -115,11 +126,12 @@ class Representation:
     field: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(_as_int(d, "dimension") for d in self.dims))
         object.__setattr__(
             self, "matrices",
             tuple(tuple(tuple(_normalize_entry(x) for x in row) for row in mat)
                   for mat in self.matrices))
+        validate_representation(self)
 
     @property
     def n(self) -> int:
@@ -134,8 +146,8 @@ def validate_representation(rep: Representation) -> None:
     """Check shapes against arrows and entries against the scalar domain.
 
     Raises ShapeMismatch(arrow index) or MixedScalarDomains; returns None on
-    success.  Loops and oriented 2-cycles are allowed here (only the Euler
-    form and Ext computations insist on acyclicity).
+    success; every Representation runs it when built.  Loops and oriented
+    2-cycles are allowed (only the Euler form and Ext insist on acyclicity).
     """
     q = rep.quiver
     if len(rep.dims) != q.n:
@@ -249,7 +261,6 @@ def full_subspaces(rep: Representation) -> SubspaceTuple:
 
 def is_subrepresentation(rep: Representation, sub: SubspaceTuple) -> bool:
     """True iff every arrow maps the source subspace into the target subspace."""
-    validate_representation(rep)
     if rep.field is None or rep.field != sub.prime:
         raise DomainMismatch(f"representation field {rep.field} vs subspaces mod {sub.prime}")
     p = rep.field
@@ -276,8 +287,6 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
     if a.quiver != b.quiver:
         raise QuiverMismatch("direct sum needs both summands on one quiver")
     _same_domain(a, b)
-    validate_representation(a)
-    validate_representation(b)
     dims = tuple(x + y for x, y in zip(a.dims, b.dims))
     mats = []
     for idx, (s, t) in enumerate(a.quiver.arrows):
@@ -293,7 +302,6 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
 
 def dual_representation(rep: Representation) -> Representation:
     """Representation of the opposite quiver with transposed matrices."""
-    validate_representation(rep)
     mats = []
     for (s, t), mat in zip(rep.quiver.arrows, rep.matrices):
         rows, cols = rep.dims[t], rep.dims[s]
@@ -320,8 +328,6 @@ def hom_dim(a: Representation, b: Representation) -> int:
     if a.quiver != b.quiver:
         raise QuiverMismatch("hom requires both representations on one quiver")
     _same_domain(a, b)
-    validate_representation(a)
-    validate_representation(b)
     offsets = []
     total = 0
     for v in range(a.n):
@@ -411,26 +417,35 @@ def sub_and_quotient(rep: Representation, sub: SubspaceTuple
 # ---------------------------------------------------------------------------
 # File format: {"vertices": n, "arrows": [[src, tgt], ...], "dims": [...],
 # "matrices": [[[row], ...], ...]}, arrows and matrices in the same order,
-# vertices 1-based in files.
+# vertices 1-based in files.  Every number in a file is a JSON integer.
 # ---------------------------------------------------------------------------
+
+def _file_int(field: str, x) -> int:
+    if type(x) is not int:  # a JSON integer: no float, boolean or string
+        raise ParseError(f"bad representation document: {field} value "
+                         f"{json.dumps(x, default=repr)} is not an integer")
+    return x
+
 
 def representation_from_dict(data: dict) -> Representation:
     try:
-        n = int(data["vertices"])
-        arrows = tuple((int(s) - 1, int(t) - 1) for s, t in data["arrows"])
-        dims = tuple(int(d) for d in data["dims"])
+        n = _file_int("vertices", data["vertices"])
+        arrows = tuple((_file_int("arrows", s), _file_int("arrows", t))
+                       for s, t in data["arrows"])
+        dims = tuple(_file_int("dims", d) for d in data["dims"])
         matrices = tuple(
-            tuple(tuple(int(x) for x in row) for row in mat)
+            tuple(tuple(_file_int("matrices", x) for x in row) for row in mat)
             for mat in data["matrices"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad representation document: {exc}") from exc
+    for s, t in arrows:
+        if not (1 <= s <= n and 1 <= t <= n):
+            raise ParseError(f"arrow [{s}, {t}] out of range for vertices 1..{n}")
     try:
-        quiver = Quiver(n, arrows)
+        quiver = Quiver(n, tuple((s - 1, t - 1) for s, t in arrows))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    rep = Representation(quiver, dims, matrices)
-    validate_representation(rep)
-    return rep
+    return Representation(quiver, dims, matrices)
 
 
 def load_representation(path) -> Representation:

@@ -32,7 +32,6 @@ from .model import (
     hom_dim,
     reduce_mod,
     sub_and_quotient,
-    validate_representation,
 )
 from .subspaces import count_subreps, iter_subrep_tuples
 
@@ -59,9 +58,7 @@ def sample_general_rep(quiver: Quiver, dims: Sequence[int], seed: int,
         mats.append(tuple(
             tuple(rng.randint(-bound, bound) for _ in range(dims[s]))
             for _ in range(dims[t])))
-    rep = Representation(quiver, dims, tuple(mats))
-    validate_representation(rep)
-    return rep
+    return Representation(quiver, dims, tuple(mats))
 
 
 def smoothness_probe(rep: Representation, e: Sequence[int], p: int,
@@ -132,7 +129,6 @@ def example4_quartic(rep: Representation) -> FPolynomial:
     DegenerateForm when f vanishes identically (resample), and ValueError
     on a non-integer entry.
     """
-    validate_representation(rep)
     _require_example4_shape(rep)
     if not all(isinstance(x, int) for mat in rep.matrices for row in mat for x in row):
         raise ValueError("the quartic is built from integer matrices")
@@ -269,7 +265,6 @@ def positivity_scan(rep: Representation, require_rigid: bool = True,
     the known chi = -4 is forwarded from example4_verify as the documented
     non-rigid counterexample.
     """
-    validate_representation(rep)
     if not rep.quiver.is_acyclic:
         raise NotAcyclic("positivity scan expects an acyclic quiver")
     hom = _sampling(rep).end()

@@ -92,7 +92,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import linalg
 from .errors import DegenerateBase, DomainMismatch, ParseError, SearchTooLarge
-from .model import MAX_PRIME, Quiver, Representation, SubspaceTuple, validate_representation
+from .model import MAX_PRIME, Quiver, Representation, SubspaceTuple, _as_int
 
 DEFAULT_CAP = 10 ** 8
 
@@ -300,7 +300,7 @@ def _in_box(dims: Sequence[int], es) -> list[tuple[int, ...]]:
     """es as int tuples, each checked to lie in the box 0 <= e <= dims."""
     out = []
     for e in es:
-        e = tuple(int(x) for x in e)
+        e = tuple(_as_int(x, "dimension vector entry") for x in e)
         if len(e) != len(dims) or any(not 0 <= x <= d for x, d in zip(e, dims)):
             raise ValueError(f"dimension vector {e} outside the box of {dims}")
         out.append(e)
@@ -308,8 +308,7 @@ def _in_box(dims: Sequence[int], es) -> list[tuple[int, ...]]:
 
 
 def _checked(rep: Representation, es) -> list[tuple[int, ...]]:
-    """Validate a prime-field representation and dimension vectors in its box."""
-    validate_representation(rep)
+    """Check that rep is over a prime field and that es lie in its box."""
     if rep.field is None:
         raise DomainMismatch("counting needs a prime-field representation")
     return _in_box(rep.dims, es)
@@ -331,11 +330,12 @@ def _walk(rep: Representation, e: tuple[int, ...], budget: _Budget,
     """Search Gr_e(rep), or Gr_e(rep*) when backward, ticking the budget once
     per generated candidate.
 
-    rep and e are trusted, not validated; a backward search walks rep along
-    the routing of the opposite quiver, with e the dual's dimension vector.
-    With shortcut the final position is not enumerated: it ticks once per
-    arrival and the walk yields (rank of the span forced into it,
-    multiplicity) pairs, by blocks where it can (module docstring).
+    rep's prime field and e's box are trusted (`_checked`); a backward
+    search walks rep along the routing of the opposite quiver, with e the
+    dual's dimension vector.  With shortcut the final position is not
+    enumerated: it ticks once per arrival and the walk yields (rank of the
+    span forced into it, multiplicity) pairs, by blocks where it can
+    (module docstring).
     Otherwise it yields the stack of chosen (rows, pivots, images), one per
     position, at every point of the Grassmannian.
     """
@@ -468,8 +468,8 @@ class _Plan(NamedTuple):
 def _plan(rep: Representation, es: Sequence[tuple[int, ...]]) -> _Plan:
     """The plan for es at rep's prime: backward when the walks the set needs
     on the dual have a strictly smaller summed estimate, on an acyclic
-    quiver, else forward (module docstring).  rep and es are trusted, as in
-    `_walk`."""
+    quiver, else forward (module docstring).  rep's field and es's box are
+    trusted, as in `_walk`."""
     dims, p = rep.dims, rep.field
 
     def planned(route: _Route, backward: bool) -> tuple[_Plan, int]:
@@ -538,9 +538,8 @@ def _count_many(rep: Representation, es: Sequence[tuple[int, ...]],
     """Exact point counts of Gr_e(rep) for every e in es, one walk per fiber:
     the set's plan (`_plan`), counted at once (`_count_planned`).
 
-    rep and es are trusted, as in `_walk`: rep is a valid prime-field
-    representation and each e an int tuple in its box (`_checked` makes
-    sure of both).
+    rep and es are trusted, as in `_walk`: rep is over a prime field and
+    each e an int tuple in its box (`_checked` makes sure of both).
     """
     cap = default_cap() if cap is None else int(cap)
     return _count_planned(rep, _plan(rep, es), es, cap)[0]
@@ -550,9 +549,9 @@ def count_subreps(rep: Representation, e: Sequence[int],
                   cap: int | None = None) -> PointCount:
     """Exact number of subrepresentation tuples with the given dimension vector.
 
-    rep and e are validated here, since `_count_many` trusts them.  The
-    search runs in the cheaper direction, and the cap bounds the candidates
-    it generates (see the module docstring).
+    rep's field and e's box are checked here, since `_count_many` trusts
+    them.  The search runs in the cheaper direction, and the cap bounds the
+    candidates it generates (see the module docstring).
     """
     (e,) = _checked(rep, [e])
     return PointCount(rep.field, e, _count_many(rep, [e], cap)[e])

@@ -2,13 +2,15 @@
 
 Everything here deliberately avoids the library's echelon code paths:
 subspaces are handled as literal sets of vectors, so agreement with the
-engine is meaningful evidence and not an identity check.  The Dynkin oracles
-count no points at all: thin F-polynomials come from closed subsets, and the
-type-A minor is an ordinary minor of an explicit (rank+1) x (rank+1) matrix.
+engine is meaningful evidence and not an identity check.  The Dynkin and
+Kronecker string oracles count no points at all: thin and string-module
+F-polynomials come from closed subsets, and the type-A minor is an ordinary
+minor of an explicit (rank+1) x (rank+1) matrix.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 from quivergrass.fpoly import FPolynomial
 
@@ -149,6 +151,41 @@ def thin_f_polynomial(quiver, alpha):
         if all(e[t] or not e[s] for s, t in inner):
             terms[tuple(e)] = 1
     return FPolynomial(quiver.n, terms)
+
+
+def string_module_chi(kind):
+    """chi(Gr_e) over the box of a Kronecker indecomposable, as an FPolynomial,
+    by counting torus fixed points instead of points over F_p.
+
+    pr, inj and reg with lambda in {0, inf} are string modules: each arrow
+    sends every basis vector x_i of the source to a basis vector y_j of the
+    target or to 0.  chi(Gr_e) is then the number of subsets of the basis
+    that are closed under these successors, with e_1 of the x's and e_2 of
+    the y's (Cerulli Irelli, J. Algebraic Combin. 33, 2011).  The y's have
+    no successors, so a closed set is any set of x's, their successors, and
+    any choice of the remaining y's.  Every other reg(m, lambda) counts as
+    reg(m, 0): GL_2 acting on the two arrows preserves each Gr_e and takes
+    reg(m, lambda) to reg(m, 0); reg(m, inf) has the successors of reg(m, 0)
+    with the two arrows swapped, so the same closed sets.
+    """
+    m = kind.m
+    if kind.family == "pr":     # (m-1, m): phi_1 x_i = y_i, phi_2 x_i = y_{i+1}
+        d1, d2 = m - 1, m
+        successors = [{i, i + 1} for i in range(d1)]
+    elif kind.family == "inj":  # (m, m-1): phi_1 x_i = y_i, phi_2 x_i = y_{i-1}, 0 off the end
+        d1, d2 = m, m - 1
+        successors = [{j for j in (i, i - 1) if 0 <= j < d2} for i in range(d1)]
+    else:                       # (m, m): phi_1 = I, phi_2 = J_m(0) sends x_i to y_{i-1}
+        d1, d2 = m, m
+        successors = [{j for j in (i, i - 1) if j >= 0} for i in range(d1)]
+    terms = {}
+    for xs in product((0, 1), repeat=d1):
+        forced = set().union(*(succ for x, succ in zip(xs, successors) if x))
+        free = d2 - len(forced)
+        for k in range(free + 1):
+            e = (sum(xs), len(forced) + k)
+            terms[e] = terms.get(e, 0) + comb(free, k)
+    return FPolynomial(2, terms)
 
 
 def minor_argument_matrix(rank, word):

@@ -120,6 +120,16 @@ def test_euler_bad_vector(pr2_file, capsys):
     assert main(["euler", "--rep", pr2_file, "--e", "9,9"]) == 2
 
 
+def test_fpoly_refuses_a_non_integer_entry(tmp_path, capsys):
+    # the 0.5 used to be read as 0, and fpoly printed the zero map's polynomial
+    path = tmp_path / "half.json"
+    path.write_text('{"vertices": 2, "arrows": [[1, 2]], "dims": [1, 1], "matrices": [[[0.5]]]}')
+    assert main(["fpoly", "--rep", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad representation document: matrices value 0.5 is not an integer\n"
+
+
 QUARTIC_HINT = "hint: for the plane-quartic family use the `example4` command"
 
 

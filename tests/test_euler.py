@@ -212,6 +212,15 @@ def test_euler_preprojective_point():
             counting_polynomial(rep, e)
 
 
+def test_euler_refuses_non_integer_vectors():
+    # (1.7, 2.2) used to be counted as (1, 2), where chi is 2
+    rep = build_kronecker(preprojective(3))
+    with pytest.raises(ValueError, match="must be an integer, got 1.7"):
+        euler_characteristic(rep, (1.7, 2.2))
+    np = pytest.importorskip("numpy")
+    assert euler_characteristic(rep, (np.int64(1), np.int32(2))) == 2
+
+
 def test_counting_polynomial_metadata():
     # U_2 must be the image of the line U_1 under the identity: Gr_(1, 1) is P^1,
     # constrained by the arrow, so it is sampled

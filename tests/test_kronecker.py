@@ -19,6 +19,12 @@ from quivergrass.kronecker import (
 )
 from quivergrass.model import hom_dim
 
+from oracles import string_module_chi
+
+STRING_KINDS = ([preprojective(m) for m in range(1, 9)]
+                + [preinjective(m) for m in range(1, 9)]
+                + [regular(m, lam) for lam in (0, INFINITY, 3) for m in range(1, 9)])
+
 
 def test_binom_ext_conventions():
     assert binom_ext(-1, 0) == 1
@@ -95,6 +101,16 @@ def test_chi_out_of_range():
         kronecker_chi(preprojective(2), (0, -1))
 
 
+def test_chi_refuses_non_integer_vectors():
+    # (1.7, 2.2) used to be read as (1, 2)
+    with pytest.raises(ValueError, match="must be an integer, got 1.7"):
+        kronecker_chi(preprojective(3), (1.7, 2.2))
+    with pytest.raises(ValueError, match="must be an integer, got 2.0"):
+        kronecker_chi(preprojective(3), (1, 2.0))
+    np = pytest.importorskip("numpy")
+    assert kronecker_chi(preprojective(3), (np.int64(1), np.int32(2))) == 2
+
+
 def test_chi_endpoints_are_one():
     for kind in (preprojective(3), preinjective(3), regular(3, 2)):
         d = dims_of(kind)
@@ -152,6 +168,23 @@ def test_formula_matches_pipeline_smallish():
             for e1 in range(d1 + 1):
                 for e2 in range(d2 + 1):
                     assert f.coefficient((e1, e2)) == kronecker_chi(kind, (e1, e2))
+
+
+def test_closed_forms_match_the_string_module_oracle():
+    # torus fixed points, no primes: every box entry of m <= 8
+    for kind in STRING_KINDS:
+        fixed_points = string_module_chi(kind)
+        d1, d2 = dims_of(kind)
+        for e1 in range(d1 + 1):
+            for e2 in range(d2 + 1):
+                assert fixed_points.coefficient((e1, e2)) == kronecker_chi(kind, (e1, e2)), \
+                    (kind, e1, e2)
+
+
+def test_engine_matches_the_string_module_oracle():
+    for kind in STRING_KINDS:
+        if kind.m <= 4:
+            assert f_polynomial(build_kronecker(kind)) == string_module_chi(kind), kind
 
 
 def test_regular_bruteforce_lambda_independent():

@@ -1,4 +1,7 @@
+import json
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -77,6 +80,24 @@ def test_quiver_arrow_bounds():
         Quiver(2, ((0, 2),))
 
 
+def test_counts_are_integers_not_truncated():
+    with pytest.raises(ValueError, match="vertex count must be an integer, got 2.9"):
+        Quiver(2.9, ())
+    with pytest.raises(ValueError, match="arrow target must be an integer, got 1.0"):
+        Quiver(2, ((0, 1.0),))
+    with pytest.raises(ValueError, match="arrow source must be an integer, got True"):
+        Quiver(2, ((True, 1),))
+    for bad in (1.2, 1.0, Fraction(1), True, "1"):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            Representation(ONE_VERTEX, (bad,), ())
+    # integer types such as numpy's keep working, and are stored as int
+    np = pytest.importorskip("numpy")
+    q = Quiver(np.int64(2), ((np.int32(0), np.int64(1)),))
+    assert q == Quiver(2, ((0, 1),)) and type(q.n) is int
+    rep = Representation(q, (np.int64(1), np.int8(2)), (((1,), (0,)),))
+    assert rep.dims == (1, 2) and all(type(d) is int for d in rep.dims)
+
+
 def test_validate_kronecker_ok():
     rep = build_kronecker(preprojective(2))
     assert rep.dims == (1, 2)
@@ -86,10 +107,21 @@ def test_validate_kronecker_ok():
 def test_validate_shape_mismatch_on_second_arrow():
     q = kronecker_quiver()
     # second matrix transposed: 1x2 instead of 2x1
-    rep = Representation(q, (1, 2), (((1,), (0,)), ((0, 1),)))
     with pytest.raises(ShapeMismatch) as err:
+        rep = Representation(q, (1, 2), (((1,), (0,)), ((0, 1),)))
         validate_representation(rep)
     assert err.value.arrow_index == 1
+
+
+def test_an_invalid_representation_cannot_be_built():
+    # the shape and field cases above raise at construction as well
+    q = kronecker_quiver()
+    for dims, mats, detail in (((-1, 0), ((), ()), "negative dimension"),
+                               ((1,), ((), ()), "1 dims for 2 vertices"),
+                               ((1, 2), (((1,), (0,)),), "1 matrices for 2 arrows")):
+        with pytest.raises(ShapeMismatch, match=detail) as err:
+            Representation(q, dims, mats)
+        assert err.value.arrow_index == -1
 
 
 def test_validate_one_vertex_any_dim():
@@ -99,11 +131,11 @@ def test_validate_one_vertex_any_dim():
 
 def test_validate_field_domain():
     q = kronecker_quiver()
-    rep = Representation(q, (1, 2), (((1,), (0,)), ((0,), (1,))), field=9)
     with pytest.raises(MixedScalarDomains):
+        rep = Representation(q, (1, 2), (((1,), (0,)), ((0,), (1,))), field=9)
         validate_representation(rep)
-    bad_entry = Representation(q, (1, 2), (((7,), (0,)), ((0,), (1,))), field=5)
     with pytest.raises(MixedScalarDomains):
+        bad_entry = Representation(q, (1, 2), (((7,), (0,)), ((0,), (1,))), field=5)
         validate_representation(bad_entry)
 
 
@@ -278,4 +310,29 @@ def test_json_parse_errors(tmp_path):
     assert doc["arrows"] == [[1, 2], [1, 2]]  # files are 1-based
     doc["matrices"][1] = [[0, 1]]  # transposed shape
     with pytest.raises(ShapeMismatch):
+        representation_from_dict(doc)
+
+
+@pytest.mark.parametrize("path", [("vertices",), ("arrows", 1, 1), ("dims", 0),
+                                  ("matrices", 1, 1, 0)])
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, "2"])
+def test_files_hold_json_integers_only(path, bad):
+    # each of these used to be truncated or coerced by int()
+    doc = representation_to_dict(build_kronecker(preprojective(2)))
+    *outer, last = path
+    target = doc
+    for key in outer:
+        target = target[key]
+    target[last] = bad
+    with pytest.raises(ParseError, match=re.escape(
+            f"bad representation document: {path[0]} value {json.dumps(bad)} is not an integer")):
+        representation_from_dict(doc)
+
+
+def test_file_arrows_out_of_range_name_the_file_labels():
+    doc = {"vertices": 2, "arrows": [[0, 2]], "dims": [1, 1], "matrices": [[[1]]]}
+    with pytest.raises(ParseError, match=re.escape("arrow [0, 2] out of range for vertices 1..2")):
+        representation_from_dict(doc)
+    doc["arrows"] = [[1, 3]]
+    with pytest.raises(ParseError, match=re.escape("arrow [1, 3] out of range for vertices 1..2")):
         representation_from_dict(doc)

@@ -138,10 +138,19 @@ def test_count_subreps_validates_its_input():
     for e in ((2, 1), (0, 4), (-1, 0), (0, 1, 0)):
         with pytest.raises(ValueError, match="outside the box"):
             count_subreps(rep3, e)
-    unreduced = Representation(rep3.quiver, rep3.dims, (rep3.matrices[0], ((3,), (1,))),
-                               field=3)
     with pytest.raises(MixedScalarDomains, match="not reduced mod 3"):
+        unreduced = Representation(rep3.quiver, rep3.dims, (rep3.matrices[0], ((3,), (1,))),
+                                   field=3)
         count_subreps(unreduced, (0, 1))
+
+
+def test_count_subreps_refuses_non_integer_vectors():
+    rep3 = reduce_mod(build_kronecker(preprojective(2)), 3)
+    for e in ((0.5, 1), (0, 1.0), (0, "1")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            count_subreps(rep3, e)
+    np = pytest.importorskip("numpy")
+    assert count_subreps(rep3, (np.int64(0), np.int32(1))).count == 4
 
 
 def test_count_one_vertex_matches_gaussian():
