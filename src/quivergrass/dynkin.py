@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .errors import NotAnOrientation, NotInAnyFundamentalOrbit, ScopeError, SearchExhausted
 from .fpoly import FPolynomial
-from .model import Quiver, Representation, _ext1_from_hom, hom_dim
+from .model import Quiver, Representation, _as_int, euler_form, hom_dim
 
 _POSITIVE_ROOT_COUNTS = {"A": lambda n: n * (n + 1) // 2,
                          "D": lambda n: n * (n - 1),
@@ -156,7 +156,7 @@ def weyl_orbit(rs: RootSystem, weight: Sequence[int]) -> frozenset:
 
 
 def _check_word(rs: RootSystem, word: Sequence[int]) -> tuple[int, ...]:
-    word = tuple(int(i) for i in word)
+    word = tuple(_as_int(i, "word letter") for i in word)
     if sorted(word) != list(range(rs.rank)):
         raise ValueError(f"word {word} is not a permutation of 0..{rs.rank - 1}")
     return word
@@ -218,7 +218,7 @@ def solve_gamma(rs: RootSystem, word: Sequence[int], alpha: Sequence[int]
     walk ends at omega_i.
     """
     word = _check_word(rs, word)
-    alpha = tuple(int(a) for a in alpha)
+    alpha = tuple(_as_int(a, "root coordinate") for a in alpha)
     if alpha not in rs.positive_roots:
         raise ValueError(f"{alpha} is not a positive root of {rs.label}{rs.rank}")
     solved = [0] * rs.rank
@@ -293,14 +293,21 @@ def dynkin_indecomposable(quiver: Quiver, alpha: Sequence[int], seed: int = 0,
                           max_attempts: int = 200, bound: int = 3) -> Representation:
     """An indecomposable representation with dimension vector alpha.
 
-    Samples integer matrices from a deterministic seeded generator until the
-    result is certified by hom(M, M) = 1 and ext^1(M, M) = 0 over Q; general
-    representations of a positive-root dimension vector are exactly the
-    indecomposables, so this terminates fast.
+    A rigid indecomposable has hom = 1 and ext^1 = 0, so <alpha, alpha> = 1
+    (the quiver must be acyclic); elsewhere SearchExhausted is raised before
+    any sample.  Otherwise integer matrices are sampled from a deterministic
+    seeded generator until hom(M, M) = 1 over Q, which certifies ext^1(M, M)
+    = 1 - <alpha, alpha> = 0; general representations of a positive-root
+    dimension vector are exactly the indecomposables, so this terminates fast.
     """
-    dims = tuple(int(a) for a in alpha)
+    dims = tuple(_as_int(a, "dimension") for a in alpha)
     if len(dims) != quiver.n or any(d < 0 for d in dims):
         raise ValueError(f"bad dimension vector {dims}")
+    form = euler_form(quiver, dims, dims)
+    if form != 1:
+        raise SearchExhausted(
+            f"<alpha, alpha> = {form} for dims {dims}, so no rigid indecomposable has them; "
+            "is alpha a positive root of this quiver's diagram?")
     rng = random.Random(f"quivergrass-indec:{quiver.arrows}:{dims}:{seed}")
     for _ in range(max_attempts):
         mats = []
@@ -309,7 +316,7 @@ def dynkin_indecomposable(quiver: Quiver, alpha: Sequence[int], seed: int = 0,
                 tuple(rng.randint(-bound, bound) for _ in range(dims[s]))
                 for _ in range(dims[t])))
         rep = Representation(quiver, dims, tuple(mats))
-        if hom_dim(rep, rep) == 1 and _ext1_from_hom(rep, 1) == 0:
+        if hom_dim(rep, rep) == 1:
             return rep
     raise SearchExhausted(
         f"no certified indecomposable of dims {dims} in {max_attempts} samples; "

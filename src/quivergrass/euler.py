@@ -96,16 +96,18 @@ D // 2 < B_e, the palindrome through its first D // 2 + 1 samples
 argument of the per-e test.  A palindrome that fails leaves e to the other
 two tests, so rigidity never rejects.
 
-Rigidity is decided by dim End_Q(M) (`_Sampling.end`), usually certified
-at one prime with no elimination over Q: dim End_Q(M) >= <d, d> because
-dim Ext^1(M, M) = dim End(M) - <d, d> >= 0, and dim End(M mod p) >=
-dim End_Q(M) because reduction can only drop the rank of the linear
-system whose kernel is End.  So dim End(M mod p) = <d, d> at a good prime
+Rigidity is decided in one place, the sampling context: M is rigid when
+dim End_Q(M) (`_Sampling.end`) equals <d, d> >= 1, and End is usually
+certified at one prime with no elimination over Q: dim End_Q(M) >=
+<d, d> because dim Ext^1(M, M) = dim End(M) - <d, d> >= 0, and
+dim End(M mod p) >= dim End_Q(M) because reduction can only drop the
+rank of the linear system whose kernel is End.  So dim End(M mod p) = <d, d> at a good prime
 proves Ext^1_Q(M, M) = 0.  If none of the first HELD_OUT + 1 good primes
 certifies, one elimination over Q gives dim End_Q(M), so the answer is
 exact either way.  It is asked only on an acyclic quiver where <d, d> >= 1
 (a nonzero rigid M has dim End = <d, d>), and only when some e of the set
-is left after the arrow test.
+is left after the arrow test.  `_Sampling.rigid_dimension` gives
+<e, d - e> for rigid M, which both the empty case and the palindrome read.
 
 Sampling context: everything a count needs from M that does not depend on
 e is worked out once per representation and kept in a `_Sampling` (bounded
@@ -115,8 +117,9 @@ direction, and the good primes found so far, each with M reduced mod it.
 The prime list grows by one prime under a lock when a caller asks past its
 end, so each (representation, prime) pair is chosen, reduced and
 rank-checked once, when some caller is about to sample it, from whichever
-thread.  It also holds dim End_Q(M), worked out once, whose certificate
-may reduce a good prime that no count samples: a rigid-empty e takes none.
+thread.  It also holds <d, d>, worked out when it is built, and
+dim End_Q(M), worked out once, whose certificate may reduce a good prime
+that no count samples: a rigid-empty e takes none.
 A set that the arrow test settles whole reduces no prime at all.  It
 holds no dual: the search direction belongs to `subspaces._plan`, and a
 backward search walks the reduction itself.
@@ -136,7 +139,7 @@ from typing import Iterator, Sequence
 from . import linalg
 from .errors import DomainMismatch, InsufficientSamples, NonPolynomialCount
 from .fpoly import FPolynomial
-from .model import Representation, euler_form, hom_dim, reduce_mod
+from .model import Representation, _as_int, euler_form, hom_dim, reduce_mod
 from .subspaces import (
     _count_planned,
     _dual_routing,
@@ -144,8 +147,8 @@ from .subspaces import (
     _in_box,
     _plan,
     _routing,
-    default_cap,
     gaussian_binomial,
+    read_cap,
 )
 
 HELD_OUT = 2  # validation primes beyond the interpolation nodes
@@ -281,7 +284,7 @@ def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
     at least two held-out samples beyond the interpolation nodes
     (InsufficientSamples).
     """
-    samples = [(int(p), int(c)) for p, c in samples]
+    samples = [(_as_int(p, "sample prime"), _as_int(c, "sample count")) for p, c in samples]
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
     if len({p for p, _ in samples}) != len(samples):
@@ -301,19 +304,21 @@ def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
 class _Sampling:
     """What sampling needs from one representation over Q, worked out once.
 
-    ranks are the arrow ranks over Q; forward and backward are the arrows
-    (u, v, dim ker) that force part of U_v in the search order of the quiver
-    and of its opposite (see `degree_bound`); found lists the good primes so
-    far as (p, rep mod p), extended under the lock.  dim End_Q(M) (`end`)
-    and the rigidity verdict read from it (`rigid`) are each kept once
-    worked out, under a lock of their own; the End certificate may reduce
-    a good prime that no count goes on to sample.
+    form is <d, d>, None on a quiver with cycles; ranks are the arrow ranks
+    over Q; forward and backward are the arrows (u, v, dim ker) that force
+    part of U_v in the search order of the quiver and of its opposite (see
+    `degree_bound`); found lists the good primes so far as (p, rep mod p),
+    extended under the lock.  dim End_Q(M) (`end`) is kept once worked
+    out, under a second lock; the End certificate may reduce a good prime
+    that no count goes on to sample.  Rigidity (`rigid`, `rigid_dimension`)
+    is read from form and End, and kept nowhere else.
     """
 
     def __init__(self, rep: Representation):
         if rep.field is not None:
             raise DomainMismatch("representation is already over a prime field")
         self.rep = rep
+        self.form = euler_form(rep.quiver, rep.dims, rep.dims) if rep.quiver.is_acyclic else None
         self.ranks = tuple(linalg.rank_frac(mat) if mat and mat[0] else 0
                            for mat in rep.matrices)
         self.forward = self._forcing(_routing(rep.quiver), rep.quiver.arrows)
@@ -323,9 +328,7 @@ class _Sampling:
         self._found: list[tuple[int, Representation]] = []
         self._lock = threading.Lock()
         self._end: int | None = None
-        self._rigid: bool | None = None
         self._end_lock = threading.Lock()
-        self._rigid_lock = threading.Lock()  # held across `end`, never inside it
 
     def _forcing(self, route, arrows) -> tuple[tuple[int, int, int], ...]:
         pos = {v: i for i, v in enumerate(route.order)}
@@ -374,29 +377,27 @@ class _Sampling:
         """
         with self._end_lock:
             if self._end is None:
-                quiver, dims = self.rep.quiver, self.rep.dims
-                lower = (max(1, euler_form(quiver, dims, dims))
-                         if quiver.is_acyclic and any(dims) else 0)
+                lower = max(1, self.form) if self.form is not None and any(self.rep.dims) else 0
                 certified = lower and any(hom_dim(rep_p, rep_p) == lower for _, rep_p
                                           in islice(self.reductions(), HELD_OUT + 1))
                 self._end = lower if certified else hom_dim(self.rep, self.rep)
             return self._end
 
     def rigid(self) -> bool:
-        """Whether Ext^1(M, M) = 0, that is `end` equal to <d, d> >= 1.
+        """Whether Ext^1(M, M) = 0, that is `end` equal to form = <d, d> >= 1.
 
-        Rigid M has dim End(M) = <d, d> >= 1, so nothing is computed where
+        Rigid M has dim End(M) = <d, d> >= 1, so End is not asked where
         <d, d> < 1 (regular Kronecker modules, the plane quartic), and M on
         a quiver with cycles, which has no Euler form, counts as not rigid.
-        Worked out once, on the first call: every e that the arrow test
-        leaves asks it (`closed_form`), and so does the palindrome schedule.
         """
-        with self._rigid_lock:
-            if self._rigid is None:
-                quiver, dims = self.rep.quiver, self.rep.dims
-                form = euler_form(quiver, dims, dims) if quiver.is_acyclic else 0
-                self._rigid = form >= 1 and self.end() == form
-            return self._rigid
+        return self.form is not None and self.form >= 1 and self.end() == self.form
+
+    def rigid_dimension(self, e: Sequence[int]) -> int | None:
+        """<e, d - e> when M is rigid (`rigid`), the dimension of Gr_e(M)
+        where it is not empty (module docstring), else None."""
+        if not self.rigid():
+            return None
+        return euler_form(self.rep.quiver, e, [d - x for d, x in zip(self.rep.dims, e)])
 
     def degree_bound(self, e: Sequence[int]) -> int:
         """The a-priori bound on the degree of the counting polynomial at e.
@@ -453,10 +454,9 @@ class _Sampling:
             ints = _interpolant(tuple((q, prod(gaussian_binomial(d, x, q) for d, x in zip(dims, e)))
                                       for q in range(2, degree + 3)))
             return ints, "no arrow constrains e: Gr_e(M) is a product of Grassmannians"
-        if self.rigid():
-            form = euler_form(self.rep.quiver, e, [d - x for d, x in zip(dims, e)])
-            if form < 0:
-                return (), f"M is rigid and <e, d - e> = {form} < 0"
+        dimension = self.rigid_dimension(e)
+        if dimension is not None and dimension < 0:
+            return (), f"M is rigid and <e, d - e> = {dimension} < 0"
         return None
 
 
@@ -563,18 +563,6 @@ def _palindrome_fit(samples: Sequence[tuple[int, int]], degree: int) -> tuple[in
     return _through(_palindrome(tuple(samples[:nodes]), degree), samples[nodes:])
 
 
-def _rigid_degrees(sampling: _Sampling, es: Sequence[tuple[int, ...]]
-                   ) -> dict[tuple[int, ...], int]:
-    """e -> D = <e, d - e> for each of es, the palindrome degrees of the
-    rigidity test, when M is rigid (`_Sampling.rigid`), else empty.  The
-    es are those `_Sampling.closed_form` left, so D >= 0 for each, and
-    it has already asked `rigid`."""
-    if not sampling.rigid():
-        return {}
-    quiver, dims = sampling.rep.quiver, sampling.rep.dims
-    return {e: euler_form(quiver, e, [d - x for d, x in zip(dims, e)]) for e in es}
-
-
 def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | None
             ) -> Iterator[tuple[tuple[int, ...], CountingPolynomial | NonPolynomialCount]]:
     """Yield (e, its verified counting polynomial or its rejection) for every e
@@ -604,10 +592,10 @@ def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | 
     last e is settled.  The cap is read once, here, when it is None.
     """
     sampling = _sampling(rep)
-    cap = default_cap() if cap is None else int(cap)
+    cap = read_cap(cap)
     settled = {e: closed[0] for e in bounds if (closed := sampling.closed_form(e)) is not None}
     pending = [e for e in bounds if e not in settled]
-    degrees = _rigid_degrees(sampling, pending) if pending else {}
+    degrees = {e: sampling.rigid_dimension(e) for e in pending}
     samples = {e: [] for e in bounds}
     walks, fits = {}, {}
     primes = sampling.reductions()
@@ -629,7 +617,7 @@ def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | 
             n = len(got)
             if _fit(got, bound)[1] is not None or n == bound + 1 + HELD_OUT:
                 continue  # the per-e test decides e
-            ints, degree = None, degrees.get(e)
+            ints, degree = None, degrees[e]
             if degree is not None and n == degree // 2 + 1 + HELD_OUT:
                 ints = _palindrome_fit(got, degree)
             key, x = plan.entry[e]

@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import VariableCountMismatch
+from .model import _as_int
 
 
 class FPolynomial:
@@ -17,11 +18,11 @@ class FPolynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, int] | None = None):
-        self.nvars = int(nvars)
+        self.nvars = _as_int(nvars, "variable count")
         clean: dict[tuple, int] = {}
         if terms:
             for exp, coef in terms.items():
-                exp = tuple(int(x) for x in exp)
+                exp = tuple(_as_int(x, "exponent") for x in exp)
                 if len(exp) != self.nvars or any(x < 0 for x in exp):
                     raise ValueError(f"bad exponent vector {exp} for {self.nvars} variables")
                 if type(coef) is not int:  # an integral Fraction or float passes
@@ -241,9 +242,8 @@ class FPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "FPolynomial":
-        nvars = int(data["vars"])
         terms = {tuple(t["exp"]): t["coef"] for t in data["terms"]}
-        return cls(nvars, terms)
+        return cls(data["vars"], terms)
 
 
 def f_poly_multiply(f: FPolynomial, g: FPolynomial) -> FPolynomial:

@@ -107,12 +107,16 @@ def _is_acyclic(quiver: Quiver) -> bool:
 
 
 def _normalize_entry(x):
+    """x as an int or a non-integral Fraction; any integer type (numpy's
+    too, through __index__) passes, bool and every other scalar does not."""
     if isinstance(x, bool):
         raise ParseError("boolean is not a scalar")
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
+    if hasattr(type(x), "__index__"):
+        return operator.index(x)
     raise ParseError(f"unsupported scalar {x!r}")
 
 
@@ -357,13 +361,10 @@ def hom_dim(a: Representation, b: Representation) -> int:
 
 
 def ext1_dim(rep: Representation) -> int:
-    """dim Ext^1(M, M) via hom(M, M) - <dim M, dim M> (hereditary identity)."""
-    return _ext1_from_hom(rep, hom_dim(rep, rep))
-
-
-def _ext1_from_hom(rep: Representation, hom: int) -> int:
-    """dim Ext^1(M, M) from a known hom = dim Hom(M, M), as in `ext1_dim`."""
-    value = hom - euler_form(rep.quiver, rep.dims, rep.dims)
+    """dim Ext^1(M, M) via hom(M, M) - <dim M, dim M> (hereditary identity),
+    with one elimination over M's scalar domain.  The counting routes read
+    rigidity from their sampling context instead (`euler._Sampling.rigid`)."""
+    value = hom_dim(rep, rep) - euler_form(rep.quiver, rep.dims, rep.dims)
     if value < 0:
         raise NegativeExtDimension(f"got {value}; inputs violate the hereditary identity")
     return value

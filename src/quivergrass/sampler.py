@@ -27,7 +27,7 @@ from .linalg import rank_mod
 from .model import (
     Quiver,
     Representation,
-    _ext1_from_hom,
+    _as_int,
     euler_form,
     hom_dim,
     reduce_mod,
@@ -51,7 +51,7 @@ def sample_general_rep(quiver: Quiver, dims: Sequence[int], seed: int,
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_as_int(d, "dimension") for d in dims)
     rng = random.Random(seed)
     mats = []
     for s, t in quiver.arrows:
@@ -72,7 +72,7 @@ def smoothness_probe(rep: Representation, e: Sequence[int], p: int,
     """
     if not rep.quiver.is_acyclic:
         raise NotAcyclic("the smoothness probe expects an acyclic quiver")
-    e = tuple(int(x) for x in e)
+    e = tuple(_as_int(x, "dimension vector entry") for x in e)
     expected = euler_form(rep.quiver, e, tuple(d - x for d, x in zip(rep.dims, e)))
     rep_p = reduce_mod(rep, p)
     tangents: dict[int, int] = {}
@@ -217,7 +217,7 @@ def example4_verify(rep: Representation, primes: Sequence[int],
         raise DegenerateForm("form is not a quartic")
     if not primes:
         return report
-    for p in sorted(int(q) for q in primes):
+    for p in sorted(_as_int(q, "prime") for q in primes):
         rep_p = _sampling(rep).reduction(p)
         grass = count_subreps(rep_p, EXAMPLE4_E, cap).count
         curve = _curve_points(f, p)
@@ -257,9 +257,9 @@ def positivity_scan(rep: Representation, require_rigid: bool = True,
                     cap: int | None = None) -> dict:
     """chi over every 0 <= e <= dims for an indecomposable, flagging negatives.
 
-    hom(M, M) is dim End_Q(M) from the sampling context
-    (`euler._Sampling.end`).  Rigid indecomposables on acyclic quivers must come
-    out all-nonnegative.
+    hom(M, M) is dim End_Q(M) and the rigidity verdict is read with it, both
+    from the sampling context (`euler._Sampling.end` and `rigid`).  Rigid
+    indecomposables on acyclic quivers must come out all-nonnegative.
     Dimension vectors whose counts are not polynomial are recorded under
     `refused`; when the input is the 4-arrow (3, 4) quartic configuration,
     the known chi = -4 is forwarded from example4_verify as the documented
@@ -267,10 +267,10 @@ def positivity_scan(rep: Representation, require_rigid: bool = True,
     """
     if not rep.quiver.is_acyclic:
         raise NotAcyclic("positivity scan expects an acyclic quiver")
-    hom = _sampling(rep).end()
-    if hom != 1:
+    sampling = _sampling(rep)
+    if sampling.end() != 1:
         raise ValueError("positivity scan expects an indecomposable (hom(M, M) = 1)")
-    rigid = _ext1_from_hom(rep, hom) == 0
+    rigid = sampling.rigid()
     if require_rigid and not rigid:
         raise ValueError("representation is not rigid; pass require_rigid=False")
     entries = []

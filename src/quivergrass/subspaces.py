@@ -115,6 +115,17 @@ def default_cap() -> int:
     return cap
 
 
+def read_cap(cap) -> int:
+    """The cap a library call runs under: default_cap() when cap is None,
+    else cap itself, which must be a non-negative integer (ValueError)."""
+    if cap is None:
+        return default_cap()
+    cap = _as_int(cap, "cap")
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
+    return cap
+
+
 @lru_cache(maxsize=None)
 def gaussian_binomial(m: int, e: int, q: int) -> int:
     """Number of e-dimensional subspaces of F_q^m, as an exact integer.
@@ -541,7 +552,7 @@ def _count_many(rep: Representation, es: Sequence[tuple[int, ...]],
     rep and es are trusted, as in `_walk`: rep is over a prime field and
     each e an int tuple in its box (`_checked` makes sure of both).
     """
-    cap = default_cap() if cap is None else int(cap)
+    cap = read_cap(cap)
     return _count_planned(rep, _plan(rep, es), es, cap)[0]
 
 
@@ -561,7 +572,7 @@ def iter_subrep_tuples(rep: Representation, e: Sequence[int],
                        cap: int | None = None) -> Iterator[SubspaceTuple]:
     """Stream every point of the quiver Grassmannian as a SubspaceTuple."""
     (e,) = _checked(rep, [e])
-    cap = default_cap() if cap is None else int(cap)
+    cap = read_cap(cap)
     if _gauss_product(rep.dims, e, rep.field, range(rep.n)) > cap:
         raise _too_large(rep, e, range(rep.n), cap, [e])
     order = _routing(rep.quiver).order

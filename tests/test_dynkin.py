@@ -19,6 +19,7 @@ from quivergrass.dynkin import (
 from quivergrass.errors import NotAnOrientation, ScopeError, SearchExhausted
 from quivergrass.euler import f_polynomial
 from quivergrass.fpoly import FPolynomial
+from quivergrass.kronecker import kronecker_quiver
 from quivergrass.model import Quiver, ext1_dim, hom_dim
 
 
@@ -315,3 +316,37 @@ def test_dynkin_indecomposable_exhausts_on_non_root():
     chain = Quiver(3, ((0, 1), (1, 2)))
     with pytest.raises(SearchExhausted):
         dynkin_indecomposable(chain, (1, 0, 1), max_attempts=20)
+
+
+def test_no_sample_where_no_rigid_indecomposable_exists(monkeypatch):
+    # rigid indecomposables have <alpha, alpha> = 1; A3 (1, 0, 1) has 2 and
+    # Kronecker (3, 3) has 0, so neither draws a sample (each ran 200 first)
+    import quivergrass.dynkin as dk
+    calls = []
+    hom = dk.hom_dim
+
+    def counted(a, b):
+        calls.append(a.dims)
+        return hom(a, b)
+
+    monkeypatch.setattr(dk, "hom_dim", counted)
+    for quiver, alpha, form in ((Quiver(3, ((0, 1), (1, 2))), (1, 0, 1), 2),
+                                (kronecker_quiver(), (3, 3), 0)):
+        with pytest.raises(SearchExhausted, match=f"<alpha, alpha> = {form} for dims"):
+            dk.dynkin_indecomposable(quiver, alpha)
+    assert calls == []
+    # a root is still certified by hom = 1 alone, one elimination per sample
+    rep = dk.dynkin_indecomposable(Quiver(3, ((0, 1), (1, 2))), (1, 1, 1))
+    assert ext1_dim(rep) == 0 and calls[-1] == (1, 1, 1)
+
+
+def test_dynkin_entry_points_refuse_non_integers():
+    # each used to truncate: alpha (1.5, 1.2) as (1, 1), the word (0.2, 1.7) as (0, 1)
+    rs = root_system("A", 2)
+    with pytest.raises(ValueError, match="dimension must be an integer, got 1.5"):
+        dynkin_indecomposable(Quiver(2, ((0, 1),)), (1.5, 1.2))
+    with pytest.raises(ValueError, match="word letter must be an integer, got 0.2"):
+        orientation_from_coxeter(rs, (0.2, 1.7))
+    with pytest.raises(ValueError, match="root coordinate must be an integer, got 1.5"):
+        solve_gamma(rs, (0, 1), (1.5, 1))
+    assert orientation_from_coxeter(rs, (0, 1)) == Quiver(2, ((1, 0),))

@@ -73,6 +73,15 @@ def test_interpolate_quadratic():
     assert poly.chi == 2
 
 
+def test_interpolate_refuses_non_integer_samples():
+    # [(3, 4.0), (5, 4.9), (7, 4.2)] used to be read as the constant 4
+    with pytest.raises(ValueError, match="sample count must be an integer, got 4.0"):
+        interpolate_counting_polynomial([(3, 4.0), (5, 4.9), (7, 4.2)], 0)
+    with pytest.raises(ValueError, match="sample prime must be an integer, got 3.5"):
+        interpolate_counting_polynomial([(3.5, 4), (5, 4), (7, 4)], 0)
+    assert interpolate_counting_polynomial([(3, 4), (5, 4), (7, 4)], 0).coefficients == (4,)
+
+
 def test_interpolate_insufficient():
     with pytest.raises(InsufficientSamples):
         interpolate_counting_polynomial([(3, 1), (5, 1)], 0)
@@ -410,7 +419,8 @@ def test_only_sampled_primes_are_reduced(monkeypatch):
 
 def test_cap_is_read_once_per_computation(monkeypatch):
     # every walk of one F-polynomial runs under the same cap, however the
-    # environment changes while it runs
+    # environment changes while it runs; every reader goes through
+    # `subspaces.read_cap`, which reads the environment by `default_cap`
     import quivergrass.euler as eu
     from quivergrass import subspaces
     read, calls = subspaces.default_cap, []
@@ -419,8 +429,7 @@ def test_cap_is_read_once_per_computation(monkeypatch):
         calls.append(read())
         return calls[-1]
 
-    for module in (eu, subspaces):
-        monkeypatch.setattr(module, "default_cap", counted)
+    monkeypatch.setattr(subspaces, "default_cap", counted)
     eu._sampling.cache_clear()
     f_polynomial(build_kronecker(preprojective(4)))
     assert len(calls) == 1
@@ -521,6 +530,19 @@ def test_f_polynomial_refuses_non_integer_coefficients():
             FPolynomial.from_json_dict({"vars": 1, "terms": [{"exp": [1], "coef": coef}]})
     # integral values of other types are integers
     assert FPolynomial(1, {(0,): Fraction(6, 2), (1,): 2.0}).terms == {(0,): 3, (1,): 2}
+
+
+def test_fpolynomial_refuses_non_integer_shapes():
+    # FPolynomial(2.5, {(1.9, 0): 3}) used to have 2 variables and the term u1
+    with pytest.raises(ValueError, match="variable count must be an integer, got 2.5"):
+        FPolynomial(2.5, {(1, 0): 3})
+    with pytest.raises(ValueError, match="exponent must be an integer, got 1.9"):
+        FPolynomial(2, {(1.9, 0): 3})
+    with pytest.raises(ValueError, match="variable count must be an integer, got 2.0"):
+        FPolynomial.from_json_dict({"vars": 2.0, "terms": [{"exp": [1, 0], "coef": 3}]})
+    with pytest.raises(ValueError, match="exponent must be an integer, got True"):
+        FPolynomial.from_json_dict({"vars": 2, "terms": [{"exp": [True, 0], "coef": 3}]})
+    assert FPolynomial(2, {(1, 0): 3}).terms == {(1, 0): 3}
 
 
 def test_fpolynomial_arithmetic_refuses_bools():
@@ -941,10 +963,18 @@ def test_failed_palindrome_leaves_e_to_the_other_tests(monkeypatch):
 
 
 def test_end_certificate_is_asked_only_where_rigidity_can_hold(monkeypatch):
-    # <d, d> < 1 on regular Kronecker modules, their sums and the quartic
+    # <d, d> < 1 on regular Kronecker modules, their sums and the quartic;
+    # End's one reader is `_Sampling.end`, whose only elimination is hom_dim
     import quivergrass.euler as eu
     asked = []
-    monkeypatch.setattr(eu._Sampling, "end", lambda self: asked.append(self.rep) or None)
+    hom = eu.hom_dim
+
+    def counted(a, b):
+        asked.append(a.field)
+        return hom(a, b)
+
+    monkeypatch.setattr(eu, "hom_dim", counted)
+    eu._sampling.cache_clear()
     reps = [build_kronecker(regular(m, lam)) for m in (1, 2, 3) for lam in (0, INFINITY)]
     reps += [direct_sum(build_kronecker(regular(1, a)), build_kronecker(regular(1, b)))
              for a, b in ((1, 4), (2, 7))]
@@ -954,7 +984,8 @@ def test_end_certificate_is_asked_only_where_rigidity_can_hold(monkeypatch):
             pass
     assert asked == []
     counting_polynomial(build_kronecker(preprojective(4)), (1, 1))  # <e, d - e> = -1
-    assert len(asked) == 1
+    assert asked == [3]  # certified at the first good prime, worked out once
+    eu._sampling.cache_clear()
 
 
 def test_end_certificate():

@@ -75,6 +75,27 @@ def test_equal_quivers_share_one_acyclicity_check(monkeypatch):
     assert not Quiver(3, arrows + ((2, 0),)).is_acyclic and len(calls) == 2
 
 
+class Index:
+    """An integer type other than int, as numpy's are: it defines __index__ only."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_integer_like_matrix_entries():
+    # an np.int64 entry used to raise "unsupported scalar" while np.int64 dims passed
+    rep = Representation(kronecker_quiver(1), (1, 1), (((Index(2),),),))
+    assert rep.matrices == (((2,),),) and type(rep.matrices[0][0][0]) is int
+    assert rep == Representation(kronecker_quiver(1), (1, 1), (((2,),),))
+    for bad, message in ((True, "boolean is not a scalar"), (0.5, "unsupported scalar 0.5"),
+                         ("2", "unsupported scalar '2'")):
+        with pytest.raises(ParseError, match=message):
+            Representation(kronecker_quiver(1), (1, 1), (((bad,),),))
+
+
 def test_quiver_arrow_bounds():
     with pytest.raises(ValueError):
         Quiver(2, ((0, 2),))

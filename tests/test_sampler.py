@@ -52,6 +52,18 @@ def test_sampler_determinism_and_fixture():
     assert other != rep
 
 
+def test_sampler_entry_points_refuse_non_integers():
+    # each used to truncate: dims (1.7, 2.2) as (1, 2), e (1.9, 2.0) as [1, 2],
+    # and the prime 5.5 as 5
+    with pytest.raises(ValueError, match="dimension must be an integer, got 1.7"):
+        sample_general_rep(kronecker_quiver(), (1.7, 2.2), 0)
+    with pytest.raises(ValueError, match="dimension vector entry must be an integer, got 1.9"):
+        smoothness_probe(build_kronecker(preprojective(3)), (1.9, 2.0), 5)
+    with pytest.raises(ValueError, match="prime must be an integer, got 5.5"):
+        example4_verify(seed42_rep(), (5.5,))
+    assert sample_general_rep(kronecker_quiver(), (1, 2), 0).dims == (1, 2)
+
+
 def test_sampler_zero_dims_and_bound():
     rep = sample_general_rep(kronecker_quiver(2), (0, 0), 1, 5)
     assert rep.is_zero

@@ -49,6 +49,7 @@ from quivergrass.subspaces import (
     enumerate_subspaces,
     gaussian_binomial,
     iter_subrep_tuples,
+    read_cap,
 )
 
 from oracles import (
@@ -225,6 +226,27 @@ def test_default_cap_env(monkeypatch):
     assert default_cap() == 12345
     monkeypatch.delenv("QUIVERGRASS_CAP")
     assert default_cap() == 10 ** 8
+
+
+def test_library_cap_is_a_non_negative_integer(monkeypatch):
+    # cap="1000" used to count, True to mean a cap of 1, and -1 to fail the
+    # search with "exceeds cap -1"; --cap and QUIVERGRASS_CAP refused them already
+    from quivergrass.euler import euler_characteristic
+    rep = build_kronecker(preprojective(3))
+    rep3 = reduce_mod(rep, 3)
+    for bad, message in (("1000", "cap must be an integer, got '1000'"),
+                         (True, "cap must be an integer, got True"),
+                         (2.5, "cap must be an integer, got 2.5"),
+                         (-1, "cap must be non-negative, got -1")):
+        with pytest.raises(ValueError, match=message):
+            euler_characteristic(rep, (1, 2), cap=bad)
+        with pytest.raises(ValueError, match=message):
+            count_subreps(rep3, (1, 2), cap=bad)
+        with pytest.raises(ValueError, match=message):
+            next(iter_subrep_tuples(rep3, (1, 2), cap=bad))
+    monkeypatch.setenv("QUIVERGRASS_CAP", "77")
+    assert read_cap(None) == 77 and read_cap(0) == 0
+    assert euler_characteristic(rep, (1, 2), cap=1000) == 2
 
 
 def test_default_cap_env_rejects_non_integer(monkeypatch):
