@@ -53,12 +53,14 @@ def _diagram_edges(label: str, rank: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Cartan matrix, simple roots, fundamental weights, and positive roots."""
+    """Cartan matrix, simple roots, fundamental weights, positive roots and
+    the highest root."""
 
     label: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]  # simple-root coordinates
+    highest_root: tuple[int, ...]  # the positive root of largest height
 
     @property
     def simple_roots(self) -> tuple[tuple[int, ...], ...]:
@@ -87,9 +89,13 @@ class RootSystem:
                      for i in range(n))
 
 
-@lru_cache(maxsize=None)
 def root_system(label: str, rank: int) -> RootSystem:
     """Build (and cache) the root system of one simply-laced type."""
+    return _root_system(label, _as_int(rank, "rank"))
+
+
+@lru_cache(maxsize=None)
+def _root_system(label: str, rank: int) -> RootSystem:
     edges = _diagram_edges(label, rank)
     n = rank
     cartan = [[0] * n for _ in range(n)]
@@ -119,7 +125,7 @@ def root_system(label: str, rank: int) -> RootSystem:
     if len(positive) != expected:
         raise RuntimeError(f"root generation produced {len(positive)} positive roots, "
                            f"expected {expected}")
-    return RootSystem(label, rank, cartan_t, positive)
+    return RootSystem(label, rank, cartan_t, positive, max(positive, key=sum))
 
 
 def simple_reflection(rs: RootSystem, i: int, weight: Sequence[int]) -> tuple[int, ...]:
@@ -207,29 +213,37 @@ def solve_gamma(rs: RootSystem, word: Sequence[int], alpha: Sequence[int]
     equation asks that the weight reaching step k have j_k-coordinate
     -a_{j_k}.  That weight is gamma + sum_{l<k} a_{j_l} alpha_{j_l}, hence
 
-        gamma_{j_k} = -a_{j_k} - sum_{l<k} a_{j_l} cartan[j_k][j_l],
+        gamma_{j_k} = -a_{j_k} - sum_{l<k} a_{j_l} cartan[j_l][j_k],
 
-    a triangular solve with integer entries only: gamma is integral.
+    a triangular solve with integer entries only: gamma is integral.  The
+    sum is kept running: after letter j_k, a_{j_k} times row j_k of the
+    Cartan matrix is added to it.
 
     Every W-orbit meets the dominant chamber in exactly one weight, so the
     orbit is found by walking there: while some coordinate w_i is negative,
     apply s_i at the first such i, which adds |w_i| alpha_i (the walk ends
     because the orbit is finite).  gamma lies in W omega_i exactly when the
-    walk ends at omega_i.
+    walk ends at omega_i, the dominant weight with coordinate sum 1.
     """
     word = _check_word(rs, word)
     alpha = tuple(_as_int(a, "root coordinate") for a in alpha)
     if alpha not in rs.positive_roots:
         raise ValueError(f"{alpha} is not a positive root of {rs.label}{rs.rank}")
     solved = [0] * rs.rank
-    for k, j in enumerate(word):
-        row = rs.cartan[j]
-        solved[j] = -alpha[j] - sum(alpha[i] * row[i] for i in word[:k])
+    applied = [0] * rs.rank  # sum_{l<k} a_{j_l} cartan[j_l]
+    for j in word:
+        solved[j] = -alpha[j] - applied[j]
+        applied = [x + alpha[j] * c for x, c in zip(applied, rs.cartan[j])]
     gamma = tuple(solved)
-    w = gamma
-    while any(x < 0 for x in w):
-        w = simple_reflection(rs, next(i for i, x in enumerate(w) if x < 0), w)
-    if w in rs.fundamental_weights:
+    w = solved
+    while True:
+        for i, x in enumerate(w):
+            if x < 0:
+                break
+        else:
+            break
+        w = [y - x * c for y, c in zip(w, rs.cartan[i])]
+    if sum(w) == 1:
         return gamma, w.index(1)
     raise NotInAnyFundamentalOrbit(f"gamma {gamma} lies in no fundamental orbit")
 
@@ -245,10 +259,10 @@ def is_minuscule(label: str, rank: int, i: int) -> bool:
     root theta, the positive root of largest height, has the largest such
     coefficient, because theta - beta is a sum of simple roots for every
     positive root beta, and it is at least 1.  So omega_i is minuscule
-    exactly when alpha_i has coefficient 1 in theta.
+    exactly when alpha_i has coefficient 1 in theta, which the cached root
+    system holds.
     """
-    rs = root_system(label, rank)
-    return max(rs.positive_roots, key=sum)[i] == 1
+    return root_system(label, rank).highest_root[i] == 1
 
 
 def f_polynomial_via_minor(rank: int, word: Sequence[int], alpha: Sequence[int],
@@ -262,10 +276,20 @@ def f_polynomial_via_minor(rank: int, word: Sequence[int], alpha: Sequence[int],
     type A is): the weights of W omega_i are then a basis, e_j sends v_mu
     to v_{mu + alpha_j} when mu_j = -1 and f_j sends v_mu to v_{mu - alpha_j}
     when mu_j = 1, both squares vanish, and x_j(u) = 1 + u e_j and
-    y_j(1) = 1 + f_j.  Applying the factors right to left to v_gamma as a
-    sparse map from weight to polynomial only adds products of variables,
-    so the coefficients are visibly nonnegative.  Other orbits raise
-    ScopeError.
+    y_j(1) = 1 + f_j.  Other orbits raise ScopeError.
+
+    Write Y and X for the two halves of g.  In this basis f_j is the
+    transpose of e_j, so <v_gamma, Y X v_gamma> = <Y^T v_gamma, X v_gamma>
+    with Y^T = (1 + e_{i_n}) ... (1 + e_{i_1}).  Both sides expand over
+    the sets S of letters taken in word order under the same rule: letter
+    j is taken from the weight mu reached so far when mu_j = -1, and moves
+    it to mu + alpha_j.  Each letter occurs once in the word and the simple
+    roots are independent, so the weight gamma + sum_S alpha_j determines
+    S: X v_gamma is the sum of u^S v_{gamma + sum_S alpha_j} and Y^T v_gamma
+    the sum of the same v with coefficient 1.  The minor is therefore the
+    sum of u^S over the sets S that can be taken, and every coefficient is
+    1.  The walk carries one bit mask per weight reached, S as a set of
+    letters.
     """
     rs = root_system(label, rank)
     word = _check_word(rs, word)
@@ -274,19 +298,14 @@ def f_polynomial_via_minor(rank: int, word: Sequence[int], alpha: Sequence[int],
         raise ScopeError(
             f"gamma {gamma} lies in the orbit of omega_{fund_index + 1}, which is not "
             f"minuscule in {label}{rank}; the minor route needs a minuscule orbit")
-    # (j, the mu_j that e_j or f_j moves, the factor's variable or None for 1)
-    steps = [(j, -1, FPolynomial.variable(rank, j)) for j in word]
-    steps += [(j, 1, None) for j in reversed(word)]
-    vector = {gamma: FPolynomial.one(rank)}
-    for j, source, u in steps:
-        moved = dict(vector)
-        for mu, poly in vector.items():
-            if mu[j] == source:
-                nu = tuple(m - source * a for m, a in zip(mu, rs.simple_roots[j]))
-                term = poly if u is None else u * poly
-                moved[nu] = moved[nu] + term if nu in moved else term
-        vector = moved
-    return vector[gamma]
+    reached = {gamma: 0}
+    for j in word:
+        bit, row = 1 << j, rs.cartan[j]
+        for mu, mask in list(reached.items()):
+            if mu[j] == -1:
+                reached[tuple(m + a for m, a in zip(mu, row))] = mask | bit
+    return FPolynomial._trusted(rs.rank, {
+        tuple(mask >> i & 1 for i in range(rs.rank)): 1 for mask in reached.values()})
 
 
 def dynkin_indecomposable(quiver: Quiver, alpha: Sequence[int], seed: int = 0,
