@@ -144,10 +144,10 @@ from .subspaces import (
     _count_planned,
     _dual_routing,
     _fiber_count,
+    _gaussian_binomial,
     _in_box,
     _plan,
     _routing,
-    gaussian_binomial,
     read_cap,
 )
 
@@ -165,7 +165,10 @@ class CountingPolynomial:
     docstring) can settle e with fewer than degree_bound + 1 + HELD_OUT,
     and samples is empty when an arrow's rank rules e out, when no arrow
     constrains e (a product of Grassmannians), and when M is rigid and
-    <e, d - e> < 0.
+    <e, d - e> < 0.  Such an e takes no prime, and its degree_bound is the
+    degree of its closed form, known before any prime: sum_v e_v (d_v - e_v)
+    for a product of Grassmannians (the arrow bound there), 0 when Gr_e(M)
+    is empty.
     """
 
     coefficients: tuple[int, ...]
@@ -285,6 +288,7 @@ def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
     (InsufficientSamples).
     """
     samples = [(_as_int(p, "sample prime"), _as_int(c, "sample count")) for p, c in samples]
+    degree_bound = _as_int(degree_bound, "degree bound")
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
     if len({p for p, _ in samples}) != len(samples):
@@ -451,7 +455,7 @@ class _Sampling:
                              f"{e[u] - dims[u] + r} > e_{v + 1} = {e[v]}")
         if not any(r and e[u] and e[v] < dims[v] for (u, v), r in zip(arrows, self.ranks)):
             degree = sum(x * (d - x) for d, x in zip(dims, e))  # = B_e here
-            ints = _interpolant(tuple((q, prod(gaussian_binomial(d, x, q) for d, x in zip(dims, e)))
+            ints = _interpolant(tuple((q, prod(_gaussian_binomial(d, x, q) for d, x in zip(dims, e)))
                                       for q in range(2, degree + 3)))
             return ints, "no arrow constrains e: Gr_e(M) is a product of Grassmannians"
         dimension = self.rigid_dimension(e)
@@ -563,15 +567,17 @@ def _palindrome_fit(samples: Sequence[tuple[int, int]], degree: int) -> tuple[in
     return _through(_palindrome(tuple(samples[:nodes]), degree), samples[nodes:])
 
 
-def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | None
+def _settle(rep: Representation, es: Sequence[tuple[int, ...]], cap: int | None
             ) -> Iterator[tuple[tuple[int, ...], CountingPolynomial | NonPolynomialCount]]:
     """Yield (e, its verified counting polynomial or its rejection) for every e
-    in bounds (e -> its degree bound), in order, once all are sampled.
+    in es (distinct, in the box), in order, once all are sampled.
 
     First `_Sampling.closed_form` settles every e it can, with no sample
     (an arrow rules e out, no arrow constrains e, or M is rigid and
-    <e, d - e> < 0), and a set it settles whole walks nothing.  The rest is
-    planned at its first prime (`subspaces._plan`), which also fixes each
+    <e, d - e> < 0), and a set it settles whole walks nothing; such an e
+    reports the degree of its closed form as its degree bound.  Only the
+    rest has its degree bound worked out (`_Sampling.degree_bound`), and it
+    is planned at its first prime (`subspaces._plan`), which also fixes each
     fiber's walk key and so its bound B_F.  At each prime every e still
     pending is counted in one `subspaces._count_planned` call, which shares
     the search work across the set.  What was sampled is the only state:
@@ -593,10 +599,12 @@ def _settle(rep: Representation, bounds: dict[tuple[int, ...], int], cap: int | 
     """
     sampling = _sampling(rep)
     cap = read_cap(cap)
-    settled = {e: closed[0] for e in bounds if (closed := sampling.closed_form(e)) is not None}
-    pending = [e for e in bounds if e not in settled]
+    settled = {e: closed[0] for e in es if (closed := sampling.closed_form(e)) is not None}
+    pending = [e for e in es if e not in settled]
+    bounds = {e: max(len(settled[e]) - 1, 0) if e in settled else sampling.degree_bound(e)
+              for e in es}  # a closed form's degree, else the arrow bound
     degrees = {e: sampling.rigid_dimension(e) for e in pending}
-    samples = {e: [] for e in bounds}
+    samples = {e: [] for e in es}
     walks, fits = {}, {}
     primes = sampling.reductions()
     plan = None
@@ -648,11 +656,11 @@ def counting_polynomial(rep: Representation, e: Sequence[int],
 
     Sampling stops at the first prime whose count proves the counts are
     not polynomial in q, and the NonPolynomialCount names only the primes
-    sampled up to there.
+    sampled up to there.  e is one set of `_settle`, so an e that
+    `_Sampling.closed_form` settles takes no prime and has no arrow bound
+    worked out (see `CountingPolynomial.degree_bound`).
     """
-    sampling = _sampling(rep)
-    (e,) = _in_box(rep.dims, [e])
-    (_, result), = _settle(rep, {e: sampling.degree_bound(e)}, cap)
+    (_, result), = _settle(rep, _in_box(rep.dims, [e]), cap)
     if isinstance(result, NonPolynomialCount):
         raise result
     return result
@@ -669,14 +677,12 @@ def iter_box_chi(rep: Representation, cap: int | None = None):
 
     chi is None exactly when the counts at e were rejected as non-polynomial,
     in which case `error` carries the NonPolynomialCount.  The box is sampled
-    as one set (see `_settle`): e takes the first degree_bound(e) + 1 +
-    HELD_OUT primes, or fewer when they already reject it or its fiber or
-    rigidity settles it, and none when the arrow test settles it.
+    as one set (see `_settle`): e takes none when `_Sampling.closed_form`
+    settles it, and otherwise the first degree_bound(e) + 1 + HELD_OUT
+    primes, or fewer when they already reject it or its fiber or rigidity
+    settles it; only the latter e have their degree bound worked out.
     """
-    sampling = _sampling(rep)
-    bounds = {e: sampling.degree_bound(e)
-              for e in product(*(range(d + 1) for d in rep.dims))}
-    for e, result in _settle(rep, bounds, cap):
+    for e, result in _settle(rep, list(product(*(range(d + 1) for d in rep.dims))), cap):
         if isinstance(result, NonPolynomialCount):
             yield e, None, result
         else:

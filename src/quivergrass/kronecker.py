@@ -50,6 +50,7 @@ class KroneckerKind:
     def __post_init__(self):
         if self.family not in (PREPROJECTIVE, PREINJECTIVE, REGULAR):
             raise ValueError(f"unknown family {self.family!r}")
+        object.__setattr__(self, "m", _as_int(self.m, "m"))
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.family == REGULAR:
@@ -93,6 +94,7 @@ def binom_ext(n: int, k: int) -> int:
     binom_ext(-1, 0) = 1 and binom_ext(1, -1) = 0, which is exactly the
     boundary convention the closed-form chi formulas need at e = 0.
     """
+    n, k = _as_int(n, "n"), _as_int(k, "k")
     if k < 0:
         return 0
     num = 1
@@ -103,6 +105,7 @@ def binom_ext(n: int, k: int) -> int:
 
 def ordinary_grassmannian_chi(m: int, e: int) -> int:
     """chi of the e-plane Grassmannian of an m-space: C(m, e), 0 outside."""
+    m, e = _as_int(m, "ambient dimension"), _as_int(e, "subspace dimension")
     if m < 0:
         raise ValueError("ambient dimension must be non-negative")
     if e < 0 or e > m:

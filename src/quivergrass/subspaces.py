@@ -126,19 +126,28 @@ def read_cap(cap) -> int:
     return cap
 
 
-@lru_cache(maxsize=None)
 def gaussian_binomial(m: int, e: int, q: int) -> int:
     """Number of e-dimensional subspaces of F_q^m, as an exact integer.
 
     Zero outside 0 <= e <= m.  q = 1 is rejected: the classical binomial
-    limit lives in the interpolation layer, not here.
+    limit lives in the interpolation layer, not here.  Each argument must be
+    an integer (ValueError), so the cache below only ever holds ints.
     """
+    m, e, q = (_as_int(m, "ambient dimension"), _as_int(e, "subspace dimension"),
+               _as_int(q, "base"))
     if q == 1:
         raise DegenerateBase("Gaussian binomial is undefined at q = 1")
     if q < 1:
         raise ValueError("base must be a positive integer")
     if m < 0:
         raise ValueError("ambient dimension must be non-negative")
+    return _gaussian_binomial(m, e, q)
+
+
+@lru_cache(maxsize=None)
+def _gaussian_binomial(m: int, e: int, q: int) -> int:
+    """`gaussian_binomial` for integers m >= 0 and q >= 2, unchecked; the
+    counting paths call it directly."""
     if e < 0 or e > m:
         return 0
     num = den = 1
@@ -304,7 +313,7 @@ def _dual_routing(quiver: Quiver) -> _Route:
 
 
 def _gauss_product(dims: Sequence[int], e: Sequence[int], p: int, vertices) -> int:
-    return prod(gaussian_binomial(dims[v], e[v], p) for v in vertices)
+    return prod(_gaussian_binomial(dims[v], e[v], p) for v in vertices)
 
 
 def _in_box(dims: Sequence[int], es) -> list[tuple[int, ...]]:
@@ -457,7 +466,7 @@ def _final_ranks(rep: Representation, backward: bool, key: tuple[int, ...], cap:
 def _fiber_count(ranks, d: int, x: int, q: int) -> int:
     """Points with final coordinate x over F_q, from (forced rank k, N_k) pairs:
     sum_k N_k * binom_q(d - k, x - k), d the final vertex's dimension."""
-    return sum(n * gaussian_binomial(d - k, x - k, q) for k, n in ranks)
+    return sum(n * _gaussian_binomial(d - k, x - k, q) for k, n in ranks)
 
 
 class _Plan(NamedTuple):

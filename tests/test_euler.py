@@ -82,6 +82,14 @@ def test_interpolate_refuses_non_integer_samples():
     assert interpolate_counting_polynomial([(3, 4), (5, 4), (7, 4)], 0).coefficients == (4,)
 
 
+def test_interpolate_refuses_non_integer_degree_bounds():
+    # 1.5 used to be stored as the bound of a polynomial with no coefficients
+    samples = [(3, 4), (5, 4), (7, 4), (11, 4)]
+    for bound in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match=f"degree bound must be an integer, got {bound}"):
+            interpolate_counting_polynomial(samples, bound)
+
+
 def test_interpolate_insufficient():
     with pytest.raises(InsufficientSamples):
         interpolate_counting_polynomial([(3, 1), (5, 1)], 0)
@@ -737,11 +745,13 @@ def test_fiber_test_gives_the_per_e_interpolant(case):
             poly = counting_polynomial(rep, e)
             want = _per_e_fit(rep, e)
             assert poly.coefficients == want.coefficients, (rep.dims, e)
-            assert poly.degree_bound == want.degree_bound, (rep.dims, e)
             assert all(poly.evaluate(p) == count for p, count in poly.samples), (rep.dims, e)
             if eu._sampling(rep).closed_form(e) is not None:
+                # no arrow bound is worked out: the closed form's own degree
+                assert poly.degree_bound == poly.degree <= want.degree_bound, (rep.dims, e)
                 assert poly.samples == (), (rep.dims, e)
                 continue
+            assert poly.degree_bound == want.degree_bound, (rep.dims, e)
             fiber, palindrome = _fiber_schedule(rep, e), _palindrome_schedule(rep, e)
             need = min(n for n in (fiber, palindrome, len(want.samples)) if n is not None)
             assert poly.samples == want.samples[:need], (rep.dims, e)
@@ -775,7 +785,7 @@ def test_quartic_fibers_settle_what_their_ranks_allow():
     # the fiber as one set: an arrow of rank 3 rules (1, 0) out, no arrow
     # constrains (1, 4) (U_2 is all of vertex 2), and (1, 3) is left to the
     # per-e test; (1, 1) and (1, 2) still settle by the fiber test
-    results = dict(eu._settle(rep, bounds, None))
+    results = dict(eu._settle(rep, fiber, None))
     assert (results[1, 4].chi, results[1, 4].samples) == (3, ())
     assert results[1, 4].coefficients == _per_e_fit(rep, (1, 4)).coefficients
     assert results[1, 0].samples == ()
@@ -922,6 +932,47 @@ def test_rigid_empty_e_settles_with_no_samples():
     # single arrow rules (1, 1) out: each forces only dim U_2 >= 1
     poly = counting_polynomial(build_kronecker(preprojective(4)), (1, 1))
     assert (poly.coefficients, poly.samples, poly.chi) == ((), (), 0)
+
+
+def test_closed_form_reports_its_own_degree_as_bound():
+    # inj(4) has dims (4, 3): at (3, 1) an arrow of rank 3 rules e out, and at
+    # (2, 1) M is rigid with <e, d - e> = -2; the arrow bound is 2 at both
+    import quivergrass.euler as eu
+    inj4 = build_kronecker(preinjective(4))
+    for e in ((3, 1), (2, 1)):
+        poly = counting_polynomial(inj4, e)
+        assert (poly.coefficients, poly.samples, poly.degree_bound) == ((), (), 0), e
+        assert eu._sampling(inj4).degree_bound(e) == 2
+    # a product of Grassmannians keeps sum e_v (d_v - e_v), the arrow bound there
+    poly = counting_polynomial(build_kronecker(preprojective(2)), (0, 1))
+    assert (poly.coefficients, poly.samples, poly.degree_bound) == ((1, 1), (), 1)
+
+
+def test_degree_bound_is_worked_out_only_where_e_samples(monkeypatch):
+    # closed_form settles most of a box before any prime; only the e it
+    # leaves take samples, and only they need the arrow bound
+    import quivergrass.euler as eu
+    bound, count_planned = eu._Sampling.degree_bound, eu._count_planned
+    asked, sampled = [], set()
+
+    def spy(self, e):
+        asked.append(tuple(e))
+        return bound(self, e)
+
+    def recorded(rep_p, plan, es, *args):
+        sampled.update(es)
+        return count_planned(rep_p, plan, es, *args)
+
+    monkeypatch.setattr(eu._Sampling, "degree_bound", spy)
+    monkeypatch.setattr(eu, "_count_planned", recorded)
+    rs = dk.root_system("D", 4)
+    d4 = dk.dynkin_indecomposable(dk.orientation_from_coxeter(rs, (0, 1, 2, 3)), (1, 2, 1, 1),
+                                  seed=0)
+    for rep in (build_kronecker(preprojective(4)), d4):
+        asked.clear()
+        sampled.clear()
+        f_polynomial(rep)
+        assert len(sampled) == 3 and sorted(asked) == sorted(sampled), rep.dims
 
 
 def test_rigid_palindrome_settles_inj4_at_four_primes():

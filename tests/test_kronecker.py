@@ -53,6 +53,24 @@ def test_kind_validation():
     assert regular(2, INFINITY).lam is INFINITY
 
 
+def test_integer_arguments_are_refused_otherwise():
+    # each was accepted: m = 2.5 failed later in build_kronecker with a
+    # TypeError, and the binomials returned 6.0
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match=f"m must be an integer, got {bad}"):
+            KroneckerKind("pr", bad)
+    with pytest.raises(ValueError, match="m must be an integer, got 2.5"):
+        preprojective(2.5)
+    with pytest.raises(ValueError, match="ambient dimension must be an integer, got 4.0"):
+        ordinary_grassmannian_chi(4.0, 2)
+    with pytest.raises(ValueError, match="subspace dimension must be an integer, got 2.0"):
+        ordinary_grassmannian_chi(4, 2.0)
+    with pytest.raises(ValueError, match="n must be an integer, got 4.0"):
+        binom_ext(4.0, 2)
+    with pytest.raises(ValueError, match="k must be an integer, got True"):
+        binom_ext(4, True)
+
+
 def test_dims():
     assert dims_of(preprojective(3)) == (2, 3)
     assert dims_of(preinjective(3)) == (3, 2)

@@ -83,6 +83,22 @@ def test_gaussian_binomial_degenerate_base():
         gaussian_binomial(3, 1, 1)
 
 
+def test_gaussian_binomial_refuses_non_integers_and_keeps_its_cache_exact():
+    # 2.0 and 2 share a cache key, so one call with 2.0 used to leave 3.0
+    # cached for every later count: the closed form of a product of
+    # Grassmannians then had float coefficients
+    from quivergrass.euler import counting_polynomial
+    with pytest.raises(ValueError, match="ambient dimension must be an integer, got 2.0"):
+        gaussian_binomial(2.0, 1, 2)
+    with pytest.raises(ValueError, match="base must be an integer, got 3.5"):
+        gaussian_binomial(4, 2, 3.5)
+    with pytest.raises(ValueError, match="ambient dimension must be an integer, got True"):
+        gaussian_binomial(True, 1, 3)
+    poly = counting_polynomial(Representation(Quiver(2, ()), (2, 2), ()), (1, 1))
+    assert poly.coefficients == (1, 2, 1)
+    assert all(type(c) is int for c in poly.coefficients)
+
+
 def test_enumerate_subspaces_zero_dim():
     assert list(enumerate_subspaces(5, 3, 0)) == [()]
 
