@@ -45,6 +45,9 @@ EXIT_TOO_LARGE = 4
 EXIT_VERIFY = 5
 EXIT_SCOPE = 6
 
+KRONECKER_MODES = ("formula", "bruteforce", "both")
+DYNKIN_MODES = ("minor", "bruteforce", "both")
+
 # an error exits with the code of the nearest of its classes listed here
 EXIT_CODES = {QuivergrassError: EXIT_PARSE, ShapeMismatch: EXIT_PARSE,
               NonPolynomialCount: EXIT_NONPOLY, SearchTooLarge: EXIT_TOO_LARGE,
@@ -78,6 +81,15 @@ def _parse_cap(text: str | None) -> int | None:
     return cap
 
 
+def _parse_mode(text: str | None, modes: tuple[str, ...]) -> str:
+    """--mode, default both; checked here too, since a config value skips
+    argparse's choices."""
+    mode = text or "both"
+    if mode not in modes:
+        raise ParseError(f"bad --mode {mode!r}; expected one of {', '.join(modes)}")
+    return mode
+
+
 def _parse_type(label: str) -> tuple[str, int]:
     m = re.fullmatch(r"([ADEade])(\d+)", label.strip())
     if not m:
@@ -98,7 +110,11 @@ def _parse_lambda(text: str):
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    """Fill in unset flags from the --config JSON document (flags win)."""
+    """Fill in unset flags from the --config JSON document (flags win).
+
+    A boolean flag takes JSON true or false and a value flag a string or a
+    number; a value of the other kind is a usage error naming key and value.
+    """
     if not getattr(args, "config", None):
         return
     try:
@@ -115,11 +131,11 @@ def _apply_config(args: argparse.Namespace) -> None:
         if not hasattr(args, dest):
             continue
         current = getattr(args, dest)
-        if isinstance(value, bool):
-            if current is False:  # store_true flags: absent means False
-                setattr(args, dest, value)
-        elif current is None:
-            setattr(args, dest, str(value))
+        if isinstance(current, bool) != isinstance(value, bool):  # store_true flags are bool
+            want = "true or false" if isinstance(current, bool) else "a string or a number"
+            raise ParseError(f"config key {key!r} takes {want}, got {json.dumps(value)}")
+        if current is False or current is None:  # absent from the command line
+            setattr(args, dest, value if isinstance(value, bool) else str(value))
 
 
 def _emit(args, text: str, payload: dict) -> None:
@@ -193,13 +209,15 @@ def cmd_kronecker(args) -> int:
     if args.m is None:
         raise ParseError("kronecker needs --m")
     m = _parse_int(args.m, "--m")
-    lam = _parse_lambda(args.lam) if args.kind == "reg" else None
+    if args.kind != "reg" and args.lam is not None:
+        raise ParseError(f"{args.kind} takes no --lambda")
+    lam = _parse_lambda(args.lam)
     try:
         kind = (kr.regular(m, lam if lam is not None else 0) if args.kind == "reg"
                 else kr.KroneckerKind(args.kind, m))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    mode = args.mode or "both"
+    mode = _parse_mode(args.mode, KRONECKER_MODES)
     cap = _parse_cap(args.cap)
     rep = kr.build_kronecker(kind)
     d1, d2 = kr.dims_of(kind)
@@ -243,7 +261,7 @@ def cmd_dynkin(args) -> int:
     if args.type is None or args.coxeter is None or args.root is None:
         raise ParseError("dynkin needs --type, --coxeter and --root")
     label, rank = _parse_type(args.type)
-    mode = args.mode or "both"
+    mode = _parse_mode(args.mode, DYNKIN_MODES)
     if label == "E" and mode == "bruteforce":  # the cap guards size; this guards verdicts
         raise ScopeError("type E brute force alone can reject a polynomial-count root "
                          "at a bad-reduction prime; use --mode both, which runs the "
@@ -273,19 +291,14 @@ def cmd_dynkin(args) -> int:
         brute_poly = eu.f_polynomial(rep, cap)
         payload["bruteforce"] = brute_poly.to_json_dict()
         lines.append(f"bruteforce: {brute_poly.to_text()}")
+    match = True
     if mode == "both":
-        match = minor_poly == brute_poly
-        payload["match"] = match
+        match = payload["match"] = minor_poly == brute_poly
         lines.append("ok" if match else "MISMATCH")
-        if not match:
-            _emit(args, "\n".join(lines), payload)
-            return EXIT_VERIFY
-    if mode == "minor":
-        lines = [minor_poly.to_text()]
-    elif mode == "bruteforce":
-        lines = [brute_poly.to_text()]
+    else:
+        lines = [(minor_poly if mode == "minor" else brute_poly).to_text()]
     _emit(args, "\n".join(lines), payload)
-    return EXIT_OK
+    return EXIT_OK if match else EXIT_VERIFY
 
 
 def cmd_example4(args) -> int:
@@ -349,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("pr", "inj", "reg"))
     p.add_argument("--m", help="family parameter m >= 1")
     p.add_argument("--lambda", dest="lam", help="regular parameter (rational or 'inf')")
-    p.add_argument("--mode", choices=("formula", "bruteforce", "both"))
+    p.add_argument("--mode", choices=KRONECKER_MODES)
     common(p)
     p.set_defaults(func=cmd_kronecker)
 
@@ -357,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", help="type label, e.g. A3")
     p.add_argument("--coxeter", help="Coxeter word, comma-separated 1-based vertices")
     p.add_argument("--root", help="positive root in simple-root coordinates")
-    p.add_argument("--mode", choices=("minor", "bruteforce", "both"))
+    p.add_argument("--mode", choices=DYNKIN_MODES)
     p.add_argument("--seed", help="seed for the indecomposable search")
     common(p)
     p.set_defaults(func=cmd_dynkin)

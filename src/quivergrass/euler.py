@@ -694,6 +694,8 @@ def f_polynomial(rep: Representation, cap: int | None = None) -> FPolynomial:
 
     Zero coefficients are omitted.  The constant term is 1 (the zero
     subrepresentation) and the coefficient at u^dims is 1 (the full one).
+    The box's e are int tuples of length n and every chi is an int, so the
+    terms are clean as built.
     """
     terms: dict[tuple, int] = {}
     for e, chi, err in iter_box_chi(rep, cap):
@@ -701,4 +703,4 @@ def f_polynomial(rep: Representation, cap: int | None = None) -> FPolynomial:
             raise err
         if chi:
             terms[e] = chi
-    return FPolynomial(rep.n, terms)
+    return FPolynomial._trusted(rep.n, terms)

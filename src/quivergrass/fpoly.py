@@ -248,6 +248,4 @@ class FPolynomial:
 
 def f_poly_multiply(f: FPolynomial, g: FPolynomial) -> FPolynomial:
     """Exact product; raises VariableCountMismatch on differing variable counts."""
-    if f.nvars != g.nvars:
-        raise VariableCountMismatch(f"{f.nvars} variables vs {g.nvars}")
     return f * g

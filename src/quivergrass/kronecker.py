@@ -108,9 +108,7 @@ def ordinary_grassmannian_chi(m: int, e: int) -> int:
     m, e = _as_int(m, "ambient dimension"), _as_int(e, "subspace dimension")
     if m < 0:
         raise ValueError("ambient dimension must be non-negative")
-    if e < 0 or e > m:
-        return 0
-    return binom_ext(m, e)
+    return binom_ext(m, e)  # 0 for e < 0 and, by its factor m - m, for e > m
 
 
 def kronecker_chi(kind: KroneckerKind, e) -> int:

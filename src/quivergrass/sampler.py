@@ -23,7 +23,7 @@ from .errors import (
 )
 from .euler import _sampling, euler_characteristic, iter_box_chi
 from .fpoly import FPolynomial
-from .linalg import rank_mod
+from .linalg import matvec_mod, rank_mod
 from .model import (
     Quiver,
     Representation,
@@ -99,11 +99,6 @@ def is_example4_shape(rep: Representation) -> bool:
             and all(a == (0, 1) for a in q.arrows) and rep.dims == EXAMPLE4_DIMS)
 
 
-def _require_example4_shape(rep: Representation) -> None:
-    if not is_example4_shape(rep):
-        raise ValueError("expected the 4-arrow Kronecker quiver with dims (3, 4)")
-
-
 def _signed_products(triples) -> dict:
     """sum of sign * f * g over (f, g, sign), forms in v1..v3 held as
     {exponent: coefficient}."""
@@ -129,7 +124,8 @@ def example4_quartic(rep: Representation) -> FPolynomial:
     DegenerateForm when f vanishes identically (resample), and ValueError
     on a non-integer entry.
     """
-    _require_example4_shape(rep)
+    if not is_example4_shape(rep):
+        raise ValueError("expected the 4-arrow Kronecker quiver with dims (3, 4)")
     if not all(isinstance(x, int) for mat in rep.matrices for row in mat for x in row):
         raise ValueError("the quartic is built from integer matrices")
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -191,30 +187,30 @@ def _curve_points(f: FPolynomial, p: int) -> list[tuple[int, int, int]]:
 
 def example4_verify(rep: Representation, primes: Sequence[int],
                     cap: int | None = None) -> dict:
-    """Degree, smoothness witnesses, curve/Grassmannian point-count match, chi.
+    """The quartic, smoothness witnesses, curve/Grassmannian point-count match, chi.
 
-    chi = -4 comes from the genus-degree formula (genus 3 for a smooth plane
-    quartic, chi = 2 - 2g), and is only reported when every requested prime
-    delivered a smoothness witness and a point-count match; with no primes
-    the degree is checked and chi is withheld.  At each prime the
+    `example4_quartic` raises unless f is a nonzero quartic, so the report's
+    `is_quartic` is always true.  chi = -4 comes from the genus-degree
+    formula (genus 3 for a smooth plane quartic, chi = 2 - 2g), and is only
+    reported when every requested prime delivered a smoothness witness and a
+    point-count match; with no primes chi is withheld.  At each prime the
     Grassmannian is counted first, under the cap, and then the curve
     points come from a line-by-line scan of f mod p (`_curve_points`),
     which raises SmoothnessFailure at the first singular point in
-    `_projective_plane` order.  The scan visits p^2 + p + 1 points, so a
-    prime too large for the cap is refused before it.  The report also
-    records that the interpolation route rejects this input with
-    NonPolynomialCount.
+    `_projective_plane` order; a curve point v is a Grassmannian point when
+    its four images phi_k v have rank 3.  The scan visits p^2 + p + 1
+    points, so a prime too large for the cap is refused before it.  The
+    report also records that the interpolation route rejects this input
+    with NonPolynomialCount.
     """
     f = example4_quartic(rep)
     report: dict = {
-        "is_quartic": f.is_homogeneous(4) and f.total_degree() == 4,
+        "is_quartic": True,  # example4_quartic returns a nonzero quartic or raises
         "quartic": f.to_text(names=("v1", "v2", "v3")),
         "smooth_over_each_p": {},
         "point_count_match": {},
         "chi": None,
     }
-    if not report["is_quartic"]:
-        raise DegenerateForm("form is not a quartic")
     if not primes:
         return report
     for p in sorted(_as_int(q, "prime") for q in primes):
@@ -222,14 +218,8 @@ def example4_verify(rep: Representation, primes: Sequence[int],
         grass = count_subreps(rep_p, EXAMPLE4_E, cap).count
         curve = _curve_points(f, p)
         report["smooth_over_each_p"][p] = True
-        deficient = []
-        for v in curve:
-            columns = [
-                tuple(sum(rep_p.matrices[k][r][c] * v[c] for c in range(3)) % p
-                      for k in range(EXAMPLE4_ARROWS))
-                for r in range(4)]
-            if rank_mod(columns, p) != 3:
-                deficient.append(v)
+        deficient = [v for v in curve
+                     if rank_mod([matvec_mod(phi, v, p) for phi in rep_p.matrices], p) != 3]
         match = not deficient and grass == len(curve)
         report["point_count_match"][p] = {
             "curve_points": len(curve),

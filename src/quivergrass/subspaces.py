@@ -170,9 +170,8 @@ def _iter_rref(p: int, m: int, e: int, cols: Sequence = (), block: bool = False
     the next one when it lies in the same row, (r, c_u).  Each item, with
     those steps as a fourth entry, stands for the p or p^2 subspaces that
     differ only there (see the module docstring); () is a block of one.
+    Callers keep 0 <= e <= m.
     """
-    if e < 0 or e > m:
-        return
     for pivots in combinations(range(m), e):
         pivot_set = set(pivots)
         free = [(r, c) for r in range(e) for c in range(m)
@@ -272,7 +271,6 @@ class _Route(NamedTuple):
     """Search order and arrow routing; they depend on the quiver alone."""
 
     order: tuple[int, ...]
-    acyclic: bool
     out: tuple        # position -> indices of the arrows leaving order[pos]
     forced_in: tuple  # position -> (src position, k): k-th arrow out of src lands here
     checks: tuple     # position -> (k, tgt position): k-th arrow out lands here or earlier
@@ -290,10 +288,7 @@ class _Route(NamedTuple):
 
 @lru_cache(maxsize=256)
 def _routing(quiver: Quiver) -> _Route:
-    order = quiver.topological_order()
-    acyclic = order is not None
-    if order is None:
-        order = tuple(range(quiver.n))
+    order = quiver.topological_order() or tuple(range(quiver.n))
     pos = {v: i for i, v in enumerate(order)}
     out, forced_in, checks = ([[] for _ in order] for _ in range(3))
     for a, (s, t) in enumerate(quiver.arrows):
@@ -303,7 +298,7 @@ def _routing(quiver: Quiver) -> _Route:
         else:
             checks[sp].append((len(out[sp]), tp))
         out[sp].append(a)
-    return _Route(order, acyclic, *(tuple(map(tuple, lst)) for lst in (out, forced_in, checks)))
+    return _Route(order, *(tuple(map(tuple, lst)) for lst in (out, forced_in, checks)))
 
 
 @lru_cache(maxsize=256)
@@ -502,7 +497,7 @@ def _plan(rep: Representation, es: Sequence[tuple[int, ...]]) -> _Plan:
                                                   for key in keys)
 
     plan, estimate = planned(_routing(rep.quiver), False)
-    if plan.route.acyclic:
+    if rep.quiver.is_acyclic:
         dual, dual_estimate = planned(_dual_routing(rep.quiver), True)
         if dual_estimate < estimate:
             return dual

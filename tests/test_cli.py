@@ -296,6 +296,36 @@ def test_kronecker_mismatch_exit(monkeypatch, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind", ["pr", "inj"])
+def test_kronecker_lambda_is_refused_outside_reg(kind, tmp_path, capsys):
+    assert main(["kronecker", kind, "--m", "2", "--lambda", "garbage"]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {kind} takes no --lambda"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda": 1}))
+    assert main(["kronecker", kind, "--m", "2", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {kind} takes no --lambda"
+
+
+def test_config_lambda_key_sets_the_regular_parameter(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda": "inf"}))
+    assert main(["kronecker", "reg", "--m", "1", "--mode", "formula",
+                 "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "kind=reg m=1 lambda=inf"
+
+
+def test_dynkin_both_mismatch_exit(monkeypatch, capsys):
+    import quivergrass.dynkin as dk
+    monkeypatch.setattr(dk, "f_polynomial_via_minor",
+                        lambda *args: FPolynomial(2, {(0, 0): 1}))
+    argv = ["dynkin", "--type", "A2", "--coxeter", "1,2", "--root", "1,1", "--mode", "both"]
+    assert main(argv) == 5
+    assert capsys.readouterr().out.splitlines()[-1] == "MISMATCH"
+    assert main(argv + ["--json"]) == 5
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["match"] is False and doc["minor"] != doc["bruteforce"]
+
+
 def test_dynkin_both(capsys):
     assert main(["dynkin", "--type", "A2", "--coxeter", "1,2", "--root", "1,1",
                  "--mode", "both"]) == 0
@@ -398,6 +428,21 @@ def test_example4_json(capsys):
     assert doc["point_count_match"]["5"]["match"]
 
 
+def test_example4_degenerate_form_exit(monkeypatch, capsys):
+    import quivergrass.sampler as sp
+    from quivergrass.errors import DegenerateForm
+
+    def degenerate(*args):
+        raise DegenerateForm("determinantal form vanished identically; resample")
+
+    monkeypatch.setattr(sp, "example4_verify", degenerate)
+    assert main(["example4"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("degenerate: determinantal form vanished identically; "
+                            "resample; try another --seed\n")
+
+
 def test_config_defaults_and_flag_precedence(pr2_file, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rep": pr2_file, "e": "0,1"}))
@@ -413,3 +458,36 @@ def test_determinism_repeated_runs(capsys):
     first = capsys.readouterr().out
     assert main(["example4", "--seed", "7", "--primes", "5"]) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"json": "true"}, "error: config key 'json' takes true or false, got \"true\""),
+    ({"json": 1}, "error: config key 'json' takes true or false, got 1"),
+    ({"cap": True}, "error: config key 'cap' takes a string or a number, got true"),
+    ({"e": False}, "error: config key 'e' takes a string or a number, got false"),
+], ids=["json-string", "json-number", "cap-bool", "e-bool"])
+def test_config_refuses_a_value_of_the_wrong_type(doc, message, pr2_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["euler", "--rep", pr2_file, "--e", "0,1", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.strip() == message
+
+
+def test_config_booleans_set_boolean_flags(pr2_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"json": True, "verbose": False, "cap": 1000}))
+    assert main(["euler", "--rep", pr2_file, "--e", "0,1", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["chi"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["kronecker", "pr", "--m", "2"],
+    ["dynkin", "--type", "A2", "--coxeter", "1,2", "--root", "1,1"],
+], ids=["kronecker", "dynkin"])
+def test_config_mode_outside_the_choices_is_a_usage_error(argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "bogus"}))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: bad --mode 'bogus'")

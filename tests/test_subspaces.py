@@ -388,19 +388,25 @@ def test_incremental_images_match_matvec():
 
 
 def test_superspace_images_span_the_image():
+    # random spans, not unit rows on the first columns: each superspace
+    # must come back as its own canonical RREF, whatever the span's pivots
     rng = random.Random("superspaces")
-    p, m = 3, 4
-    mat = tuple(tuple(rng.randrange(p) for _ in range(m)) for _ in range(3))
-    cols = [tuple(tuple(row[c] for row in mat) for c in range(m))]
-    for s in range(1, 3):
-        srows, spivots, _ = next(_iter_rref(p, m, s))
-        for e in range(s, m + 1):
-            found = list(_iter_superspaces(p, m, e, srows, spivots, cols))
-            assert len(found) == gaussian_binomial(m - s, e - s, p)
-            for rows, pivots, (imgs,) in found:
-                assert linalg.rref_mod(rows + srows, p) == (rows, pivots)
-                assert (linalg.rref_mod(imgs, p)
-                        == linalg.rref_mod([linalg.matvec_mod(mat, w, p) for w in rows], p))
+    for p, m in ((2, 4), (3, 4), (3, 5)):
+        mat = tuple(tuple(rng.randrange(p) for _ in range(m)) for _ in range(3))
+        cols = [tuple(tuple(row[c] for row in mat) for c in range(m))]
+        for s in range(1, m):
+            for _ in range(4):
+                srows, spivots = linalg.rref_mod(
+                    [[rng.randrange(p) for _ in range(m)] for _ in range(s)], p)
+                t = len(srows)
+                for e in range(t, m + 1):
+                    found = list(_iter_superspaces(p, m, e, srows, spivots, cols))
+                    assert len(found) == gaussian_binomial(m - t, e - t, p)
+                    assert len({rows for rows, _, _ in found}) == len(found)
+                    for rows, pivots, (imgs,) in found:
+                        assert linalg.rref_mod(rows + srows, p) == (rows, pivots)
+                        assert (linalg.rref_mod(imgs, p) == linalg.rref_mod(
+                            [linalg.matvec_mod(mat, w, p) for w in rows], p))
 
 
 def test_rank_mod_matches_rref():
@@ -1077,3 +1083,13 @@ def test_determined_walks_charge_what_the_enumeration_charged(budgets, case):
         _final_ranks.cache_clear()
         assert count_subreps(rep, e, cap=used[e]).count == counts[e]
     assert mid_walk >= len(box) // 2
+
+
+def test_a_long_run_of_determined_vertices_is_a_loop():
+    # every vertex of a 1,500-vertex path is determined at e = d; a walk that
+    # recursed once per vertex would pass the interpreter's recursion limit
+    n = 1500
+    quiver = Quiver(n, tuple((v, v + 1) for v in range(n - 1)))
+    identity = ((1, 0), (0, 1))
+    rep = reduce_mod(Representation(quiver, (2,) * n, (identity,) * (n - 1)), 3)
+    assert count_subreps(rep, (2,) * n).count == 1
