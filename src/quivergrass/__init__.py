@@ -46,10 +46,7 @@ from .model import (
     direct_sum,
     dual_representation,
     euler_form,
-    ext1_dim,
     hom_dim,
-    is_rigid,
-    is_subrepresentation,
     load_representation,
     reduce_mod,
     save_representation,
@@ -60,7 +57,6 @@ from .model import (
 from .subspaces import (
     PointCount,
     count_subreps,
-    enumerate_subspaces,
     gaussian_binomial,
     iter_subrep_tuples,
 )
@@ -69,9 +65,9 @@ from .subspaces import (
 _LAZY_MODULES = {
     "dynkin": ("RootSystem", "coxeter_from_orientation", "dynkin_indecomposable",
                "f_polynomial_via_minor", "orientation_from_coxeter", "root_system",
-               "simple_reflection", "solve_gamma", "weyl_orbit"),
+               "simple_reflection", "solve_gamma"),
     "sampler": ("example4_quartic", "example4_verify", "positivity_scan",
-                "sample_general_rep", "smoothness_probe"),
+                "sample_general_rep"),
 }
 _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 
@@ -96,20 +92,16 @@ __all__ = [
     "direct_sum",
     "dual_representation",
     "dynkin_indecomposable",
-    "enumerate_subspaces",
     "euler_characteristic",
     "euler_form",
     "example4_quartic",
     "example4_verify",
-    "ext1_dim",
     "f_poly_multiply",
     "f_polynomial",
     "f_polynomial_via_minor",
     "gaussian_binomial",
     "hom_dim",
     "interpolate_counting_polynomial",
-    "is_rigid",
-    "is_subrepresentation",
     "iter_subrep_tuples",
     "kronecker_chi",
     "kronecker_quiver",
@@ -126,10 +118,8 @@ __all__ = [
     "save_representation",
     "simple_reflection",
     "simple_representation",
-    "smoothness_probe",
     "solve_gamma",
     "validate_representation",
-    "weyl_orbit",
     "zero_representation",
 ]
 

@@ -28,6 +28,11 @@ _POSITIVE_ROOT_COUNTS = {"A": lambda n: n * (n + 1) // 2,
                          "D": lambda n: n * (n - 1),
                          "E": {6: 36, 7: 63, 8: 120}}
 
+# `dynkin_indecomposable` draws matrix entries from [-BOUND, BOUND], in at
+# most ATTEMPTS samples
+INDECOMPOSABLE_BOUND = 3
+INDECOMPOSABLE_ATTEMPTS = 200
+
 
 def _diagram_edges(label: str, rank: int) -> tuple[tuple[int, int], ...]:
     if label == "A":
@@ -137,30 +142,6 @@ def simple_reflection(rs: RootSystem, i: int, weight: Sequence[int]) -> tuple[in
     return tuple(w - coeff * a for w, a in zip(weight, alpha))
 
 
-def apply_word_inverse(rs: RootSystem, word: Sequence[int],
-                       weight: Sequence[int]) -> tuple[int, ...]:
-    """Apply c^{-1} = s_{i_n} ... s_{i_1} for c = s_{i_1} ... s_{i_n}."""
-    w = tuple(weight)
-    for i in word:
-        w = simple_reflection(rs, i, w)
-    return w
-
-
-def weyl_orbit(rs: RootSystem, weight: Sequence[int]) -> frozenset:
-    """Full Weyl-group orbit by closure under simple reflections."""
-    start = tuple(weight)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        w = frontier.pop()
-        for i in range(rs.rank):
-            nxt = simple_reflection(rs, i, w)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
-
-
 def _check_word(rs: RootSystem, word: Sequence[int]) -> tuple[int, ...]:
     word = tuple(_as_int(i, "word letter") for i in word)
     if sorted(word) != list(range(rs.rank)):
@@ -207,8 +188,8 @@ def solve_gamma(rs: RootSystem, word: Sequence[int], alpha: Sequence[int]
     Returns (gamma in fundamental-weight coordinates, index i of the
     fundamental weight whose Weyl orbit contains gamma).
 
-    Write the word as j_1, ..., j_n, in the order `apply_word_inverse`
-    applies it, and a for alpha.  The reflection s_{j_k} subtracts
+    Write the word as j_1, ..., j_n and a for alpha: c^{-1} applies
+    s_{j_1} first and s_{j_n} last.  The reflection s_{j_k} subtracts
     (current weight)_{j_k} alpha_{j_k}, and each letter occurs once, so the
     equation asks that the weight reaching step k have j_k-coordinate
     -a_{j_k}.  That weight is gamma + sum_{l<k} a_{j_l} alpha_{j_l}, hence
@@ -308,8 +289,8 @@ def f_polynomial_via_minor(rank: int, word: Sequence[int], alpha: Sequence[int],
         tuple(mask >> i & 1 for i in range(rs.rank)): 1 for mask in reached.values()})
 
 
-def dynkin_indecomposable(quiver: Quiver, alpha: Sequence[int], seed: int = 0,
-                          max_attempts: int = 200, bound: int = 3) -> Representation:
+def dynkin_indecomposable(quiver: Quiver, alpha: Sequence[int], seed: int = 0
+                          ) -> Representation:
     """An indecomposable representation with dimension vector alpha.
 
     A rigid indecomposable has hom = 1 and ext^1 = 0, so <alpha, alpha> = 1
@@ -328,15 +309,16 @@ def dynkin_indecomposable(quiver: Quiver, alpha: Sequence[int], seed: int = 0,
             f"<alpha, alpha> = {form} for dims {dims}, so no rigid indecomposable has them; "
             "is alpha a positive root of this quiver's diagram?")
     rng = random.Random(f"quivergrass-indec:{quiver.arrows}:{dims}:{seed}")
-    for _ in range(max_attempts):
+    for _ in range(INDECOMPOSABLE_ATTEMPTS):
         mats = []
         for s, t in quiver.arrows:
             mats.append(tuple(
-                tuple(rng.randint(-bound, bound) for _ in range(dims[s]))
+                tuple(rng.randint(-INDECOMPOSABLE_BOUND, INDECOMPOSABLE_BOUND)
+                      for _ in range(dims[s]))
                 for _ in range(dims[t])))
         rep = Representation(quiver, dims, tuple(mats))
         if hom_dim(rep, rep) == 1:
             return rep
     raise SearchExhausted(
-        f"no certified indecomposable of dims {dims} in {max_attempts} samples; "
+        f"no certified indecomposable of dims {dims} in {INDECOMPOSABLE_ATTEMPTS} samples; "
         "is alpha a positive root of this quiver's diagram?")

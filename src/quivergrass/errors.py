@@ -36,10 +36,6 @@ class NotAcyclic(QuivergrassError):
     """Operation requires an acyclic quiver."""
 
 
-class NegativeExtDimension(QuivergrassError):
-    """hom - euler_form came out negative; signals an internal inconsistency."""
-
-
 class DegenerateBase(QuivergrassError):
     """Gaussian binomial evaluated at q = 1 (division by zero in the q-analog)."""
 

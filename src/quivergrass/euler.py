@@ -484,6 +484,9 @@ def good_primes(rep: Representation, how_many: int) -> list[int]:
     this process, for the 64 representations used last; nothing is shared
     between processes, so each CLI invocation chooses them afresh.
     """
+    how_many = _as_int(how_many, "how_many")
+    if how_many < 0:
+        raise ValueError(f"how_many must be nonnegative, got {how_many}")
     return [p for p, _ in islice(_sampling(rep).reductions(), how_many)]
 
 

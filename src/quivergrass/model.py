@@ -29,7 +29,6 @@ from . import linalg
 from .errors import (
     DomainMismatch,
     MixedScalarDomains,
-    NegativeExtDimension,
     NotAcyclic,
     ParseError,
     QuiverMismatch,
@@ -240,48 +239,6 @@ class SubspaceTuple:
         return tuple(len(b) for b in self.bases)
 
 
-def subspace_tuple_from_rows(prime: int, raw_bases: Sequence[Sequence[Sequence[int]]]
-                             ) -> SubspaceTuple:
-    """Canonicalize arbitrary spanning rows into a SubspaceTuple."""
-    bases = tuple(linalg.rref_mod(rows, prime)[0] for rows in raw_bases)
-    return SubspaceTuple(prime, bases)
-
-
-def zero_subspaces(rep: Representation) -> SubspaceTuple:
-    if rep.field is None:
-        raise DomainMismatch("need a prime-field representation")
-    return SubspaceTuple(rep.field, tuple(() for _ in rep.dims))
-
-
-def full_subspaces(rep: Representation) -> SubspaceTuple:
-    if rep.field is None:
-        raise DomainMismatch("need a prime-field representation")
-    bases = []
-    for d in rep.dims:
-        rows = tuple(tuple(1 if c == r else 0 for c in range(d)) for r in range(d))
-        bases.append(rows)
-    return SubspaceTuple(rep.field, tuple(bases))
-
-
-def is_subrepresentation(rep: Representation, sub: SubspaceTuple) -> bool:
-    """True iff every arrow maps the source subspace into the target subspace."""
-    if rep.field is None or rep.field != sub.prime:
-        raise DomainMismatch(f"representation field {rep.field} vs subspaces mod {sub.prime}")
-    p = rep.field
-    if any(len(b) > d for b, d in zip(sub.bases, rep.dims)):
-        return False
-    pivot_cache = [tuple(next(i for i, x in enumerate(row) if x) for row in basis)
-                   for basis in sub.bases]
-    for (s, t), mat in zip(rep.quiver.arrows, rep.matrices):
-        target_rows = sub.bases[t]
-        target_pivots = pivot_cache[t]
-        for w in sub.bases[s]:
-            img = linalg.matvec_mod(mat, w, p)
-            if not linalg.in_span_mod(target_rows, target_pivots, img, p):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Direct sums, duals, and the homological toolkit.
 # ---------------------------------------------------------------------------
@@ -358,61 +315,6 @@ def hom_dim(a: Representation, b: Representation) -> int:
     else:
         rank = linalg.rank_mod([[x % a.field for x in row] for row in rows], a.field)
     return total - rank
-
-
-def ext1_dim(rep: Representation) -> int:
-    """dim Ext^1(M, M) via hom(M, M) - <dim M, dim M> (hereditary identity),
-    with one elimination over M's scalar domain.  The counting routes read
-    rigidity from their sampling context instead (`euler._Sampling.rigid`)."""
-    value = hom_dim(rep, rep) - euler_form(rep.quiver, rep.dims, rep.dims)
-    if value < 0:
-        raise NegativeExtDimension(f"got {value}; inputs violate the hereditary identity")
-    return value
-
-
-def is_rigid(rep: Representation) -> bool:
-    return ext1_dim(rep) == 0
-
-
-def sub_and_quotient(rep: Representation, sub: SubspaceTuple
-                     ) -> tuple[Representation, Representation]:
-    """Restrict a prime-field representation to a subrepresentation and its quotient.
-
-    The quotient at each vertex is coordinatized by the non-pivot columns of
-    the subspace basis (those columns form a complement in RREF coordinates).
-    """
-    if rep.field is None or rep.field != sub.prime:
-        raise DomainMismatch("sub_and_quotient needs matching prime fields")
-    p = rep.field
-    pivots = [tuple(next(i for i, x in enumerate(row) if x) for row in basis)
-              for basis in sub.bases]
-    frees = [tuple(c for c in range(d) if c not in piv)
-             for d, piv in zip(rep.dims, pivots)]
-    sub_dims = tuple(len(b) for b in sub.bases)
-    quot_dims = tuple(len(f) for f in frees)
-
-    def coords_in_sub(v, vertex):
-        res = linalg.reduce_mod(v, sub.bases[vertex], pivots[vertex], p)
-        if any(res):
-            raise DomainMismatch("vector not inside the subspace; not a subrepresentation")
-        return tuple(v[c] % p for c in pivots[vertex])
-
-    def project_quot(v, vertex):
-        res = linalg.reduce_mod(v, sub.bases[vertex], pivots[vertex], p)
-        return tuple(res[c] % p for c in frees[vertex])
-
-    sub_mats, quot_mats = [], []
-    for (s, t), mat in zip(rep.quiver.arrows, rep.matrices):
-        cols = [coords_in_sub(linalg.matvec_mod(mat, w, p), t) for w in sub.bases[s]]
-        sub_mats.append(tuple(tuple(col[r] for col in cols) for r in range(sub_dims[t])))
-        qcols = []
-        for c in frees[s]:
-            unit = tuple(1 if i == c else 0 for i in range(rep.dims[s]))
-            qcols.append(project_quot(linalg.matvec_mod(mat, unit, p), t))
-        quot_mats.append(tuple(tuple(col[r] for col in qcols) for r in range(quot_dims[t])))
-    sub_rep = Representation(rep.quiver, sub_dims, tuple(sub_mats), field=p)
-    quot_rep = Representation(rep.quiver, quot_dims, tuple(quot_mats), field=p)
-    return sub_rep, quot_rep
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Seeded general representations, smoothness probes, and the quartic demo.
+"""Seeded general representations, the positivity scan, and the quartic demo.
 
 `example4_*` is the pipeline around the generalized Kronecker quiver with
 four parallel arrows: a general representation of dimension vector (3, 4)
@@ -24,16 +24,8 @@ from .errors import (
 from .euler import _sampling, euler_characteristic, iter_box_chi
 from .fpoly import FPolynomial
 from .linalg import matvec_mod, rank_mod
-from .model import (
-    Quiver,
-    Representation,
-    _as_int,
-    euler_form,
-    hom_dim,
-    reduce_mod,
-    sub_and_quotient,
-)
-from .subspaces import count_subreps, iter_subrep_tuples
+from .model import Quiver, Representation, _as_int
+from .subspaces import count_subreps
 
 EXAMPLE4_ARROWS = 4
 EXAMPLE4_DIMS = (3, 4)
@@ -49,6 +41,7 @@ def sample_general_rep(quiver: Quiver, dims: Sequence[int], seed: int,
     arrow order, row-major inside each matrix, from a generator seeded with
     `seed`; identical inputs always reproduce identical matrices.
     """
+    bound = _as_int(bound, "bound")
     if bound < 2:
         raise ValueError("bound must be at least 2")
     dims = tuple(_as_int(d, "dimension") for d in dims)
@@ -59,37 +52,6 @@ def sample_general_rep(quiver: Quiver, dims: Sequence[int], seed: int,
             tuple(rng.randint(-bound, bound) for _ in range(dims[s]))
             for _ in range(dims[t])))
     return Representation(quiver, dims, tuple(mats))
-
-
-def smoothness_probe(rep: Representation, e: Sequence[int], p: int,
-                     cap: int | None = None) -> dict:
-    """Tangent-space dimensions at every F_p-point of Gr_e.
-
-    At a point N the tangent space is Hom(N, M/N); the probe reports the
-    multiset of those dimensions next to the Euler-form value <e, d-e>,
-    which is the expected dimension for a general representation.  Verdict
-    `smooth_consistent` holds iff every tangent dimension equals it.
-    """
-    if not rep.quiver.is_acyclic:
-        raise NotAcyclic("the smoothness probe expects an acyclic quiver")
-    e = tuple(_as_int(x, "dimension vector entry") for x in e)
-    expected = euler_form(rep.quiver, e, tuple(d - x for d, x in zip(rep.dims, e)))
-    rep_p = reduce_mod(rep, p)
-    tangents: dict[int, int] = {}
-    points = 0
-    for sub in iter_subrep_tuples(rep_p, e, cap):
-        sub_rep, quot_rep = sub_and_quotient(rep_p, sub)
-        dim = hom_dim(sub_rep, quot_rep)
-        tangents[dim] = tangents.get(dim, 0) + 1
-        points += 1
-    return {
-        "prime": p,
-        "e": list(e),
-        "expected_dim": expected,
-        "tangent_dims": dict(sorted(tangents.items())),
-        "points": points,
-        "smooth_consistent": all(d == expected for d in tangents),
-    }
 
 
 def is_example4_shape(rep: Representation) -> bool:
@@ -193,12 +155,13 @@ def example4_verify(rep: Representation, primes: Sequence[int],
     `is_quartic` is always true.  chi = -4 comes from the genus-degree
     formula (genus 3 for a smooth plane quartic, chi = 2 - 2g), and is only
     reported when every requested prime delivered a smoothness witness and a
-    point-count match; with no primes chi is withheld.  At each prime the
-    Grassmannian is counted first, under the cap, and then the curve
-    points come from a line-by-line scan of f mod p (`_curve_points`),
-    which raises SmoothnessFailure at the first singular point in
-    `_projective_plane` order; a curve point v is a Grassmannian point when
-    its four images phi_k v have rank 3.  The scan visits p^2 + p + 1
+    point-count match; with no primes chi is withheld, and a prime given
+    twice is checked once.  At each prime the Grassmannian is counted
+    first, under the cap, and then the curve points come from a
+    line-by-line scan of f mod p (`_curve_points`), which raises
+    SmoothnessFailure at the first singular point in `_projective_plane`
+    order; a curve point v is a Grassmannian point when its four images
+    phi_k v have rank 3.  The scan visits p^2 + p + 1
     points, so a prime too large for the cap is refused before it.  The
     report also records that the interpolation route rejects this input
     with NonPolynomialCount.
@@ -213,7 +176,7 @@ def example4_verify(rep: Representation, primes: Sequence[int],
     }
     if not primes:
         return report
-    for p in sorted(_as_int(q, "prime") for q in primes):
+    for p in sorted({_as_int(q, "prime") for q in primes}):
         rep_p = _sampling(rep).reduction(p)
         grass = count_subreps(rep_p, EXAMPLE4_E, cap).count
         curve = _curve_points(f, p)

@@ -92,7 +92,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import linalg
 from .errors import DegenerateBase, DomainMismatch, ParseError, SearchTooLarge
-from .model import MAX_PRIME, Quiver, Representation, SubspaceTuple, _as_int
+from .model import Quiver, Representation, SubspaceTuple, _as_int
 
 DEFAULT_CAP = 10 ** 8
 
@@ -196,16 +196,6 @@ def _iter_rref(p: int, m: int, e: int, cols: Sequence = (), block: bool = False
                     break
             else:
                 break
-
-
-def enumerate_subspaces(p: int, m: int, e: int) -> Iterator[tuple]:
-    """Stream every e-dim subspace of F_p^m as its canonical RREF basis."""
-    if p >= MAX_PRIME or not linalg.is_prime(p):
-        raise DomainMismatch(f"{p} is not a prime below 2^31")
-    if not 0 <= e <= m:
-        raise ValueError(f"need 0 <= e <= m, got e={e}, m={m}")
-    for rows, _, _ in _iter_rref(p, m, e):
-        yield rows
 
 
 def _iter_superspaces(p: int, m: int, e: int, srows: tuple, spivots: tuple,

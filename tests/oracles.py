@@ -5,13 +5,15 @@ subspaces are handled as literal sets of vectors, so agreement with the
 engine is meaningful evidence and not an identity check.  The Dynkin and
 Kronecker string oracles count no points at all: thin and string-module
 F-polynomials come from closed subsets, and the type-A minor is an ordinary
-minor of an explicit (rank+1) x (rank+1) matrix.
+minor of an explicit (rank+1) x (rank+1) matrix.  The Weyl-group
+references apply one simple reflection at a time.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
+from quivergrass.dynkin import simple_reflection
 from quivergrass.fpoly import FPolynomial
 
 
@@ -240,6 +242,31 @@ def type_a_minor(rank, gamma, matrix):
     assert all(x - low in (0, 1) for x in eps), f"{gamma} is not extreme"
     subset = [k for k, x in enumerate(eps) if x > low]
     return poly_det([[matrix[r][c] for c in subset] for r in subset])
+
+
+def apply_word_inverse(rs, word, weight):
+    """Apply c^{-1} = s_{i_n} ... s_{i_1} for c = s_{i_1} ... s_{i_n}, one
+    reflection at a time: the reference for `solve_gamma`'s triangular solve."""
+    w = tuple(weight)
+    for i in word:
+        w = simple_reflection(rs, i, w)
+    return w
+
+
+def weyl_orbit(rs, weight):
+    """Full Weyl-group orbit by closure under simple reflections: the
+    reference for `solve_gamma`'s walk to the dominant chamber."""
+    start = tuple(weight)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        w = frontier.pop()
+        for i in range(rs.rank):
+            nxt = simple_reflection(rs, i, w)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
 
 
 def bipartite_word(rs):

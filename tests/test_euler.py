@@ -41,7 +41,7 @@ from quivergrass.model import (
     direct_sum,
     dual_representation,
     euler_form,
-    is_rigid,
+    hom_dim,
     reduce_mod,
     zero_representation,
 )
@@ -257,6 +257,18 @@ def test_good_primes_skip_rank_drop():
     assert good_primes(rep, 3) == [5, 7, 11]
     plain = Representation(q, (1, 1), (((1,),),))
     assert good_primes(plain, 3) == [3, 5, 7]
+
+
+def test_good_primes_refuses_a_count_that_is_not_a_nonnegative_integer():
+    # each used to fail inside islice ("Stop argument for islice() must be
+    # None or an integer"), and True asked for one prime
+    rep = Representation(Quiver(2, ((0, 1),)), (1, 1), (((1,),),))
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match=f"how_many must be an integer, got {bad}"):
+            good_primes(rep, bad)
+    with pytest.raises(ValueError, match="how_many must be nonnegative, got -1"):
+        good_primes(rep, -1)
+    assert good_primes(rep, 0) == []
 
 
 def test_f_polynomial_binomial_expansion():
@@ -723,9 +735,10 @@ def _fiber_schedule(rep, e):
 def _palindrome_schedule(rep, e):
     """Samples the rigidity tests need at e, or None where they do not apply:
     none when <e, d - e> < 0, else <e, d - e> // 2 + 1 + HELD_OUT when that is
-    below the degree bound + 1 + HELD_OUT; rigidity is decided over Q."""
+    below the degree bound + 1 + HELD_OUT.  Rigidity is decided over Q by
+    the hereditary identity dim Ext^1(M, M) = hom(M, M) - <d, d>."""
     import quivergrass.euler as eu
-    if not is_rigid(rep):
+    if hom_dim(rep, rep) != euler_form(rep.quiver, rep.dims, rep.dims):
         return None
     degree = euler_form(rep.quiver, e, [d - x for d, x in zip(rep.dims, e)])
     if degree < 0:

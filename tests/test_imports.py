@@ -63,7 +63,7 @@ def test_every_public_name_resolves_to_its_defining_module():
                           "star": sorted(set(qg.__all__) - set(star)),
                           "modules": [qg.dynkin.__name__, qg.sampler.__name__]}))
     """)
-    assert len(out["lazy"]) == 14
+    assert len(out["lazy"]) == 12
     assert out["bad"] == [] and out["star"] == []
     assert out["modules"] == list(LAZY)
 
@@ -102,7 +102,7 @@ def test_first_use_of_lazy_names_is_thread_safe():
                           "touched": len(results[0]),
                           "same": all(a is b is c for a, b, c in zip(*results, owners))}))
     """)
-    assert out == {"alive": False, "touched": 14, "same": True}
+    assert out == {"alive": False, "touched": 12, "same": True}
 
 
 @pytest.mark.parametrize("workload", ["kron_table", "kron_deep", "dynkin"])

@@ -13,6 +13,7 @@ from quivergrass.errors import (
     QuiverMismatch,
     ShapeMismatch,
 )
+from quivergrass.euler import _sampling
 from quivergrass.kronecker import (
     build_kronecker,
     kronecker_quiver,
@@ -20,6 +21,7 @@ from quivergrass.kronecker import (
     preprojective,
     regular,
 )
+from quivergrass.linalg import rref_mod
 from quivergrass.model import (
     Quiver,
     _is_acyclic,
@@ -27,21 +29,15 @@ from quivergrass.model import (
     direct_sum,
     dual_representation,
     euler_form,
-    ext1_dim,
     hom_dim,
-    is_rigid,
-    is_subrepresentation,
     load_representation,
     reduce_mod,
     representation_from_dict,
     representation_to_dict,
     save_representation,
     simple_representation,
-    subspace_tuple_from_rows,
     validate_representation,
     zero_representation,
-    zero_subspaces,
-    full_subspaces,
 )
 
 from oracles import naive_hom_dim_mod
@@ -160,33 +156,19 @@ def test_validate_field_domain():
         validate_representation(bad_entry)
 
 
-def test_subrepresentation_zero_and_full():
-    rep = reduce_mod(build_kronecker(preprojective(2)), 5)
-    assert is_subrepresentation(rep, zero_subspaces(rep))
-    assert is_subrepresentation(rep, full_subspaces(rep))
-
-
-def test_subrepresentation_rejects_nonclosed():
-    # phi_2 sends N_1 = span(1) to span(e_2), which is not inside span(e_1)
-    rep = reduce_mod(build_kronecker(preprojective(2)), 5)
-    sub = subspace_tuple_from_rows(5, (((1,),), ((1, 0),)))
-    assert not is_subrepresentation(rep, sub)
-
-
-def test_subrepresentation_domain_mismatch():
+def test_reduce_mod_refuses_non_primes_and_primes_past_2_31():
     rep = build_kronecker(preprojective(2))
-    sub = subspace_tuple_from_rows(5, (((1,),), ((1, 0),)))
-    with pytest.raises(DomainMismatch):
-        is_subrepresentation(rep, sub)
-    with pytest.raises(DomainMismatch):
-        is_subrepresentation(reduce_mod(rep, 3), sub)
+    for p in (1, 9, 2 ** 31 + 11):  # 2^31 + 11 is prime
+        with pytest.raises(DomainMismatch, match="not a prime below 2"):
+            reduce_mod(rep, p)
+    assert reduce_mod(rep, 2 ** 31 - 1).field == 2 ** 31 - 1
 
 
 def test_echelon_canonicity():
     # same plane, different spanning rows -> bit-identical canonical bases
-    a = subspace_tuple_from_rows(5, (((1, 2, 3), (0, 1, 4)),))
-    b = subspace_tuple_from_rows(5, (((1, 3, 2), (2, 0, 0)),))  # row sums of a
-    c = subspace_tuple_from_rows(5, (((1, 0, 0), (0, 1, 3)),))
+    a = rref_mod(((1, 2, 3), (0, 1, 4)), 5)
+    b = rref_mod(((1, 3, 2), (2, 0, 0)), 5)  # row sums of a
+    c = rref_mod(((1, 0, 0), (0, 1, 3)), 5)
     assert a == b
     assert a != c
 
@@ -292,13 +274,9 @@ def test_hom_additivity_over_direct_sums():
 
 
 def test_rigidity():
-    assert is_rigid(build_kronecker(preprojective(2)))
-    assert ext1_dim(build_kronecker(preprojective(2))) == 0
-    simple = simple_representation(Quiver(2, ((0, 1),)), 0)
-    assert is_rigid(simple)
-    reg1 = build_kronecker(regular(1, 3))
-    assert ext1_dim(reg1) == 1
-    assert not is_rigid(reg1)
+    assert _sampling(build_kronecker(preprojective(2))).rigid()
+    assert _sampling(simple_representation(Quiver(2, ((0, 1),)), 0)).rigid()
+    assert not _sampling(build_kronecker(regular(1, 3))).rigid()
 
 
 def test_ext_nonnegative_on_random_inputs():
@@ -310,7 +288,9 @@ def test_ext_nonnegative_on_random_inputs():
             tuple(tuple(rng.randint(-3, 3) for _ in range(dims[0]))
                   for _ in range(dims[1]))
             for _ in q.arrows)
-        assert ext1_dim(Representation(q, dims, mats)) >= 0
+        # dim Ext^1(M, M) = hom(M, M) - <d, d> >= 0, the premise of `_Sampling.end`
+        rep = Representation(q, dims, mats)
+        assert hom_dim(rep, rep) >= euler_form(q, dims, dims)
 
 
 def test_json_round_trip(tmp_path):

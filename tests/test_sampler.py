@@ -1,5 +1,9 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 
+from quivergrass.dynkin import dynkin_indecomposable, orientation_from_coxeter, root_system
 from quivergrass.errors import (
     DegenerateForm,
     NonPolynomialCount,
@@ -7,14 +11,23 @@ from quivergrass.errors import (
     SmoothnessFailure,
 )
 from quivergrass.fpoly import FPolynomial
-from quivergrass.euler import euler_characteristic
+from quivergrass.euler import euler_characteristic, good_primes
 from quivergrass.kronecker import (
     build_kronecker,
     kronecker_quiver,
+    preinjective,
     preprojective,
     regular,
 )
-from quivergrass.model import Quiver, Representation, simple_representation
+from quivergrass.linalg import matvec_mod, reduce_mod as reduce_vector
+from quivergrass.model import (
+    Quiver,
+    Representation,
+    euler_form,
+    hom_dim,
+    reduce_mod,
+    simple_representation,
+)
 from quivergrass.sampler import (
     EXAMPLE4_DIMS,
     example4_quartic,
@@ -23,8 +36,8 @@ from quivergrass.sampler import (
     _curve_points,
     _projective_plane,
     sample_general_rep,
-    smoothness_probe,
 )
+from quivergrass.subspaces import _iter_rref, iter_subrep_tuples
 
 from oracles import poly_det
 
@@ -53,12 +66,13 @@ def test_sampler_determinism_and_fixture():
 
 
 def test_sampler_entry_points_refuse_non_integers():
-    # each used to truncate: dims (1.7, 2.2) as (1, 2), e (1.9, 2.0) as [1, 2],
-    # and the prime 5.5 as 5
+    # each used to truncate: dims (1.7, 2.2) as (1, 2) and the prime 5.5 as 5;
+    # the bound 2.5 failed inside randrange and True as "at least 2"
     with pytest.raises(ValueError, match="dimension must be an integer, got 1.7"):
         sample_general_rep(kronecker_quiver(), (1.7, 2.2), 0)
-    with pytest.raises(ValueError, match="dimension vector entry must be an integer, got 1.9"):
-        smoothness_probe(build_kronecker(preprojective(3)), (1.9, 2.0), 5)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=f"bound must be an integer, got {bad}"):
+            sample_general_rep(kronecker_quiver(), (1, 1), 0, bad)
     with pytest.raises(ValueError, match="prime must be an integer, got 5.5"):
         example4_verify(seed42_rep(), (5.5,))
     assert sample_general_rep(kronecker_quiver(), (1, 2), 0).dims == (1, 2)
@@ -153,41 +167,99 @@ def test_line_scan_matches_a_brute_force_scan():
 
 def test_quartic_vanishes_exactly_on_grassmannian_fibers():
     # f(v) = 0 iff some 3-dim space contains all four images of v
-    from quivergrass.model import reduce_mod
-    from quivergrass.subspaces import iter_subrep_tuples
     rep = seed42_rep()
     f = example4_quartic(rep)
     for p in (5, 7):
         rep_p = reduce_mod(rep, p)
         lines_on_grass = {pt.bases[0] for pt in iter_subrep_tuples(rep_p, (1, 3))}
-        from quivergrass.subspaces import enumerate_subspaces
-        for line in enumerate_subspaces(p, 3, 1):
+        for line, _, _ in _iter_rref(p, 3, 1):
             v = line[0]
             vanishes = f.evaluate(v) % p == 0
             assert vanishes == (line in lines_on_grass), (p, v)
 
 
+def _sub_and_quotient(rep, sub):
+    """The subrepresentation N of a prime-field rep on the RREF bases of sub,
+    and the quotient M/N on the non-pivot columns of each basis, which span a
+    complement of N_v."""
+    p = rep.field
+    pivots = [[row.index(1) for row in basis] for basis in sub.bases]
+    frees = [[c for c in range(d) if c not in piv] for d, piv in zip(rep.dims, pivots)]
+    sub_mats, quot_mats = [], []
+    for (s, t), mat in zip(rep.quiver.arrows, rep.matrices):
+        # a vector of N_t has its coordinates in the basis at the pivot columns
+        images = [matvec_mod(mat, w, p) for w in sub.bases[s]]
+        sub_mats.append(tuple(tuple(img[c] for img in images) for c in pivots[t]))
+        cols = [reduce_vector([row[c] for row in mat], sub.bases[t], pivots[t], p)
+                for c in frees[s]]
+        quot_mats.append(tuple(tuple(col[r] for col in cols) for r in frees[t]))
+    return (Representation(rep.quiver, sub.dims, tuple(sub_mats), field=p),
+            Representation(rep.quiver, tuple(map(len, frees)), tuple(quot_mats), field=p))
+
+
+def _tangent_dims(rep, e, p):
+    """How many F_p-points N of Gr_e(M) have each tangent dimension dim Hom(N, M/N)."""
+    rep_p = reduce_mod(rep, p)
+    return Counter(hom_dim(*_sub_and_quotient(rep_p, sub)) for sub in iter_subrep_tuples(rep_p, e))
+
+
+def _expected_dim(rep, e):
+    return euler_form(rep.quiver, e, [d - x for d, x in zip(rep.dims, e)])
+
+
 def test_smoothness_probe_projective_line():
+    # Gr_1(k^2) = P^1: 8 points over F_7, each of tangent dimension 1
     rep = Representation(ONE_VERTEX, (2,), ())
-    report = smoothness_probe(rep, (1,), 7)
-    assert report["smooth_consistent"]
-    assert report["expected_dim"] == 1
-    assert report["tangent_dims"] == {1: 8}
-    assert report["points"] == 8
+    assert _expected_dim(rep, (1,)) == 1
+    assert _tangent_dims(rep, (1,), 7) == {1: 8}
 
 
 def test_smoothness_probe_single_point():
     rep = build_kronecker(preprojective(2))
-    report = smoothness_probe(rep, (0, 0), 5)
-    assert report["points"] == 1
-    assert report["tangent_dims"] == {0: 1}
-    assert report["smooth_consistent"]
+    assert _expected_dim(rep, (0, 0)) == 0
+    assert _tangent_dims(rep, (0, 0), 5) == {0: 1}
 
 
 def test_smoothness_probe_rigid_kronecker():
-    report = smoothness_probe(build_kronecker(preprojective(3)), (1, 2), 5)
-    assert report["smooth_consistent"]
-    assert report["expected_dim"] == 1
+    rep = build_kronecker(preprojective(3))
+    assert _expected_dim(rep, (1, 2)) == 1
+    tangents = _tangent_dims(rep, (1, 2), 5)
+    assert tangents and set(tangents) == {1}
+
+
+def _rigid_corpus():
+    for m in (1, 2, 3, 4):
+        yield build_kronecker(preprojective(m))
+        yield build_kronecker(preinjective(m))
+    for label, rank in (("A", 3), ("D", 4)):
+        rs = root_system(label, rank)
+        for word in (tuple(range(rank)), tuple(reversed(range(rank)))):
+            quiver = orientation_from_coxeter(rs, word)
+            for alpha in rs.positive_roots:
+                yield dynkin_indecomposable(quiver, alpha)
+
+
+def test_rigid_grassmannians_are_smooth_of_dimension_the_euler_form():
+    # the premises of the palindrome fit and of the rigid-empty closed form:
+    # for rigid M, every point of Gr_e(M) has tangent dimension <e, d - e>,
+    # and Gr_e(M) is empty when that is negative.  The probe needs a good
+    # prime: at 3 an entry 3 of the seed-0 D4 root (0, 1, 1, 1) drops an
+    # arrow's rank, and the reduction has a point at e = (0, 0, 0, 1), where
+    # <e, d - e> = -1
+    probes = 0
+    for rep in _rigid_corpus():
+        p = good_primes(rep, 1)[0]
+        for e in product(*(range(d + 1) for d in rep.dims)):
+            expected = euler_form(rep.quiver, e, [d - x for d, x in zip(rep.dims, e)])
+            tangents = _tangent_dims(rep, e, p)
+            assert set(tangents) <= {expected}, (rep.dims, e, p, tangents)
+            assert expected >= 0 or not tangents, (rep.dims, e, p)
+            probes += 1
+    assert probes == 292
+    # not rigid: reg(2, 0) at (1, 1) is one point, of tangent dimension 1 > 0
+    reg = build_kronecker(regular(2, 0))
+    assert euler_form(reg.quiver, (1, 1), (1, 1)) == 0
+    assert _tangent_dims(reg, (1, 1), 3) == {1: 1}
 
 
 def test_example4_verify_seed42():
@@ -203,14 +275,17 @@ def test_example4_verify_seed42():
 
 
 def test_example4_verify_takes_reductions_from_the_sampling_context(monkeypatch):
+    # the sampler imports no reduce_mod of its own: every reduction is euler's
     import quivergrass.euler as eu
     import quivergrass.sampler as sm
+    assert not hasattr(sm, "reduce_mod")
     reduced = []
-    for module in (eu, sm):
-        def recorded(rep, p, reduce=module.reduce_mod):
-            reduced.append((rep, p))
-            return reduce(rep, p)
-        monkeypatch.setattr(module, "reduce_mod", recorded)
+
+    def recorded(rep, p, reduce=eu.reduce_mod):
+        reduced.append((rep, p))
+        return reduce(rep, p)
+
+    monkeypatch.setattr(eu, "reduce_mod", recorded)
     rep = seed42_rep()
     eu._sampling.cache_clear()
     with pytest.raises(NonPolynomialCount):
@@ -231,6 +306,21 @@ def test_example4_verify_counts_under_the_cap_before_it_scans_the_curve(monkeypa
     monkeypatch.setattr(sm, "_curve_points", scanned)
     with pytest.raises(SearchTooLarge, match="p = 3001"):
         example4_verify(seed42_rep(), (3001,), cap=1000)
+
+
+def test_example4_verify_checks_a_repeated_prime_once(monkeypatch):
+    # `example4 --primes 5,5` counted Gr_(1,3) and scanned P^2(F_5) twice
+    import quivergrass.sampler as sm
+    scanned = []
+
+    def counted(f, p, scan=sm._curve_points):
+        scanned.append(p)
+        return scan(f, p)
+
+    monkeypatch.setattr(sm, "_curve_points", counted)
+    report = example4_verify(seed42_rep(), (5, 5))
+    assert scanned == [5]
+    assert list(report["point_count_match"]) == [5] and report["chi"] == -4
 
 
 def test_example4_verify_no_primes_withholds_chi():
@@ -286,5 +376,4 @@ def test_positivity_scan_forwards_quartic_chi():
 def test_reports_are_json_serializable():
     import json
     json.dumps(example4_verify(seed42_rep(), (5,)))
-    json.dumps(smoothness_probe(build_kronecker(preprojective(2)), (0, 1), 3))
     json.dumps(positivity_scan(build_kronecker(preprojective(2))))
