@@ -50,9 +50,7 @@ from .model import (
     load_representation,
     reduce_mod,
     save_representation,
-    simple_representation,
     validate_representation,
-    zero_representation,
 )
 from .subspaces import (
     PointCount,
@@ -117,10 +115,8 @@ __all__ = [
     "sample_general_rep",
     "save_representation",
     "simple_reflection",
-    "simple_representation",
     "solve_gamma",
     "validate_representation",
-    "zero_representation",
 ]
 
 

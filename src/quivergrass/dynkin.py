@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .errors import NotAnOrientation, NotInAnyFundamentalOrbit, ScopeError, SearchExhausted
 from .fpoly import FPolynomial
-from .model import Quiver, Representation, _as_int, euler_form, hom_dim
+from .model import Quiver, Representation, _as_int, _random_representation, euler_form, hom_dim
 
 _POSITIVE_ROOT_COUNTS = {"A": lambda n: n * (n + 1) // 2,
                          "D": lambda n: n * (n - 1),
@@ -58,8 +58,8 @@ def _diagram_edges(label: str, rank: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Cartan matrix, simple roots, fundamental weights, positive roots and
-    the highest root."""
+    """Cartan matrix (row i is the simple root alpha_i in fundamental-weight
+    coordinates), fundamental weights, positive roots and the highest root."""
 
     label: str
     rank: int
@@ -68,30 +68,13 @@ class RootSystem:
     highest_root: tuple[int, ...]  # the positive root of largest height
 
     @property
-    def simple_roots(self) -> tuple[tuple[int, ...], ...]:
-        """alpha_i in fundamental-weight coordinates: column i of the Cartan
-        matrix, which is row i because simply-laced Cartan matrices are
-        symmetric."""
-        return self.cartan
-
-    @property
     def fundamental_weights(self) -> tuple[tuple[int, ...], ...]:
         n = self.rank
         return tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n))
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                if self.cartan[i][j] == -1:
-                    out.append((i, j))
-        return tuple(out)
-
-    def root_to_weight(self, root: Sequence[int]) -> tuple[int, ...]:
-        """Convert simple-root coordinates to fundamental-weight coordinates."""
-        n = self.rank
-        return tuple(sum(self.cartan[i][j] * root[j] for j in range(n))
-                     for i in range(n))
+        """The diagram's edges (i, j), i < j, in ascending order."""
+        return _diagram_edges(self.label, self.rank)
 
 
 def root_system(label: str, rank: int) -> RootSystem:
@@ -138,8 +121,9 @@ def simple_reflection(rs: RootSystem, i: int, weight: Sequence[int]) -> tuple[in
     coeff = weight[i]
     if coeff == 0:
         return tuple(weight)
-    alpha = rs.simple_roots[i]
-    return tuple(w - coeff * a for w, a in zip(weight, alpha))
+    # alpha_i is column i of the Cartan matrix, which is row i because
+    # simply-laced Cartan matrices are symmetric
+    return tuple(w - coeff * a for w, a in zip(weight, rs.cartan[i]))
 
 
 def _check_word(rs: RootSystem, word: Sequence[int]) -> tuple[int, ...]:
@@ -273,14 +257,14 @@ def f_polynomial_via_minor(rank: int, word: Sequence[int], alpha: Sequence[int],
     letters.
     """
     rs = root_system(label, rank)
-    word = _check_word(rs, word)
+    word = tuple(word)  # read twice: by solve_gamma, which checks it, and by the walk
     gamma, fund_index = solve_gamma(rs, word, alpha)
     if not is_minuscule(label, rank, fund_index):
         raise ScopeError(
             f"gamma {gamma} lies in the orbit of omega_{fund_index + 1}, which is not "
             f"minuscule in {label}{rank}; the minor route needs a minuscule orbit")
     reached = {gamma: 0}
-    for j in word:
+    for j in map(int, word):  # numpy letters must not reach the masks
         bit, row = 1 << j, rs.cartan[j]
         for mu, mask in list(reached.items()):
             if mu[j] == -1:
@@ -300,6 +284,7 @@ def dynkin_indecomposable(quiver: Quiver, alpha: Sequence[int], seed: int = 0
     = 1 - <alpha, alpha> = 0; general representations of a positive-root
     dimension vector are exactly the indecomposables, so this terminates fast.
     """
+    seed = _as_int(seed, "seed")
     dims = tuple(_as_int(a, "dimension") for a in alpha)
     if len(dims) != quiver.n or any(d < 0 for d in dims):
         raise ValueError(f"bad dimension vector {dims}")
@@ -310,13 +295,7 @@ def dynkin_indecomposable(quiver: Quiver, alpha: Sequence[int], seed: int = 0
             "is alpha a positive root of this quiver's diagram?")
     rng = random.Random(f"quivergrass-indec:{quiver.arrows}:{dims}:{seed}")
     for _ in range(INDECOMPOSABLE_ATTEMPTS):
-        mats = []
-        for s, t in quiver.arrows:
-            mats.append(tuple(
-                tuple(rng.randint(-INDECOMPOSABLE_BOUND, INDECOMPOSABLE_BOUND)
-                      for _ in range(dims[s]))
-                for _ in range(dims[t])))
-        rep = Representation(quiver, dims, tuple(mats))
+        rep = _random_representation(quiver, dims, rng, INDECOMPOSABLE_BOUND)
         if hom_dim(rep, rep) == 1:
             return rep
     raise SearchExhausted(

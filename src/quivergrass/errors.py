@@ -10,11 +10,13 @@ class ParseError(QuivergrassError):
 
 
 class ShapeMismatch(QuivergrassError):
-    """A representation matrix does not match its arrow's source/target dims."""
+    """A representation matrix does not match its arrow's source/target dims,
+    or (arrow_index -1) the dimension vector or matrix count is wrong."""
 
     def __init__(self, arrow_index: int, detail: str = ""):
         self.arrow_index = arrow_index
-        msg = f"matrix shape mismatch at arrow {arrow_index}"
+        msg = ("shape mismatch" if arrow_index < 0
+               else f"matrix shape mismatch at arrow {arrow_index}")
         if detail:
             msg += f": {detail}"
         super().__init__(msg)

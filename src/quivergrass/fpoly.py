@@ -155,9 +155,6 @@ class FPolynomial:
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.nvars, 0)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def is_homogeneous(self, degree: int | None = None) -> bool:
         degrees = {sum(e) for e in self.terms}
         if not degrees:

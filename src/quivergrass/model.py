@@ -62,15 +62,6 @@ class Quiver:
             if not (0 <= s < self.n and 0 <= t < self.n):
                 raise ValueError(f"arrow ({s}, {t}) out of range for n = {self.n}")
 
-    @property
-    def has_loops(self) -> bool:
-        return any(s == t for s, t in self.arrows)
-
-    @property
-    def has_two_cycles(self) -> bool:
-        pairs = set(self.arrows)
-        return any(s != t and (t, s) in pairs for s, t in pairs)
-
     def topological_order(self) -> tuple[int, ...] | None:
         """Kahn's algorithm with ascending-index tie-break; None if cyclic."""
         indeg = [0] * self.n
@@ -140,23 +131,22 @@ class Representation:
     def n(self) -> int:
         return self.quiver.n
 
-    @property
-    def is_zero(self) -> bool:
-        return all(d == 0 for d in self.dims)
-
 
 def validate_representation(rep: Representation) -> None:
     """Check shapes against arrows and entries against the scalar domain.
 
-    Raises ShapeMismatch(arrow index) or MixedScalarDomains; returns None on
-    success; every Representation runs it when built.  Loops and oriented
-    2-cycles are allowed (only the Euler form and Ext insist on acyclicity).
+    Raises ShapeMismatch (arrow index -1 when the dimension vector or the
+    matrix count is at fault; vertices are named 1-based) or
+    MixedScalarDomains; returns None on success; every Representation runs
+    it when built.  Loops and oriented 2-cycles are allowed (only the Euler
+    form and Ext insist on acyclicity).
     """
     q = rep.quiver
     if len(rep.dims) != q.n:
         raise ShapeMismatch(-1, f"{len(rep.dims)} dims for {q.n} vertices")
-    if any(d < 0 for d in rep.dims):
-        raise ShapeMismatch(-1, "negative dimension")
+    for v, d in enumerate(rep.dims):
+        if d < 0:
+            raise ShapeMismatch(-1, f"negative dimension {d} at vertex {v + 1}")
     if len(rep.matrices) != len(q.arrows):
         raise ShapeMismatch(-1, f"{len(rep.matrices)} matrices for {len(q.arrows)} arrows")
     for a, ((s, t), mat) in enumerate(zip(q.arrows, rep.matrices)):
@@ -204,19 +194,15 @@ def reduce_mod(rep: Representation, p: int) -> Representation:
     return Representation(rep.quiver, rep.dims, mats, field=p)
 
 
-def zero_representation(quiver: Quiver, field: int | None = None) -> Representation:
-    dims = (0,) * quiver.n
-    mats = tuple(() for _ in quiver.arrows)
-    return Representation(quiver, dims, mats, field=field)
-
-
-def simple_representation(quiver: Quiver, vertex: int,
-                          field: int | None = None) -> Representation:
-    dims = tuple(1 if v == vertex else 0 for v in range(quiver.n))
-    mats = []
-    for s, t in quiver.arrows:
-        mats.append(tuple(tuple(0 for _ in range(dims[s])) for _ in range(dims[t])))
-    return Representation(quiver, dims, tuple(mats), field=field)
+def _random_representation(quiver: Quiver, dims: tuple[int, ...], rng,
+                           bound: int) -> Representation:
+    """Integer entries rng.randint(-bound, bound), arrow by arrow in arrow
+    order and row-major inside each matrix: the one seeded draw that
+    `sampler.sample_general_rep` and `dynkin.dynkin_indecomposable` make."""
+    return Representation(quiver, dims, tuple(
+        tuple(tuple(rng.randint(-bound, bound) for _ in range(dims[s]))
+              for _ in range(dims[t]))
+        for s, t in quiver.arrows))
 
 
 # ---------------------------------------------------------------------------

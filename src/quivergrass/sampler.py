@@ -24,7 +24,7 @@ from .errors import (
 from .euler import _sampling, euler_characteristic, iter_box_chi
 from .fpoly import FPolynomial
 from .linalg import matvec_mod, rank_mod
-from .model import Quiver, Representation, _as_int
+from .model import Quiver, Representation, _as_int, _random_representation
 from .subspaces import count_subreps
 
 EXAMPLE4_ARROWS = 4
@@ -41,17 +41,12 @@ def sample_general_rep(quiver: Quiver, dims: Sequence[int], seed: int,
     arrow order, row-major inside each matrix, from a generator seeded with
     `seed`; identical inputs always reproduce identical matrices.
     """
+    seed = _as_int(seed, "seed")
     bound = _as_int(bound, "bound")
     if bound < 2:
         raise ValueError("bound must be at least 2")
     dims = tuple(_as_int(d, "dimension") for d in dims)
-    rng = random.Random(seed)
-    mats = []
-    for s, t in quiver.arrows:
-        mats.append(tuple(
-            tuple(rng.randint(-bound, bound) for _ in range(dims[s]))
-            for _ in range(dims[t])))
-    return Representation(quiver, dims, tuple(mats))
+    return _random_representation(quiver, dims, random.Random(seed), bound)
 
 
 def is_example4_shape(rep: Representation) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -407,6 +408,57 @@ def test_bad_integer_flags_are_usage_errors(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["euler", "--rep", "pr2.json", "--e", "0,x"], "expected comma-separated integers, got '0,x'"),
+    (["dynkin", "--type", "A2", "--coxeter", "1,2", "--root", "1,"],
+     "expected comma-separated integers, got '1,'"),
+    (["dynkin", "--type", "B3", "--coxeter", "1,2,3", "--root", "1,1,1"],
+     "bad type label 'B3'; expected e.g. A3 or D4"),
+    (["kronecker", "reg", "--m", "2", "--lambda", "1/0"],
+     "bad lambda '1/0'; expected a rational or 'inf'"),
+    (["euler", "--config", "absent.json"],
+     "cannot read config absent.json: [Errno 2] No such file or directory: 'absent.json'"),
+    (["euler", "--config", "list.json"], "config document must be a JSON object"),
+    (["euler", "--rep", "pr2.json"], "euler needs --rep and --e"),
+    (["fpoly"], "fpoly needs --rep"),
+    (["kronecker", "pr"], "kronecker needs --m"),
+    (["dynkin", "--type", "A2", "--coxeter", "1,2"], "dynkin needs --type, --coxeter and --root"),
+    (["kronecker", "reg", "--m", "0"], "m must be >= 1"),
+    (["dynkin", "--type", "D3", "--coxeter", "1,2,3", "--root", "1,1,1"],
+     "type D needs rank >= 4"),
+    (["dynkin", "--type", "E9", "--coxeter", "1,2,3,4,5,6,7,8,9", "--root", "1,1,1,1,1,1,1,1,1"],
+     "type E needs rank 6, 7 or 8"),
+    (["dynkin", "--type", "A3", "--coxeter", "1,1,2", "--root", "1,1,1"],
+     "word (0, 0, 1) is not a permutation of 0..2"),
+], ids=["bad-e", "bad-root", "bad-type", "bad-lambda", "config-unreadable",
+        "config-not-object", "euler-needs", "fpoly-needs", "kronecker-needs", "dynkin-needs",
+        "m-zero", "D3", "E9", "coxeter-not-permutation"])
+def test_usage_errors_exit_2_and_say_what_is_wrong(argv, message, tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    save_representation(build_kronecker(preprojective(2)), "pr2.json")
+    (tmp_path / "list.json").write_text("[1]")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("doc,detail", [
+    ('{"vertices": 2, "arrows": [[1, 2]], "dims": [1, -1], "matrices": [[]]}',
+     "negative dimension -1 at vertex 2"),
+    ('{"vertices": 2, "arrows": [[1, 2]], "dims": [1], "matrices": [[]]}',
+     "1 dims for 2 vertices"),
+    ('{"vertices": 2, "arrows": [[1, 2], [1, 2]], "dims": [1, 1], "matrices": [[[1]]]}',
+     "1 matrices for 2 arrows"),
+], ids=["negative", "too-few-dims", "too-few-matrices"])
+def test_a_bad_dimension_vector_or_matrix_count_names_no_arrow(doc, detail, tmp_path, capsys):
+    # each used to read "matrix shape mismatch at arrow -1"
+    path = tmp_path / "rep.json"
+    path.write_text(doc)
+    assert main(["fpoly", "--rep", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: shape mismatch: {detail}\n"
+
+
 def test_example4_full(capsys):
     assert main(["example4", "--seed", "42", "--primes", "5,7,11"]) == 0
     out = capsys.readouterr().out
@@ -441,6 +493,26 @@ def test_example4_degenerate_form_exit(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == ("degenerate: determinantal form vanished identically; "
                             "resample; try another --seed\n")
+
+
+def test_example4_count_mismatch_names_the_prime_and_both_counts(monkeypatch, capsys):
+    import quivergrass.sampler as sp
+    from quivergrass.errors import CountMismatch
+
+    counted = sp.count_subreps
+
+    def off_by_one(rep, e, cap):
+        point_count = counted(rep, e, cap)
+        return dataclasses.replace(point_count, count=point_count.count + 1)
+
+    monkeypatch.setattr(sp, "count_subreps", off_by_one)
+    with pytest.raises(CountMismatch) as err:
+        sp.example4_verify(sp.sample_general_rep(kronecker_quiver(4), (3, 4), 42), (5,))
+    assert err.value.prime == 5
+    assert str(err.value) == "point-count mismatch at p = 5: curve has 6 points, Grassmannian 7"
+    assert main(["example4", "--primes", "5"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {err.value}\n"
 
 
 def test_config_defaults_and_flag_precedence(pr2_file, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations, product
 
@@ -51,7 +52,8 @@ def test_positive_root_counts(label, rank, count):
 
 
 def test_cartan_simply_laced():
-    for label, rank in (("A", 4), ("D", 4), ("E", 6)):
+    for label, rank in (("A", 1), ("A", 4), ("A", 5), ("D", 4), ("D", 7),
+                        ("E", 6), ("E", 7), ("E", 8)):
         rs = root_system(label, rank)
         for i in range(rank):
             assert rs.cartan[i][i] == 2
@@ -59,6 +61,9 @@ def test_cartan_simply_laced():
                 assert rs.cartan[i][j] == rs.cartan[j][i]
                 if i != j:
                     assert rs.cartan[i][j] in (0, -1)
+        # the diagram's edges are the -1 entries above the diagonal, in order
+        assert rs.edges() == tuple((i, j) for i in range(rank) for j in range(i + 1, rank)
+                                   if rs.cartan[i][j] == -1)
 
 
 def test_simple_reflection_basics():
@@ -149,7 +154,8 @@ def test_solve_gamma_satisfies_equation(label, rank):
             gamma, idx = solve_gamma(rs, word, alpha)
             moved = apply_word_inverse(rs, word, gamma)
             diff = tuple(a - b for a, b in zip(moved, gamma))
-            assert diff == rs.root_to_weight(alpha)
+            # alpha in fundamental-weight coordinates: the Cartan matrix times alpha
+            assert diff == tuple(sum(c * a for c, a in zip(row, alpha)) for row in rs.cartan)
             assert [gamma in orbit for orbit in orbits] == [i == idx for i in range(rank)]
 
 
@@ -353,6 +359,14 @@ def test_no_sample_where_no_rigid_indecomposable_exists(monkeypatch):
     assert ext1_dim(rep) == 0 and calls[-1] == (1, 1, 1)
 
 
+def test_minor_route_reads_a_word_of_any_iterable_and_integer_type():
+    want = f_polynomial_via_minor(3, (0, 1, 2), (1, 1, 1))
+    assert f_polynomial_via_minor(3, iter((0, 1, 2)), (1, 1, 1)) == want
+    np = pytest.importorskip("numpy")
+    got = f_polynomial_via_minor(3, np.array([0, 1, 2]), (1, 1, 1))
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
 def test_dynkin_entry_points_refuse_non_integers():
     # each used to truncate: alpha (1.5, 1.2) as (1, 1), the word (0.2, 1.7) as (0, 1)
     rs = root_system("A", 2)
@@ -362,6 +376,8 @@ def test_dynkin_entry_points_refuse_non_integers():
         orientation_from_coxeter(rs, (0.2, 1.7))
     with pytest.raises(ValueError, match="root coordinate must be an integer, got 1.5"):
         solve_gamma(rs, (0, 1), (1.5, 1))
+    with pytest.raises(ValueError, match="word letter must be an integer, got 0.0"):
+        f_polynomial_via_minor(2, (0.0, 1), (1, 1))
     assert orientation_from_coxeter(rs, (0, 1)) == Quiver(2, ((1, 0),))
     # a float rank was answered from the cache of its integer twin, and a bool
     # rank was refused only by the FPolynomial constructor, which the minor's

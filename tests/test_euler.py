@@ -43,7 +43,6 @@ from quivergrass.model import (
     euler_form,
     hom_dim,
     reduce_mod,
-    zero_representation,
 )
 from quivergrass.sampler import sample_general_rep
 from quivergrass.subspaces import count_subreps
@@ -285,7 +284,8 @@ def test_f_polynomial_preprojective_2():
 
 
 def test_f_polynomial_zero_representation():
-    assert f_polynomial(zero_representation(ONE_VERTEX)) == FPolynomial(1, {(0,): 1})
+    zero = Representation(ONE_VERTEX, (0,), ())
+    assert f_polynomial(zero) == FPolynomial(1, {(0,): 1})
 
 
 def test_f_poly_multiply_identities():

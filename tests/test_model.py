@@ -35,9 +35,7 @@ from quivergrass.model import (
     representation_from_dict,
     representation_to_dict,
     save_representation,
-    simple_representation,
     validate_representation,
-    zero_representation,
 )
 
 from oracles import naive_hom_dim_mod
@@ -47,9 +45,8 @@ ONE_VERTEX = Quiver(1, ())
 
 def test_quiver_flags():
     q = Quiver(3, ((0, 1), (1, 2)))
-    assert not q.has_loops and not q.has_two_cycles and q.is_acyclic
-    assert Quiver(2, ((0, 0),)).has_loops
-    assert Quiver(2, ((0, 1), (1, 0))).has_two_cycles
+    assert q.is_acyclic
+    assert not Quiver(2, ((0, 0),)).is_acyclic  # a loop is a cycle
     assert not Quiver(2, ((0, 1), (1, 0))).is_acyclic
     assert Quiver(3, ((2, 1), (1, 0))).topological_order() == (2, 1, 0)
 
@@ -175,7 +172,7 @@ def test_echelon_canonicity():
 
 def test_direct_sum_identity_and_dims():
     rep = build_kronecker(preprojective(2))
-    zero = zero_representation(rep.quiver)
+    zero = Representation(rep.quiver, (0, 0), ((), ()))
     assert direct_sum(rep, zero) == rep
     a = Representation(ONE_VERTEX, (2,), ())
     b = Representation(ONE_VERTEX, (3,), ())
@@ -232,7 +229,7 @@ def test_hom_dim_examples():
     a = Representation(ONE_VERTEX, (2,), ())
     b = Representation(ONE_VERTEX, (3,), ())
     assert hom_dim(a, b) == 6
-    assert hom_dim(zero_representation(kronecker_quiver()), pr2) == 0
+    assert hom_dim(Representation(kronecker_quiver(), (0, 0), ((), ())), pr2) == 0
 
 
 def test_hom_dim_against_naive_oracle():
@@ -275,7 +272,7 @@ def test_hom_additivity_over_direct_sums():
 
 def test_rigidity():
     assert _sampling(build_kronecker(preprojective(2))).rigid()
-    assert _sampling(simple_representation(Quiver(2, ((0, 1),)), 0)).rigid()
+    assert _sampling(Representation(Quiver(2, ((0, 1),)), (1, 0), ((),))).rigid()  # S_1
     assert not _sampling(build_kronecker(regular(1, 3))).rigid()
 
 

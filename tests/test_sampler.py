@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import product
 
@@ -5,6 +6,7 @@ import pytest
 
 from quivergrass.dynkin import dynkin_indecomposable, orientation_from_coxeter, root_system
 from quivergrass.errors import (
+    CountMismatch,
     DegenerateForm,
     NonPolynomialCount,
     SearchTooLarge,
@@ -26,7 +28,6 @@ from quivergrass.model import (
     euler_form,
     hom_dim,
     reduce_mod,
-    simple_representation,
 )
 from quivergrass.sampler import (
     EXAMPLE4_DIMS,
@@ -78,9 +79,44 @@ def test_sampler_entry_points_refuse_non_integers():
     assert sample_general_rep(kronecker_quiver(), (1, 2), 0).dims == (1, 2)
 
 
+@pytest.mark.parametrize("seed", [1.0, 2.5, True])
+def test_seeded_draws_refuse_a_seed_that_is_not_an_integer(seed):
+    # each used to be accepted: sample_general_rep read 1.0 as 1, while
+    # dynkin_indecomposable formats the seed into its generator's key, so 1.0
+    # drew other matrices than 1
+    with pytest.raises(ValueError, match=f"seed must be an integer, got {seed}"):
+        sample_general_rep(kronecker_quiver(2), (1, 1), seed)
+    with pytest.raises(ValueError, match=f"seed must be an integer, got {seed}"):
+        dynkin_indecomposable(Quiver(3, ((0, 1), (1, 2))), (1, 1, 1), seed=seed)
+
+
+def _arrow_by_arrow(rng, quiver, dims, bound):
+    """The loop each sampler ran before they shared one draw: entries
+    rng.randint(-bound, bound), arrow by arrow, row-major in each matrix."""
+    mats = []
+    for s, t in quiver.arrows:
+        mats.append(tuple(tuple(rng.randint(-bound, bound) for _ in range(dims[s]))
+                          for _ in range(dims[t])))
+    return tuple(mats)
+
+
+def test_seeded_draws_reproduce_the_arrow_by_arrow_loop():
+    kron4 = kronecker_quiver(4)
+    d4, dims = orientation_from_coxeter(root_system("D", 4), (0, 1, 2, 3)), (1, 2, 1, 1)
+    for seed in (*range(20), 42):  # seeds 0, 3, 5, 8, 9 and 12 take more than one D4 draw
+        want = _arrow_by_arrow(random.Random(seed), kron4, EXAMPLE4_DIMS, 5)
+        assert sample_general_rep(kron4, EXAMPLE4_DIMS, seed).matrices == want
+        rng = random.Random(f"quivergrass-indec:{d4.arrows}:{dims}:{seed}")
+        for _ in range(200):  # the first draw with hom(M, M) = 1
+            want = Representation(d4, dims, _arrow_by_arrow(rng, d4, dims, 3))
+            if hom_dim(want, want) == 1:
+                break
+        assert dynkin_indecomposable(d4, dims, seed) == want
+
+
 def test_sampler_zero_dims_and_bound():
     rep = sample_general_rep(kronecker_quiver(2), (0, 0), 1, 5)
-    assert rep.is_zero
+    assert rep.dims == (0, 0) and rep.matrices == ((), ())
     with pytest.raises(ValueError):
         sample_general_rep(kronecker_quiver(2), (1, 1), 1, 1)
     bounded = sample_general_rep(kronecker_quiver(2), (3, 3), 9, 2)
@@ -90,7 +126,7 @@ def test_sampler_zero_dims_and_bound():
 def test_quartic_degree_and_homogeneity():
     f = example4_quartic(seed42_rep())
     assert f.is_homogeneous(4)
-    assert f.total_degree() == 4
+    assert max(sum(e) for e in f.terms) == 4  # the total degree
     # f(t v) = t^4 f(v) at a sample point
     v = (2, -1, 3)
     t = 5
@@ -335,6 +371,13 @@ def test_example4_interpolation_rejects():
         euler_characteristic(seed42_rep(), (1, 3))
 
 
+def test_example4_refuses_an_interpolation_route_that_accepts_the_quartic(monkeypatch):
+    monkeypatch.setattr("quivergrass.sampler.euler_characteristic", lambda rep, e, cap: -4)
+    with pytest.raises(CountMismatch, match="interpolation route unexpectedly accepted") as err:
+        example4_verify(seed42_rep(), (5,))
+    assert err.value.prime == 0
+
+
 def test_positivity_scan_preprojectives():
     for m in (1, 2, 3):
         report = positivity_scan(build_kronecker(preprojective(m)))
@@ -344,7 +387,7 @@ def test_positivity_scan_preprojectives():
 
 
 def test_positivity_scan_simple():
-    rep = simple_representation(Quiver(2, ((0, 1),)), 0)
+    rep = Representation(Quiver(2, ((0, 1),)), (1, 0), ((),))  # the simple S_1
     report = positivity_scan(rep)
     chis = {tuple(r["e"]): r["chi"] for r in report["entries"]}
     assert chis[(0, 0)] == 1 and chis[(1, 0)] == 1
