@@ -82,8 +82,7 @@ def _parse_cap(text: str | None) -> int | None:
 
 
 def _parse_mode(text: str | None, modes: tuple[str, ...]) -> str:
-    """--mode, default both; checked here too, since a config value skips
-    argparse's choices."""
+    """--mode, default both; the one check of a mode, from a flag or a config."""
     mode = text or "both"
     if mode not in modes:
         raise ParseError(f"bad --mode {mode!r}; expected one of {', '.join(modes)}")
@@ -113,7 +112,8 @@ def _apply_config(args: argparse.Namespace) -> None:
     """Fill in unset flags from the --config JSON document (flags win).
 
     A boolean flag takes JSON true or false and a value flag a string or a
-    number; a value of the other kind is a usage error naming key and value.
+    number; any other value (a list, an object or null included) is a usage
+    error naming key and value.
     """
     if not getattr(args, "config", None):
         return
@@ -131,8 +131,9 @@ def _apply_config(args: argparse.Namespace) -> None:
         if not hasattr(args, dest):
             continue
         current = getattr(args, dest)
-        if isinstance(current, bool) != isinstance(value, bool):  # store_true flags are bool
-            want = "true or false" if isinstance(current, bool) else "a string or a number"
+        # store_true flags are bool; JSON gives str, int, float, bool, list, dict or None
+        want = "true or false" if isinstance(current, bool) else "a string or a number"
+        if type(value) not in ((bool,) if isinstance(current, bool) else (str, int, float)):
             raise ParseError(f"config key {key!r} takes {want}, got {json.dumps(value)}")
         if current is False or current is None:  # absent from the command line
             setattr(args, dest, value if isinstance(value, bool) else str(value))
@@ -270,9 +271,10 @@ def cmd_dynkin(args) -> int:
     alpha = _csv_ints(args.root)
     try:
         rs = dk.root_system(label, rank)
-        dk._check_word(rs, word)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+    if sorted(word) != list(range(rank)):
+        raise ParseError(f"--coxeter {args.coxeter} is not a permutation of 1..{rank}")
     if tuple(alpha) not in rs.positive_roots:
         raise ParseError(f"{list(alpha)} is not a positive root of {label}{rank}")
     cap = _parse_cap(args.cap)
@@ -362,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("pr", "inj", "reg"))
     p.add_argument("--m", help="family parameter m >= 1")
     p.add_argument("--lambda", dest="lam", help="regular parameter (rational or 'inf')")
-    p.add_argument("--mode", choices=KRONECKER_MODES)
+    p.add_argument("--mode", help=f"{', '.join(KRONECKER_MODES)} (default both)")
     common(p)
     p.set_defaults(func=cmd_kronecker)
 
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", help="type label, e.g. A3")
     p.add_argument("--coxeter", help="Coxeter word, comma-separated 1-based vertices")
     p.add_argument("--root", help="positive root in simple-root coordinates")
-    p.add_argument("--mode", choices=DYNKIN_MODES)
+    p.add_argument("--mode", help=f"{', '.join(DYNKIN_MODES)} (default both)")
     p.add_argument("--seed", help="seed for the indecomposable search")
     common(p)
     p.set_defaults(func=cmd_dynkin)

@@ -152,16 +152,15 @@ def coxeter_from_orientation(rs: RootSystem, quiver: Quiver) -> tuple[int, ...]:
     Emits, repeatedly, the smallest-index vertex all of whose out-arrows
     point at already-emitted vertices: the topological order of the
     opposite quiver, in which every arrow's target precedes its source.
+    The diagram is a tree, so no orientation of it has a directed cycle
+    and that order always exists.
     """
     if quiver.n != rs.rank:
         raise NotAnOrientation(f"{quiver.n} vertices for rank {rs.rank}")
     undirected = sorted(tuple(sorted(a)) for a in quiver.arrows)
     if undirected != sorted(rs.edges()):
         raise NotAnOrientation("arrow set is not an orientation of the diagram")
-    word = quiver.opposite().topological_order()
-    if word is None:
-        raise NotAnOrientation("orientation contains a directed cycle")
-    return word
+    return quiver.opposite().topological_order()
 
 
 def solve_gamma(rs: RootSystem, word: Sequence[int], alpha: Sequence[int]

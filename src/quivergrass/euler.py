@@ -196,51 +196,35 @@ def _evaluate(coefficients: Sequence[int], x) -> int:
     return total
 
 
-def _lagrange(points: Sequence[tuple[int, int]]) -> list[int] | None:
-    """Coefficients (ascending) of the interpolant through the points, or None
-    when one of them is not an integer.
+@lru_cache(maxsize=256)
+def _interpolant(nodes: tuple[tuple[int, int], ...]) -> tuple[int, ...] | None:
+    """Coefficients (ascending, trailing zeros dropped) of the interpolant
+    through the nodes, or None when one of them is not an integer.
 
     With N(x) = prod_k (x - x_k) and w_j = prod_{k != j} (x_j - x_k), the
     interpolant is sum_j y_j (N(x) / (x - x_j)) / w_j.  Over the common
     denominator D = lcm_j |w_j| its numerators are integers, the quotients
     N / (x - x_j) come by synthetic division, and the interpolant is
-    integral exactly when D divides every numerator.
+    integral exactly when D divides every numerator.  Remembered, so that
+    judging an e anew at each prime (`_fit`) and the final
+    `interpolate_counting_polynomial` fit each set of nodes once.
     """
-    xs = [x for x, _ in points]
+    xs = [x for x, _ in nodes]
     full = [1]  # N, ascending
     for x in xs:
         full = [a - x * b for a, b in zip([0] + full, full + [0])]
     weights = [prod(xi - xj for xj in xs if xj != xi) for xi in xs]
     denom = lcm(*weights)
-    numer = [0] * len(points)
-    for (xi, yi), w in zip(points, weights):
+    numer = [0] * len(nodes)
+    for (xi, yi), w in zip(nodes, weights):
         scale = yi * (denom // w)
         quotient = 0  # coefficients of N / (x - xi), from the top
-        for k in range(len(points), 0, -1):
+        for k in range(len(nodes), 0, -1):
             quotient = full[k] + xi * quotient
             numer[k - 1] += scale * quotient
     if any(c % denom for c in numer):
         return None
-    return [c // denom for c in numer]
-
-
-def _not_polynomial(samples, dim_vector, reason: str) -> NonPolynomialCount:
-    where = "" if dim_vector is None else f" at dimension vector {dim_vector}"
-    primes = ", ".join(str(p) for p, _ in samples)
-    return NonPolynomialCount(f"point counts{where} sampled at primes {primes}: {reason}, "
-                              "so they are not polynomial in q")
-
-
-@lru_cache(maxsize=256)
-def _interpolant(nodes: tuple[tuple[int, int], ...]) -> tuple[int, ...] | None:
-    """`_lagrange` through the nodes, trailing zero coefficients dropped.
-
-    Remembered, so that judging an e anew at each prime (`_fit`) and the
-    final `interpolate_counting_polynomial` fit each set of nodes once.
-    """
-    ints = _lagrange(nodes)
-    if ints is None:
-        return None
+    ints = [c // denom for c in numer]
     while ints and ints[-1] == 0:
         ints.pop()
     return tuple(ints)
@@ -296,7 +280,10 @@ def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
     dim_vector = tuple(dim_vector) if dim_vector is not None else None
     ints, reason = _fit(samples, degree_bound)
     if reason is not None:
-        raise _not_polynomial(samples, dim_vector, reason)
+        where = "" if dim_vector is None else f" at dimension vector {dim_vector}"
+        primes = ", ".join(str(p) for p, _ in samples)
+        raise NonPolynomialCount(f"point counts{where} sampled at primes {primes}: {reason}, "
+                                 "so they are not polynomial in q")
     need = degree_bound + 1 + HELD_OUT
     if len(samples) < need:
         raise InsufficientSamples(
@@ -323,8 +310,7 @@ class _Sampling:
             raise DomainMismatch("representation is already over a prime field")
         self.rep = rep
         self.form = euler_form(rep.quiver, rep.dims, rep.dims) if rep.quiver.is_acyclic else None
-        self.ranks = tuple(linalg.rank_frac(mat) if mat and mat[0] else 0
-                           for mat in rep.matrices)
+        self.ranks = tuple(linalg.rank_frac(mat) for mat in rep.matrices)
         self.forward = self._forcing(_routing(rep.quiver), rep.quiver.arrows)
         self.backward = self._forcing(_dual_routing(rep.quiver),
                                       [(v, u) for u, v in rep.quiver.arrows])
@@ -351,7 +337,7 @@ class _Sampling:
                         rep_p = reduce_mod(self.rep, p)
                     except DomainMismatch:  # a denominator vanishes mod p
                         continue
-                    if all(linalg.rank_mod(mat, p) == r if mat and mat[0] else True
+                    if all(linalg.rank_mod(mat, p) == r
                            for mat, r in zip(rep_p.matrices, self.ranks)):
                         self._found.append((p, rep_p))
                 found = self._found[i]

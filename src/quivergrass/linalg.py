@@ -26,10 +26,6 @@ def odd_primes() -> Iterator[int]:
         n += 2
 
 
-def inv_mod(a: int, p: int) -> int:
-    return pow(a, p - 2, p)
-
-
 # ---------------------------------------------------------------------------
 # Reduced row echelon form over F_p.
 # Conventions: rows are basis vectors, pivots are strictly increasing column
@@ -56,7 +52,7 @@ def rref_insert(rows: tuple, pivots: tuple, vec: Sequence[int], p: int):
             break
     else:
         return None
-    inv = inv_mod(x, p)
+    inv = pow(x, -1, p)
     v = tuple(a * inv % p for a in v)
     # clear the new pivot column in the existing rows, keep pivot order
     cleared = [tuple((a - c * b) % p for a, b in zip(row, v)) if (c := row[lead]) else row
@@ -79,7 +75,9 @@ def rref_mod(matrix: Iterable[Sequence[int]], p: int):
 
 def rank_mod(matrix: Iterable[Sequence[int]], p: int) -> int:
     """Rank over F_p by forward elimination: each kept row vanishes at the
-    lead columns of the earlier ones; no scaling, no back-substitution."""
+    lead columns of the earlier ones; no scaling, no back-substitution.
+    Entries may be any integers, reduced mod p as they are eliminated, and
+    a matrix with no rows, or with rows of length 0, has rank 0."""
     basis: list = []
     for vec in matrix:
         v = vec
@@ -180,7 +178,7 @@ def _peel(a, b, c, p):
                 constant.append(x)
                 continue
             if h != 1:
-                h = inv_mod(h, p)
+                h = pow(h, -1, p)
                 x, y = [u * h % p for u in x], [u * h % p for u in y]
                 z = z and [u * h % p for u in z]
             basis.append((lead, x, y, z))
@@ -278,7 +276,8 @@ def _primitive(v: list[int]) -> list[int]:
 
 def rank_frac(matrix: Iterable[Sequence]) -> int:
     """Rank over Q by fraction-free forward elimination, as in `rank_mod`:
-    each row is cleared of denominators and every row is kept primitive."""
+    each row is cleared of denominators and every row is kept primitive.
+    A matrix with no rows, or with rows of length 0, has rank 0."""
     basis: list = []
     for vec in matrix:
         scale = lcm(*(x.denominator for x in vec))

@@ -136,7 +136,7 @@ def validate_representation(rep: Representation) -> None:
     """Check shapes against arrows and entries against the scalar domain.
 
     Raises ShapeMismatch (arrow index -1 when the dimension vector or the
-    matrix count is at fault; vertices are named 1-based) or
+    matrix count is at fault; its message names vertices and arrows 1-based) or
     MixedScalarDomains; returns None on success; every Representation runs
     it when built.  Loops and oriented 2-cycles are allowed (only the Euler
     form and Ext insist on acyclicity).
@@ -186,7 +186,7 @@ def reduce_mod(rep: Representation, p: int) -> Representation:
         if isinstance(x, Fraction):
             if x.denominator % p == 0:
                 raise DomainMismatch(f"denominator of {x} vanishes mod {p}")
-            return x.numerator * linalg.inv_mod(x.denominator % p, p) % p
+            return x.numerator * pow(x.denominator, -1, p) % p
         return x % p
 
     mats = tuple(tuple(tuple(red(x) for x in row) for row in mat)
@@ -280,8 +280,6 @@ def hom_dim(a: Representation, b: Representation) -> int:
     for v in range(a.n):
         offsets.append(total)
         total += b.dims[v] * a.dims[v]
-    if total == 0:
-        return 0
     rows = []
     for idx, (s, t) in enumerate(a.quiver.arrows):
         am, bm = a.matrices[idx], b.matrices[idx]
@@ -294,13 +292,7 @@ def hom_dim(a: Representation, b: Representation) -> int:
                 for k in range(b.dims[s]):
                     row[offsets[s] + k * a.dims[s] + c] -= bm[r][k]
                 rows.append(row)
-    if not rows:
-        return total
-    if a.field is None:
-        rank = linalg.rank_frac(rows)
-    else:
-        rank = linalg.rank_mod([[x % a.field for x in row] for row in rows], a.field)
-    return total - rank
+    return total - (linalg.rank_frac(rows) if a.field is None else linalg.rank_mod(rows, a.field))
 
 
 # ---------------------------------------------------------------------------

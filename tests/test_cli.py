@@ -1,9 +1,11 @@
 import dataclasses
 import json
+from itertools import product
 
 import pytest
 
 from quivergrass.cli import main
+from quivergrass.errors import NonPolynomialCount
 from quivergrass.fpoly import FPolynomial
 from quivergrass.kronecker import (
     build_kronecker,
@@ -429,7 +431,7 @@ def test_bad_integer_flags_are_usage_errors(argv, capsys):
     (["dynkin", "--type", "E9", "--coxeter", "1,2,3,4,5,6,7,8,9", "--root", "1,1,1,1,1,1,1,1,1"],
      "type E needs rank 6, 7 or 8"),
     (["dynkin", "--type", "A3", "--coxeter", "1,1,2", "--root", "1,1,1"],
-     "word (0, 0, 1) is not a permutation of 0..2"),
+     "--coxeter 1,1,2 is not a permutation of 1..3"),
 ], ids=["bad-e", "bad-root", "bad-type", "bad-lambda", "config-unreadable",
         "config-not-object", "euler-needs", "fpoly-needs", "kronecker-needs", "dynkin-needs",
         "m-zero", "D3", "E9", "coxeter-not-permutation"])
@@ -457,6 +459,64 @@ def test_a_bad_dimension_vector_or_matrix_count_names_no_arrow(doc, detail, tmp_
     path.write_text(doc)
     assert main(["fpoly", "--rep", str(path)]) == 2
     assert capsys.readouterr().err == f"error: shape mismatch: {detail}\n"
+
+
+def test_a_wrong_matrix_shape_names_its_arrow_from_1(tmp_path, capsys):
+    # used to read "at arrow 0"; files number arrows, like vertices, from 1
+    path = tmp_path / "rep.json"
+    path.write_text('{"vertices": 2, "arrows": [[1, 2]], "dims": [1, 2], "matrices": [[[1]]]}')
+    assert main(["fpoly", "--rep", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix shape mismatch at arrow 1: expected 2x1, got 1x1\n"
+
+
+@pytest.mark.parametrize("argv,modes", [
+    (["kronecker", "pr", "--m", "3"], "formula, bruteforce, both"),
+    (["dynkin", "--type", "A2", "--coxeter", "1,2", "--root", "1,1"], "minor, bruteforce, both"),
+], ids=["kronecker", "dynkin"])
+def test_flag_mode_outside_the_modes_reads_as_from_a_config(argv, modes, capsys):
+    # one check serves the flag and --config, so both print the same line
+    assert main(argv + ["--mode", "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad --mode 'bogus'; expected one of {modes}\n"
+
+
+def _refuse_the_box(monkeypatch):
+    def refused(rep, cap=None):
+        for e in product(*(range(d + 1) for d in rep.dims)):
+            yield e, None, NonPolynomialCount(f"refused at {e}")
+    monkeypatch.setattr("quivergrass.euler.iter_box_chi", refused)
+
+
+def _refuse_the_fpolynomial(monkeypatch):
+    def refused(rep, cap=None):
+        raise NonPolynomialCount("refused")
+    monkeypatch.setattr("quivergrass.euler.f_polynomial", refused)
+
+
+@pytest.mark.parametrize("argv,patch,code,out,err", [
+    # an unknown config key is ignored
+    (["euler", "--rep", "pr2.json", "--e", "0,1", "--config", "unknown.json"], None, 0,
+     "chi = 2\n", ""),
+    # a refusal from a command without --rep gets no example4 hint
+    (["dynkin", "--type", "A2", "--coxeter", "1,2", "--root", "1,1", "--mode", "bruteforce"],
+     _refuse_the_fpolynomial, 3, "", "error: refused\n"),
+    # a box refusal inside `kronecker` ends the table and exits 3
+    (["kronecker", "pr", "--m", "2", "--mode", "bruteforce"], _refuse_the_box, 3, "",
+     "error: refused at (0, 0)\n"),
+], ids=["config-unknown-key", "refusal-without-rep", "kronecker-box-refusal"])
+def test_cli_paths_no_other_test_reaches(argv, patch, code, out, err, tmp_path, monkeypatch,
+                                         capsys):
+    monkeypatch.chdir(tmp_path)
+    save_representation(build_kronecker(preprojective(2)), "pr2.json")
+    (tmp_path / "unknown.json").write_text('{"no_such_flag": [1]}')
+    if patch is not None:
+        patch(monkeypatch)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
 
 
 def test_example4_full(capsys):
@@ -537,7 +597,12 @@ def test_determinism_repeated_runs(capsys):
     ({"json": 1}, "error: config key 'json' takes true or false, got 1"),
     ({"cap": True}, "error: config key 'cap' takes a string or a number, got true"),
     ({"e": False}, "error: config key 'e' takes a string or a number, got false"),
-], ids=["json-string", "json-number", "cap-bool", "e-bool"])
+    # each used to reach the flag as its Python repr, e.g. "bad --cap '[3]'"
+    ({"cap": [3]}, "error: config key 'cap' takes a string or a number, got [3]"),
+    ({"cap": None}, "error: config key 'cap' takes a string or a number, got null"),
+    ({"e": {}}, "error: config key 'e' takes a string or a number, got {}"),
+], ids=["json-string", "json-number", "cap-bool", "e-bool", "cap-list", "cap-null",
+        "e-object"])
 def test_config_refuses_a_value_of_the_wrong_type(doc, message, pr2_file, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))

@@ -389,3 +389,26 @@ def test_dynkin_entry_points_refuse_non_integers():
     with pytest.raises(ValueError, match="rank must be an integer, got 2.0"):
         is_minuscule("A", 2.0, 0)
     assert root_system("A", 2) is rs
+
+
+A3_LINE = Quiver(3, ((0, 1), (1, 2)))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda mp: root_system("B", 3), ValueError, "unknown type label 'B'"),
+    (lambda mp: coxeter_from_orientation(root_system("A", 3), Quiver(2, ((0, 1),))),
+     NotAnOrientation, "2 vertices for rank 3"),
+    (lambda mp: solve_gamma(root_system("A", 3), (0, 1, 2), (1, 0, 1)),
+     ValueError, "(1, 0, 1) is not a positive root of A3"),
+    (lambda mp: dynkin_indecomposable(A3_LINE, (1, 1)), ValueError,
+     "bad dimension vector (1, 1)"),
+    # every draw looks decomposable, so the search runs out
+    (lambda mp: mp.setattr("quivergrass.dynkin.hom_dim", lambda a, b: 2)
+     or dynkin_indecomposable(A3_LINE, (1, 1, 1)),
+     SearchExhausted, "no certified indecomposable of dims (1, 1, 1) in 200 samples; "
+     "is alpha a positive root of this quiver's diagram?"),
+], ids=["unknown-label", "vertex-count", "not-a-root", "alpha-length", "exhausted"])
+def test_dynkin_refusals_name_their_cause(call, error, message, monkeypatch):
+    with pytest.raises(error) as err:
+        call(monkeypatch)
+    assert str(err.value) == message

@@ -166,7 +166,7 @@ def test_integer_interpolation_matches_the_fraction_reference():
                 counts = [rng.randint(-30, 30) for _ in nodes]
             samples = list(zip(nodes, counts))
             want = fraction_lagrange(samples[:degree + 1])
-            got = eu._lagrange(samples[:degree + 1])
+            got = eu._interpolant(tuple(samples[:degree + 1]))  # trailing zeros dropped
             e = (degree, trial)
             prefix = (f"point counts at dimension vector {e} sampled at primes "
                       f"{', '.join(map(str, nodes))}: ")
@@ -184,14 +184,15 @@ def test_integer_interpolation_matches_the_fraction_reference():
                 assert str(err.value) == prefix + reason + ", so they are not polynomial in q"
                 continue
             integral += 1
-            assert got == [int(c) for c in want], samples
+            ints = [int(c) for c in want]
+            while ints and ints[-1] == 0:
+                ints.pop()
+            assert got == tuple(ints), samples
             # held out: the reference's values fit
             samples[degree + 1:] = [(p, sum(int(c) * p ** k for k, c in enumerate(want)))
                                     for p in nodes[degree + 1:]]
-            while got and got[-1] == 0:
-                got.pop()
             fitted = interpolate_counting_polynomial(samples, degree, dim_vector=e)
-            assert fitted.coefficients == tuple(got)
+            assert fitted.coefficients == got
             # one more than that breaks the pair with the first sample
             held, count = samples[-1]
             samples[-1] = (held, count + 1)
@@ -286,6 +287,39 @@ def test_f_polynomial_preprojective_2():
 def test_f_polynomial_zero_representation():
     zero = Representation(ONE_VERTEX, (0,), ())
     assert f_polynomial(zero) == FPolynomial(1, {(0,): 1})
+
+
+@pytest.mark.parametrize("samples,bound,message", [
+    ([(3, 1), (5, 1), (7, 1)], -1, "degree bound must be non-negative"),
+    ([(3, 1), (3, 1), (5, 1)], 0, "sample primes must be distinct"),
+], ids=["negative-bound", "repeated-prime"])
+def test_interpolation_refuses_a_bad_request(samples, bound, message):
+    with pytest.raises(ValueError) as err:
+        interpolate_counting_polynomial(samples, bound)
+    assert str(err.value) == message
+
+
+SQUARE = FPolynomial(2, {(0, 0): 1, (1, 1): 2, (2, 0): -1})
+
+
+@pytest.mark.parametrize("call,expected", [
+    (lambda: SQUARE ** -1, ValueError("negative power")),
+    (lambda: SQUARE.evaluate([1]), VariableCountMismatch("2 variables, 1 values")),
+    (lambda: FPolynomial.zero(2).is_homogeneous(), True),
+    (lambda: FPolynomial.zero(2).is_homogeneous(3), True),
+    (lambda: FPolynomial(2, {(1, 0): 1, (0, 1): 2}).is_homogeneous(), True),
+    (lambda: SQUARE.is_homogeneous(), False),
+    (lambda: str(SQUARE), "1 + 2*u1*u2 - u1^2"),
+    (lambda: repr(SQUARE), "FPolynomial(2, '1 + 2*u1*u2 - u1^2')"),
+], ids=["negative-power", "value-count", "zero-homogeneous", "zero-of-degree",
+        "one-degree", "two-degrees", "str", "repr"])
+def test_fpolynomial_edges(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as err:
+            call()
+        assert str(err.value) == str(expected)
+    else:
+        assert call() == expected
 
 
 def test_f_poly_multiply_identities():

@@ -216,3 +216,13 @@ def test_quiver_shape():
     q = kronecker_quiver()
     assert q.n == 2 and q.arrows == ((0, 1), (0, 1))
     assert kronecker_quiver(4).arrows == ((0, 1),) * 4
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: KroneckerKind("xyz", 1), "unknown family 'xyz'"),
+    (lambda: ordinary_grassmannian_chi(-1, 0), "ambient dimension must be non-negative"),
+], ids=["unknown-family", "negative-ambient"])
+def test_kronecker_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

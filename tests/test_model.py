@@ -232,6 +232,23 @@ def test_hom_dim_examples():
     assert hom_dim(Representation(kronecker_quiver(), (0, 0), ((), ())), pr2) == 0
 
 
+@pytest.mark.parametrize("field", [None, 3])
+def test_hom_dim_of_a_zero_or_arrowless_representation(field):
+    # an empty intertwiner system has rank 0, over Q and mod p alike
+    kron = kronecker_quiver()
+    zero = Representation(kron, (0, 0), ((), ()), field=field)
+    assert hom_dim(zero, zero) == 0
+    # one equation per entry of the arrow's b_2 x a_1 block, each of length 0
+    line = Quiver(2, ((0, 1),))
+    s1 = Representation(line, (1, 0), ((),), field=field)
+    s2 = Representation(line, (0, 1), (((),),), field=field)
+    assert hom_dim(s1, s2) == 0 and hom_dim(s2, s1) == 0
+    # no arrow, no equation: every linear map at every vertex
+    a = Representation(Quiver(2, ()), (2, 1), (), field=field)
+    b = Representation(Quiver(2, ()), (1, 3), (), field=field)
+    assert hom_dim(a, b) == 5 and hom_dim(b, a) == 5
+
+
 def test_hom_dim_against_naive_oracle():
     rng = random.Random("hom-oracle")
     q = Quiver(2, ((0, 1), (1, 1)))
@@ -334,3 +351,28 @@ def test_file_arrows_out_of_range_name_the_file_labels():
     doc["arrows"] = [[1, 3]]
     with pytest.raises(ParseError, match=re.escape("arrow [1, 3] out of range for vertices 1..2")):
         representation_from_dict(doc)
+
+
+KRON_PR2 = build_kronecker(preprojective(2))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: Quiver(0, ()), ValueError, "quiver needs at least one vertex"),
+    (lambda: reduce_mod(reduce_mod(KRON_PR2, 3), 5), DomainMismatch,
+     "representation is already over a prime field"),
+    (lambda: hom_dim(KRON_PR2, Representation(Quiver(2, ((0, 1),)), (1, 1), (((1,),),))),
+     QuiverMismatch, "hom requires both representations on one quiver"),
+    (lambda: representation_from_dict({"vertices": 0, "arrows": [], "dims": [],
+                                       "matrices": []}),
+     ParseError, "quiver needs at least one vertex"),
+    (lambda: representation_to_dict(reduce_mod(KRON_PR2, 3)), DomainMismatch,
+     "files store integer representations only"),
+    (lambda: representation_to_dict(Representation(Quiver(2, ((0, 1),)), (1, 1),
+                                                   (((Fraction(1, 2),),),))),
+     ParseError, "files store integer entries only"),
+], ids=["no-vertex", "reduced-twice", "other-quiver", "file-no-vertex", "save-mod-p",
+        "save-fraction"])
+def test_model_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from quivergrass.errors import (
     CountMismatch,
     DegenerateForm,
     NonPolynomialCount,
+    NotAcyclic,
     SearchTooLarge,
     SmoothnessFailure,
 )
@@ -420,3 +422,18 @@ def test_reports_are_json_serializable():
     import json
     json.dumps(example4_verify(seed42_rep(), (5,)))
     json.dumps(positivity_scan(build_kronecker(preprojective(2))))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: example4_quartic(build_kronecker(preprojective(2))), ValueError,
+     "expected the 4-arrow Kronecker quiver with dims (3, 4)"),
+    (lambda: example4_quartic(Representation(  # four 4 x 3 matrices, one entry 1/2
+        kronecker_quiver(4), EXAMPLE4_DIMS, (((Fraction(1, 2), 0, 0),) + ((0, 0, 0),) * 3,) * 4)),
+     ValueError, "the quartic is built from integer matrices"),
+    (lambda: positivity_scan(Representation(Quiver(1, ((0, 0),)), (1,), (((1,),),))),
+     NotAcyclic, "positivity scan expects an acyclic quiver"),
+], ids=["not-the-shape", "fraction-entry", "cyclic"])
+def test_sampler_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -406,11 +406,13 @@ def test_superspace_images_span_the_image():
 
 
 def test_rank_mod_matches_rref():
+    # any integer matrix: entries need not be reduced mod p, rows may be empty
     rng = random.Random("rank")
     for p in (2, 3, 7):
         for _ in range(200):
-            width = rng.randint(1, 5)
-            matrix = [[rng.randrange(2 * p) if rng.random() < 0.6 else 0 for _ in range(width)]
+            width = rng.randint(0, 5)
+            matrix = [[rng.randrange(-2 * p, 2 * p) if rng.random() < 0.6 else 0
+                       for _ in range(width)]
                       for _ in range(rng.randint(0, 6))]
             assert linalg.rank_mod(matrix, p) == len(linalg.rref_mod(matrix, p)[0])
 
@@ -639,7 +641,7 @@ def test_rank_frac_matches_rref():
         return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
 
     for _ in range(300):
-        width = rng.randint(1, 6)
+        width = rng.randint(0, 6)  # rows of length 0 have rank 0
         matrix = [[entry() for _ in range(width)] for _ in range(rng.randint(0, 7))]
         if matrix and rng.random() < 0.3:
             matrix.insert(rng.randrange(len(matrix)), [0] * width)  # a zero row
@@ -1089,3 +1091,14 @@ def test_a_long_run_of_determined_vertices_is_a_loop():
     identity = ((1, 0), (0, 1))
     rep = reduce_mod(Representation(quiver, (2,) * n, (identity,) * (n - 1)), 3)
     assert count_subreps(rep, (2,) * n).count == 1
+
+
+@pytest.mark.parametrize("args,message", [
+    ((2, 1, 0), "base must be a positive integer"),
+    ((2, 1, -3), "base must be a positive integer"),
+    ((-1, 0, 2), "ambient dimension must be non-negative"),
+], ids=["base-zero", "base-negative", "negative-ambient"])
+def test_gaussian_binomial_refusals_name_their_cause(args, message):
+    with pytest.raises(ValueError) as err:
+        gaussian_binomial(*args)
+    assert str(err.value) == message
