@@ -44,23 +44,44 @@ the Dynkin roots nearly every vertex is determined, many of them with
 e_v = 0, so a walk there pays for its real choices only.  The budget is
 charged as if the vertex were enumerated: one candidate, or two at the
 last searched position of a shortcut walk, where the second comes from
-the final vertex instead of from a block of one.
+the final vertex instead of from a family of one.
 
-Blocks: setting the innermost free entry (r, c_t) to t moves only row r,
-whose image under arrow k becomes a_k + t*b_k with b_k column c_t.  When the
-next free entry (r, c_u) lies in the same row, setting it to u adds u*c_k,
-c_k column c_u.  At the last searched position of a shortcut walk, if it
-has no arrow checks, the p candidates differing only in t, or the p^2
-differing in (t, u), form one block: the span forced into the final vertex
-is spanned by the images of earlier positions and of the fixed rows, which
-move with neither, and by that pencil or plane.  A last free entry alone
-in its row (as in Gr(3, 4)) makes a pencil.
-`linalg.pencil_rank_histogram` ranks a block for all its candidates at
-once, the fixed images passed as rows with b = 0: it peels off their span
-and the moving rows that fall into it once per block, finds the roots of
-at most two moving rows in O(1) per u, and ranks each candidate of a block
-with three or more rows still moving directly.  Every candidate is still
-charged to the budget.
+Blocks: at the last searched position of a shortcut walk, if it has no
+arrow checks, the walk counts the final vertex by row families.  The f free
+entries (r, c_1), ..., (r, c_f) of the last echelon row r that has any move
+only row r: set to s in F_p^f, they make its image under arrow i
+R_i(s) = a_i + sum_j s_j g_ij, g_ij column c_j.  The span forced into the
+final vertex is spanned by the images of earlier positions and of the fixed
+rows, which move with none of them, and by these k moving images, k the
+number of arrows out.  So the p^f candidates that differ only in s form one
+family, and `_iter_rref(block=True)` yields one per state of the other rows;
+f = 0 is a family of one, ranked directly.  Below the cost rule (next
+paragraph) a family is split into blocks: the last entry, t, makes a pencil
+a + t*b, and with the one before it, u, a plane a + t*b + u*c, at each value
+of the entries before those.  A family of one entry (as in Gr(3, 4)) is a
+pencil.  `linalg.pencil_rank_histogram` ranks a block for all its
+candidates at once, the fixed images passed as rows with b = 0: it peels
+off their span and the moving rows that fall into it once per block, finds
+the roots of at most two moving rows in O(1) per u, and ranks each
+candidate of a block with three or more rows still moving directly.
+
+Row families: let C be the span of the fixed images.  The rank of the
+forced span is dim C + k - dim K(s), where K(s) = {alpha in F_p^k :
+sum_i alpha_i R_i(s) in C}.  A subspace W of F_p^k lies in K(s) exactly
+when s solves one affine system, the conditions sum_i alpha_i R_i(s) in C
+for the basis rows alpha of W read off modulo C, so #{s : W in K(s)} is 0
+or p^(f - rank).  Summed over W in Gr(j, k) these give
+S_j = sum_s binom_p(dim K(s), j), and q-binomial inversion gives the number
+N_d of s with dim K(s) = d:
+N_d = sum_{j >= d} (-1)^(j-d) p^((j-d)(j-d-1)/2) binom_p(j, d) S_j.  For
+k = 2 that is N_2 = S_2, N_1 = S_1 - (p + 1) S_2 and N_0 = p^f - N_1 - N_2:
+p + 2 small eliminations (p + 1 lines and the plane) for p^f candidates,
+whatever f is, where blocks would take p^(f-2) planes.  The cost rule
+counts a family by these systems (`_family_ranks`) when k <= 2 and f >= 3,
+and splits it into blocks otherwise, which keeps the quartic (k = 4) and
+the D4 centre (k = 3) on blocks.  Every candidate of a family or a block is
+still charged to the budget, two ticks each, so the cap, the estimates and
+every SearchTooLarge text are as for a candidate-by-candidate walk.
 
 One walk per fiber: the shortcut walk fixes U at the searched vertices and
 records how often each rank of forced span reaches the final vertex, which
@@ -83,10 +104,11 @@ whether the walk is refused unwalked (visited None) or runs out of budget
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 from typing import Iterator, NamedTuple, Sequence
 
@@ -166,10 +188,10 @@ def _iter_rref(p: int, m: int, e: int, cols: Sequence = (), block: bool = False
     odometer.  cols holds one matrix per arrow as its tuple of columns, and
     images[k][r] is matrix k times row r, updated by one column per step.
 
-    With block=True the innermost free entry (r, c_t) stays 0, and so does
-    the next one when it lies in the same row, (r, c_u).  Each item, with
-    those steps as a fourth entry, stands for the p or p^2 subspaces that
-    differ only there (see the module docstring); () is a block of one.
+    With block=True the free entries (r, c) of the last row r that has any,
+    its row family, stay 0.  Each item, with those steps as a fourth entry,
+    stands for the p^f subspaces that differ only there, f the number of
+    steps (see the module docstring); () is a family of one.
     Callers keep 0 <= e <= m.
     """
     for pivots in combinations(range(m), e):
@@ -178,9 +200,8 @@ def _iter_rref(p: int, m: int, e: int, cols: Sequence = (), block: bool = False
                 if c > pivots[r] and c not in pivot_set]
         steps = ()
         if block and free:
-            steps = (free.pop(),)
-            if free and free[-1][0] == steps[0][0]:
-                steps += (free.pop(),)
+            at = bisect_left(free, (free[-1][0],))
+            free, steps = free[:at], tuple(free[at:])
         tail = (steps,) if block else ()
         rows = [[0] * m for _ in range(e)]
         for r, c in enumerate(pivots):
@@ -330,6 +351,62 @@ def _columns(rep: Representation, route: _Route, backward: bool) -> list:
             for v, arrows in zip(route.order, route.out)]
 
 
+def _solutions(system: list, f: int, p: int) -> int:
+    """Solutions s in F_p^f of the affine system whose rows hold the
+    coefficients of s and then the constant: p^(f - rank), or 0 when a row
+    reduces to a nonzero constant.  The forward elimination of
+    `linalg.rank_mod`."""
+    basis: list = []
+    for v in system:
+        for lead, row in basis:
+            c = v[lead]
+            if c:
+                h = row[lead]
+                v = [(h * x - c * y) % p for x, y in zip(v, row)]
+        for lead, x in enumerate(v):
+            if x:
+                if lead == f:
+                    return 0
+                basis.append((lead, v))
+                break
+    return p ** (f - len(basis))
+
+
+def _family_ranks(fixed: list, a: list, g: list, p: int) -> dict[int, int]:
+    """How many s in F_p^f give each rank of the span of the fixed rows and
+    the k rows R_i(s) = a_i + sum_j s_j g[j][i], by relation systems (module
+    docstring): S_j counts the pairs (s, W), W in Gr(j, k) inside K(s)."""
+    rows, pivots = linalg.rref_mod(fixed, p)
+    k, f = len(a), len(g)
+    # per arrow i, R_i(s) in C as equations: one per coordinate off C's
+    # pivots, the coefficients of s and then the constant
+    eqs = []
+    for vecs in zip(*g, a):
+        res = [linalg.reduce_mod(x, rows, pivots, p) for x in vecs]
+        eqs.append([[x[n] for x in res] for n in range(len(res[0])) if n not in pivots])
+    sums = [p ** f]
+    for j in range(1, k + 1):
+        total = 0
+        for w, _, _ in _iter_rref(p, k, j):
+            system = []
+            for alpha in w:  # sum_i alpha_i R_i(s) in C; alpha leads with a 1
+                combo = None
+                for c, eq in zip(alpha, eqs):
+                    if c:
+                        combo = eq if combo is None else [
+                            [(x + c * y) % p for x, y in zip(u, v)] for u, v in zip(combo, eq)]
+                system += combo
+            total += _solutions(system, f, p)
+        sums.append(total)
+    hist = {}
+    for dim in range(k + 1):  # q-binomial inversion: N_dim, dim K(s) = dim
+        n = sum((-1) ** (j - dim) * p ** ((j - dim) * (j - dim - 1) // 2)
+                * _gaussian_binomial(j, dim, p) * sums[j] for j in range(dim, k + 1))
+        if n:
+            hist[len(rows) + k - dim] = n
+    return hist
+
+
 def _walk(rep: Representation, e: tuple[int, ...], budget: _Budget,
           shortcut: bool, backward: bool = False) -> Iterator:
     """Search Gr_e(rep), or Gr_e(rep*) when backward, ticking the budget once
@@ -339,7 +416,7 @@ def _walk(rep: Representation, e: tuple[int, ...], budget: _Budget,
     search walks rep along the routing of the opposite quiver, with e the
     dual's dimension vector.  With shortcut the final position is not
     enumerated: it ticks once per arrival and the walk yields (rank of the
-    span forced into it, multiplicity) pairs, by blocks where it can
+    span forced into it, multiplicity) pairs, by row families where it can
     (module docstring).
     Otherwise it yields the stack of chosen (rows, pivots, images), one per
     position, at every point of the Grassmannian.
@@ -372,10 +449,23 @@ def _walk(rep: Representation, e: tuple[int, ...], budget: _Budget,
             if not steps:
                 yield linalg.rank_mod(fixed, p), 1
                 continue
-            a = fixed + [img[r] for img in images]
+            a = [img[r] for img in images]
+            if len(steps) >= 3 and len(a) <= 2:
+                g = [[col[c] for col in cols[pos]] for _, c in steps]
+                yield from _family_ranks(fixed, a, g, p).items()
+                continue
+            # a pencil in the last step t, or a plane in t and the step u
+            # before it, at each value s of the steps before those
             b, *c = ([zero] * len(fixed) + [col[step[1]] for col in cols[pos]]
-                     for step in steps)
-            yield from linalg.pencil_rank_histogram(a, b, p, *c).items()
+                     for step in steps[:-3:-1])
+            if len(steps) <= 2:
+                yield from linalg.pencil_rank_histogram(fixed + a, b, p, *c).items()
+                continue
+            g = [[col[c] for col in cols[pos]] for _, c in steps[:-2]]
+            for s in product(range(p), repeat=len(g)):
+                moved = [[(x + sum(sj * gj[i][n] for sj, gj in zip(s, g))) % p
+                          for n, x in enumerate(row)] for i, row in enumerate(a)]
+                yield from linalg.pencil_rank_histogram(fixed + moved, b, p, *c).items()
 
     def rec(pos: int) -> Iterator:
         # determined positions, one candidate each, run as a loop; a position

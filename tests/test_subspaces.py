@@ -776,8 +776,8 @@ def test_block_walk_counts_every_streamed_point():
 
 
 def test_set_counts_of_kronecker_m4_match_streamed_counts():
-    # blocks of p or p^2 candidates: pencils and planes of fixed rows and up
-    # to two moving ones; 1/2 does not reduce mod 2
+    # row families of p^3 candidates and blocks of p or p^2: pencils and
+    # planes of fixed rows and up to two moving ones; 1/2 does not reduce mod 2
     for p, lams in ((2, (0, 1, INFINITY)), (5, (0, INFINITY, Fraction(1, 2)))):
         for kind in (preprojective(4), preinjective(4), *(regular(4, lam) for lam in lams)):
             rep = reduce_mod(build_kronecker(kind), p)
@@ -878,19 +878,29 @@ def test_block_walk_charges_every_candidate(budgets):
 
 
 def test_block_walk_ranks_a_plane_per_kernel_call(budgets, monkeypatch):
-    # in Gr(1, 4) the two innermost free entries share row 0 under pivot 0 (p
-    # blocks, one per value of the entry at column 1) and under pivot 1: p + 1
-    # planes of p^2 lines; pivot 2 leaves a block of p, pivot 3 a block of one
-    kernel, calls = linalg.pencil_rank_histogram, []
+    # in Gr(1, 4) pivot 0 leaves three free entries in row 0: one row family
+    # of p^3 lines, counted by relation systems; pivot 1 leaves a plane of p^2
+    # lines, pivot 2 a pencil of p and pivot 3 a block of one, ranked directly
+    log, depth = [], []
 
-    def counted(*args):
-        calls.append(len(args))
-        return kernel(*args)
+    def logged(name, kernel):
+        def wrapper(*args):
+            if not depth:  # kernel calls made inside another kernel are its own
+                log.append("plane" if name == "pencil" and len(args) == 4 else name)
+            depth.append(name)
+            try:
+                return kernel(*args)
+            finally:
+                depth.pop()
+        return wrapper
 
-    monkeypatch.setattr(linalg, "pencil_rank_histogram", counted)
+    monkeypatch.setattr(subspaces, "_family_ranks", logged("family", subspaces._family_ranks))
+    monkeypatch.setattr(linalg, "pencil_rank_histogram",
+                        logged("pencil", linalg.pencil_rank_histogram))
+    monkeypatch.setattr(linalg, "rank_mod", logged("rank", linalg.rank_mod))
     rep = reduce_mod(build_kronecker(regular(4, 0)), 23)
     _, walked = _count_planned(rep, _plan(rep, _fiber(1, 4)), _fiber(1, 4), default_cap())
-    assert len(calls) == 23 + 2 and calls.count(4) == 23 + 1  # 553 by lines
+    assert log == ["family", "plane", "pencil", "rank"]
     assert budgets[-1].used == 2 * REG4_LINES == 25440
     assert dict(walked[1, 0]) == {1: 1, 2: REG4_LINES - 1}
 
@@ -903,6 +913,142 @@ def test_block_walk_cap_boundary(budgets):
         _count_many(rep, _fiber(1, 4), cap=25439)
     assert (err.value.cap, err.value.visited) == (25439, 25440)
     assert budgets[-1].used == 25440
+
+
+def test_cap_inside_a_row_family(budgets):
+    # the estimate 12,720 is under the cap, but the family of pivot 0 charges
+    # 2 * 23^3 candidates at once and runs the walk out of budget
+    rep = reduce_mod(build_kronecker(regular(4, 0)), 23)
+    with pytest.raises(SearchTooLarge) as err:
+        _count_many(rep, _fiber(1, 4), cap=20000)
+    assert (err.value.estimate, err.value.cap, err.value.visited) == (REG4_LINES, 20000, 20001)
+    assert str(err.value) == (
+        "enumeration visited more than cap 20000 candidates (estimate 12720): "
+        "p = 23, dimension vectors (1, 0), (1, 1), (1, 2), (1, 3), (1, 4)")
+    assert budgets[-1].used == 20001
+
+
+# Row families: the p^f candidates that differ only in the free entries of
+# the last echelon row with any, counted by relation systems.
+
+def _direct_family_ranks(fixed, a, g, p):
+    """The reference: every s in F_p^f ranked on its own."""
+    return dict(Counter(
+        linalg.rank_mod(fixed + [[(x + sum(sj * gj[i][n] for sj, gj in zip(s, g))) % p
+                                  for n, x in enumerate(row)] for i, row in enumerate(a)], p)
+        for s in product(range(p), repeat=len(g))))
+
+
+def _pencil_route(fixed, a, g, p):
+    """The family as pencil blocks rank it: a plane in its last two steps at
+    each value of the others (f >= 2)."""
+    hist: Counter = Counter()
+    b, c = ([(0,) * len(row) for row in fixed] + list(gj) for gj in (g[-1], g[-2]))
+    for s in product(range(p), repeat=len(g) - 2):
+        moved = [[(x + sum(sj * gj[i][n] for sj, gj in zip(s, g))) % p
+                  for n, x in enumerate(row)] for i, row in enumerate(a)]
+        hist.update(linalg.pencil_rank_histogram(fixed + moved, b, p, c))
+    return dict(hist)
+
+
+def test_family_ranks_match_direct_ranks():
+    rng = random.Random("families")
+    for p in (3, 5, 7):
+        for _ in range(40):
+            d, k, f = rng.randint(1, 5), rng.randint(0, 3), rng.randint(0, 3 if p < 7 else 2)
+            fixed = [[rng.randrange(p) for _ in range(d)] for _ in range(rng.randint(0, d))]
+            # sparse draws: images that vanish or fall into C, steps that move nothing
+            a = [tuple(rng.randrange(p) * (rng.random() < 0.7) for _ in range(d)) for _ in range(k)]
+            g = [[tuple(rng.randrange(p) * (rng.random() < 0.6) for _ in range(d))
+                  for _ in range(k)] for _ in range(f)]
+            assert subspaces._family_ranks(fixed, a, g, p) == _direct_family_ranks(
+                fixed, a, g, p), (fixed, a, g, p)
+    # an arrow whose images vanish, R_0(s) = 0 and R_1(s) = (s_1, s_2, 1 + s_3),
+    # and a fixed span that is the whole space
+    g = [[(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (0, 1, 0)], [(0, 0, 0), (0, 0, 1)]]
+    assert subspaces._family_ranks([], [(0, 0, 0), (0, 0, 1)], g, 3) == {1: 26, 0: 1}
+    whole = [[1, 0, 2], [0, 1, 1], [2, 2, 0]]
+    assert subspaces._family_ranks(whole, [(1, 2, 0), (0, 0, 1)], g, 3) == {3: 27}
+
+
+def _family_cases():
+    """(rep, key, primes, k, e_v, forced dimension at the searched vertex):
+    forward walks whose last searched vertex has a row family of f >= 3
+    steps under k arrows into the final vertex."""
+    kron, path, two = kronecker_quiver(2), Quiver(3, ((0, 1), (1, 2))), Quiver(2, ((0, 1),))
+    tail = Quiver(3, ((0, 1), (1, 2), (1, 2)))
+    cases = [(two, (4, 3), (1, 0), (3, 5, 7), 1, 0), (kron, (4, 3), (1, 0), (3, 5, 7), 2, 0),
+             (two, (5, 3), (2, 0), (3, 5), 1, 0), (kron, (5, 2), (2, 0), (3, 5), 2, 0),
+             (two, (6, 2), (3, 0), (3,), 1, 0), (kron, (6, 2), (3, 0), (3,), 2, 0),
+             (path, (1, 5, 3), (1, 2, 0), (3, 5, 7), 1, 1),
+             (tail, (1, 5, 2), (1, 2, 0), (3, 5, 7), 2, 1),
+             (path, (2, 6, 2), (2, 3, 0), (3, 5, 7), 1, 2),
+             (tail, (2, 6, 2), (2, 3, 0), (3, 5, 7), 2, 2),
+             (Quiver(4, ((0, 2), (1, 2), (2, 3), (2, 3), (0, 3))), (1, 1, 6, 2), (1, 1, 3, 0),
+              (3, 5), 2, 2)]
+    for seed, (quiver, dims, key, primes, k, forced) in enumerate(cases):
+        yield sample_general_rep(quiver, dims, seed, 3), key, primes, k, key[-2], forced
+    # the second arrow is zero, so its images vanish
+    zero = Representation(kron, (4, 3), (((1, 0, 2, 0), (0, 1, 1, 2), (2, 0, 1, 1)),
+                                         ((0,) * 4,) * 3))
+    yield zero, (1, 0), (3, 5, 7), 2, 1, 0
+    # vertex 0 maps onto the final vertex, so C is all of it
+    onto = Quiver(3, ((0, 2), (1, 2), (1, 2)))
+    mats = (((1, 0), (0, 1)), ((1, 2, 0, 1), (0, 1, 1, 0)), ((2, 0, 1, 1), (1, 1, 0, 2)))
+    yield Representation(onto, (2, 4, 2), mats), (2, 1, 0), (3, 5, 7), 2, 1, 0
+
+
+def test_family_route_matches_the_pencil_route(monkeypatch):
+    kernel, seen, covered = subspaces._family_ranks, set(), set()
+
+    def recorded(fixed, a, g, p):
+        seen.add((len(a), len(g) >= 3))
+        return kernel(fixed, a, g, p)
+
+    for rep, key, primes, k, e_v, forced in _family_cases():
+        for p in primes:
+            rp = reduce_mod(rep, p)
+            seen.clear()
+            monkeypatch.setattr(subspaces, "_family_ranks", recorded)
+            _final_ranks.cache_clear()
+            family = dict(_final_ranks(rp, False, key, 10 ** 6))
+            assert seen == {(k, True)}, (rep, key, p)
+            monkeypatch.setattr(subspaces, "_family_ranks", _pencil_route)
+            _final_ranks.cache_clear()
+            assert family == dict(_final_ranks(rp, False, key, 10 ** 6)), (rep, key, p)
+            if p == 3 and e_v - forced < 3:  # the walk's framing, point by point
+                assert family == _streamed_ranks(rp, key), (rep, key)
+            covered.add((k, e_v, forced > 0))
+    _final_ranks.cache_clear()
+    # every k, e_v and forced span the walk can meet (e_v = 1 leaves no room for one)
+    assert covered == {(k, e_v, forced) for k in (1, 2) for e_v in (1, 2, 3)
+                       for forced in (False, True) if e_v > 1 or not forced}
+
+
+def test_families_under_three_or_more_arrows_split_into_planes(monkeypatch):
+    # k >= 3 stays on blocks: Gr(1, 4)'s family of pivot 0 is p planes
+    def refused(*args):
+        raise AssertionError("k >= 3 is counted by blocks")
+
+    monkeypatch.setattr(subspaces, "_family_ranks", refused)
+    for k in (3, 4):
+        rep = sample_general_rep(kronecker_quiver(k), (4, 2), k, 3)
+        for p in (3, 5):
+            rp = reduce_mod(rep, p)
+            _final_ranks.cache_clear()
+            assert dict(_final_ranks(rp, False, (1, 0), 10 ** 6)) == _streamed_ranks(rp, (1, 0))
+    _final_ranks.cache_clear()
+
+
+def test_reg4_fiber_histograms_by_families():
+    # reg(4, -1/2) at e_1 = 1: one line of Gr(1, 4) forces a line, the others
+    # a plane, at every sampled prime
+    rep = build_kronecker(regular(4, Fraction(-1, 2)))
+    _final_ranks.cache_clear()
+    for p, planes in {3: 39, 5: 155, 7: 399, 11: 1463, 13: 2379, 17: 5219}.items():
+        assert dict(_final_ranks(reduce_mod(rep, p), False, (1, 0), default_cap())) == {
+            2: planes, 1: 1}
+        assert planes + 1 == gaussian_binomial(4, 1, p)
 
 
 def test_count_walks_and_builds_columns_only_on_a_miss(budgets, monkeypatch):
