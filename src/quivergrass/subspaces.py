@@ -54,16 +54,16 @@ R_i(s) = a_i + sum_j s_j g_ij, g_ij column c_j.  The span forced into the
 final vertex is spanned by the images of earlier positions and of the fixed
 rows, which move with none of them, and by these k moving images, k the
 number of arrows out.  So the p^f candidates that differ only in s form one
-family, and `_iter_rref(block=True)` yields one per state of the other rows;
-f = 0 is a family of one, ranked directly.  Below the cost rule (next
-paragraph) a family is split into blocks: the last entry, t, makes a pencil
-a + t*b, and with the one before it, u, a plane a + t*b + u*c, at each value
-of the entries before those.  A family of one entry (as in Gr(3, 4)) is a
-pencil.  `linalg.pencil_rank_histogram` ranks a block for all its
-candidates at once, the fixed images passed as rows with b = 0: it peels
-off their span and the moving rows that fall into it once per block, finds
-the roots of at most two moving rows in O(1) per u, and ranks each
-candidate of a block with three or more rows still moving directly.
+family, and `_iter_rref(block=True)` yields one per state of the other
+entries: the whole row when k <= 2, and otherwise its last entry t, with
+the one before it, u, when the row has both (the cost rule, next
+paragraph).  f = 0 is a family of one, ranked directly; f = 1 is a pencil
+a + t*b, and f = 2 a plane a + t*b + u*c.  `linalg.pencil_rank_histogram`
+ranks a pencil or plane for all its candidates at once, the fixed images
+passed as rows with b = 0: it peels off their span and the moving rows that
+fall into it once per block, finds the roots of at most two moving rows in
+O(1) per u, and ranks each candidate of a block with three or more rows
+still moving directly.
 
 Row families: let C be the span of the fixed images.  The rank of the
 forced span is dim C + k - dim K(s), where K(s) = {alpha in F_p^k :
@@ -76,12 +76,13 @@ N_d of s with dim K(s) = d:
 N_d = sum_{j >= d} (-1)^(j-d) p^((j-d)(j-d-1)/2) binom_p(j, d) S_j.  For
 k = 2 that is N_2 = S_2, N_1 = S_1 - (p + 1) S_2 and N_0 = p^f - N_1 - N_2:
 p + 2 small eliminations (p + 1 lines and the plane) for p^f candidates,
-whatever f is, where blocks would take p^(f-2) planes.  The cost rule
-counts a family by these systems (`_family_ranks`) when k <= 2 and f >= 3,
-and splits it into blocks otherwise, which keeps the quartic (k = 4) and
-the D4 centre (k = 3) on blocks.  Every candidate of a family or a block is
-still charged to the budget, two ticks each, so the cap, the estimates and
-every SearchTooLarge text are as for a candidate-by-candidate walk.
+whatever f is, where blocks would take p^(f-2) planes; `_family_ranks`
+counts every family of f >= 3 this way.  The cost rule keeps k >= 3 on
+planes, where the systems, one per subspace of F_p^k (2p^2 + 2p + 3 for
+k = 3), outnumber the p^(f-2) planes for f <= 4.  Every candidate
+of a family is still charged to the budget, two ticks each, so the cap,
+the estimates and every SearchTooLarge text are as for a
+candidate-by-candidate walk.
 
 One walk per fiber: the shortcut walk fixes U at the searched vertices and
 records how often each rank of forced span reaches the final vertex, which
@@ -108,7 +109,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import prod
 from typing import Iterator, NamedTuple, Sequence
 
@@ -189,9 +190,11 @@ def _iter_rref(p: int, m: int, e: int, cols: Sequence = (), block: bool = False
     images[k][r] is matrix k times row r, updated by one column per step.
 
     With block=True the free entries (r, c) of the last row r that has any,
-    its row family, stay 0.  Each item, with those steps as a fourth entry,
-    stands for the p^f subspaces that differ only there, f the number of
-    steps (see the module docstring); () is a family of one.
+    its row family, stay 0: all of them under at most two arrows, and at
+    most the last two under more (the cost rule of the module docstring).
+    Each item, with those steps as a fourth entry, stands for the p^f
+    subspaces that differ only there, f the number of steps; () is a family
+    of one.
     Callers keep 0 <= e <= m.
     """
     for pivots in combinations(range(m), e):
@@ -201,6 +204,8 @@ def _iter_rref(p: int, m: int, e: int, cols: Sequence = (), block: bool = False
         steps = ()
         if block and free:
             at = bisect_left(free, (free[-1][0],))
+            if len(cols) > 2:
+                at = max(at, len(free) - 2)
             free, steps = free[:at], tuple(free[at:])
         tail = (steps,) if block else ()
         rows = [[0] * m for _ in range(e)]
@@ -449,23 +454,15 @@ def _walk(rep: Representation, e: tuple[int, ...], budget: _Budget,
             if not steps:
                 yield linalg.rank_mod(fixed, p), 1
                 continue
-            a = [img[r] for img in images]
-            if len(steps) >= 3 and len(a) <= 2:
+            if len(steps) >= 3:
                 g = [[col[c] for col in cols[pos]] for _, c in steps]
-                yield from _family_ranks(fixed, a, g, p).items()
+                yield from _family_ranks(fixed, [img[r] for img in images], g, p).items()
                 continue
-            # a pencil in the last step t, or a plane in t and the step u
-            # before it, at each value s of the steps before those
+            # a pencil in the last step t, or a plane in t and the step u before it
+            a = fixed + [img[r] for img in images]
             b, *c = ([zero] * len(fixed) + [col[step[1]] for col in cols[pos]]
-                     for step in steps[:-3:-1])
-            if len(steps) <= 2:
-                yield from linalg.pencil_rank_histogram(fixed + a, b, p, *c).items()
-                continue
-            g = [[col[c] for col in cols[pos]] for _, c in steps[:-2]]
-            for s in product(range(p), repeat=len(g)):
-                moved = [[(x + sum(sj * gj[i][n] for sj, gj in zip(s, g))) % p
-                          for n, x in enumerate(row)] for i, row in enumerate(a)]
-                yield from linalg.pencil_rank_histogram(fixed + moved, b, p, *c).items()
+                     for step in reversed(steps))
+            yield from linalg.pencil_rank_histogram(a, b, p, *c).items()
 
     def rec(pos: int) -> Iterator:
         # determined positions, one candidate each, run as a loop; a position
