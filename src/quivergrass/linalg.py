@@ -151,12 +151,15 @@ def _peel(a, b, c, p):
     at each u the moving rows are the ones a line through a + u*c would
     peel.  A constant row that moves with u (a b = 0 row with c != 0, or a
     vanished y whose z does not vanish) makes C depend on u: then None.
+    Once C is the whole space, before the first round or after any, no row
+    is left to move: (width, []).
     """
     if c is not None and any(any(rc) for rb, rc in zip(b, c) if not any(rb)):
         return None
+    width = len(a[0]) if a else 0
     rows, pivots = rref_mod([ra for ra, rb in zip(a, b) if not any(rb)], p)
     moving = [row for row in zip(a, b, c or [None] * len(a)) if any(row[1])]
-    while True:
+    while len(rows) < width:
         basis: list = []  # (lead, x, y, z): y[lead] = 1, later rows vanish at earlier leads
         constant = []
         for x, y, z in moving:
@@ -183,23 +186,75 @@ def _peel(a, b, c, p):
                 z = z and [u * h % p for u in z]
             basis.append((lead, x, y, z))
         if not constant:
-            break
+            zero = (0,) * width
+            return len(rows), [(lead, x, y, z or zero) for lead, x, y, z in basis]
         for x in constant:
             rows, pivots = rref_insert(rows, pivots, x, p) or (rows, pivots)
         moving = [row[1:] for row in basis]
-    zero = (0,) * len(a[0]) if a else ()
-    return len(rows), [(lead, x, y, z or zero) for lead, x, y, z in basis]
+    return width, []
+
+
+def _charpoly(m: list, p: int) -> list[int]:
+    """det(t*I - m) over F_p, coefficients from t^0 up, the leading 1
+    included.  m (a list of lists, overwritten) is brought to upper
+    Hessenberg form by similarities: a row swap or row operation, then the
+    inverse operation on the columns.  The characteristic polynomials P_k
+    of its leading k x k blocks then follow from P_0 = 1 by expanding the
+    last column: P_{k+1} = (t - h_kk) P_k - sum_{i<k} h_ik h_{i+1,i} ...
+    h_{k,k-1} P_i.  No division by anything but pivots, so p = 2 works."""
+    s = len(m)
+    for j in range(s - 2):
+        i = next((i for i in range(j + 1, s) if m[i][j]), None)
+        if i is None:
+            continue
+        k = j + 1
+        if i != k:
+            m[i], m[k] = m[k], m[i]
+            for row in m:
+                row[i], row[k] = row[k], row[i]
+        inv = pow(m[k][j], -1, p)
+        for i in range(k + 1, s):
+            f = m[i][j] * inv % p
+            if f:  # row i -= f * row k, then column k += f * column i
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[k])]
+                for row in m:
+                    row[k] = (row[k] + f * row[i]) % p
+    polys = [[1]]
+    for k in range(s):
+        new = [0] + polys[k]
+        for d, x in enumerate(polys[k]):
+            new[d] = (new[d] - m[k][k] * x) % p
+        sub = 1
+        for i in reversed(range(k)):
+            sub = sub * m[i + 1][i] % p
+            if not sub:
+                break
+            f = m[i][k] * sub % p
+            for d, x in enumerate(polys[i]):
+                new[d] = (new[d] - f * x) % p
+        polys.append(new)
+    return polys[s]
 
 
 def _roots(basis, us, p: int) -> Iterator[tuple]:
     """(u, generic rank, the t that may drop it) of the peeled rows
-    x + u*z + t*y at each u in us: the roots of det(X_P + t*Y_P), P the
-    lead columns, for one or two rows, and every t for more."""
-    if len(basis) == 1:
+    x + u*z + t*y at each u in us: the roots in F_p of the monic
+    det(X_P + u*Z_P + t*Y_P), P the lead columns.  One row: a linear root.
+    Two rows: the root formula, less the roots at which one more 2 x 2
+    minor survives.  More rows: with N_u = Y_P^-1 (X_P + u*Z_P) (Y_P is
+    unit upper triangular, so two back substitutions per plane give
+    Y_P^-1 X_P and Y_P^-1 Z_P), the determinant is det(t*I + N_u), the
+    characteristic polynomial of -N_u (`_charpoly`), whose roots Horner's
+    rule finds among the p elements."""
+    s = len(basis)
+    if s == 0:
+        for u in us:
+            yield u, 0, ()
+    elif s == 1:
         (i, x, _, z), = basis
         for u in us:
             yield u, 1, [-(x[i] + u * z[i]) % p]
-    elif len(basis) == 2:
+    elif s == 2:
         (i, x0, y0, z0), (j, x1, y1, z1) = basis  # Y_P = [[1, y0[j]], [0, 1]]
         k = next((k for k in reversed(range(len(x0))) if k != i and k != j), None)
         for u in us:
@@ -211,9 +266,24 @@ def _roots(basis, us, p: int) -> Iterator[tuple]:
                 bad = [t for t in bad if not ((x0j + t * y0[j]) * (x1k + t * y1[k])
                                               - (x0k + t * y0[k]) * (x1j + t)) % p]
             yield u, 2, bad
-    else:  # three or more rows: every t is ranked directly; no rows: none is
+    else:
+        leads = [lead for lead, _, _, _ in basis]
+        solved = []  # per row, its rows of Y_P^-1 X_P and Y_P^-1 Z_P, from the last row up
+        for i in reversed(range(s)):
+            _, x, y, z = basis[i]
+            xs, zs = [x[n] for n in leads], [z[n] for n in leads]
+            for (xj, zj), f in zip(solved, (y[n] for n in leads[i + 1:])):
+                if f:
+                    xs = [(v - f * w) % p for v, w in zip(xs, xj)]
+                    zs = [(v - f * w) % p for v, w in zip(zs, zj)]
+            solved.insert(0, (xs, zs))
         for u in us:
-            yield u, len(basis), range(p) if basis else ()
+            poly = _charpoly([[-(v + u * w) % p for v, w in zip(xs, zs)]
+                              for xs, zs in solved], p)
+            values = [1] * p  # Horner's rule at every t at once
+            for f in reversed(poly[:-1]):
+                values = [(v * t + f) % p for t, v in enumerate(values)]
+            yield u, s, [t for t, v in enumerate(values) if not v]
 
 
 def pencil_rank_histogram(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
@@ -223,22 +293,25 @@ def pencil_rank_histogram(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
     (entries in [0, p)).
 
     `_peel` takes off the span C of the t-independent rows, once for the
-    whole plane; the rank is r0 = dim C plus the rank of the s rows
-    x + u*z + t*y left over, whose y are independent modulo C.  Let P be
-    their lead columns.  Y_P is unit upper triangular, so det(X_P + u*Z_P +
-    t*Y_P) is monic of degree s in t, and wherever it does not vanish the
-    rank is r0 + s.  For s = 1 the root is linear in u; for s = 2 the roots
-    of t^2 + c1(u)*t + c0(u) come from the root formula (`_sqrt_mod`), so
-    each u costs O(1).  For s = 2 a root at which one more 2 x 2 minor
-    survives (on the second lead column and the last column outside P)
-    keeps the rank r0 + 2 as well; on Kronecker m = 4 blocks most roots do.
-    Only these exceptional (t, u) get a direct `rank_mod`, of the moving
-    rows; with three or more moving rows every (t, u) does.  When C would
-    move with u, each u is ranked as a line of its own.  The counts sum to
-    p, or p^2 given c.
+    whole plane; once C fills the space no row is left.  The rank is
+    r0 = dim C plus the rank of the s rows x + u*z + t*y left over, whose y
+    are independent modulo C.  Let P be their lead columns.  Y_P is unit
+    upper triangular, so det(X_P + u*Z_P + t*Y_P) is monic of degree s in
+    t, and wherever it does not vanish the rank is r0 + s.  `_roots` finds
+    the t where it vanishes, for each u: a linear root for s = 1, the root
+    formula for s = 2 (`_sqrt_mod`), and for s >= 3 the characteristic
+    polynomial of an s x s matrix, evaluated at every t.  For s = 2 a root
+    at which one more 2 x 2 minor survives (on the second lead column and
+    the last column outside P) keeps the rank r0 + 2 as well; on Kronecker
+    m = 4 blocks most roots do.  Only these exceptional (t, u) get a direct
+    `rank_mod`, of the moving rows.  When C would move with u, t and u
+    swap roles; when C would move with either, each u is ranked as a line
+    of its own.  The counts sum to p, or p^2 given c.
     """
     peeled = _peel(a, b, c, p)
-    if peeled is None:  # C moves with u: each u is a line
+    if peeled is None:  # C moves with u: swap t and u
+        peeled = _peel(a, c, b, p)
+    if peeled is None:  # C moves with either: each u is a line
         hist: dict = {}
         for u in range(p):
             line = [[(x + u * z) % p for x, z in zip(ra, rc)] for ra, rc in zip(a, c)]

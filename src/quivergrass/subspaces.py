@@ -61,9 +61,11 @@ paragraph).  f = 0 is a family of one, ranked directly; f = 1 is a pencil
 a + t*b, and f = 2 a plane a + t*b + u*c.  `linalg.pencil_rank_histogram`
 ranks a pencil or plane for all its candidates at once, the fixed images
 passed as rows with b = 0: it peels off their span and the moving rows that
-fall into it once per block, finds the roots of at most two moving rows in
-O(1) per u, and ranks each candidate of a block with three or more rows
-still moving directly.
+fall into it once per block, with nothing left to rank once that span fills
+the final vertex, and ranks directly only the candidates where the
+determinant of the s rows still moving, monic in t, vanishes.  Its roots
+come in O(1) per u for s <= 2 and from one characteristic polynomial per u
+for s >= 3.
 
 Row families: let C be the span of the fixed images.  The rank of the
 forced span is dim C + k - dim K(s), where K(s) = {alpha in F_p^k :

@@ -474,7 +474,7 @@ def test_pencil_rank_histogram_matches_rank_mod():
     for p in (3, 5, 13, 31):
         for _ in range(60):
             n = rng.randint(2, 7)
-            k0, k1 = rng.randint(1, 4), rng.randint(1, 5)  # k1 >= 3: the value path
+            k0, k1 = rng.randint(1, 4), rng.randint(1, 5)  # k1 >= 3: a characteristic polynomial
             const = matrix(k0, n, p)
             a, b = const + matrix(k1, n, p), [[0] * n] * k0 + matrix(k1, n, p)
             zero_b = [[0] * n for _ in range(k1)]
@@ -538,10 +538,11 @@ def test_pencil_rank_histogram_matches_rank_mod():
     plane = [[0, 1], [0, 1]], [[1, 0], [0, 1]], 2, [[0, 0], [1, 0]]
     assert linalg.pencil_rank_histogram(*plane) == {1: 2, 2: 2}
 
-    # three to six moving rows are ranked directly at every t: the
-    # rows -C + t*I, C the companion matrix of a monic f of degree s, have
-    # determinant f(t), scrambled by an invertible G on the left and maybe
-    # widened by random columns, beside random constant rows
+    # three to six moving rows, ranked directly only at the roots of their
+    # characteristic polynomial: the rows -C + t*I, C the companion matrix
+    # of a monic f of degree s, have determinant f(t), scrambled by an
+    # invertible G on the left and maybe widened by random columns, beside
+    # random constant rows
     def companion(f, p):  # f ascending, monic, of degree len(f) - 1
         s = len(f) - 1
         return [[(1 if j == i - 1 else 0) if j < s - 1 else -f[i] % p for j in range(s)]
@@ -628,6 +629,131 @@ def test_pencil_with_no_moving_row_ranks_nothing_directly(monkeypatch):
     assert linalg.pencil_rank_histogram([[1, 0], [0, 1]], [[0, 0], [1, 0]], 7, [[0, 0], [0, 0]]
                                         ) == {2: 49}
     assert calls == []
+
+
+def test_pencil_and_plane_ranks_match_a_scan_for_every_moving_row_count():
+    # built where the peeling is known: r0 constant rows e_i, s moving rows
+    # x_i + t*e_(r0+i) + u*z_i, and rows whose b and c lie in the span of
+    # the others, each bringing one new constant direction; then mixed by
+    # constant row operations, the columns by an invertible matrix.  At u0,
+    # X_P + u0*Z_P = diag(d): the determinant is prod_i (t + d_i)
+    rng = random.Random("sweep")
+
+    def scan(a, b, c, p):
+        us = range(p) if c is not None else (0,)
+        c = c or [[0] * len(row) for row in a]
+        return dict(Counter(
+            linalg.rank_mod([[(x + t * y + u * z) % p for x, y, z in zip(ra, rb, rc)]
+                             for ra, rb, rc in zip(a, b, c)], p)
+            for u in us for t in range(p)))
+
+    def vec(n, p):
+        return [rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(n)]
+
+    def combo(ks, vs, n, p):
+        return [sum(k * v[j] for k, v in zip(ks, vs)) % p for j in range(n)]
+
+    def case(p, s, plane, r0, absorbed, extra, d, swap):
+        n = r0 + s + absorbed + extra
+        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+        zero = [0] * n
+        a = unit[:r0] + [combo([rng.randrange(p)], [unit[i]], n, p)
+                         for i in range(r0) if rng.random() < 0.3]  # repeated constants
+        b, c = [zero] * len(a), [zero] * len(a)
+        xs = [vec(n, p) for _ in range(s)]
+        zs = [vec(n, p) if plane else zero for _ in range(s)]
+        u0 = rng.randrange(p)
+        for i in range(s):
+            xs[i][r0:r0 + s] = [(d[i] * (i == j) - u0 * zs[i][r0 + j]) % p for j in range(s)]
+        a, b, c = a + xs, b + unit[r0:r0 + s], c + zs
+        for j in range(absorbed):
+            ks, ws = [rng.randrange(p) for _ in range(s)], [rng.randrange(p) for _ in range(r0)]
+            if r0 and not any(ks + ws):
+                ws[0] = 1
+            a.append(combo([1] + ks, [unit[r0 + s + j]] + xs, n, p))
+            b.append(combo(ks + ws, unit[r0:r0 + s] + unit[:r0], n, p))
+            c.append(combo(ks + ws, zs + unit[:r0], n, p) if plane else zero)
+        if swap:
+            # (a row of C, e_0, 0) changes no span, but with t and u swapped
+            # it is a row with b = 0 and c != 0; a row (x, 0, e_0) fails both
+            a, b, c = a + [combo(vec(r0, p), unit[:r0], n, p)], b + [unit[0]], c + [zero]
+            if swap == 2:
+                a, b, c = a + [vec(n, p)], b + [zero], c + [unit[0]]
+        else:
+            for _ in range(len(a)):  # row i += k * row j
+                i, j, k = rng.randrange(len(a)), rng.randrange(len(a)), rng.randrange(p)
+                if i != j:
+                    a[i], b[i], c[i] = (combo([1, k], [m[i], m[j]], n, p) for m in (a, b, c))
+        while True:
+            q = [vec(n, p) for _ in range(n)]
+            if linalg.rank_mod(q, p) == n:
+                break
+        order = rng.sample(range(len(a)), len(a))
+        a, b, c = ([combo(m[i], q, n, p) for i in order] for m in (a, b, c))
+        return (a, c, b) if swap else (a, b, c if plane else None)
+
+    seen = set()
+    for p in (2, 3, 5, 7, 13):
+        for s in range(6):
+            for plane in (False, True):
+                ds = [[rng.randrange(p) for _ in range(s)],  # any roots
+                      [rng.randrange(p)] * s,  # one root of multiplicity s
+                      [i % p for i in range(s)]]  # every t a root once s >= p
+                for d, (r0, absorbed, extra, swap) in product(
+                        ds, ((0, 0, 0, 0), (2, 1, 1, 0), (1, 2, 0, 0), (3, 0, 2, 0),
+                             (1, 1, 1, 1), (2, 0, 1, 2))):
+                    if swap and not plane:
+                        continue
+                    a, b, c = case(p, s, plane, r0, absorbed, extra, d, swap)
+                    assert linalg.pencil_rank_histogram(a, b, p, c) == scan(a, b, c, p), (
+                        a, b, c, p)
+                    peeled = linalg._peel(a, b, c, p)
+                    if swap:  # this order fails; swapped, swap == 1 peels and swap == 2 fails
+                        assert peeled is None
+                        peeled = linalg._peel(a, c, b, p)
+                    if swap == 2:
+                        assert peeled is None
+                    else:
+                        assert (peeled[0], len(peeled[1])) == (r0 + absorbed, s)
+                    seen.add((p, s, plane, swap))
+        # the constant rows fill the space at once, or after absorbing rows
+        for plane in (False, True):
+            for r0, absorbed in ((3, 0), (2, 1), (1, 2)):
+                a, b, c = case(p, 0, plane, r0, absorbed, 0, [], 0)
+                a, b = a + [vec(3, p)], b + [[1, 1, 1]]
+                c = c and c + [[1, 1, 1]]  # c = b on every row: C stays fixed in u
+                assert linalg._peel(a, b, c, p) == (3, [])
+                assert linalg.pencil_rank_histogram(a, b, p, c) == {3: p ** (1 + plane)}
+    assert len(seen) == 5 * 6 * (1 + 3)
+    # over F_3 the moving rows (t, 0, 0, 1), (0, t + 1, 0, 0), (0, 0, t + 2, 1)
+    # have the lead determinant t(t + 1)(t + 2), zero at every t; the last
+    # column keeps the rank 3 at t = 0 and t = 1
+    a = [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 2, 1]]
+    b = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    assert linalg.pencil_rank_histogram(a, b, 3) == {3: 2, 2: 1}
+
+
+def test_charpoly_matches_the_determinant():
+    # det(t*I - m) against a cofactor expansion at every t, over F_2 too
+    rng = random.Random("charpoly")
+
+    def det(m, p):
+        if not m:
+            return 1
+        return sum((-1) ** j * x * det([row[:j] + row[j + 1:] for row in m[1:]], p)
+                   for j, x in enumerate(m[0]) if x) % p
+
+    for p in (2, 3, 5, 13):
+        for s in range(6):
+            for _ in range(6):
+                m = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(s)]
+                     for _ in range(s)]
+                f = linalg._charpoly([row[:] for row in m], p)
+                assert len(f) == s + 1 and f[-1] == 1
+                for t in range(p):
+                    tm = [[(t * (i == j) - x) % p for j, x in enumerate(row)]
+                          for i, row in enumerate(m)]
+                    assert sum(c * t ** k for k, c in enumerate(f)) % p == det(tm, p), (m, p)
 
 
 def test_rank_frac_matches_rref():
@@ -903,6 +1029,36 @@ def test_block_walk_ranks_a_plane_per_kernel_call(budgets, monkeypatch):
     assert log == ["family", "plane", "pencil", "rank"]
     assert budgets[-1].used == 2 * REG4_LINES == 25440
     assert dict(walked[1, 0]) == {1: 1, 2: REG4_LINES - 1}
+
+
+def _counted(monkeypatch, name):
+    """Every call of linalg.<name>, nested calls included."""
+    calls = []
+    kernel = getattr(linalg, name)
+    monkeypatch.setattr(linalg, name, lambda *args: calls.append(args) or kernel(*args))
+    return calls
+
+
+def test_plane_swaps_t_and_u_when_a_fixed_row_moves_with_u(budgets, monkeypatch):
+    # forward on inj(4), at pivot 1 of Gr(1, 4), arrow 0's image has b = 0 and
+    # c != 0: with t and u swapped the plane peels, one kernel call where p
+    # separate lines took p + 1; pivot 2 adds one pencil
+    calls = _counted(monkeypatch, "pencil_rank_histogram")
+    rep = reduce_mod(build_kronecker(preinjective(4)), 31)
+    lines = gaussian_binomial(4, 1, 31)
+    assert dict(_final_ranks(rep, False, (1, 0), default_cap())) == {2: lines - 32, 1: 32}
+    assert len(calls) == 2
+    assert budgets[-1].used == 2 * lines  # two ticks per candidate, as before
+
+
+def test_quartic_walk_ranks_only_the_roots(budgets, monkeypatch):
+    # the forward walk of the seed-42 quartic over P^2(F_13): its planes keep
+    # four moving rows, whose determinant's roots in t are the only points
+    # ranked directly, where ranking every point took p^2 + p + 1 = 183 calls
+    calls = _counted(monkeypatch, "rank_mod")
+    rep = reduce_mod(sample_general_rep(kronecker_quiver(4), (3, 4), 42, 5), 13)
+    assert dict(_final_ranks(rep, False, (1, 0), default_cap())) == {3: 15, 4: 168}
+    assert len(calls) <= 2 * 13
 
 
 def test_block_walk_cap_boundary(budgets):
