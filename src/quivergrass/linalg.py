@@ -93,48 +93,6 @@ def rank_mod(matrix: Iterable[Sequence[int]], p: int) -> int:
     return len(basis)
 
 
-def _sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a in F_p (p an odd prime), or None when a is not a
-    square: Euler's criterion, then Tonelli-Shanks.  With p - 1 = q * 2^m, q
-    odd, x = a^((q+1)/2) gives x^2 = a * a^q, and each round of the loop
-    halves the 2-power order of the error a^q by a power of a generator z^q
-    of the 2-Sylow subgroup (z any non-square).  For p = 3 mod 4 the loop
-    does not run."""
-    a %= p
-    if a == 0:
-        return 0
-    q, m = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        m += 1
-    x, err = pow(a, (q + 1) // 2, p), pow(a, q, p)
-    if pow(err, 1 << (m - 1), p) != 1:  # a^((p-1)/2), Euler's criterion
-        return None
-    if err != 1:
-        c = pow(next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1), q, p)
-    while err != 1:
-        i, e2 = 0, err
-        while e2 != 1:
-            e2 = e2 * e2 % p
-            i += 1
-        g = pow(c, 1 << (m - i - 1), p)
-        m, c = i, g * g % p
-        x, err = x * g % p, err * c % p
-    return x
-
-
-def _quadratic_roots(c1: int, c0: int, p: int) -> list[int]:
-    """The roots t in F_p of t^2 + c1*t + c0, by the root formula for odd p
-    and by trying both elements for p = 2, where it has none."""
-    if p == 2:
-        return [t for t in (0, 1) if not (t * (t + c1) + c0) % 2]
-    r = _sqrt_mod(c1 * c1 - 4 * c0, p)
-    if r is None:
-        return []
-    half = (p + 1) // 2  # 1/2 in F_p
-    return [(r - c1) * half % p, (-r - c1) * half % p] if r else [-c1 * half % p]
-
-
 def _peel(a, b, c, p):
     """The t-independent span of the plane a + t*b + u*c, peeled off: (rank
     of the constant span C, moving rows (lead, x, y, z)), or None when the
@@ -238,29 +196,24 @@ def _charpoly(m: list, p: int) -> list[int]:
 
 def _roots(basis, us, p: int) -> Iterator[tuple]:
     """(u, generic rank, the t that may drop it) of the peeled rows
-    x + u*z + t*y at each u in us: the roots in F_p of the monic
-    det(X_P + u*Z_P + t*Y_P), P the lead columns.  One row: a linear root.
-    Two rows: the root formula, less the roots at which one more 2 x 2
-    minor survives.  More rows: with N_u = Y_P^-1 (X_P + u*Z_P) (Y_P is
-    unit upper triangular, so two back substitutions per plane give
-    Y_P^-1 X_P and Y_P^-1 Z_P), the determinant is det(t*I + N_u), the
-    characteristic polynomial of -N_u (`_charpoly`), whose roots Horner's
-    rule finds among the p elements."""
+    x + u*z + t*y at each u in us: the t in F_p at which the monic
+    det(X_P + u*Z_P + t*Y_P) vanishes, P the lead columns, found by
+    evaluating it at every t.  Two rows: its coefficients in closed form,
+    less the roots at which one more 2 x 2 minor survives.  Any other
+    number s of rows: with N_u = Y_P^-1 (X_P + u*Z_P) (Y_P is unit upper
+    triangular, so two back substitutions per plane give Y_P^-1 X_P and
+    Y_P^-1 Z_P), the determinant is det(t*I + N_u), the characteristic
+    polynomial of -N_u (`_charpoly`), evaluated by Horner's rule; for
+    s = 0 it is 1, with no root."""
     s = len(basis)
-    if s == 0:
-        for u in us:
-            yield u, 0, ()
-    elif s == 1:
-        (i, x, _, z), = basis
-        for u in us:
-            yield u, 1, [-(x[i] + u * z[i]) % p]
-    elif s == 2:
+    if s == 2:
         (i, x0, y0, z0), (j, x1, y1, z1) = basis  # Y_P = [[1, y0[j]], [0, 1]]
         k = next((k for k in reversed(range(len(x0))) if k != i and k != j), None)
         for u in us:
             x0i, x0j = x0[i] + u * z0[i], x0[j] + u * z0[j]
             x1i, x1j = x1[i] + u * z1[i], x1[j] + u * z1[j]
-            bad = _quadratic_roots(x0i + x1j - y0[j] * x1i, x0i * x1j - x0j * x1i, p)
+            c1, c0 = x0i + x1j - y0[j] * x1i, x0i * x1j - x0j * x1i
+            bad = [t for t in range(p) if not (t * (t + c1) + c0) % p]
             if bad and k is not None:  # the rank stays 2 at a root where the (j, k) minor survives
                 x0k, x1k = x0[k] + u * z0[k], x1[k] + u * z1[k]
                 bad = [t for t in bad if not ((x0j + t * y0[j]) * (x1k + t * y1[k])
@@ -298,9 +251,9 @@ def pencil_rank_histogram(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
     are independent modulo C.  Let P be their lead columns.  Y_P is unit
     upper triangular, so det(X_P + u*Z_P + t*Y_P) is monic of degree s in
     t, and wherever it does not vanish the rank is r0 + s.  `_roots` finds
-    the t where it vanishes, for each u: a linear root for s = 1, the root
-    formula for s = 2 (`_sqrt_mod`), and for s >= 3 the characteristic
-    polynomial of an s x s matrix, evaluated at every t.  For s = 2 a root
+    the t where it vanishes, for each u, by evaluating it at every element
+    of F_p: for s = 2 from its closed-form coefficients, and for any other s
+    as the characteristic polynomial of an s x s matrix.  For s = 2 a root
     at which one more 2 x 2 minor survives (on the second lead column and
     the last column outside P) keeps the rank r0 + 2 as well; on Kronecker
     m = 4 blocks most roots do.  Only these exceptional (t, u) get a direct

@@ -64,8 +64,8 @@ passed as rows with b = 0: it peels off their span and the moving rows that
 fall into it once per block, with nothing left to rank once that span fills
 the final vertex, and ranks directly only the candidates where the
 determinant of the s rows still moving, monic in t, vanishes.  Its roots
-come in O(1) per u for s <= 2 and from one characteristic polynomial per u
-for s >= 3.
+are found by evaluating it at every t in F_p, per u: from two closed-form
+coefficients for s = 2, and from one characteristic polynomial otherwise.
 
 Row families: let C be the span of the fixed images.  The rank of the
 forced span is dim C + k - dim K(s), where K(s) = {alpha in F_p^k :

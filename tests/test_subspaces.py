@@ -538,8 +538,8 @@ def test_pencil_rank_histogram_matches_rank_mod():
     plane = [[0, 1], [0, 1]], [[1, 0], [0, 1]], 2, [[0, 0], [1, 0]]
     assert linalg.pencil_rank_histogram(*plane) == {1: 2, 2: 2}
 
-    # three to six moving rows, ranked directly only at the roots of their
-    # characteristic polynomial: the rows -C + t*I, C the companion matrix
+    # one to six moving rows, ranked directly only at the roots of their
+    # determinant: the rows -C + t*I, C the companion matrix
     # of a monic f of degree s, have determinant f(t), scrambled by an
     # invertible G on the left and maybe widened by random columns, beside
     # random constant rows
@@ -567,11 +567,15 @@ def test_pencil_rank_histogram_matches_rank_mod():
             if all(sum(c * t ** k for k, c in enumerate(f)) % p for t in range(p)):
                 return f
 
-    for p in (3, 5, 13, 31):
+    for p in (3, 5, 13, 17, 31):  # 17 = 1 mod 8, where square roots mod p are hardest
         square = {x * x % p for x in range(p)}
         n = next(x for x in range(2, p) if x not in square)  # t^2 - n has no root
         r, u = rng.randrange(p), rng.randrange(p)
         polys = [
+            [-r % p, 1],  # one root
+            times([-r % p, 1], [-r % p, 1], p),  # a double root
+            times([-r % p, 1], [-(r + 1) % p, 1], p),  # two roots
+            [-n % p, 0, 1],  # irreducible
             times(times([-r % p, 1], [-r % p, 1], p), [-u % p, 1], p),  # a double root
             times([-r % p, 1], times([-r % p, 1], [-r % p, 1], p), p),  # a triple root
             times([-n % p, 0, 1], [-n % p, 0, 1], p),  # no root, repeated factor
@@ -584,7 +588,7 @@ def test_pencil_rank_histogram_matches_rank_mod():
                   for s in (3, 4, 5, 6) for _ in range(4)]
         for f in polys:
             s = len(f) - 1
-            assert 3 <= s <= 6
+            assert 1 <= s <= 6
             # extra columns, constant rows
             for extra, k0 in ((0, 0), (rng.randint(1, 3), 0),
                               (rng.randint(0, 2), rng.randint(1, 3))):
@@ -608,15 +612,6 @@ def test_pencil_rank_histogram_matches_rank_mod():
                     roots = [t for t in range(p)
                              if not sum(c * t ** k for k, c in enumerate(f)) % p]
                     assert hist.get(s, 0) == p - len(roots), (f, p)
-
-    # square roots against every element; 17, 41 and 97 are 1 mod 8, where
-    # the Tonelli-Shanks loop runs
-    for p in (3, 5, 13, 17, 41, 97):
-        squares = {x * x % p for x in range(p)}
-        for x in range(p):
-            root = linalg._sqrt_mod(x, p)
-            assert (root is not None) == (x in squares), (x, p)
-            assert root is None or root * root % p == x, (x, p)
 
 
 def test_pencil_with_no_moving_row_ranks_nothing_directly(monkeypatch):
@@ -893,6 +888,7 @@ def test_block_walk_counts_every_streamed_point():
     cases = [(build_kronecker(kind), (2, 3, 5, 7), None) for kind in _kronecker_modules(3)]
     quartic = sample_general_rep(kronecker_quiver(4), (3, 4), 42, 5)
     cases.append((quartic, (5, 7), [EXAMPLE4_E]))
+    cases.append((quartic, (2, 3), None))  # 3 moving rows at p = 2, a 4-row plane at p = 3
     for rep, primes, box in cases:
         for p in primes:
             rp = reduce_mod(rep, p)
@@ -1109,7 +1105,7 @@ def _pencil_route(fixed, a, g, p):
 
 def test_family_ranks_match_direct_ranks():
     rng = random.Random("families")
-    for p in (3, 5, 7):
+    for p in (2, 3, 5, 7):
         for _ in range(40):
             d, k, f = rng.randint(1, 5), rng.randint(0, 3), rng.randint(0, 3 if p < 7 else 2)
             fixed = [[rng.randrange(p) for _ in range(d)] for _ in range(rng.randint(0, d))]
