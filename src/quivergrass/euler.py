@@ -15,10 +15,10 @@ degrees over M at e and over the dual M* at d - e, whose Grassmannian has
 the same points.
 
 A set of dimension vectors is sampled as one (`_settle`) and planned once,
-at its first prime (`subspaces._plan`): the search direction, each e's
-walk and final entry, and each fiber's bound.  Each prime then only runs
-the memoized walks of the e's still pending, so every e takes the same
-walk at every prime, under a cap read once per computation.  What was
+at its first prime (`subspaces._plan`): each e's walk, with its direction
+and final entry, and each fiber's bound.  Each prime then only runs the
+memoized walks of the e's still pending, so every e takes the same walk
+at every prime, under a cap read once per computation.  What was
 sampled is the only state: each e's (p, count) pairs and each walk's
 (p, rank histogram) pairs.  Every verdict is a function of them, so at
 each prime every pending e is decided anew from its samples, and dropping
@@ -567,13 +567,14 @@ def _settle(rep: Representation, es: Sequence[tuple[int, ...]], cap: int | None
     reports the degree of its closed form as its degree bound.  Only the
     rest has its degree bound worked out (`_Sampling.degree_bound`), and it
     is planned at its first prime (`subspaces._plan`), which also fixes each
-    fiber's walk key and so its bound B_F.  At each prime every e still
-    pending is counted in one `subspaces._count_planned` call, which shares
-    the search work across the set.  What was sampled is the only state:
-    samples[e], the (p, count) pairs of e, and walks[key], the (p, rank
-    histogram) pairs of each shortcut walk, from which each fiber's N_k are
-    fitted once (`_rank_fits`).  From them every pending e is decided anew
-    at each prime, by its number n of samples:
+    e's walk, its direction and key, and so its fiber's bound B_F and final
+    vertex.  At each prime every e still pending is counted in one
+    `subspaces._count_planned` call, which shares the search work across
+    the set.  What was sampled is the only state: samples[e], the (p,
+    count) pairs of e, and walks[walk], the (p, rank histogram) pairs of
+    each shortcut walk, from which each fiber's N_k are fitted once
+    (`_rank_fits`).  From them every pending e is decided anew at each
+    prime, by its number n of samples:
     - the per-e test (`_fit` with the degree bound) leaves e to the final
       `interpolate_counting_polynomial` when its samples prove it not
       polynomial in q, or when n = bound + 1 + HELD_OUT;
@@ -601,12 +602,13 @@ def _settle(rep: Representation, es: Sequence[tuple[int, ...]], cap: int | None
         p, rep_p = next(primes)
         if plan is None:
             plan = _plan(rep_p, pending)
-            keys = {key for key, _ in plan.entry.values()} if plan.route.shortcut else ()
-            fiber_bounds = {key: sampling.fiber_bound(plan.backward, key) for key in keys}
-            d = rep.dims[plan.route.order[-1]]
+            fiber_bounds = {walk: sampling.fiber_bound(*walk) for walk in
+                            {entry[:2] for entry in plan.entry.values()
+                             if plan.routes[entry[0]].shortcut}}
+            finals = [rep.dims[route.order[-1]] for route in plan.routes]
         counts, walked = _count_planned(rep_p, plan, pending, cap)
-        for key in fiber_bounds.keys() & walked.keys():
-            walks.setdefault(key, []).append((p, walked[key]))
+        for walk in fiber_bounds.keys() & walked.keys():
+            walks.setdefault(walk, []).append((p, walked[walk]))
         still = []
         for e in pending:
             got, bound = samples[e], bounds[e]
@@ -617,12 +619,13 @@ def _settle(rep: Representation, es: Sequence[tuple[int, ...]], cap: int | None
             ints, degree = None, degrees[e]
             if degree is not None and n == degree // 2 + 1 + HELD_OUT:
                 ints = _palindrome_fit(got, degree)
-            key, x = plan.entry[e]
-            fiber_bound = fiber_bounds.get(key, bound)
+            backward, key, x = plan.entry[e]
+            walk = backward, key
+            fiber_bound = fiber_bounds.get(walk, bound)
             if ints is None and n == fiber_bound + 1 + HELD_OUT:
-                if key not in fits:
-                    fits[key] = _rank_fits(walks[key], fiber_bound)
-                ints = _fiber_fit(fits[key], d, x, got, bound)
+                if walk not in fits:
+                    fits[walk] = _rank_fits(walks[walk], fiber_bound)
+                ints = _fiber_fit(fits[walk], finals[backward], x, got, bound)
             if ints is None:
                 still.append(e)
             else:

@@ -93,30 +93,63 @@ def rank_mod(matrix: Iterable[Sequence[int]], p: int) -> int:
     return len(basis)
 
 
+def _absorb(rows, pivots, constant, p):
+    """C's RREF (rows, pivots) grown by the rows x + u*z of constant, which
+    do not move with t, or None when C would move with u.  They are peeled
+    in u as `_peel` peels rows in t: z is reduced modulo C and brought to
+    echelon form with unit leads, the same steps applied to x, and a row
+    whose z vanishes (always, for a line, whose z is None) joins C as x,
+    since x + u*z = x modulo C at every u.  This repeats while C grows;
+    rows left over then have z independent modulo C, and C moves with u."""
+    while constant:
+        basis, grew = [], False  # (lead, x, z): z[lead] = 1, later rows vanish at earlier leads
+        for x, z in constant:
+            if z and any(z):
+                z = reduce_mod(z, rows, pivots, p)
+                for lead, bx, bz in basis:
+                    f = z[lead]
+                    if f:
+                        x = [(u - f * v) % p for u, v in zip(x, bx)]
+                        z = [(u - f * v) % p for u, v in zip(z, bz)]
+                lead = next((n for n, h in enumerate(z) if h), None)
+                if lead is not None:
+                    h = pow(z[lead], -1, p)
+                    basis.append((lead, [u * h % p for u in x], [u * h % p for u in z]))
+                    continue
+            grown = rref_insert(rows, pivots, x, p)
+            if grown is not None:
+                (rows, pivots), grew = grown, True
+        if basis and not grew:
+            return None
+        constant = [(x, z) for _, x, z in basis]
+    return rows, pivots
+
+
 def _peel(a, b, c, p):
     """The t-independent span of the plane a + t*b + u*c, peeled off: (rank
     of the constant span C, moving rows (lead, x, y, z)), or None when the
     constant span would move with u.  c is None for a line, and then z = 0.
 
-    Rows with b = 0 are constant and span C.  The other rows are reduced
-    modulo C's RREF, x = a, y = b and z = c alike, and brought to echelon
-    form in y with unit leads, the same steps applied to x and z.  A row
-    whose y vanishes on the way is constant too and joins C, and this
-    repeats until the rows x + t*y + u*z left over have y independent
+    Rows with b = 0 are constant and span C (`_absorb`).  The other rows
+    are reduced modulo C's RREF, x = a, y = b and z = c alike, and brought
+    to echelon form in y with unit leads, the same steps applied to x and
+    z.  A row whose y vanishes on the way is constant too and joins C, and
+    this repeats until the rows x + t*y + u*z left over have y independent
     modulo C; they vanish at C's pivot columns and so meet C only in 0.
     Each step (adding t or u times a constant row included) is a
     row operation at every (t, u), because it depends on y and C alone; so
     at each u the moving rows are the ones a line through a + u*c would
-    peel.  A constant row that moves with u (a b = 0 row with c != 0, or a
-    vanished y whose z does not vanish) makes C depend on u: then None.
-    Once C is the whole space, before the first round or after any, no row
-    is left to move: (width, []).
+    peel.  Constant rows x + u*z join C by `_absorb`, which gives None when
+    C would move with u.  Once C is the whole space, before the first
+    round or after any, no row is left to move: (width, []).
     """
-    if c is not None and any(any(rc) for rb, rc in zip(b, c) if not any(rb)):
-        return None
     width = len(a[0]) if a else 0
-    rows, pivots = rref_mod([ra for ra, rb in zip(a, b) if not any(rb)], p)
-    moving = [row for row in zip(a, b, c or [None] * len(a)) if any(row[1])]
+    given = list(zip(a, b, c or [None] * len(a)))
+    grown = _absorb((), (), [(x, z) for x, y, z in given if not any(y)], p)
+    if grown is None:
+        return None
+    rows, pivots = grown
+    moving = [row for row in given if any(row[1])]
     while len(rows) < width:
         basis: list = []  # (lead, x, y, z): y[lead] = 1, later rows vanish at earlier leads
         constant = []
@@ -134,9 +167,7 @@ def _peel(a, b, c, p):
                 if h:
                     break
             else:
-                if z and any(z):
-                    return None
-                constant.append(x)
+                constant.append((x, z))
                 continue
             if h != 1:
                 h = pow(h, -1, p)
@@ -146,8 +177,10 @@ def _peel(a, b, c, p):
         if not constant:
             zero = (0,) * width
             return len(rows), [(lead, x, y, z or zero) for lead, x, y, z in basis]
-        for x in constant:
-            rows, pivots = rref_insert(rows, pivots, x, p) or (rows, pivots)
+        grown = _absorb(rows, pivots, constant, p)
+        if grown is None:
+            return None
+        rows, pivots = grown
         moving = [row[1:] for row in basis]
     return width, []
 
@@ -203,8 +236,7 @@ def _roots(basis, us, p: int) -> Iterator[tuple]:
     number s of rows: with N_u = Y_P^-1 (X_P + u*Z_P) (Y_P is unit upper
     triangular, so two back substitutions per plane give Y_P^-1 X_P and
     Y_P^-1 Z_P), the determinant is det(t*I + N_u), the characteristic
-    polynomial of -N_u (`_charpoly`), evaluated by Horner's rule; for
-    s = 0 it is 1, with no root."""
+    polynomial of -N_u (`_charpoly`), evaluated by Horner's rule."""
     s = len(basis)
     if s == 2:
         (i, x0, y0, z0), (j, x1, y1, z1) = basis  # Y_P = [[1, y0[j]], [0, 1]]
@@ -246,7 +278,8 @@ def pencil_rank_histogram(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
     (entries in [0, p)).
 
     `_peel` takes off the span C of the t-independent rows, once for the
-    whole plane; once C fills the space no row is left.  The rank is
+    whole plane; once C fills the space no row is left, and with no row
+    left every candidate has the rank dim C, returned at once.  The rank is
     r0 = dim C plus the rank of the s rows x + u*z + t*y left over, whose y
     are independent modulo C.  Let P be their lead columns.  Y_P is unit
     upper triangular, so det(X_P + u*Z_P + t*Y_P) is monic of degree s in
@@ -272,6 +305,8 @@ def pencil_rank_histogram(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
                 hist[r] = hist.get(r, 0) + k
         return hist
     r0, basis = peeled
+    if not basis:  # C fills the space, or nothing moves: one rank everywhere
+        return {r0: p if c is None else p * p}
     hist = {}
     for u, generic, bad in _roots(basis, range(p) if c is not None else (0,), p):
         hist[r0 + generic] = hist.get(r0 + generic, 0) + p - len(bad)

@@ -11,22 +11,34 @@ the Gaussian binomial instead of being materialized.
 
 Direction: annihilators map Gr_e(M) bijectively onto Gr_{d-e}(M*), where
 M* = `dual_representation(M)` lives on the opposite quiver.  `_plan`
-chooses once for a whole set of dimension vectors: on an acyclic quiver it
-searches backward, M* at d - e, when the walks the set needs there have a
-strictly smaller summed estimate at the prime of the reduction it is given
-(the product of Gaussian binomials over the searched vertices), and
-forward, M at e, otherwise.  This is the only place that chooses a
-direction.  A set sampled at several primes is planned once, at its first
-prime (`euler._settle`): each later prime walks the plan's walks of the
-e's still pending, in the plan's direction, even where that subset alone
-would be cheaper the other way, so every e takes the same walk at every
-prime.  No dual is built: a backward walk runs on M itself along the
-routing of the opposite quiver, and the columns of a transpose are the
-rows of M's matrices.  `_count_planned` runs the walks of a plan and
-returns, next to the counts, each walk's rank histogram, which the fiber
-test of `euler` reads.  `_count_many` plans and counts one set at one
-prime, and `count_subreps` is the set of one e.  `iter_subrep_tuples`
-searches forward, since it returns subspaces of M.
+chooses for a whole set of dimension vectors at the prime of the reduction
+it is given, from each direction's summed estimate: the product of
+Gaussian binomials over the searched vertices, summed over the walks the
+set needs.  The set searches backward, M* at d - e, when that sum is
+strictly smaller there (the quiver then being acyclic), and forward, M at
+e, when it is strictly smaller on M or the quiver has cycles.  On a tie
+each e takes its own walk: the one with fewer candidates, then the one
+with fewer blocks, then forward.  Blocks are what the walk ranks: the
+items `_iter_rref(block=True)` yields at the last searched vertex (a rank,
+a pencil, a plane or a row family each), times the Gaussian binomials of
+the earlier searched vertices.  One e ties exactly when its own two
+estimates do, so it meets the same order, and on a square Kronecker
+module the whole box ties, so the box and each e alone take the same walks
+and share the memo.  Forward can be the costly side of a tie: reg(6, 1) at
+(5, 5) has 1 + 1 + p + ... + p^4 blocks forward, and 6 by the dual.  No
+e's walk has a larger estimate than its forward one at a tie, so the cap
+refuses nothing there that a forward walk would run.  This is the only
+place that chooses a direction.  A set sampled at several primes is
+planned once, at its first prime (`euler._settle`): each later prime walks
+the plan's walks of the e's still pending, in their planned directions,
+even where that subset alone would be cheaper otherwise, so every e takes
+the same walk at every prime.  No dual is built: a backward walk runs on M
+itself along the routing of the opposite quiver, and the columns of a
+transpose are the rows of M's matrices.  `_count_planned` runs the walks
+of a plan and returns, next to the counts, each walk's rank histogram,
+which the fiber test of `euler` reads.  `_count_many` plans and counts one
+set at one prime, and `count_subreps` is the set of one e.
+`iter_subrep_tuples` searches forward, since it returns subspaces of M.
 
 Incremental images: the echelon enumeration is an odometer over the free
 entries that carries each basis row's image under every arrow out of the
@@ -183,6 +195,33 @@ def _gaussian_binomial(m: int, e: int, q: int) -> int:
     return num // den
 
 
+def _free_entries(m: int, pivots: tuple, arrows: int | None = None) -> tuple[list, tuple]:
+    """(free, steps): the free entries (r, c) of the RREF rows with these
+    pivots in F_p^m, row by row, and, given the number of arrows, the row
+    family split off their end: the free entries of the last row that has
+    any, all of them under at most two arrows and at most the last two
+    under more (the cost rule of the module docstring).  steps is () when
+    arrows is None or nothing is free."""
+    pivot_set = set(pivots)
+    free = [(r, c) for r, lead in enumerate(pivots) for c in range(lead + 1, m)
+            if c not in pivot_set]
+    if arrows is None or not free:
+        return free, ()
+    at = bisect_left(free, (free[-1][0],))
+    if arrows > 2:
+        at = max(at, len(free) - 2)
+    return free[:at], tuple(free[at:])
+
+
+@lru_cache(maxsize=256)
+def _block_count(p: int, m: int, e: int, arrows: int) -> int:
+    """How many items `_iter_rref(block=True)` yields for Gr(e, m) over F_p
+    under that many arrows: p^(free entries outside the row family) per
+    pivot set."""
+    return sum(p ** len(_free_entries(m, pivots, arrows)[0])
+               for pivots in combinations(range(m), e))
+
+
 def _iter_rref(p: int, m: int, e: int, cols: Sequence = (), block: bool = False
                ) -> Iterator[tuple]:
     """All e-dim subspaces of F_p^m as (rref rows, pivots, images), each once.
@@ -191,24 +230,14 @@ def _iter_rref(p: int, m: int, e: int, cols: Sequence = (), block: bool = False
     odometer.  cols holds one matrix per arrow as its tuple of columns, and
     images[k][r] is matrix k times row r, updated by one column per step.
 
-    With block=True the free entries (r, c) of the last row r that has any,
-    its row family, stay 0: all of them under at most two arrows, and at
-    most the last two under more (the cost rule of the module docstring).
-    Each item, with those steps as a fourth entry, stands for the p^f
-    subspaces that differ only there, f the number of steps; () is a family
-    of one.
+    With block=True the free entries of the row family (`_free_entries`)
+    stay 0.  Each item, with those steps as a fourth entry, stands for the
+    p^f subspaces that differ only there, f the number of steps; () is a
+    family of one.
     Callers keep 0 <= e <= m.
     """
     for pivots in combinations(range(m), e):
-        pivot_set = set(pivots)
-        free = [(r, c) for r in range(e) for c in range(m)
-                if c > pivots[r] and c not in pivot_set]
-        steps = ()
-        if block and free:
-            at = bisect_left(free, (free[-1][0],))
-            if len(cols) > 2:
-                at = max(at, len(free) - 2)
-            free, steps = free[:at], tuple(free[at:])
+        free, steps = _free_entries(m, pivots, len(cols) if block else None)
         tail = (steps,) if block else ()
         rows = [[0] * m for _ in range(e)]
         for r, c in enumerate(pivots):
@@ -544,43 +573,68 @@ def _fiber_count(ranks, d: int, x: int, q: int) -> int:
 
 
 class _Plan(NamedTuple):
-    """How one set of dimension vectors is searched: the direction, chosen
-    once for the set, and the walk of each e.
+    """How one set of dimension vectors is searched: the walk of each e.
 
-    backward tells whether the set is searched on the dual at d - e, along
-    route.  entry maps each given e to its walk's key and its searched
-    entry at the final vertex; under the shortcut the key is the searched
-    dimension vector with that entry 0, shared by the e's of one fiber,
-    and otherwise it is the whole searched vector.
+    routes holds the forward route and, on an acyclic quiver, the backward
+    one, so routes[backward] is a walk's route.  entry maps each given e to
+    (backward, key, x): whether its walk searches the dual at d - e, the
+    walk's key, and the searched e's entry at that walk's final vertex.
+    Under the shortcut the key is the searched dimension vector with that
+    entry 0, shared by the e's of one fiber, and otherwise it is the whole
+    searched vector; (backward, key) names the walk.
     """
 
-    route: _Route
-    backward: bool
+    routes: tuple
     entry: dict
 
 
 def _plan(rep: Representation, es: Sequence[tuple[int, ...]]) -> _Plan:
-    """The plan for es at rep's prime: backward when the walks the set needs
-    on the dual have a strictly smaller summed estimate, on an acyclic
-    quiver, else forward (module docstring).  rep's field and es's box are
-    trusted, as in `_walk`."""
+    """The plan for es at rep's prime (module docstring): every e backward
+    when the walks the set needs on the dual have a strictly smaller summed
+    estimate, on an acyclic quiver, and every e forward when those on M
+    do or the quiver has cycles.  On a tie each e takes its own walk: fewer
+    candidates, then fewer blocks, then forward.  rep's field and es's box
+    are trusted, as in `_walk`."""
     dims, p = rep.dims, rep.field
-
-    def planned(route: _Route, backward: bool) -> tuple[_Plan, int]:
-        final, entry = route.order[-1], {}
+    routes = (_routing(rep.quiver),) + ((_dual_routing(rep.quiver),)
+                                        if rep.quiver.is_acyclic else ())
+    sides, totals, estimate = [], [], {}  # estimate: (backward, key) -> candidates
+    for backward, route in zip((False, True), routes):
+        final, searched, side, total = route.order[-1], route.searched, {}, 0
         for e in es:
             s = tuple(d - x for d, x in zip(dims, e)) if backward else e
-            entry[e] = (s[:final] + (0,) + s[final + 1:] if route.shortcut else s, s[final])
-        keys = dict.fromkeys(key for key, _ in entry.values())
-        return _Plan(route, backward, entry), sum(_gauss_product(dims, key, p, route.searched)
-                                                  for key in keys)
+            key = s[:final] + (0,) + s[final + 1:] if route.shortcut else s
+            side[e] = backward, key, s[final]
+            if (backward, key) not in estimate:
+                estimate[backward, key] = _gauss_product(dims, key, p, searched)
+                total += estimate[backward, key]
+        sides.append(side)
+        totals.append(total)
+    if len(sides) == 1 or totals[0] < totals[1]:
+        return _Plan(routes, sides[0])
+    if totals[1] < totals[0]:
+        return _Plan(routes, sides[1])
 
-    plan, estimate = planned(_routing(rep.quiver), False)
-    if rep.quiver.is_acyclic:
-        dual, dual_estimate = planned(_dual_routing(rep.quiver), True)
-        if dual_estimate < estimate:
-            return dual
-    return plan
+    def blocks(backward: bool, key: tuple[int, ...]) -> int:
+        """The items of `_iter_rref(block=True)` at the walk's last searched
+        vertex (`_block_count`), times the Gaussian binomials of the earlier
+        ones."""
+        route, count = routes[backward], estimate[backward, key]
+        searched = route.searched
+        if searched:
+            v, at = searched[-1], len(searched) - 1
+            count = (count // _gaussian_binomial(dims[v], key[v], p)
+                     * _block_count(p, dims[v], key[v], len(route.out[at])))
+        return count
+
+    entry = {}
+    for e in es:
+        forward, backward = sides[0][e], sides[1][e]
+        ahead, behind = estimate[forward[:2]], estimate[backward[:2]]
+        if ahead == behind:
+            ahead, behind = blocks(*forward[:2]), blocks(*backward[:2])
+        entry[e] = backward if behind < ahead else forward
+    return _Plan(routes, entry)
 
 
 def _too_large(rep: Representation, key: tuple[int, ...], vertices, cap: int, es,
@@ -596,34 +650,37 @@ def _too_large(rep: Representation, key: tuple[int, ...], vertices, cap: int, es
 def _count_planned(rep: Representation, plan: _Plan, es: Sequence[tuple[int, ...]],
                    cap: int) -> tuple[dict, dict]:
     """Exact point counts of Gr_e(rep) for every e in es, by the walks of
-    the plan that es need: (e -> count, walk key -> result), the result
-    being the walk's rank histogram (`_final_ranks`) under the shortcut and
-    the count otherwise.
+    the plan that es need: (e -> count, (backward, key) -> result), the
+    result being the walk's rank histogram (`_final_ranks`) under the
+    shortcut and the count otherwise.
 
     Every walk is checked against the cap before any runs; a refused walk
-    raises `_too_large` with the e's of es it serves, whichever direction
-    is searched.
+    raises `_too_large` over its own route, with the e's of es it serves.
     """
     dims, p = rep.dims, rep.field
-    route, backward, entry = plan
+    routes, entry = plan
     walks: dict[tuple, list] = {}
     for e in es:
-        walks.setdefault(entry[e][0], []).append(e)
-    for key, members in walks.items():
-        if _gauss_product(dims, key, p, route.searched) > cap:
-            raise _too_large(rep, key, route.searched, cap, members)
+        walks.setdefault(entry[e][:2], []).append(e)
+    for (backward, key), members in walks.items():
+        if _gauss_product(dims, key, p, routes[backward].searched) > cap:
+            raise _too_large(rep, key, routes[backward].searched, cap, members)
     walked = {}
-    for key, members in walks.items():
+    for (backward, key), members in walks.items():
         try:
-            walked[key] = (_final_ranks(rep, backward, key, cap) if route.shortcut
-                           else sum(1 for _ in _walk(rep, key, _Budget(cap),
-                                                     shortcut=False, backward=backward)))
+            walked[backward, key] = (
+                _final_ranks(rep, backward, key, cap) if routes[backward].shortcut
+                else sum(1 for _ in _walk(rep, key, _Budget(cap), shortcut=False,
+                                          backward=backward)))
         except _OverCap:
-            raise _too_large(rep, key, route.searched, cap, members, cap + 1) from None
-    d, counts = dims[route.order[-1]], {}
+            raise _too_large(rep, key, routes[backward].searched, cap, members,
+                             cap + 1) from None
+    counts = {}
     for e in es:
-        key, x = entry[e]
-        counts[e] = _fiber_count(walked[key], d, x, p) if route.shortcut else walked[key]
+        backward, key, x = entry[e]
+        route = routes[backward]
+        counts[e] = (_fiber_count(walked[backward, key], dims[route.order[-1]], x, p)
+                     if route.shortcut else walked[backward, key])
     return counts, walked
 
 

@@ -760,9 +760,10 @@ def _fiber_schedule(rep, e):
     bound = sampling.degree_bound(e)
     (_, rep_p), = islice(sampling.reductions(), 1)
     plan = _plan(rep_p, [e])
-    if bound == 0 or not plan.route.shortcut:
+    backward, key, _ = plan.entry[e]
+    if bound == 0 or not plan.routes[backward].shortcut:
         return None
-    need = sampling.fiber_bound(plan.backward, plan.entry[e][0]) + 1 + HELD_OUT
+    need = sampling.fiber_bound(backward, key) + 1 + HELD_OUT
     return need if need < bound + 1 + HELD_OUT else None
 
 
@@ -823,9 +824,9 @@ def test_quartic_fibers_settle_what_their_ranks_allow():
         found, walked = _count_planned(rep_p, plan, fiber, default_cap())
         for e, count in found.items():
             counts[e].append((p, count))
-        walks.append((p, walked[1, 0]))
-    assert (plan.backward, {plan.entry[e][0] for e in fiber}) == (False, {(1, 0)})
-    assert sampling.fiber_bound(plan.backward, (1, 0)) == 2
+        walks.append((p, walked[False, (1, 0)]))
+    assert {plan.entry[e][:2] for e in fiber} == {(False, (1, 0))}
+    assert sampling.fiber_bound(False, (1, 0)) == 2
     fits = eu._rank_fits(walks, 2)
     assert {e: eu._fiber_fit(fits, 4, e[1], counts[e], bounds[e]) for e in fiber} == {
         (1, 0): (), (1, 1): (), (1, 2): (), (1, 3): None, (1, 4): None}

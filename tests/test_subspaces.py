@@ -3,7 +3,7 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -279,7 +279,7 @@ def _fiber(e1, d2):
 
 def _walk_keys(plan):
     """(direction, key) of every walk of the plan."""
-    return {(plan.backward, key) for key, _ in plan.entry.values()}
+    return {entry[:2] for entry in plan.entry.values()}
 
 
 def test_profile_matches_per_vector_counts():
@@ -364,10 +364,75 @@ def test_cheaper_direction_fits_under_cap():
     assert err.value.estimate == 553 <= err.value.cap == 1000
     assert err.value.visited == 1001
     assert _count_many(rep, [(2, 2)], 2000)[2, 2] == 553
-    assert _plan(rep, [(2, 2)]).backward  # the dual at (2, 1) is the cheaper search
+    assert _plan(rep, [(2, 2)]).entry[2, 2][0]  # the dual at (2, 1) is the cheaper search
     tie = reduce_mod(build_kronecker(regular(2, 1)), 5)
     assert _count_many(tie, [(1, 1)])[1, 1] == 1  # p + 1 candidates either way
-    assert not _plan(tie, [(1, 1)]).backward  # ties stay forward
+    assert not _plan(tie, [(1, 1)]).entry[1, 1][0]  # the blocks tie too: forward
+
+
+def test_direction_ties_go_to_the_walk_with_fewer_blocks():
+    # reg(3, 2) at (2, 2) has p^2 + p + 1 candidates either way.  Forward,
+    # Gr(2, 3) is p + 2 blocks: p pencils, one more pencil and one rank;
+    # backward at (1, 1), Gr(1, 3) is a plane, a pencil and a rank
+    rep = reduce_mod(build_kronecker(regular(3, 2)), 5)
+    assert subspaces._block_count(5, 3, 2, 2) == 5 + 2
+    assert subspaces._block_count(5, 3, 1, 2) == 3
+    assert _walk_keys(_plan(rep, [(2, 2)])) == {(True, (0, 1))}
+    assert _count_many(rep, [(2, 2)])[2, 2] == count_subreps(rep, (2, 2)).count == _forced(
+        rep, (2, 2))
+
+
+def test_box_takes_the_walks_of_its_single_e_counts():
+    # the box of a square module ties on its summed estimates, so each e
+    # takes the walk it takes alone, and the box walks nothing new
+    rep = reduce_mod(build_kronecker(regular(3, 2)), 5)
+    box = list(product(range(4), repeat=2))
+    _final_ranks.cache_clear()
+    alone = {e: _count_many(rep, [e])[e] for e in box}
+    misses = _final_ranks.cache_info().misses
+    plan = _plan(rep, box)
+    assert plan.entry == {e: _plan(rep, [e]).entry[e] for e in box}
+    assert {backward for backward, _, _ in plan.entry.values()} == {False, True}
+    assert _count_many(rep, box) == alone
+    assert _final_ranks.cache_info().misses == misses
+    _final_ranks.cache_clear()
+
+
+def test_planned_counts_match_both_directions():
+    # seeded square Kronecker and 3-vertex acyclic inputs, planned as single
+    # e's and as whole boxes: every count equals the walk of either
+    # direction, and some single-e ties go each way
+    rng = random.Random("ties")
+    inputs = [(kronecker_quiver(2), (m, m)) for m in (2, 3)] + [
+        (Quiver(3, ((0, 1), (1, 2), (0, 2))), (2, 2, 2)),
+        (Quiver(3, ((0, 1), (2, 1))), (2, 1, 2))]
+    tied = set()
+    for quiver, dims in inputs:
+        rep = sample_general_rep(quiver, dims, rng.randrange(1000), 3)
+        box = list(product(*(range(d + 1) for d in dims)))
+        for p in (3, 5, 7):
+            rp = reduce_mod(rep, p)
+            for es in [box] + [[e] for e in box]:
+                plan = _plan(rp, es)
+                counts = _count_planned(rp, plan, es, default_cap())[0]
+                for e in es:
+                    assert counts[e] == _forced(rp, e) == _forced(rp, e, backward=True), (
+                        dims, p, e)
+                    forward, backward = _forced_estimates(rp, e)
+                    if len(es) == 1 and forward == backward:
+                        tied.add(plan.entry[e][0])
+    _final_ranks.cache_clear()
+    assert tied == {False, True}
+
+
+def _forced_estimates(rep, e):
+    """The candidate estimates of e's forward and backward shortcut walks."""
+    out = []
+    for backward in (False, True):
+        route = (_dual_routing if backward else _routing)(rep.quiver)
+        s = tuple(d - x for d, x in zip(rep.dims, e)) if backward else e
+        out.append(_gauss_product(rep.dims, s, rep.field, route.searched))
+    return out
 
 
 def test_incremental_images_match_matvec():
@@ -649,14 +714,15 @@ def test_pencil_and_plane_ranks_match_a_scan_for_every_moving_row_count():
         return [sum(k * v[j] for k, v in zip(ks, vs)) % p for j in range(n)]
 
     def case(p, s, plane, r0, absorbed, extra, d, swap):
-        n = r0 + s + absorbed + extra
+        w = r0 + s + absorbed + extra
+        n = w + bool(swap)  # a swap case's last column: only its own rows use it
         unit = [[int(i == j) for j in range(n)] for i in range(n)]
         zero = [0] * n
         a = unit[:r0] + [combo([rng.randrange(p)], [unit[i]], n, p)
                          for i in range(r0) if rng.random() < 0.3]  # repeated constants
         b, c = [zero] * len(a), [zero] * len(a)
-        xs = [vec(n, p) for _ in range(s)]
-        zs = [vec(n, p) if plane else zero for _ in range(s)]
+        xs = [vec(w, p) + zero[w:] for _ in range(s)]
+        zs = [vec(w, p) + zero[w:] if plane else zero for _ in range(s)]
         u0 = rng.randrange(p)
         for i in range(s):
             xs[i][r0:r0 + s] = [(d[i] * (i == j) - u0 * zs[i][r0 + j]) % p for j in range(s)]
@@ -669,11 +735,12 @@ def test_pencil_and_plane_ranks_match_a_scan_for_every_moving_row_count():
             b.append(combo(ks + ws, unit[r0:r0 + s] + unit[:r0], n, p))
             c.append(combo(ks + ws, zs + unit[:r0], n, p) if plane else zero)
         if swap:
-            # (a row of C, e_0, 0) changes no span, but with t and u swapped
-            # it is a row with b = 0 and c != 0; a row (x, 0, e_0) fails both
-            a, b, c = a + [combo(vec(r0, p), unit[:r0], n, p)], b + [unit[0]], c + [zero]
+            # (a row of C, e_w, 0) is one more moving row, but with t and u
+            # swapped it is a row with b = 0 and c = e_w, which no span of
+            # rows of a reaches, so C moves with u; a row (x, 0, e_w) fails both
+            a, b, c = a + [combo(vec(r0, p), unit[:r0], n, p)], b + [unit[w]], c + [zero]
             if swap == 2:
-                a, b, c = a + [vec(n, p)], b + [zero], c + [unit[0]]
+                a, b, c = a + [vec(w, p) + zero[w:]], b + [zero], c + [unit[w]]
         else:
             for _ in range(len(a)):  # row i += k * row j
                 i, j, k = rng.randrange(len(a)), rng.randrange(len(a)), rng.randrange(p)
@@ -709,7 +776,7 @@ def test_pencil_and_plane_ranks_match_a_scan_for_every_moving_row_count():
                     if swap == 2:
                         assert peeled is None
                     else:
-                        assert (peeled[0], len(peeled[1])) == (r0 + absorbed, s)
+                        assert (peeled[0], len(peeled[1])) == (r0 + absorbed, s + bool(swap))
                     seen.add((p, s, plane, swap))
         # the constant rows fill the space at once, or after absorbing rows
         for plane in (False, True):
@@ -726,6 +793,71 @@ def test_pencil_and_plane_ranks_match_a_scan_for_every_moving_row_count():
     a = [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 2, 1]]
     b = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     assert linalg.pencil_rank_histogram(a, b, 3) == {3: 2, 2: 1}
+
+
+def _plane_scan(a, b, c, p):
+    """The rank histogram of the plane a + t*b + u*c, every (t, u) ranked directly."""
+    return dict(Counter(
+        linalg.rank_mod([[(x + t * y + u * z) % p for x, y, z in zip(ra, rb, rc)]
+                         for ra, rb, rc in zip(a, b, c)], p)
+        for u in range(p) for t in range(p)))
+
+
+def test_constant_rows_whose_u_part_lies_in_the_constant_span_join_it(monkeypatch):
+    # over F_2 row 2 is the constant e1; beside row 0, row 1 is the constant
+    # (0, 1, 1) and row 3 the row (0, 1, 1) + u*(0, 1, 1), whose u part lies
+    # in the constant span once (0, 1, 1) has joined it: rank 3 everywhere,
+    # in either argument order and every order of the rows, one plane each
+    a = [[0, 1, 0], [0, 0, 1], [1, 0, 0], [0, 0, 1]]
+    b = [[0, 1, 1], [0, 1, 1], [0, 0, 0], [1, 1, 1]]
+    c = [[0, 1, 1], [0, 1, 1], [0, 0, 0], [1, 0, 0]]
+    calls = _counted(monkeypatch, "pencil_rank_histogram")
+    planes = 0
+    for y, z in ((b, c), (c, b)):
+        for order in permutations(range(4)):
+            pa, py, pz = ([m[i] for i in order] for m in (a, y, z))
+            assert linalg._peel(pa, py, pz, 2) == (3, []), order
+            assert linalg.pencil_rank_histogram(pa, py, 2, pz) == {3: 4} == _plane_scan(
+                pa, py, pz, 2)
+            planes += 1
+    assert len(calls) == planes  # no line per u
+
+
+def test_peel_keeps_a_constant_span_that_only_looks_as_if_it_moved():
+    # rows h1 + u*w and h2 + u*w with w in <k, h1 - h2>, beside the constant
+    # k; rows x0, x1, x2 + t*y0 + u*(z0, z0 + kp, z0), kp in <k, x2 - x0>:
+    # whichever of them leads, the other two are constants whose u parts join
+    # the constant span once their difference has; then the columns are mixed
+    rng = random.Random("absorb")
+    for p in (2, 3, 5):
+        for _ in range(30):
+            n = rng.randint(6, 7)
+
+            def vec():
+                return [rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(n)]
+
+            def lin(*terms):
+                return [sum(f * v[j] for f, v in terms) % p for j in range(n)]
+
+            k, h1, h2, x0, x1, x2, z0 = (vec() for _ in range(7))
+            spanned = [k, h1, h2, lin((1, x1), (-1, x0)), lin((1, x2), (-1, x0))]
+            y0 = vec()
+            while linalg.rank_mod(spanned + [y0], p) == linalg.rank_mod(spanned, p):
+                y0 = vec()  # y0 moves: it stays outside the constant span
+            w = lin((rng.randrange(p), k), (1, h1), (-1, h2))
+            kp = lin((rng.randrange(p), k), (1, x2), (-1, x0))
+            zero = [0] * n
+            rows = [(k, zero, zero), (h1, zero, w), (h2, zero, w), (x0, y0, z0),
+                    (x1, y0, lin((1, z0), (1, kp))), (x2, y0, z0)]
+            rng.shuffle(rows)
+            while True:
+                q = [vec() for _ in range(n)]
+                if linalg.rank_mod(q, p) == n:
+                    break
+            a, b, c = ([lin(*zip(m, q)) for m in col] for col in zip(*rows))
+            assert linalg._peel(a, b, c, p) is not None, (a, b, c, p)
+            hist = linalg.pencil_rank_histogram(a, b, p, c)
+            assert hist == _plane_scan(a, b, c, p), (a, b, c, p)
 
 
 def test_charpoly_matches_the_determinant():
@@ -812,7 +944,7 @@ def test_memo_hit_generates_no_candidates(budgets):
     rep = reduce_mod(build_kronecker(preprojective(3)), 5)
     first = _count_many(rep, [(1, 2)])[1, 2]
     assert len(budgets) == 1 and budgets[0].used > 0
-    assert not _plan(rep, [(1, 2)]).backward  # forward, as the fiber's set count
+    assert not _plan(rep, [(1, 2)]).entry[1, 2][0]  # forward, as the fiber's set count
     assert count_subreps(rep, (1, 1)).count == 0  # same fiber: only e_1 differs
     profile = _count_many(rep, _fiber(1, 3))
     assert len(budgets) == 1  # a hit makes no budget, so it generates no candidate
@@ -995,7 +1127,7 @@ def test_block_walk_charges_every_candidate(budgets):
     assert len(budgets) == 1  # the fiber is searched forward, in one walk
     assert _walk_keys(plan) == {(False, (1, 0))}
     assert budgets[-1].used == 2 * REG4_LINES == 25440  # generated, then ranked
-    assert dict(walked[1, 0]) == {1: 1, 2: REG4_LINES - 1}
+    assert dict(walked[False, (1, 0)]) == {1: 1, 2: REG4_LINES - 1}
     assert sum(profile.values()) == sum(count_subreps(rep, (1, x)).count for x in range(5))
 
 
@@ -1024,7 +1156,7 @@ def test_block_walk_ranks_a_plane_per_kernel_call(budgets, monkeypatch):
     _, walked = _count_planned(rep, _plan(rep, _fiber(1, 4)), _fiber(1, 4), default_cap())
     assert log == ["family", "plane", "pencil", "rank"]
     assert budgets[-1].used == 2 * REG4_LINES == 25440
-    assert dict(walked[1, 0]) == {1: 1, 2: REG4_LINES - 1}
+    assert dict(walked[False, (1, 0)]) == {1: 1, 2: REG4_LINES - 1}
 
 
 def _counted(monkeypatch, name):
@@ -1226,7 +1358,7 @@ def test_count_walks_and_builds_columns_only_on_a_miss(budgets, monkeypatch):
                 miss = _final_ranks.cache_info().misses - misses
                 assert built == {name: n + miss for name, n in before.items()}, (kind, e)
                 assert len(budgets) - made == miss, (kind, e)
-                directions.add(_plan(rep, [e]).backward)
+                directions.add(_plan(rep, [e]).entry[e][0])
                 if sweep:
                     assert not miss, (kind, e)
         if kind == preinjective(3):
