@@ -27,16 +27,17 @@ a prime's samples and deciding again would need nothing else.
 Four tests settle e.  The first, the arrow test, needs no prime, and
 neither does the empty case of the rigidity test below: both are asked of
 e before any prime, in one place (`_Sampling.closed_form`), which also
-says why e took none.  An arrow a: u -> v of rank r gives dim phi_a(U_u) >=
-e_u - (d_u - r), and on the dual the induced map M_u/U_u -> M_v/U_v has
-rank >= r - e_v: each says that Gr_e(M) is empty, P_e = 0, when
-r > d_u - e_u + e_v.  When every arrow of nonzero rank has e_u = 0 or
-e_v = d_v, phi_a(U_u) lies in U_v for every choice, so Gr_e(M) is
-prod_v Gr(e_v, d_v) and P_e = prod_v binom_q(d_v, e_v), of degree
-sum_v e_v (d_v - e_v) = B_e (forward, e_u = 0 forces nothing and e_v = d_v
-zeroes v's term; the dual swaps them), fitted through its values at
-B_e + 1 integers.  Both hold over Q and over every F_p at which each phi_a
-keeps its rank (`good_primes`), so both are exact and neither rejects.
+says why e took none when asked.  An arrow a: u -> v of rank r gives
+dim phi_a(U_u) >= e_u - (d_u - r), and on the dual the induced map
+M_u/U_u -> M_v/U_v has rank >= r - e_v: each says that Gr_e(M) is
+empty, P_e = 0, when r > d_u - e_u + e_v.  When every arrow of nonzero
+rank has e_u = 0 or e_v = d_v, phi_a(U_u) lies in U_v for every choice,
+so Gr_e(M) is prod_v Gr(e_v, d_v) and P_e = prod_v binom_q(d_v, e_v), of
+degree sum_v e_v (d_v - e_v) = B_e (forward, e_u = 0 forces nothing and
+e_v = d_v zeroes v's term; the dual swaps them), fitted through its values
+at B_e + 1 integers once per (d, e).  Both hold over Q and over every
+F_p at which each phi_a keeps its rank (`good_primes`), so both are exact
+and neither rejects.
 
 Three tests settle the other e from the same samples, whichever
 finishes first.  The per-e test fits the counts through B_e + 1 nodes and
@@ -113,13 +114,16 @@ Sampling context: everything a count needs from M that does not depend on
 e is worked out once per representation and kept in a `_Sampling` (bounded
 `lru_cache`, 64 representations, per process).  It holds the arrow ranks
 over Q, the arrows that force part of a subspace in either search
-direction, and the good primes found so far, each with M reduced mod it.
-The prime list grows by one prime under a lock when a caller asks past its
-end, so each (representation, prime) pair is chosen, reduced and
-rank-checked once, when some caller is about to sample it, from whichever
-thread.  It also holds <d, d>, worked out when it is built, and
-dim End_Q(M), worked out once, whose certificate may reduce a good prime
-that no count samples: a rigid-empty e takes none.
+direction, and the good primes found so far, each with M reduced mod it
+from M's integral form (`Representation._integral`, worked out at the
+first reduction).  The prime list grows by one prime under a lock when a
+caller asks past its end, so each (representation, prime) pair is chosen,
+reduced and rank-checked once, when some caller is about to sample it,
+from whichever thread; per e there is only the closed form, whose reason
+is formatted only for `euler --verbose`.  It also holds <d, d>, worked
+out when it is built, and dim End_Q(M), worked out once, whose
+certificate may reduce a good prime that no count samples: a rigid-empty
+e takes none.
 A set that the arrow test settles whole reduces no prime at all.  It
 holds no dual: the search direction belongs to `subspaces._plan`, and a
 backward search walks the reduction itself.
@@ -295,14 +299,19 @@ def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
 class _Sampling:
     """What sampling needs from one representation over Q, worked out once.
 
-    form is <d, d>, None on a quiver with cycles; ranks are the arrow ranks
-    over Q; forward and backward are the arrows (u, v, dim ker) that force
-    part of U_v in the search order of the quiver and of its opposite (see
+    Once per representation: form is <d, d>, None on a quiver with cycles;
+    ranks are the arrow ranks over Q (`linalg.rank_frac` takes a row of
+    ints as it is, so an integer M is not cleared first); forward and
+    backward are the arrows (u, v, dim ker) that force part of U_v in
+    the search order of the quiver and of its opposite (see
     `degree_bound`); found lists the good primes so far as (p, rep mod p),
-    extended under the lock.  dim End_Q(M) (`end`) is kept once worked
-    out, under a second lock; the End certificate may reduce a good prime
-    that no count goes on to sample.  Rigidity (`rigid`, `rigid_dimension`)
-    is read from form and End, and kept nowhere else.
+    extended under the lock.  Once per prime: its reduction, the rank
+    check that makes it good, and, for the first HELD_OUT + 1 good primes
+    at most, the End certificate (`end`, kept once worked out, under a
+    second lock), which may reduce a good prime that no count goes on to
+    sample.  Rigidity (`rigid`, `rigid_dimension`) is read from form and
+    End, and kept nowhere else.  Per e: the closed form (`closed_form`),
+    with its reason only when asked.
     """
 
     def __init__(self, rep: Representation):
@@ -426,28 +435,38 @@ class _Sampling:
             forced[v] = max(forced[v], e[u] - kernel)
         return sum(max(0, x - s) * (d - x) for x, s, d in zip(e, forced, self.rep.dims))
 
-    def closed_form(self, e: Sequence[int]) -> tuple[tuple[int, ...], str] | None:
-        """(P_e, why) when P_e needs no prime, else None; why names vertices
-        1-based, as in files.  The first of these that holds decides:
+    def closed_form(self, e: Sequence[int], why: bool = False):
+        """P_e when it needs no prime, else None; given why, (P_e, the
+        reason) instead, naming vertices 1-based, as in files.  Only
+        `euler --verbose` shows a reason, so only it asks for one.  The
+        first of these that holds decides:
         - an arrow's rank rules e out (the arrow test): P_e = 0;
-        - no arrow constrains e: P_e = prod_v binom_q(d_v, e_v), through its
-          values at B_e + 1 integers;
+        - no arrow constrains e: P_e = prod_v binom_q(d_v, e_v)
+          (`_grassmannians`);
         - M is rigid (`rigid`) and <e, d - e> < 0: P_e = 0.
         """
         dims, arrows = self.rep.dims, self.rep.quiver.arrows
         for (u, v), r in zip(arrows, self.ranks):
             if r > dims[u] - e[u] + e[v]:
-                return (), (f"arrow {u + 1} -> {v + 1} of rank {r} forces dim U_{v + 1} >= "
-                             f"{e[u] - dims[u] + r} > e_{v + 1} = {e[v]}")
+                return ((), f"arrow {u + 1} -> {v + 1} of rank {r} forces dim U_{v + 1} >= "
+                            f"{e[u] - dims[u] + r} > e_{v + 1} = {e[v]}") if why else ()
         if not any(r and e[u] and e[v] < dims[v] for (u, v), r in zip(arrows, self.ranks)):
-            degree = sum(x * (d - x) for d, x in zip(dims, e))  # = B_e here
-            ints = _interpolant(tuple((q, prod(_gaussian_binomial(d, x, q) for d, x in zip(dims, e)))
-                                      for q in range(2, degree + 3)))
-            return ints, "no arrow constrains e: Gr_e(M) is a product of Grassmannians"
+            ints = _grassmannians(dims, e)
+            return ((ints, "no arrow constrains e: Gr_e(M) is a product of Grassmannians")
+                    if why else ints)
         dimension = self.rigid_dimension(e)
         if dimension is not None and dimension < 0:
-            return (), f"M is rigid and <e, d - e> = {dimension} < 0"
+            return ((), f"M is rigid and <e, d - e> = {dimension} < 0") if why else ()
         return None
+
+
+@lru_cache(maxsize=1024)
+def _grassmannians(dims: tuple[int, ...], e: tuple[int, ...]) -> tuple[int, ...]:
+    """prod_v binom_q(d_v, e_v), through its values at B_e + 1 integers,
+    B_e = sum_v e_v (d_v - e_v) its degree; remembered per (d, e), so each
+    product is interpolated once per process."""
+    return _interpolant(tuple((q, prod(_gaussian_binomial(d, x, q) for d, x in zip(dims, e)))
+                              for q in range(2, sum(x * (d - x) for d, x in zip(dims, e)) + 3)))
 
 
 @lru_cache(maxsize=64)
@@ -589,7 +608,7 @@ def _settle(rep: Representation, es: Sequence[tuple[int, ...]], cap: int | None
     """
     sampling = _sampling(rep)
     cap = read_cap(cap)
-    settled = {e: closed[0] for e in es if (closed := sampling.closed_form(e)) is not None}
+    settled = {e: ints for e in es if (ints := sampling.closed_form(e)) is not None}
     pending = [e for e in es if e not in settled]
     bounds = {e: max(len(settled[e]) - 1, 0) if e in settled else sampling.degree_bound(e)
               for e in es}  # a closed form's degree, else the arrow bound

@@ -329,6 +329,15 @@ def in_span_mod(rows, pivots, vec, p: int) -> bool:
 # Rank over Q, fraction-free.
 # ---------------------------------------------------------------------------
 
+def _cleared(vec: Sequence) -> Sequence[int]:
+    """vec cleared of denominators: a row of ints as it is, any other row
+    times the lcm of its denominators, as ints."""
+    if all(type(x) is int for x in vec):
+        return vec
+    scale = lcm(*(x.denominator for x in vec))
+    return [int(x * scale) for x in vec]
+
+
 def _primitive(v: list[int]) -> list[int]:
     """v divided by the gcd of its entries."""
     g = gcd(*v)
@@ -337,12 +346,12 @@ def _primitive(v: list[int]) -> list[int]:
 
 def rank_frac(matrix: Iterable[Sequence]) -> int:
     """Rank over Q by fraction-free forward elimination, as in `rank_mod`:
-    each row is cleared of denominators and every row is kept primitive.
+    each row is cleared of denominators (`_cleared`: a row of ints takes
+    no Fraction step and no gcd) and every combined row is kept primitive.
     A matrix with no rows, or with rows of length 0, has rank 0."""
     basis: list = []
     for vec in matrix:
-        scale = lcm(*(x.denominator for x in vec))
-        v = _primitive([int(x * scale) for x in vec])
+        v = _cleared(vec)
         for lead, row in basis:
             c = v[lead]
             if c:

@@ -10,7 +10,11 @@ Scalar domains are exact only: arbitrary-precision integers and rationals
 (field=None) or a prime field F_p with p a prime below 2^31 (field=p); 2 is
 accepted, though the interpolation schedule samples odd primes only.
 Vertex counts, arrow ends and dimensions must be integers (ValueError, not
-truncation), and a Representation is checked once, when it is built.
+truncation), and a Representation built from outside data is checked once,
+when it is built.  The ones the library derives from checked ones (a
+reduction mod p, a direct sum, a dual) are built by
+`Representation._trusted`, which checks nothing again: their shapes follow
+from the checked input and their entries are made in normal form.
 Values are immutable after construction and all operations are pure, so
 everything is safe to share across threads.
 """
@@ -21,8 +25,9 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heappush, heappop
+from math import lcm
 from typing import Sequence
 
 from . import linalg
@@ -96,6 +101,16 @@ def _is_acyclic(quiver: Quiver) -> bool:
     return quiver.topological_order() is not None
 
 
+@lru_cache(maxsize=256)
+def _into(quiver: Quiver) -> tuple[dict[int, tuple[tuple[int, int], ...]], frozenset]:
+    """For `hom_dim`, once per (n, arrows): each vertex that some arrow
+    enters, with the (source, index) of each such arrow, and the vertices
+    that some arrow leaves."""
+    ins = {v: tuple((u, i) for i, (u, t) in enumerate(quiver.arrows) if t == v)
+           for v in range(quiver.n)}
+    return {v: i for v, i in ins.items() if i}, frozenset(u for u, _ in quiver.arrows)
+
+
 def _normalize_entry(x):
     """x as an int or a non-integral Fraction; any integer type (numpy's
     too, through __index__) passes, bool and every other scalar does not."""
@@ -127,6 +142,26 @@ class Representation:
                   for mat in self.matrices))
         validate_representation(self)
 
+    @classmethod
+    def _trusted(cls, quiver: Quiver, dims: tuple[int, ...], matrices: tuple,
+                 field: int | None = None) -> "Representation":
+        """Wrap parts that are already valid and normal: int dims that fit the
+        arrows, entries int or non-integral Fraction over Q and int in [0, p)
+        over F_p.  For representations derived from checked ones; outside
+        input goes through the constructor."""
+        rep = cls.__new__(cls)
+        rep.__dict__.update(quiver=quiver, dims=dims, matrices=matrices, field=field)
+        return rep
+
+    @cached_property
+    def _integral(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+        """(D, D * matrix) for each arrow, D the lcm of the matrix's
+        denominators (1 for an integer matrix), worked out once per object,
+        at its first `reduce_mod`."""
+        dens = [lcm(*{x.denominator for row in mat for x in row}) for mat in self.matrices]
+        return tuple((d, mat if d == 1 else tuple(tuple(int(x * d) for x in row) for row in mat))
+                     for d, mat in zip(dens, self.matrices))
+
     @property
     def n(self) -> int:
         return self.quiver.n
@@ -137,9 +172,9 @@ def validate_representation(rep: Representation) -> None:
 
     Raises ShapeMismatch (arrow index -1 when the dimension vector or the
     matrix count is at fault; its message names vertices and arrows 1-based) or
-    MixedScalarDomains; returns None on success; every Representation runs
-    it when built.  Loops and oriented 2-cycles are allowed (only the Euler
-    form and Ext insist on acyclicity).
+    MixedScalarDomains; returns None on success; every Representation built
+    by the constructor runs it.  Loops and oriented 2-cycles are allowed
+    (only the Euler form and Ext insist on acyclicity).
     """
     q = rep.quiver
     if len(rep.dims) != q.n:
@@ -174,24 +209,24 @@ def _same_domain(a: Representation, b: Representation) -> None:
 def reduce_mod(rep: Representation, p: int) -> Representation:
     """Reduce an integer/rational representation modulo a prime.
 
-    One exact representation can be evaluated at many primes this way.
-    Raises DomainMismatch if some denominator vanishes mod p.
+    One exact representation can be evaluated at many primes this way: each
+    matrix is D * matrix / D with D * matrix integral (`_integral`, worked
+    out once per representation), so each entry costs one multiply-mod by
+    D^-1.  Raises DomainMismatch, naming the first entry whose denominator
+    vanishes mod p, when p divides some D.
     """
     if rep.field is not None:
         raise DomainMismatch("representation is already over a prime field")
     if p >= MAX_PRIME or not linalg.is_prime(p):
         raise DomainMismatch(f"{p} is not a prime below 2^31")
-
-    def red(x):
-        if isinstance(x, Fraction):
-            if x.denominator % p == 0:
-                raise DomainMismatch(f"denominator of {x} vanishes mod {p}")
-            return x.numerator * pow(x.denominator, -1, p) % p
-        return x % p
-
-    mats = tuple(tuple(tuple(red(x) for x in row) for row in mat)
-                 for mat in rep.matrices)
-    return Representation(rep.quiver, rep.dims, mats, field=p)
+    mats = []
+    for (den, mat), given in zip(rep._integral, rep.matrices):
+        if den % p == 0:
+            x = next(x for row in given for x in row if x.denominator % p == 0)
+            raise DomainMismatch(f"denominator of {x} vanishes mod {p}")
+        inv = pow(den, -1, p)
+        mats.append(tuple(tuple(x * inv % p for x in row) for row in mat))
+    return Representation._trusted(rep.quiver, rep.dims, tuple(mats), p)
 
 
 def _random_representation(quiver: Quiver, dims: tuple[int, ...], rng,
@@ -234,26 +269,18 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
     if a.quiver != b.quiver:
         raise QuiverMismatch("direct sum needs both summands on one quiver")
     _same_domain(a, b)
+    mats = tuple(tuple(row + (0,) * b.dims[s] for row in am)
+                 + tuple((0,) * a.dims[s] + row for row in bm)
+                 for (s, _), am, bm in zip(a.quiver.arrows, a.matrices, b.matrices))
     dims = tuple(x + y for x, y in zip(a.dims, b.dims))
-    mats = []
-    for idx, (s, t) in enumerate(a.quiver.arrows):
-        am, bm = a.matrices[idx], b.matrices[idx]
-        rows = []
-        for r in range(a.dims[t]):
-            rows.append(tuple(am[r]) + (0,) * b.dims[s])
-        for r in range(b.dims[t]):
-            rows.append((0,) * a.dims[s] + tuple(bm[r]))
-        mats.append(tuple(rows))
-    return Representation(a.quiver, dims, tuple(mats), field=a.field)
+    return Representation._trusted(a.quiver, dims, mats, a.field)
 
 
 def dual_representation(rep: Representation) -> Representation:
     """Representation of the opposite quiver with transposed matrices."""
-    mats = []
-    for (s, t), mat in zip(rep.quiver.arrows, rep.matrices):
-        rows, cols = rep.dims[t], rep.dims[s]
-        mats.append(tuple(tuple(mat[r][c] for r in range(rows)) for c in range(cols)))
-    return Representation(rep.quiver.opposite(), rep.dims, tuple(mats), field=rep.field)
+    mats = tuple(tuple(tuple(row[c] for row in mat) for c in range(rep.dims[s]))
+                 for (s, _), mat in zip(rep.quiver.arrows, rep.matrices))
+    return Representation._trusted(rep.quiver.opposite(), rep.dims, mats, rep.field)
 
 
 def euler_form(quiver: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
@@ -266,33 +293,78 @@ def euler_form(quiver: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
     return total
 
 
-def hom_dim(a: Representation, b: Representation) -> int:
-    """Dimension of the space of homomorphisms a -> b.
+def _gauss_jordan(rows: list, width: int, p: int | None) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows (lists,
+    changed in place) on their first width columns, over F_p or, for p
+    None, over Q with every combined row made primitive.  Returns the lead
+    columns: rows[i] leads at leads[i], where every other row is zero, and
+    the rows past the leads are zero on the first width columns."""
+    norm = (lambda row: [x % p for x in row]) if p else linalg._primitive
+    leads: list[int] = []
+    for c in range(width):
+        k = len(leads)
+        i = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if i is not None:
+            rows[k], rows[i] = rows[i], rows[k]
+            rows[:] = [norm([rows[k][c] * x - row[c] * y for x, y in zip(row, rows[k])])
+                       if s != k and row[c] else row for s, row in enumerate(rows)]
+            leads.append(c)
+    return leads
 
-    Solves the intertwiner system {g_i: a_i -> b_i, g_i phi^a = phi^b g_j}
-    by exact elimination over the common scalar field.
+
+def hom_dim(a: Representation, b: Representation) -> int:
+    """Dimension of the space of homomorphisms a -> b, by vertex blocks.
+
+    The unknowns are g_v: a_v -> b_v with g_v phi^a = phi^b g_u for each
+    arrow u -> v.  The arrows into v make v's block of equations: side by
+    side they read g_v W_v = Y_v, with W_v = [phi^a ...] (a_v x N_v) and
+    Y_v = [phi^b g_u ...] (b_v x N_v).  g_v of a sink v, one that no arrow
+    leaves, occurs in no other block, so one fraction-free Gauss-Jordan
+    elimination of W_v (`_gauss_jordan`, rows cleared of denominators over
+    Q) settles it: g_v is fixed on im W_v and free on a complement, b_v
+    (a_v - rank W_v) dimensions, and Y_v vanishes on ker W_v, which leaves
+    b_v (N_v - rank W_v) equations in the other vertices' unknowns, one per
+    row of g_v and non-lead column of W_v.  Every other block keeps its
+    b_v N_v equations as they stand, and so does a sink with a_v <= 1,
+    whose elimination would only trade its b_v a_v unknowns for as many
+    equations.  One elimination over the field ranks them all: End of the
+    seed-42 plane quartic (Kronecker m = 4, d = (3, 4)) is 32 equations in
+    9 unknowns, where the dense system in every g_v is 48 x 25.  A vertex
+    on a loop or a cycle is no sink, so such quivers need nothing more.
     """
     if a.quiver != b.quiver:
         raise QuiverMismatch("hom requires both representations on one quiver")
     _same_domain(a, b)
-    offsets = []
-    total = 0
-    for v in range(a.n):
+    p, (into, sources) = a.field, _into(a.quiver)
+    offsets, blocked, total = [], [], 0  # the unknowns of each g_v not blocked, row by row
+    for v, x in enumerate(a.dims):
         offsets.append(total)
-        total += b.dims[v] * a.dims[v]
-    rows = []
-    for idx, (s, t) in enumerate(a.quiver.arrows):
-        am, bm = a.matrices[idx], b.matrices[idx]
-        # g_t am - bm g_s = 0, one equation per (r, c) in b_t x a_s
-        for r in range(b.dims[t]):
-            for c in range(a.dims[s]):
+        blocked.append(x > 1 and v in into and v not in sources)
+        total += 0 if blocked[v] else b.dims[v] * x
+    rows, free = [], 0
+    for v, ins in into.items():
+        if not b.dims[v]:
+            continue
+        cols = [(u, c, a.matrices[i], b.matrices[i]) for u, i in ins for c in range(a.dims[u])]
+        combos = [[(1, col)] for col in cols]  # each column of the block as it stands
+        if blocked[v]:  # a sink: Y_v on a basis of ker W_v, and g_v free off im W_v
+            w = [linalg._cleared([am[k][c] for _, c, am, _ in cols]) for k in range(a.dims[v])]
+            leads = _gauss_jordan(w, len(cols), p)
+            free += b.dims[v] * (a.dims[v] - len(leads))
+            big = lcm(*(w[i][c] for i, c in enumerate(leads)))
+            combos = [[(big, cols[f])] + [(-big // w[i][c] * w[i][f], cols[c])
+                                          for i, c in enumerate(leads)]
+                      for f in range(len(cols)) if f not in leads]
+        for combo in combos:
+            for r in range(b.dims[v]):  # sum over the combo of x (g_v am - bm g_u)[r, c] = 0
                 row = [0] * total
-                for k in range(a.dims[t]):
-                    row[offsets[t] + r * a.dims[t] + k] += am[k][c]
-                for k in range(b.dims[s]):
-                    row[offsets[s] + k * a.dims[s] + c] -= bm[r][k]
+                for x, (u, c, am, bm) in combo:
+                    for k in range(0 if blocked[v] else a.dims[v]):
+                        row[offsets[v] + r * a.dims[v] + k] += x * am[k][c]
+                    for k in range(b.dims[u]):
+                        row[offsets[u] + k * a.dims[u] + c] -= x * bm[r][k]
                 rows.append(row)
-    return total - (linalg.rank_frac(rows) if a.field is None else linalg.rank_mod(rows, a.field))
+    return free + total - (linalg.rank_mod(rows, p) if p else linalg.rank_frac(rows))
 
 
 # ---------------------------------------------------------------------------

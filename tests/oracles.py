@@ -97,6 +97,30 @@ def naive_hom_dim_mod(quiver_arrows, a_dims, b_dims, a_mats, b_mats, p):
     return dim
 
 
+def dense_hom_dim(a, b):
+    """dim Hom(a, b) from one dense system: a row per (arrow, entry) of
+    g_t phi^a - phi^b g_s, a column per entry of some g_v, ranked by
+    Gaussian elimination on Fractions (`fraction_rank`) over Q, or on
+    residues mod p."""
+    offsets, total = [], 0
+    for v in range(a.n):
+        offsets.append(total)
+        total += b.dims[v] * a.dims[v]
+    rows = []
+    for idx, (s, t) in enumerate(a.quiver.arrows):
+        am, bm = a.matrices[idx], b.matrices[idx]
+        for r in range(b.dims[t]):
+            for c in range(a.dims[s]):
+                row = [0] * total
+                for k in range(a.dims[t]):
+                    row[offsets[t] + r * a.dims[t] + k] += am[k][c]
+                for k in range(b.dims[s]):
+                    row[offsets[s] + k * a.dims[s] + c] -= bm[r][k]
+                rows.append(row)
+    p = a.field
+    return total - (fraction_rank(rows) if p is None else modular_rank(rows, p))
+
+
 def fraction_rank(matrix):
     """Rank over Q by Gaussian elimination on Fractions, pivoting column by column."""
     rows = [[Fraction(x) for x in row] for row in matrix]
@@ -112,6 +136,22 @@ def fraction_rank(matrix):
         rank += 1
     return rank
 
+
+def modular_rank(matrix, p):
+    """Rank over F_p by Gaussian elimination, pivoting column by column."""
+    rows = [[x % p for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] * inv % p
+            rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 def fraction_lagrange(points):
     """Coefficients (ascending) of the interpolant through the points, as Fractions.
@@ -281,3 +321,4 @@ def bipartite_word(rs):
                     colour[y] = 1 - colour[v]
                     frontier.append(y)
     return tuple(sorted(range(rs.rank), key=lambda v: (colour[v], v)))
+

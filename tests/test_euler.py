@@ -922,7 +922,7 @@ def test_arrow_test_closed_forms_equal_the_sampled_fit():
         rep = _random_rep(rng, SMALL_QUIVERS[i % len(SMALL_QUIVERS)])
         sampling = eu._sampling(rep)
         for e in product(*(range(d + 1) for d in rep.dims)):
-            closed = sampling.closed_form(e)
+            closed = sampling.closed_form(e, why=True)
             if closed is None:
                 continue
             ints, reason = closed
@@ -933,6 +933,24 @@ def test_arrow_test_closed_forms_equal_the_sampled_fit():
             poly = counting_polynomial(rep, e)
             assert (poly.coefficients, poly.samples) == (ints, ()), (rep, e)
     assert min(seen["arrow"], seen["no arrow constrains e"]) >= 50 and seen["M is rigid"], seen
+
+
+def test_closed_forms_give_a_reason_only_when_asked():
+    # the same P_e either way; a product of Grassmannians of degree 0 is 1
+    import quivergrass.euler as eu
+    rng = random.Random("closed-form reasons")
+    degree_zero = 0
+    for i in range(100):
+        rep = _random_rep(rng, SMALL_QUIVERS[i % len(SMALL_QUIVERS)])
+        sampling = eu._sampling(rep)
+        for e in product(*(range(d + 1) for d in rep.dims)):
+            closed = sampling.closed_form(e, why=True)
+            assert sampling.closed_form(e) == (None if closed is None else closed[0]), (rep, e)
+            if closed and closed[1].startswith("no arrow") and all(x in (0, d) for x, d
+                                                                  in zip(e, rep.dims)):
+                assert closed[0] == (1,)
+                degree_zero += 1
+    assert degree_zero >= 50, degree_zero
 
 
 def test_arrow_test_settles_a_thin_root_with_no_prime(monkeypatch):

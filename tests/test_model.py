@@ -13,7 +13,8 @@ from quivergrass.errors import (
     QuiverMismatch,
     ShapeMismatch,
 )
-from quivergrass.euler import _sampling
+from quivergrass import linalg
+from quivergrass.euler import _sampling, good_primes
 from quivergrass.kronecker import (
     build_kronecker,
     kronecker_quiver,
@@ -38,7 +39,7 @@ from quivergrass.model import (
     validate_representation,
 )
 
-from oracles import naive_hom_dim_mod
+from oracles import dense_hom_dim, fraction_rank, naive_hom_dim_mod
 
 ONE_VERTEX = Quiver(1, ())
 
@@ -285,6 +286,157 @@ def test_hom_additivity_over_direct_sums():
         a, a2, b = sample(), sample(), sample()
         assert hom_dim(direct_sum(a, a2), b) == hom_dim(a, b) + hom_dim(a2, b)
         assert hom_dim(b, direct_sum(a, a2)) == hom_dim(b, a) + hom_dim(b, a2)
+
+
+# Hom by vertex blocks against the dense system, in which every g_v has its
+# unknowns and every arrow its equations (`oracles.dense_hom_dim`).
+
+def _random_quiver(rng, kind):
+    if kind == "loop":
+        return Quiver(2, ((0, 0), (0, 1), (0, 1)))
+    if kind == "2-cycle":
+        return Quiver(3, ((0, 1), (1, 0), (1, 2)))
+    n = rng.randint(2, 4)  # acyclic: each arrow goes up in index, parallel arrows allowed
+    return Quiver(n, tuple(tuple(sorted(rng.sample(range(n), 2)))
+                           for _ in range(rng.randint(1, 5))))
+
+
+def _random_matrices(rng, quiver, dims, p):
+    def entry():
+        if p is not None:
+            return rng.randrange(p)
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 1, 2, 3)))
+
+    return tuple(tuple(tuple(entry() if rng.random() < 0.8 else 0 for _ in range(dims[s]))
+                       for _ in range(dims[t])) for s, t in quiver.arrows)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7])
+def test_hom_dim_matches_the_dense_system(p):
+    rng = random.Random(f"hom-blocks:{p}")
+    kinds = ("acyclic", "acyclic", "loop", "2-cycle")
+    blocked = 0  # pairs with a sink of a_v >= 2 and b_v >= 1, whose block is eliminated
+    for i in range(80):
+        q = _random_quiver(rng, kinds[i % len(kinds)])
+        dims_a = tuple(rng.randint(0, 3) for _ in range(q.n))
+        a = Representation(q, dims_a, _random_matrices(rng, q, dims_a, p), field=p)
+        if i % 3 == 0:
+            b = a
+        else:
+            dims_b = tuple(rng.randint(0, 3) for _ in range(q.n))
+            b = Representation(q, dims_b, _random_matrices(rng, q, dims_b, p), field=p)
+        assert hom_dim(a, b) == dense_hom_dim(a, b), (a, b)
+        sinks = set(range(q.n)) - {u for u, _ in q.arrows}
+        blocked += any(a.dims[v] > 1 and b.dims[v] for v in sinks)
+    assert blocked >= 15, blocked
+
+
+def test_quartic_end_ranks_32_equations_in_9_unknowns(monkeypatch):
+    # the sink's block of 4 x 12 equations leaves 4 x (12 - 4), in g_1 alone
+    from quivergrass.sampler import sample_general_rep
+    shapes = []
+    rank = linalg.rank_mod
+
+    def recorded(rows, p):
+        rows = list(rows)
+        shapes.append((len(rows), {len(row) for row in rows}))
+        return rank(rows, p)
+
+    monkeypatch.setattr(linalg, "rank_mod", recorded)
+    rep = reduce_mod(sample_general_rep(kronecker_quiver(4), (3, 4), 42, 5), 3)
+    assert hom_dim(rep, rep) == 1
+    assert shapes == [(32, {9})]
+
+
+# Reduction mod p from the cached integral form, against the reduction entry
+# by entry through the checking constructor.
+
+def _checked_reduction(rep, p):
+    def red(x):
+        if isinstance(x, Fraction):
+            if x.denominator % p == 0:
+                raise DomainMismatch(f"denominator of {x} vanishes mod {p}")
+            return x.numerator * pow(x.denominator, -1, p) % p
+        return x % p
+
+    return Representation(rep.quiver, rep.dims, tuple(tuple(tuple(red(x) for x in row)
+                                                            for row in mat)
+                                                      for mat in rep.matrices), field=p)
+
+
+def _rational_reps():
+    rng = random.Random("reduction")
+    q = Quiver(3, ((0, 1), (0, 1), (1, 2)))
+    for den in (3, 5, 15):
+        for _ in range(4):
+            dims = tuple(rng.randint(1, 3) for _ in range(3))
+            yield Representation(q, dims, tuple(
+                tuple(tuple(Fraction(rng.randint(-9, 9), rng.choice((1, den, 2 * den)))
+                            for _ in range(dims[s])) for _ in range(dims[t]))
+                for s, t in q.arrows))
+    # det = 7: rank 2 over Q and 1 mod 7, beside a matrix with a denominator 3
+    yield Representation(Quiver(3, ((0, 1), (1, 2))), (2, 2, 1),
+                         (((1, 2), (3, 13)), ((Fraction(1, 3), 1),)))
+
+
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def test_reduce_mod_matches_the_checked_reduction():
+    refused = set()
+    for rep in _rational_reps():
+        for p in ODD_PRIMES:
+            try:
+                want = _checked_reduction(rep, p)
+            except DomainMismatch as exc:
+                with pytest.raises(DomainMismatch, match=re.escape(str(exc))):
+                    reduce_mod(rep, p)
+                refused.add(p)
+                continue
+            got = reduce_mod(rep, p)
+            assert got == want and hash(got) == hash(want), (rep, p)
+            assert got.matrices == want.matrices and got.field == p
+            validate_representation(got)
+            for derived, checked in ((direct_sum(got, got), direct_sum(want, want)),
+                                     (dual_representation(got), dual_representation(want))):
+                rebuilt = Representation(derived.quiver, derived.dims, derived.matrices,
+                                         field=derived.field)
+                assert derived == rebuilt == checked and hash(derived) == hash(rebuilt)
+    assert refused == {3, 5}, refused
+
+
+def test_good_primes_match_the_checked_rule():
+    # the rule before the integral form: reduce through the checking
+    # constructor, then compare each matrix's rank mod p with its rank over Q
+    for rep in _rational_reps():
+        ranks = [fraction_rank(mat) for mat in rep.matrices]
+        want = []
+        for p in (p for p in range(3, 100, 2) if all(p % q for q in range(3, p, 2))):
+            try:
+                rep_p = _checked_reduction(rep, p)
+            except DomainMismatch:
+                continue
+            if all(linalg.rank_mod(mat, p) == r for mat, r in zip(rep_p.matrices, ranks)):
+                want.append(p)
+        assert good_primes(rep, 8) == want[:8], rep
+    drop = list(_rational_reps())[-1]
+    assert good_primes(drop, 3) == [5, 11, 13]  # 3 divides a denominator, 7 drops a rank
+
+
+def test_rank_frac_takes_integer_rows_as_they_are():
+    rng = random.Random("rank-frac")
+    for _ in range(200):
+        rows, inner, cols = rng.randint(0, 5), rng.randint(0, 4), rng.randint(0, 5)
+        left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)]
+        ints = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if right
+                else [0] * cols for row in left]
+        fracs = [[Fraction(x, d) for x in row] for row, d in
+                 zip(ints, [rng.randint(1, 6) for _ in ints])]
+        want = fraction_rank(ints)
+        assert linalg.rank_frac(ints) == want <= inner, ints
+        assert linalg.rank_frac(fracs) == want, fracs
+        assert linalg.rank_frac([[Fraction(x) for x in row] for row in ints]) == want
 
 
 def test_rigidity():
