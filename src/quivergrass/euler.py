@@ -445,19 +445,25 @@ class _Sampling:
           (`_grassmannians`);
         - M is rigid (`rigid`) and <e, d - e> < 0: P_e = 0.
         """
+        return self._closed_form(e, why)[0]
+
+    def _closed_form(self, e: Sequence[int], why: bool = False) -> tuple:
+        """(`closed_form(e, why)`, `rigid_dimension(e)`), the second worked
+        out only when the arrow tests leave e to rigidity, and None
+        otherwise, so `_settle` reads it once per e."""
         dims, arrows = self.rep.dims, self.rep.quiver.arrows
         for (u, v), r in zip(arrows, self.ranks):
             if r > dims[u] - e[u] + e[v]:
                 return ((), f"arrow {u + 1} -> {v + 1} of rank {r} forces dim U_{v + 1} >= "
-                            f"{e[u] - dims[u] + r} > e_{v + 1} = {e[v]}") if why else ()
+                            f"{e[u] - dims[u] + r} > e_{v + 1} = {e[v]}") if why else (), None
         if not any(r and e[u] and e[v] < dims[v] for (u, v), r in zip(arrows, self.ranks)):
             ints = _grassmannians(dims, e)
             return ((ints, "no arrow constrains e: Gr_e(M) is a product of Grassmannians")
-                    if why else ints)
+                    if why else ints), None
         dimension = self.rigid_dimension(e)
         if dimension is not None and dimension < 0:
-            return ((), f"M is rigid and <e, d - e> = {dimension} < 0") if why else ()
-        return None
+            return ((), f"M is rigid and <e, d - e> = {dimension} < 0") if why else (), dimension
+        return None, dimension
 
 
 @lru_cache(maxsize=1024)
@@ -608,11 +614,14 @@ def _settle(rep: Representation, es: Sequence[tuple[int, ...]], cap: int | None
     """
     sampling = _sampling(rep)
     cap = read_cap(cap)
-    settled = {e: ints for e in es if (ints := sampling.closed_form(e)) is not None}
+    settled, degrees = {}, {}  # degrees: <e, d - e> for rigid M, else None
+    for e in es:
+        ints, degrees[e] = sampling._closed_form(e)
+        if ints is not None:
+            settled[e] = ints
     pending = [e for e in es if e not in settled]
     bounds = {e: max(len(settled[e]) - 1, 0) if e in settled else sampling.degree_bound(e)
               for e in es}  # a closed form's degree, else the arrow bound
-    degrees = {e: sampling.rigid_dimension(e) for e in pending}
     samples = {e: [] for e in es}
     walks, fits = {}, {}
     primes = sampling.reductions()

@@ -21,8 +21,9 @@ each e takes its own walk: the one with fewer candidates, then the one
 with fewer blocks, then forward.  Blocks are what the walk ranks: the
 items `_iter_rref(block=True)` yields at the last searched vertex (a rank,
 a pencil, a plane or a row family each), times the Gaussian binomials of
-the earlier searched vertices.  One e ties exactly when its own two
-estimates do, so it meets the same order, and on a square Kronecker
+the earlier searched vertices, a whole vertex (below) counting as its
+blocks.  One e ties exactly when its own two estimates do, so it meets
+the same order, and on a square Kronecker
 module the whole box ties, so the box and each e alone take the same walks
 and share the memo.  Forward can be the costly side of a tie: reg(6, 1) at
 (5, 5) has 1 + 1 + p + ... + p^4 blocks forward, and 6 by the dual.  No
@@ -59,7 +60,9 @@ last searched position of a shortcut walk, where the second comes from
 the final vertex instead of from a family of one.
 
 Blocks: at the last searched position of a shortcut walk, if it has no
-arrow checks, the walk counts the final vertex by row families.  The f free
+arrow checks and is not a whole vertex (below), the walk counts the final
+vertex by row families: more than two arrows leave it, or the candidate
+leaves 2 <= n <= m - 2 rows free (n and m as there).  The f free
 entries (r, c_1), ..., (r, c_f) of the last echelon row r that has any move
 only row r: set to s in F_p^f, they make its image under arrow i
 R_i(s) = a_i + sum_j s_j g_ij, g_ij column c_j.  The span forced into the
@@ -97,6 +100,38 @@ k = 3), outnumber the p^(f-2) planes for f <= 4.  Every candidate
 of a family is still charged to the budget, two ticks each, so the cap,
 the estimates and every SearchTooLarge text are as for a
 candidate-by-candidate walk.
+
+Whole vertex: the last searched position of a shortcut walk, with no arrow
+checks and at most two arrows into the final vertex, is counted at once
+(`_whole_ranks`) when the candidate leaves one row free (n = e_v - s = 1)
+or one row short (n = m - 1), with m = d_v - s.  S is v's forced span, of
+dimension s, and Q = F_p^{d_v}/S has the unit vectors off S's pivots as
+its basis.  C is the span of the earlier images in the final vertex and
+of the images of S, and psi_1, psi_2 are v's arrows into the final vertex
+taken modulo C; a missing arrow is the zero map, so k = 0, 1 and 2 share
+one route.  A candidate U with U/S = H forces the rank
+dim C + dim(psi_1 H + psi_2 H).  Lines, H = <w>: the rank is
+dim C + 2 - dim K(w), where K(w) = {beta in F_p^2 : beta_1 psi_1 w +
+beta_2 psi_2 w = 0}.  For W in F_p^2, the w with W in K(w) form the kernel
+of psi_W, so S_1, the sum of binom_p(dim K(w), 1) over the [m]_p lines,
+is the sum over t of #lines(ker(psi_1 + t psi_2)), one pencil of the m
+image rows, plus #lines(ker psi_2), one rank, #lines(X) being
+[dim X]_p; S_2 = #lines(ker psi_1 cap ker psi_2) needs the rank of the
+concatenated rows (psi_1 e_c | psi_2 e_c), not of their union.
+Hyperplanes, H = ker lambda: let
+Z = ker(Psi: Q^2 -> F_p^{d_f}/C, (x, y) -> psi_1 x + psi_2 y), whose
+basis one `rref_mod` of the d_f x 2m matrix gives, one vector per
+non-pivot column.  Then dim(psi_1 H + psi_2 H) = 2(m - 1) -
+dim(Z cap H^2) = rank Psi - dim K'(lambda), where K'(lambda) = {beta :
+lambda vanishes on Z_beta} and Z_beta = {beta_1 x + beta_2 y : (x, y) in
+Z}, so S_1 needs one pencil over the two halves of Z's basis and the rank
+of the second half, and S_2 the rank of the union of both halves.  The
+inversion of row families gives N_2 = S_2, N_1 = S_1 - (p + 1) S_2 and
+N_0 = [m]_p - N_1 - N_2, and the rank is top - d, with top = dim C + 2
+for lines and dim C + rank Psi for hyperplanes.  One pencil and two ranks
+replace the m pivot blocks.  The vertex charges its 2 [m]_p ticks at
+once, the total the blocks charge, so the estimates, "refused unwalked"
+against "ran out", and every SearchTooLarge text stay as for blocks.
 
 One walk per fiber: the shortcut walk fixes U at the searched vertices and
 records how often each rank of forced span reaches the final vertex, which
@@ -217,7 +252,8 @@ def _free_entries(m: int, pivots: tuple, arrows: int | None = None) -> tuple[lis
 def _block_count(p: int, m: int, e: int, arrows: int) -> int:
     """How many items `_iter_rref(block=True)` yields for Gr(e, m) over F_p
     under that many arrows: p^(free entries outside the row family) per
-    pivot set."""
+    pivot set.  `_plan` breaks ties by this count even where the walk ranks
+    the vertex whole, as one pencil and two ranks."""
     return sum(p ** len(_free_entries(m, pivots, arrows)[0])
                for pivots in combinations(range(m), e))
 
@@ -443,6 +479,36 @@ def _family_ranks(fixed: list, a: list, g: list, p: int) -> dict[int, int]:
     return hist
 
 
+def _whole_ranks(fixed: list, a: list, b: list, n: int, p: int) -> dict[int, int]:
+    """How many n-dim subspaces H of F_p^m, n = 1 or m - 1, give each rank of
+    the span of the fixed rows and the images of H under two maps, the m
+    rows a and b being the images of the unit vectors: a whole vertex,
+    counted by one pencil and two ranks (module docstring)."""
+    rows, pivots = linalg.rref_mod(fixed, p)
+    a, b = ([linalg.reduce_mod(x, rows, pivots, p) for x in side] for side in (a, b))
+    m = len(a)
+    if n == 1:  # lines: W in K(w) when w lies in the kernel of psi_W
+        top, joint = 2, [x + y for x, y in zip(a, b)]
+    else:  # hyperplanes: the pencil and ranks of the two halves of a basis of Z
+        zrows, zpivots = linalg.rref_mod(zip(*a, *b), p)
+        z = []
+        for q in range(2 * m):
+            if q not in zpivots:
+                vec = [0] * (2 * m)
+                vec[q] = 1
+                for row, c in zip(zrows, zpivots):
+                    vec[c] = -row[q] % p
+                z.append(vec)
+        top, a, b = len(zpivots), [x[:m] for x in z], [x[m:] for x in z]
+        joint = a + b
+    lines = [_gaussian_binomial(j, 1, p) for j in range(m + 1)]
+    s1 = lines[m - linalg.rank_mod(b, p)] + sum(
+        count * lines[m - r] for r, count in linalg.pencil_rank_histogram(a, b, p).items())
+    s2 = lines[m - linalg.rank_mod(joint, p)]
+    counts = (lines[m] - s1 + p * s2, s1 - (p + 1) * s2, s2)  # N_0, N_1, N_2
+    return {len(rows) + top - d: c for d, c in enumerate(counts) if c}
+
+
 def _walk(rep: Representation, e: tuple[int, ...], budget: _Budget,
           shortcut: bool, backward: bool = False) -> Iterator:
     """Search Gr_e(rep), or Gr_e(rep*) when backward, ticking the budget once
@@ -452,8 +518,8 @@ def _walk(rep: Representation, e: tuple[int, ...], budget: _Budget,
     search walks rep along the routing of the opposite quiver, with e the
     dual's dimension vector.  With shortcut the final position is not
     enumerated: it ticks once per arrival and the walk yields (rank of the
-    span forced into it, multiplicity) pairs, by row families where it can
-    (module docstring).
+    span forced into it, multiplicity) pairs, by a whole vertex or by
+    blocks at the last searched position (module docstring).
     Otherwise it yields the stack of chosen (rows, pivots, images), one per
     position, at every point of the Grassmannian.
     """
@@ -476,6 +542,15 @@ def _walk(rep: Representation, e: tuple[int, ...], budget: _Budget,
         earlier = [w for src, k in forced_in[last] if src < pos for w in chosen[src][2][k]]
         v = order[pos]
         zero = (0,) * dims[order[last]]
+        m, n = dims[v] - len(srows), e[v] - len(srows)
+        if len(cols[pos]) <= 2 and n in (1, m - 1):  # the whole vertex at once
+            budget.tick(2 * _gaussian_binomial(m, 1, p))
+            maps = cols[pos] + ((zero,) * dims[v],) * (2 - len(cols[pos]))
+            free = [c for c in range(dims[v]) if c not in spivots]
+            fixed = earlier + [linalg.matvec_mod(tuple(zip(*col)), row, p)
+                               for col in cols[pos] for row in srows]
+            yield from _whole_ranks(fixed, *([x[c] for c in free] for x in maps), n, p).items()
+            return
         for _, _, images, steps in _iter_superspaces(p, dims[v], e[v], srows, spivots,
                                                      cols[pos], block=True):
             r = steps[0][0] if steps else -1
@@ -557,7 +632,9 @@ def _final_ranks(rep: Representation, backward: bool, key: tuple[int, ...], cap:
     dimension vector with that entry 0.
 
     The walk does not read the final coordinate, so every e in the fiber
-    shares it; a memo hit makes no budget.  A walk that runs out of budget
+    shares it; its last searched vertex is ranked whole (one pencil and two
+    ranks) at n = 1 or m - 1 under at most two arrows, and by blocks
+    otherwise.  A memo hit makes no budget.  A walk that runs out of budget
     raises, and lru_cache stores no result for it.
     """
     hist: Counter = Counter()
@@ -593,8 +670,9 @@ def _plan(rep: Representation, es: Sequence[tuple[int, ...]]) -> _Plan:
     when the walks the set needs on the dual have a strictly smaller summed
     estimate, on an acyclic quiver, and every e forward when those on M
     do or the quiver has cycles.  On a tie each e takes its own walk: fewer
-    candidates, then fewer blocks, then forward.  rep's field and es's box
-    are trusted, as in `_walk`."""
+    candidates, then fewer blocks (the block framing, also where the walk
+    takes a whole vertex), then forward.  rep's field and es's box are
+    trusted, as in `_walk`."""
     dims, p = rep.dims, rep.field
     routes = (_routing(rep.quiver),) + ((_dual_routing(rep.quiver),)
                                         if rep.quiver.is_acyclic else ())

@@ -1041,6 +1041,33 @@ def test_degree_bound_is_worked_out_only_where_e_samples(monkeypatch):
         assert len(sampled) == 3 and sorted(asked) == sorted(sampled), rep.dims
 
 
+def test_rigid_dimension_is_worked_out_once_per_e(monkeypatch):
+    # <e, d - e> is read once for every e the arrow tests leave: the rigid
+    # empty e it settles and each pending e, whose palindrome reads it again
+    import quivergrass.euler as eu
+    dimension, count_planned = eu._Sampling.rigid_dimension, eu._count_planned
+    asked, sampled = [], set()
+
+    def spy(self, e):
+        asked.append(tuple(e))
+        return dimension(self, e)
+
+    def recorded(rep_p, plan, es, *args):
+        sampled.update(es)
+        return count_planned(rep_p, plan, es, *args)
+
+    monkeypatch.setattr(eu._Sampling, "rigid_dimension", spy)
+    monkeypatch.setattr(eu, "_count_planned", recorded)
+    for rep in (build_kronecker(preinjective(4)), build_kronecker(preprojective(3))):
+        asked.clear()
+        sampled.clear()
+        f_polynomial(rep)
+        sampling = eu._sampling(rep)
+        assert sorted(asked) == sorted(set(asked)), rep.dims  # once per e
+        assert sampled and sampled <= set(asked), rep.dims
+        assert all(dimension(sampling, e) < 0 for e in set(asked) - sampled), rep.dims
+
+
 def test_rigid_palindrome_settles_inj4_at_four_primes():
     # <(1, 2), (3, 1)> = 3, so two nodes and two held out, where the per-e
     # test needs six primes and the fiber test five

@@ -54,6 +54,7 @@ from oracles import (
     apply_matrix,
     bipartite_word,
     fraction_rank,
+    modular_rank,
     naive_count_subreps,
     naive_subspaces,
     span_set,
@@ -1131,15 +1132,14 @@ def test_block_walk_charges_every_candidate(budgets):
     assert sum(profile.values()) == sum(count_subreps(rep, (1, x)).count for x in range(5))
 
 
-def test_block_walk_ranks_a_plane_per_kernel_call(budgets, monkeypatch):
-    # in Gr(1, 4) pivot 0 leaves three free entries in row 0: one row family
-    # of p^3 lines, counted by relation systems; pivot 1 leaves a plane of p^2
-    # lines, pivot 2 a pencil of p and pivot 3 a block of one, ranked directly
+def _kernel_log(monkeypatch):
+    """The kernels a walk calls, in order: "family", "plane", "pencil" or
+    "rank", each call made inside another kernel left to that kernel."""
     log, depth = [], []
 
     def logged(name, kernel):
         def wrapper(*args):
-            if not depth:  # kernel calls made inside another kernel are its own
+            if not depth:
                 log.append("plane" if name == "pencil" and len(args) == 4 else name)
             depth.append(name)
             try:
@@ -1152,9 +1152,30 @@ def test_block_walk_ranks_a_plane_per_kernel_call(budgets, monkeypatch):
     monkeypatch.setattr(linalg, "pencil_rank_histogram",
                         logged("pencil", linalg.pencil_rank_histogram))
     monkeypatch.setattr(linalg, "rank_mod", logged("rank", linalg.rank_mod))
+    return log
+
+
+def test_block_walk_ranks_a_plane_per_kernel_call(budgets, monkeypatch):
+    # Gr(2, 5) under two arrows keeps blocks.  Per pivot set, the free
+    # entries of the last row with any form the block, the others count the
+    # blocks: (0, 1) gives p^3 row families of p^3 candidates each, (0, 2)
+    # p^3 planes, (0, 3) p^3 pencils, (0, 4) one family (row 1 has no free
+    # entry), (1, 2) p^2 planes, (1, 3) p^2 pencils, (1, 4) one plane,
+    # (2, 3) p pencils, (2, 4) one pencil and (3, 4) one rank
+    log = _kernel_log(monkeypatch)
+    p = 3
+    rep = reduce_mod(build_kronecker(regular(5, 0)), p)
+    ranks = dict(_final_ranks(rep, False, (2, 0), default_cap()))
+    assert log == (["family"] * p ** 3 + ["plane"] * p ** 3 + ["pencil"] * p ** 3 + ["family"]
+                   + ["plane"] * p ** 2 + ["pencil"] * p ** 2 + ["plane"]
+                   + ["pencil"] * (p + 1) + ["rank"])
+    assert budgets[-1].used == 2 * gaussian_binomial(5, 2, p)
+    assert ranks == _streamed_ranks(rep, (2, 0))
+    # Gr(1, 4) under two arrows is one whole vertex: a pencil and two ranks
+    log.clear()
     rep = reduce_mod(build_kronecker(regular(4, 0)), 23)
     _, walked = _count_planned(rep, _plan(rep, _fiber(1, 4)), _fiber(1, 4), default_cap())
-    assert log == ["family", "plane", "pencil", "rank"]
+    assert log == ["rank", "pencil", "rank"]
     assert budgets[-1].used == 2 * REG4_LINES == 25440
     assert dict(walked[False, (1, 0)]) == {1: 1, 2: REG4_LINES - 1}
 
@@ -1168,14 +1189,33 @@ def _counted(monkeypatch, name):
 
 
 def test_plane_swaps_t_and_u_when_a_fixed_row_moves_with_u(budgets, monkeypatch):
-    # forward on inj(4), at pivot 1 of Gr(1, 4), arrow 0's image has b = 0 and
-    # c != 0: with t and u swapped the plane peels, one kernel call where p
-    # separate lines took p + 1; pivot 2 adds one pencil
+    # forward on pr(5), Gr(2, 4) keeps blocks.  At pivots (0, 3) row 0 is
+    # e_0 + u*e_1 + t*e_2 and arrow 1 maps it to e_1 + u*e_2 + t*e_3, whose
+    # t part lies in the fixed images <e_3, e_4>: a row fixed in t that moves
+    # with u.  With t and u swapped the plane peels, one kernel call where p
+    # separate lines took p + 1
     calls = _counted(monkeypatch, "pencil_rank_histogram")
+    peels = []
+    peel = linalg._peel
+    monkeypatch.setattr(linalg, "_peel", lambda *args: peels.append(peel(*args)) or peels[-1])
+    for p, want in ((3, None), (7, {4: 2793, 3: 57})):
+        calls.clear()
+        peels.clear()
+        rep = reduce_mod(build_kronecker(preprojective(5)), p)
+        ranks = dict(_final_ranks(rep, False, (2, 0), default_cap()))
+        assert ranks == (want or _streamed_ranks(rep, (2, 0))), p
+        # p^2 planes at (0, 1), p^2 pencils at (0, 2), one plane at (0, 3),
+        # p pencils at (1, 2) and one at (1, 3)
+        assert len(calls) == 2 * p ** 2 + p + 2
+        assert [peeled is None for peeled in peels].count(True) == 1  # the swapped plane
+        assert len(peels) == len(calls) + 1
+        assert budgets[-1].used == 2 * gaussian_binomial(4, 2, p)
+    # Gr(1, 4) on inj(4) is one whole vertex now: one pencil
+    calls.clear()
     rep = reduce_mod(build_kronecker(preinjective(4)), 31)
     lines = gaussian_binomial(4, 1, 31)
     assert dict(_final_ranks(rep, False, (1, 0), default_cap())) == {2: lines - 32, 1: 32}
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert budgets[-1].used == 2 * lines  # two ticks per candidate, as before
 
 
@@ -1200,8 +1240,8 @@ def test_block_walk_cap_boundary(budgets):
 
 
 def test_cap_inside_a_row_family(budgets):
-    # the estimate 12,720 is under the cap, but the family of pivot 0 charges
-    # 2 * 23^3 candidates at once and runs the walk out of budget
+    # the estimate 12,720 is under the cap, but the whole vertex charges
+    # 2 * [4]_23 = 25,440 candidates at once and runs the walk out of budget
     rep = reduce_mod(build_kronecker(regular(4, 0)), 23)
     with pytest.raises(SearchTooLarge) as err:
         _count_many(rep, _fiber(1, 4), cap=20000)
@@ -1256,30 +1296,31 @@ def test_family_ranks_match_direct_ranks():
 
 
 def _family_cases():
-    """(rep, key, primes, k, e_v, forced dimension at the searched vertex):
-    forward walks whose last searched vertex has a row family of f >= 3
-    steps under k arrows into the final vertex."""
+    """(rep, key, primes, k, n, forced dimension at the searched vertex):
+    forward walks whose last searched vertex keeps blocks, n = e_v - forced
+    being neither 1 nor m - 1 with m = d_v - forced, and has a row family of
+    f >= 3 steps under k arrows into the final vertex."""
     kron, path, two = kronecker_quiver(2), Quiver(3, ((0, 1), (1, 2))), Quiver(2, ((0, 1),))
     tail = Quiver(3, ((0, 1), (1, 2), (1, 2)))
-    cases = [(two, (4, 3), (1, 0), (3, 5, 7), 1, 0), (kron, (4, 3), (1, 0), (3, 5, 7), 2, 0),
-             (two, (5, 3), (2, 0), (3, 5), 1, 0), (kron, (5, 2), (2, 0), (3, 5), 2, 0),
+    cases = [(two, (5, 3), (2, 0), (3, 5), 1, 0), (kron, (5, 2), (2, 0), (3, 5), 2, 0),
              (two, (6, 2), (3, 0), (3,), 1, 0), (kron, (6, 2), (3, 0), (3,), 2, 0),
-             (path, (1, 5, 3), (1, 2, 0), (3, 5, 7), 1, 1),
-             (tail, (1, 5, 2), (1, 2, 0), (3, 5, 7), 2, 1),
-             (path, (2, 6, 2), (2, 3, 0), (3, 5, 7), 1, 2),
-             (tail, (2, 6, 2), (2, 3, 0), (3, 5, 7), 2, 2),
-             (Quiver(4, ((0, 2), (1, 2), (2, 3), (2, 3), (0, 3))), (1, 1, 6, 2), (1, 1, 3, 0),
+             (path, (1, 6, 3), (1, 3, 0), (3, 5), 1, 1),
+             (tail, (1, 6, 2), (1, 3, 0), (3, 5), 2, 1),
+             (path, (2, 7, 2), (2, 4, 0), (3, 5), 1, 2),
+             (tail, (2, 7, 2), (2, 4, 0), (3, 5), 2, 2),
+             (Quiver(4, ((0, 2), (1, 2), (2, 3), (2, 3), (0, 3))), (1, 1, 7, 2), (1, 1, 4, 0),
               (3, 5), 2, 2)]
     for seed, (quiver, dims, key, primes, k, forced) in enumerate(cases):
-        yield sample_general_rep(quiver, dims, seed, 3), key, primes, k, key[-2], forced
+        yield sample_general_rep(quiver, dims, seed, 3), key, primes, k, key[-2] - forced, forced
     # the second arrow is zero, so its images vanish
-    zero = Representation(kron, (4, 3), (((1, 0, 2, 0), (0, 1, 1, 2), (2, 0, 1, 1)),
-                                         ((0,) * 4,) * 3))
-    yield zero, (1, 0), (3, 5, 7), 2, 1, 0
+    zero = Representation(kron, (5, 3), (((1, 0, 2, 0, 1), (0, 1, 1, 2, 0), (2, 0, 1, 1, 1)),
+                                         ((0,) * 5,) * 3))
+    yield zero, (2, 0), (3, 5), 2, 2, 0
     # vertex 0 maps onto the final vertex, so C is all of it
     onto = Quiver(3, ((0, 2), (1, 2), (1, 2)))
-    mats = (((1, 0), (0, 1)), ((1, 2, 0, 1), (0, 1, 1, 0)), ((2, 0, 1, 1), (1, 1, 0, 2)))
-    yield Representation(onto, (2, 4, 2), mats), (2, 1, 0), (3, 5, 7), 2, 1, 0
+    mats = (((1, 0), (0, 1)), ((1, 2, 0, 1, 0), (0, 1, 1, 0, 2)),
+            ((2, 0, 1, 1, 0), (1, 1, 0, 2, 1)))
+    yield Representation(onto, (2, 5, 2), mats), (2, 2, 0), (3, 5), 2, 2, 0
 
 
 def test_family_route_matches_the_pencil_route(monkeypatch):
@@ -1289,7 +1330,7 @@ def test_family_route_matches_the_pencil_route(monkeypatch):
         seen.add((len(a), len(g) >= 3))
         return kernel(fixed, a, g, p)
 
-    for rep, key, primes, k, e_v, forced in _family_cases():
+    for rep, key, primes, k, n, forced in _family_cases():
         for p in primes:
             rp = reduce_mod(rep, p)
             seen.clear()
@@ -1300,13 +1341,14 @@ def test_family_route_matches_the_pencil_route(monkeypatch):
             monkeypatch.setattr(subspaces, "_family_ranks", _pencil_route)
             _final_ranks.cache_clear()
             assert family == dict(_final_ranks(rp, False, key, 10 ** 6)), (rep, key, p)
-            if p == 3 and e_v - forced < 3:  # the walk's framing, point by point
+            if p == 3 and n < 3:  # the walk's framing, point by point
                 assert family == _streamed_ranks(rp, key), (rep, key)
-            covered.add((k, e_v, forced > 0))
+            covered.add((k, n, forced > 0))
     _final_ranks.cache_clear()
-    # every k, e_v and forced span the walk can meet (e_v = 1 leaves no room for one)
-    assert covered == {(k, e_v, forced) for k in (1, 2) for e_v in (1, 2, 3)
-                       for forced in (False, True) if e_v > 1 or not forced}
+    # every k, n = 2 with and without a forced span, and n = 3; n = 1 and
+    # n = m - 1 are whole vertices (test_whole_vertex_matches_every_candidate_...)
+    assert covered == {(k, n, forced) for k in (1, 2) for n in (2, 3)
+                       for forced in (False, True) if n == 2 or not forced}
 
 
 def test_families_under_three_or_more_arrows_split_into_planes(monkeypatch):
@@ -1321,6 +1363,83 @@ def test_families_under_three_or_more_arrows_split_into_planes(monkeypatch):
             rp = reduce_mod(rep, p)
             _final_ranks.cache_clear()
             assert dict(_final_ranks(rp, False, (1, 0), 10 ** 6)) == _streamed_ranks(rp, (1, 0))
+    _final_ranks.cache_clear()
+
+
+# Whole vertices: under at most two arrows, a last searched vertex with one
+# row free (n = 1) or one row short (n = m - 1) is counted at once.
+
+WHOLE_SIZES = {2: 5, 3: 5, 5: 4, 7: 3, 11: 3}  # largest m streamed at each prime
+
+
+def _whole_vertex_reps():
+    """Seeded representations whose walks meet whole vertices: k = 0, 1 and
+    2 arrows into the final vertex, forced spans at the searched vertex,
+    earlier images into the final vertex, final vertices of dimension 1
+    under two arrows, and zero, sparse and dense matrices."""
+    rng = random.Random("whole")
+    kron, one = kronecker_quiver(2), Quiver(2, ((0, 1),))
+    path, tail = Quiver(3, ((0, 1), (1, 2))), Quiver(3, ((0, 1), (1, 2), (1, 2)))
+    four = Quiver(4, ((0, 2), (1, 2), (2, 3), (2, 3), (0, 3)))
+    for p, top in WHOLE_SIZES.items():
+        shapes = [(Quiver(2, ()), (top, 2)), (kron, (3, top))]
+        for m in range(2, top + 1):
+            shapes += [(one, (m, 3)), (kron, (m, 1 + m % 3)), (path, (1, m + 1, 2)),
+                       (tail, (1, m + 1, 2)), (four, (1, 1, m + 2, 2))]
+        for quiver, dims in shapes:
+            density = rng.choice((0, 0.3, 0.7, 1))
+            mats = tuple(tuple(tuple(rng.randrange(p) * (rng.random() < density)
+                                     for _ in range(dims[s])) for _ in range(dims[t]))
+                         for s, t in quiver.arrows)
+            yield Representation(quiver, dims, mats, field=p)
+
+
+def test_whole_vertex_matches_every_candidate_ranked_on_its_own(monkeypatch):
+    kernel, covered, k = subspaces._whole_ranks, set(), None
+
+    def recorded(fixed, a, b, n, p):
+        covered.add((k, n == 1, len(a), p, bool(fixed), len(a[0])))
+        return kernel(fixed, a, b, n, p)
+
+    monkeypatch.setattr(subspaces, "_whole_ranks", recorded)
+    _final_ranks.cache_clear()
+    for rep in _whole_vertex_reps():
+        p, dims = rep.field, rep.dims
+        for backward, target in ((False, rep), (True, dual_representation(rep))):
+            route = (_dual_routing if backward else _routing)(rep.quiver)
+            final, k = route.order[-1], len(route.out[-2])
+            for key in product(*(range(d + 1) if v != final else (0,)
+                                 for v, d in enumerate(dims))):
+                if _gauss_product(dims, key, p, route.searched) > 160:
+                    continue
+                ranks = dict(_final_ranks(rep, backward, key, 10 ** 6))
+                assert ranks == _streamed_ranks(target, key), (rep, backward, key)
+    _final_ranks.cache_clear()
+    assert {k for k, *_ in covered} == {0, 1, 2}
+    for p, top in WHOLE_SIZES.items():  # lines and hyperplanes of every size streamed
+        assert {(line, m) for _, line, m, q, _, _ in covered if q == p} >= {
+            (line, m) for line in (True, False) for m in range(3 - line, top + 1)}, p
+    assert any(fixed for *_, fixed, _ in covered)  # forced spans or earlier images
+    assert any(k == 2 and width == 1 for k, *_, width in covered)
+
+
+def test_whole_vertex_takes_one_pencil_and_two_ranks(monkeypatch):
+    # lines and hyperplanes of F_5^5 under two arrows: one pencil and two
+    # ranks, no row family; Gr(1, 4) under three arrows keeps blocks, p
+    # planes at pivot 0, then a plane, a pencil and a rank
+    log = _kernel_log(monkeypatch)
+    rep = reduce_mod(sample_general_rep(kronecker_quiver(2), (5, 3), 0, 3), 5)
+    for key in ((1, 0), (4, 0)):
+        log.clear()
+        _final_ranks.cache_clear()
+        assert dict(_final_ranks(rep, False, key, 10 ** 6)) == _streamed_ranks(rep, key)
+        assert log == ["rank", "pencil", "rank"], key
+    log.clear()
+    monkeypatch.setattr(subspaces, "_whole_ranks", None)
+    rep = reduce_mod(sample_general_rep(kronecker_quiver(3), (4, 2), 3, 3), 3)
+    _final_ranks.cache_clear()
+    assert dict(_final_ranks(rep, False, (1, 0), 10 ** 6)) == _streamed_ranks(rep, (1, 0))
+    assert log == ["plane"] * 4 + ["pencil", "rank"]
     _final_ranks.cache_clear()
 
 
@@ -1372,17 +1491,14 @@ def _streamed_ranks(rep, key):
     """The forced-rank histogram a shortcut walk of rep at key must give, from
     the streamed points with the whole final space: each is one choice at the
     searched vertices, and the rank of the span it forces into the final
-    vertex is read from the size of that span (`span_set`)."""
+    vertex is taken by column-pivoting elimination (`modular_rank`)."""
     final, p = _routing(rep.quiver).order[-1], rep.field
     d = rep.dims[final]
     hist: Counter = Counter()
     for point in iter_subrep_tuples(rep, key[:final] + (d,) + key[final + 1:]):
         images = [apply_matrix(mat, v, p) for (s, t), mat in zip(rep.quiver.arrows, rep.matrices)
                   if t == final for v in point.bases[s]]
-        size, rank = len(span_set(images, p, d)), 0
-        while p ** rank < size:
-            rank += 1
-        hist[rank] += 1
+        hist[modular_rank(images, p)] += 1
     return dict(hist)
 
 
