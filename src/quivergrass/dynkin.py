@@ -8,16 +8,20 @@ fundamental representations are all minuscule, and the roots of types D and
 E whose gamma lies in a minuscule orbit; other roots raise ScopeError.
 
 Weights are integer tuples in the fundamental-weight basis, so a simple
-reflection is a one-line integer operation.  Roots are integer tuples in the
-simple-root basis, which is also how dimension vectors of indecomposables
-are written.  All indices in memory are 0-based; the CLI is 1-based.
+reflection is a one-line integer operation.  Row i of a simply-laced Cartan
+matrix is 2 at i, -1 at i's diagram neighbours and 0 elsewhere, so s_i
+changes only coordinate i and its neighbours' coordinates; the gamma solve,
+the walk to the dominant chamber and the minor's weight walk update just
+those.  Roots are integer tuples in the simple-root basis, which is also
+how dimension vectors of indecomposables are written.  All indices in
+memory are 0-based; the CLI is 1-based.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import NotAnOrientation, NotInAnyFundamentalOrbit, ScopeError, SearchExhausted
@@ -75,6 +79,12 @@ class RootSystem:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """The diagram's edges (i, j), i < j, in ascending order."""
         return _diagram_edges(self.label, self.rank)
+
+    @cached_property
+    def _neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """The vertices j with cartan[i][j] = -1, for each i: all that a
+        simple reflection s_i moves besides coordinate i itself."""
+        return tuple(tuple(j for j, c in enumerate(row) if c < 0) for row in self.cartan)
 
 
 def root_system(label: str, rank: int) -> RootSystem:
@@ -181,32 +191,43 @@ def solve_gamma(rs: RootSystem, word: Sequence[int], alpha: Sequence[int]
 
     a triangular solve with integer entries only: gamma is integral.  The
     sum is kept running: after letter j_k, a_{j_k} times row j_k of the
-    Cartan matrix is added to it.
+    Cartan matrix is added to it, which changes only the coordinates of
+    j_k's neighbours that are read later (coordinate j_k is not read again).
 
     Every W-orbit meets the dominant chamber in exactly one weight, so the
     orbit is found by walking there: while some coordinate w_i is negative,
-    apply s_i at the first such i, which adds |w_i| alpha_i (the walk ends
-    because the orbit is finite).  gamma lies in W omega_i exactly when the
-    walk ends at omega_i, the dominant weight with coordinate sum 1.
+    apply s_i, which adds |w_i| alpha_i: w_i turns positive and each
+    neighbour of i drops by |w_i|.  A stack holds exactly the negative
+    coordinates, since a step only lowers the neighbours: one joins it when
+    it turns negative and leaves it only by its own step.  Each step raises
+    the weight, so the walk ends in any order (the orbit is finite), and it
+    ends at the orbit's one dominant weight, so the order cannot change the
+    index.  gamma lies in W omega_i exactly when the walk ends at omega_i,
+    the dominant weight with coordinate sum 1.
     """
     word = _check_word(rs, word)
     alpha = tuple(_as_int(a, "root coordinate") for a in alpha)
     if alpha not in rs.positive_roots:
         raise ValueError(f"{alpha} is not a positive root of {rs.label}{rs.rank}")
+    neighbours = rs._neighbours
     solved = [0] * rs.rank
-    applied = [0] * rs.rank  # sum_{l<k} a_{j_l} cartan[j_l]
+    applied = [0] * rs.rank  # sum_{l<k} a_{j_l} cartan[j_l] at the letters still to come
     for j in word:
-        solved[j] = -alpha[j] - applied[j]
-        applied = [x + alpha[j] * c for x, c in zip(applied, rs.cartan[j])]
+        a = alpha[j]
+        solved[j] = -a - applied[j]
+        for k in neighbours[j]:
+            applied[k] -= a
     gamma = tuple(solved)
     w = solved
-    while True:
-        for i, x in enumerate(w):
-            if x < 0:
-                break
-        else:
-            break
-        w = [y - x * c for y, c in zip(w, rs.cartan[i])]
+    negative = [i for i, x in enumerate(w) if x < 0]
+    while negative:
+        i = negative.pop()
+        x = w[i]
+        w[i] = -x
+        for k in neighbours[i]:
+            if w[k] >= 0 > w[k] + x:
+                negative.append(k)
+            w[k] += x
     if sum(w) == 1:
         return gamma, w.index(1)
     raise NotInAnyFundamentalOrbit(f"gamma {gamma} lies in no fundamental orbit")
@@ -252,8 +273,11 @@ def f_polynomial_via_minor(rank: int, word: Sequence[int], alpha: Sequence[int],
     S: X v_gamma is the sum of u^S v_{gamma + sum_S alpha_j} and Y^T v_gamma
     the sum of the same v with coefficient 1.  The minor is therefore the
     sum of u^S over the sets S that can be taken, and every coefficient is
-    1.  The walk carries one bit mask per weight reached, S as a set of
-    letters.
+    1.  The walk carries the exponent tuple of u^S with each weight reached,
+    and a step by letter j changes only coordinate j of both (mu_j = -1
+    becomes 1) and the weight's coordinates at j's neighbours (each drops
+    by 1).  Nothing is tabulated per subset of letters: at rank 40 that
+    would be 2^40 entries, while the walk meets only the sets it reaches.
     """
     rs = root_system(label, rank)
     word = tuple(word)  # read twice: by solve_gamma, which checks it, and by the walk
@@ -262,14 +286,17 @@ def f_polynomial_via_minor(rank: int, word: Sequence[int], alpha: Sequence[int],
         raise ScopeError(
             f"gamma {gamma} lies in the orbit of omega_{fund_index + 1}, which is not "
             f"minuscule in {label}{rank}; the minor route needs a minuscule orbit")
-    reached = {gamma: 0}
-    for j in map(int, word):  # numpy letters must not reach the masks
-        bit, row = 1 << j, rs.cartan[j]
-        for mu, mask in list(reached.items()):
+    neighbours = rs._neighbours
+    reached = {gamma: (0,) * rs.rank}
+    for j in word:
+        for mu, exps in list(reached.items()):
             if mu[j] == -1:
-                reached[tuple(m + a for m, a in zip(mu, row))] = mask | bit
-    return FPolynomial._trusted(rs.rank, {
-        tuple(mask >> i & 1 for i in range(rs.rank)): 1 for mask in reached.values()})
+                nu = list(mu)
+                nu[j] = 1
+                for k in neighbours[j]:
+                    nu[k] -= 1
+                reached[tuple(nu)] = exps[:j] + (1,) + exps[j + 1:]
+    return FPolynomial._trusted(rs.rank, dict.fromkeys(reached.values(), 1))
 
 
 def dynkin_indecomposable(quiver: Quiver, alpha: Sequence[int], seed: int = 0

@@ -114,9 +114,10 @@ Sampling context: everything a count needs from M that does not depend on
 e is worked out once per representation and kept in a `_Sampling` (bounded
 `lru_cache`, 64 representations, per process).  It holds the arrow ranks
 over Q, the arrows that force part of a subspace in either search
-direction, and the good primes found so far, each with M reduced mod it
-from M's integral form (`Representation._integral`, worked out at the
-first reduction).  The prime list grows by one prime under a lock when a
+direction (built when a degree bound first needs them, so a set that the
+closed forms settle whole never builds them), and the good primes found
+so far, each with M reduced mod it from M's integral form
+(`Representation._integral`, worked out at the first reduction).  The prime list grows by one prime under a lock when a
 caller asks past its end, so each (representation, prime) pair is chosen,
 reduced and rank-checked once, when some caller is about to sample it,
 from whichever thread; per e there is only the closed form, whose reason
@@ -301,17 +302,19 @@ class _Sampling:
 
     Once per representation: form is <d, d>, None on a quiver with cycles;
     ranks are the arrow ranks over Q (`linalg.rank_frac` takes a row of
-    ints as it is, so an integer M is not cleared first); forward and
-    backward are the arrows (u, v, dim ker) that force part of U_v in
-    the search order of the quiver and of its opposite (see
-    `degree_bound`); found lists the good primes so far as (p, rep mod p),
-    extended under the lock.  Once per prime: its reduction, the rank
-    check that makes it good, and, for the first HELD_OUT + 1 good primes
-    at most, the End certificate (`end`, kept once worked out, under a
-    second lock), which may reduce a good prime that no count goes on to
-    sample.  Rigidity (`rigid`, `rigid_dimension`) is read from form and
-    End, and kept nowhere else.  Per e: the closed form (`closed_form`),
-    with its reason only when asked.
+    ints as it is, so an integer M is not cleared first).  On first use,
+    by `_side`: _tables, the forward and backward arrows (u, v, dim ker)
+    that force part of U_v in the search order of the quiver and of its
+    opposite, which only `degree_bound` and `fiber_bound` read, so a set
+    that the closed forms settle whole never builds them (the work is pure,
+    so threads that race to it keep equal tables).  found lists the good
+    primes so far as (p, rep mod p), extended under the lock.  Once per
+    prime: its reduction, the rank check that makes it good, and, for the
+    first HELD_OUT + 1 good primes at most, the End certificate (`end`,
+    kept once worked out, under a second lock), which may reduce a good
+    prime that no count goes on to sample.  Rigidity (`rigid`,
+    `rigid_dimension`) is read from form and End, and kept nowhere else.
+    Per e: the closed form (`closed_form`), with its reason only when asked.
     """
 
     def __init__(self, rep: Representation):
@@ -320,9 +323,7 @@ class _Sampling:
         self.rep = rep
         self.form = euler_form(rep.quiver, rep.dims, rep.dims) if rep.quiver.is_acyclic else None
         self.ranks = tuple(linalg.rank_frac(mat) for mat in rep.matrices)
-        self.forward = self._forcing(_routing(rep.quiver), rep.quiver.arrows)
-        self.backward = self._forcing(_dual_routing(rep.quiver),
-                                      [(v, u) for u, v in rep.quiver.arrows])
+        self._tables: tuple | None = None
         self._primes = linalg.odd_primes()
         self._found: list[tuple[int, Representation]] = []
         self._lock = threading.Lock()
@@ -418,20 +419,23 @@ class _Sampling:
         primes has degree at most sum_v (e_v - s_v)(d_v - e_v).
         Gr_{d-e}(M*) has the same points, so the backward bound holds as well.
         """
-        dims = self.rep.dims
-        return min(self._side(self.forward, e),
-                   self._side(self.backward, [d - x for d, x in zip(dims, e)]))
+        return min(self._side(False, e),
+                   self._side(True, [d - x for d, x in zip(self.rep.dims, e)]))
 
     def fiber_bound(self, backward: bool, key: tuple[int, ...]) -> int:
         """B_F: the degree bound of `degree_bound` summed over the vertices a
         shortcut walk searches, in its direction.  Its key is 0 at the final
         vertex, which therefore adds nothing."""
-        return self._side(self.backward if backward else self.forward, key)
+        return self._side(backward, key)
 
-    def _side(self, arrows, e) -> int:
+    def _side(self, backward: bool, e) -> int:
         """sum_v max(0, e_v - s_v) * (d_v - e_v) for the forcing arrows of one direction."""
+        if self._tables is None:
+            q = self.rep.quiver
+            self._tables = (self._forcing(_routing(q), q.arrows),
+                            self._forcing(_dual_routing(q), [(v, u) for u, v in q.arrows]))
         forced = [0] * len(e)
-        for u, v, kernel in arrows:
+        for u, v, kernel in self._tables[backward]:
             forced[v] = max(forced[v], e[u] - kernel)
         return sum(max(0, x - s) * (d - x) for x, s, d in zip(e, forced, self.rep.dims))
 

@@ -14,7 +14,11 @@ truncation), and a Representation built from outside data is checked once,
 when it is built.  The ones the library derives from checked ones (a
 reduction mod p, a direct sum, a dual) are built by
 `Representation._trusted`, which checks nothing again: their shapes follow
-from the checked input and their entries are made in normal form.
+from the checked input and their entries are made in normal form.  The
+seeded draws (`_random_representation`) are built that way too: the quiver
+is a checked Quiver, the caller checks the dims before the draw, the shapes
+follow from the dims, and every entry is an int the draw itself made in
+[-bound, bound], so a check after it could only pass.
 Values are immutable after construction and all operations are pure, so
 everything is safe to share across threads.
 """
@@ -177,11 +181,7 @@ def validate_representation(rep: Representation) -> None:
     (only the Euler form and Ext insist on acyclicity).
     """
     q = rep.quiver
-    if len(rep.dims) != q.n:
-        raise ShapeMismatch(-1, f"{len(rep.dims)} dims for {q.n} vertices")
-    for v, d in enumerate(rep.dims):
-        if d < 0:
-            raise ShapeMismatch(-1, f"negative dimension {d} at vertex {v + 1}")
+    _check_dims(q, rep.dims)
     if len(rep.matrices) != len(q.arrows):
         raise ShapeMismatch(-1, f"{len(rep.matrices)} matrices for {len(q.arrows)} arrows")
     for a, ((s, t), mat) in enumerate(zip(q.arrows, rep.matrices)):
@@ -199,6 +199,16 @@ def validate_representation(rep: Representation) -> None:
                 for x in row:
                     if not isinstance(x, int) or not 0 <= x < p:
                         raise MixedScalarDomains(f"entry {x!r} not reduced mod {p}")
+
+
+def _check_dims(quiver: Quiver, dims: tuple[int, ...]) -> None:
+    """ShapeMismatch (arrow index -1) unless dims has one non-negative
+    entry per vertex."""
+    if len(dims) != quiver.n:
+        raise ShapeMismatch(-1, f"{len(dims)} dims for {quiver.n} vertices")
+    for v, d in enumerate(dims):
+        if d < 0:
+            raise ShapeMismatch(-1, f"negative dimension {d} at vertex {v + 1}")
 
 
 def _same_domain(a: Representation, b: Representation) -> None:
@@ -233,8 +243,10 @@ def _random_representation(quiver: Quiver, dims: tuple[int, ...], rng,
                            bound: int) -> Representation:
     """Integer entries rng.randint(-bound, bound), arrow by arrow in arrow
     order and row-major inside each matrix: the one seeded draw that
-    `sampler.sample_general_rep` and `dynkin.dynkin_indecomposable` make."""
-    return Representation(quiver, dims, tuple(
+    `sampler.sample_general_rep` and `dynkin.dynkin_indecomposable` make.
+    The caller has checked dims (int entries, one per vertex, none
+    negative), so the draw is built by `Representation._trusted`."""
+    return Representation._trusted(quiver, dims, tuple(
         tuple(tuple(rng.randint(-bound, bound) for _ in range(dims[s]))
               for _ in range(dims[t]))
         for s, t in quiver.arrows))

@@ -24,7 +24,7 @@ from .errors import (
 from .euler import _sampling, euler_characteristic, iter_box_chi
 from .fpoly import FPolynomial
 from .linalg import matvec_mod, rank_mod
-from .model import Quiver, Representation, _as_int, _random_representation
+from .model import Quiver, Representation, _as_int, _check_dims, _random_representation
 from .subspaces import count_subreps
 
 EXAMPLE4_ARROWS = 4
@@ -39,13 +39,16 @@ def sample_general_rep(quiver: Quiver, dims: Sequence[int], seed: int,
 
     Entries are drawn uniformly from [-bound, bound], arrow by arrow in
     arrow order, row-major inside each matrix, from a generator seeded with
-    `seed`; identical inputs always reproduce identical matrices.
+    `seed`; identical inputs always reproduce identical matrices.  A
+    dimension vector of the wrong length or with a negative entry raises
+    ShapeMismatch before anything is drawn.
     """
     seed = _as_int(seed, "seed")
     bound = _as_int(bound, "bound")
     if bound < 2:
         raise ValueError("bound must be at least 2")
     dims = tuple(_as_int(d, "dimension") for d in dims)
+    _check_dims(quiver, dims)
     return _random_representation(quiver, dims, random.Random(seed), bound)
 
 

@@ -293,6 +293,24 @@ def apply_word_inverse(rs, word, weight):
     return w
 
 
+def solve_gamma_by_reflections(rs, word, alpha):
+    """(gamma, orbit index) by whole Cartan rows: the triangular solve adds
+    every row it takes, and the walk to the dominant chamber applies
+    `simple_reflection` at the first negative coordinate each time.  The
+    reference for `solve_gamma`'s neighbour updates and its stack walk; a
+    gamma in no fundamental orbit gives `solve_gamma`'s error text."""
+    solved, applied = [0] * rs.rank, [0] * rs.rank
+    for j in word:
+        solved[j] = -alpha[j] - applied[j]
+        applied = [x + alpha[j] * c for x, c in zip(applied, rs.cartan[j])]
+    gamma = w = tuple(solved)
+    while any(x < 0 for x in w):
+        w = simple_reflection(rs, next(i for i, x in enumerate(w) if x < 0), w)
+    if sum(w) != 1:
+        return f"gamma {gamma} lies in no fundamental orbit"
+    return gamma, w.index(1)
+
+
 def weyl_orbit(rs, weight):
     """Full Weyl-group orbit by closure under simple reflections: the
     reference for `solve_gamma`'s walk to the dominant chamber."""

@@ -8,6 +8,7 @@ from oracles import (
     apply_word_inverse,
     bipartite_word,
     minor_argument_matrix,
+    solve_gamma_by_reflections,
     thin_f_polynomial,
     type_a_minor,
     weyl_orbit,
@@ -22,7 +23,12 @@ from quivergrass.dynkin import (
     simple_reflection,
     solve_gamma,
 )
-from quivergrass.errors import NotAnOrientation, ScopeError, SearchExhausted
+from quivergrass.errors import (
+    NotAnOrientation,
+    NotInAnyFundamentalOrbit,
+    ScopeError,
+    SearchExhausted,
+)
 from quivergrass.euler import f_polynomial
 from quivergrass.fpoly import FPolynomial
 from quivergrass.kronecker import kronecker_quiver
@@ -157,6 +163,35 @@ def test_solve_gamma_satisfies_equation(label, rank):
             # alpha in fundamental-weight coordinates: the Cartan matrix times alpha
             assert diff == tuple(sum(c * a for c, a in zip(row, alpha)) for row in rs.cartan)
             assert [gamma in orbit for orbit in orbits] == [i == idx for i in range(rank)]
+
+
+# 2,994 (word, root) cases: every positive root under the identity, the
+# reversed and four seeded words
+@pytest.mark.parametrize("label,rank", [("A", n) for n in range(1, 9)]
+                         + [("D", n) for n in range(4, 9)] + [("E", n) for n in (6, 7, 8)])
+def test_solve_gamma_matches_the_reflection_walk(label, rank):
+    # the neighbour updates and the stack walk against whole Cartan rows and
+    # the first negative coordinate: same gamma, same orbit index
+    rs = root_system(label, rank)
+    words = [tuple(range(rank)), tuple(reversed(range(rank)))]
+    for s in range(4):
+        word = list(range(rank))
+        random.Random(f"orbit-index:{label}{rank}:{s}").shuffle(word)
+        words.append(tuple(word))
+    for word in words:
+        for alpha in rs.positive_roots:
+            try:
+                got = solve_gamma(rs, word, alpha)
+            except NotInAnyFundamentalOrbit as exc:
+                got = str(exc)
+            assert got == solve_gamma_by_reflections(rs, word, alpha), (word, alpha)
+
+
+def test_minor_route_tabulates_nothing_per_set_of_letters():
+    # the thin root of A40 reaches 41 sets of letters; a table over all 2^40
+    # of them would never finish
+    f = f_polynomial_via_minor(40, range(40), (1,) * 40)
+    assert len(f.terms) == 41
 
 
 @pytest.mark.parametrize("label,rank", [

@@ -1041,6 +1041,24 @@ def test_degree_bound_is_worked_out_only_where_e_samples(monkeypatch):
         assert len(sampled) == 3 and sorted(asked) == sorted(sampled), rep.dims
 
 
+def test_forcing_tables_are_built_on_first_use():
+    # the closed forms settle every e of a thin A5 root's box, so its
+    # sampling context never asks for a degree bound and builds no table
+    import quivergrass.euler as eu
+    rs = dk.root_system("A", 5)
+    for word in ((0, 1, 2, 3, 4), (1, 0, 3, 2, 4)):
+        rep = dk.dynkin_indecomposable(dk.orientation_from_coxeter(rs, word), (1,) * 5)
+        f_polynomial(rep)
+        assert eu._sampling(rep)._tables is None, word
+    # the bounds build them when first asked, with the values pinned above
+    sampling = eu._Sampling(build_kronecker(preinjective(4)))
+    assert sampling._tables is None
+    assert sampling.degree_bound((3, 1)) == sampling.degree_bound((2, 1)) == 2
+    assert sampling._tables is not None
+    quartic = eu._Sampling(sample_general_rep(kronecker_quiver(4), (3, 4), 42, 5))
+    assert quartic.fiber_bound(False, (1, 0)) == 2
+
+
 def test_rigid_dimension_is_worked_out_once_per_e(monkeypatch):
     # <e, d - e> is read once for every e the arrow tests leave: the rigid
     # empty e it settles and each pending e, whose palindrome reads it again

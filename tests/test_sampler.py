@@ -12,6 +12,7 @@ from quivergrass.errors import (
     NonPolynomialCount,
     NotAcyclic,
     SearchTooLarge,
+    ShapeMismatch,
     SmoothnessFailure,
 )
 from quivergrass.fpoly import FPolynomial
@@ -30,6 +31,7 @@ from quivergrass.model import (
     euler_form,
     hom_dim,
     reduce_mod,
+    validate_representation,
 )
 from quivergrass.sampler import (
     EXAMPLE4_DIMS,
@@ -102,18 +104,59 @@ def _arrow_by_arrow(rng, quiver, dims, bound):
     return tuple(mats)
 
 
+def _first_indecomposable(quiver, dims, seed):
+    """`dynkin_indecomposable` by the arrow-by-arrow loop and the checked
+    constructor: the first draw with hom(M, M) = 1."""
+    rng = random.Random(f"quivergrass-indec:{quiver.arrows}:{dims}:{seed}")
+    for _ in range(200):
+        rep = Representation(quiver, dims, _arrow_by_arrow(rng, quiver, dims, 3))
+        if hom_dim(rep, rep) == 1:
+            return rep
+    raise AssertionError(f"no indecomposable at {dims}")
+
+
 def test_seeded_draws_reproduce_the_arrow_by_arrow_loop():
     kron4 = kronecker_quiver(4)
     d4, dims = orientation_from_coxeter(root_system("D", 4), (0, 1, 2, 3)), (1, 2, 1, 1)
     for seed in (*range(20), 42):  # seeds 0, 3, 5, 8, 9 and 12 take more than one D4 draw
-        want = _arrow_by_arrow(random.Random(seed), kron4, EXAMPLE4_DIMS, 5)
-        assert sample_general_rep(kron4, EXAMPLE4_DIMS, seed).matrices == want
-        rng = random.Random(f"quivergrass-indec:{d4.arrows}:{dims}:{seed}")
-        for _ in range(200):  # the first draw with hom(M, M) = 1
-            want = Representation(d4, dims, _arrow_by_arrow(rng, d4, dims, 3))
-            if hom_dim(want, want) == 1:
-                break
-        assert dynkin_indecomposable(d4, dims, seed) == want
+        want = Representation(kron4, EXAMPLE4_DIMS, _arrow_by_arrow(random.Random(seed), kron4,
+                                                                    EXAMPLE4_DIMS, 5))
+        got = sample_general_rep(kron4, EXAMPLE4_DIMS, seed)
+        validate_representation(got)
+        assert got == want
+        got = dynkin_indecomposable(d4, dims, seed)
+        validate_representation(got)
+        assert got == _first_indecomposable(d4, dims, seed)
+
+
+@pytest.mark.parametrize("label,rank,reversed_too", [
+    ("A", 1, True), ("A", 2, True), ("A", 3, True), ("A", 4, True), ("A", 5, True),
+    ("D", 5, False), ("E", 6, False),
+])
+def test_seeded_indecomposables_equal_the_checked_draw(label, rank, reversed_too):
+    # the draws are built unchecked; each equals the checked constructor's
+    # result and passes the check it skipped
+    rs = root_system(label, rank)
+    words = [tuple(range(rank))] + [tuple(reversed(range(rank)))] * reversed_too
+    for word in words:
+        quiver = orientation_from_coxeter(rs, word)
+        for alpha in rs.positive_roots:
+            for seed in (0, 1):
+                got = dynkin_indecomposable(quiver, alpha, seed)
+                validate_representation(got)
+                assert got == _first_indecomposable(quiver, alpha, seed), (word, alpha, seed)
+
+
+def test_sample_general_rep_checks_the_dims_before_the_draw():
+    # a short dimension vector used to reach the draw and fail there with
+    # an IndexError
+    with pytest.raises(ShapeMismatch, match="^shape mismatch: 1 dims for 2 vertices$"):
+        sample_general_rep(kronecker_quiver(2), (3,), 0)
+    with pytest.raises(ShapeMismatch, match="^shape mismatch: 3 dims for 2 vertices$"):
+        sample_general_rep(kronecker_quiver(2), (1, 1, 1), 0)
+    with pytest.raises(ShapeMismatch,
+                       match="^shape mismatch: negative dimension -1 at vertex 2$"):
+        sample_general_rep(kronecker_quiver(2), (1, -1), 0)
 
 
 def test_sampler_zero_dims_and_bound():
