@@ -103,21 +103,24 @@ def _root_system(label: str, rank: int) -> RootSystem:
         cartan[a][b] = cartan[b][a] = -1
     cartan_t = tuple(tuple(row) for row in cartan)
 
-    # closure of the simple roots under all simple reflections
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        beta = frontier.pop()
-        for i in range(n):
-            pairing = sum(cartan_t[i][j] * beta[j] for j in range(n))
-            new = list(beta)
-            new[i] -= pairing
-            new = tuple(new)
-            if new not in roots:
-                roots.add(new)
-                frontier.append(new)
-    positive = tuple(sorted(r for r in roots if all(x >= 0 for x in r)))
+    # by height from the simple roots: in a simply-laced system beta + alpha_i
+    # is a root exactly when (beta, alpha_i) = -1, for beta positive and not
+    # alpha_i, and every positive root of height h > 1 is one of height h - 1
+    # plus a simple root
+    neighbours = [[j for j in range(n) if cartan[i][j] < 0] for i in range(n)]
+    level = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    roots = set(level)
+    while level:
+        higher = []
+        for beta in level:
+            for i in range(n):
+                if 2 * beta[i] - sum(beta[j] for j in neighbours[i]) == -1:
+                    new = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if new not in roots:
+                        roots.add(new)
+                        higher.append(new)
+        level = higher
+    positive = tuple(sorted(roots))
     expected = _POSITIVE_ROOT_COUNTS[label]
     expected = expected[rank] if isinstance(expected, dict) else expected(rank)
     if len(positive) != expected:

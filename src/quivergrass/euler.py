@@ -135,7 +135,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
 from math import lcm, prod
@@ -303,11 +302,12 @@ class _Sampling:
     Once per representation: form is <d, d>, None on a quiver with cycles;
     ranks are the arrow ranks over Q (`linalg.rank_frac` takes a row of
     ints as it is, so an integer M is not cleared first).  On first use,
-    by `_side`: _tables, the forward and backward arrows (u, v, dim ker)
-    that force part of U_v in the search order of the quiver and of its
-    opposite, which only `degree_bound` and `fiber_bound` read, so a set
-    that the closed forms settle whole never builds them (the work is pure,
-    so threads that race to it keep equal tables).  found lists the good
+    by `fiber_bound`: _tables, the forward and backward arrows (u, v,
+    dim ker) that force part of U_v, read from `subspaces._routing` of the
+    quiver and of its opposite (`_forcing`), which only `fiber_bound`
+    reads, for itself and for `degree_bound`, so a set that the closed
+    forms settle whole never builds them (the work is pure, so threads
+    that race to it keep equal tables).  found lists the good
     primes so far as (p, rep mod p), extended under the lock.  Once per
     prime: its reduction, the rank check that makes it good, and, for the
     first HELD_OUT + 1 good primes at most, the End certificate (`end`,
@@ -330,10 +330,14 @@ class _Sampling:
         self._end: int | None = None
         self._end_lock = threading.Lock()
 
-    def _forcing(self, route, arrows) -> tuple[tuple[int, int, int], ...]:
-        pos = {v: i for i, v in enumerate(route.order)}
-        return tuple((u, v, self.rep.dims[u] - r) for (u, v), r in zip(arrows, self.ranks)
-                     if pos[u] < pos[v])
+    def _forcing(self, route) -> tuple[tuple[int, int, int], ...]:
+        """(u, v, dim ker phi_a) for each arrow a: u -> v that forces part
+        of U_v in the route's search order: each arrival that
+        `route.forced_in` lists from an earlier position, whose arrow index
+        `route.out` gives, and with it the arrow's rank over Q."""
+        order, dims = route.order, self.rep.dims
+        return tuple((order[src], order[at], dims[order[src]] - self.ranks[route.out[src][k]])
+                     for at, arrivals in enumerate(route.forced_in) for src, k in arrivals)
 
     def reductions(self) -> Iterator[tuple[int, Representation]]:
         """The good primes (see `good_primes`) in increasing order, each with
@@ -419,21 +423,18 @@ class _Sampling:
         primes has degree at most sum_v (e_v - s_v)(d_v - e_v).
         Gr_{d-e}(M*) has the same points, so the backward bound holds as well.
         """
-        return min(self._side(False, e),
-                   self._side(True, [d - x for d, x in zip(self.rep.dims, e)]))
+        return min(self.fiber_bound(False, e),
+                   self.fiber_bound(True, [d - x for d, x in zip(self.rep.dims, e)]))
 
-    def fiber_bound(self, backward: bool, key: tuple[int, ...]) -> int:
-        """B_F: the degree bound of `degree_bound` summed over the vertices a
-        shortcut walk searches, in its direction.  Its key is 0 at the final
-        vertex, which therefore adds nothing."""
-        return self._side(backward, key)
-
-    def _side(self, backward: bool, e) -> int:
-        """sum_v max(0, e_v - s_v) * (d_v - e_v) for the forcing arrows of one direction."""
+    def fiber_bound(self, backward: bool, e: Sequence[int]) -> int:
+        """sum_v max(0, e_v - s_v) * (d_v - e_v) in one search direction (e
+        the searched dimension vector, d - e on the dual), with s_v from the
+        arrows that force part of U_v there: one side of `degree_bound`.  At
+        a shortcut walk's key, 0 at the final vertex, which therefore adds
+        nothing, it is B_F, the bound summed over the searched vertices."""
         if self._tables is None:
             q = self.rep.quiver
-            self._tables = (self._forcing(_routing(q), q.arrows),
-                            self._forcing(_dual_routing(q), [(v, u) for u, v in q.arrows]))
+            self._tables = (self._forcing(_routing(q)), self._forcing(_dual_routing(q)))
         forced = [0] * len(e)
         for u, v, kernel in self._tables[backward]:
             forced[v] = max(forced[v], e[u] - kernel)
@@ -555,27 +556,23 @@ def _palindrome(nodes: tuple[tuple[int, int], ...], degree: int) -> tuple[int, .
     There are degree // 2 + 1 nodes, one per unknown c_0..c_{degree // 2}.
     The system is nonsingular: a palindrome P of the degree is
     q^h (1 + q)^r Q(q + 1/q) with h = degree // 2, r = degree % 2 and deg Q
-    <= h, and q + 1/q takes distinct values at distinct primes.  Remembered
-    like `_interpolant`.
+    <= h, and q + 1/q takes distinct values at distinct primes.  So one
+    fraction-free Gauss-Jordan elimination of the integer rows over Q
+    (`linalg.gauss_jordan`) leaves row i with its one lead at column i,
+    and c_i is its constant divided by that lead, an integer exactly when
+    the division leaves no remainder.  Remembered like `_interpolant`.
     """
     half = degree // 2
-    rows = [[Fraction(p ** i + p ** (degree - i) if 2 * i < degree else p ** i)
-             for i in range(half + 1)] + [Fraction(count)] for p, count in nodes]
-    for col in range(half + 1):  # Gauss-Jordan over Q
-        pivot = next(r for r in range(col, half + 1) if rows[r][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        lead = rows[col][col]
-        rows[col] = [x / lead for x in rows[col]]
-        for r in range(half + 1):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    low = [row[-1] for row in rows]
-    if any(c.denominator != 1 for c in low) or (low[0] == 0 and any(low)):
+    rows = [[p ** i + p ** (degree - i) if 2 * i < degree else p ** i for i in range(half + 1)]
+            + [count] for p, count in nodes]
+    linalg.gauss_jordan(rows, half + 1, None)  # row i leads at column i
+    solved = [divmod(row[-1], row[i]) for i, row in enumerate(rows)]
+    low = [c for c, _ in solved]
+    if any(r for _, r in solved) or (low[0] == 0 and any(low)):
         return None
     if not any(low):
         return ()
-    return tuple(int(low[min(i, degree - i)]) for i in range(degree + 1))
+    return tuple(low[min(i, degree - i)] for i in range(degree + 1))
 
 
 def _palindrome_fit(samples: Sequence[tuple[int, int]], degree: int) -> tuple[int, ...] | None:

@@ -73,26 +73,6 @@ def rref_mod(matrix: Iterable[Sequence[int]], p: int):
     return rows, pivots
 
 
-def rank_mod(matrix: Iterable[Sequence[int]], p: int) -> int:
-    """Rank over F_p by forward elimination: each kept row vanishes at the
-    lead columns of the earlier ones; no scaling, no back-substitution.
-    Entries may be any integers, reduced mod p as they are eliminated, and
-    a matrix with no rows, or with rows of length 0, has rank 0."""
-    basis: list = []
-    for vec in matrix:
-        v = vec
-        for lead, row in basis:
-            c = v[lead]
-            if c:
-                h = row[lead]
-                v = [(h * a - c * b) % p for a, b in zip(v, row)]
-        for lead, x in enumerate(v):
-            if x % p:
-                basis.append((lead, v))
-                break
-    return len(basis)
-
-
 def _absorb(rows, pivots, constant, p):
     """C's RREF (rows, pivots) grown by the rows x + u*z of constant, which
     do not move with t, or None when C would move with u.  They are peeled
@@ -326,7 +306,7 @@ def in_span_mod(rows, pivots, vec, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Rank over Q, fraction-free.
+# Forward elimination over F_p and Q; fraction-free Gauss-Jordan and kernels.
 # ---------------------------------------------------------------------------
 
 def _cleared(vec: Sequence) -> Sequence[int]:
@@ -344,21 +324,78 @@ def _primitive(v: list[int]) -> list[int]:
     return [x // g for x in v] if g > 1 else v
 
 
-def rank_frac(matrix: Iterable[Sequence]) -> int:
-    """Rank over Q by fraction-free forward elimination, as in `rank_mod`:
-    each row is cleared of denominators (`_cleared`: a row of ints takes
-    no Fraction step and no gcd) and every combined row is kept primitive.
-    A matrix with no rows, or with rows of length 0, has rank 0."""
+def _forward(matrix: Iterable[Sequence], p: int | None) -> list:
+    """Forward elimination over F_p, or over Q for p None: the kept rows as
+    (lead, row) pairs, each kept row vanishing at the lead columns of the
+    earlier ones; no scaling, no back-substitution.  Over F_p the rows are
+    taken as given, any integers, and every combined row is reduced mod p;
+    over Q each row is first cleared of denominators (`_cleared`: a row of
+    ints takes no Fraction step and no gcd) and every combined row is kept
+    primitive."""
     basis: list = []
     for vec in matrix:
-        v = _cleared(vec)
+        v = vec if p else _cleared(vec)
         for lead, row in basis:
             c = v[lead]
             if c:
                 h = row[lead]
-                v = _primitive([h * a - c * b for a, b in zip(v, row)])
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is not None:
-            basis.append((lead, v))
-    return len(basis)
+                v = ([(h * a - c * b) % p for a, b in zip(v, row)] if p
+                     else _primitive([h * a - c * b for a, b in zip(v, row)]))
+        for lead, x in enumerate(v):
+            if x and (not p or x % p):
+                basis.append((lead, v))
+                break
+    return basis
 
+
+def rank_mod(matrix: Iterable[Sequence[int]], p: int) -> int:
+    """Rank over F_p (`_forward`).  Entries may be any integers, reduced mod
+    p as they are eliminated, and a matrix with no rows, or with rows of
+    length 0, has rank 0."""
+    return len(_forward(matrix, p))
+
+
+def rank_frac(matrix: Iterable[Sequence]) -> int:
+    """Rank over Q (`_forward`) of rows of ints or fractions.  A matrix with
+    no rows, or with rows of length 0, has rank 0."""
+    return len(_forward(matrix, None))
+
+
+def gauss_jordan(rows: list, width: int, p: int | None) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows (lists,
+    changed in place) on their first width columns, over F_p or, for p
+    None, over Q with every combined row made primitive.  Returns the lead
+    columns: rows[i] leads at leads[i], where every other row is zero, and
+    the rows past the leads are zero on the first width columns."""
+    norm = (lambda row: [x % p for x in row]) if p else _primitive
+    leads: list[int] = []
+    for c in range(width):
+        k = len(leads)
+        i = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if i is not None:
+            rows[k], rows[i] = rows[i], rows[k]
+            rows[:] = [norm([rows[k][c] * x - row[c] * y for x, y in zip(row, rows[k])])
+                       if s != k and row[c] else row for s, row in enumerate(rows)]
+            leads.append(c)
+    return leads
+
+
+def kernel(rows: Sequence[Sequence[int]], leads: Sequence[int], width: int) -> list[list[int]]:
+    """A basis of the null space of rows on their first width columns, as
+    integer vectors, from the rows and leads that `gauss_jordan` left: per
+    non-lead column f, the vector with L at f, -L / rows[i][c] * rows[i][f]
+    at each lead c = leads[i] and 0 elsewhere, L the lcm of the lead
+    entries.  Row i is zero at every other lead, so it meets the vector in
+    rows[i][c] * v_c + rows[i][f] * L = 0.  Over F_p, with entries in
+    [0, p), every lead lies in [1, p), so L is a unit and the width -
+    len(leads) vectors taken mod p are a basis of the kernel there."""
+    big = lcm(*(rows[i][c] for i, c in enumerate(leads)))
+    basis = []
+    for f in range(width):
+        if f not in leads:
+            vec = [0] * width
+            vec[f] = big
+            for i, c in enumerate(leads):
+                vec[c] = -big // rows[i][c] * rows[i][f]
+            basis.append(vec)
+    return basis

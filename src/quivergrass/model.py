@@ -305,25 +305,6 @@ def euler_form(quiver: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
     return total
 
 
-def _gauss_jordan(rows: list, width: int, p: int | None) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows (lists,
-    changed in place) on their first width columns, over F_p or, for p
-    None, over Q with every combined row made primitive.  Returns the lead
-    columns: rows[i] leads at leads[i], where every other row is zero, and
-    the rows past the leads are zero on the first width columns."""
-    norm = (lambda row: [x % p for x in row]) if p else linalg._primitive
-    leads: list[int] = []
-    for c in range(width):
-        k = len(leads)
-        i = next((i for i in range(k, len(rows)) if rows[i][c]), None)
-        if i is not None:
-            rows[k], rows[i] = rows[i], rows[k]
-            rows[:] = [norm([rows[k][c] * x - row[c] * y for x, y in zip(row, rows[k])])
-                       if s != k and row[c] else row for s, row in enumerate(rows)]
-            leads.append(c)
-    return leads
-
-
 def hom_dim(a: Representation, b: Representation) -> int:
     """Dimension of the space of homomorphisms a -> b, by vertex blocks.
 
@@ -332,17 +313,20 @@ def hom_dim(a: Representation, b: Representation) -> int:
     side they read g_v W_v = Y_v, with W_v = [phi^a ...] (a_v x N_v) and
     Y_v = [phi^b g_u ...] (b_v x N_v).  g_v of a sink v, one that no arrow
     leaves, occurs in no other block, so one fraction-free Gauss-Jordan
-    elimination of W_v (`_gauss_jordan`, rows cleared of denominators over
-    Q) settles it: g_v is fixed on im W_v and free on a complement, b_v
-    (a_v - rank W_v) dimensions, and Y_v vanishes on ker W_v, which leaves
-    b_v (N_v - rank W_v) equations in the other vertices' unknowns, one per
-    row of g_v and non-lead column of W_v.  Every other block keeps its
-    b_v N_v equations as they stand, and so does a sink with a_v <= 1,
-    whose elimination would only trade its b_v a_v unknowns for as many
-    equations.  One elimination over the field ranks them all: End of the
-    seed-42 plane quartic (Kronecker m = 4, d = (3, 4)) is 32 equations in
-    9 unknowns, where the dense system in every g_v is 48 x 25.  A vertex
-    on a loop or a cycle is no sink, so such quivers need nothing more.
+    elimination of W_v (`linalg.gauss_jordan`, rows cleared of
+    denominators over Q) settles it: g_v is fixed on im W_v and free on a
+    complement, b_v (a_v - rank W_v) dimensions, and Y_v vanishes on
+    ker W_v, which leaves b_v (N_v - rank W_v) equations in the other
+    vertices' unknowns, one per row of g_v and vector of the basis of
+    ker W_v that `linalg.kernel` reads off the eliminated rows, one per
+    non-lead column.  Every other block keeps its b_v N_v equations as they
+    stand, and so does a sink with a_v <= 1, whose elimination would only
+    trade its b_v a_v unknowns for as many equations.  One elimination over
+    the field (`linalg.rank_mod` or `linalg.rank_frac`) ranks them all:
+    End of the seed-42 plane quartic (Kronecker m = 4, d = (3, 4)) is 32
+    equations in 9 unknowns, where the dense system in every g_v is
+    48 x 25.  A vertex on a loop or a cycle is no sink, so such quivers
+    need nothing more.
     """
     if a.quiver != b.quiver:
         raise QuiverMismatch("hom requires both representations on one quiver")
@@ -361,12 +345,10 @@ def hom_dim(a: Representation, b: Representation) -> int:
         combos = [[(1, col)] for col in cols]  # each column of the block as it stands
         if blocked[v]:  # a sink: Y_v on a basis of ker W_v, and g_v free off im W_v
             w = [linalg._cleared([am[k][c] for _, c, am, _ in cols]) for k in range(a.dims[v])]
-            leads = _gauss_jordan(w, len(cols), p)
+            leads = linalg.gauss_jordan(w, len(cols), p)
             free += b.dims[v] * (a.dims[v] - len(leads))
-            big = lcm(*(w[i][c] for i, c in enumerate(leads)))
-            combos = [[(big, cols[f])] + [(-big // w[i][c] * w[i][f], cols[c])
-                                          for i, c in enumerate(leads)]
-                      for f in range(len(cols)) if f not in leads]
+            combos = [[(x, col) for x, col in zip(vec, cols) if x]
+                      for vec in linalg.kernel(w, leads, len(cols))]
         for combo in combos:
             for r in range(b.dims[v]):  # sum over the combo of x (g_v am - bm g_u)[r, c] = 0
                 row = [0] * total

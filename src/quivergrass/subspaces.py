@@ -89,7 +89,7 @@ when s solves one affine system, the conditions sum_i alpha_i R_i(s) in C
 for the basis rows alpha of W read off modulo C, so #{s : W in K(s)} is 0
 or p^(f - rank).  Summed over W in Gr(j, k) these give
 S_j = sum_s binom_p(dim K(s), j), and q-binomial inversion gives the number
-N_d of s with dim K(s) = d:
+N_d of s with dim K(s) = d (`_inverted`):
 N_d = sum_{j >= d} (-1)^(j-d) p^((j-d)(j-d-1)/2) binom_p(j, d) S_j.  For
 k = 2 that is N_2 = S_2, N_1 = S_1 - (p + 1) S_2 and N_0 = p^f - N_1 - N_2:
 p + 2 small eliminations (p + 1 lines and the plane) for p^f candidates,
@@ -120,18 +120,20 @@ image rows, plus #lines(ker psi_2), one rank, #lines(X) being
 concatenated rows (psi_1 e_c | psi_2 e_c), not of their union.
 Hyperplanes, H = ker lambda: let
 Z = ker(Psi: Q^2 -> F_p^{d_f}/C, (x, y) -> psi_1 x + psi_2 y), whose
-basis one `rref_mod` of the d_f x 2m matrix gives, one vector per
-non-pivot column.  Then dim(psi_1 H + psi_2 H) = 2(m - 1) -
-dim(Z cap H^2) = rank Psi - dim K'(lambda), where K'(lambda) = {beta :
+basis `linalg.kernel` reads off one `linalg.gauss_jordan` of the
+d_f x 2m matrix, one vector per non-lead column.  Then
+dim(psi_1 H + psi_2 H) = 2(m - 1) - dim(Z cap H^2) = rank Psi -
+dim K'(lambda), where K'(lambda) = {beta :
 lambda vanishes on Z_beta} and Z_beta = {beta_1 x + beta_2 y : (x, y) in
 Z}, so S_1 needs one pencil over the two halves of Z's basis and the rank
 of the second half, and S_2 the rank of the union of both halves.  The
-inversion of row families gives N_2 = S_2, N_1 = S_1 - (p + 1) S_2 and
-N_0 = [m]_p - N_1 - N_2, and the rank is top - d, with top = dim C + 2
-for lines and dim C + rank Psi for hyperplanes.  One pencil and two ranks
-replace the m pivot blocks.  The vertex charges its 2 [m]_p ticks at
-once, the total the blocks charge, so the estimates, "refused unwalked"
-against "ran out", and every SearchTooLarge text stay as for blocks.
+inversion of row families (`_inverted`, with S_0 = [m]_p) gives
+N_2 = S_2, N_1 = S_1 - (p + 1) S_2 and N_0 = [m]_p - N_1 - N_2, and the
+rank is top - d, with top = dim C + 2 for lines and dim C + rank Psi for
+hyperplanes.  One pencil and two ranks replace the m pivot blocks.  The
+vertex charges its 2 [m]_p ticks at once, the total the blocks charge,
+so the estimates, "refused unwalked" against "ran out", and every
+SearchTooLarge text stay as for blocks.
 
 One walk per fiber: the shortcut walk fixes U at the searched vertices and
 records how often each rank of forced span reaches the final vertex, which
@@ -160,6 +162,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import prod
+from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from . import linalg
@@ -427,7 +430,10 @@ def _solutions(system: list, f: int, p: int) -> int:
     """Solutions s in F_p^f of the affine system whose rows hold the
     coefficients of s and then the constant: p^(f - rank), or 0 when a row
     reduces to a nonzero constant.  The forward elimination of
-    `linalg.rank_mod`."""
+    `linalg.rank_mod`, written out here because it stops at the first such
+    row: on the Kronecker boxes most systems are inconsistent (94 % of the
+    147,770 that `f_polynomial(pr(6))` hands it at (2, 3), (2, 4), (3, 3)
+    and (3, 4)), and `linalg._forward` would eliminate each to the end."""
     basis: list = []
     for v in system:
         for lead, row in basis:
@@ -444,10 +450,34 @@ def _solutions(system: list, f: int, p: int) -> int:
     return p ** (f - len(basis))
 
 
+@lru_cache(maxsize=256)
+def _inversion(k: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """Row d, for 0 <= d <= k: the coefficients (-1)^i p^(i(i-1)/2)
+    binom_p(d + i, d) of S_d, ..., S_k in N_d (`_inverted`), worked out
+    once per (k, p)."""
+    return tuple(tuple((-1) ** i * p ** (i * (i - 1) // 2) * _gaussian_binomial(d + i, d, p)
+                       for i in range(k + 1 - d)) for d in range(k + 1))
+
+
+def _inverted(sums: Sequence[int], top: int, p: int) -> dict[int, int]:
+    """{top - d: N_d} for the N_d nonzero, by q-binomial inversion of
+    S_j = sum_d binom_p(d, j) N_d, sums[j] = S_j for 0 <= j <= k (module
+    docstring): N_d = sum_{j >= d} (-1)^(j-d) p^((j-d)(j-d-1)/2)
+    binom_p(j, d) S_j, and a family or vertex whose K has dimension d
+    forces the rank top - d."""
+    hist = {}
+    for d, row in enumerate(_inversion(len(sums) - 1, p)):
+        if n := sum(map(mul, row, sums[d:])):
+            hist[top - d] = n
+    return hist
+
+
 def _family_ranks(fixed: list, a: list, g: list, p: int) -> dict[int, int]:
     """How many s in F_p^f give each rank of the span of the fixed rows and
     the k rows R_i(s) = a_i + sum_j s_j g[j][i], by relation systems (module
-    docstring): S_j counts the pairs (s, W), W in Gr(j, k) inside K(s)."""
+    docstring): S_j counts the pairs (s, W), W in Gr(j, k) inside K(s), one
+    `_solutions` per W, and `_inverted` turns S_0 = p^f, ..., S_k into the
+    number of s at each rank dim C + k - dim K(s)."""
     rows, pivots = linalg.rref_mod(fixed, p)
     k, f = len(a), len(g)
     # per arrow i, R_i(s) in C as equations: one per coordinate off C's
@@ -470,43 +500,34 @@ def _family_ranks(fixed: list, a: list, g: list, p: int) -> dict[int, int]:
                 system += combo
             total += _solutions(system, f, p)
         sums.append(total)
-    hist = {}
-    for dim in range(k + 1):  # q-binomial inversion: N_dim, dim K(s) = dim
-        n = sum((-1) ** (j - dim) * p ** ((j - dim) * (j - dim - 1) // 2)
-                * _gaussian_binomial(j, dim, p) * sums[j] for j in range(dim, k + 1))
-        if n:
-            hist[len(rows) + k - dim] = n
-    return hist
+    return _inverted(sums, len(rows) + k, p)
 
 
 def _whole_ranks(fixed: list, a: list, b: list, n: int, p: int) -> dict[int, int]:
     """How many n-dim subspaces H of F_p^m, n = 1 or m - 1, give each rank of
     the span of the fixed rows and the images of H under two maps, the m
     rows a and b being the images of the unit vectors: a whole vertex,
-    counted by one pencil and two ranks (module docstring)."""
+    counted by one pencil and two ranks (module docstring).  For
+    hyperplanes, Z = ker Psi has the basis `linalg.kernel` reads off one
+    `linalg.gauss_jordan` of the d_f x 2m matrix of Psi, taken mod p, and
+    rank Psi is its number of leads; `_inverted` turns S_0 = [m]_p, S_1
+    and S_2 into the rank histogram."""
     rows, pivots = linalg.rref_mod(fixed, p)
     a, b = ([linalg.reduce_mod(x, rows, pivots, p) for x in side] for side in (a, b))
     m = len(a)
     if n == 1:  # lines: W in K(w) when w lies in the kernel of psi_W
         top, joint = 2, [x + y for x, y in zip(a, b)]
     else:  # hyperplanes: the pencil and ranks of the two halves of a basis of Z
-        zrows, zpivots = linalg.rref_mod(zip(*a, *b), p)
-        z = []
-        for q in range(2 * m):
-            if q not in zpivots:
-                vec = [0] * (2 * m)
-                vec[q] = 1
-                for row, c in zip(zrows, zpivots):
-                    vec[c] = -row[q] % p
-                z.append(vec)
-        top, a, b = len(zpivots), [x[:m] for x in z], [x[m:] for x in z]
+        psi = list(zip(*a, *b))
+        leads = linalg.gauss_jordan(psi, 2 * m, p)
+        z = [[x % p for x in vec] for vec in linalg.kernel(psi, leads, 2 * m)]
+        top, a, b = len(leads), [x[:m] for x in z], [x[m:] for x in z]
         joint = a + b
     lines = [_gaussian_binomial(j, 1, p) for j in range(m + 1)]
     s1 = lines[m - linalg.rank_mod(b, p)] + sum(
         count * lines[m - r] for r, count in linalg.pencil_rank_histogram(a, b, p).items())
     s2 = lines[m - linalg.rank_mod(joint, p)]
-    counts = (lines[m] - s1 + p * s2, s1 - (p + 1) * s2, s2)  # N_0, N_1, N_2
-    return {len(rows) + top - d: c for d, c in enumerate(counts) if c}
+    return _inverted((lines[m], s1, s2), len(rows) + top, p)
 
 
 def _walk(rep: Representation, e: tuple[int, ...], budget: _Budget,

@@ -293,6 +293,26 @@ def apply_word_inverse(rs, word, weight):
     return w
 
 
+def closure_positive_roots(cartan):
+    """The positive roots of the simply-laced Cartan matrix, as sorted
+    simple-root coordinate tuples: the closure of the simple roots under
+    every simple reflection s_i(beta) = beta - (beta, alpha_i) alpha_i,
+    negative roots included, then its positive half."""
+    n = len(cartan)
+    simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    roots, frontier = set(simple), list(simple)
+    while frontier:
+        beta = frontier.pop()
+        for i in range(n):
+            new = list(beta)
+            new[i] -= sum(cartan[i][j] * beta[j] for j in range(n))
+            new = tuple(new)
+            if new not in roots:
+                roots.add(new)
+                frontier.append(new)
+    return tuple(sorted(r for r in roots if all(x >= 0 for x in r)))
+
+
 def solve_gamma_by_reflections(rs, word, alpha):
     """(gamma, orbit index) by whole Cartan rows: the triangular solve adds
     every row it takes, and the walk to the dominant chamber applies

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     apply_word_inverse,
     bipartite_word,
+    closure_positive_roots,
     minor_argument_matrix,
     solve_gamma_by_reflections,
     thin_f_polynomial,
@@ -55,6 +56,13 @@ def all_orientations(rs):
 def test_positive_root_counts(label, rank, count):
     rs = root_system(label, rank)
     assert len(rs.positive_roots) == count
+
+
+def test_positive_roots_by_height_match_the_reflection_closure():
+    for label, ranks in (("A", range(1, 13)), ("D", range(4, 13)), ("E", (6, 7, 8))):
+        for rank in ranks:
+            rs = root_system(label, rank)
+            assert rs.positive_roots == closure_positive_roots(rs.cartan), (label, rank)
 
 
 def test_cartan_simply_laced():

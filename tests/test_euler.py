@@ -45,9 +45,9 @@ from quivergrass.model import (
     reduce_mod,
 )
 from quivergrass.sampler import sample_general_rep
-from quivergrass.subspaces import count_subreps
+from quivergrass.subspaces import _dual_routing, _routing, count_subreps
 
-from oracles import fraction_lagrange
+from oracles import fraction_lagrange, fraction_rank
 
 ONE_VERTEX = Quiver(1, ())
 
@@ -1059,6 +1059,59 @@ def test_forcing_tables_are_built_on_first_use():
     assert quartic.fiber_bound(False, (1, 0)) == 2
 
 
+def _position_bound(rep, backward, e):
+    """One side of the degree bound by positions: s_v is the largest
+    e_u - (d_u - rank phi_a) over the arrows u -> v (flipped on the dual)
+    whose source comes first in the search order."""
+    pos = {v: i for i, v in enumerate((_dual_routing if backward else _routing)(rep.quiver).order)}
+    forced = [0] * rep.n
+    for (s, t), mat in zip(rep.quiver.arrows, rep.matrices):
+        u, v = (t, s) if backward else (s, t)
+        if pos[u] < pos[v]:
+            forced[v] = max(forced[v], e[u] - (rep.dims[u] - fraction_rank(mat)))
+    return sum(max(0, x - f) * (d - x) for x, f, d in zip(e, forced, rep.dims))
+
+
+def _bound_reps():
+    """Seeded acyclic quivers on 3-5 vertices, vertex labels shuffled
+    against the arrows and one arrow doubled, with matrices of every rank
+    (products through a random inner dimension), and one quiver with a
+    cycle and parallel arrows."""
+    rng = random.Random("bounds")
+    for _ in range(12):
+        n = rng.randint(3, 5)
+        label = list(range(n))
+        rng.shuffle(label)
+        arrows = [(label[i], label[j]) for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < 0.5]
+        arrows = arrows or [(label[0], label[1])]
+        arrows.append(rng.choice(arrows))
+        yield Quiver(n, tuple(arrows)), tuple(rng.randint(0, 2) for _ in range(n))
+    yield Quiver(3, ((0, 1), (1, 2), (2, 0), (0, 1))), (2, 2, 1)
+
+
+def test_degree_and_fiber_bounds_match_the_position_rule():
+    import quivergrass.euler as eu
+    rng = random.Random("bound matrices")
+    for quiver, dims in _bound_reps():
+        mats = []
+        for s, t in quiver.arrows:
+            inner = rng.randint(0, min(dims[s], dims[t]))
+            left = [[rng.randint(-2, 2) for _ in range(inner)] for _ in range(dims[t])]
+            right = [[rng.randint(-2, 2) for _ in range(dims[s])] for _ in range(inner)]
+            mats.append(tuple(tuple(sum(x * r[c] for x, r in zip(row, right))
+                                    for c in range(dims[s])) for row in left))
+        rep = Representation(quiver, dims, tuple(mats))
+        sampling = eu._Sampling(rep)
+        for e in product(*(range(d + 1) for d in dims)):
+            dual = tuple(d - x for d, x in zip(dims, e))
+            ahead, behind = _position_bound(rep, False, e), _position_bound(rep, True, dual)
+            assert sampling.fiber_bound(False, e) == ahead, (quiver, dims, e)
+            assert sampling.fiber_bound(True, dual) == behind, (quiver, dims, e)
+            assert sampling.fiber_bound(True, e) == _position_bound(rep, True, e)
+            assert sampling.degree_bound(e) == min(ahead, behind), (quiver, dims, e)
+
+
 def test_rigid_dimension_is_worked_out_once_per_e(monkeypatch):
     # <e, d - e> is read once for every e the arrow tests leave: the rigid
     # empty e it settles and each pending e, whose palindrome reads it again
@@ -1108,6 +1161,22 @@ def test_palindrome_fit():
     assert _palindrome(((3, 3), (5, 5)), 2) is None
     # a held-out count that disagrees
     assert _palindrome_fit(cube[:3] + [(11, 0)], 3) is None
+
+
+def test_palindrome_returns_every_integer_palindrome():
+    # through the first D // 2 + 1 odd primes, every palindrome of degree
+    # D <= 8 with c_0 != 0 comes back exactly, and the zero one as ()
+    from quivergrass.euler import _palindrome
+    rng, primes = random.Random("palindromes"), (3, 5, 7, 11, 13)
+    for degree in range(9):
+        nodes = primes[:degree // 2 + 1]
+        assert _palindrome(tuple((p, 0) for p in nodes), degree) == ()
+        for _ in range(40):
+            half = [rng.choice((-1, 1)) * rng.randint(1, 9)] + [
+                rng.randint(-9, 9) for _ in range(degree // 2)]
+            coeffs = tuple(half[min(i, degree - i)] for i in range(degree + 1))
+            counts = tuple((p, sum(c * p ** i for i, c in enumerate(coeffs))) for p in nodes)
+            assert _palindrome(counts, degree) == coeffs, (degree, coeffs)
 
 
 def test_failed_palindrome_leaves_e_to_the_other_tests(monkeypatch):

@@ -39,7 +39,7 @@ from quivergrass.model import (
     validate_representation,
 )
 
-from oracles import dense_hom_dim, fraction_rank, naive_hom_dim_mod
+from oracles import dense_hom_dim, fraction_rank, modular_rank, naive_hom_dim_mod
 
 ONE_VERTEX = Quiver(1, ())
 
@@ -437,6 +437,51 @@ def test_rank_frac_takes_integer_rows_as_they_are():
         assert linalg.rank_frac(ints) == want <= inner, ints
         assert linalg.rank_frac(fracs) == want, fracs
         assert linalg.rank_frac([[Fraction(x) for x in row] for row in ints]) == want
+
+
+def _kernel_cases(rng, width, p):
+    """Seeded matrices of one width over F_p (entries in [0, p)) or, for p
+    None, over Q: the zero matrix, a full-rank one with a dependent row
+    beneath, products of lower inner rank, and over Q rows of fractions
+    whose first nonzero entry is negative."""
+    yield [[0] * width for _ in range(3)]
+    full = [[int(j >= i) for j in range(width)] for i in range(width)]
+    rng.shuffle(full)
+    yield full + [[sum(col) % p if p else sum(col) for col in zip(*full)]]
+    for _ in range(12):
+        inner = rng.randint(0, width)
+        left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rng.randint(0, 6))]
+        right = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(inner)]
+        rows = [[sum(x * r[c] for x, r in zip(row, right)) for c in range(width)]
+                for row in left]
+        if p:
+            yield [[x % p for x in row] for row in rows]
+            continue
+        yield rows
+        fracs = []
+        for row in rows:
+            lead = next((x for x in row if x), 1)
+            fracs.append([Fraction(-x if lead > 0 else x, rng.randint(1, 6)) for x in row])
+        yield fracs
+
+
+def test_kernel_after_gauss_jordan_is_a_basis_of_the_null_space():
+    rng = random.Random("kernel")
+    for p in (2, 3, 5, 7, None):
+        for width in range(8):
+            for matrix in _kernel_cases(rng, width, p):
+                rows = [list(linalg._cleared(row)) for row in matrix]
+                leads = linalg.gauss_jordan(rows, width, p)
+                basis = linalg.kernel(rows, leads, width)
+                rank = modular_rank(matrix, p) if p else fraction_rank(matrix)
+                assert len(basis) == width - rank, (matrix, p)
+                for vec in basis:
+                    assert len(vec) == width
+                    for row in matrix:
+                        dot = sum(x * y for x, y in zip(row, vec))
+                        assert (dot % p if p else dot) == 0, (matrix, p, vec)
+                got = modular_rank(basis, p) if p else fraction_rank(basis)
+                assert got == len(basis), (matrix, p, basis)
 
 
 def test_rigidity():

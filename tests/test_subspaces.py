@@ -1295,6 +1295,24 @@ def test_family_ranks_match_direct_ranks():
     assert subspaces._family_ranks(whole, [(1, 2, 0), (0, 0, 1)], g, 3) == {3: 27}
 
 
+def test_solutions_match_brute_force():
+    # seeded affine systems over F_p^f, some with an inconsistent row kept
+    # before consistent ones and some with rows that depend on earlier ones
+    rng = random.Random("solutions")
+    for _ in range(400):
+        p, f = rng.choice((2, 3, 5, 7)), rng.randint(0, 4)
+        system = [[rng.randrange(p) for _ in range(f + 1)] for _ in range(rng.randint(0, 4))]
+        if system and rng.random() < 0.3:
+            c = rng.randrange(p)
+            system.append([(c * x) % p for x in system[0]])
+        if rng.random() < 0.3:
+            system.insert(rng.randint(0, len(system)), [0] * f + [rng.randrange(1, p)])
+        want = sum(all((sum(c * x for c, x in zip(row, s)) + row[f]) % p == 0 for row in system)
+                   for s in product(range(p), repeat=f))
+        assert subspaces._solutions([row[:] for row in system], f, p) == want, (system, f, p)
+    assert subspaces._solutions([[0, 0, 1], [1, 0, 0]], 2, 3) == 0
+
+
 def _family_cases():
     """(rep, key, primes, k, n, forced dimension at the searched vertex):
     forward walks whose last searched vertex keeps blocks, n = e_v - forced
