@@ -3,8 +3,8 @@
 Subcommands: euler, fpoly, kronecker, dynkin, example4.  Exit codes are a
 stable API, read from `EXIT_CODES`: 0 ok, 2 parse/usage error, 3 non-polynomial
 point counts, 4 enumeration too large, 5 invariant/verification failure,
-6 out of scope: a root the minor route cannot reach, or type E brute force
-alone (`dynkin --mode both` runs the minor route first).
+6 out of scope: a root the minor route cannot reach (`dynkin --mode both`
+runs the minor route first, so it refuses such a root too).
 Every flag has a JSON-config equivalent via --config; explicit flags win.
 The environment variable QUIVERGRASS_CAP overrides the default enumeration
 cap; --cap overrides both.  A refused walk reports the estimate the cap was
@@ -263,10 +263,6 @@ def cmd_dynkin(args) -> int:
         raise ParseError("dynkin needs --type, --coxeter and --root")
     label, rank = _parse_type(args.type)
     mode = _parse_mode(args.mode, DYNKIN_MODES)
-    if label == "E" and mode == "bruteforce":  # the cap guards size; this guards verdicts
-        raise ScopeError("type E brute force alone can reject a polynomial-count root "
-                         "at a bad-reduction prime; use --mode both, which runs the "
-                         "minor route first")
     word = tuple(i - 1 for i in _csv_ints(args.coxeter))
     alpha = _csv_ints(args.root)
     try:

@@ -312,6 +312,12 @@ def dynkin_indecomposable(quiver: Quiver, alpha: Sequence[int], seed: int = 0
     seeded generator until hom(M, M) = 1 over Q, which certifies ext^1(M, M)
     = 1 - <alpha, alpha> = 0; general representations of a positive-root
     dimension vector are exactly the indecomposables, so this terminates fast.
+    On a thin alpha (every entry at most 1) `hom_dim` reads End off the
+    arrows, with no linear system: its dimension is the number of connected
+    pieces of the support under the arrows drawn nonzero (`model._thin_end`).
+    Every draw returned is rigid, so on a Dynkin quiver `euler.f_polynomial`
+    samples it under Ringel's theorem, with no held-out prime
+    (`euler._Sampling.certified`).
     """
     seed = _as_int(seed, "seed")
     dims = tuple(_as_int(a, "dimension") for a in alpha)

@@ -2,9 +2,11 @@
 
 chi of a quiver Grassmannian is computed operationally as P(1), where P is
 the integer polynomial that matches the exact F_p point counts at enough
-primes and survives validation at two held-out primes.  Varieties whose
-counts are not polynomial in q (the plane-quartic pipeline of `example4` is
-the canonical source) are detected and rejected with NonPolynomialCount.
+primes and survives validation at two held-out primes, or, for a rigid
+representation of a Dynkin quiver, needs none (Ringel's theorem, below).
+Varieties whose counts are not polynomial in q (the plane-quartic pipeline
+of `example4` is the canonical source) are detected and rejected with
+NonPolynomialCount.
 
 "Enough" is B + 1 nodes, where B bounds deg P through the arrow ranks (see
 `_Sampling.degree_bound`).  Walk the vertices in the search order; an arrow
@@ -110,10 +112,36 @@ exact either way.  It is asked only on an acyclic quiver where <d, d> >= 1
 is left after the arrow test.  `_Sampling.rigid_dimension` gives
 <e, d - e> for rigid M, which both the empty case and the palindrome read.
 
+Ringel's theorem certifies the count itself on a Dynkin quiver, one whose
+Tits form is positive definite, so that every connected component has type
+A, D or E (`model.Quiver.is_dynkin`).  There the number of F_q-points of
+Gr_e(N) is, for each isomorphism type of N, one polynomial in q: a sum of
+Hall polynomials over the finitely many types of U and N/U, none of which
+depends on q (Ringel, "Hall polynomials for the representation-finite
+hereditary algebras", Adv. Math. 84 (1990)).  Over every field a Dynkin
+module is a sum of indecomposables, one per positive root and each defined
+over the prime field (Gabriel), and a rigid one is fixed by its dimension
+vector, which no field changes.  So let M be rigid over Q and p a good prime
+at which dim End(M mod p) = <d, d> as well: M mod p is rigid, it has the
+type of M, and its count is P(p) for the one P with P(1) = chi.  At such a
+prime deg P <= B_e, and P is the palindrome of degree D = <e, d - e>, so
+B_e + 1 samples, or D // 2 + 1, determine P, and a held-out prime would
+prove nothing more.  Such an M is certified (`_Sampling.certified`: rigid,
+with a positive definite Tits form).  For it `_settle` skips every prime at
+which End(M mod p) exceeds <d, d> before it samples the prime, and the
+per-e and rigidity tests take no held-out prime.  The fiber test keeps
+HELD_OUT, because the theorem covers the count, not each N_k.  A pair of
+samples that breaks (p - q) | P(p) - P(q), or an interpolant that is not
+integral, still raises NonPolynomialCount, which the theorem says never
+happens.  Every other input keeps its held-out primes: M not rigid, a
+quiver with cycles, or a Kronecker module, whose Tits form is only
+semidefinite.
+
 Sampling context: everything a count needs from M that does not depend on
 e is worked out once per representation and kept in a `_Sampling` (bounded
 `lru_cache`, 64 representations, per process).  It holds the arrow ranks
-over Q, the arrows that force part of a subspace in either search
+over Q, the arrows of nonzero rank that the closed forms read in one pass
+per e, the arrows that force part of a subspace in either search
 direction (built when a degree bound first needs them, so a set that the
 closed forms settle whole never builds them), and the good primes found
 so far, each with M reduced mod it from M's integral form
@@ -122,10 +150,12 @@ caller asks past its end, so each (representation, prime) pair is chosen,
 reduced and rank-checked once, when some caller is about to sample it,
 from whichever thread; per e there is only the closed form, whose reason
 is formatted only for `euler --verbose`.  It also holds <d, d>, worked
-out when it is built, and dim End_Q(M), worked out once, whose
-certificate may reduce a good prime that no count samples: a rigid-empty
-e takes none.
-A set that the arrow test settles whole reduces no prime at all.  It
+out when it is built, dim End_Q(M), worked out once, whose certificate
+may reduce a good prime that no count samples (a rigid-empty e takes
+none), and one cache of dim End(M mod p) per prime, which that certificate
+and the certified schedule both read.
+A set that the arrow test settles whole reduces no prime at all, and
+`_settle` builds nothing for it past the closed forms.  It
 holds no dual: the search direction belongs to `subspaces._plan`, and a
 backward search walks the reduction itself.
 Interpolation is exact integer Lagrange over one common denominator.
@@ -166,10 +196,12 @@ class CountingPolynomial:
     actually sampled, and the polynomial equals the count at each of them;
     degree_bound is the a-priori bound on its degree.  It does not fix how
     many primes were sampled: the fiber and rigidity tests (module
-    docstring) can settle e with fewer than degree_bound + 1 + HELD_OUT,
-    and samples is empty when an arrow's rank rules e out, when no arrow
-    constrains e (a product of Grassmannians), and when M is rigid and
-    <e, d - e> < 0.  Such an e takes no prime, and its degree_bound is the
+    docstring) can settle e with fewer than degree_bound + 1 + HELD_OUT; a
+    certified M (Ringel's theorem, module docstring) takes degree_bound + 1,
+    or <e, d - e> // 2 + 1 for its palindrome, with no held-out prime, and
+    its samples skip the primes where End(M mod p) jumps.  samples is empty
+    when an arrow's rank rules e out, when no arrow constrains e (a product
+    of Grassmannians), and when M is rigid and <e, d - e> < 0.  Such an e takes no prime, and its degree_bound is the
     degree of its closed form, known before any prime: sum_v e_v (d_v - e_v)
     for a product of Grassmannians (the arrow bound there), 0 when Gr_e(M)
     is empty.
@@ -189,7 +221,7 @@ class CountingPolynomial:
 
     @property
     def chi(self) -> int:
-        return self.evaluate(1)
+        return sum(self.coefficients)  # P(1)
 
 
 def _evaluate(coefficients: Sequence[int], x) -> int:
@@ -263,7 +295,8 @@ def _fit(samples: Sequence[tuple[int, int]], degree_bound: int
 
 def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
                                     degree_bound: int,
-                                    dim_vector: Sequence[int] | None = None
+                                    dim_vector: Sequence[int] | None = None,
+                                    *, held_out: int = HELD_OUT
                                     ) -> CountingPolynomial:
     """Fit the first degree_bound+1 samples exactly, then validate the rest.
 
@@ -272,8 +305,11 @@ def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
     Z[q] satisfies, when the interpolant has a non-integer coefficient, or
     when a held-out count disagrees; samples that already prove that need
     no more beyond them, so two can be enough (`_fit`).  Otherwise requires
-    at least two held-out samples beyond the interpolation nodes
-    (InsufficientSamples).
+    at least held_out samples beyond the interpolation nodes
+    (InsufficientSamples), HELD_OUT = 2 unless given.  held_out = 0 is the
+    certified path of `_settle`: where Ringel's theorem makes every sampled
+    count P(p) with deg P <= degree_bound (module docstring), the nodes
+    alone fix P, and an interpolant that is not integral still raises.
     """
     samples = [(_as_int(p, "sample prime"), _as_int(c, "sample count")) for p, c in samples]
     degree_bound = _as_int(degree_bound, "degree bound")
@@ -288,10 +324,10 @@ def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
         primes = ", ".join(str(p) for p, _ in samples)
         raise NonPolynomialCount(f"point counts{where} sampled at primes {primes}: {reason}, "
                                  "so they are not polynomial in q")
-    need = degree_bound + 1 + HELD_OUT
+    need = degree_bound + 1 + held_out
     if len(samples) < need:
         raise InsufficientSamples(
-            f"need {need} samples for degree {degree_bound} (+{HELD_OUT} held out), "
+            f"need {need} samples for degree {degree_bound} (+{held_out} held out), "
             f"got {len(samples)}")
     return CountingPolynomial(ints, dim_vector, tuple(samples), degree_bound)
 
@@ -301,7 +337,9 @@ class _Sampling:
 
     Once per representation: form is <d, d>, None on a quiver with cycles;
     ranks are the arrow ranks over Q (`linalg.rank_frac` takes a row of
-    ints as it is, so an integer M is not cleared first).  On first use,
+    ints as it is, so an integer M is not cleared first), and active the
+    arrows (u, v, rank) of nonzero rank, all that the closed forms read.
+    On first use,
     by `fiber_bound`: _tables, the forward and backward arrows (u, v,
     dim ker) that force part of U_v, read from `subspaces._routing` of the
     quiver and of its opposite (`_forcing`), which only `fiber_bound`
@@ -309,11 +347,14 @@ class _Sampling:
     forms settle whole never builds them (the work is pure, so threads
     that race to it keep equal tables).  found lists the good
     primes so far as (p, rep mod p), extended under the lock.  Once per
-    prime: its reduction, the rank check that makes it good, and, for the
-    first HELD_OUT + 1 good primes at most, the End certificate (`end`,
-    kept once worked out, under a second lock), which may reduce a good
-    prime that no count goes on to sample.  Rigidity (`rigid`,
-    `rigid_dimension`) is read from form and End, and kept nowhere else.
+    prime: its reduction, the rank check that makes it good, and dim
+    End(M mod p), kept in one cache (`end_mod`) that the End certificate
+    (`end`, tried at the first HELD_OUT + 1 good primes at most, kept once
+    worked out, under a second lock) and the certified schedule of
+    `_settle` both read; the certificate may reduce a good prime that no
+    count goes on to sample.  Rigidity (`rigid`, `rigid_dimension`) and the
+    certificate of Ringel's theorem (`certified`) are read from form, End
+    and the quiver, and kept nowhere else.
     Per e: the closed form (`closed_form`), with its reason only when asked.
     """
 
@@ -323,12 +364,14 @@ class _Sampling:
         self.rep = rep
         self.form = euler_form(rep.quiver, rep.dims, rep.dims) if rep.quiver.is_acyclic else None
         self.ranks = tuple(linalg.rank_frac(mat) for mat in rep.matrices)
+        self.active = tuple((u, v, r) for (u, v), r in zip(rep.quiver.arrows, self.ranks) if r)
         self._tables: tuple | None = None
         self._primes = linalg.odd_primes()
         self._found: list[tuple[int, Representation]] = []
         self._lock = threading.Lock()
         self._end: int | None = None
         self._end_lock = threading.Lock()
+        self._ends: dict[int, int] = {}
 
     def _forcing(self, route) -> tuple[tuple[int, int, int], ...]:
         """(u, v, dim ker phi_a) for each arrow a: u -> v that forces part
@@ -374,18 +417,28 @@ class _Sampling:
         rank or drops it, so dim End(M mod p) >= dim End_Q(M).  A prime
         at which dim End(M mod p) equals the lower bound max(1, <d, d>)
         therefore proves that dim End_Q(M) equals it.  On an acyclic
-        quiver and nonzero M the first HELD_OUT + 1 good primes are tried,
-        and the first that certifies ends the search; otherwise (no prime
-        certifies, the quiver has cycles, or M is zero) one `hom_dim` over
-        Q gives it.  Worked out once, on the first call.
+        quiver and nonzero M the first HELD_OUT + 1 good primes are tried
+        (`end_mod`), and the first that certifies ends the search; otherwise
+        (no prime certifies, the quiver has cycles, or M is zero) one
+        `hom_dim` over Q gives it.  Worked out once, on the first call.
         """
         with self._end_lock:
             if self._end is None:
                 lower = max(1, self.form) if self.form is not None and any(self.rep.dims) else 0
-                certified = lower and any(hom_dim(rep_p, rep_p) == lower for _, rep_p
+                certified = lower and any(self.end_mod(rep_p) == lower for _, rep_p
                                           in islice(self.reductions(), HELD_OUT + 1))
                 self._end = lower if certified else hom_dim(self.rep, self.rep)
             return self._end
+
+    def end_mod(self, rep_p: Representation) -> int:
+        """dim End(M mod p) for rep_p, M mod p, kept per prime: `end`'s
+        certificate and the certified schedule of `_settle` read the same
+        value, so each (M, p) pays for one `hom_dim` at most.  The work is
+        pure, so threads that race to it keep equal values."""
+        p = rep_p.field
+        if p not in self._ends:
+            self._ends[p] = hom_dim(rep_p, rep_p)
+        return self._ends[p]
 
     def rigid(self) -> bool:
         """Whether Ext^1(M, M) = 0, that is `end` equal to form = <d, d> >= 1.
@@ -395,6 +448,12 @@ class _Sampling:
         a quiver with cycles, which has no Euler form, counts as not rigid.
         """
         return self.form is not None and self.form >= 1 and self.end() == self.form
+
+    def certified(self) -> bool:
+        """Whether Ringel's theorem covers M (module docstring): M is rigid
+        (`rigid`) and the quiver's Tits form is positive definite
+        (`model.Quiver.is_dynkin`), so every component has type A, D or E."""
+        return self.rigid() and self.rep.quiver.is_dynkin
 
     def rigid_dimension(self, e: Sequence[int]) -> int | None:
         """<e, d - e> when M is rigid (`rigid`), the dimension of Gr_e(M)
@@ -456,12 +515,13 @@ class _Sampling:
         """(`closed_form(e, why)`, `rigid_dimension(e)`), the second worked
         out only when the arrow tests leave e to rigidity, and None
         otherwise, so `_settle` reads it once per e."""
-        dims, arrows = self.rep.dims, self.rep.quiver.arrows
-        for (u, v), r in zip(arrows, self.ranks):
+        dims, constrained = self.rep.dims, False
+        for u, v, r in self.active:  # an arrow of rank 0 neither rules out nor constrains
             if r > dims[u] - e[u] + e[v]:
                 return ((), f"arrow {u + 1} -> {v + 1} of rank {r} forces dim U_{v + 1} >= "
                             f"{e[u] - dims[u] + r} > e_{v + 1} = {e[v]}") if why else (), None
-        if not any(r and e[u] and e[v] < dims[v] for (u, v), r in zip(arrows, self.ranks)):
+            constrained = constrained or (e[u] and e[v] < dims[v])
+        if not constrained:
             ints = _grassmannians(dims, e)
             return ((ints, "no arrow constrains e: Gr_e(M) is a product of Grassmannians")
                     if why else ints), None
@@ -474,10 +534,14 @@ class _Sampling:
 @lru_cache(maxsize=1024)
 def _grassmannians(dims: tuple[int, ...], e: tuple[int, ...]) -> tuple[int, ...]:
     """prod_v binom_q(d_v, e_v), through its values at B_e + 1 integers,
-    B_e = sum_v e_v (d_v - e_v) its degree; remembered per (d, e), so each
-    product is interpolated once per process."""
+    B_e = sum_v e_v (d_v - e_v) its degree, and 1 with no value when B_e = 0
+    (every Gr(e_v, d_v) a point, as at every e of a thin d); remembered per
+    (d, e), so each product is interpolated once per process."""
+    degree = sum(x * (d - x) for d, x in zip(dims, e))
+    if not degree:
+        return (1,)
     return _interpolant(tuple((q, prod(_gaussian_binomial(d, x, q) for d, x in zip(dims, e)))
-                              for q in range(2, sum(x * (d - x) for d, x in zip(dims, e)) + 3)))
+                              for q in range(2, degree + 3)))
 
 
 @lru_cache(maxsize=64)
@@ -589,8 +653,9 @@ def _settle(rep: Representation, es: Sequence[tuple[int, ...]], cap: int | None
 
     First `_Sampling.closed_form` settles every e it can, with no sample
     (an arrow rules e out, no arrow constrains e, or M is rigid and
-    <e, d - e> < 0), and a set it settles whole walks nothing; such an e
-    reports the degree of its closed form as its degree bound.  Only the
+    <e, d - e> < 0), and a set it settles whole is yielded at once, with
+    no bound, sample, plan or prime worked out; such an e reports the
+    degree of its closed form as its degree bound.  Only the
     rest has its degree bound worked out (`_Sampling.degree_bound`), and it
     is planned at its first prime (`subspaces._plan`), which also fixes each
     e's walk, its direction and key, and so its fiber's bound B_F and final
@@ -600,12 +665,14 @@ def _settle(rep: Representation, es: Sequence[tuple[int, ...]], cap: int | None
     count) pairs of e, and walks[walk], the (p, rank histogram) pairs of
     each shortcut walk, from which each fiber's N_k are fitted once
     (`_rank_fits`).  From them every pending e is decided anew at each
-    prime, by its number n of samples:
+    prime, by its number n of samples, with h = HELD_OUT held-out primes,
+    or h = 0 when M is certified (`_Sampling.certified`, module docstring),
+    whose primes with End(M mod p) > <d, d> are skipped unsampled:
     - the per-e test (`_fit` with the degree bound) leaves e to the final
-      `interpolate_counting_polynomial` when its samples prove it not
-      polynomial in q, or when n = bound + 1 + HELD_OUT;
+      `interpolate_counting_polynomial` (with h held out) when its samples
+      prove it not polynomial in q, or when n = bound + 1 + h;
     - for rigid M and D = <e, d - e> >= 0, the rigidity test tries
-      `_palindrome_fit` at n = D // 2 + 1 + HELD_OUT;
+      `_palindrome_fit` at n = D // 2 + 1 + h;
     - the fiber test tries `_fiber_fit` at n = B_F + 1 + HELD_OUT;
     - otherwise e stays pending.
     The per-e test is asked first, so the fiber and rigidity tests are
@@ -620,7 +687,13 @@ def _settle(rep: Representation, es: Sequence[tuple[int, ...]], cap: int | None
         ints, degrees[e] = sampling._closed_form(e)
         if ints is not None:
             settled[e] = ints
+    if len(settled) == len(es):  # the closed forms settle the whole set
+        for e in es:
+            yield e, CountingPolynomial(settled[e], e, (), max(len(settled[e]) - 1, 0))
+        return
     pending = [e for e in es if e not in settled]
+    certified = sampling.certified()
+    held_out = 0 if certified else HELD_OUT  # the fiber test keeps HELD_OUT
     bounds = {e: max(len(settled[e]) - 1, 0) if e in settled else sampling.degree_bound(e)
               for e in es}  # a closed form's degree, else the arrow bound
     samples = {e: [] for e in es}
@@ -629,6 +702,8 @@ def _settle(rep: Representation, es: Sequence[tuple[int, ...]], cap: int | None
     plan = None
     while pending:
         p, rep_p = next(primes)
+        if certified and sampling.end_mod(rep_p) != sampling.form:
+            continue  # End jumps at p, so M mod p is not of M's type
         if plan is None:
             plan = _plan(rep_p, pending)
             fiber_bounds = {walk: sampling.fiber_bound(*walk) for walk in
@@ -643,10 +718,10 @@ def _settle(rep: Representation, es: Sequence[tuple[int, ...]], cap: int | None
             got, bound = samples[e], bounds[e]
             got.append((p, counts[e]))
             n = len(got)
-            if _fit(got, bound)[1] is not None or n == bound + 1 + HELD_OUT:
+            if _fit(got, bound)[1] is not None or n == bound + 1 + held_out:
                 continue  # the per-e test decides e
             ints, degree = None, degrees[e]
-            if degree is not None and n == degree // 2 + 1 + HELD_OUT:
+            if degree is not None and n == degree // 2 + 1 + held_out:
                 ints = _palindrome_fit(got, degree)
             backward, key, x = plan.entry[e]
             walk = backward, key
@@ -665,7 +740,8 @@ def _settle(rep: Representation, es: Sequence[tuple[int, ...]], cap: int | None
             result = CountingPolynomial(settled[e], e, tuple(samples[e]), bound)
         else:
             try:
-                result = interpolate_counting_polynomial(samples[e], bound, dim_vector=e)
+                result = interpolate_counting_polynomial(samples[e], bound, dim_vector=e,
+                                                         held_out=held_out)
             except NonPolynomialCount as exc:
                 result = exc
         yield e, result
@@ -700,8 +776,9 @@ def iter_box_chi(rep: Representation, cap: int | None = None):
     in which case `error` carries the NonPolynomialCount.  The box is sampled
     as one set (see `_settle`): e takes none when `_Sampling.closed_form`
     settles it, and otherwise the first degree_bound(e) + 1 + HELD_OUT
-    primes, or fewer when they already reject it or its fiber or rigidity
-    settles it; only the latter e have their degree bound worked out.
+    primes (degree_bound(e) + 1 for a certified M), or fewer when they
+    already reject it or its fiber or rigidity settles it; only the latter
+    e have their degree bound worked out.
     """
     for e, result in _settle(rep, list(product(*(range(d + 1) for d in rep.dims))), cap):
         if isinstance(result, NonPolynomialCount):

@@ -49,6 +49,8 @@ MAX_PRIME = 2 ** 31
 
 def _as_int(x, what: str) -> int:
     """x as an int; integer types such as numpy's pass, anything else (bool too) is refused."""
+    if type(x) is int:  # the common case, and what operator.index returns for it
+        return x
     if isinstance(x, bool) or not hasattr(type(x), "__index__"):
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return operator.index(x)
@@ -96,6 +98,14 @@ class Quiver:
         """Worked out once per (n, arrows), not per object: callers build equal copies."""
         return _is_acyclic(self)
 
+    @property
+    def is_dynkin(self) -> bool:
+        """Whether the Tits form q(x) = sum_v x_v^2 - sum_{a: u -> v} x_u x_v
+        is positive definite, that is every connected component of the
+        underlying graph is a simply-laced Dynkin diagram (A, D or E).  Worked
+        out once per (n, arrows), like `is_acyclic`."""
+        return _tits_definite(self)
+
     def opposite(self) -> "Quiver":
         return Quiver(self.n, tuple((t, s) for s, t in self.arrows))
 
@@ -103,6 +113,30 @@ class Quiver:
 @lru_cache(maxsize=256)
 def _is_acyclic(quiver: Quiver) -> bool:
     return quiver.topological_order() is not None
+
+
+@lru_cache(maxsize=256)
+def _tits_definite(quiver: Quiver) -> bool:
+    """Sylvester's criterion on 2q, the symmetric matrix 2I minus the arrow
+    counts between each pair (a loop takes 2 off its diagonal entry), by
+    fraction-free elimination in integers: the pivot of step k is the
+    leading principal minor of order k + 1, and each step's division by the
+    previous pivot is exact (Bareiss)."""
+    n = quiver.n
+    m = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for s, t in quiver.arrows:
+        m[s][t] -= 1
+        m[t][s] -= 1
+    previous = 1
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) // previous
+        previous = pivot
+    return True
 
 
 @lru_cache(maxsize=256)
@@ -327,10 +361,15 @@ def hom_dim(a: Representation, b: Representation) -> int:
     equations in 9 unknowns, where the dense system in every g_v is
     48 x 25.  A vertex on a loop or a cycle is no sink, so such quivers
     need nothing more.
+
+    End of a thin representation, hom_dim(M, M) with every d_v <= 1, is
+    read off its arrows (`_thin_end`), with no system at all.
     """
     if a.quiver != b.quiver:
         raise QuiverMismatch("hom requires both representations on one quiver")
     _same_domain(a, b)
+    if a is b and all(x <= 1 for x in a.dims):
+        return _thin_end(a)
     p, (into, sources) = a.field, _into(a.quiver)
     offsets, blocked, total = [], [], 0  # the unknowns of each g_v not blocked, row by row
     for v, x in enumerate(a.dims):
@@ -359,6 +398,26 @@ def hom_dim(a: Representation, b: Representation) -> int:
                         row[offsets[u] + k * a.dims[u] + c] -= x * bm[r][k]
                 rows.append(row)
     return free + total - (linalg.rank_mod(rows, p) if p else linalg.rank_frac(rows))
+
+
+def _thin_end(rep: Representation) -> int:
+    """dim End(M) for thin M (every d_v <= 1): the number of connected
+    components of the support under the arrows whose 1 x 1 matrix is
+    nonzero, over Q as over F_p, on any quiver.  An endomorphism is a scalar
+    g_v per vertex of the support, and such an arrow u -> v asks g_v = g_u;
+    every other arrow (a zero scalar, an end outside the support, a loop)
+    asks nothing."""
+    root, parts = list(range(rep.n)), sum(rep.dims)  # a forest over the support
+    for (u, v), mat in zip(rep.quiver.arrows, rep.matrices):
+        if mat and mat[0] and mat[0][0]:
+            while root[u] != u:
+                u = root[u]
+            while root[v] != v:
+                v = root[v]
+            if u != v:  # the arrow joins two components
+                root[u] = v
+                parts -= 1
+    return parts
 
 
 # ---------------------------------------------------------------------------

@@ -373,24 +373,34 @@ def test_dynkin_type_e_minor(capsys):
     ("E6", "1,2,3,4,5,6", "1,1,1,1,1,1", "bruteforce"),
 ])
 def test_dynkin_brute_force_limits(label, word, root, mode, capsys):
-    # the cap guards size; only type E brute force alone is refused
+    # the cap guards size; brute force alone runs on every type, type E
+    # included, since its seeded draws are certified (Ringel's theorem)
     code = main(["dynkin", "--type", label, "--coxeter", word, "--root", root,
                  "--mode", mode])
     captured = capsys.readouterr()
-    if label.startswith("E") and mode == "bruteforce":
-        assert code == 6
-        assert "brute" in captured.err and "--mode both" in captured.err
-        return
     assert code == 0
     if mode == "both":
         assert captured.out.splitlines()[-1] == "ok"
 
 
 def test_dynkin_both_runs_the_minor_route_first(capsys):
-    # brute force rejects this non-minuscule root at a bad prime (exit 3)
+    # the minor route refuses this non-minuscule root (exit 6) before brute
+    # force, which alone reaches it (below)
     assert main(["dynkin", "--type", "E6", "--coxeter", "1,2,3,4,5,6",
                  "--root", "1,2,2,3,2,1", "--mode", "both"]) == 6
     assert "not minuscule" in capsys.readouterr().err
+
+
+def test_dynkin_brute_force_alone_gives_every_draw_one_answer(capsys):
+    # seed 0's draw of this E6 root has End jumps at 5, 7 and 11, where
+    # held-out primes alone rejected it (exit 3); seed 2's has none
+    argv = ["dynkin", "--type", "E6", "--coxeter", "1,2,3,4,5,6", "--root", "1,2,2,3,2,1",
+            "--mode", "bruteforce"]
+    outs = []
+    for seed in ([], ["--seed", "2"]):
+        assert main(argv + seed) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].startswith("1 + ")
 
 
 def test_dynkin_bad_root(capsys):

@@ -240,12 +240,14 @@ def test_euler_refuses_non_integer_vectors():
 
 def test_counting_polynomial_metadata():
     # U_2 must be the image of the line U_1 under the identity: Gr_(1, 1) is P^1,
-    # constrained by the arrow, so it is sampled
+    # constrained by the arrow, so it is sampled.  M is rigid on the Dynkin
+    # quiver A2, so it is certified (Ringel's theorem): the palindrome of
+    # degree <e, d - e> = 1 takes 1 sample and no held-out prime
     rep = Representation(Quiver(2, ((0, 1),)), (2, 2), (((1, 0), (0, 1)),))
     poly = counting_polynomial(rep, (1, 1))
     assert poly.coefficients == (1, 1)
     assert poly.dim_vector == (1, 1)
-    assert [p for p, _ in poly.samples] == [3, 5, 7]
+    assert [p for p, _ in poly.samples] == [3]
     for p, c in poly.samples:
         assert poly.evaluate(p) == c
 
@@ -716,14 +718,24 @@ def test_quartic_still_refused_with_fewer_samples(seed):
         euler_characteristic(rep, (1, 3))
 
 
-def _per_e_fit(rep, e):
-    """Reference: the per-e interpolant, forced to degree_bound + 1 + HELD_OUT primes."""
+def _per_e_fit(rep, e, certified=False):
+    """Reference: the per-e interpolant through degree_bound + 1 primes,
+    validated at HELD_OUT more, certified or not; for a certified M the
+    primes are those its schedule samples (`_schedule_primes`)."""
     import quivergrass.euler as eu
-    sampling = eu._sampling(rep)
-    bound = sampling.degree_bound(e)
+    bound = eu._sampling(rep).degree_bound(e)
     samples = [(p, count_subreps(rep_p, e).count)
-               for p, rep_p in islice(sampling.reductions(), bound + 1 + HELD_OUT)]
+               for p, rep_p in _schedule_primes(rep, bound + 1 + HELD_OUT, certified)]
     return interpolate_counting_polynomial(samples, bound, dim_vector=e)
+
+
+def _schedule_primes(rep, n, certified):
+    """The first n good primes with rep mod p, and where M is certified only
+    those at which dim End(M mod p) = <d, d>, by `hom_dim` itself."""
+    import quivergrass.euler as eu
+    form = euler_form(rep.quiver, rep.dims, rep.dims) if certified else None
+    return list(islice(((p, rep_p) for p, rep_p in eu._sampling(rep).reductions()
+                        if not certified or hom_dim(rep_p, rep_p) == form), n))
 
 
 def _kronecker_fibers(m, e1_max=None):
@@ -751,47 +763,58 @@ FIBER_CASES = {
 }
 
 
-def _fiber_schedule(rep, e):
+def _fiber_schedule(rep, e, certified, held_out):
     """Samples the fiber test needs at e, or None where it cannot save a prime:
-    fiber bound + 1 + HELD_OUT, for the walk planned at the first prime."""
+    fiber bound + 1 + HELD_OUT (a certified M too), for the walk planned at
+    the first prime of the schedule, against the per-e test's bound + 1 +
+    held_out."""
     import quivergrass.euler as eu
     from quivergrass.subspaces import _plan
     sampling = eu._sampling(rep)
     bound = sampling.degree_bound(e)
-    (_, rep_p), = islice(sampling.reductions(), 1)
+    (_, rep_p), = _schedule_primes(rep, 1, certified)
     plan = _plan(rep_p, [e])
     backward, key, _ = plan.entry[e]
     if bound == 0 or not plan.routes[backward].shortcut:
         return None
     need = sampling.fiber_bound(backward, key) + 1 + HELD_OUT
-    return need if need < bound + 1 + HELD_OUT else None
+    return need if need < bound + 1 + held_out else None
 
 
-def _palindrome_schedule(rep, e):
+def _rigid(rep):
+    """Rigidity over Q by the hereditary identity dim Ext^1(M, M) = hom(M, M) - <d, d>."""
+    return hom_dim(rep, rep) == euler_form(rep.quiver, rep.dims, rep.dims)
+
+
+def _palindrome_schedule(rep, e, held_out):
     """Samples the rigidity tests need at e, or None where they do not apply:
-    none when <e, d - e> < 0, else <e, d - e> // 2 + 1 + HELD_OUT when that is
-    below the degree bound + 1 + HELD_OUT.  Rigidity is decided over Q by
-    the hereditary identity dim Ext^1(M, M) = hom(M, M) - <d, d>."""
+    none when <e, d - e> < 0, else <e, d - e> // 2 + 1 + held_out when
+    <e, d - e> // 2 is below the degree bound."""
     import quivergrass.euler as eu
-    if hom_dim(rep, rep) != euler_form(rep.quiver, rep.dims, rep.dims):
+    if not _rigid(rep):
         return None
     degree = euler_form(rep.quiver, e, [d - x for d, x in zip(rep.dims, e)])
     if degree < 0:
         return 0
-    return degree // 2 + 1 + HELD_OUT if degree // 2 < eu._sampling(rep).degree_bound(e) else None
+    return degree // 2 + 1 + held_out if degree // 2 < eu._sampling(rep).degree_bound(e) else None
 
 
 @pytest.mark.parametrize("case", sorted(FIBER_CASES))
 def test_fiber_test_gives_the_per_e_interpolant(case):
     # every N_k is polynomial here and every rigid count a palindrome, so e
     # settles after the fewest samples any of the four tests needs: none
-    # where the arrow test gives its closed form
+    # where the arrow test gives its closed form.  The Dynkin cases are
+    # certified (Ringel's theorem): their per-e and palindrome schedules take
+    # no held-out prime and skip the primes where End(M mod p) jumps; the
+    # fiber test keeps HELD_OUT.
     import quivergrass.euler as eu
     fiber_settled = 0
     for rep, es in FIBER_CASES[case]():
+        certified = case in ("A5", "D4") and _rigid(rep)
+        held_out = 0 if certified else HELD_OUT
         for e in es:
             poly = counting_polynomial(rep, e)
-            want = _per_e_fit(rep, e)
+            want = _per_e_fit(rep, e, certified)
             assert poly.coefficients == want.coefficients, (rep.dims, e)
             assert all(poly.evaluate(p) == count for p, count in poly.samples), (rep.dims, e)
             if eu._sampling(rep).closed_form(e) is not None:
@@ -800,8 +823,10 @@ def test_fiber_test_gives_the_per_e_interpolant(case):
                 assert poly.samples == (), (rep.dims, e)
                 continue
             assert poly.degree_bound == want.degree_bound, (rep.dims, e)
-            fiber, palindrome = _fiber_schedule(rep, e), _palindrome_schedule(rep, e)
-            need = min(n for n in (fiber, palindrome, len(want.samples)) if n is not None)
+            fiber = _fiber_schedule(rep, e, certified, held_out)
+            palindrome = _palindrome_schedule(rep, e, held_out)
+            per_e = want.degree_bound + 1 + held_out
+            need = min(n for n in (fiber, palindrome, per_e) if n is not None)
             assert poly.samples == want.samples[:need], (rep.dims, e)
             fiber_settled += fiber == need and (palindrome is None or fiber < palindrome)
     if case.startswith("kronecker"):
@@ -1039,6 +1064,115 @@ def test_degree_bound_is_worked_out_only_where_e_samples(monkeypatch):
         sampled.clear()
         f_polynomial(rep)
         assert len(sampled) == 3 and sorted(asked) == sorted(sampled), rep.dims
+
+
+# Ringel's theorem: a rigid M on a Dynkin quiver is certified.  Each sampled
+# prime must keep End(M mod p) = <d, d>, and the per-e and palindrome tests
+# take no held-out prime.
+
+def _e_root(rank, alpha, seed):
+    rs = dk.root_system("E", rank)
+    return dk.dynkin_indecomposable(dk.orientation_from_coxeter(rs, tuple(range(rank))), alpha,
+                                    seed=seed)
+
+
+def _box(rep):
+    return list(product(*(range(d + 1) for d in rep.dims)))
+
+
+def _end_jumps(rep, n):
+    """The primes among the first n good ones at which dim End(M mod p) > <d, d>."""
+    import quivergrass.euler as eu
+    sampling = eu._sampling(rep)
+    return [p for p in good_primes(rep, n)
+            if hom_dim(sampling.reduction(p), sampling.reduction(p)) > sampling.form]
+
+
+def test_certified_e6_root_gives_one_f_polynomial_for_every_draw():
+    # the indecomposable of (1, 2, 2, 3, 2, 1) is unique up to isomorphism,
+    # so the draw cannot matter.  End jumps at 5, 7 and 11 for seed 0, at 5
+    # and 11 for seed 1, at 5, 7 and 13 for seed 3 and nowhere for seed 2;
+    # with held-out primes alone seeds 0, 1 and 3 raised NonPolynomialCount
+    alpha = (1, 2, 2, 3, 2, 1)
+    jumps = {0: [5, 7, 11], 1: [5, 11], 2: [], 3: [5, 7, 13]}
+    want = f_polynomial(_e_root(6, alpha, 2))
+    for seed, primes in jumps.items():
+        rep = _e_root(6, alpha, seed)
+        assert f_polynomial(rep) == want, seed
+        assert _end_jumps(rep, 4) == primes, seed
+        sampled = {p for e in _box(rep) for p, _ in counting_polynomial(rep, e).samples}
+        assert sampled and not sampled & set(primes), (seed, sampled)
+
+
+def test_certified_e7_root_skips_the_prime_where_end_jumps():
+    # seed 0's draw of (0, 1, 1, 2, 2, 1, 0) has End of dimension 2 mod 5, its
+    # first good prime; every e samples 7 instead and the F-polynomial is
+    # that of the other draws
+    import quivergrass.euler as eu
+    alpha = (0, 1, 1, 2, 2, 1, 0)
+    rep = _e_root(7, alpha, 0)
+    assert eu._sampling(rep).certified()
+    assert good_primes(rep, 2) == [5, 7] and _end_jumps(rep, 2) == [5]
+    sampled = {p for e in _box(rep) for p, _ in counting_polynomial(rep, e).samples}
+    assert sampled == {7}
+    f = f_polynomial(rep)
+    for seed in (1, 2, 3):
+        assert f_polynomial(_e_root(7, alpha, seed)) == f, seed
+
+
+def test_certificate_is_refused_off_dynkin_and_off_rigid():
+    # pr(4) is rigid, but the Kronecker quiver's Tits form is only
+    # semidefinite; on A2, S_1 + S_2 (the zero arrow) and P_1 + S_1 + S_2 (the
+    # arrow diag(1, 0)) are not rigid.  Each keeps the held-out schedule
+    import quivergrass.euler as eu
+    a2 = Quiver(2, ((0, 1),))
+    cases = [
+        (build_kronecker(preprojective(4)), True,
+         {(1, 2): [3, 5, 7, 11], (1, 3): [3, 5, 7, 11], (2, 3): [3, 5, 7]}),
+        (Representation(a2, (1, 1), (((0,),),)), False, {}),
+        (Representation(a2, (2, 2), (((1, 0), (0, 0)),)), False,
+         {(1, 0): [3, 5, 7], (1, 1): [3, 5, 7, 11], (2, 1): [3, 5, 7]}),
+    ]
+    for rep, rigid, schedule in cases:
+        sampling = eu._sampling(rep)
+        assert (sampling.rigid(), sampling.certified()) == (rigid, False), rep
+        got = {e: [p for p, _ in counting_polynomial(rep, e).samples] for e in _box(rep)}
+        assert {e: primes for e, primes in got.items() if primes} == schedule, rep
+
+
+def test_certified_interpolation_keeps_its_public_contract():
+    # the default still asks for HELD_OUT held-out samples; held_out=0 is the
+    # certified path, which fits the nodes alone and still rejects
+    with pytest.raises(InsufficientSamples, match=r"need 4 samples for degree 1 \(\+2 held out\)"):
+        interpolate_counting_polynomial([(3, 4), (5, 6)], 1)
+    poly = interpolate_counting_polynomial([(3, 4), (5, 6)], 1, held_out=0)
+    assert (poly.coefficients, poly.samples) == ((1, 1), ((3, 4), (5, 6)))
+    with pytest.raises(InsufficientSamples, match=r"need 2 samples for degree 1 \(\+0 held out\)"):
+        interpolate_counting_polynomial([(3, 4)], 1, held_out=0)
+    with pytest.raises(NonPolynomialCount, match="the counts 4 at 3 and 5 at 7"):
+        interpolate_counting_polynomial([(3, 4), (7, 5)], 1, held_out=0)
+    # -(q - 3)(q - 7) / 2 passes every pair and is not integral
+    with pytest.raises(NonPolynomialCount, match="non-integer coefficients"):
+        interpolate_counting_polynomial([(3, 0), (5, 2), (7, 0)], 2, held_out=0)
+
+
+def test_a_box_the_closed_forms_settle_builds_nothing_more(monkeypatch):
+    # every e of a thin A4 root's box is ruled out or a product of
+    # Grassmannians, so no bound, prime iterator or certificate is asked for
+    import quivergrass.euler as eu
+    asked = []
+    for name in ("reductions", "degree_bound", "certified", "rigid"):
+        def spy(self, *args, _name=name, _orig=getattr(eu._Sampling, name)):
+            asked.append(_name)
+            return _orig(self, *args)
+        monkeypatch.setattr(eu._Sampling, name, spy)
+    rs = dk.root_system("A", 4)
+    for word in ((0, 1, 2, 3), (1, 0, 3, 2)):
+        for alpha in rs.positive_roots:
+            rep = dk.dynkin_indecomposable(dk.orientation_from_coxeter(rs, word), alpha)
+            f = f_polynomial(rep)
+            assert f.coefficient((0,) * 4) == f.coefficient(alpha) == 1, (word, alpha)
+    assert asked == []
 
 
 def test_forcing_tables_are_built_on_first_use():

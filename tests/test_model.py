@@ -331,6 +331,32 @@ def test_hom_dim_matches_the_dense_system(p):
     assert blocked >= 15, blocked
 
 
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7])
+def test_thin_end_is_read_off_the_arrows(p, monkeypatch):
+    # End of a thin M (every d_v <= 1) counts the components of its support
+    # under the nonzero arrows, with no system ranked, on any quiver
+    rng = random.Random(f"thin-end:{p}")
+    kinds = ("acyclic", "acyclic", "loop", "2-cycle")
+    reps = []
+    for i in range(120):
+        q = _random_quiver(rng, kinds[i % len(kinds)])
+        dims = tuple(rng.randint(0, 1) for _ in range(q.n))
+        reps.append(Representation(q, dims, _random_matrices(rng, q, dims, p), field=p))
+    want = [dense_hom_dim(rep, rep) for rep in reps]
+    ranked = []
+    for name in ("rank_mod", "rank_frac"):
+        monkeypatch.setattr(linalg, name, lambda *args, _name=name: ranked.append(_name))
+    assert [hom_dim(rep, rep) for rep in reps] == want
+    assert ranked == []
+    inside = [(mat[0][0], s, t) for rep in reps
+              for (s, t), mat in zip(rep.quiver.arrows, rep.matrices) if mat and mat[0]]
+    assert any(x == 0 for x, _, _ in inside)  # a zero scalar inside the support
+    assert any(s == t for _, s, t in inside)  # a loop
+    assert any(x and (t, s) in {(a, b) for y, a, b in inside if y} for x, s, t in inside)
+    assert any(len(set(q.arrows)) < len(q.arrows) for q in {r.quiver for r in reps})
+    assert max(want) >= 3  # disconnected supports
+
+
 def test_quartic_end_ranks_32_equations_in_9_unknowns(monkeypatch):
     # the sink's block of 4 x 12 equations leaves 4 x (12 - 4), in g_1 alone
     from quivergrass.sampler import sample_general_rep
