@@ -182,7 +182,7 @@ def cmd_euler(args) -> int:
         if poly.samples:
             lines.append("sample primes: " + ", ".join(str(p) for p, _ in poly.samples))
         else:
-            _, reason = eu._sampling(rep).closed_form(e, why=True)
+            _, reason, _ = eu._sampling(rep).closed_form(e, why=True)
             lines.append(f"sample primes: none ({reason})")
         lines.append(f"degree bound: {poly.degree_bound} (fitted degree {poly.degree})")
     payload = {

@@ -141,19 +141,19 @@ Sampling context: everything a count needs from M that does not depend on
 e is worked out once per representation and kept in a `_Sampling` (bounded
 `lru_cache`, 64 representations, per process).  It holds the arrow ranks
 over Q, the arrows of nonzero rank that the closed forms read in one pass
-per e, the arrows that force part of a subspace in either search
-direction (built when a degree bound first needs them, so a set that the
-closed forms settle whole never builds them), and the good primes found
-so far, each with M reduced mod it from M's integral form
-(`Representation._integral`, worked out at the first reduction).  The prime list grows by one prime under a lock when a
-caller asks past its end, so each (representation, prime) pair is chosen,
-reduced and rank-checked once, when some caller is about to sample it,
-from whichever thread; per e there is only the closed form, whose reason
-is formatted only for `euler --verbose`.  It also holds <d, d>, worked
-out when it is built, dim End_Q(M), worked out once, whose certificate
-may reduce a good prime that no count samples (a rigid-empty e takes
-none), and one cache of dim End(M mod p) per prime, which that certificate
-and the certified schedule both read.
+per e, and the good primes found so far, each with M reduced mod it from
+M's integral form (`Representation._integral`, worked out at the first
+reduction).  The degree and fiber bounds read the forcing arrows off the
+walks' own routing (`subspaces._routing`), so none are copied.  The prime
+list grows by one prime under a lock when a caller asks past its end, so
+each (representation, prime) pair is chosen, reduced and rank-checked
+once, when some caller is about to sample it, from whichever thread; per
+e there is only the closed form, one entry for `_settle` and `euler
+--verbose`, whose reason only the latter asks for.  It also holds <d, d>,
+worked out when it is built, dim End_Q(M), worked out once, whose
+certificate may reduce a good prime that no count samples (a rigid-empty
+e takes none), and one cache of dim End(M mod p) per prime, which that
+certificate and the certified schedule both read.
 A set that the arrow test settles whole reduces no prime at all, and
 `_settle` builds nothing for it past the closed forms.  It
 holds no dual: the search direction belongs to `subspaces._plan`, and a
@@ -176,9 +176,8 @@ from .fpoly import FPolynomial
 from .model import Representation, _as_int, euler_form, hom_dim, reduce_mod
 from .subspaces import (
     _count_planned,
-    _dual_routing,
     _fiber_count,
-    _gaussian_binomial,
+    _gauss_product,
     _in_box,
     _plan,
     _routing,
@@ -339,13 +338,8 @@ class _Sampling:
     ranks are the arrow ranks over Q (`linalg.rank_frac` takes a row of
     ints as it is, so an integer M is not cleared first), and active the
     arrows (u, v, rank) of nonzero rank, all that the closed forms read.
-    On first use,
-    by `fiber_bound`: _tables, the forward and backward arrows (u, v,
-    dim ker) that force part of U_v, read from `subspaces._routing` of the
-    quiver and of its opposite (`_forcing`), which only `fiber_bound`
-    reads, for itself and for `degree_bound`, so a set that the closed
-    forms settle whole never builds them (the work is pure, so threads
-    that race to it keep equal tables).  found lists the good
+    `fiber_bound` reads the forcing arrows off `subspaces._routing`, so
+    none are copied here.  found lists the good
     primes so far as (p, rep mod p), extended under the lock.  Once per
     prime: its reduction, the rank check that makes it good, and dim
     End(M mod p), kept in one cache (`end_mod`) that the End certificate
@@ -365,22 +359,12 @@ class _Sampling:
         self.form = euler_form(rep.quiver, rep.dims, rep.dims) if rep.quiver.is_acyclic else None
         self.ranks = tuple(linalg.rank_frac(mat) for mat in rep.matrices)
         self.active = tuple((u, v, r) for (u, v), r in zip(rep.quiver.arrows, self.ranks) if r)
-        self._tables: tuple | None = None
         self._primes = linalg.odd_primes()
         self._found: list[tuple[int, Representation]] = []
         self._lock = threading.Lock()
         self._end: int | None = None
         self._end_lock = threading.Lock()
         self._ends: dict[int, int] = {}
-
-    def _forcing(self, route) -> tuple[tuple[int, int, int], ...]:
-        """(u, v, dim ker phi_a) for each arrow a: u -> v that forces part
-        of U_v in the route's search order: each arrival that
-        `route.forced_in` lists from an earlier position, whose arrow index
-        `route.out` gives, and with it the arrow's rank over Q."""
-        order, dims = route.order, self.rep.dims
-        return tuple((order[src], order[at], dims[order[src]] - self.ranks[route.out[src][k]])
-                     for at, arrivals in enumerate(route.forced_in) for src, k in arrivals)
 
     def reductions(self) -> Iterator[tuple[int, Representation]]:
         """The good primes (see `good_primes`) in increasing order, each with
@@ -471,7 +455,7 @@ class _Sampling:
         in the order.  The forward bound is sum_v max(0, e_v - s_v) *
         (d_v - e_v); the backward bound is the same quantity for the dual on
         the opposite quiver at d - e (transposes keep their ranks).  The
-        bound is the smaller one.
+        bound is the smaller one, each side a `fiber_bound`.
 
         Why it is sound: take a prime at which every phi_a keeps its rank
         over Q, which `good_primes` checks.  Given the earlier vertices, U_v
@@ -488,59 +472,56 @@ class _Sampling:
     def fiber_bound(self, backward: bool, e: Sequence[int]) -> int:
         """sum_v max(0, e_v - s_v) * (d_v - e_v) in one search direction (e
         the searched dimension vector, d - e on the dual), with s_v from the
-        arrows that force part of U_v there: one side of `degree_bound`.  At
-        a shortcut walk's key, 0 at the final vertex, which therefore adds
-        nothing, it is B_F, the bound summed over the searched vertices."""
-        if self._tables is None:
-            q = self.rep.quiver
-            self._tables = (self._forcing(_routing(q)), self._forcing(_dual_routing(q)))
-        forced = [0] * len(e)
-        for u, v, kernel in self._tables[backward]:
-            forced[v] = max(forced[v], e[u] - kernel)
-        return sum(max(0, x - s) * (d - x) for x, s, d in zip(e, forced, self.rep.dims))
+        arrows that force part of U_v there: one side of `degree_bound`.
+        They are read off the walk's routing, `subspaces._routing(quiver,
+        backward)`: its `forced_in` and `out`, with `ranks`.  At a shortcut
+        walk's key, 0 at the final vertex, which therefore adds nothing, it
+        is B_F, the bound summed over the searched vertices."""
+        route, dims = _routing(self.rep.quiver, backward), self.rep.dims
+        order, forced = route.order, [0] * len(e)
+        for at, arrivals in enumerate(route.forced_in):
+            for src, k in arrivals:
+                u, v = order[src], order[at]
+                forced[v] = max(forced[v], e[u] - dims[u] + self.ranks[route.out[src][k]])
+        return sum(max(0, x - s) * (d - x) for x, s, d in zip(e, forced, dims))
 
-    def closed_form(self, e: Sequence[int], why: bool = False):
-        """P_e when it needs no prime, else None; given why, (P_e, the
-        reason) instead, naming vertices 1-based, as in files.  Only
-        `euler --verbose` shows a reason, so only it asks for one.  The
-        first of these that holds decides:
+    def closed_form(self, e: Sequence[int], why: bool = False) -> tuple:
+        """(P_e, the reason, <e, d - e>), each or None.  P_e when it needs no
+        prime, and then, given why, the reason, naming vertices 1-based, as in
+        files (only `euler --verbose` shows one); `rigid_dimension(e)` where
+        the arrow tests leave e to rigidity, so `_settle` reads it once per
+        e.  The first of these that holds decides:
         - an arrow's rank rules e out (the arrow test): P_e = 0;
         - no arrow constrains e: P_e = prod_v binom_q(d_v, e_v)
           (`_grassmannians`);
         - M is rigid (`rigid`) and <e, d - e> < 0: P_e = 0.
         """
-        return self._closed_form(e, why)[0]
-
-    def _closed_form(self, e: Sequence[int], why: bool = False) -> tuple:
-        """(`closed_form(e, why)`, `rigid_dimension(e)`), the second worked
-        out only when the arrow tests leave e to rigidity, and None
-        otherwise, so `_settle` reads it once per e."""
         dims, constrained = self.rep.dims, False
         for u, v, r in self.active:  # an arrow of rank 0 neither rules out nor constrains
             if r > dims[u] - e[u] + e[v]:
-                return ((), f"arrow {u + 1} -> {v + 1} of rank {r} forces dim U_{v + 1} >= "
-                            f"{e[u] - dims[u] + r} > e_{v + 1} = {e[v]}") if why else (), None
+                return (), (f"arrow {u + 1} -> {v + 1} of rank {r} forces dim U_{v + 1} >= "
+                            f"{e[u] - dims[u] + r} > e_{v + 1} = {e[v]}" if why else None), None
             constrained = constrained or (e[u] and e[v] < dims[v])
         if not constrained:
-            ints = _grassmannians(dims, e)
-            return ((ints, "no arrow constrains e: Gr_e(M) is a product of Grassmannians")
-                    if why else ints), None
+            reason = "no arrow constrains e: Gr_e(M) is a product of Grassmannians"
+            return _grassmannians(dims, e), reason if why else None, None
         dimension = self.rigid_dimension(e)
         if dimension is not None and dimension < 0:
-            return ((), f"M is rigid and <e, d - e> = {dimension} < 0") if why else (), dimension
-        return None, dimension
+            return (), f"M is rigid and <e, d - e> = {dimension} < 0" if why else None, dimension
+        return None, None, dimension
 
 
 @lru_cache(maxsize=1024)
 def _grassmannians(dims: tuple[int, ...], e: tuple[int, ...]) -> tuple[int, ...]:
-    """prod_v binom_q(d_v, e_v), through its values at B_e + 1 integers,
-    B_e = sum_v e_v (d_v - e_v) its degree, and 1 with no value when B_e = 0
-    (every Gr(e_v, d_v) a point, as at every e of a thin d); remembered per
-    (d, e), so each product is interpolated once per process."""
+    """prod_v binom_q(d_v, e_v) (`subspaces._gauss_product` over every
+    vertex), through its values at B_e + 1 integers, B_e = sum_v e_v (d_v -
+    e_v) its degree, and 1 with no value when B_e = 0 (every Gr(e_v, d_v) a
+    point, as at every e of a thin d); remembered per (d, e), so each
+    product is interpolated once per process."""
     degree = sum(x * (d - x) for d, x in zip(dims, e))
     if not degree:
         return (1,)
-    return _interpolant(tuple((q, prod(_gaussian_binomial(d, x, q) for d, x in zip(dims, e)))
+    return _interpolant(tuple((q, _gauss_product(dims, e, q, range(len(dims))))
                               for q in range(2, degree + 3)))
 
 
@@ -684,7 +665,7 @@ def _settle(rep: Representation, es: Sequence[tuple[int, ...]], cap: int | None
     cap = read_cap(cap)
     settled, degrees = {}, {}  # degrees: <e, d - e> for rigid M, else None
     for e in es:
-        ints, degrees[e] = sampling._closed_form(e)
+        ints, _, degrees[e] = sampling.closed_form(e)
         if ints is not None:
             settled[e] = ints
     if len(settled) == len(es):  # the closed forms settle the whole set

@@ -102,8 +102,8 @@ class Quiver:
     def is_dynkin(self) -> bool:
         """Whether the Tits form q(x) = sum_v x_v^2 - sum_{a: u -> v} x_u x_v
         is positive definite, that is every connected component of the
-        underlying graph is a simply-laced Dynkin diagram (A, D or E).  Worked
-        out once per (n, arrows), like `is_acyclic`."""
+        underlying graph is a simply-laced Dynkin diagram (A, D or E).  Read
+        off one forward elimination once per (n, arrows), like `is_acyclic`."""
         return _tits_definite(self)
 
     def opposite(self) -> "Quiver":
@@ -118,25 +118,22 @@ def _is_acyclic(quiver: Quiver) -> bool:
 @lru_cache(maxsize=256)
 def _tits_definite(quiver: Quiver) -> bool:
     """Sylvester's criterion on 2q, the symmetric matrix 2I minus the arrow
-    counts between each pair (a loop takes 2 off its diagonal entry), by
-    fraction-free elimination in integers: the pivot of step k is the
-    leading principal minor of order k + 1, and each step's division by the
-    previous pivot is exact (Bareiss)."""
+    counts between each pair (a loop takes 2 off its diagonal entry), read
+    off `linalg._forward`.  It takes row k to h * row k - c * row for each
+    earlier kept row, h that row's lead entry, and divides by a positive
+    gcd.  So while rows 0..k-1 lead at 0..k-1 with positive entries, row k
+    is kept as a positive multiple of the Schur complement's row k, whose
+    entry at column k is D_{k+1} / D_k (D_k the leading minor of order k)
+    and which is 0 before it.  Hence 2q is definite exactly when all n rows
+    are kept and each row k leads at column k with a positive entry."""
     n = quiver.n
     m = [[2 * (i == j) for j in range(n)] for i in range(n)]
     for s, t in quiver.arrows:
         m[s][t] -= 1
         m[t][s] -= 1
-    previous = 1
-    for k in range(n):
-        pivot = m[k][k]
-        if pivot <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) // previous
-        previous = pivot
-    return True
+    basis = linalg._forward(m, None)
+    return len(basis) == n and all(lead == k and row[k] > 0
+                                   for k, (lead, row) in enumerate(basis))
 
 
 @lru_cache(maxsize=256)

@@ -34,11 +34,12 @@ planned once, at its first prime (`euler._settle`): each later prime walks
 the plan's walks of the e's still pending, in their planned directions,
 even where that subset alone would be cheaper otherwise, so every e takes
 the same walk at every prime.  No dual is built: a backward walk runs on M
-itself along the routing of the opposite quiver, and the columns of a
-transpose are the rows of M's matrices.  `_count_planned` runs the walks
-of a plan and returns, next to the counts, each walk's rank histogram,
-which the fiber test of `euler` reads.  `_count_many` plans and counts one
-set at one prime, and `count_subreps` is the set of one e.
+itself along the routing of the opposite quiver (`_routing(quiver, True)`,
+which `euler`'s bounds read too), and the columns of a transpose are the
+rows of M's matrices.  `_count_planned` runs the walks of a plan and
+returns, next to the counts, each walk's rank histogram, which the fiber
+test of `euler` reads.  `_count_many` plans and counts one set at one
+prime, and `count_subreps` is the set of one e.
 `iter_subrep_tuples` searches forward, since it returns subspaces of M.
 
 Incremental images: the echelon enumeration is an odometer over the free
@@ -148,7 +149,7 @@ budget are made only when the memo misses.
 The cap bounds the candidates one walk generates, so a search that would
 hang raises SearchTooLarge instead.  A walk's estimate, the product of
 Gaussian binomials over its searched vertices (equal in either direction),
-is compared with the cap before it runs; `_too_large` reports that number
+is compared with the cap before it runs; `_too_large` is handed that number
 whether the walk is refused unwalked (visited None) or runs out of budget
 (visited = cap + 1; the final-vertex ticks of a shortcut walk count too).
 """
@@ -373,7 +374,11 @@ class _Route(NamedTuple):
 
 
 @lru_cache(maxsize=256)
-def _routing(quiver: Quiver) -> _Route:
+def _routing(quiver: Quiver, backward: bool = False) -> _Route:
+    """The route on quiver, or on its opposite when backward; the package's
+    callers always pass backward: one cache key per quiver and direction."""
+    if backward:
+        quiver = quiver.opposite()
     order = quiver.topological_order() or tuple(range(quiver.n))
     pos = {v: i for i, v in enumerate(order)}
     out, forced_in, checks = ([[] for _ in order] for _ in range(3))
@@ -385,12 +390,6 @@ def _routing(quiver: Quiver) -> _Route:
             checks[sp].append((len(out[sp]), tp))
         out[sp].append(a)
     return _Route(order, *(tuple(map(tuple, lst)) for lst in (out, forced_in, checks)))
-
-
-@lru_cache(maxsize=256)
-def _dual_routing(quiver: Quiver) -> _Route:
-    """`_routing` of the opposite quiver, without building that quiver on every count."""
-    return _routing(quiver.opposite())
 
 
 def _gauss_product(dims: Sequence[int], e: Sequence[int], p: int, vertices) -> int:
@@ -545,7 +544,7 @@ def _walk(rep: Representation, e: tuple[int, ...], budget: _Budget,
     position, at every point of the Grassmannian.
     """
     p, dims = rep.field, rep.dims
-    route = (_dual_routing if backward else _routing)(rep.quiver)
+    route = _routing(rep.quiver, backward)
     order, forced_in, checks = route.order, route.forced_in, route.checks
     cols = _columns(rep, route, backward)
     last = len(order) - 1
@@ -695,8 +694,8 @@ def _plan(rep: Representation, es: Sequence[tuple[int, ...]]) -> _Plan:
     takes a whole vertex), then forward.  rep's field and es's box are
     trusted, as in `_walk`."""
     dims, p = rep.dims, rep.field
-    routes = (_routing(rep.quiver),) + ((_dual_routing(rep.quiver),)
-                                        if rep.quiver.is_acyclic else ())
+    routes = (_routing(rep.quiver, False),) + ((_routing(rep.quiver, True),)
+                                               if rep.quiver.is_acyclic else ())
     sides, totals, estimate = [], [], {}  # estimate: (backward, key) -> candidates
     for backward, route in zip((False, True), routes):
         final, searched, side, total = route.order[-1], route.searched, {}, 0
@@ -736,13 +735,13 @@ def _plan(rep: Representation, es: Sequence[tuple[int, ...]]) -> _Plan:
     return _Plan(routes, entry)
 
 
-def _too_large(rep: Representation, key: tuple[int, ...], vertices, cap: int, es,
+def _too_large(rep: Representation, estimate: int, cap: int, es,
                visited: int | None = None) -> SearchTooLarge:
-    """The refusal of the walk of rep at key over vertices, serving es (named
-    as given): its estimate is the product the cap was compared with before
-    the walk ran, and visited is cap + 1 when it ran out of budget."""
+    """The refusal of a walk of rep serving es (named as given): estimate is
+    the number its caller compared with the cap before the walk ran, and
+    visited is cap + 1 when it ran out of budget."""
     plural = "s" if len(es) > 1 else ""
-    return SearchTooLarge(_gauss_product(rep.dims, key, rep.field, vertices), cap, visited,
+    return SearchTooLarge(estimate, cap, visited,
                           f"p = {rep.field}, dimension vector{plural} {', '.join(map(str, es))}")
 
 
@@ -753,17 +752,19 @@ def _count_planned(rep: Representation, plan: _Plan, es: Sequence[tuple[int, ...
     result being the walk's rank histogram (`_final_ranks`) under the
     shortcut and the count otherwise.
 
-    Every walk is checked against the cap before any runs; a refused walk
-    raises `_too_large` over its own route, with the e's of es it serves.
+    Every walk's estimate is checked against the cap before any runs; a
+    refused walk raises `_too_large` with it and the e's of es it serves.
     """
     dims, p = rep.dims, rep.field
     routes, entry = plan
     walks: dict[tuple, list] = {}
     for e in es:
         walks.setdefault(entry[e][:2], []).append(e)
+    estimates = {}
     for (backward, key), members in walks.items():
-        if _gauss_product(dims, key, p, routes[backward].searched) > cap:
-            raise _too_large(rep, key, routes[backward].searched, cap, members)
+        estimates[backward, key] = _gauss_product(dims, key, p, routes[backward].searched)
+        if estimates[backward, key] > cap:
+            raise _too_large(rep, estimates[backward, key], cap, members)
     walked = {}
     for (backward, key), members in walks.items():
         try:
@@ -772,8 +773,7 @@ def _count_planned(rep: Representation, plan: _Plan, es: Sequence[tuple[int, ...
                 else sum(1 for _ in _walk(rep, key, _Budget(cap), shortcut=False,
                                           backward=backward)))
         except _OverCap:
-            raise _too_large(rep, key, routes[backward].searched, cap, members,
-                             cap + 1) from None
+            raise _too_large(rep, estimates[backward, key], cap, members, cap + 1) from None
     counts = {}
     for e in es:
         backward, key, x = entry[e]
@@ -812,12 +812,13 @@ def iter_subrep_tuples(rep: Representation, e: Sequence[int],
     """Stream every point of the quiver Grassmannian as a SubspaceTuple."""
     (e,) = _checked(rep, [e])
     cap = read_cap(cap)
-    if _gauss_product(rep.dims, e, rep.field, range(rep.n)) > cap:
-        raise _too_large(rep, e, range(rep.n), cap, [e])
-    order = _routing(rep.quiver).order
+    estimate = _gauss_product(rep.dims, e, rep.field, range(rep.n))
+    if estimate > cap:
+        raise _too_large(rep, estimate, cap, [e])
+    order = _routing(rep.quiver, False).order
     try:
         for chosen in _walk(rep, e, _Budget(cap), shortcut=False):
             by_vertex = dict(zip(order, chosen))
             yield SubspaceTuple(rep.field, tuple(by_vertex[v][0] for v in range(rep.n)))
     except _OverCap:
-        raise _too_large(rep, e, range(rep.n), cap, [e], cap + 1) from None
+        raise _too_large(rep, estimate, cap, [e], cap + 1) from None

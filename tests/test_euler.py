@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import threading
 import time
@@ -45,7 +46,7 @@ from quivergrass.model import (
     reduce_mod,
 )
 from quivergrass.sampler import sample_general_rep
-from quivergrass.subspaces import _dual_routing, _routing, count_subreps
+from quivergrass.subspaces import _routing, count_subreps
 
 from oracles import fraction_lagrange, fraction_rank
 
@@ -817,7 +818,7 @@ def test_fiber_test_gives_the_per_e_interpolant(case):
             want = _per_e_fit(rep, e, certified)
             assert poly.coefficients == want.coefficients, (rep.dims, e)
             assert all(poly.evaluate(p) == count for p, count in poly.samples), (rep.dims, e)
-            if eu._sampling(rep).closed_form(e) is not None:
+            if eu._sampling(rep).closed_form(e)[0] is not None:
                 # no arrow bound is worked out: the closed form's own degree
                 assert poly.degree_bound == poly.degree <= want.degree_bound, (rep.dims, e)
                 assert poly.samples == (), (rep.dims, e)
@@ -947,10 +948,9 @@ def test_arrow_test_closed_forms_equal_the_sampled_fit():
         rep = _random_rep(rng, SMALL_QUIVERS[i % len(SMALL_QUIVERS)])
         sampling = eu._sampling(rep)
         for e in product(*(range(d + 1) for d in rep.dims)):
-            closed = sampling.closed_form(e, why=True)
-            if closed is None:
+            ints, reason, _ = sampling.closed_form(e, why=True)
+            if ints is None:
                 continue
-            ints, reason = closed
             kind = next(k for k in seen if reason.startswith(k))
             seen[kind] += 1
             if kind != "M is rigid":  # its per-e fit can meet a bad prime (ROADMAP item 1)
@@ -970,9 +970,11 @@ def test_closed_forms_give_a_reason_only_when_asked():
         sampling = eu._sampling(rep)
         for e in product(*(range(d + 1) for d in rep.dims)):
             closed = sampling.closed_form(e, why=True)
-            assert sampling.closed_form(e) == (None if closed is None else closed[0]), (rep, e)
-            if closed and closed[1].startswith("no arrow") and all(x in (0, d) for x, d
-                                                                  in zip(e, rep.dims)):
+            plain = sampling.closed_form(e)
+            assert plain == (closed[0], None, closed[2]), (rep, e)
+            assert (closed[0] is None) == (closed[1] is None), (rep, e)
+            if closed[1] and closed[1].startswith("no arrow") and all(x in (0, d) for x, d
+                                                                      in zip(e, rep.dims)):
                 assert closed[0] == (1,)
                 degree_zero += 1
     assert degree_zero >= 50, degree_zero
@@ -1175,20 +1177,27 @@ def test_a_box_the_closed_forms_settle_builds_nothing_more(monkeypatch):
     assert asked == []
 
 
-def test_forcing_tables_are_built_on_first_use():
+def test_forcing_tables_are_built_on_first_use(monkeypatch):
     # the closed forms settle every e of a thin A5 root's box, so its
-    # sampling context never asks for a degree bound and builds no table
+    # sampling context never asks for a degree or fiber bound, and so never
+    # reads the forcing arrows off the routing
     import quivergrass.euler as eu
+    bound, calls = eu._Sampling.fiber_bound, []
+
+    def counted(self, *args):
+        calls.append(args)
+        return bound(self, *args)
+
+    monkeypatch.setattr(eu._Sampling, "fiber_bound", counted)
     rs = dk.root_system("A", 5)
     for word in ((0, 1, 2, 3, 4), (1, 0, 3, 2, 4)):
         rep = dk.dynkin_indecomposable(dk.orientation_from_coxeter(rs, word), (1,) * 5)
         f_polynomial(rep)
-        assert eu._sampling(rep)._tables is None, word
-    # the bounds build them when first asked, with the values pinned above
+        assert calls == [], word
+    # the bounds read the routing when asked, with the values pinned above
     sampling = eu._Sampling(build_kronecker(preinjective(4)))
-    assert sampling._tables is None
     assert sampling.degree_bound((3, 1)) == sampling.degree_bound((2, 1)) == 2
-    assert sampling._tables is not None
+    assert calls
     quartic = eu._Sampling(sample_general_rep(kronecker_quiver(4), (3, 4), 42, 5))
     assert quartic.fiber_bound(False, (1, 0)) == 2
 
@@ -1197,7 +1206,7 @@ def _position_bound(rep, backward, e):
     """One side of the degree bound by positions: s_v is the largest
     e_u - (d_u - rank phi_a) over the arrows u -> v (flipped on the dual)
     whose source comes first in the search order."""
-    pos = {v: i for i, v in enumerate((_dual_routing if backward else _routing)(rep.quiver).order)}
+    pos = {v: i for i, v in enumerate(_routing(rep.quiver, backward).order)}
     forced = [0] * rep.n
     for (s, t), mat in zip(rep.quiver.arrows, rep.matrices):
         u, v = (t, s) if backward else (s, t)
@@ -1458,3 +1467,50 @@ def test_rigid_kronecker_sweep_matches_the_closed_forms(m):
         got = f_polynomial(rep)
         for e in product(*(range(d + 1) for d in rep.dims)):
             assert got.terms.get(e, 0) == kronecker_chi(kind, e), (kind, e)
+
+
+# ROADMAP item 1: a prime can keep every arrow's rank while End(M mod p)
+# jumps.  The refusals below are of counts that are not polynomial in q (End
+# mod p equals End over Q at every rejecting prime), and they must survive
+# item 1's fix; the xfail cases are polynomial-count inputs refused today,
+# each asserting the answer item 1 must give.
+
+_ITEM_1_REFUSED = {
+    "2-Kronecker (3, 3)": lambda: sample_general_rep(kronecker_quiver(2), (3, 3), 0, 3),
+    "(2, 3, 2) on 1 => 2 -> 3": lambda: sample_general_rep(
+        Quiver(3, ((0, 1), (0, 1), (1, 2))), (2, 3, 2), 0),
+    "3-Kronecker (3, 4)": lambda: sample_general_rep(kronecker_quiver(3), (3, 4), 0),
+    "4-Kronecker (4, 5)": lambda: sample_general_rep(kronecker_quiver(4), (4, 5), 0),
+}
+
+
+_ITEM_1_KEPT = [("2-Kronecker (3, 3)", (1, 1)), ("(2, 3, 2) on 1 => 2 -> 3", (1, 2, 1))] + [
+    (name, e) for name, es in (("3-Kronecker (3, 4)", ((1, 2), (1, 3), (2, 3))),
+                               ("4-Kronecker (4, 5)", ((1, 3), (1, 4), (2, 4))))
+    for e in es]
+
+
+@pytest.mark.parametrize("name,e", _ITEM_1_KEPT, ids=[f"{n} at {e}" for n, e in _ITEM_1_KEPT])
+def test_general_samples_stay_refused_where_the_count_is_not_polynomial(name, e):
+    with pytest.raises(NonPolynomialCount, match=re.escape(f"at dimension vector {e} sampled")):
+        counting_polynomial(_ITEM_1_REFUSED[name](), e)
+
+
+@pytest.mark.xfail(strict=True, raises=NonPolynomialCount,
+                   reason="ROADMAP item 1: End jumps at a prime that keeps every arrow's rank")
+@pytest.mark.parametrize("build,e,coefficients", [
+    # two points (the summands) wherever the eigenvalues 1 and 4 stay apart
+    (lambda: direct_sum(build_kronecker(regular(1, 1)), build_kronecker(regular(1, 4))),
+     (1, 1), (2,)),
+    (lambda: direct_sum(build_kronecker(regular(1, 2)), build_kronecker(regular(1, 7))),
+     (1, 1), (2,)),
+    # the first sum in another basis: its coefficient quiver is connected
+    (lambda: Representation(kronecker_quiver(2), (2, 2), (((1, 0), (0, 1)), ((1, 3), (0, 4)))),
+     (1, 1), (2,)),
+    # P(1)^2 with End_Q of dimension 4: a projective line of copies of P(1)
+    (lambda: sample_general_rep(kronecker_quiver(2), (2, 4), 0, 3), (1, 2), (1, 1)),
+], ids=["reg1(1)+reg1(4)", "reg1(2)+reg1(7)", "base-changed reg1(1)+reg1(4)",
+        "2-Kronecker (2, 4)"])
+def test_polynomial_counts_refused_at_an_end_jump(build, e, coefficients):
+    poly = counting_polynomial(build(), e)
+    assert (poly.coefficients, poly.chi) == (coefficients, 2)

@@ -599,3 +599,98 @@ def test_model_refusals_name_their_cause(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
+
+
+# Quiver.is_dynkin against Sylvester's criterion with every leading
+# principal minor of 2I - (A + A^T) eliminated in fractions here.
+
+def _tits_minors_positive(n, edges):
+    m = [[Fraction(2 * (i == j)) for j in range(n)] for i in range(n)]
+    for s, t in edges:
+        m[s][t] -= 1
+        m[t][s] -= 1
+    for k in range(1, n + 1):
+        block, det = [row[:k] for row in m[:k]], Fraction(1)
+        for c in range(k):
+            i = next((i for i in range(c, k) if block[i][c]), None)
+            if i is None:
+                return False  # this minor is 0
+            if i != c:
+                block[c], block[i], det = block[i], block[c], -det
+            det *= block[c][c]
+            for r in range(c + 1, k):
+                f = block[r][c] / block[c][c]
+                block[r] = [x - f * y for x, y in zip(block[r], block[c])]
+        if det <= 0:
+            return False
+    return True
+
+
+def _path(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+def _star(arms):
+    """A centre 0 with arms of the given numbers of vertices."""
+    edges, n = [], 1
+    for length in arms:
+        edges += [(0 if i == 0 else n + i - 1, n + i) for i in range(length)]
+        n += length
+    return n, edges
+
+
+DYNKIN = ([(f"A{n}", n, _path(n)) for n in range(1, 9)]
+          + [(f"D{n}", n, _path(n - 1) + [(n - 3, n - 1)]) for n in range(4, 9)]
+          + [(f"E{n}", n, _path(n - 1) + [(2, n - 1)]) for n in (6, 7, 8)])
+NOT_DYNKIN = ([("A~1", 2, [(0, 1), (0, 1)])]
+              + [(f"A~{n}", n + 1, _path(n + 1) + [(n, 0)]) for n in range(2, 8)]
+              + [("D~4", *_star((1, 1, 1, 1))),
+                 ("D~5", 6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)]),
+                 ("E~6", *_star((2, 2, 2))), ("E~7", *_star((3, 3, 1))),
+                 ("E~8", *_star((2, 5, 1))),
+                 ("loop", 1, [(0, 0)]), ("triple edge", 2, [(0, 1)] * 3)])
+
+
+def _scrambled(rng, n, edges):
+    """The graph with its vertices relabelled and each edge given a random
+    orientation."""
+    label = rng.sample(range(n), n)
+    return Quiver(n, tuple((label[t], label[s]) if rng.random() < 0.5 else (label[s], label[t])
+                           for s, t in edges))
+
+
+def test_is_dynkin_on_the_diagrams_and_their_extensions():
+    rng = random.Random("tits")
+    for name, n, edges in DYNKIN + NOT_DYNKIN:
+        want = (name, n, edges) in DYNKIN
+        assert _tits_minors_positive(n, edges) == want, name
+        assert Quiver(n, tuple(edges)).is_dynkin == want, name
+        for _ in range(6):
+            quiver = _scrambled(rng, n, edges)
+            assert quiver.is_dynkin == want, (name, quiver)
+
+
+def test_is_dynkin_on_disjoint_unions():
+    rng = random.Random("tits unions")
+    graphs = DYNKIN + NOT_DYNKIN
+    for _ in range(40):
+        parts = rng.sample(graphs, rng.randint(2, 3))
+        n, edges = 0, []
+        for _, size, part in parts:
+            edges += [(s + n, t + n) for s, t in part]
+            n += size
+        quiver = _scrambled(rng, n, edges)
+        want = all(part in DYNKIN for part in parts)
+        assert quiver.is_dynkin == want == _tits_minors_positive(n, edges), [p[0] for p in parts]
+
+
+def test_is_dynkin_matches_the_minors_on_random_multigraphs():
+    rng = random.Random("tits sweep")
+    definite = 0
+    for _ in range(1500):
+        n = rng.randint(1, 7)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n + 1))]
+        want = _tits_minors_positive(n, edges)
+        assert Quiver(n, tuple(edges)).is_dynkin == want, (n, edges)
+        definite += want
+    assert 300 <= definite <= 1200, definite

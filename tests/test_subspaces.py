@@ -35,7 +35,6 @@ from quivergrass.subspaces import (
     _Budget,
     _count_many,
     _count_planned,
-    _dual_routing,
     _fiber_count,
     _final_ranks,
     _gauss_product,
@@ -326,7 +325,7 @@ def _forced(rep, e, backward=False):
     routing of the opposite quiver."""
     if backward:
         e = tuple(d - x for d, x in zip(rep.dims, e))
-    final = (_dual_routing if backward else _routing)(rep.quiver).order[-1]
+    final = _routing(rep.quiver, backward).order[-1]
     key = e[:final] + (0,) + e[final + 1:]
     ranks = _final_ranks(rep, backward, key, 10 ** 6)
     return _fiber_count(ranks, rep.dims[final], e[final], rep.field)
@@ -430,7 +429,7 @@ def _forced_estimates(rep, e):
     """The candidate estimates of e's forward and backward shortcut walks."""
     out = []
     for backward in (False, True):
-        route = (_dual_routing if backward else _routing)(rep.quiver)
+        route = _routing(rep.quiver, backward)
         s = tuple(d - x for d, x in zip(rep.dims, e)) if backward else e
         out.append(_gauss_product(rep.dims, s, rep.field, route.searched))
     return out
@@ -1424,7 +1423,7 @@ def test_whole_vertex_matches_every_candidate_ranked_on_its_own(monkeypatch):
     for rep in _whole_vertex_reps():
         p, dims = rep.field, rep.dims
         for backward, target in ((False, rep), (True, dual_representation(rep))):
-            route = (_dual_routing if backward else _routing)(rep.quiver)
+            route = _routing(rep.quiver, backward)
             final, k = route.order[-1], len(route.out[-2])
             for key in product(*(range(d + 1) if v != final else (0,)
                                  for v, d in enumerate(dims))):
@@ -1538,7 +1537,7 @@ def _check_determined_walks(rep, es):
     dual_es = [tuple(d - x for d, x in zip(rep.dims, e)) for e in es]
     for backward, target, route, walked in ((False, rep, _routing(rep.quiver), es),
                                             (True, dual_representation(rep),
-                                             _dual_routing(rep.quiver), dual_es)):
+                                             _routing(rep.quiver, True), dual_es)):
         final = route.order[-1]
         for key in dict.fromkeys(e[:final] + (0,) + e[final + 1:] for e in walked):
             ranks = dict(_final_ranks(rep, backward, key, 10 ** 6))
