@@ -20,11 +20,16 @@ A set of dimension vectors is sampled as one (`_settle`) and planned once,
 at its first prime (`subspaces._plan`): each e's walk, with its direction
 and final entry, and each fiber's bound.  Each prime then only runs the
 memoized walks of the e's still pending, so every e takes the same walk
-at every prime, under a cap read once per computation.  What was
-sampled is the only state: each e's (p, count) pairs and each walk's
-(p, rank histogram) pairs.  Every verdict is a function of them, so at
-each prime every pending e is decided anew from its samples, and dropping
-a prime's samples and deciding again would need nothing else.
+at every prime, under a cap read once per computation.  The verdicts
+read what was sampled: each e's (p, count) pairs and each walk's (p, rank
+histogram) pairs, and at each prime every pending e is decided anew from
+its samples.  That is not all the state: `_settle` also keeps `settled`,
+the e's decided so far (a fiber or palindrome fit among them), and the
+memo `fits` of each fiber's fitted N_k, and it tries the palindrome and
+fiber tests only at the n that equals their thresholds.  Dropping a
+prime's samples and deciding again must therefore also clear both, and an
+e whose n falls back below a threshold meets that test again only at a
+later prime.
 
 Four tests settle e.  The first, the arrow test, needs no prime, and
 neither does the empty case of the rigidity test below: both are asked of
@@ -314,6 +319,9 @@ def interpolate_counting_polynomial(samples: Sequence[tuple[int, int]],
     degree_bound = _as_int(degree_bound, "degree bound")
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
+    held_out = _as_int(held_out, "held-out count")
+    if held_out < 0:
+        raise ValueError("held-out count must be non-negative")
     if len({p for p, _ in samples}) != len(samples):
         raise ValueError("sample primes must be distinct")
     dim_vector = tuple(dim_vector) if dim_vector is not None else None
@@ -642,13 +650,15 @@ def _settle(rep: Representation, es: Sequence[tuple[int, ...]], cap: int | None
     e's walk, its direction and key, and so its fiber's bound B_F and final
     vertex.  At each prime every e still pending is counted in one
     `subspaces._count_planned` call, which shares the search work across
-    the set.  What was sampled is the only state: samples[e], the (p,
-    count) pairs of e, and walks[walk], the (p, rank histogram) pairs of
-    each shortcut walk, from which each fiber's N_k are fitted once
-    (`_rank_fits`).  From them every pending e is decided anew at each
-    prime, by its number n of samples, with h = HELD_OUT held-out primes,
-    or h = 0 when M is certified (`_Sampling.certified`, module docstring),
-    whose primes with End(M mod p) > <d, d> are skipped unsampled:
+    the set.  The verdicts read samples[e], the (p, count) pairs of e,
+    and walks[walk], the (p, rank histogram) pairs of each shortcut walk,
+    from which each fiber's N_k are fitted once (`_rank_fits`, kept in
+    fits, as the decided e's are in settled; the module docstring says
+    what a dropped prime must reset).  From them every pending e is
+    decided anew at each prime, by its number n of samples, with
+    h = HELD_OUT held-out primes, or h = 0 when M is certified
+    (`_Sampling.certified`, module docstring), whose primes with
+    End(M mod p) > <d, d> are skipped unsampled:
     - the per-e test (`_fit` with the degree bound) leaves e to the final
       `interpolate_counting_polynomial` (with h held out) when its samples
       prove it not polynomial in q, or when n = bound + 1 + h;
@@ -688,9 +698,8 @@ def _settle(rep: Representation, es: Sequence[tuple[int, ...]], cap: int | None
         if plan is None:
             plan = _plan(rep_p, pending)
             fiber_bounds = {walk: sampling.fiber_bound(*walk) for walk in
-                            {entry[:2] for entry in plan.entry.values()
-                             if plan.routes[entry[0]].shortcut}}
-            finals = [rep.dims[route.order[-1]] for route in plan.routes]
+                            {entry[:2] for entry in plan.values()}
+                            if _routing(rep.quiver, walk[0]).shortcut}
         counts, walked = _count_planned(rep_p, plan, pending, cap)
         for walk in fiber_bounds.keys() & walked.keys():
             walks.setdefault(walk, []).append((p, walked[walk]))
@@ -704,13 +713,14 @@ def _settle(rep: Representation, es: Sequence[tuple[int, ...]], cap: int | None
             ints, degree = None, degrees[e]
             if degree is not None and n == degree // 2 + 1 + held_out:
                 ints = _palindrome_fit(got, degree)
-            backward, key, x = plan.entry[e]
+            backward, key, x = plan[e]
             walk = backward, key
             fiber_bound = fiber_bounds.get(walk, bound)
             if ints is None and n == fiber_bound + 1 + HELD_OUT:
                 if walk not in fits:
                     fits[walk] = _rank_fits(walks[walk], fiber_bound)
-                ints = _fiber_fit(fits[walk], finals[backward], x, got, bound)
+                final = rep.dims[_routing(rep.quiver, backward).order[-1]]
+                ints = _fiber_fit(fits[walk], final, x, got, bound)
             if ints is None:
                 still.append(e)
             else:

@@ -55,10 +55,7 @@ its RREF rows by one matrix-vector product each.  The walk takes such a
 vertex directly, with no enumeration, and a run of them is a loop, not
 nested generators; the arrow checks still run on the one candidate.  On
 the Dynkin roots nearly every vertex is determined, many of them with
-e_v = 0, so a walk there pays for its real choices only.  The budget is
-charged as if the vertex were enumerated: one candidate, or two at the
-last searched position of a shortcut walk, where the second comes from
-the final vertex instead of from a family of one.
+e_v = 0, so a walk there pays for its real choices only.
 
 Blocks: at the last searched position of a shortcut walk, if it has no
 arrow checks and is not a whole vertex (below), the walk counts the final
@@ -97,10 +94,7 @@ p + 2 small eliminations (p + 1 lines and the plane) for p^f candidates,
 whatever f is, where blocks would take p^(f-2) planes; `_family_ranks`
 counts every family of f >= 3 this way.  The cost rule keeps k >= 3 on
 planes, where the systems, one per subspace of F_p^k (2p^2 + 2p + 3 for
-k = 3), outnumber the p^(f-2) planes for f <= 4.  Every candidate
-of a family is still charged to the budget, two ticks each, so the cap,
-the estimates and every SearchTooLarge text are as for a
-candidate-by-candidate walk.
+k = 3), outnumber the p^(f-2) planes for f <= 4.
 
 Whole vertex: the last searched position of a shortcut walk, with no arrow
 checks and at most two arrows into the final vertex, is counted at once
@@ -131,10 +125,7 @@ of the second half, and S_2 the rank of the union of both halves.  The
 inversion of row families (`_inverted`, with S_0 = [m]_p) gives
 N_2 = S_2, N_1 = S_1 - (p + 1) S_2 and N_0 = [m]_p - N_1 - N_2, and the
 rank is top - d, with top = dim C + 2 for lines and dim C + rank Psi for
-hyperplanes.  One pencil and two ranks replace the m pivot blocks.  The
-vertex charges its 2 [m]_p ticks at once, the total the blocks charge,
-so the estimates, "refused unwalked" against "ran out", and every
-SearchTooLarge text stay as for blocks.
+hyperplanes.  One pencil and two ranks replace the m pivot blocks.
 
 One walk per fiber: the shortcut walk fixes U at the searched vertices and
 records how often each rank of forced span reaches the final vertex, which
@@ -147,11 +138,17 @@ the cap, so counts share walks across calls.  Image columns and the search
 budget are made only when the memo misses.
 
 The cap bounds the candidates one walk generates, so a search that would
-hang raises SearchTooLarge instead.  A walk's estimate, the product of
-Gaussian binomials over its searched vertices (equal in either direction),
-is compared with the cap before it runs; `_too_large` is handed that number
-whether the walk is refused unwalked (visited None) or runs out of budget
-(visited = cap + 1; the final-vertex ticks of a shortcut walk count too).
+hang raises SearchTooLarge instead.  One rule charges the budget: each
+searched position its candidate count binom_p(d_v - s, e_v - s), once, as
+the walk enters it, and the final vertex of a shortcut walk one per
+arrival.  A determined vertex is charged 1, and a block position (a
+whole vertex, blocks or row families) twice its count, since its
+candidates' final arrivals are counted there.  However a position ranks
+its candidates, it pays as a candidate-by-candidate walk would.  A walk's
+estimate, the product of Gaussian binomials over its searched vertices
+(equal in either direction), is compared with the cap before it runs;
+`_too_large` is handed that number whether the walk is refused unwalked
+(visited None) or runs out of budget (visited = cap + 1).
 """
 
 from __future__ import annotations
@@ -163,7 +160,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from . import linalg
@@ -295,34 +292,47 @@ def _iter_rref(p: int, m: int, e: int, cols: Sequence = (), block: bool = False
                 break
 
 
+def _images(rows: Sequence, cols: Sequence, p: int) -> tuple:
+    """Per arrow, given as its tuple of columns, the images of rows: the
+    layout of `_iter_rref`'s images.  Each matrix is rebuilt from its
+    columns once, and not at all for no rows."""
+    if not rows:
+        return ((),) * len(cols)
+    return tuple(tuple(linalg.matvec_mod(mat, row, p) for row in rows)
+                 for mat in [tuple(zip(*col)) for col in cols])
+
+
 def _iter_superspaces(p: int, m: int, e: int, srows: tuple, spivots: tuple,
                       cols: Sequence = (), block: bool = False) -> Iterator[tuple]:
     """All e-dim subspaces of F_p^m containing the RREF span (srows, spivots).
 
     Superspaces correspond to (e - s)-dim subspaces of the complementary
-    coordinate subspace on the non-pivot columns; each lift is inserted into
-    the span's RREF.  The images (see `_iter_rref`) are those of the basis
-    srows + lifted rows, which spans the same subspace.  In block mode each
-    step (r, c) indexes those images and the columns of F_p^m.
+    coordinate subspace on the non-pivot columns.  Each comes back as the
+    span's rows followed by the lifted quotient rows, with pivots spivots
+    and then the lifted quotient pivots, and with the images (see
+    `_iter_rref`) of exactly those rows.  That basis is not an RREF, but
+    `linalg.in_span_mod` is exact on it: reducing by the span's rows clears
+    the span's pivots, and the lifted rows, which vanish there and at each
+    other's pivots, then clear their own, so a vector of the subspace
+    leaves nothing.  In block mode each step (r, c) indexes those images
+    and the columns of F_p^m.
     """
     if not srows:
         yield from _iter_rref(p, m, e, cols, block)
         return
     s = len(srows)
-    simages = [tuple(linalg.matvec_mod(tuple(zip(*col)), row, p) for row in srows)
-               for col in cols]
+    simages = _images(srows, cols, p)
     free_cols = [c for c in range(m) if c not in spivots]
     qcols = [tuple(col[c] for c in free_cols) for col in cols]
-    for qrows, _, qimages, *tail in _iter_rref(p, m - s, e - s, qcols, block):
-        rows, pivots = srows, spivots
-        for qrow in qrows:
-            lifted = [0] * m
-            for c, val in zip(free_cols, qrow):
-                lifted[c] = val
-            rows, pivots = linalg.rref_insert(rows, pivots, lifted, p)
+    # a quotient row with a 0 appended, read at free_cols' places and at the
+    # 0 elsewhere; a lift needs m >= 2, so the getter returns a tuple
+    lift = itemgetter(*(free_cols.index(c) if c in free_cols else m - s for c in range(m)))
+    for qrows, qpivots, qimages, *tail in _iter_rref(p, m - s, e - s, qcols, block):
         if tail:
             tail = [tuple((s + r, free_cols[c]) for r, c in tail[0])]
-        yield (rows, pivots, tuple(si + qi for si, qi in zip(simages, qimages)), *tail)
+        yield (srows + tuple(lift(qrow + (0,)) for qrow in qrows),
+               spivots + tuple(free_cols[c] for c in qpivots),
+               tuple(si + qi for si, qi in zip(simages, qimages)), *tail)
 
 
 @dataclass(frozen=True)
@@ -346,8 +356,9 @@ class _Budget:
         self.used = 0
 
     def tick(self, n: int = 1):
-        """Charge n candidates; past the cap, stop the walk at the first one
-        over it (the caller, which knows the e's the walk serves, reports it)."""
+        """Charge n candidates, a whole position's at once (`_walk`); past
+        the cap, stop the walk before it generates them (the caller, which
+        knows the e's the walk serves, reports it)."""
         self.used += n
         if self.used > self.cap:
             self.used = self.cap + 1
@@ -531,17 +542,19 @@ def _whole_ranks(fixed: list, a: list, b: list, n: int, p: int) -> dict[int, int
 
 def _walk(rep: Representation, e: tuple[int, ...], budget: _Budget,
           shortcut: bool, backward: bool = False) -> Iterator:
-    """Search Gr_e(rep), or Gr_e(rep*) when backward, ticking the budget once
-    per generated candidate.
+    """Search Gr_e(rep), or Gr_e(rep*) when backward, charging the budget
+    each searched position's candidates as it enters the position, before
+    it generates any (the module docstring's one rule).
 
     rep's prime field and e's box are trusted (`_checked`); a backward
     search walks rep along the routing of the opposite quiver, with e the
     dual's dimension vector.  With shortcut the final position is not
-    enumerated: it ticks once per arrival and the walk yields (rank of the
-    span forced into it, multiplicity) pairs, by a whole vertex or by
-    blocks at the last searched position (module docstring).
-    Otherwise it yields the stack of chosen (rows, pivots, images), one per
-    position, at every point of the Grassmannian.
+    enumerated: it is charged one per arrival and the walk yields (rank of
+    the span forced into it, multiplicity) pairs, by a whole vertex or by
+    blocks at the last searched position (module docstring).  Otherwise it
+    yields the stack of chosen (rows, pivots, images), one per position, at
+    every point of the Grassmannian, the rows as `_iter_superspaces` gives
+    them, not an RREF.
     """
     p, dims = rep.field, rep.dims
     route = _routing(rep.quiver, backward)
@@ -564,18 +577,14 @@ def _walk(rep: Representation, e: tuple[int, ...], budget: _Budget,
         zero = (0,) * dims[order[last]]
         m, n = dims[v] - len(srows), e[v] - len(srows)
         if len(cols[pos]) <= 2 and n in (1, m - 1):  # the whole vertex at once
-            budget.tick(2 * _gaussian_binomial(m, 1, p))
             maps = cols[pos] + ((zero,) * dims[v],) * (2 - len(cols[pos]))
             free = [c for c in range(dims[v]) if c not in spivots]
-            fixed = earlier + [linalg.matvec_mod(tuple(zip(*col)), row, p)
-                               for col in cols[pos] for row in srows]
+            fixed = earlier + [w for img in _images(srows, cols[pos], p) for w in img]
             yield from _whole_ranks(fixed, *([x[c] for c in free] for x in maps), n, p).items()
             return
         for _, _, images, steps in _iter_superspaces(p, dims[v], e[v], srows, spivots,
                                                      cols[pos], block=True):
             r = steps[0][0] if steps else -1
-            # per candidate, one tick for generating it and one at the final vertex
-            budget.tick(2 * p ** len(steps))
             fixed = earlier + [w for img in images for i, w in enumerate(img) if i != r]
             if not steps:
                 yield linalg.rank_mod(fixed, p), 1
@@ -601,37 +610,35 @@ def _walk(rep: Representation, e: tuple[int, ...], budget: _Budget,
                 budget.tick()
                 yield linalg.rank_mod(images, p), 1
                 break
-            v = order[pos]
-            if e[v] == dims[v]:  # U_v is all of F_p^{d_v}: its images are the columns
-                m = dims[v]
-                cand = (tuple(tuple(int(i == j) for j in range(m)) for i in range(m)),
-                        tuple(range(m)), cols[pos])
+            v, m = order[pos], dims[order[pos]]
+            if e[v] == m:  # U_v is all of F_p^{d_v}: its images are the columns
+                srows = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+                spivots = tuple(range(m))
             else:
                 srows, spivots = linalg.rref_mod(images, p)
-                if len(srows) > e[v]:
-                    break
-                if len(srows) < e[v]:
-                    if shortcut and pos == last - 1 and not checks[pos]:
-                        yield from blocks(pos, srows, spivots)
-                        break
-                    for cand in _iter_superspaces(p, dims[v], e[v], srows, spivots, cols[pos]):
-                        budget.tick()
-                        if not candidate_ok(pos, cand):
-                            continue
-                        chosen.append(cand)
-                        if pos == last:
-                            yield chosen
-                        else:
-                            yield from rec(pos + 1)
-                        chosen.pop()
-                    break
-                # U_v is the forced span
-                cand = (srows, spivots, tuple(
-                    tuple(linalg.matvec_mod(zip(*col), row, p) for row in srows)
-                    for col in cols[pos]))
-            # the one candidate; at the block position its second tick comes
-            # from the final position, as the block charges it
-            budget.tick()
+            s = len(srows)
+            if s > e[v]:
+                break
+            # the position's candidates, charged as the walk enters it; a block
+            # position stands for its candidates' final arrivals too
+            block = s < e[v] and shortcut and pos == last - 1 and not checks[pos]
+            budget.tick((1 + block) * _gaussian_binomial(m - s, e[v] - s, p))
+            if block:
+                yield from blocks(pos, srows, spivots)
+                break
+            if s < e[v]:
+                for cand in _iter_superspaces(p, m, e[v], srows, spivots, cols[pos]):
+                    if not candidate_ok(pos, cand):
+                        continue
+                    chosen.append(cand)
+                    if pos == last:
+                        yield chosen
+                    else:
+                        yield from rec(pos + 1)
+                    chosen.pop()
+                break
+            # U_v is F_p^{d_v} or the forced span, the one candidate
+            cand = (srows, spivots, cols[pos] if s == m else _images(srows, cols[pos], p))
             if not candidate_ok(pos, cand):
                 break
             chosen.append(cand)
@@ -669,30 +676,21 @@ def _fiber_count(ranks, d: int, x: int, q: int) -> int:
     return sum(n * _gaussian_binomial(d - k, x - k, q) for k, n in ranks)
 
 
-class _Plan(NamedTuple):
-    """How one set of dimension vectors is searched: the walk of each e.
-
-    routes holds the forward route and, on an acyclic quiver, the backward
-    one, so routes[backward] is a walk's route.  entry maps each given e to
-    (backward, key, x): whether its walk searches the dual at d - e, the
+def _plan(rep: Representation, es: Sequence[tuple[int, ...]]) -> dict:
+    """How es are searched at rep's prime (module docstring): each e maps to
+    (backward, key, x), whether its walk searches the dual at d - e, the
     walk's key, and the searched e's entry at that walk's final vertex.
     Under the shortcut the key is the searched dimension vector with that
     entry 0, shared by the e's of one fiber, and otherwise it is the whole
-    searched vector; (backward, key) names the walk.
-    """
+    searched vector; (backward, key) names the walk, and
+    `_routing(rep.quiver, backward)` its route.
 
-    routes: tuple
-    entry: dict
-
-
-def _plan(rep: Representation, es: Sequence[tuple[int, ...]]) -> _Plan:
-    """The plan for es at rep's prime (module docstring): every e backward
-    when the walks the set needs on the dual have a strictly smaller summed
-    estimate, on an acyclic quiver, and every e forward when those on M
-    do or the quiver has cycles.  On a tie each e takes its own walk: fewer
-    candidates, then fewer blocks (the block framing, also where the walk
-    takes a whole vertex), then forward.  rep's field and es's box are
-    trusted, as in `_walk`."""
+    Every e goes backward when the walks the set needs on the dual have a
+    strictly smaller summed estimate, on an acyclic quiver, and every e
+    forward when those on M do or the quiver has cycles.  On a tie each e
+    takes its own walk: fewer candidates, then fewer blocks (the block
+    framing, also where the walk takes a whole vertex), then forward.
+    rep's field and es's box are trusted, as in `_walk`."""
     dims, p = rep.dims, rep.field
     routes = (_routing(rep.quiver, False),) + ((_routing(rep.quiver, True),)
                                                if rep.quiver.is_acyclic else ())
@@ -709,9 +707,9 @@ def _plan(rep: Representation, es: Sequence[tuple[int, ...]]) -> _Plan:
         sides.append(side)
         totals.append(total)
     if len(sides) == 1 or totals[0] < totals[1]:
-        return _Plan(routes, sides[0])
+        return sides[0]
     if totals[1] < totals[0]:
-        return _Plan(routes, sides[1])
+        return sides[1]
 
     def blocks(backward: bool, key: tuple[int, ...]) -> int:
         """The items of `_iter_rref(block=True)` at the walk's last searched
@@ -732,7 +730,7 @@ def _plan(rep: Representation, es: Sequence[tuple[int, ...]]) -> _Plan:
         if ahead == behind:
             ahead, behind = blocks(*forward[:2]), blocks(*backward[:2])
         entry[e] = backward if behind < ahead else forward
-    return _Plan(routes, entry)
+    return entry
 
 
 def _too_large(rep: Representation, estimate: int, cap: int, es,
@@ -745,21 +743,21 @@ def _too_large(rep: Representation, estimate: int, cap: int, es,
                           f"p = {rep.field}, dimension vector{plural} {', '.join(map(str, es))}")
 
 
-def _count_planned(rep: Representation, plan: _Plan, es: Sequence[tuple[int, ...]],
+def _count_planned(rep: Representation, plan: dict, es: Sequence[tuple[int, ...]],
                    cap: int) -> tuple[dict, dict]:
     """Exact point counts of Gr_e(rep) for every e in es, by the walks of
-    the plan that es need: (e -> count, (backward, key) -> result), the
-    result being the walk's rank histogram (`_final_ranks`) under the
-    shortcut and the count otherwise.
+    the plan (`_plan`) that es need: (e -> count, (backward, key) ->
+    result), the result being the walk's rank histogram (`_final_ranks`)
+    under the shortcut and the count otherwise.
 
     Every walk's estimate is checked against the cap before any runs; a
     refused walk raises `_too_large` with it and the e's of es it serves.
     """
     dims, p = rep.dims, rep.field
-    routes, entry = plan
     walks: dict[tuple, list] = {}
     for e in es:
-        walks.setdefault(entry[e][:2], []).append(e)
+        walks.setdefault(plan[e][:2], []).append(e)
+    routes = {backward: _routing(rep.quiver, backward) for backward in {b for b, _ in walks}}
     estimates = {}
     for (backward, key), members in walks.items():
         estimates[backward, key] = _gauss_product(dims, key, p, routes[backward].searched)
@@ -776,7 +774,7 @@ def _count_planned(rep: Representation, plan: _Plan, es: Sequence[tuple[int, ...
             raise _too_large(rep, estimates[backward, key], cap, members, cap + 1) from None
     counts = {}
     for e in es:
-        backward, key, x = entry[e]
+        backward, key, x = plan[e]
         route = routes[backward]
         counts[e] = (_fiber_count(walked[backward, key], dims[route.order[-1]], x, p)
                      if route.shortcut else walked[backward, key])
@@ -809,16 +807,22 @@ def count_subreps(rep: Representation, e: Sequence[int],
 
 def iter_subrep_tuples(rep: Representation, e: Sequence[int],
                        cap: int | None = None) -> Iterator[SubspaceTuple]:
-    """Stream every point of the quiver Grassmannian as a SubspaceTuple."""
+    """Stream every point of the quiver Grassmannian as a SubspaceTuple.
+
+    A basis the walk lifts is not canonical (`_iter_superspaces`), so each
+    basis at a vertex that an arrow is forced into is brought to its RREF
+    here, the one place a point leaves the library.  Any other vertex has
+    an empty forced span, and `_iter_rref` gives its bases canonical."""
     (e,) = _checked(rep, [e])
     cap = read_cap(cap)
     estimate = _gauss_product(rep.dims, e, rep.field, range(rep.n))
     if estimate > cap:
         raise _too_large(rep, estimate, cap, [e])
-    order = _routing(rep.quiver, False).order
+    route = _routing(rep.quiver, False)
     try:
         for chosen in _walk(rep, e, _Budget(cap), shortcut=False):
-            by_vertex = dict(zip(order, chosen))
-            yield SubspaceTuple(rep.field, tuple(by_vertex[v][0] for v in range(rep.n)))
+            by_vertex = {v: linalg.rref_mod(rows, rep.field)[0] if forced else rows
+                         for v, forced, (rows, _, _) in zip(route.order, route.forced_in, chosen)}
+            yield SubspaceTuple(rep.field, tuple(by_vertex[v] for v in range(rep.n)))
     except _OverCap:
         raise _too_large(rep, estimate, cap, [e], cap + 1) from None

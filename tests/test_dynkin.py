@@ -445,12 +445,18 @@ A3_LINE = Quiver(3, ((0, 1), (1, 2)))
      ValueError, "(1, 0, 1) is not a positive root of A3"),
     (lambda mp: dynkin_indecomposable(A3_LINE, (1, 1)), ValueError,
      "bad dimension vector (1, 1)"),
+    # a repeated letter, and a word one letter short
+    (lambda mp: orientation_from_coxeter(root_system("A", 3), (0, 0, 2)), ValueError,
+     "word (0, 0, 2) is not a permutation of 0..2"),
+    (lambda mp: solve_gamma(root_system("A", 3), (2, 0), (1, 1, 1)), ValueError,
+     "word (2, 0) is not a permutation of 0..2"),
     # every draw looks decomposable, so the search runs out
     (lambda mp: mp.setattr("quivergrass.dynkin.hom_dim", lambda a, b: 2)
      or dynkin_indecomposable(A3_LINE, (1, 1, 1)),
      SearchExhausted, "no certified indecomposable of dims (1, 1, 1) in 200 samples; "
      "is alpha a positive root of this quiver's diagram?"),
-], ids=["unknown-label", "vertex-count", "not-a-root", "alpha-length", "exhausted"])
+], ids=["unknown-label", "vertex-count", "not-a-root", "alpha-length", "repeated-letter",
+        "short-word", "exhausted"])
 def test_dynkin_refusals_name_their_cause(call, error, message, monkeypatch):
     with pytest.raises(error) as err:
         call(monkeypatch)

@@ -292,13 +292,17 @@ def test_f_polynomial_zero_representation():
     assert f_polynomial(zero) == FPolynomial(1, {(0,): 1})
 
 
-@pytest.mark.parametrize("samples,bound,message", [
-    ([(3, 1), (5, 1), (7, 1)], -1, "degree bound must be non-negative"),
-    ([(3, 1), (3, 1), (5, 1)], 0, "sample primes must be distinct"),
-], ids=["negative-bound", "repeated-prime"])
-def test_interpolation_refuses_a_bad_request(samples, bound, message):
+@pytest.mark.parametrize("samples,bound,held_out,message", [
+    ([(3, 1), (5, 1), (7, 1)], -1, HELD_OUT, "degree bound must be non-negative"),
+    ([(3, 1), (3, 1), (5, 1)], 0, HELD_OUT, "sample primes must be distinct"),
+    # -1 used to return a polynomial with no coefficients, whose chi raised
+    # TypeError, and True passed as 1 ("+True held out")
+    ([(3, 4)], 1, -1, "held-out count must be non-negative"),
+    ([(3, 4), (5, 6), (7, 8)], 1, True, "held-out count must be an integer, got True"),
+], ids=["negative-bound", "repeated-prime", "negative-held-out", "bool-held-out"])
+def test_interpolation_refuses_a_bad_request(samples, bound, held_out, message):
     with pytest.raises(ValueError) as err:
-        interpolate_counting_polynomial(samples, bound)
+        interpolate_counting_polynomial(samples, bound, held_out=held_out)
     assert str(err.value) == message
 
 
@@ -770,13 +774,12 @@ def _fiber_schedule(rep, e, certified, held_out):
     the first prime of the schedule, against the per-e test's bound + 1 +
     held_out."""
     import quivergrass.euler as eu
-    from quivergrass.subspaces import _plan
+    from quivergrass.subspaces import _plan, _routing
     sampling = eu._sampling(rep)
     bound = sampling.degree_bound(e)
     (_, rep_p), = _schedule_primes(rep, 1, certified)
-    plan = _plan(rep_p, [e])
-    backward, key, _ = plan.entry[e]
-    if bound == 0 or not plan.routes[backward].shortcut:
+    backward, key, _ = _plan(rep_p, [e])[e]
+    if bound == 0 or not _routing(rep.quiver, backward).shortcut:
         return None
     need = sampling.fiber_bound(backward, key) + 1 + HELD_OUT
     return need if need < bound + 1 + held_out else None
@@ -851,7 +854,7 @@ def test_quartic_fibers_settle_what_their_ranks_allow():
         for e, count in found.items():
             counts[e].append((p, count))
         walks.append((p, walked[False, (1, 0)]))
-    assert {plan.entry[e][:2] for e in fiber} == {(False, (1, 0))}
+    assert {plan[e][:2] for e in fiber} == {(False, (1, 0))}
     assert sampling.fiber_bound(False, (1, 0)) == 2
     fits = eu._rank_fits(walks, 2)
     assert {e: eu._fiber_fit(fits, 4, e[1], counts[e], bounds[e]) for e in fiber} == {

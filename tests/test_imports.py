@@ -1,7 +1,7 @@
 """Which modules load when: the minor route and the sampler load on first use.
 
 Each check runs in a fresh interpreter, since this test process has already
-imported every module.
+imported every module; one calls the package's two hooks in this process too.
 """
 
 import json
@@ -66,6 +66,33 @@ def test_every_public_name_resolves_to_its_defining_module():
     assert len(out["lazy"]) == 12
     assert out["bad"] == [] and out["star"] == []
     assert out["modules"] == list(LAZY)
+
+
+def test_a_lazy_module_resolves_on_first_touch_and_is_listed_before():
+    # qg.sampler read first, before any of its names: the import system has
+    # not bound it yet, so the package's __getattr__ imports it
+    out = _run("""
+        import quivergrass as qg
+        listed = dir(qg)
+        before = "quivergrass.sampler" in sys.modules
+        module = qg.sampler
+        print(json.dumps({"before": before, "same": module is sys.modules["quivergrass.sampler"],
+                          "owns": qg.sample_general_rep is module.sample_general_rep,
+                          "missing": sorted((set(qg._LAZY) | {"dynkin", "sampler"})
+                                            - set(listed)),
+                          "sorted": listed == sorted(listed)}))
+    """)
+    assert out == {"before": False, "same": True, "owns": True, "missing": [], "sorted": True}
+
+
+def test_the_lazy_hooks_answer_in_this_process():
+    # the same two hooks called directly, so this process runs their lines
+    import quivergrass as qg
+    assert qg.__getattr__("sampler") is sys.modules["quivergrass.sampler"]
+    assert qg.__getattr__("dynkin") is sys.modules["quivergrass.dynkin"]
+    listed = qg.__dir__()
+    assert set(qg._LAZY) | set(qg._LAZY_MODULES) | set(qg.__all__) <= set(listed)
+    assert listed == sorted(listed)
 
 
 def test_an_unknown_attribute_is_named():

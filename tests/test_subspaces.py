@@ -3,6 +3,7 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 
 import pytest
@@ -49,6 +50,7 @@ from quivergrass.subspaces import (
     read_cap,
 )
 
+import oracles
 from oracles import (
     apply_matrix,
     bipartite_word,
@@ -279,7 +281,7 @@ def _fiber(e1, d2):
 
 def _walk_keys(plan):
     """(direction, key) of every walk of the plan."""
-    return {entry[:2] for entry in plan.entry.values()}
+    return {entry[:2] for entry in plan.values()}
 
 
 def test_profile_matches_per_vector_counts():
@@ -364,10 +366,10 @@ def test_cheaper_direction_fits_under_cap():
     assert err.value.estimate == 553 <= err.value.cap == 1000
     assert err.value.visited == 1001
     assert _count_many(rep, [(2, 2)], 2000)[2, 2] == 553
-    assert _plan(rep, [(2, 2)]).entry[2, 2][0]  # the dual at (2, 1) is the cheaper search
+    assert _plan(rep, [(2, 2)])[2, 2][0]  # the dual at (2, 1) is the cheaper search
     tie = reduce_mod(build_kronecker(regular(2, 1)), 5)
     assert _count_many(tie, [(1, 1)])[1, 1] == 1  # p + 1 candidates either way
-    assert not _plan(tie, [(1, 1)]).entry[1, 1][0]  # the blocks tie too: forward
+    assert not _plan(tie, [(1, 1)])[1, 1][0]  # the blocks tie too: forward
 
 
 def test_direction_ties_go_to_the_walk_with_fewer_blocks():
@@ -391,8 +393,8 @@ def test_box_takes_the_walks_of_its_single_e_counts():
     alone = {e: _count_many(rep, [e])[e] for e in box}
     misses = _final_ranks.cache_info().misses
     plan = _plan(rep, box)
-    assert plan.entry == {e: _plan(rep, [e]).entry[e] for e in box}
-    assert {backward for backward, _, _ in plan.entry.values()} == {False, True}
+    assert plan == {e: _plan(rep, [e])[e] for e in box}
+    assert {backward for backward, _, _ in plan.values()} == {False, True}
     assert _count_many(rep, box) == alone
     assert _final_ranks.cache_info().misses == misses
     _final_ranks.cache_clear()
@@ -420,7 +422,7 @@ def test_planned_counts_match_both_directions():
                         dims, p, e)
                     forward, backward = _forced_estimates(rp, e)
                     if len(es) == 1 and forward == backward:
-                        tied.add(plan.entry[e][0])
+                        tied.add(plan[e][0])
     _final_ranks.cache_clear()
     assert tied == {False, True}
 
@@ -449,9 +451,12 @@ def test_incremental_images_match_matvec():
 
 
 def test_superspace_images_span_the_image():
-    # random spans, not unit rows on the first columns: each superspace
-    # must come back as its own canonical RREF, whatever the span's pivots
+    # random spans, not unit rows on the first columns: each superspace comes
+    # back as the span's rows and then the lifted rows, not as an RREF; its
+    # images are those rows' images, and in_span_mod decides membership on
+    # that basis as on the canonical RREF of the same subspace
     rng = random.Random("superspaces")
+    inside = outside = 0
     for p, m in ((2, 4), (3, 4), (3, 5)):
         mat = tuple(tuple(rng.randrange(p) for _ in range(m)) for _ in range(3))
         cols = [tuple(tuple(row[c] for row in mat) for c in range(m))]
@@ -463,11 +468,58 @@ def test_superspace_images_span_the_image():
                 for e in range(t, m + 1):
                     found = list(_iter_superspaces(p, m, e, srows, spivots, cols))
                     assert len(found) == gaussian_binomial(m - t, e - t, p)
-                    assert len({rows for rows, _, _ in found}) == len(found)
-                    for rows, pivots, (imgs,) in found:
-                        assert linalg.rref_mod(rows + srows, p) == (rows, pivots)
-                        assert (linalg.rref_mod(imgs, p) == linalg.rref_mod(
-                            [linalg.matvec_mod(mat, w, p) for w in rows], p))
+                    canonical = [linalg.rref_mod(rows, p) for rows, _, _ in found]
+                    assert len(set(canonical)) == len(found)
+                    for (rows, pivots, (imgs,)), (crows, cpivots) in zip(found, canonical):
+                        assert len(rows) == len(pivots) == e
+                        assert (rows[:t], pivots[:t]) == (srows, spivots)
+                        assert linalg.rref_mod(rows + srows, p) == (crows, cpivots)
+                        assert imgs == tuple(linalg.matvec_mod(mat, w, p) for w in rows)
+                        combos = [[sum(rng.randrange(p) * w[j] for w in crows) % p
+                                   for j in range(m)] for _ in range(3)]
+                        for vec in combos + [[rng.randrange(p) for _ in range(m)]
+                                             for _ in range(6)]:
+                            member = linalg.in_span_mod(crows, cpivots, vec, p)
+                            assert linalg.in_span_mod(rows, pivots, vec, p) == member
+                            inside += member
+                            outside += not member
+    assert inside and outside
+
+
+@pytest.mark.parametrize("arrows,dims", [
+    (((0, 1), (1, 1)), (2, 3)),          # an arrow into a loop: checked on itself
+    (((0, 1), (1, 2), (2, 1)), (1, 3, 2)),  # a 2-cycle checked against a lifted basis
+])
+def test_lifted_walks_stream_canonical_distinct_points(monkeypatch, arrows, dims):
+    # no shortcut on a quiver with cycles: the forced span at vertex 1 (and 2)
+    # is nonempty, its superspaces are lifted, and the arrow checks read the
+    # lifted rows; each streamed basis is still its own RREF
+    lifts = []
+    superspaces = subspaces._iter_superspaces
+
+    def recorded(p, m, e, srows, *args, **kwargs):
+        lifts.append(0 < len(srows) < e)
+        return superspaces(p, m, e, srows, *args, **kwargs)
+
+    monkeypatch.setattr(subspaces, "_iter_superspaces", recorded)
+    # the oracle lists each Grassmannian of F_p^3 once, not once per e
+    monkeypatch.setattr(oracles, "naive_subspaces", lru_cache(oracles.naive_subspaces))
+    rng = random.Random(f"lifts:{arrows}")
+    quiver = Quiver(len(dims), arrows)
+    for p in (2, 3):
+        for _ in range(2):
+            mats = tuple(tuple(tuple(rng.randrange(p) for _ in range(dims[s]))
+                               for _ in range(dims[t])) for s, t in arrows)
+            rep = Representation(quiver, dims, mats, field=p)
+            for e in product(*(range(d + 1) for d in dims)):
+                points = list(iter_subrep_tuples(rep, e))
+                for pt in points:
+                    assert all(basis == linalg.rref_mod(basis, p)[0] for basis in pt.bases)
+                    assert pt.dims == e
+                assert len(set(points)) == len(points)
+                want = naive_count_subreps(arrows, dims, mats, e, p)
+                assert len(points) == count_subreps(rep, e).count == want, (p, mats, e)
+    assert any(lifts)
 
 
 def test_rank_mod_matches_rref():
@@ -944,7 +996,7 @@ def test_memo_hit_generates_no_candidates(budgets):
     rep = reduce_mod(build_kronecker(preprojective(3)), 5)
     first = _count_many(rep, [(1, 2)])[1, 2]
     assert len(budgets) == 1 and budgets[0].used > 0
-    assert not _plan(rep, [(1, 2)]).entry[1, 2][0]  # forward, as the fiber's set count
+    assert not _plan(rep, [(1, 2)])[1, 2][0]  # forward, as the fiber's set count
     assert count_subreps(rep, (1, 1)).count == 0  # same fiber: only e_1 differs
     profile = _count_many(rep, _fiber(1, 3))
     assert len(budgets) == 1  # a hit makes no budget, so it generates no candidate
@@ -1494,7 +1546,7 @@ def test_count_walks_and_builds_columns_only_on_a_miss(budgets, monkeypatch):
                 miss = _final_ranks.cache_info().misses - misses
                 assert built == {name: n + miss for name, n in before.items()}, (kind, e)
                 assert len(budgets) - made == miss, (kind, e)
-                directions.add(_plan(rep, [e]).entry[e][0])
+                directions.add(_plan(rep, [e])[e][0])
                 if sweep:
                     assert not miss, (kind, e)
         if kind == preinjective(3):
@@ -1591,9 +1643,12 @@ def test_determined_candidates_are_checked_on_a_cycle():
             (((1, 0), (0, 1)), ((1, 0), (0, 1)))]
 
 
-# Candidates charged, one budget per walk, measured before determined
-# vertices were taken without enumerating them: each still costs one tick,
-# or two at the last searched position of a shortcut walk.
+# Candidates charged, one budget per walk, measured when the walk still
+# enumerated determined vertices and charged each candidate as it came.
+# One charge per searched position as the walk enters it gives the same
+# totals: binom_p(d_v - s, e_v - s), 1 at a determined vertex, twice the
+# count at the last searched position of a shortcut walk, and one per
+# arrival at the final vertex.
 DETERMINED_BUDGETS = {
     ("A", 5, (1, 1, 1, 1, 1)): (
         [5, 1, 2, 2, 3, 1, 3, 3, 5, 1, 2, 2, 5, 1, 5, 5],
