@@ -23,13 +23,9 @@ memoized walks of the e's still pending, so every e takes the same walk
 at every prime, under a cap read once per computation.  The verdicts
 read what was sampled: each e's (p, count) pairs and each walk's (p, rank
 histogram) pairs, and at each prime every pending e is decided anew from
-its samples.  That is not all the state: `_settle` also keeps `settled`,
-the e's decided so far (a fiber or palindrome fit among them), and the
-memo `fits` of each fiber's fitted N_k, and it tries the palindrome and
-fiber tests only at the n that equals their thresholds.  Dropping a
-prime's samples and deciding again must therefore also clear both, and an
-e whose n falls back below a threshold meets that test again only at a
-later prime.
+its samples.  Nothing else is kept, and each test is tried whenever its
+samples suffice, so dropping a prime's samples and deciding again needs
+no other reset.
 
 Four tests settle e.  The first, the arrow test, needs no prime, and
 neither does the empty case of the rigidity test below: both are asked of
@@ -41,8 +37,8 @@ empty, P_e = 0, when r > d_u - e_u + e_v.  When every arrow of nonzero
 rank has e_u = 0 or e_v = d_v, phi_a(U_u) lies in U_v for every choice,
 so Gr_e(M) is prod_v Gr(e_v, d_v) and P_e = prod_v binom_q(d_v, e_v), of
 degree sum_v e_v (d_v - e_v) = B_e (forward, e_u = 0 forces nothing and
-e_v = d_v zeroes v's term; the dual swaps them), fitted through its values
-at B_e + 1 integers once per (d, e).  Both hold over Q and over every
+e_v = d_v zeroes v's term; the dual swaps them), read off one value of it
+once per (d, e) (`_grassmannians`).  Both hold over Q and over every
 F_p at which each phi_a keeps its rank (`good_primes`), so both are exact
 and neither rejects.
 
@@ -68,9 +64,10 @@ direction).  So the count is sum_k N_k(p) binom_p(d_f - k, x - k), and
 only k <= x contribute.  Once the fiber's walk has B_F + 1 + HELD_OUT
 histograms, B_F the fiber bound (the degree bound summed over the
 searched vertices only, in the walked direction), each N_k is fitted
-once for the whole fiber by `_fit` with that bound, held-out primes
-included (`_rank_fits`).  For each member e whose N_k with k <= x all
-pass, P_e = sum_{k <= x} N_k(q) binom_q(d_f - k, x - k) (`_fiber_fit`).
+for the whole fiber from those histograms by `_fit` with that bound,
+held-out primes included (`_rank_fits`).  For each member e whose N_k
+with k <= x all pass, P_e = sum_{k <= x} N_k(q) binom_q(d_f - k, x - k)
+(`_fiber_fit`).
 Its coefficients come from its values at B_e + 1 integers, and it must
 reproduce every sample.
 Soundness:
@@ -172,7 +169,7 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
-from math import lcm, prod
+from math import comb, lcm, prod
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -246,8 +243,9 @@ def _interpolant(nodes: tuple[tuple[int, int], ...]) -> tuple[int, ...] | None:
     denominator D = lcm_j |w_j| its numerators are integers, the quotients
     N / (x - x_j) come by synthetic division, and the interpolant is
     integral exactly when D divides every numerator.  Remembered, so that
-    judging an e anew at each prime (`_fit`) and the final
-    `interpolate_counting_polynomial` fit each set of nodes once.
+    judging an e anew at each prime (`_fit`) and the
+    `interpolate_counting_polynomial` that decides it fit each set of nodes
+    once.
     """
     xs = [x for x, _ in nodes]
     full = [1]  # N, ascending
@@ -522,15 +520,17 @@ class _Sampling:
 @lru_cache(maxsize=1024)
 def _grassmannians(dims: tuple[int, ...], e: tuple[int, ...]) -> tuple[int, ...]:
     """prod_v binom_q(d_v, e_v) (`subspaces._gauss_product` over every
-    vertex), through its values at B_e + 1 integers, B_e = sum_v e_v (d_v -
-    e_v) its degree, and 1 with no value when B_e = 0 (every Gr(e_v, d_v) a
-    point, as at every e of a thin d); remembered per (d, e), so each
-    product is interpolated once per process."""
+    vertex), read off its value at q = 2^k, and 1 when its degree B_e =
+    sum_v e_v (d_v - e_v) is 0 (every Gr(e_v, d_v) a point, as at every e of
+    a thin d).  Its coefficients are nonnegative and sum to P(1) =
+    prod_v C(d_v, e_v) < 2^k, so each is one base-2^k digit of that value;
+    remembered per (d, e), so each product is read once per process."""
     degree = sum(x * (d - x) for d, x in zip(dims, e))
     if not degree:
         return (1,)
-    return _interpolant(tuple((q, _gauss_product(dims, e, q, range(len(dims))))
-                              for q in range(2, degree + 3)))
+    shift = prod(map(comb, dims, e)).bit_length()
+    value = _gauss_product(dims, e, 1 << shift, range(len(dims)))
+    return tuple(value >> shift * i & (1 << shift) - 1 for i in range(degree + 1))
 
 
 @lru_cache(maxsize=64)
@@ -559,14 +559,17 @@ def good_primes(rep: Representation, how_many: int) -> list[int]:
     return [p for p, _ in islice(_sampling(rep).reductions(), how_many)]
 
 
-def _rank_fits(walks: Sequence[tuple[int, tuple]], fiber_bound: int
+@lru_cache(maxsize=256)
+def _rank_fits(walks: tuple[tuple[int, tuple], ...], fiber_bound: int
                ) -> dict[int, tuple[int, ...] | None]:
-    """N_k for every rank k that one fiber's walk reached, fitted once.
+    """N_k for every rank k that one fiber's walk reached.
 
     walks are (p, rank histogram) pairs of the same walk at the primes
-    sampled so far, fiber_bound + 1 + HELD_OUT of them.  Each N_k maps to
-    its coefficients when it passes `_fit` with the fiber bound, held-out
-    primes included, and to None otherwise.
+    sampled so far, at least fiber_bound + 1 + HELD_OUT of them.  Each N_k
+    maps to its coefficients when it passes `_fit` with the fiber bound,
+    held-out primes included, and to None otherwise.  A function of the
+    histograms alone, remembered like `_interpolant`, so the members of a
+    fiber decided at one prime share one fit.
     """
     tables = [(p, dict(ranks)) for p, ranks in walks]
     return {k: _fit([(p, ranks.get(k, 0)) for p, ranks in tables], fiber_bound)[0]
@@ -640,57 +643,53 @@ def _settle(rep: Representation, es: Sequence[tuple[int, ...]], cap: int | None
     """Yield (e, its verified counting polynomial or its rejection) for every e
     in es (distinct, in the box), in order, once all are sampled.
 
-    First `_Sampling.closed_form` settles every e it can, with no sample
-    (an arrow rules e out, no arrow constrains e, or M is rigid and
-    <e, d - e> < 0), and a set it settles whole is yielded at once, with
-    no bound, sample, plan or prime worked out; such an e reports the
-    degree of its closed form as its degree bound.  Only the
-    rest has its degree bound worked out (`_Sampling.degree_bound`), and it
-    is planned at its first prime (`subspaces._plan`), which also fixes each
-    e's walk, its direction and key, and so its fiber's bound B_F and final
-    vertex.  At each prime every e still pending is counted in one
-    `subspaces._count_planned` call, which shares the search work across
-    the set.  The verdicts read samples[e], the (p, count) pairs of e,
-    and walks[walk], the (p, rank histogram) pairs of each shortcut walk,
-    from which each fiber's N_k are fitted once (`_rank_fits`, kept in
-    fits, as the decided e's are in settled; the module docstring says
-    what a dropped prime must reset).  From them every pending e is
-    decided anew at each prime, by its number n of samples, with
-    h = HELD_OUT held-out primes, or h = 0 when M is certified
-    (`_Sampling.certified`, module docstring), whose primes with
-    End(M mod p) > <d, d> are skipped unsampled:
-    - the per-e test (`_fit` with the degree bound) leaves e to the final
+    Each e's result, its `CountingPolynomial` or its `NonPolynomialCount`,
+    is made once, in one map, at the step that decides e.  First
+    `_Sampling.closed_form` settles every e it can, with no sample (an
+    arrow rules e out, no arrow constrains e, or M is rigid and
+    <e, d - e> < 0); such an e reports the degree of its closed form as its
+    degree bound, and a set it settles whole works out no bound, sample,
+    plan or prime.  Only the rest has its degree bound worked out
+    (`_Sampling.degree_bound`), and it is planned at its first prime
+    (`subspaces._plan`), which also fixes each e's walk, its direction and
+    key, and so its fiber's bound B_F and final vertex.  At each prime every
+    e still pending is counted in one `subspaces._count_planned` call, which
+    shares the search work across the set.  The verdicts read only
+    samples[e], the (p, count) pairs of e, and walks[walk], the (p, rank
+    histogram) pairs of each shortcut walk, whose N_k `_rank_fits` fits as a
+    function of them.  From them every pending e is decided anew at each
+    prime, by its number n of samples, with h = HELD_OUT held-out primes,
+    or h = 0 when M is certified (`_Sampling.certified`, module docstring),
+    whose primes with End(M mod p) > <d, d> are skipped unsampled; each
+    test is tried whenever its samples suffice:
+    - the per-e test (`_fit` with the degree bound) decides e by
       `interpolate_counting_polynomial` (with h held out) when its samples
-      prove it not polynomial in q, or when n = bound + 1 + h;
+      prove it not polynomial in q, or when n >= bound + 1 + h;
     - for rigid M and D = <e, d - e> >= 0, the rigidity test tries
-      `_palindrome_fit` at n = D // 2 + 1 + h;
-    - the fiber test tries `_fiber_fit` at n = B_F + 1 + HELD_OUT;
+      `_palindrome_fit` at n >= D // 2 + 1 + h;
+    - the fiber test tries `_fiber_fit` at n >= B_F + 1 + HELD_OUT;
     - otherwise e stays pending.
     The per-e test is asked first, so the fiber and rigidity tests are
     reached only where their bound is below the degree bound, where they
-    can save a prime, and neither rejects.  No prime is taken after the
-    last e is settled.  The cap is read once, here, when it is None.
+    can save a prime, and neither rejects.  Each test's nodes are its first
+    samples and later ones only add held-out checks, so a test that fails
+    once fails at every later prime.  No prime is taken after the last e is
+    settled.  The cap is read once, here, when it is None.
     """
     sampling = _sampling(rep)
     cap = read_cap(cap)
-    settled, degrees = {}, {}  # degrees: <e, d - e> for rigid M, else None
+    results, degrees = {}, {}  # degrees: <e, d - e> for rigid M, else None
     for e in es:
         ints, _, degrees[e] = sampling.closed_form(e)
         if ints is not None:
-            settled[e] = ints
-    if len(settled) == len(es):  # the closed forms settle the whole set
-        for e in es:
-            yield e, CountingPolynomial(settled[e], e, (), max(len(settled[e]) - 1, 0))
-        return
-    pending = [e for e in es if e not in settled]
-    certified = sampling.certified()
-    held_out = 0 if certified else HELD_OUT  # the fiber test keeps HELD_OUT
-    bounds = {e: max(len(settled[e]) - 1, 0) if e in settled else sampling.degree_bound(e)
-              for e in es}  # a closed form's degree, else the arrow bound
-    samples = {e: [] for e in es}
-    walks, fits = {}, {}
-    primes = sampling.reductions()
-    plan = None
+            results[e] = CountingPolynomial(ints, e, (), max(len(ints) - 1, 0))
+    pending = [e for e in es if e not in results]
+    if pending:  # the closed forms leave some e to sample
+        certified = sampling.certified()
+        held_out = 0 if certified else HELD_OUT  # the fiber test keeps HELD_OUT
+        bounds = {e: sampling.degree_bound(e) for e in pending}
+        samples, walks = {e: [] for e in pending}, {}
+        primes, plan = sampling.reductions(), None
     while pending:
         p, rep_p = next(primes)
         if certified and sampling.end_mod(rep_p) != sampling.form:
@@ -708,34 +707,29 @@ def _settle(rep: Representation, es: Sequence[tuple[int, ...]], cap: int | None
             got, bound = samples[e], bounds[e]
             got.append((p, counts[e]))
             n = len(got)
-            if _fit(got, bound)[1] is not None or n == bound + 1 + held_out:
-                continue  # the per-e test decides e
+            if _fit(got, bound)[1] is not None or n >= bound + 1 + held_out:
+                try:  # the per-e test decides e
+                    results[e] = interpolate_counting_polynomial(got, bound, dim_vector=e,
+                                                                 held_out=held_out)
+                except NonPolynomialCount as exc:
+                    results[e] = exc
+                continue
             ints, degree = None, degrees[e]
-            if degree is not None and n == degree // 2 + 1 + held_out:
+            if degree is not None and n >= degree // 2 + 1 + held_out:
                 ints = _palindrome_fit(got, degree)
             backward, key, x = plan[e]
-            walk = backward, key
-            fiber_bound = fiber_bounds.get(walk, bound)
-            if ints is None and n == fiber_bound + 1 + HELD_OUT:
-                if walk not in fits:
-                    fits[walk] = _rank_fits(walks[walk], fiber_bound)
+            fiber_bound = fiber_bounds.get((backward, key), bound)
+            if ints is None and n >= fiber_bound + 1 + HELD_OUT:
                 final = rep.dims[_routing(rep.quiver, backward).order[-1]]
-                ints = _fiber_fit(fits[walk], final, x, got, bound)
+                ints = _fiber_fit(_rank_fits(tuple(walks[backward, key]), fiber_bound),
+                                  final, x, got, bound)
             if ints is None:
                 still.append(e)
             else:
-                settled[e] = ints
+                results[e] = CountingPolynomial(ints, e, tuple(got), bound)
         pending = still
-    for e, bound in bounds.items():
-        if e in settled:
-            result = CountingPolynomial(settled[e], e, tuple(samples[e]), bound)
-        else:
-            try:
-                result = interpolate_counting_polynomial(samples[e], bound, dim_vector=e,
-                                                         held_out=held_out)
-            except NonPolynomialCount as exc:
-                result = exc
-        yield e, result
+    for e in es:
+        yield e, results[e]
 
 
 def counting_polynomial(rep: Representation, e: Sequence[int],

@@ -253,10 +253,25 @@ def _free_entries(m: int, pivots: tuple, arrows: int | None = None) -> tuple[lis
 def _block_count(p: int, m: int, e: int, arrows: int) -> int:
     """How many items `_iter_rref(block=True)` yields for Gr(e, m) over F_p
     under that many arrows: p^(free entries outside the row family) per
-    pivot set.  `_plan` breaks ties by this count even where the walk ranks
-    the vertex whole, as one pencil and two ranks."""
-    return sum(p ** len(_free_entries(m, pivots, arrows)[0])
-               for pivots in combinations(range(m), e))
+    pivot set, summed in closed form.  `_plan` breaks ties by this count
+    even where the walk ranks the vertex whole, as one pencil and two ranks,
+    and before the cap is compared, so it must not enumerate.
+
+    With n = m - e, row r of the pivots c_0 < ... < c_{e-1} has g_r = c_r - r
+    non-pivot columns before its lead and n - g_r free entries, and g is
+    non-decreasing in [0, n].  One pivot set, the last e columns, has none
+    free.  Otherwise the family is the last row j with f = n - g_j > 0 free
+    entries (rows after it have none), and the rows before it have
+    g_0 <= ... <= g_{j-1} <= n - f: their free entries are j f plus the
+    parts n - f - g_r of a partition in a j x (n - f) box, and p^(size)
+    summed over that box is binom_p(j + n - f, j).  So the count is
+    1 + sum_{j < e} sum_{f = 1..n} p^(j f) binom_p(j + n - f, j), with each
+    term times p^max(0, f - 2) under more than two arrows, where the family
+    keeps only the row's last two entries."""
+    n = m - e
+    return 1 + sum(p ** (j * f + (max(0, f - 2) if arrows > 2 else 0))
+                   * _gaussian_binomial(j + n - f, j, p)
+                   for j in range(e) for f in range(1, n + 1))
 
 
 def _iter_rref(p: int, m: int, e: int, cols: Sequence = (), block: bool = False
@@ -810,19 +825,26 @@ def iter_subrep_tuples(rep: Representation, e: Sequence[int],
     """Stream every point of the quiver Grassmannian as a SubspaceTuple.
 
     A basis the walk lifts is not canonical (`_iter_superspaces`), so each
-    basis at a vertex that an arrow is forced into is brought to its RREF
-    here, the one place a point leaves the library.  Any other vertex has
-    an empty forced span, and `_iter_rref` gives its bases canonical."""
+    basis that is not already its RREF is brought to it here, the one place
+    a point leaves the library.  Its rows lead at its pivots, so it is its
+    RREF when the pivots increase and each pivot column is a unit column.
+    Only a basis lifted over a forced span can fail that: `_iter_rref`, a
+    forced span and a whole vertex give canonical bases."""
     (e,) = _checked(rep, [e])
     cap = read_cap(cap)
     estimate = _gauss_product(rep.dims, e, rep.field, range(rep.n))
     if estimate > cap:
         raise _too_large(rep, estimate, cap, [e])
-    route = _routing(rep.quiver, False)
+    order = _routing(rep.quiver, False).order
+
+    def is_rref(rows: tuple, pivots: tuple) -> bool:
+        return list(pivots) == sorted(pivots) and all(
+            row[c] == (r == i) for r, row in enumerate(rows) for i, c in enumerate(pivots))
+
     try:
         for chosen in _walk(rep, e, _Budget(cap), shortcut=False):
-            by_vertex = {v: linalg.rref_mod(rows, rep.field)[0] if forced else rows
-                         for v, forced, (rows, _, _) in zip(route.order, route.forced_in, chosen)}
+            by_vertex = {v: rows if is_rref(rows, pivots) else linalg.rref_mod(rows, rep.field)[0]
+                         for v, (rows, pivots, _) in zip(order, chosen)}
             yield SubspaceTuple(rep.field, tuple(by_vertex[v] for v in range(rep.n)))
     except _OverCap:
         raise _too_large(rep, estimate, cap, [e], cap + 1) from None

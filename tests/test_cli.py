@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 from itertools import product
 
 import pytest
@@ -12,6 +13,7 @@ from quivergrass.kronecker import (
     kronecker_quiver,
     preinjective,
     preprojective,
+    regular,
 )
 from quivergrass.model import (
     Quiver,
@@ -211,6 +213,16 @@ def test_cap_exit_reports_the_estimate_it_compared(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: enumeration visited more than cap 1000 "
                                        "candidates (estimate 806): p = 5, dimension vector "
                                        "(2, 2)\n")
+    # reg(24, 0) at (12, 12) ties in both directions, and the tie-break
+    # counts blocks in closed form, so the refusal comes before any walk
+    path = tmp_path / "reg24.json"
+    save_representation(build_kronecker(regular(24, 0)), path)
+    start = time.perf_counter()
+    assert main(["euler", "--rep", str(path), "--e", "12,12"]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: search size estimate 906095700686734205546969230063681458726087111709986196164124"
+        "401873820 exceeds cap 100000000: p = 3, dimension vector (12, 12)\n")
 
 
 def test_euler_bad_cap_is_a_usage_error(pr2_file, capsys):

@@ -856,7 +856,7 @@ def test_quartic_fibers_settle_what_their_ranks_allow():
         walks.append((p, walked[False, (1, 0)]))
     assert {plan[e][:2] for e in fiber} == {(False, (1, 0))}
     assert sampling.fiber_bound(False, (1, 0)) == 2
-    fits = eu._rank_fits(walks, 2)
+    fits = eu._rank_fits(tuple(walks), 2)
     assert {e: eu._fiber_fit(fits, 4, e[1], counts[e], bounds[e]) for e in fiber} == {
         (1, 0): (), (1, 1): (), (1, 2): (), (1, 3): None, (1, 4): None}
     # the fiber as one set: an arrow of rank 3 rules (1, 0) out, no arrow
@@ -879,7 +879,7 @@ def test_fiber_fit_holds_out_primes_for_each_rank():
     from quivergrass.euler import _fiber_fit, _rank_fits
 
     def fits(*hists):
-        return _rank_fits([(p, tuple(h.items())) for p, h in zip((3, 5, 7), hists)], 0)
+        return _rank_fits(tuple((p, tuple(h.items())) for p, h in zip((3, 5, 7), hists)), 0)
 
     # d = x = 1, so P = N_0 + N_1 = 1 at every prime, but N_0 and N_1 are
     # not constant: the held-out prime 7 refuses the constant through 3
@@ -1018,6 +1018,11 @@ def test_arrowless_f_polynomial_is_a_product_of_grassmannians():
     assert time.perf_counter() - start < 1.0
     u1, u2 = FPolynomial.variable(2, 0), FPolynomial.variable(2, 1)
     assert f == (1 + u1) ** 6 * (1 + u2) ** 6
+    # one vertex of dimension 40: each product is read off one value
+    start = time.perf_counter()
+    f = f_polynomial(Representation(Quiver(1, ()), (40,), ()))
+    assert time.perf_counter() - start < 1.0
+    assert f == (1 + FPolynomial.variable(1, 0)) ** 40
 
 
 # Rigid M: Gr_e(M) is empty when <e, d - e> < 0, and otherwise its count is a

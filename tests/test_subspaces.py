@@ -4,7 +4,7 @@ import threading
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -384,6 +384,19 @@ def test_direction_ties_go_to_the_walk_with_fewer_blocks():
         rep, (2, 2))
 
 
+def test_block_count_closed_form_matches_the_pivot_sets():
+    # the oracle enumerates the pivot sets: per (m, e, arrows) the exponents
+    # of p over every pivot set, summed at each p
+    for m in range(12):
+        for e in range(m + 1):
+            for arrows in range(6):
+                exponents = [len(subspaces._free_entries(m, pivots, arrows)[0])
+                             for pivots in combinations(range(m), e)]
+                for p in (2, 3, 5, 7, 11):
+                    assert subspaces._block_count(p, m, e, arrows) == sum(
+                        p ** x for x in exponents), (p, m, e, arrows)
+
+
 def test_box_takes_the_walks_of_its_single_e_counts():
     # the box of a square module ties on its summed estimates, so each e
     # takes the walk it takes alone, and the box walks nothing new
@@ -520,6 +533,32 @@ def test_lifted_walks_stream_canonical_distinct_points(monkeypatch, arrows, dims
                 want = naive_count_subreps(arrows, dims, mats, e, p)
                 assert len(points) == count_subreps(rep, e).count == want, (p, mats, e)
     assert any(lifts)
+
+
+def test_streaming_reduces_only_bases_that_are_not_canonical(monkeypatch):
+    # pr(5) mod 5 at (1, 2): each of the 156 lines at vertex 1 forces a span
+    # of dimension 2 into vertex 2, which is then determined, so the walk
+    # makes one rref_mod at vertex 1 and one per line; the streamed bases are
+    # already RREFs, and streaming adds none
+    calls = []
+    rref = linalg.rref_mod
+
+    def counted(*args):
+        calls.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(linalg, "rref_mod", counted)
+    rep = reduce_mod(build_kronecker(preprojective(5)), 5)
+    points = list(iter_subrep_tuples(rep, (1, 2)))
+    assert (len(points), len(calls)) == (156, 157)
+    assert all(basis == rref(basis, 5)[0] for pt in points for basis in pt.bases)
+    # the span <e_3> forced into F_3^3 comes first in each lifted basis, and
+    # its pivot column is a unit column there: only the pivot order says that
+    # the basis still needs its RREF
+    rep = Representation(Quiver(2, ((0, 1),)), (1, 3), (((0,), (0,), (1,)),), field=3)
+    points = list(iter_subrep_tuples(rep, (1, 2)))
+    assert [pt.bases[1] for pt in points] == [((1, x, 0), (0, 0, 1)) for x in range(3)] + [
+        ((0, 1, 0), (0, 0, 1))]
 
 
 def test_rank_mod_matches_rref():
